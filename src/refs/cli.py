@@ -18,7 +18,6 @@ import sys
 
 from .errors import (
     CrossRefConflictError,
-    DuplicateEntryError,
     InvalidDoiError,
     MissingEntryError,
     RefsError,
@@ -28,7 +27,7 @@ from .errors import (
     UnusableMetadataError,
 )
 from .identifiers import parse_doi
-from .pipeline import resolve_query_reference, resolve_and_store_report
+from .pipeline import resolve_and_store_report, resolve_query_reference, store_report
 from .render import RenderFormat, render_all
 from .resolvers import ADS_TOKEN_ENV, AdsConfig
 from .store import RefStore
@@ -178,7 +177,7 @@ def cmd_add(args) -> int:
             gid, report = resolve_and_store_report(doi, args.note, store, cfg, transport)
         else:
             report = resolve_query_reference(args.query, args.note, cfg, transport)
-            gid = _store_resolved(store, report, args.note)
+            gid = store_report(store, report, args.note)
     except (ResolutionFailedError, UnusableMetadataError, TransportError) as exc:
         return _fail(EXIT_RESOLUTION, str(exc))
     except (StoreError, sqlite3.Error, OSError) as exc:
@@ -191,14 +190,6 @@ def cmd_add(args) -> int:
     suffix = " unverified" if report.unverified else ""
     print(f"id={gid} path={report.path_taken.value}{suffix}")
     return EXIT_OK
-
-
-def _store_resolved(store: RefStore, report, note: str | None) -> int:
-    try:
-        return store.add_entry([report.record], note=note)
-    except DuplicateEntryError as exc:
-        report.warnings.append(f"DOI {report.doi} is already stored as entry {exc.existing_id}")
-        return exc.existing_id
 
 
 def cmd_render(args) -> int:

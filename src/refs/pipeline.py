@@ -8,13 +8,13 @@ the output formats, so both routes yield identical HTML by construction.
 from __future__ import annotations
 
 import enum
-import json
 import warnings
 from dataclasses import dataclass, field
 
 from .bibtex import bibtex_to_record
 from .errors import (
     DuplicateEntryError,
+    MissingEntryError,
     RefsError,
     RefsWarning,
     ResolutionFailedError,
@@ -25,14 +25,12 @@ from .model import BibRecord, RefEntry
 from .render import RenderedCitation, RenderFormat, render_all
 from .resolvers import (
     AdsConfig,
-    ExportFormat,
     ads_doc_to_record,
     csl_to_record,
-    fetch_ads_export,
+    fetch_ads_doc,
     fetch_bibtex,
     fetch_bibtex_by_query,
     fetch_csl_json,
-    resolve_bibcode,
 )
 from .store import RefStore
 from .transport import Transport
@@ -80,22 +78,22 @@ def resolve_reference(
         raise ValueError("a transport is required")
 
     collected: list[str] = []
-    ads_cause = "DOI not in ADS (empty bibcode search result)"
+    ads_cause = "DOI not in ADS (empty DOI search result)"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        bibcode = None
+        doc = None
         try:
-            bibcode = resolve_bibcode(doi, cfg, transport)
+            doc = fetch_ads_doc(doi, cfg, transport)
         except RefsError as exc:
-            ads_cause = f"bibcode lookup failed: {exc}"
+            ads_cause = f"ADS DOI search failed: {exc}"
 
-        if bibcode is not None:
+        if doc is not None:
             try:
-                report = _resolve_via_ads(doi, bibcode, note, cfg, transport)
+                report = _resolve_via_ads(doi, doc, note)
                 report.warnings = _warning_messages(caught) + report.warnings
                 return report
             except RefsError as exc:
-                ads_cause = f"ADS field fetch failed for {bibcode}: {exc}"
+                ads_cause = f"ADS document for {doc['bibcode']} is unusable: {exc}"
                 collected.append(ads_cause)
 
         try:
@@ -110,22 +108,18 @@ def _warning_messages(caught) -> list[str]:
     return [str(w.message) for w in caught if issubclass(w.category, RefsWarning)]
 
 
-def _resolve_via_ads(
-    doi: Doi, bibcode: Bibcode, note: str | None, cfg: AdsConfig, transport: Transport
-) -> ResolutionReport:
-    exports = fetch_ads_export([bibcode], ExportFormat.JSON_FIELDS, cfg, transport)
-    doc = json.loads(exports[0][1])
+def _resolve_via_ads(doi: Doi, doc: dict, note: str | None) -> ResolutionReport:
     record = ads_doc_to_record(doc, queried_doi=doi)
     extra = []
     if record.doi is not None and record.doi.canonical != doi.canonical:
-        extra.append(f"ADS reports DOI {record.doi} for bibcode {bibcode}, queried {doi}")
+        extra.append(f"ADS reports DOI {record.doi} for bibcode {record.bibcode}, queried {doi}")
     entry = RefEntry(records=[record], note=note)
     return ResolutionReport(
         doi=doi,
         path_taken=ResolutionPath.ADS,
         record=record,
         renders=render_all(entry),
-        bibcode=bibcode,
+        bibcode=record.bibcode,
         warnings=extra,
     )
 
@@ -166,11 +160,15 @@ def resolve_query_reference(
     Reports from this route are always marked unverified: a keyword match
     may belong to a different article.
     """
+    if cfg is None:
+        cfg = AdsConfig.from_env()
     if transport is None:
         raise ValueError("a transport is required")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fetched = fetch_bibtex_by_query(freeform, transport)
+        fetched = fetch_bibtex_by_query(
+            freeform, transport, max_retries=cfg.max_retries, backoff_base=cfg.backoff_base
+        )
     record = bibtex_to_record(fetched)
     if record.doi is None:
         raise UnusableMetadataError(f"query result for {freeform!r} carries no DOI")
@@ -211,12 +209,40 @@ def resolve_and_store_report(
     """Like resolve_and_store, but also hands back the resolution report.
 
     A duplicate DOI is not an error here: the existing ID is returned with
-    a warning on the report, which keeps batch imports idempotent.
+    a warning on the report, which keeps batch imports idempotent. A DOI
+    the store already holds costs no request; its report is built from the
+    stored entry, note included.
     """
+    gid = store.find_entry_by_dois([doi])
+    if gid is not None:
+        try:
+            return gid, _stored_report(doi, store.get_entry(gid))
+        except MissingEntryError:
+            pass  # deleted by another writer since the lookup: resolve afresh
     report = resolve_reference(doi, note, cfg, transport)
+    return store_report(store, report, note), report
+
+
+def store_report(store: RefStore, report: ResolutionReport, note: str | None) -> int:
+    """Persist a report's record; a duplicate DOI yields the existing ID plus a warning."""
     try:
-        gid = store.add_entry([report.record], note=note)
+        return store.add_entry([report.record], note=note)
     except DuplicateEntryError as exc:
-        gid = exc.existing_id
-        report.warnings.append(f"DOI {doi} is already stored as entry {gid}")
-    return gid, report
+        report.warnings.append(_already_stored(report.doi, exc.existing_id))
+        return exc.existing_id
+
+
+def _already_stored(doi: Doi, gid: int) -> str:
+    return f"DOI {doi} is already stored as entry {gid}"
+
+
+def _stored_report(doi: Doi, entry: RefEntry) -> ResolutionReport:
+    record = next(r for r in entry.records if r.doi == doi)
+    return ResolutionReport(
+        doi=doi,
+        path_taken=ResolutionPath.ADS if record.bibcode else ResolutionPath.FALLBACK,
+        record=record,
+        renders=render_all(entry),
+        bibcode=record.bibcode,
+        warnings=[_already_stored(doi, entry.global_id)],
+    )

@@ -1,9 +1,9 @@
 """Network clients that turn identifiers into BibRecords.
 
-Two routes exist: the ADS path (DOI to bibcode, then structured field
-export) and the DOI content-negotiation fallback at doi.org. Both run over
-a pluggable transport, so tests replay recorded fixtures instead of hitting
-the services.
+Two routes exist: the ADS path (one DOI search that returns the bibcode
+and the structured fields) and the DOI content-negotiation fallback at
+doi.org. Both run over a pluggable transport, so tests replay recorded
+fixtures instead of hitting the services.
 """
 
 from __future__ import annotations
@@ -185,6 +185,25 @@ def _ads_docs(response: HttpResponse, url: str) -> list[dict]:
         raise ResponseDecodeError(f"malformed ADS response from {url}: {exc}") from exc
 
 
+def _ads_doi_docs(doi: Doi, fields: str, cfg: AdsConfig, transport: Transport) -> list[dict]:
+    """Run the ADS ``doi:"..."`` search for ``fields``; the docs that carry a bibcode.
+
+    When several documents match, the first by service relevance leads and
+    a MultipleBibcodesWarning is issued.
+    """
+    _check_ads_auth(cfg, transport)
+    url = ads_search_url(cfg, f'doi:"{doi.canonical}"', fields, rows=10)
+    response = _ads_get(cfg, transport, url)
+    docs = [d for d in _ads_docs(response, url) if d.get("bibcode")]
+    if len(docs) > 1:
+        warnings.warn(
+            f"DOI {doi} matches {len(docs)} bibcodes; using {docs[0]['bibcode']}",
+            MultipleBibcodesWarning,
+            stacklevel=3,
+        )
+    return docs
+
+
 def resolve_bibcode(doi: Doi, cfg: AdsConfig, transport: Transport) -> Bibcode | None:
     """Look up the ADS bibcode for a DOI.
 
@@ -192,20 +211,17 @@ def resolve_bibcode(doi: Doi, cfg: AdsConfig, transport: Transport) -> Bibcode |
     is not an error). When several bibcodes match, the first by service
     relevance is used and a MultipleBibcodesWarning is issued.
     """
-    _check_ads_auth(cfg, transport)
-    url = ads_search_url(cfg, f'doi:"{doi.canonical}"', "bibcode", rows=10)
-    response = _ads_get(cfg, transport, url)
-    docs = _ads_docs(response, url)
-    bibcodes = [d["bibcode"] for d in docs if d.get("bibcode")]
-    if not bibcodes:
-        return None
-    if len(bibcodes) > 1:
-        warnings.warn(
-            f"DOI {doi} matches {len(bibcodes)} bibcodes; using {bibcodes[0]}",
-            MultipleBibcodesWarning,
-            stacklevel=2,
-        )
-    return parse_bibcode(bibcodes[0])
+    docs = _ads_doi_docs(doi, "bibcode", cfg, transport)
+    return parse_bibcode(docs[0]["bibcode"]) if docs else None
+
+
+def fetch_ads_doc(doi: Doi, cfg: AdsConfig, transport: Transport) -> dict | None:
+    """The ADS search document (ADS_FIELD_LIST) for a DOI, in one request.
+
+    None when ADS has no match; several matches behave as in resolve_bibcode.
+    """
+    docs = _ads_doi_docs(doi, ADS_FIELD_LIST, cfg, transport)
+    return docs[0] if docs else None
 
 
 def fetch_ads_export(
@@ -360,7 +376,8 @@ def fetch_bibtex(doi: Doi, transport: Transport, *, max_retries: int = 3,
     return text
 
 
-def fetch_bibtex_by_query(freeform: str, transport: Transport) -> str:
+def fetch_bibtex_by_query(freeform: str, transport: Transport, *, max_retries: int = 3,
+                          backoff_base: float = 1.0) -> str:
     """Resolve free text to BibTeX via the top-ranked CrossRef match.
 
     The match is keyword-based, so an UnverifiedResultWarning is issued:
@@ -368,8 +385,9 @@ def fetch_bibtex_by_query(freeform: str, transport: Transport) -> str:
     """
     if not freeform or not freeform.strip():
         raise ValueError("query text must be non-empty")
-    doi = crossref_top_doi(freeform, transport)
-    bibtex = fetch_bibtex(doi, transport)
+    retry = {"max_retries": max_retries, "backoff_base": backoff_base}
+    doi = crossref_top_doi(freeform, transport, **retry)
+    bibtex = fetch_bibtex(doi, transport, **retry)
     warnings.warn(
         f"bibliography for query {freeform!r} resolved by keyword match to {doi}; "
         "it may belong to a different article",
@@ -379,13 +397,16 @@ def fetch_bibtex_by_query(freeform: str, transport: Transport) -> str:
     return bibtex
 
 
-def crossref_top_doi(freeform: str, transport: Transport) -> Doi:
+def crossref_top_doi(freeform: str, transport: Transport, *, max_retries: int = 3,
+                     backoff_base: float = 1.0) -> Doi:
     """The DOI of the top-ranked CrossRef hit for a free-text query."""
     if not freeform or not freeform.strip():
         raise ValueError("query text must be non-empty")
     url = crossref_query_url(freeform.strip())
     request = HttpRequest("GET", url, headers={"Accept": "application/json"})
-    response = _execute_with_retry(transport, request)
+    response = _execute_with_retry(
+        transport, request, max_retries=max_retries, backoff_base=backoff_base
+    )
     if response.status != 200:
         raise UpstreamError(f"CrossRef answered {response.status}", status=response.status)
     try:

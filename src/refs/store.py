@@ -10,10 +10,13 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 from .errors import CrossRefConflictError, DuplicateEntryError, MissingEntryError, StoreError
-from .identifiers import format_bibcode, parse_bibcode, parse_doi
+from .fileio import replace_files
+from .identifiers import Doi, format_bibcode, parse_bibcode, parse_doi
 from .model import AuthorName, BibRecord, Pages, RefEntry, SourceCrossRef, SourceType
 from .render import render_bibtex, render_html
 
@@ -124,18 +127,14 @@ class RefStore:
         """
         if not records:
             raise ValueError("an entry needs at least one record")
-        doi_set = _doi_set(records)
+        doi_set = _doi_set(r.doi for r in records)
         with self._lock, self._conn:
-            if doi_set is not None:
-                row = self._conn.execute(
-                    "SELECT global_id FROM entries WHERE doi_set = ? AND deleted = 0",
-                    (doi_set,),
-                ).fetchone()
-                if row:
-                    raise DuplicateEntryError(
-                        f"an entry with the same DOI set already exists: {row[0]}",
-                        existing_id=row[0],
-                    )
+            existing = self._live_id_for_doi_set(doi_set)
+            if existing is not None:
+                raise DuplicateEntryError(
+                    f"an entry with the same DOI set already exists: {existing}",
+                    existing_id=existing,
+                )
             gid = self._conn.execute("SELECT next_id FROM id_sequence").fetchone()[0]
             self._conn.execute("UPDATE id_sequence SET next_id = ?", (gid + 1,))
             self._conn.execute(
@@ -185,6 +184,10 @@ class RefStore:
             )
 
     # -- reads ---------------------------------------------------------
+
+    def find_entry_by_dois(self, dois: Iterable[Doi]) -> int | None:
+        """The live entry holding exactly this set of DOIs, the key add_entry dedupes on."""
+        return self._live_id_for_doi_set(_doi_set(dois))
 
     def get_entry(self, global_id: int) -> RefEntry:
         row = self._conn.execute(
@@ -259,16 +262,22 @@ class RefStore:
         html_path = out / HTML_BUNDLE_NAME
         bib_path = out / BIB_BUNDLE_NAME
 
-        html_parts = [_HTML_HEAD]
-        html_parts.extend(f"<p>{render_html(e).body}</p>\n" for e in entries)
-        html_parts.append(_HTML_TAIL)
-        _write_lf(html_path, "".join(html_parts))
-
-        bib_bodies = [render_bibtex(e).body for e in entries]
-        _write_lf(bib_path, "\n\n".join(bib_bodies) + "\n")
+        html = chain([_HTML_HEAD], (f"<p>{render_html(e).body}</p>\n" for e in entries),
+                     [_HTML_TAIL])
+        bib = chain([render_bibtex(entries[0]).body],
+                    ("\n\n" + render_bibtex(e).body for e in entries[1:]), ["\n"])
+        replace_files([(html_path, html), (bib_path, bib)])
         return html_path, bib_path
 
     # -- internals -----------------------------------------------------
+
+    def _live_id_for_doi_set(self, doi_set: str | None) -> int | None:
+        if doi_set is None:
+            return None
+        row = self._conn.execute(
+            "SELECT global_id FROM entries WHERE doi_set = ? AND deleted = 0", (doi_set,)
+        ).fetchone()
+        return row[0] if row else None
 
     def _entry_exists(self, global_id: int) -> bool:
         row = self._conn.execute(
@@ -322,9 +331,9 @@ class RefStore:
         )
 
 
-def _doi_set(records: list[BibRecord]) -> str | None:
-    dois = sorted({r.doi.canonical for r in records if r.doi is not None})
-    return "|".join(dois) if dois else None
+def _doi_set(dois: Iterable[Doi | None]) -> str | None:
+    canonical = sorted({d.canonical for d in dois if d is not None})
+    return "|".join(canonical) if canonical else None
 
 
 def _record_from_row(row: tuple) -> BibRecord:
@@ -363,8 +372,3 @@ def _record_from_row(row: tuple) -> BibRecord:
         doi_url=doi_url,
         ads_url=ads_url,
     )
-
-
-def _write_lf(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)

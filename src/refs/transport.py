@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Iterable, Protocol
 
 from .errors import FixtureMissingError, TransportTimeoutError
+from .fileio import replace_files
 
 
 @dataclass(frozen=True)
@@ -164,6 +165,9 @@ class RecordingTransport:
     def __init__(self, inner: Transport, archive_path: str | Path):
         self._inner = inner
         self._path = Path(archive_path)
+        self._entries: list[dict] = []
+        if self._path.exists():
+            self._entries = json.loads(self._path.read_text(encoding="utf-8"))["entries"]
 
     def execute(self, request: HttpRequest) -> HttpResponse:
         response = self._inner.execute(request)
@@ -189,11 +193,6 @@ class RecordingTransport:
         return response
 
     def _append(self, entry: dict) -> None:
-        if self._path.exists():
-            data = json.loads(self._path.read_text(encoding="utf-8"))
-        else:
-            data = {"entries": []}
-        data["entries"].append(entry)
-        self._path.write_text(
-            json.dumps(data, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+        self._entries.append(entry)
+        text = json.dumps({"entries": self._entries}, indent=2, ensure_ascii=False) + "\n"
+        replace_files([(self._path, [text])])

@@ -2,22 +2,39 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from conftest import CountingTransport
 
 from refs import (
+    AdsConfig,
     FixtureTransport,
+    HttpResponse,
     RenderFormat,
     ResolutionFailedError,
     ResolutionPath,
+    UpstreamUnavailableError,
     parse_doi,
+    render_all,
     resolve_and_store,
     resolve_and_store_report,
     resolve_query_reference,
     resolve_reference,
+    resolvers,
 )
+from refs.pipeline import store_report
+from refs.resolvers import ADS_FIELD_LIST, ads_search_url
 
 HITRAN = parse_doi("10.1016/j.jqsrt.2017.06.038")
 NIST = parse_doi("10.18434/t4w30f")
+
+
+class _AlwaysUnavailable:
+    is_live = False
+
+    def execute(self, request):
+        return HttpResponse(status=503, body=b"Service Unavailable")
 
 
 class TestAdsPath:
@@ -31,7 +48,7 @@ class TestAdsPath:
     def test_never_touches_negotiation_endpoints(self, counting_transport, ads_config):
         resolve_reference(HITRAN, cfg=ads_config, transport=counting_transport)
         assert counting_transport.count("doi.org") == 0
-        assert counting_transport.count("adsabs.harvard.edu") == 2  # search + fields
+        assert counting_transport.count("adsabs.harvard.edu") == 1  # the fields come with the search
 
     def test_record_fields_come_from_ads(self, transport, ads_config):
         report = resolve_reference(HITRAN, cfg=ads_config, transport=transport)
@@ -81,6 +98,29 @@ class TestFallbackPath:
                                    transport=transport)
         assert any("matches 2 bibcodes" in w for w in report.warnings)
 
+    def test_multiple_bibcodes_cost_one_request_and_take_the_first(self, counting_transport,
+                                                                  ads_config):
+        report = resolve_reference(parse_doi("10.3847/1538-4365/aa8e94"), cfg=ads_config,
+                                   transport=counting_transport)
+        assert len(counting_transport.requests) == 1
+        assert report.path_taken is ResolutionPath.ADS
+        assert str(report.bibcode) == "2017ApJS..232...12W"
+        assert any("matches 2 bibcodes" in w for w in report.warnings)
+
+    def test_ads_doc_without_author_or_title_falls_back_with_cause(self, fixture_dir, ads_config):
+        bare = {"responseHeader": {"status": 0}, "response": {"numFound": 1, "start": 0, "docs": [
+            {"bibcode": "2022nist.data....1K", "doi": ["10.18434/t4w30f"], "year": "2022"}]}}
+        url = ads_search_url(ads_config, 'doi:"10.18434/t4w30f"', ADS_FIELD_LIST, rows=10)
+        # Loaded first, this answer wins over the recorded empty search result.
+        transport = FixtureTransport([{"request": {"method": "GET", "url": url, "accept": ""},
+                                       "response": {"status": 200, "body": json.dumps(bare)}}])
+        for archive in sorted(fixture_dir.glob("*.json")):
+            transport.load_file(archive)
+        report = resolve_reference(NIST, cfg=ads_config, transport=transport)
+        assert report.path_taken is ResolutionPath.FALLBACK
+        assert any("2022nist.data....1K" in w and "neither author nor title" in w
+                   for w in report.warnings)
+
 
 class TestCrossFormatAgreement:
     @pytest.mark.parametrize("doi", [HITRAN, NIST])
@@ -91,6 +131,16 @@ class TestCrossFormatAgreement:
 
 
 class TestQueryMode:
+    def test_query_route_obeys_the_callers_retry_policy(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(resolvers, "_sleep", sleeps.append)
+        counting = CountingTransport(_AlwaysUnavailable())
+        with pytest.raises(UpstreamUnavailableError):
+            resolve_query_reference("anything at all", cfg=AdsConfig(max_retries=1, backoff_base=0),
+                                    transport=counting)
+        assert len(counting.requests) == 1
+        assert sleeps == []
+
     def test_query_resolves_unverified(self, transport, ads_config):
         report = resolve_query_reference(
             "The HITRAN2016 molecular spectroscopic database", cfg=ads_config,
@@ -123,13 +173,50 @@ class TestResolveAndStore:
         gid = resolve_and_store(HITRAN, "For the line list.", store, ads_config, transport)
         assert store.get_entry(gid).note == "For the line list."
 
+    @pytest.mark.parametrize("doi, path", [(HITRAN, ResolutionPath.ADS),
+                                           (NIST, ResolutionPath.FALLBACK)])
+    def test_stored_doi_is_answered_from_the_store_without_requests(
+            self, doi, path, counting_transport, ads_config, store):
+        first = resolve_and_store(doi, "First note.", store, ads_config, counting_transport)
+        counting_transport.requests.clear()
+        again, report = resolve_and_store_report(doi, "Second note.", store, ads_config,
+                                                 counting_transport)
+        assert counting_transport.requests == []
+        assert again == first
+        assert report.warnings == [f"DOI {doi} is already stored as entry {first}"]
+        assert report.path_taken is path
+        assert report.record == store.get_entry(first).records[0]
+        assert report.renders == render_all(store.get_entry(first))
+        assert report.renders[RenderFormat.HTML].body.startswith(f"{first}. First note. ")
+
+    def test_entry_deleted_after_the_lookup_is_resolved_afresh(self, transport, ads_config,
+                                                              store, monkeypatch):
+        first = resolve_and_store(HITRAN, None, store, ads_config, transport)
+        lookup = store.find_entry_by_dois
+
+        def lookup_then_lose_the_race(dois):
+            gid = lookup(dois)
+            store.delete_entry(gid)  # another writer tombstones it in between
+            return gid
+
+        monkeypatch.setattr(store, "find_entry_by_dois", lookup_then_lose_the_race)
+        again, report = resolve_and_store_report(HITRAN, None, store, ads_config, transport)
+        assert again != first
+        assert report.warnings == []
+        assert store.get_entry(again).records == [report.record]
+
+    def test_add_race_is_still_answered_with_the_existing_id(self, transport, ads_config, store):
+        report = resolve_reference(HITRAN, cfg=ads_config, transport=transport)
+        gid = store.add_entry([report.record])
+        assert store_report(store, report, None) == gid
+        assert report.warnings[-1] == f"DOI {HITRAN} is already stored as entry {gid}"
+        assert len(store.list_entries()) == 1
+
 
 class TestPathExclusivity:
     def test_exactly_one_branch_fetches(self, fixture_dir, ads_config):
-        from conftest import CountingTransport
-
         for doi, expect_ads_fetches, expect_negotiations in [
-            (HITRAN, 2, 0),
+            (HITRAN, 1, 0),
             (NIST, 1, 2),  # the absent-DOI search plus the two negotiation calls
         ]:
             counting = CountingTransport(FixtureTransport.from_dir(fixture_dir))

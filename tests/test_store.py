@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from refs import (
     make_author,
     parse_doi,
 )
+from refs import fileio
 
 
 def record(doi: str, title: str = "A title", year: int = 2000) -> BibRecord:
@@ -50,6 +53,14 @@ class TestAddEntry:
         store.add_entry([record("10.1000/a"), record("10.1000/b")])
         # a different set sharing one DOI is not a duplicate
         assert store.add_entry([record("10.1000/a"), record("10.1000/c")]) == 2
+
+    def test_find_by_dois_uses_the_duplicate_key(self, store):
+        gid = store.add_entry([record("10.1000/b"), record("10.1000/a")])
+        assert store.find_entry_by_dois([parse_doi("10.1000/a"), parse_doi("10.1000/b")]) == gid
+        assert store.find_entry_by_dois([parse_doi("10.1000/a")]) is None
+        assert store.find_entry_by_dois([]) is None
+        store.delete_entry(gid)
+        assert store.find_entry_by_dois([parse_doi("10.1000/a"), parse_doi("10.1000/b")]) is None
 
     def test_entries_without_dois_never_collide(self, store):
         a = BibRecord(title="Private communication", year=2001)
@@ -195,6 +206,40 @@ class TestExportBundle:
         blocker.write_text("a file, not a directory")
         with pytest.raises(OSError):
             store.export_bundle([1], blocker / "out")
+
+
+    @pytest.mark.parametrize("failing", ["refs.html", "refs.bib"])
+    def test_failed_write_leaves_the_previous_bundle(self, store, tmp_path, monkeypatch, failing):
+        store.add_entry([record("10.1000/a")])
+        out = tmp_path / "out"
+        html_path, bib_path = store.export_bundle([1], out)
+        before = (html_path.read_bytes(), bib_path.read_bytes())
+        store.add_entry([record("10.1000/b", title="Another title")])
+
+        def disk_fills_up(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if failing not in Path(path).name:
+                return fh
+
+            class HalfWritten:
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc_info):
+                    fh.close()
+
+                def writelines(self, chunks):
+                    chunks = list(chunks)
+                    fh.writelines(chunks[: len(chunks) // 2])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+            return HalfWritten()
+
+        monkeypatch.setattr(fileio, "open", disk_fills_up, raising=False)
+        with pytest.raises(OSError):
+            store.export_bundle([1, 2], out)
+        assert (html_path.read_bytes(), bib_path.read_bytes()) == before
+        assert sorted(p.name for p in out.iterdir()) == ["refs.bib", "refs.html"]
 
 
 class TestConcurrency:

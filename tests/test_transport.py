@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -79,6 +80,13 @@ class _StubTransport:
         return self.response
 
 
+class _EchoTransport:
+    is_live = True
+
+    def execute(self, request):
+        return HttpResponse(status=200, body=request.url.encode("utf-8"))
+
+
 class TestRecordingTransport:
     def test_records_then_replays(self, tmp_path):
         archive = tmp_path / "recorded.json"
@@ -97,6 +105,31 @@ class TestRecordingTransport:
         recorder.execute(HttpRequest("POST", "https://x.test/p", body=b'{"a": 1}'))
         data = json.loads(archive.read_text())
         assert data["entries"][0]["request"]["body"] == '{"a": 1}'
+
+    def test_many_exchanges_replay_and_the_archive_is_replaced_not_rewritten(self, tmp_path):
+        archive = tmp_path / "recorded.json"
+        recorder = RecordingTransport(_EchoTransport(), archive)
+        requests = [HttpRequest("GET", f"https://x.test/{n}") for n in range(25)]
+        recorder.execute(requests[0])
+        # A hard link keeps the first version's inode: an in-place write would change it.
+        snapshot = tmp_path / "snapshot.json"
+        os.link(archive, snapshot)
+        first_version = snapshot.read_bytes()
+        for req in requests[1:]:
+            recorder.execute(req)
+
+        replay = FixtureTransport.from_file(archive)
+        assert [replay.execute(req).text() for req in requests] == [r.url for r in requests]
+        assert snapshot.read_bytes() == first_version
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["recorded.json", "snapshot.json"]
+
+    def test_existing_archive_is_extended(self, tmp_path):
+        archive = tmp_path / "recorded.json"
+        first, second = HttpRequest("GET", "https://x.test/1"), HttpRequest("GET", "https://x.test/2")
+        RecordingTransport(_EchoTransport(), archive).execute(first)
+        RecordingTransport(_EchoTransport(), archive).execute(second)
+        replay = FixtureTransport.from_file(archive)
+        assert [replay.execute(r).text() for r in (first, second)] == [first.url, second.url]
 
     def test_wrapped_transport_is_live(self, tmp_path):
         recorder = RecordingTransport(_StubTransport(HttpResponse(200)), tmp_path / "a.json")
