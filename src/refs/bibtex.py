@@ -34,6 +34,7 @@ _VALUE_ESCAPES = {
     "#": r"\#",
     "_": r"\_",
 }
+_VALUE_ESCAPE_TABLE = str.maketrans(_VALUE_ESCAPES)
 
 _UNESCAPE_RE = re.compile(r"\\textbackslash\{\}|\\([{}%&$#_])")
 _UNPROTECTED_BRACE_RE = re.compile(r"(?<!\\)[{}]")
@@ -53,7 +54,7 @@ class BibtexEntry:
 
 def escape_value(text: str) -> str:
     """Escape a field value for emission inside braces."""
-    return "".join(_VALUE_ESCAPES.get(c, c) for c in text)
+    return text.translate(_VALUE_ESCAPE_TABLE)
 
 
 def unescape_value(text: str) -> str:

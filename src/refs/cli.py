@@ -28,7 +28,7 @@ from .errors import (
 )
 from .identifiers import parse_doi
 from .pipeline import resolve_and_store_report, resolve_query_reference, store_report
-from .render import RenderFormat, render_all
+from .render import RenderFormat, render_format
 from .resolvers import ADS_TOKEN_ENV, AdsConfig
 from .store import RefStore
 from .transport import FixtureTransport, LiveTransport, RecordingTransport, Transport
@@ -200,7 +200,7 @@ def cmd_render(args) -> int:
         return _fail(EXIT_RESOLUTION, str(exc))
     finally:
         store.close()
-    print(render_all(entry)[RenderFormat(args.format)].body)
+    print(render_format(entry, RenderFormat(args.format)).body)
     return EXIT_OK
 
 
@@ -211,7 +211,7 @@ def cmd_export(args) -> int:
     try:
         ids = args.ids
         if args.all:
-            ids = [e.global_id for e in store.list_entries()]
+            ids = store.live_ids()
             if not ids:
                 return _fail(EXIT_RESOLUTION, "no entries")
         html_path, bib_path = store.export_bundle(ids, args.out_dir)

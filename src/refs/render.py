@@ -212,11 +212,17 @@ def render_json(entry: RefEntry) -> RenderedCitation:
     return RenderedCitation(format=RenderFormat.JSON, body=body, global_label=_label(entry))
 
 
+def render_format(entry: RefEntry, fmt: RenderFormat) -> RenderedCitation:
+    """One house format for one entry."""
+    renderer = {
+        RenderFormat.HTML: render_html,
+        RenderFormat.JSON: render_json,
+        RenderFormat.BIBTEX: render_bibtex,
+        RenderFormat.TEXT: render_text,
+    }[fmt]
+    return renderer(entry)
+
+
 def render_all(entry: RefEntry) -> dict[RenderFormat, RenderedCitation]:
     """Every house format for one entry."""
-    return {
-        RenderFormat.HTML: render_html(entry),
-        RenderFormat.JSON: render_json(entry),
-        RenderFormat.BIBTEX: render_bibtex(entry),
-        RenderFormat.TEXT: render_text(entry),
-    }
+    return {fmt: render_format(entry, fmt) for fmt in RenderFormat}

@@ -1,8 +1,29 @@
 """Durable reference registry backed by a single-file SQLite database.
 
-Global IDs come from a strictly monotonic sequence and are never reused:
+Global IDs come from an AUTOINCREMENT primary key and are never reused:
 deletion is a tombstone, so an ID keeps naming the same work forever.
-Writes are serialized behind an internal lock; reads may run concurrently.
+
+What holds when several processes share one database file:
+
+- Every write is one ``BEGIN IMMEDIATE`` transaction, so writers take
+  turns on SQLite's file lock and each add, delete or cross-reference is
+  all or nothing. A writer waits up to five seconds for the lock.
+- IDs are handed out in increasing order, each to exactly one entry.
+- At most one live entry holds a given DOI set. A partial unique index
+  enforces this, so when two processes add the same DOIs at once, one
+  gets the ID and the other gets DuplicateEntryError naming that ID.
+- Reads see what other processes have committed. ``get_entry`` is one
+  statement. ``export_bundle`` reads inside one transaction, so both
+  bundle files describe the same state; a writer waits for it, again
+  for up to five seconds.
+  ``list_entries`` reads the live IDs, then those entries, and leaves out
+  any entry deleted in between.
+
+One handle may be shared between threads. Its writes are serialized by
+an internal lock, but a read may see another thread's write on the same
+handle before that write commits. Opening a file creates the current
+schema, or migrates an older one in place, in one transaction. Migration
+is one way: older versions of this module refuse the migrated file.
 """
 
 from __future__ import annotations
@@ -10,63 +31,93 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-from itertools import chain
+from contextlib import contextmanager
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import CrossRefConflictError, DuplicateEntryError, MissingEntryError, StoreError
 from .fileio import replace_files
-from .identifiers import Doi, format_bibcode, parse_bibcode, parse_doi
-from .model import AuthorName, BibRecord, Pages, RefEntry, SourceCrossRef, SourceType
+from .identifiers import Doi
+from .model import BibRecord, RefEntry, SourceCrossRef, record_from_dict, record_to_dict
 from .render import render_bibtex, render_html
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-_SCHEMA = """
-CREATE TABLE entries (
-    global_id INTEGER PRIMARY KEY,
+_LIVE_DOI_SET_INDEX = (
+    "CREATE UNIQUE INDEX live_doi_set ON entries (doi_set) WHERE deleted = 0"
+)
+
+_ENTRIES_TABLE = """
+CREATE TABLE {name} (
+    global_id INTEGER PRIMARY KEY AUTOINCREMENT,
     doi_set   TEXT,
     deleted   INTEGER NOT NULL DEFAULT 0
-);
+)"""
 
-CREATE TABLE records (
-    entry_id    INTEGER NOT NULL REFERENCES entries(global_id),
-    position    INTEGER NOT NULL,
-    source_type TEXT NOT NULL,
-    title       TEXT NOT NULL,
-    authors     TEXT NOT NULL,
-    journal     TEXT,
-    volume      TEXT,
-    number      TEXT,
-    page_first  TEXT,
-    page_last   TEXT,
-    year        INTEGER,
-    publisher   TEXT,
-    doi         TEXT,
-    bibcode     TEXT,
-    doi_url     TEXT,
-    ads_url     TEXT,
-    PRIMARY KEY (entry_id, position)
-);
+_SCHEMA = (
+    _ENTRIES_TABLE.format(name="entries"),
+    _LIVE_DOI_SET_INDEX,
+    """
+    CREATE TABLE records (
+        entry_id    INTEGER NOT NULL REFERENCES entries(global_id),
+        position    INTEGER NOT NULL,
+        source_type TEXT NOT NULL,
+        title       TEXT NOT NULL,
+        authors     TEXT NOT NULL,
+        journal     TEXT,
+        volume      TEXT,
+        number      TEXT,
+        page_first  TEXT,
+        page_last   TEXT,
+        year        INTEGER,
+        publisher   TEXT,
+        doi         TEXT,
+        bibcode     TEXT,
+        PRIMARY KEY (entry_id, position)
+    )""",
+    """
+    CREATE TABLE notes (
+        entry_id INTEGER PRIMARY KEY REFERENCES entries(global_id),
+        note     TEXT NOT NULL
+    )""",
+    """
+    CREATE TABLE crossrefs (
+        dataset_scope TEXT NOT NULL,
+        parameter     TEXT NOT NULL,
+        local_id      INTEGER NOT NULL,
+        global_id     INTEGER NOT NULL REFERENCES entries(global_id),
+        PRIMARY KEY (dataset_scope, parameter, local_id)
+    )""",
+)
 
-CREATE TABLE notes (
-    entry_id INTEGER PRIMARY KEY REFERENCES entries(global_id),
-    note     TEXT NOT NULL
-);
+# Record columns after (entry_id, position), named after the keys of
+# model.record_to_dict except that pages are split in two. The DOI and
+# ADS links are not stored: BibRecord derives them.
+_RECORD_COLUMNS = (
+    "source_type", "title", "authors", "journal", "volume", "number",
+    "page_first", "page_last", "year", "publisher", "doi", "bibcode",
+)
 
-CREATE TABLE crossrefs (
-    dataset_scope TEXT NOT NULL,
-    parameter     TEXT NOT NULL,
-    local_id      INTEGER NOT NULL,
-    global_id     INTEGER NOT NULL REFERENCES entries(global_id),
-    PRIMARY KEY (dataset_scope, parameter, local_id)
-);
+_INSERT_RECORD = (
+    f"INSERT INTO records (entry_id, position, {', '.join(_RECORD_COLUMNS)})"
+    f" VALUES (?, ?{', ?' * len(_RECORD_COLUMNS)})"
+)
 
-CREATE TABLE id_sequence (
-    next_id INTEGER NOT NULL
-);
-INSERT INTO id_sequence (next_id) VALUES (1);
-"""
+# Live entries meeting a condition, one row per record, in ID then
+# record order; the rows of one entry are adjacent.
+_SELECT_LIVE = (
+    "SELECT e.global_id, n.note, "
+    + ", ".join(f"r.{c}" for c in _RECORD_COLUMNS)
+    + " FROM entries e"
+    " JOIN records r ON r.entry_id = e.global_id"
+    " LEFT JOIN notes n ON n.entry_id = e.global_id"
+    " WHERE e.deleted = 0 AND {}"
+    " ORDER BY e.global_id, r.position"
+)
+_SELECT_ENTRY = _SELECT_LIVE.format("e.global_id = ?")
+_SELECT_ENTRIES = _SELECT_LIVE.format("e.global_id IN (SELECT value FROM json_each(?))")
 
 HTML_BUNDLE_NAME = "refs.html"
 BIB_BUNDLE_NAME = "refs.bib"
@@ -89,24 +140,57 @@ class RefStore:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
-        self._conn.execute("PRAGMA foreign_keys = ON")
-        self._conn.execute("PRAGMA synchronous = NORMAL")
-        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
-        if version == 0 and not self._has_tables():
-            with self._lock, self._conn:
-                self._conn.executescript(_SCHEMA)
-                self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-        elif version != SCHEMA_VERSION:
-            raise StoreError(
-                f"{self.path} carries schema version {version}, expected {SCHEMA_VERSION}"
-            )
+        self._conn = sqlite3.connect(str(self.path), check_same_thread=False, isolation_level=None)
+        try:
+            self._conn.execute("PRAGMA synchronous = NORMAL")
+            if self._user_version() != SCHEMA_VERSION:
+                self._upgrade()
+            # Only now: a migration rebuilds tables with foreign keys off.
+            self._conn.execute("PRAGMA foreign_keys = ON")
+        except BaseException:
+            self._conn.close()
+            raise
+
+    def _user_version(self) -> int:
+        return self._conn.execute("PRAGMA user_version").fetchone()[0]
+
+    def _upgrade(self) -> None:
+        """Create the schema in an empty file, or migrate an older one; one transaction."""
+        with self._transaction() as conn:
+            # Read again under the write lock: another process may have done it.
+            version = self._user_version()
+            if version == SCHEMA_VERSION:
+                return
+            if version == 0 and not self._has_tables():
+                for statement in _SCHEMA:
+                    conn.execute(statement)
+            elif 1 <= version < SCHEMA_VERSION:
+                for migrate in _MIGRATIONS[version - 1:]:
+                    migrate(conn)
+            else:
+                raise StoreError(
+                    f"{self.path} carries schema version {version}, expected {SCHEMA_VERSION}"
+                )
+            conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
     def _has_tables(self) -> bool:
         row = self._conn.execute(
             "SELECT COUNT(*) FROM sqlite_master WHERE type='table' AND name='entries'"
         ).fetchone()
         return row[0] > 0
+
+    @contextmanager
+    def _transaction(self, begin: str = "BEGIN IMMEDIATE") -> Iterator[sqlite3.Connection]:
+        """One transaction on the shared connection; rolled back if anything raises."""
+        with self._lock:
+            self._conn.execute(begin)
+            try:
+                yield self._conn
+                self._conn.execute("COMMIT")
+            except BaseException:
+                if self._conn.in_transaction:
+                    self._conn.execute("ROLLBACK")
+                raise
 
     def close(self) -> None:
         self._conn.close()
@@ -128,30 +212,30 @@ class RefStore:
         if not records:
             raise ValueError("an entry needs at least one record")
         doi_set = _doi_set(r.doi for r in records)
-        with self._lock, self._conn:
-            existing = self._live_id_for_doi_set(doi_set)
-            if existing is not None:
+        rows = [_record_row(record) for record in records]
+        with self._transaction() as conn:
+            try:
+                gid = conn.execute(
+                    "INSERT INTO entries (doi_set) VALUES (?)", (doi_set,)
+                ).lastrowid
+            except sqlite3.IntegrityError:
+                # Only the live_doi_set index can refuse this row.
+                existing = self._live_id_for_doi_set(doi_set)
                 raise DuplicateEntryError(
                     f"an entry with the same DOI set already exists: {existing}",
                     existing_id=existing,
-                )
-            gid = self._conn.execute("SELECT next_id FROM id_sequence").fetchone()[0]
-            self._conn.execute("UPDATE id_sequence SET next_id = ?", (gid + 1,))
-            self._conn.execute(
-                "INSERT INTO entries (global_id, doi_set) VALUES (?, ?)", (gid, doi_set)
+                ) from None
+            conn.executemany(
+                _INSERT_RECORD, [(gid, position, *row) for position, row in enumerate(rows)]
             )
-            for position, record in enumerate(records):
-                self._insert_record(gid, position, record)
             if note is not None:
-                self._conn.execute(
-                    "INSERT INTO notes (entry_id, note) VALUES (?, ?)", (gid, note)
-                )
+                conn.execute("INSERT INTO notes (entry_id, note) VALUES (?, ?)", (gid, note))
         return gid
 
     def delete_entry(self, global_id: int) -> None:
         """Tombstone an entry. Its ID is never handed out again."""
-        with self._lock, self._conn:
-            cur = self._conn.execute(
+        with self._transaction() as conn:
+            cur = conn.execute(
                 "UPDATE entries SET deleted = 1 WHERE global_id = ? AND deleted = 0",
                 (global_id,),
             )
@@ -163,10 +247,10 @@ class RefStore:
     ) -> None:
         """Map a dataset-local integer onto a global ID; idempotent on re-attach."""
         crossref = SourceCrossRef(scope, parameter, local_id, global_id)
-        with self._lock, self._conn:
+        with self._transaction() as conn:
             if not self._entry_exists(global_id):
                 raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
-            row = self._conn.execute(
+            row = conn.execute(
                 "SELECT global_id FROM crossrefs"
                 " WHERE dataset_scope = ? AND parameter = ? AND local_id = ?",
                 (scope, parameter, local_id),
@@ -177,7 +261,7 @@ class RefStore:
                         f"({scope}, {parameter}, {local_id}) is already mapped to {row[0]}"
                     )
                 return
-            self._conn.execute(
+            conn.execute(
                 "INSERT INTO crossrefs (dataset_scope, parameter, local_id, global_id)"
                 " VALUES (?, ?, ?, ?)",
                 (crossref.dataset_scope, crossref.parameter, crossref.local_id, crossref.global_id),
@@ -190,29 +274,29 @@ class RefStore:
         return self._live_id_for_doi_set(_doi_set(dois))
 
     def get_entry(self, global_id: int) -> RefEntry:
-        row = self._conn.execute(
-            "SELECT global_id FROM entries WHERE global_id = ? AND deleted = 0",
-            (global_id,),
-        ).fetchone()
-        if row is None:
+        rows = self._conn.execute(_SELECT_ENTRY, (global_id,)).fetchall()
+        if not rows:
             raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
-        return self._load_entry(global_id)
+        return _entry_from_rows(global_id, rows)
 
     def list_entries(self, scope: str | None = None) -> list[RefEntry]:
         """Live entries by ascending ID, optionally only those cross-referenced in a scope."""
+        return list(self._load(self.live_ids(scope)))
+
+    def live_ids(self, scope: str | None = None) -> list[int]:
+        """IDs of live entries, ascending, optionally only those cross-referenced in a scope."""
         if scope is None:
             rows = self._conn.execute(
                 "SELECT global_id FROM entries WHERE deleted = 0 ORDER BY global_id"
-            ).fetchall()
+            )
         else:
             rows = self._conn.execute(
-                "SELECT DISTINCT e.global_id FROM entries e"
-                " JOIN crossrefs c ON c.global_id = e.global_id"
-                " WHERE e.deleted = 0 AND c.dataset_scope = ?"
-                " ORDER BY e.global_id",
+                "SELECT global_id FROM entries WHERE deleted = 0 AND global_id IN"
+                " (SELECT global_id FROM crossrefs WHERE dataset_scope = ?)"
+                " ORDER BY global_id",
                 (scope,),
-            ).fetchall()
-        return [self._load_entry(r[0]) for r in rows]
+            )
+        return [row[0] for row in rows]
 
     def lookup_crossref(self, scope: str, parameter: str, local_id: int) -> int:
         row = self._conn.execute(
@@ -249,31 +333,62 @@ class RefStore:
         """
         if not ids:
             raise ValueError("need at least one entry ID to export")
-        missing = [i for i in ids if not self._entry_exists(i)]
-        if missing:
-            raise MissingEntryError(
-                f"unknown entries: {', '.join(str(m) for m in sorted(missing))}",
-                missing=sorted(missing),
-            )
-        entries = [self._load_entry(i) for i in sorted(set(ids))]
-
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         html_path = out / HTML_BUNDLE_NAME
         bib_path = out / BIB_BUNDLE_NAME
+        with self._transaction("BEGIN") as conn:
+            missing = [row[0] for row in conn.execute(
+                "SELECT value FROM json_each(?) WHERE value NOT IN"
+                " (SELECT global_id FROM entries WHERE deleted = 0) ORDER BY value",
+                (json.dumps(ids),),
+            )]
+            if missing:
+                raise MissingEntryError(
+                    f"unknown entries: {', '.join(str(m) for m in missing)}",
+                    missing=missing,
+                )
+            out.mkdir(parents=True, exist_ok=True)
 
-        html = chain([_HTML_HEAD], (f"<p>{render_html(e).body}</p>\n" for e in entries),
-                     [_HTML_TAIL])
-        bib = chain([render_bibtex(entries[0]).body],
-                    ("\n\n" + render_bibtex(e).body for e in entries[1:]), ["\n"])
-        replace_files([(html_path, html), (bib_path, bib)])
+            # Each file streams its own pass over the entries, so no
+            # whole-store copy is held; the transaction keeps both passes
+            # on the same data.
+            wanted = sorted(set(ids))
+
+            def bib() -> Iterator[str]:
+                separator = ""
+                for entry in self._load(wanted):
+                    yield separator + render_bibtex(entry).body
+                    separator = "\n\n"
+                yield "\n"
+
+            html = chain([_HTML_HEAD], (f"<p>{render_html(e).body}</p>\n" for e in self._load(wanted)),
+                         [_HTML_TAIL])
+            replace_files([(html_path, html), (bib_path, bib())])
         return html_path, bib_path
 
     # -- internals -----------------------------------------------------
 
+    def _load(self, ids: list[int]) -> Iterator[RefEntry]:
+        """The live entries among these ascending IDs, decoded as their rows arrive.
+
+        Each entry's global_id is the int object from ``ids``, not the row's
+        copy. The row's copy sits among the decoding's temporary objects, and
+        a caller that kept only the IDs would keep all of that memory
+        allocated.
+        """
+        rows = self._conn.execute(_SELECT_ENTRIES, (json.dumps(ids),))
+        wanted = iter(ids)
+        try:
+            for row_id, entry_rows in groupby(rows, key=itemgetter(0)):
+                global_id = next(i for i in wanted if i == row_id)
+                yield _entry_from_rows(global_id, list(entry_rows))
+        finally:
+            rows.close()
+
     def _live_id_for_doi_set(self, doi_set: str | None) -> int | None:
         if doi_set is None:
             return None
+        # Served by the live_doi_set index, whose condition this repeats.
         row = self._conn.execute(
             "SELECT global_id FROM entries WHERE doi_set = ? AND deleted = 0", (doi_set,)
         ).fetchone()
@@ -285,90 +400,80 @@ class RefStore:
         ).fetchone()
         return row is not None
 
-    def _insert_record(self, gid: int, position: int, record: BibRecord) -> None:
-        self._conn.execute(
-            "INSERT INTO records (entry_id, position, source_type, title, authors,"
-            " journal, volume, number, page_first, page_last, year, publisher,"
-            " doi, bibcode, doi_url, ads_url)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                gid,
-                position,
-                record.source_type.value,
-                record.title,
-                json.dumps(
-                    [{"given_names": list(a.given_names), "surname": a.surname} for a in record.authors],
-                    ensure_ascii=False,
-                ),
-                record.journal,
-                record.volume,
-                record.number,
-                record.pages.first if record.pages else None,
-                record.pages.last if record.pages else None,
-                record.year,
-                record.publisher,
-                record.doi.canonical if record.doi else None,
-                format_bibcode(record.bibcode) if record.bibcode else None,
-                record.doi_url,
-                record.ads_url,
-            ),
-        )
-
-    def _load_entry(self, gid: int) -> RefEntry:
-        rows = self._conn.execute(
-            "SELECT source_type, title, authors, journal, volume, number,"
-            " page_first, page_last, year, publisher, doi, bibcode, doi_url, ads_url"
-            " FROM records WHERE entry_id = ? ORDER BY position",
-            (gid,),
-        ).fetchall()
-        note_row = self._conn.execute(
-            "SELECT note FROM notes WHERE entry_id = ?", (gid,)
-        ).fetchone()
-        return RefEntry(
-            records=[_record_from_row(r) for r in rows],
-            note=note_row[0] if note_row else None,
-            global_id=gid,
-        )
-
 
 def _doi_set(dois: Iterable[Doi | None]) -> str | None:
     canonical = sorted({d.canonical for d in dois if d is not None})
     return "|".join(canonical) if canonical else None
 
 
-def _record_from_row(row: tuple) -> BibRecord:
-    (
-        source_type,
-        title,
-        authors_json,
-        journal,
-        volume,
-        number,
-        page_first,
-        page_last,
-        year,
-        publisher,
-        doi,
-        bibcode,
-        doi_url,
-        ads_url,
-    ) = row
-    authors = [
-        AuthorName(given_names=tuple(a["given_names"]), surname=a["surname"])
-        for a in json.loads(authors_json)
-    ]
-    return BibRecord(
-        title=title,
-        authors=authors,
-        source_type=SourceType(source_type),
-        journal=journal,
-        volume=volume,
-        number=number,
-        pages=Pages(first=page_first, last=page_last) if page_first else None,
-        year=year,
-        publisher=publisher,
-        doi=parse_doi(doi) if doi else None,
-        bibcode=parse_bibcode(bibcode) if bibcode else None,
-        doi_url=doi_url,
-        ads_url=ads_url,
+def _record_row(record: BibRecord) -> tuple:
+    """A record's values for _RECORD_COLUMNS, through the model's dict codec."""
+    fields = record_to_dict(record)
+    fields["authors"] = json.dumps(fields["authors"], ensure_ascii=False)
+    pages = fields.pop("pages", None)
+    if pages is not None:
+        fields["page_first"], fields["page_last"] = pages["first"], pages["last"]
+    return tuple(fields.get(column) for column in _RECORD_COLUMNS)
+
+
+def _entry_from_rows(global_id: int, rows: list[tuple]) -> RefEntry:
+    """One entry from its _SELECT_ENTRIES rows, records decoded by the model's dict codec."""
+    records = []
+    for row in rows:
+        fields = {c: v for c, v in zip(_RECORD_COLUMNS, row[2:]) if v is not None}
+        fields["authors"] = json.loads(fields["authors"])
+        if "page_first" in fields:
+            fields["pages"] = {"first": fields.pop("page_first"), "last": fields.pop("page_last", None)}
+        records.append(record_from_dict(fields))
+    return RefEntry(records=records, note=rows[0][1], global_id=global_id)
+
+
+# -- migrations ----------------------------------------------------------
+
+
+def _v1_to_v2(conn: sqlite3.Connection) -> None:
+    """IDs from AUTOINCREMENT, one live entry per DOI set, no stored links.
+
+    Runs inside the opening transaction with foreign keys off, as SQLite's
+    procedure for changing a table's definition requires.
+    """
+    shared = conn.execute(
+        "SELECT doi_set, global_id FROM entries WHERE deleted = 0 AND doi_set IN"
+        " (SELECT doi_set FROM entries WHERE deleted = 0 GROUP BY doi_set HAVING COUNT(*) > 1)"
+        " ORDER BY doi_set, global_id"
+    ).fetchall()
+    if shared:
+        groups = [
+            f"{', '.join(str(row[1]) for row in rows)} (DOIs {doi_set})"
+            for doi_set, rows in groupby(shared, key=itemgetter(0))
+        ]
+        raise StoreError(
+            "cannot migrate to schema version 2: live entries share a DOI set: "
+            + "; ".join(groups) + ". Delete all but one of each group first."
+        )
+    (next_id,) = conn.execute("SELECT next_id FROM id_sequence").fetchone()
+    conn.execute(_ENTRIES_TABLE.format(name="new_entries"))
+    conn.execute(
+        "INSERT INTO new_entries (global_id, doi_set, deleted)"
+        " SELECT global_id, doi_set, deleted FROM entries"
     )
+    conn.execute("DROP TABLE entries")
+    conn.execute("ALTER TABLE new_entries RENAME TO entries")
+    # The next ID stays above every ID the old sequence handed out.
+    conn.execute("DELETE FROM sqlite_sequence WHERE name = 'entries'")
+    conn.execute(
+        "INSERT INTO sqlite_sequence (name, seq)"
+        " SELECT 'entries', MAX(?, COALESCE(MAX(global_id), 0)) FROM entries",
+        (next_id - 1,),
+    )
+    conn.execute("DROP TABLE id_sequence")
+    conn.execute("ALTER TABLE records DROP COLUMN doi_url")
+    conn.execute("ALTER TABLE records DROP COLUMN ads_url")
+    conn.execute(_LIVE_DOI_SET_INDEX)
+    broken = conn.execute("PRAGMA foreign_key_check").fetchall()
+    if broken:
+        raise StoreError(f"cannot migrate to schema version 2: dangling references {broken}")
+
+
+# _MIGRATIONS[v - 1] turns a version-v file into version v + 1.
+_MIGRATIONS = (_v1_to_v2,)

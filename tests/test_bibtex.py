@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from refs import BibtexCardinalityError, BibtexParseError, bibtex_to_record
 from refs.bibtex import (
+    _VALUE_ESCAPES,
     clean_value,
     escape_value,
     parse_entries,
@@ -64,6 +65,10 @@ class TestValueEscaping:
     @given(st.text(max_size=80))
     def test_escape_roundtrip(self, text):
         assert unescape_value(escape_value(text)) == text
+
+    @given(st.text(max_size=200) | st.text("\\{}%&$#_ab", max_size=40))
+    def test_escape_matches_the_per_character_definition(self, text):
+        assert escape_value(text) == "".join(_VALUE_ESCAPES.get(c, c) for c in text)
 
     def test_clean_value_drops_protection_braces_keeps_escaped(self):
         assert clean_value(r"a \{b\} {Case}") == "a {b} Case"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import refs.render
 from refs import BibRecord, RefStore, make_author, parse_doi
 from refs.cli import main
 from refs.model import Pages
@@ -134,6 +135,16 @@ class TestRender:
         assert body.rstrip().endswith("</a>")
         assert "doi.org" in body and "adsabs.harvard.edu" in body
 
+    def test_only_the_requested_format_is_rendered(self, capsys, seeded, monkeypatch):
+        def not_asked_for(entry):
+            raise AssertionError("rendered a format that was not asked for")
+
+        for name in ("render_html", "render_json", "render_bibtex"):
+            monkeypatch.setattr(refs.render, name, not_asked_for)
+        code, out, _ = run(capsys, "render", "1", "--format", "text", "--db", seeded)
+        assert code == 0
+        assert "HITRAN2016" in out
+
     def test_unknown_id_exits_2(self, capsys, seeded):
         code, _, err = run(capsys, "render", "999", "--format", "json", "--db", seeded)
         assert code == 2
@@ -155,6 +166,17 @@ class TestExport:
         assert (out_dir / "refs.bib").exists()
         assert str(out_dir / "refs.html") in out
         assert str(out_dir / "refs.bib") in out
+
+    def test_export_all_loads_each_entry_once(self, capsys, db_path, tmp_path, monkeypatch):
+        run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
+
+        def list_entries(self, scope=None):
+            raise AssertionError("export --all decoded every entry to find the IDs")
+
+        monkeypatch.setattr(RefStore, "list_entries", list_entries)
+        code, _, _ = run(capsys, "export", "--all", "-o", str(tmp_path), "--db", db_path)
+        assert code == 0
+        assert "HITRAN2016" in (tmp_path / "refs.html").read_text(encoding="utf-8")
 
     def test_empty_store_exits_2(self, capsys, db_path, tmp_path):
         code, _, err = run(capsys, "export", "--all", "-o", str(tmp_path), "--db", db_path)

@@ -3,23 +3,57 @@
 from __future__ import annotations
 
 import errno
+import json
 import random
+import sqlite3
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import refs
 from refs import (
+    AuthorName,
     BibRecord,
     CrossRefConflictError,
     DuplicateEntryError,
     MissingEntryError,
     Pages,
     RefStore,
+    SourceType,
     StoreError,
     make_author,
+    parse_bibcode,
     parse_doi,
 )
 from refs import fileio
+from refs.model import MAX_YEAR, MIN_YEAR
+
+from test_identifiers import valid_bibcodes
+
+
+optional_text = st.none() | st.text(max_size=20)
+records_strategy = st.builds(
+    BibRecord,
+    title=st.text(max_size=40),
+    authors=st.lists(st.builds(
+        AuthorName,
+        given_names=st.lists(st.text(min_size=1, max_size=8), max_size=3).map(tuple),
+        surname=st.text(min_size=1, max_size=15).filter(str.strip),
+    ), max_size=3),
+    source_type=st.sampled_from(SourceType),
+    journal=optional_text,
+    volume=optional_text,
+    number=optional_text,
+    pages=st.none() | st.builds(Pages, first=st.text(min_size=1, max_size=6), last=optional_text),
+    year=st.none() | st.integers(MIN_YEAR, MAX_YEAR),
+    publisher=optional_text,
+    doi=st.none() | st.from_regex(r"10\.[0-9]{4,9}/[!-~]{1,30}", fullmatch=True).map(parse_doi),
+    bibcode=st.none() | valid_bibcodes().map(parse_bibcode),
+)
 
 
 def record(doi: str, title: str = "A title", year: int = 2000) -> BibRecord:
@@ -85,6 +119,22 @@ class TestRetrieval:
         assert loaded.records == original
         assert loaded.note == "a note"
         assert loaded.global_id == gid
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=st.lists(st.tuples(st.lists(records_strategy, min_size=1, max_size=4),
+                                      optional_text), min_size=1, max_size=3))
+    def test_add_then_get_roundtrips_arbitrary_records(self, entries):
+        with RefStore(":memory:") as store:
+            stored = {}
+            for recs, note in entries:
+                try:
+                    stored[store.add_entry(recs, note=note)] = (recs, note)
+                except DuplicateEntryError:
+                    pass
+            for gid, (recs, note) in stored.items():
+                loaded = store.get_entry(gid)
+                assert (loaded.records, loaded.note, loaded.global_id) == (recs, note, gid)
+            assert [(e.records, e.note) for e in store.list_entries()] == list(stored.values())
 
     def test_unknown_id(self, store):
         with pytest.raises(MissingEntryError):
@@ -264,6 +314,48 @@ class TestConcurrency:
         ids = [e.global_id for e in store.list_entries()]
         assert ids == list(range(1, 41))
 
+    def test_shared_handle_reads_and_exports_beside_writers(self, store, tmp_path):
+        import threading
+
+        errors = []
+        store.add_entry([record("10.3000/seed")])
+
+        def writer(k: int):
+            for j in range(15):
+                gid = store.add_entry([record(f"10.3000/{k}.{j}")])
+                store.attach_crossref("H2O", f"w{k}", j, gid)
+
+        def reader(k: int):
+            for _ in range(15):
+                assert all(e.records for e in store.list_entries(scope="H2O"))
+                assert store.get_entry(1).records[0].doi == parse_doi("10.3000/seed")
+
+        def exporter(k: int):
+            for j in range(5):
+                store.export_bundle(store.live_ids(), tmp_path / f"out{j}")
+
+        def guarded(work, k):
+            try:
+                work(k)
+            except Exception as exc:  # noqa: BLE001 - surfaced via the errors list
+                errors.append(exc)
+
+        work = [writer, writer, writer, reader, reader, exporter]
+        threads = [threading.Thread(target=guarded, args=(w, k)) for k, w in enumerate(work)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert store.live_ids() == list(range(1, 47))
+        assert len(store.list_crossrefs("H2O")) == 45
+
 
 class TestPersistence:
     def test_reopen_preserves_everything(self, tmp_path):
@@ -307,3 +399,264 @@ class TestPersistence:
         conn.close()
         with pytest.raises(StoreError):
             RefStore(path)
+
+
+@pytest.fixture()
+def statements(monkeypatch):
+    """Every SQL statement run on connections opened during the test, in order."""
+    seen: list[str] = []
+    connect = sqlite3.connect
+
+    def traced(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        conn.set_trace_callback(seen.append)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", traced)
+    return seen
+
+
+def filled_store(path: Path, size: int) -> RefStore:
+    store = RefStore(path)
+    for i in range(size):
+        store.add_entry(
+            [record(f"10.5000/{i}.a"), record(f"10.5000/{i}.b")] if i % 3 == 0 else [record(f"10.5000/{i}")],
+            note=f"note {i}" if i % 2 else None,
+        )
+        if i % 5 == 0:
+            store.attach_crossref("H2O", "nu", i, i + 1)
+    return store
+
+
+class TestQueryCounts:
+    def test_opening_a_new_store_is_one_commit_and_reopening_none(self, tmp_path, statements):
+        RefStore(tmp_path / "refs.db").close()
+        assert statements.count("COMMIT") == 1
+        assert statements.count("BEGIN IMMEDIATE") == 1
+        statements.clear()
+        RefStore(tmp_path / "refs.db").close()
+        assert not any(s.startswith(("BEGIN", "COMMIT")) for s in statements)
+
+    def test_loads_run_a_fixed_number_of_statements(self, tmp_path, statements):
+        counts = []
+        for size in (10, 500):
+            store = filled_store(tmp_path / f"{size}.db", size)
+            ids = store.live_ids()
+            per_call = []
+            for load in (
+                lambda: store.get_entry(ids[-1]),
+                lambda: store.list_entries(),
+                lambda: store.list_entries(scope="H2O"),
+                lambda: store.export_bundle(ids, tmp_path / f"out{size}"),
+            ):
+                statements.clear()
+                load()
+                per_call.append(len(statements))
+            store.close()
+            counts.append(per_call)
+        assert counts[0] == counts[1]
+        assert counts[0][0] == 1
+
+    def test_duplicate_lookup_uses_the_live_doi_set_index(self, tmp_path, statements):
+        with filled_store(tmp_path / "refs.db", 10) as store:
+            statements.clear()
+            assert store.find_entry_by_dois([parse_doi("10.5000/1")]) == 2
+        (lookup,) = statements
+        conn = sqlite3.connect(tmp_path / "refs.db")
+        plan = " ".join(row[-1] for row in conn.execute("EXPLAIN QUERY PLAN " + lookup))
+        conn.close()
+        assert "USING INDEX live_doi_set" in plan or "USING COVERING INDEX live_doi_set" in plan
+
+
+# Worker for the multiprocess tests: once the wall clock passes START, opens
+# the store (creating it if need be) and adds COUNT entries with DOIs
+# 10.4000/PREFIX.j, printing each ID it was given or told of.
+ADD_WORKER = """
+import sys, time
+from refs import BibRecord, DuplicateEntryError, RefStore, parse_doi
+db, prefix, count, start = sys.argv[1], sys.argv[2], int(sys.argv[3]), float(sys.argv[4])
+while time.time() < start:
+    time.sleep(0.001)
+with RefStore(db) as store:
+    for j in range(count):
+        record = BibRecord(title=f"{prefix} {j}", doi=parse_doi(f"10.4000/{prefix}.{j}"))
+        try:
+            print(store.add_entry([record]), flush=True)
+        except DuplicateEntryError as exc:
+            print(exc.existing_id, flush=True)
+"""
+
+
+def run_adders(db: Path, prefixes: list[str], count: int) -> list[list[int]]:
+    env = {"PYTHONPATH": str(Path(refs.__file__).parents[1]), "PATH": ""}
+    start = time.time() + 1.0
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", ADD_WORKER, str(db), prefix, str(count), str(start)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for prefix in prefixes
+    ]
+    results = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err[-2000:]
+        results.append([int(line) for line in out.split()])
+    return results
+
+
+class TestProcesses:
+    def test_concurrent_writers_lose_no_adds_and_share_no_ids(self, tmp_path):
+        results = run_adders(tmp_path / "refs.db", ["p0", "p1", "p2", "p3"], 100)
+        assert sorted(gid for ids in results for gid in ids) == list(range(1, 401))
+        with RefStore(tmp_path / "refs.db") as store:
+            assert store.live_ids() == list(range(1, 401))
+            assert store.get_entry(results[2][7]).records[0].title == "p2 7"
+
+    def test_two_processes_adding_the_same_dois_get_one_id_each(self, tmp_path):
+        first, second = run_adders(tmp_path / "refs.db", ["same", "same"], 50)
+        assert first == second
+        assert sorted(first) == list(range(1, 51))
+        with RefStore(tmp_path / "refs.db") as store:
+            assert store.live_ids() == list(range(1, 51))
+
+
+# The version-1 schema exactly as the store created it, frozen here because
+# the store no longer can.
+V1_SCHEMA = """
+CREATE TABLE entries (
+    global_id INTEGER PRIMARY KEY,
+    doi_set   TEXT,
+    deleted   INTEGER NOT NULL DEFAULT 0
+);
+
+CREATE TABLE records (
+    entry_id    INTEGER NOT NULL REFERENCES entries(global_id),
+    position    INTEGER NOT NULL,
+    source_type TEXT NOT NULL,
+    title       TEXT NOT NULL,
+    authors     TEXT NOT NULL,
+    journal     TEXT,
+    volume      TEXT,
+    number      TEXT,
+    page_first  TEXT,
+    page_last   TEXT,
+    year        INTEGER,
+    publisher   TEXT,
+    doi         TEXT,
+    bibcode     TEXT,
+    doi_url     TEXT,
+    ads_url     TEXT,
+    PRIMARY KEY (entry_id, position)
+);
+
+CREATE TABLE notes (
+    entry_id INTEGER PRIMARY KEY REFERENCES entries(global_id),
+    note     TEXT NOT NULL
+);
+
+CREATE TABLE crossrefs (
+    dataset_scope TEXT NOT NULL,
+    parameter     TEXT NOT NULL,
+    local_id      INTEGER NOT NULL,
+    global_id     INTEGER NOT NULL REFERENCES entries(global_id),
+    PRIMARY KEY (dataset_scope, parameter, local_id)
+);
+
+CREATE TABLE id_sequence (
+    next_id INTEGER NOT NULL
+);
+INSERT INTO id_sequence (next_id) VALUES (1);
+PRAGMA user_version = 1;
+"""
+
+
+def write_v1_store(path: Path, entries: dict, deleted=(), crossrefs=(), next_id=None) -> None:
+    """A version-1 file holding ``{gid: (records, note)}``, written as version 1 wrote it."""
+    conn = sqlite3.connect(path)
+    conn.executescript(V1_SCHEMA)
+    for gid, (recs, note) in entries.items():
+        dois = sorted({r.doi.canonical for r in recs if r.doi})
+        conn.execute("INSERT INTO entries VALUES (?, ?, ?)",
+                     (gid, "|".join(dois) or None, int(gid in deleted)))
+        for position, r in enumerate(recs):
+            conn.execute(
+                "INSERT INTO records VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (gid, position, r.source_type.value, r.title,
+                 json.dumps([{"given_names": list(a.given_names), "surname": a.surname}
+                             for a in r.authors], ensure_ascii=False),
+                 r.journal, r.volume, r.number,
+                 r.pages.first if r.pages else None, r.pages.last if r.pages else None,
+                 r.year, r.publisher, r.doi.canonical if r.doi else None,
+                 refs.format_bibcode(r.bibcode) if r.bibcode else None, r.doi_url, r.ads_url),
+            )
+        if note is not None:
+            conn.execute("INSERT INTO notes VALUES (?, ?)", (gid, note))
+    conn.executemany("INSERT INTO crossrefs VALUES (?, ?, ?, ?)", crossrefs)
+    conn.execute("UPDATE id_sequence SET next_id = ?", (next_id or max(entries) + 1,))
+    conn.commit()
+    conn.close()
+
+
+def schema_of(path: Path) -> tuple[int, set[str]]:
+    conn = sqlite3.connect(path)
+    version = conn.execute("PRAGMA user_version").fetchone()[0]
+    tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
+    conn.close()
+    return version, tables
+
+
+class TestMigration:
+    def v1_entries(self) -> dict:
+        hitran = BibRecord(
+            title="The HITRAN2016 molecular spectroscopic database",
+            authors=[make_author("I. E.", "Gordon"), make_author("", "HITRAN Collaboration")],
+            journal="JQSRT", volume="203", pages=Pages("3", "69"), year=2017,
+            doi=parse_doi("10.1016/j.jqsrt.2017.06.038"),
+            bibcode=parse_bibcode("2017JQSRT.203....3G"),
+        )
+        return {
+            1: ([hitran], "Line list.  Weights from Ångström et al."),
+            2: ([record("10.1000/a"), record("10.1000/b", title="Part two")], None),
+            3: ([record("10.1000/c")], "tombstoned"),
+            4: ([BibRecord(title="Private communication", year=2001)], None),
+        }
+
+    @pytest.mark.parametrize("next_id", [5, 9])
+    def test_v1_file_migrates_in_place(self, tmp_path, next_id):
+        path = tmp_path / "v1.db"
+        entries = self.v1_entries()
+        write_v1_store(path, entries, deleted={3},
+                       crossrefs=[("H2O", "nu", 1, 1), ("CO2", "nu", 7, 3)], next_id=next_id)
+        with RefStore(path) as store:
+            for gid in (1, 2, 4):
+                loaded = store.get_entry(gid)
+                assert (loaded.records, loaded.note) == entries[gid]
+            with pytest.raises(MissingEntryError):
+                store.get_entry(3)
+            assert store.live_ids() == [1, 2, 4]
+            assert store.list_crossrefs() == [refs.SourceCrossRef("CO2", "nu", 7, 3),
+                                              refs.SourceCrossRef("H2O", "nu", 1, 1)]
+            with pytest.raises(DuplicateEntryError) as exc_info:
+                store.add_entry([record("10.1000/b"), record("10.1000/a")])
+            assert exc_info.value.existing_id == 2
+            assert store.add_entry([record("10.1000/c")]) == next_id
+            assert store.add_entry([record("10.1000/d")]) == next_id + 1
+        assert schema_of(path) == (2, {"entries", "records", "notes", "crossrefs", "sqlite_sequence"})
+        with RefStore(path) as store:
+            assert store.add_entry([record("10.1000/e")]) == next_id + 2
+
+    def test_live_entries_sharing_a_doi_set_stop_the_migration(self, tmp_path, statements):
+        path = tmp_path / "v1.db"
+        entries = self.v1_entries()
+        entries[5] = ([record("10.1000/c", title="Raced copy")], None)
+        entries[6] = ([record("10.1000/a"), record("10.1000/b")], None)
+        write_v1_store(path, entries)
+        before = path.read_bytes()
+        statements.clear()
+        with pytest.raises(StoreError, match=r"2, 6 \(DOIs 10\.1000/a\|10\.1000/b\)") as exc_info:
+            RefStore(path)
+        assert "3, 5" in str(exc_info.value)
+        assert "COMMIT" not in statements
+        assert path.read_bytes() == before
+        assert schema_of(path) == (1, {"entries", "records", "notes", "crossrefs", "id_sequence"})
