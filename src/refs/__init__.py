@@ -3,88 +3,112 @@
 Resolution prefers the ADS bibcode route and falls back to DOI content
 negotiation; entries persist under stable global integer IDs and render to
 HTML, JSON, BibTeX and plain text.
+
+The public names below are imported on first use (PEP 562), so a command
+that renders from the store never loads the network modules.
 """
 
-from .bibtex import bibtex_to_record, parse_entries
-from .errors import (
-    AuthError,
-    BibcodeError,
-    BibcodeFormatError,
-    BibcodeLengthError,
-    BibtexCardinalityError,
-    BibtexParseError,
-    CrossRefConflictError,
-    DuplicateEntryError,
-    FixtureMissingError,
-    InvalidAuthorError,
-    InvalidDoiError,
-    MissingEntryError,
-    MultipleBibcodesWarning,
-    NoMatchError,
-    NoMetadataFormatError,
-    RefsError,
-    RefsWarning,
-    ResolutionFailedError,
-    ResponseDecodeError,
-    StoreError,
-    TransportError,
-    UnknownDoiError,
-    UnrenderableError,
-    UnusableMetadataError,
-    UnverifiedResultWarning,
-    UpstreamError,
-    UpstreamUnavailableError,
-)
-from .identifiers import Bibcode, Doi, format_bibcode, parse_bibcode, parse_doi
-from .model import (
-    AuthorName,
-    BibRecord,
-    Pages,
-    RefEntry,
-    SourceCrossRef,
-    SourceType,
-    format_pages,
-    make_author,
-    sub_labels,
-)
-from .pipeline import (
-    ResolutionPath,
-    ResolutionReport,
-    resolve_and_store,
-    resolve_and_store_report,
-    resolve_query_reference,
-    resolve_reference,
-)
-from .render import (
-    RenderedCitation,
-    RenderFormat,
-    escape_html,
-    render_all,
-    render_bibtex,
-    render_html,
-    render_json,
-    render_text,
-)
-from .resolvers import (
-    AdsConfig,
-    CslRecord,
-    ExportFormat,
-    ads_doc_to_record,
-    csl_to_record,
-    fetch_ads_export,
-    fetch_bibtex,
-    fetch_bibtex_by_query,
-    fetch_csl_json,
-    resolve_bibcode,
-)
-from .store import RefStore
-from .transport import (
-    FixtureTransport,
-    HttpRequest,
-    HttpResponse,
-    LiveTransport,
-    RecordingTransport,
-    Transport,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "bibtex": ("bibtex_to_record", "parse_entries"),
+    "errors": (
+        "AuthError",
+        "BibcodeError",
+        "BibcodeFormatError",
+        "BibcodeLengthError",
+        "BibtexCardinalityError",
+        "BibtexParseError",
+        "CrossRefConflictError",
+        "DuplicateEntryError",
+        "FixtureMissingError",
+        "InvalidAuthorError",
+        "InvalidDoiError",
+        "MissingEntryError",
+        "MultipleBibcodesWarning",
+        "NoMatchError",
+        "NoMetadataFormatError",
+        "RefsError",
+        "RefsWarning",
+        "ResolutionFailedError",
+        "ResponseDecodeError",
+        "StoreError",
+        "TransportError",
+        "UnknownDoiError",
+        "UnrenderableError",
+        "UnusableMetadataError",
+        "UnverifiedResultWarning",
+        "UpstreamError",
+        "UpstreamUnavailableError",
+    ),
+    "identifiers": ("Bibcode", "Doi", "format_bibcode", "parse_bibcode", "parse_doi"),
+    "model": (
+        "AuthorName",
+        "BibRecord",
+        "Pages",
+        "RefEntry",
+        "SourceCrossRef",
+        "SourceType",
+        "format_pages",
+        "make_author",
+        "sub_labels",
+    ),
+    "pipeline": (
+        "ResolutionPath",
+        "ResolutionReport",
+        "resolve_and_store",
+        "resolve_and_store_report",
+        "resolve_query_reference",
+        "resolve_reference",
+    ),
+    "render": (
+        "RenderedCitation",
+        "RenderFormat",
+        "escape_html",
+        "render_all",
+        "render_bibtex",
+        "render_html",
+        "render_json",
+        "render_text",
+    ),
+    "resolvers": (
+        "AdsConfig",
+        "CslRecord",
+        "ExportFormat",
+        "ads_doc_to_record",
+        "csl_to_record",
+        "fetch_ads_export",
+        "fetch_bibtex",
+        "fetch_bibtex_by_query",
+        "fetch_csl_json",
+        "resolve_bibcode",
+    ),
+    "store": ("RefStore",),
+    "transport": (
+        "FixtureTransport",
+        "HttpRequest",
+        "HttpResponse",
+        "LiveTransport",
+        "RecordingTransport",
+        "Transport",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -23,19 +23,6 @@ _ENTRY_TYPE_MAP = {
     "unpublished": SourceType.UNPUBLISHED,
 }
 
-# Characters with special meaning in BibTeX/LaTeX values and their escapes.
-_VALUE_ESCAPES = {
-    "\\": r"\textbackslash{}",
-    "{": r"\{",
-    "}": r"\}",
-    "%": r"\%",
-    "&": r"\&",
-    "$": r"\$",
-    "#": r"\#",
-    "_": r"\_",
-}
-_VALUE_ESCAPE_TABLE = str.maketrans(_VALUE_ESCAPES)
-
 _UNESCAPE_RE = re.compile(r"\\textbackslash\{\}|\\([{}%&$#_])")
 _UNPROTECTED_BRACE_RE = re.compile(r"(?<!\\)[{}]")
 _PAGE_RANGE_RE = re.compile(r"\s*(?:--|–|—|-)\s*")
@@ -52,12 +39,8 @@ class BibtexEntry:
     raw: str = ""
 
 
-def escape_value(text: str) -> str:
-    """Escape a field value for emission inside braces."""
-    return text.translate(_VALUE_ESCAPE_TABLE)
-
-
 def unescape_value(text: str) -> str:
+    """Undo render.escape_value."""
     return _UNESCAPE_RE.sub(lambda m: m.group(1) or "\\", text)
 
 

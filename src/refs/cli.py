@@ -15,6 +15,7 @@ import argparse
 import os
 import sqlite3
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import (
     CrossRefConflictError,
@@ -27,11 +28,14 @@ from .errors import (
     UnusableMetadataError,
 )
 from .identifiers import parse_doi
-from .pipeline import resolve_and_store_report, resolve_query_reference, store_report
 from .render import RenderFormat, render_format
-from .resolvers import ADS_TOKEN_ENV, AdsConfig
 from .store import RefStore
-from .transport import FixtureTransport, LiveTransport, RecordingTransport, Transport
+
+# Only `add` makes requests, so only it imports pipeline, resolvers and
+# transport; the other commands start without loading them.
+if TYPE_CHECKING:
+    from .resolvers import AdsConfig
+    from .transport import Transport
 
 DB_ENV = "REFS_DB"
 FIXTURES_ENV = "REFS_FIXTURES"
@@ -139,6 +143,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def _build_transport(args) -> Transport:
+    from .transport import FixtureTransport, LiveTransport, RecordingTransport
+
     if args.offline:
         fixtures = args.fixtures or os.environ.get(FIXTURES_ENV)
         if not fixtures:
@@ -153,6 +159,8 @@ def _build_transport(args) -> Transport:
 
 
 def _build_ads_config(args) -> AdsConfig:
+    from .resolvers import ADS_TOKEN_ENV, AdsConfig
+
     cfg = AdsConfig.from_env()
     if not args.offline and not cfg.token:
         raise UsageError(f"live mode requires an ADS token in ${ADS_TOKEN_ENV}")
@@ -160,6 +168,8 @@ def _build_ads_config(args) -> AdsConfig:
 
 
 def cmd_add(args) -> int:
+    from .pipeline import resolve_and_store_report, resolve_query_reference, store_report
+
     if bool(args.doi) == bool(args.query):
         raise UsageError("pass exactly one of --doi or --query")
     transport = _build_transport(args)

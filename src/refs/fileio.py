@@ -3,25 +3,32 @@
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
-def replace_files(contents: Iterable[tuple[Path, Iterable[str]]]) -> None:
-    """Write each target's text chunks to a temp file beside it, then move all into place.
+def replace_files(paths: Sequence[Path], rows: Iterable[Sequence[str]]) -> None:
+    """Write the files together through temp files beside them, then move all into place.
 
-    No target is replaced until every file is written, so a failure while
-    producing or writing any text leaves all targets as they were. Text is
-    UTF-8 with LF line endings. Chunks are written as they come, so a
-    large file is never held in memory as one string.
+    Every temp file is opened first. Each row then carries one text chunk
+    per path, in the order of ``paths``, so one pass over the rows writes
+    all files in lockstep and a large file is never held in memory as one
+    string. No target is replaced until every file is written and closed,
+    so a failure while producing or writing any text leaves all targets as
+    they were. Text is UTF-8 with LF line endings.
     """
     staged: list[tuple[Path, Path]] = []
     try:
-        for path, chunks in contents:
-            tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-            with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+        with ExitStack() as stack:
+            files = []
+            for path in paths:
+                tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+                files.append(stack.enter_context(open(tmp, "x", encoding="utf-8", newline="\n")))
                 staged.append((tmp, path))
-                fh.writelines(chunks)
+            for row in rows:
+                for fh, chunk in zip(files, row, strict=True):
+                    fh.write(chunk)
         for tmp, path in staged:
             os.replace(tmp, path)
     finally:

@@ -13,7 +13,6 @@ import json
 import re
 from dataclasses import dataclass
 
-from .bibtex import escape_value
 from .errors import UnrenderableError
 from .identifiers import format_bibcode
 from .model import AuthorName, BibRecord, RefEntry, SourceType, entry_to_dict, format_pages
@@ -30,6 +29,19 @@ _BIBTEX_TYPE = {
 }
 
 _BIBTEX_KEY_JUNK = re.compile(r"[\s{},\"\\]+")
+
+# Characters with special meaning in BibTeX/LaTeX values and their escapes.
+_VALUE_ESCAPES = {
+    "\\": r"\textbackslash{}",
+    "{": r"\{",
+    "}": r"\}",
+    "%": r"\%",
+    "&": r"\&",
+    "$": r"\$",
+    "#": r"\#",
+    "_": r"\_",
+}
+_VALUE_ESCAPE_TABLE = str.maketrans(_VALUE_ESCAPES)
 
 
 class RenderFormat(str, enum.Enum):
@@ -153,6 +165,11 @@ def _bibtex_key(record: BibRecord, sub: str) -> str:
     surname = record.authors[0].surname if record.authors else "ref"
     year = str(record.year) if record.year is not None else "nd"
     return _BIBTEX_KEY_JUNK.sub("", f"{surname}{year}{sub}")
+
+
+def escape_value(text: str) -> str:
+    """Escape a field value for emission inside braces."""
+    return text.translate(_VALUE_ESCAPE_TABLE)
 
 
 def _bibtex_author(author: AuthorName) -> str:

@@ -58,6 +58,10 @@ _CSL_TYPE_MAP = {
     "report": SourceType.REPORT,
 }
 
+# Longest Retry-After, in seconds, that a 429 answer is waited out for;
+# a longer one fails at once instead of stalling the caller.
+MAX_RETRY_AFTER_S = 60
+
 # Module-level so tests can stub the backoff delay away.
 _sleep = time.sleep
 
@@ -118,14 +122,19 @@ def _execute_with_retry(
     max_retries: int = 3,
     backoff_base: float = 1.0,
 ) -> HttpResponse:
-    """Run a request with at most max_retries attempts on 5xx or timeouts.
+    """Run a request with at most max_retries attempts on 5xx, 429 or timeouts.
 
-    4xx responses return immediately and are never retried. Backoff doubles
-    from backoff_base between attempts.
+    Backoff doubles from backoff_base between attempts. A 429 (throttled)
+    waits its Retry-After instead when that is a whole number of seconds
+    (RFC 9110 section 10.2.3), and fails at once, without waiting, when
+    that is more than MAX_RETRY_AFTER_S. Exhausted attempts raise
+    UpstreamUnavailableError with the last status. Other 4xx responses
+    return immediately and are never retried.
     """
     attempt = 0
     while True:
         attempt += 1
+        delay = backoff_base * 2 ** (attempt - 1)
         try:
             response = transport.execute(request)
         except TransportTimeoutError:
@@ -133,17 +142,34 @@ def _execute_with_retry(
                 raise UpstreamUnavailableError(
                     f"{request.url} kept timing out after {attempt} attempts"
                 ) from None
-            _sleep(backoff_base * 2 ** (attempt - 1))
+            _sleep(delay)
             continue
-        if response.status >= 500:
-            if attempt >= max_retries:
+        if response.status == 429:
+            delay = _retry_after(response, delay)
+            if delay > MAX_RETRY_AFTER_S:
                 raise UpstreamUnavailableError(
-                    f"{request.url} answered {response.status} on all {attempt} attempts",
-                    status=response.status,
+                    f"{request.url} is throttled for {delay:g} s,"
+                    f" longer than the {MAX_RETRY_AFTER_S} s allowed",
+                    status=429,
                 )
-            _sleep(backoff_base * 2 ** (attempt - 1))
-            continue
-        return response
+        elif response.status < 500:
+            return response
+        if attempt >= max_retries:
+            raise UpstreamUnavailableError(
+                f"{request.url} answered {response.status} on all {attempt} attempts",
+                status=response.status,
+            )
+        _sleep(delay)
+
+
+def _retry_after(response: HttpResponse, default: float) -> float:
+    """The Retry-After delay in seconds, or default when absent or not delay-seconds."""
+    for name, value in response.headers.items():
+        if name.lower() == "retry-after":
+            value = value.strip()
+            if value.isascii() and value.isdigit():
+                return float(value)
+    return default
 
 
 def _check_ads_auth(cfg: AdsConfig, transport: Transport) -> None:
@@ -161,6 +187,16 @@ def _ads_get(cfg: AdsConfig, transport: Transport, url: str) -> HttpResponse:
     if response.status != 200:
         raise UpstreamError(f"ADS answered {response.status} for {url}", status=response.status)
     return response
+
+
+def ads_doi_query(doi: Doi) -> str:
+    """The ADS ``doi:"..."`` phrase query, with the phrase's ``\\`` and ``"`` escaped.
+
+    A DOI suffix may hold any non-space character, so unescaped it could
+    close the phrase and add query terms of its own.
+    """
+    phrase = doi.canonical.replace("\\", "\\\\").replace('"', '\\"')
+    return f'doi:"{phrase}"'
 
 
 def ads_search_url(cfg: AdsConfig, query: str, fields: str, rows: int) -> str:
@@ -192,7 +228,7 @@ def _ads_doi_docs(doi: Doi, fields: str, cfg: AdsConfig, transport: Transport) -
     a MultipleBibcodesWarning is issued.
     """
     _check_ads_auth(cfg, transport)
-    url = ads_search_url(cfg, f'doi:"{doi.canonical}"', fields, rows=10)
+    url = ads_search_url(cfg, ads_doi_query(doi), fields, rows=10)
     response = _ads_get(cfg, transport, url)
     docs = [d for d in _ads_docs(response, url) if d.get("bibcode")]
     if len(docs) > 1:

@@ -13,7 +13,8 @@ What holds when several processes share one database file:
   enforces this, so when two processes add the same DOIs at once, one
   gets the ID and the other gets DuplicateEntryError naming that ID.
 - Reads see what other processes have committed. ``get_entry`` is one
-  statement. ``export_bundle`` reads inside one transaction, so both
+  statement. ``export_bundle`` reads inside one transaction and decodes
+  each entry once, writing its HTML and BibTeX side by side, so both
   bundle files describe the same state; a writer waits for it, again
   for up to five seconds.
   ``list_entries`` reads the live IDs, then those entries, and leaves out
@@ -32,7 +33,7 @@ import json
 import sqlite3
 import threading
 from contextlib import contextmanager
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -348,23 +349,17 @@ class RefStore:
                     missing=missing,
                 )
             out.mkdir(parents=True, exist_ok=True)
-
-            # Each file streams its own pass over the entries, so no
-            # whole-store copy is held; the transaction keeps both passes
-            # on the same data.
-            wanted = sorted(set(ids))
-
-            def bib() -> Iterator[str]:
-                separator = ""
-                for entry in self._load(wanted):
-                    yield separator + render_bibtex(entry).body
-                    separator = "\n\n"
-                yield "\n"
-
-            html = chain([_HTML_HEAD], (f"<p>{render_html(e).body}</p>\n" for e in self._load(wanted)),
-                         [_HTML_TAIL])
-            replace_files([(html_path, html), (bib_path, bib())])
+            replace_files([html_path, bib_path], self._bundle_rows(sorted(set(ids))))
         return html_path, bib_path
+
+    def _bundle_rows(self, ids: list[int]) -> Iterator[tuple[str, str]]:
+        """(HTML, BibTeX) chunks for the bundle, one pass decoding each entry once."""
+        yield _HTML_HEAD, ""
+        separator = ""
+        for entry in self._load(ids):
+            yield f"<p>{render_html(entry).body}</p>\n", separator + render_bibtex(entry).body
+            separator = "\n\n"
+        yield _HTML_TAIL, "\n"
 
     # -- internals -----------------------------------------------------
 

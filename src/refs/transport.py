@@ -195,4 +195,4 @@ class RecordingTransport:
     def _append(self, entry: dict) -> None:
         self._entries.append(entry)
         text = json.dumps({"entries": self._entries}, indent=2, ensure_ascii=False) + "\n"
-        replace_files([(self._path, [text])])
+        replace_files([self._path], [(text,)])

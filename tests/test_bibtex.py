@@ -7,15 +7,14 @@ from hypothesis import given, strategies as st
 
 from refs import BibtexCardinalityError, BibtexParseError, bibtex_to_record
 from refs.bibtex import (
-    _VALUE_ESCAPES,
     clean_value,
-    escape_value,
     parse_entries,
     split_authors,
     split_page_range,
     unescape_value,
 )
 from refs.model import SourceType
+from refs.render import _VALUE_ESCAPES, escape_value
 
 
 class TestParseEntries:

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import refs
 import refs.render
 from refs import BibRecord, RefStore, make_author, parse_doi
 from refs.cli import main
@@ -287,3 +292,33 @@ class TestStoreFailures:
         blocker.write_text("in the way")
         code, _, _ = run(capsys, "export", "--all", "-o", str(blocker / "out"), "--db", db_path)
         assert code == 3
+
+
+class TestImports:
+    def test_cli_start_up_leaves_the_network_and_parser_modules_unloaded(self):
+        network = ["refs.pipeline", "refs.resolvers", "refs.transport", "refs.bibtex", "html"]
+        script = (
+            "import sys, refs.cli\n"
+            f"print(sorted(m for m in {network!r} if m in sys.modules))\n"
+        )
+        env = {"PYTHONPATH": str(Path(refs.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
+
+    def test_every_public_name_resolves(self):
+        assert refs.__all__
+        for name in refs.__all__:
+            assert getattr(refs, name) is not None, name
+        assert set(refs.__all__) <= set(dir(refs))
+
+    def test_star_import_binds_all_public_names(self):
+        namespace: dict = {}
+        exec("from refs import *", namespace)
+        assert set(refs.__all__) <= set(namespace)
+        assert namespace["RefStore"] is RefStore
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            refs.no_such_name

@@ -9,6 +9,7 @@ from refs import (
     Bibcode,
     BibcodeFormatError,
     BibcodeLengthError,
+    Doi,
     InvalidDoiError,
     format_bibcode,
     parse_bibcode,
@@ -16,6 +17,21 @@ from refs import (
 )
 
 EXAMPLE = "2017JQSRT.203....3G"
+
+
+def _parsed_or_none(raw: str) -> Doi | None:
+    try:
+        return parse_doi(raw)
+    except InvalidDoiError:
+        return None
+
+
+def accepted_dois() -> st.SearchStrategy[Doi]:
+    """DOIs that parse_doi accepts, with suffixes rich in quotes, backslashes and Unicode."""
+    prefix = st.from_regex(r"10\.[0-9]{4,9}", fullmatch=True)
+    suffix = st.text(st.sampled_from('"\\():/*?Ab') | st.characters(), min_size=1, max_size=30)
+    raw = st.tuples(prefix, suffix).map("/".join)
+    return raw.map(_parsed_or_none).filter(lambda doi: doi is not None)
 
 
 class TestParseDoi:
@@ -55,6 +71,10 @@ class TestParseDoi:
     def test_idempotent(self, raw):
         first = parse_doi(raw)
         assert parse_doi(first.canonical).canonical == first.canonical
+
+    @given(accepted_dois())
+    def test_idempotent_on_its_own_output(self, doi):
+        assert parse_doi(doi.canonical) == doi
 
 
 class TestParseBibcode:

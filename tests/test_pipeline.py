@@ -37,6 +37,22 @@ class _AlwaysUnavailable:
         return HttpResponse(status=503, body=b"Service Unavailable")
 
 
+class _ThrottledOnce:
+    """Answers the first request with 429 and Retry-After, then replays fixtures."""
+
+    is_live = False
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.throttled = False
+
+    def execute(self, request):
+        if not self.throttled:
+            self.throttled = True
+            return HttpResponse(status=429, headers={"Retry-After": "2"})
+        return self.inner.execute(request)
+
+
 class TestAdsPath:
     def test_resolves_with_bibcode_and_four_renders(self, transport, ads_config):
         report = resolve_reference(HITRAN, cfg=ads_config, transport=transport)
@@ -49,6 +65,15 @@ class TestAdsPath:
         resolve_reference(HITRAN, cfg=ads_config, transport=counting_transport)
         assert counting_transport.count("doi.org") == 0
         assert counting_transport.count("adsabs.harvard.edu") == 1  # the fields come with the search
+
+    def test_throttled_search_is_retried_not_fallen_back(self, transport, ads_config,
+                                                         monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(resolvers, "_sleep", sleeps.append)
+        report = resolve_reference(HITRAN, cfg=ads_config, transport=_ThrottledOnce(transport))
+        assert report.path_taken is ResolutionPath.ADS
+        assert str(report.record.bibcode) == "2017JQSRT.203....3G"
+        assert sleeps == [2.0]
 
     def test_record_fields_come_from_ads(self, transport, ads_config):
         report = resolve_reference(HITRAN, cfg=ads_config, transport=transport)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
+from hypothesis import given
 
 from refs import (
     AuthError,
     FixtureTransport,
+    HttpResponse,
     LiveTransport,
     MissingEntryError,
     MultipleBibcodesWarning,
@@ -24,17 +27,21 @@ from refs import (
     parse_doi,
 )
 from refs.resolvers import (
+    MAX_RETRY_AFTER_S,
     AdsConfig,
     CslRecord,
     ExportFormat,
     ads_doc_to_record,
     csl_to_record,
+    fetch_ads_doc,
     fetch_ads_export,
     fetch_bibtex,
     fetch_bibtex_by_query,
     fetch_csl_json,
     resolve_bibcode,
 )
+
+from test_identifiers import accepted_dois
 
 HITRAN_DOI = parse_doi("10.1016/j.jqsrt.2017.06.038")
 HITRAN_BIB = parse_bibcode("2017JQSRT.203....3G")
@@ -47,6 +54,47 @@ OVERLAP_DOIS = [
     "10.1093/mnras/stw2949",
     "10.3847/1538-4365/aa8e94",
 ]
+
+NO_DOCS = HttpResponse(200, body=b'{"response": {"docs": []}}')
+HITRAN_BIBCODE_DOC = HttpResponse(
+    200, body=b'{"response": {"docs": [{"bibcode": "2017JQSRT.203....3G"}]}}'
+)
+
+
+def throttled(**headers: str) -> HttpResponse:
+    return HttpResponse(429, headers=headers, body=b"Too Many Requests")
+
+
+class ScriptedTransport:
+    """Answers each request with the next of a fixed list of responses."""
+
+    is_live = False
+
+    def __init__(self, *responses: HttpResponse):
+        self.responses = list(responses)
+        self.requests = []
+
+    def execute(self, request):
+        self.requests.append(request)
+        return self.responses.pop(0)
+
+
+def read_doi_phrase(query: str) -> str:
+    """The unescaped phrase of an ADS ``doi:"..."`` query that holds nothing else."""
+    assert query.startswith('doi:"'), query
+    chars, i = [], len('doi:"')
+    while query[i] != '"':
+        if query[i] == "\\":
+            i += 1
+        chars.append(query[i])
+        i += 1
+    assert i == len(query) - 1, f"the query goes on after the phrase: {query!r}"
+    return "".join(chars)
+
+
+def sent_query(transport: ScriptedTransport) -> str:
+    (query,) = parse_qs(urlsplit(transport.requests[-1].url).query)["q"]
+    return query
 
 
 class TestResolveBibcode:
@@ -95,6 +143,60 @@ class TestRetryPolicy:
         with pytest.raises(UnknownDoiError):
             fetch_csl_json(parse_doi("10.1000/unregistered"), counting_transport)
         assert len(counting_transport.requests) == 1
+
+    @pytest.fixture()
+    def sleeps(self, monkeypatch):
+        import refs.resolvers as resolvers_mod
+
+        sleeps = []
+        monkeypatch.setattr(resolvers_mod, "_sleep", sleeps.append)
+        return sleeps
+
+    def test_429_waits_out_retry_after(self, sleeps):
+        transport = ScriptedTransport(throttled(**{"Retry-After": "7"}), HITRAN_BIBCODE_DOC)
+        assert resolve_bibcode(HITRAN_DOI, AdsConfig(token=""), transport) == HITRAN_BIB
+        assert len(transport.requests) == 2
+        assert sleeps == [7.0]
+
+    def test_429_without_delay_seconds_backs_off(self, sleeps):
+        transport = ScriptedTransport(
+            throttled(),
+            throttled(**{"retry-after": "Wed, 21 Oct 2026 07:28:00 GMT"}),
+            HITRAN_BIBCODE_DOC,
+        )
+        cfg = AdsConfig(token="", max_retries=3, backoff_base=1.0)
+        assert resolve_bibcode(HITRAN_DOI, cfg, transport) == HITRAN_BIB
+        assert sleeps == [1.0, 2.0]
+
+    def test_429_longer_than_the_cap_fails_at_once(self, sleeps):
+        transport = ScriptedTransport(throttled(**{"Retry-After": str(MAX_RETRY_AFTER_S + 1)}))
+        with pytest.raises(UpstreamUnavailableError) as exc_info:
+            resolve_bibcode(HITRAN_DOI, AdsConfig(token=""), transport)
+        assert exc_info.value.status == 429
+        assert len(transport.requests) == 1
+        assert sleeps == []
+
+    def test_429_on_every_attempt_gives_up_within_the_budget(self, sleeps):
+        transport = ScriptedTransport(*[throttled(**{"Retry-After": "0"})] * 3)
+        with pytest.raises(UpstreamUnavailableError) as exc_info:
+            resolve_bibcode(HITRAN_DOI, AdsConfig(token="", max_retries=3), transport)
+        assert exc_info.value.status == 429
+        assert len(transport.requests) == 3
+        assert sleeps == [0.0, 0.0]
+
+
+class TestAdsDoiQuery:
+    def test_quotes_in_a_doi_cannot_add_query_terms(self):
+        doi = parse_doi('10.1000/a"OR"doi:10.1086/670067')
+        transport = ScriptedTransport(NO_DOCS)
+        assert fetch_ads_doc(doi, AdsConfig(token=""), transport) is None
+        assert sent_query(transport) == r'doi:"10.1000/a\"or\"doi:10.1086/670067"'
+
+    @given(accepted_dois())
+    def test_the_phrase_reads_back_as_the_doi(self, doi):
+        transport = ScriptedTransport(NO_DOCS)
+        fetch_ads_doc(doi, AdsConfig(token=""), transport)
+        assert read_doi_phrase(sent_query(transport)) == doi.canonical
 
 
 class TestFetchAdsExport:

@@ -272,16 +272,20 @@ class TestExportBundle:
                 return fh
 
             class HalfWritten:
+                # A two-entry bundle file is four chunks: head, two entries, tail.
+                writes = 0
+
                 def __enter__(self):
                     return self
 
                 def __exit__(self, *exc_info):
                     fh.close()
 
-                def writelines(self, chunks):
-                    chunks = list(chunks)
-                    fh.writelines(chunks[: len(chunks) // 2])
-                    raise OSError(errno.ENOSPC, "No space left on device")
+                def write(self, chunk):
+                    if self.writes == 2:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    self.writes += 1
+                    return fh.write(chunk)
 
             return HalfWritten()
 
@@ -290,6 +294,22 @@ class TestExportBundle:
             store.export_bundle([1, 2], out)
         assert (html_path.read_bytes(), bib_path.read_bytes()) == before
         assert sorted(p.name for p in out.iterdir()) == ["refs.bib", "refs.html"]
+
+    def test_each_entry_is_decoded_once(self, store, tmp_path, monkeypatch):
+        for suffix in "abc":
+            store.add_entry([record(f"10.1000/{suffix}")])
+        decoded = []
+
+        def counting(global_id, rows):
+            decoded.append(global_id)
+            return entry_from_rows(global_id, rows)
+
+        entry_from_rows = refs.store._entry_from_rows
+        monkeypatch.setattr(refs.store, "_entry_from_rows", counting)
+        html_path, bib_path = store.export_bundle([3, 1, 2], tmp_path)
+        assert decoded == [1, 2, 3]
+        assert html_path.read_text(encoding="utf-8").count("<p>") == 3
+        assert bib_path.read_text(encoding="utf-8").count("@article{") == 3
 
 
 class TestConcurrency:
@@ -488,7 +508,12 @@ with RefStore(db) as store:
 
 
 def run_adders(db: Path, prefixes: list[str], count: int) -> list[list[int]]:
-    env = {"PYTHONPATH": str(Path(refs.__file__).parents[1]), "PATH": ""}
+    env = {
+        "PYTHONPATH": str(Path(refs.__file__).parents[1]),
+        "PATH": "",
+        # Leave no bytecode cache in the source tree.
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
     start = time.time() + 1.0
     procs = [
         subprocess.Popen(
