@@ -75,7 +75,6 @@ _EXPORTS = {
     ),
     "resolvers": (
         "AdsConfig",
-        "CslRecord",
         "ExportFormat",
         "ads_doc_to_record",
         "csl_to_record",

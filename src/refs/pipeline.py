@@ -68,9 +68,10 @@ def resolve_reference(
 ) -> ResolutionReport:
     """Resolve one DOI into a record rendered in all four formats.
 
-    An empty ADS result cleanly selects the fallback; an ADS *error* also
-    falls back, with the cause kept as a warning. When the fallback fails
-    too, a ResolutionFailedError aggregates both causes.
+    An empty ADS result cleanly selects the fallback; an ADS *error* (a
+    failed search or an unusable document) also falls back, with the cause
+    kept as a warning. When the fallback fails too, a ResolutionFailedError
+    aggregates both causes.
     """
     if cfg is None:
         cfg = AdsConfig.from_env()
@@ -86,6 +87,7 @@ def resolve_reference(
             doc = fetch_ads_doc(doi, cfg, transport)
         except RefsError as exc:
             ads_cause = f"ADS DOI search failed: {exc}"
+            collected.append(ads_cause)
 
         if doc is not None:
             try:
@@ -127,13 +129,12 @@ def _resolve_via_ads(doi: Doi, doc: dict, note: str | None) -> ResolutionReport:
 def _resolve_via_fallback(
     doi: Doi, note: str | None, cfg: AdsConfig, transport: Transport
 ) -> ResolutionReport:
-    retry = {"max_retries": cfg.max_retries, "backoff_base": cfg.backoff_base}
-    record = csl_to_record(fetch_csl_json(doi, transport, **retry))
+    record = csl_to_record(fetch_csl_json(doi, transport, cfg))
     entry = RefEntry(records=[record], note=note)
     renders = render_all(entry)
     extra = []
     try:
-        fetched = fetch_bibtex(doi, transport, **retry)
+        fetched = fetch_bibtex(doi, transport, cfg)
         renders[RenderFormat.BIBTEX] = RenderedCitation(
             format=RenderFormat.BIBTEX, body=fetched, global_label=""
         )
@@ -166,9 +167,7 @@ def resolve_query_reference(
         raise ValueError("a transport is required")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fetched = fetch_bibtex_by_query(
-            freeform, transport, max_retries=cfg.max_retries, backoff_base=cfg.backoff_base
-        )
+        fetched = fetch_bibtex_by_query(freeform, transport, cfg)
     record = bibtex_to_record(fetched)
     if record.doi is None:
         raise UnusableMetadataError(f"query result for {freeform!r} carries no DOI")

@@ -154,11 +154,6 @@ def render_text(entry: RefEntry) -> RenderedCitation:
     return RenderedCitation(format=RenderFormat.TEXT, body=body, global_label=_label(entry))
 
 
-def render_record_html(record: BibRecord, note: str | None = None) -> str:
-    """One record as an HTML citation line, without any entry label."""
-    return _citation_line(record, note, markup=True)
-
-
 def _bibtex_key(record: BibRecord, sub: str) -> str:
     if record.bibcode is not None:
         return format_bibcode(record.bibcode)

@@ -24,6 +24,7 @@ from .errors import (
     MultipleBibcodesWarning,
     NoMatchError,
     NoMetadataFormatError,
+    RefsError,
     ResponseDecodeError,
     UnknownDoiError,
     UnusableMetadataError,
@@ -69,20 +70,19 @@ _sleep = time.sleep
 class ExportFormat(str, enum.Enum):
     BIBTEX = "bibtex"
     JSON_FIELDS = "json-fields"
-    CUSTOM_HTML = "custom-html"
 
 
 @dataclass
 class AdsConfig:
-    """Connection settings for the ADS API.
+    """Connection settings for the ADS API, and the retry policy of every request.
 
+    max_retries and backoff_base govern ADS, doi.org and CrossRef alike.
     The token comes from configuration or the REFS_ADS_TOKEN environment
-    variable, never from command-line arguments.
+    variable, never from command-line arguments, and is sent to ADS only.
     """
 
     base_url: str = DEFAULT_ADS_BASE_URL
     token: str = ""
-    timeout: float = 30.0
     max_retries: int = 3
     backoff_base: float = 1.0
 
@@ -90,17 +90,6 @@ class AdsConfig:
     def from_env(cls, **overrides) -> "AdsConfig":
         token = overrides.pop("token", os.environ.get(ADS_TOKEN_ENV, ""))
         return cls(token=token, **overrides)
-
-
-@dataclass(frozen=True)
-class CslRecord:
-    """Citation metadata in the citation-styles JSON convention."""
-
-    raw: dict
-
-    @property
-    def doi(self) -> str:
-        return str(self.raw.get("DOI", ""))
 
 
 def _clean_text(value: str) -> str:
@@ -115,30 +104,35 @@ def _first(value) -> str:
     return str(value) if value is not None else ""
 
 
-def _execute_with_retry(
-    transport: Transport,
+def _send(
     request: HttpRequest,
-    *,
-    max_retries: int = 3,
-    backoff_base: float = 1.0,
+    cfg: AdsConfig | None,
+    transport: Transport,
+    service: str,
+    about: str = "",
+    errors: dict[int, RefsError] | None = None,
 ) -> HttpResponse:
-    """Run a request with at most max_retries attempts on 5xx, 429 or timeouts.
+    """Run one upstream request under the retry policy; the 200 response.
 
-    Backoff doubles from backoff_base between attempts. A 429 (throttled)
+    At most cfg.max_retries attempts are made on 5xx, 429 or timeouts,
+    with a backoff that doubles from cfg.backoff_base. A 429 (throttled)
     waits its Retry-After instead when that is a whole number of seconds
     (RFC 9110 section 10.2.3), and fails at once, without waiting, when
     that is more than MAX_RETRY_AFTER_S. Exhausted attempts raise
-    UpstreamUnavailableError with the last status. Other 4xx responses
-    return immediately and are never retried.
+    UpstreamUnavailableError with the last status. Other statuses are never
+    retried: one listed in ``errors`` raises that error, any other non-200
+    an UpstreamError naming the service (and ``about``, when given).
+    A cfg of None means AdsConfig()'s defaults.
     """
+    cfg = cfg or AdsConfig()
     attempt = 0
     while True:
         attempt += 1
-        delay = backoff_base * 2 ** (attempt - 1)
+        delay = cfg.backoff_base * 2 ** (attempt - 1)
         try:
             response = transport.execute(request)
         except TransportTimeoutError:
-            if attempt >= max_retries:
+            if attempt >= cfg.max_retries:
                 raise UpstreamUnavailableError(
                     f"{request.url} kept timing out after {attempt} attempts"
                 ) from None
@@ -153,13 +147,19 @@ def _execute_with_retry(
                     status=429,
                 )
         elif response.status < 500:
-            return response
-        if attempt >= max_retries:
+            break
+        if attempt >= cfg.max_retries:
             raise UpstreamUnavailableError(
                 f"{request.url} answered {response.status} on all {attempt} attempts",
                 status=response.status,
             )
         _sleep(delay)
+    if response.status == 200:
+        return response
+    if errors and response.status in errors:
+        raise errors[response.status]
+    where = f" for {about}" if about else ""
+    raise UpstreamError(f"{service} answered {response.status}{where}", status=response.status)
 
 
 def _retry_after(response: HttpResponse, default: float) -> float:
@@ -172,21 +172,29 @@ def _retry_after(response: HttpResponse, default: float) -> float:
     return default
 
 
-def _check_ads_auth(cfg: AdsConfig, transport: Transport) -> None:
+def _ads_send(
+    cfg: AdsConfig,
+    transport: Transport,
+    method: str,
+    url: str,
+    body: bytes | None = None,
+    service: str = "ADS",
+    about: str = "",
+) -> HttpResponse:
+    """An ADS request: the token check, the bearer header and the 401 mapping."""
     if getattr(transport, "is_live", True) and not cfg.token:
         raise AuthError("no ADS token configured; set REFS_ADS_TOKEN or AdsConfig.token")
-
-
-def _ads_get(cfg: AdsConfig, transport: Transport, url: str) -> HttpResponse:
-    request = HttpRequest("GET", url, headers={"Authorization": f"Bearer {cfg.token}"})
-    response = _execute_with_retry(
-        transport, request, max_retries=cfg.max_retries, backoff_base=cfg.backoff_base
+    headers = {"Authorization": f"Bearer {cfg.token}"}
+    if body is not None:
+        headers["Content-Type"] = "application/json"
+    return _send(
+        HttpRequest(method, url, headers=headers, body=body),
+        cfg,
+        transport,
+        service,
+        about,
+        errors={401: AuthError("ADS rejected the token", status=401)},
     )
-    if response.status == 401:
-        raise AuthError("ADS rejected the token", status=401)
-    if response.status != 200:
-        raise UpstreamError(f"ADS answered {response.status} for {url}", status=response.status)
-    return response
 
 
 def ads_doi_query(doi: Doi) -> str:
@@ -227,9 +235,8 @@ def _ads_doi_docs(doi: Doi, fields: str, cfg: AdsConfig, transport: Transport) -
     When several documents match, the first by service relevance leads and
     a MultipleBibcodesWarning is issued.
     """
-    _check_ads_auth(cfg, transport)
     url = ads_search_url(cfg, ads_doi_query(doi), fields, rows=10)
-    response = _ads_get(cfg, transport, url)
+    response = _ads_send(cfg, transport, "GET", url, about=url)
     docs = [d for d in _ads_docs(response, url) if d.get("bibcode")]
     if len(docs) > 1:
         warnings.warn(
@@ -269,45 +276,22 @@ def fetch_ads_export(
     """Fetch one export string per bibcode, preserving input order.
 
     ``bibtex`` uses the ADS export endpoint; ``json-fields`` fetches the
-    structured fields needed to build a BibRecord; ``custom-html`` renders
-    those fields locally instead of asking ADS for markup.
+    structured fields needed to build a BibRecord.
     """
     if not bibcodes:
         raise ValueError("bibcode list must be non-empty")
-    _check_ads_auth(cfg, transport)
-    format = ExportFormat(format)
-
-    if format is ExportFormat.BIBTEX:
+    if ExportFormat(format) is ExportFormat.BIBTEX:
         return _fetch_ads_bibtex(bibcodes, cfg, transport)
-
     docs = _fetch_ads_docs(bibcodes, cfg, transport)
-    if format is ExportFormat.JSON_FIELDS:
-        return [(b, json.dumps(docs[str(b)], sort_keys=True)) for b in bibcodes]
-    from .render import render_record_html
-
-    return [(b, render_record_html(ads_doc_to_record(docs[str(b)]))) for b in bibcodes]
+    return [(b, json.dumps(docs[str(b)], sort_keys=True)) for b in bibcodes]
 
 
 def _fetch_ads_bibtex(
     bibcodes: list[Bibcode], cfg: AdsConfig, transport: Transport
 ) -> list[tuple[Bibcode, str]]:
     body = json.dumps({"bibcode": [str(b) for b in bibcodes]}).encode("utf-8")
-    request = HttpRequest(
-        "POST",
-        f"{cfg.base_url}/export/bibtex",
-        headers={
-            "Authorization": f"Bearer {cfg.token}",
-            "Content-Type": "application/json",
-        },
-        body=body,
-    )
-    response = _execute_with_retry(
-        transport, request, max_retries=cfg.max_retries, backoff_base=cfg.backoff_base
-    )
-    if response.status == 401:
-        raise AuthError("ADS rejected the token", status=401)
-    if response.status != 200:
-        raise UpstreamError(f"ADS export answered {response.status}", status=response.status)
+    url = f"{cfg.base_url}/export/bibtex"
+    response = _ads_send(cfg, transport, "POST", url, body, service="ADS export")
     try:
         blob = response.json()["export"]
     except (ValueError, KeyError, TypeError) as exc:
@@ -327,7 +311,7 @@ def _fetch_ads_docs(
 ) -> dict[str, dict]:
     joined = " OR ".join(f'"{b}"' for b in bibcodes)
     url = ads_search_url(cfg, f"bibcode:({joined})", ADS_FIELD_LIST, rows=len(bibcodes))
-    response = _ads_get(cfg, transport, url)
+    response = _ads_send(cfg, transport, "GET", url, about=url)
     docs = {d.get("bibcode", ""): d for d in _ads_docs(response, url)}
     missing = [str(b) for b in bibcodes if str(b) not in docs]
     if missing:
@@ -359,50 +343,35 @@ def ads_doc_to_record(doc: dict, queried_doi: Doi | None = None) -> BibRecord:
     )
 
 
-def _negotiate(doi: Doi, accept: str, transport: Transport, *, max_retries: int = 3,
-               backoff_base: float = 1.0) -> HttpResponse:
-    url = doi_negotiation_url(doi)
-    request = HttpRequest("GET", url, headers={"Accept": accept})
-    response = _execute_with_retry(
-        transport, request, max_retries=max_retries, backoff_base=backoff_base
-    )
-    if response.status == 404:
-        raise UnknownDoiError(f"DOI {doi} is not registered")
-    if response.status == 406:
-        raise NoMetadataFormatError(f"no {accept} metadata available for DOI {doi}")
-    if response.status != 200:
-        raise UpstreamError(
-            f"doi.org answered {response.status} for {doi}", status=response.status
-        )
-    return response
+def _negotiate(doi: Doi, accept: str, transport: Transport, cfg: AdsConfig | None) -> HttpResponse:
+    request = HttpRequest("GET", doi_negotiation_url(doi), headers={"Accept": accept})
+    errors = {
+        404: UnknownDoiError(f"DOI {doi} is not registered"),
+        406: NoMetadataFormatError(f"no {accept} metadata available for DOI {doi}"),
+    }
+    return _send(request, cfg, transport, "doi.org", str(doi), errors)
 
 
-def fetch_csl_json(doi: Doi, transport: Transport, *, max_retries: int = 3,
-                   backoff_base: float = 1.0) -> CslRecord:
-    """Content-negotiate citation-styles JSON for a DOI at doi.org."""
-    response = _negotiate(
-        doi, CSL_JSON_ACCEPT, transport, max_retries=max_retries, backoff_base=backoff_base
-    )
+def fetch_csl_json(doi: Doi, transport: Transport, cfg: AdsConfig | None = None) -> dict:
+    """Content-negotiate citation-styles JSON for a DOI at doi.org; the decoded object."""
+    response = _negotiate(doi, CSL_JSON_ACCEPT, transport, cfg)
     try:
         payload = response.json()
     except ValueError as exc:
         raise ResponseDecodeError(f"citation JSON for {doi} does not parse: {exc}") from exc
     if not isinstance(payload, dict):
         raise ResponseDecodeError(f"citation JSON for {doi} is not an object")
-    record = CslRecord(raw=payload)
-    if record.doi.lower() != doi.canonical:
+    reported = str(payload.get("DOI", ""))
+    if reported.lower() != doi.canonical:
         raise ResponseDecodeError(
-            f"citation JSON reports DOI {record.doi!r}, expected {doi.canonical!r}"
+            f"citation JSON reports DOI {reported!r}, expected {doi.canonical!r}"
         )
-    return record
+    return payload
 
 
-def fetch_bibtex(doi: Doi, transport: Transport, *, max_retries: int = 3,
-                 backoff_base: float = 1.0) -> str:
+def fetch_bibtex(doi: Doi, transport: Transport, cfg: AdsConfig | None = None) -> str:
     """Content-negotiate a BibTeX entry for a DOI; the body is returned verbatim."""
-    response = _negotiate(
-        doi, BIBTEX_ACCEPT, transport, max_retries=max_retries, backoff_base=backoff_base
-    )
+    response = _negotiate(doi, BIBTEX_ACCEPT, transport, cfg)
     try:
         text = response.text()
     except UnicodeDecodeError as exc:
@@ -412,18 +381,15 @@ def fetch_bibtex(doi: Doi, transport: Transport, *, max_retries: int = 3,
     return text
 
 
-def fetch_bibtex_by_query(freeform: str, transport: Transport, *, max_retries: int = 3,
-                          backoff_base: float = 1.0) -> str:
+def fetch_bibtex_by_query(freeform: str, transport: Transport,
+                          cfg: AdsConfig | None = None) -> str:
     """Resolve free text to BibTeX via the top-ranked CrossRef match.
 
     The match is keyword-based, so an UnverifiedResultWarning is issued:
     the result may belong to a different article than intended.
     """
-    if not freeform or not freeform.strip():
-        raise ValueError("query text must be non-empty")
-    retry = {"max_retries": max_retries, "backoff_base": backoff_base}
-    doi = crossref_top_doi(freeform, transport, **retry)
-    bibtex = fetch_bibtex(doi, transport, **retry)
+    doi = crossref_top_doi(freeform, transport, cfg)
+    bibtex = fetch_bibtex(doi, transport, cfg)
     warnings.warn(
         f"bibliography for query {freeform!r} resolved by keyword match to {doi}; "
         "it may belong to a different article",
@@ -433,18 +399,14 @@ def fetch_bibtex_by_query(freeform: str, transport: Transport, *, max_retries: i
     return bibtex
 
 
-def crossref_top_doi(freeform: str, transport: Transport, *, max_retries: int = 3,
-                     backoff_base: float = 1.0) -> Doi:
+def crossref_top_doi(freeform: str, transport: Transport, cfg: AdsConfig | None = None) -> Doi:
     """The DOI of the top-ranked CrossRef hit for a free-text query."""
     if not freeform or not freeform.strip():
         raise ValueError("query text must be non-empty")
-    url = crossref_query_url(freeform.strip())
-    request = HttpRequest("GET", url, headers={"Accept": "application/json"})
-    response = _execute_with_retry(
-        transport, request, max_retries=max_retries, backoff_base=backoff_base
+    request = HttpRequest(
+        "GET", crossref_query_url(freeform.strip()), headers={"Accept": "application/json"}
     )
-    if response.status != 200:
-        raise UpstreamError(f"CrossRef answered {response.status}", status=response.status)
+    response = _send(request, cfg, transport, "CrossRef")
     try:
         items = response.json()["message"]["items"]
     except (ValueError, KeyError, TypeError) as exc:
@@ -463,9 +425,8 @@ def _csl_author(item: dict) -> AuthorName:
     return make_author(_clean_text(item.get("given", "")), _clean_text(item.get("family", "")))
 
 
-def csl_to_record(record: CslRecord) -> BibRecord:
+def csl_to_record(raw: dict) -> BibRecord:
     """Bridge a citation-styles JSON document onto the canonical model."""
-    raw = record.raw
     if not raw.get("DOI"):
         raise UnusableMetadataError("citation JSON carries no DOI")
     authors = [_csl_author(a) for a in raw.get("author", [])]
@@ -495,5 +456,5 @@ def csl_to_record(record: CslRecord) -> BibRecord:
         pages=split_page_range(_first(raw.get("page"))),
         year=year,
         publisher=publisher or None,
-        doi=parse_doi(record.doi),
+        doi=parse_doi(str(raw["DOI"])),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,27 @@ class TestAdd:
         code, out, _ = run(capsys, *offline("add", "--doi", "10.18434/t4w30f", db=db_path))
         assert code == 0
         assert out == "id=1 path=fallback\n"
+
+    def test_failed_ads_search_is_a_warning_on_stderr(self, capsys, db_path, tmp_path,
+                                                      monkeypatch):
+        import refs.resolvers
+
+        monkeypatch.setattr(refs.resolvers, "_sleep", lambda s: None)
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "doi_org.json").write_text((FIXTURE_DIR / "doi_org.json").read_text())
+        url = refs.resolvers.ads_search_url(
+            refs.resolvers.AdsConfig(), f'doi:"{HITRAN}"', refs.resolvers.ADS_FIELD_LIST, 10
+        )
+        unavailable = {"request": {"method": "GET", "url": url, "accept": ""},
+                       "response": {"status": 503, "body": "Service Unavailable"}}
+        (fixtures / "ads.json").write_text(json.dumps({"entries": [unavailable]}))
+        code, out, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path, "--offline",
+                             "--fixtures", str(fixtures))
+        assert code == 0
+        assert out == "id=1 path=fallback\n"
+        assert "warning: ADS DOI search failed: " in err
+        assert "answered 503 on all 3 attempts" in err
 
     def test_neither_doi_nor_query_is_usage_error(self, capsys, db_path):
         code, out, err = run(capsys, "add", "--db", db_path, "--offline",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from urllib.parse import urlsplit
 
 import pytest
 from conftest import CountingTransport
@@ -50,6 +51,21 @@ class _ThrottledOnce:
         if not self.throttled:
             self.throttled = True
             return HttpResponse(status=429, headers={"Retry-After": "2"})
+        return self.inner.execute(request)
+
+
+class _AdsAnswers:
+    """Answers every ADS request with one response; replays fixtures for the rest."""
+
+    is_live = False
+
+    def __init__(self, inner, response):
+        self.inner = inner
+        self.response = response
+
+    def execute(self, request):
+        if "adsabs.harvard.edu" in request.url:
+            return self.response
         return self.inner.execute(request)
 
 
@@ -145,6 +161,63 @@ class TestFallbackPath:
         assert report.path_taken is ResolutionPath.FALLBACK
         assert any("2022nist.data....1K" in w and "neither author nor title" in w
                    for w in report.warnings)
+
+
+class TestAdsFailureIsReported:
+    """A failed ADS search falls back, and the report says why."""
+
+    @pytest.mark.parametrize("response, cause", [
+        (HttpResponse(503), "answered 503 on all 3 attempts"),
+        (HttpResponse(401), "ADS rejected the token"),
+        (HttpResponse(429, headers={"Retry-After": "0"}), "answered 429 on all 3 attempts"),
+    ], ids=["503", "401", "429-exhausted"])
+    def test_failed_search_falls_back_with_the_cause(self, response, cause, transport,
+                                                      ads_config, monkeypatch):
+        monkeypatch.setattr(resolvers, "_sleep", lambda s: None)
+        report = resolve_reference(HITRAN, cfg=ads_config,
+                                   transport=_AdsAnswers(transport, response))
+        assert report.path_taken is ResolutionPath.FALLBACK
+        assert report.bibcode is None
+        ads_warnings = [w for w in report.warnings if w.startswith("ADS DOI search failed: ")]
+        assert len(ads_warnings) == 1 and cause in ads_warnings[0]
+
+    def test_clean_miss_carries_no_ads_warning(self, transport, ads_config):
+        report = resolve_reference(NIST, cfg=ads_config, transport=transport)
+        assert report.path_taken is ResolutionPath.FALLBACK
+        assert not any("ADS" in w for w in report.warnings)
+
+
+class TestTokenStaysOnAds:
+    def test_only_ads_requests_carry_the_token_and_no_message_shows_it(
+            self, transport, counting_transport, monkeypatch):
+        monkeypatch.setattr(resolvers, "_sleep", lambda s: None)
+        cfg = AdsConfig(token="s3cret")
+        rejected = CountingTransport(_AdsAnswers(transport, HttpResponse(401)))
+        reports = [
+            resolve_reference(HITRAN, cfg=cfg, transport=counting_transport),
+            resolve_reference(NIST, cfg=cfg, transport=counting_transport),
+            resolve_query_reference("The HITRAN2016 molecular spectroscopic database",
+                                    cfg=cfg, transport=counting_transport),
+            resolve_reference(HITRAN, cfg=cfg, transport=rejected),
+        ]
+        errors = []
+        for raw in ("10.1000/unregistered", "10.5555/authfail", "10.5555/flaky"):
+            with pytest.raises(ResolutionFailedError) as exc_info:
+                resolve_reference(parse_doi(raw), cfg=cfg, transport=counting_transport)
+            errors.append(exc_info.value)
+
+        hosts = set()
+        for request in counting_transport.requests + rejected.requests:
+            hosts.add(urlsplit(request.url).hostname)
+            carries_token = any(name.lower() == "authorization" for name in request.headers)
+            assert carries_token == request.url.startswith(cfg.base_url), request.url
+            if carries_token:
+                assert request.headers["Authorization"] == "Bearer s3cret"
+        assert hosts == {"api.adsabs.harvard.edu", "doi.org", "api.crossref.org"}
+        messages = [w for r in reports for w in r.warnings]
+        messages += [str(e) for e in errors] + [e.ads_cause for e in errors]
+        assert any("ADS rejected the token" in m for m in messages)
+        assert not any("s3cret" in m for m in messages)
 
 
 class TestCrossFormatAgreement:
