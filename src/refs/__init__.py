@@ -58,7 +58,6 @@ _EXPORTS = {
     "pipeline": (
         "ResolutionPath",
         "ResolutionReport",
-        "resolve_and_store",
         "resolve_and_store_report",
         "resolve_query_reference",
         "resolve_reference",

@@ -185,13 +185,26 @@ def split_authors(raw: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
+def _top_level_comma(name: str) -> int:
+    """Index of the first comma outside braces, or -1."""
+    depth = 0
+    for i, ch in enumerate(name):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            return i
+    return -1
+
+
 def _author_from_bibtex(name: str) -> AuthorName:
     stripped = name.strip()
     if stripped.startswith("{") and stripped.endswith("}"):
         return AuthorName(given_names=(), surname=clean_value(stripped))
-    if "," in stripped:
-        surname, given = stripped.split(",", 1)
-        return make_author(clean_value(given), clean_value(surname))
+    comma = _top_level_comma(stripped)
+    if comma != -1:
+        return make_author(clean_value(stripped[comma + 1 :]), clean_value(stripped[:comma]))
     tokens = clean_value(stripped).split()
     if len(tokens) == 1:
         return AuthorName(given_names=(), surname=tokens[0])

@@ -161,8 +161,11 @@ def _build_transport(args) -> Transport:
 def _build_ads_config(args) -> AdsConfig:
     from .resolvers import ADS_TOKEN_ENV, AdsConfig
 
+    if args.offline:
+        # Fixture replay answers at once, so waiting between retries buys nothing.
+        return AdsConfig.from_env(backoff_base=0)
     cfg = AdsConfig.from_env()
-    if not args.offline and not cfg.token:
+    if not cfg.token:
         raise UsageError(f"live mode requires an ADS token in ${ADS_TOKEN_ENV}")
     return cfg
 
@@ -252,13 +255,11 @@ def cmd_crossref(args) -> int:
 def cmd_list(args) -> int:
     store = _open_store(args)
     try:
-        entries = store.list_entries(scope=args.scope)
+        labels = store.list_labels(scope=args.scope)
     finally:
         store.close()
-    for entry in entries:
-        first = entry.records[0]
-        label = first.title or (first.authors[0].formatted if first.authors else "(untitled)")
-        print(f"{entry.global_id}\t{label}")
+    for gid, label in labels:
+        print(f"{gid}\t{label}")
     return EXIT_OK
 
 

@@ -160,10 +160,6 @@ class BibRecord:
             elif format_bibcode(self.bibcode) not in unquote(self.ads_url):
                 raise ValueError(f"ads_url {self.ads_url!r} does not embed bibcode {self.bibcode}")
 
-    @property
-    def has_identifier(self) -> bool:
-        return self.doi is not None or self.bibcode is not None
-
 
 @dataclass
 class RefEntry:

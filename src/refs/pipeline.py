@@ -186,18 +186,6 @@ def resolve_query_reference(
     )
 
 
-def resolve_and_store(
-    doi: Doi,
-    note: str | None,
-    store: RefStore,
-    cfg: AdsConfig | None = None,
-    transport: Transport | None = None,
-) -> int:
-    """Resolve and persist, returning the new or pre-existing global ID."""
-    gid, _report = resolve_and_store_report(doi, note, store, cfg, transport)
-    return gid
-
-
 def resolve_and_store_report(
     doi: Doi,
     note: str | None,
@@ -205,7 +193,7 @@ def resolve_and_store_report(
     cfg: AdsConfig | None = None,
     transport: Transport | None = None,
 ) -> tuple[int, ResolutionReport]:
-    """Like resolve_and_store, but also hands back the resolution report.
+    """Resolve and persist; the new or pre-existing global ID, and the report.
 
     A duplicate DOI is not an error here: the existing ID is returned with
     a warning on the report, which keeps batch imports idempotent. A DOI

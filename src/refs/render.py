@@ -9,9 +9,9 @@ for the exact punctuation.
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from .errors import UnrenderableError
 from .identifiers import format_bibcode
@@ -168,9 +168,13 @@ def escape_value(text: str) -> str:
 
 
 def _bibtex_author(author: AuthorName) -> str:
+    surname = escape_value(author.surname)
     if not author.given_names:
-        return "{" + escape_value(author.surname) + "}"
-    return escape_value(f"{author.surname}, {' '.join(author.given_names)}")
+        return "{" + surname + "}"
+    if "," in surname:
+        # Braced, so its comma is not read as the surname/given-name split.
+        surname = "{" + surname + "}"
+    return f"{surname}, {escape_value(' '.join(author.given_names))}"
 
 
 def _bibtex_block(record: BibRecord, sub: str) -> str:
@@ -219,9 +223,54 @@ def render_bibtex(entry: RefEntry) -> RenderedCitation:
 
 
 def render_json(entry: RefEntry) -> RenderedCitation:
-    """Canonical JSON form: sorted keys, UTF-8, two-space indent, no trailing whitespace."""
-    body = json.dumps(entry_to_dict(entry), sort_keys=True, ensure_ascii=False, indent=2)
-    return RenderedCitation(format=RenderFormat.JSON, body=body, global_label=_label(entry))
+    """Canonical JSON form: sorted keys, UTF-8, two-space indent, no trailing whitespace.
+
+    The bytes are those of ``json.dumps(entry_to_dict(entry), sort_keys=True,
+    ensure_ascii=False, indent=2)``. That call always runs the stdlib's
+    pure-Python encoder, because the C one cannot indent; _write_json does
+    the same walk over the few types entry_to_dict produces.
+    """
+    out: list[str] = []
+    _write_json(entry_to_dict(entry), "", out)
+    return RenderedCitation(format=RenderFormat.JSON, body="".join(out), global_label=_label(entry))
+
+
+def _write_json(value, indent: str, out: list[str]) -> None:
+    """Append value's indented JSON text, nested at ``indent``, to out.
+
+    Takes dicts with string keys, lists, str, int and None; any other type
+    raises TypeError. Strings go through the stdlib's own C escaper.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key, item in sorted(value.items()):
+            out.append(f"{separator}{encode_basestring(key)}: ")
+            _write_json(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[\n" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"{type(value).__name__} is not one of the JSON renderer's types")
 
 
 def render_format(entry: RefEntry, fmt: RenderFormat) -> RenderedCitation:

@@ -9,9 +9,11 @@ What holds when several processes share one database file:
   turns on SQLite's file lock and each add, delete or cross-reference is
   all or nothing. A writer waits up to five seconds for the lock.
 - IDs are handed out in increasing order, each to exactly one entry.
-- At most one live entry holds a given DOI set. A partial unique index
-  enforces this, so when two processes add the same DOIs at once, one
-  gets the ID and the other gets DuplicateEntryError naming that ID.
+- At most one live entry holds a given DOI set. An add first reads the
+  DOI set through the live-DOI-set index and, on a hit, raises
+  DuplicateEntryError naming the stored ID without taking the write lock.
+  The index is also unique, so when two processes add the same DOIs at
+  once, one gets the ID and the other gets DuplicateEntryError naming it.
 - Reads see what other processes have committed. ``get_entry`` is one
   statement. ``export_bundle`` reads inside one transaction and decodes
   each entry once, writing its HTML and BibTeX side by side, so both
@@ -20,11 +22,12 @@ What holds when several processes share one database file:
   ``list_entries`` reads the live IDs, then those entries, and leaves out
   any entry deleted in between.
 
-One handle may be shared between threads. Its writes are serialized by
-an internal lock, but a read may see another thread's write on the same
-handle before that write commits. Opening a file creates the current
-schema, or migrates an older one in place, in one transaction. Migration
-is one way: older versions of this module refuse the migrated file.
+One handle may be shared between threads. Its writes, and the duplicate
+read before an add, are serialized by an internal lock; any other read
+may see another thread's write on the same handle before that write
+commits. Opening a file creates the current schema, or migrates an older
+one in place, in one transaction. Migration is one way: older versions
+of this module refuse the migrated file.
 """
 
 from __future__ import annotations
@@ -41,7 +44,14 @@ from typing import Iterable, Iterator
 from .errors import CrossRefConflictError, DuplicateEntryError, MissingEntryError, StoreError
 from .fileio import replace_files
 from .identifiers import Doi
-from .model import BibRecord, RefEntry, SourceCrossRef, record_from_dict, record_to_dict
+from .model import (
+    BibRecord,
+    RefEntry,
+    SourceCrossRef,
+    author_from_dict,
+    record_from_dict,
+    record_to_dict,
+)
 from .render import render_bibtex, render_html
 
 SCHEMA_VERSION = 2
@@ -213,6 +223,12 @@ class RefStore:
         if not records:
             raise ValueError("an entry needs at least one record")
         doi_set = _doi_set(r.doi for r in records)
+        # A duplicate is answered by an indexed read, without the write
+        # lock. Under the handle's lock, so it sees no uncommitted insert.
+        with self._lock:
+            existing = self._live_id_for_doi_set(doi_set)
+        if existing is not None:
+            raise _duplicate(existing)
         rows = [_record_row(record) for record in records]
         with self._transaction() as conn:
             try:
@@ -220,12 +236,9 @@ class RefStore:
                     "INSERT INTO entries (doi_set) VALUES (?)", (doi_set,)
                 ).lastrowid
             except sqlite3.IntegrityError:
-                # Only the live_doi_set index can refuse this row.
-                existing = self._live_id_for_doi_set(doi_set)
-                raise DuplicateEntryError(
-                    f"an entry with the same DOI set already exists: {existing}",
-                    existing_id=existing,
-                ) from None
+                # Only the live_doi_set index can refuse this row: another
+                # writer stored the same DOIs since the read above.
+                raise _duplicate(self._live_id_for_doi_set(doi_set)) from None
             conn.executemany(
                 _INSERT_RECORD, [(gid, position, *row) for position, row in enumerate(rows)]
             )
@@ -286,18 +299,21 @@ class RefStore:
 
     def live_ids(self, scope: str | None = None) -> list[int]:
         """IDs of live entries, ascending, optionally only those cross-referenced in a scope."""
-        if scope is None:
-            rows = self._conn.execute(
-                "SELECT global_id FROM entries WHERE deleted = 0 ORDER BY global_id"
-            )
-        else:
-            rows = self._conn.execute(
-                "SELECT global_id FROM entries WHERE deleted = 0 AND global_id IN"
-                " (SELECT global_id FROM crossrefs WHERE dataset_scope = ?)"
-                " ORDER BY global_id",
-                (scope,),
-            )
-        return [row[0] for row in rows]
+        return [row[0] for row in self._select_live("SELECT e.global_id FROM entries e", scope)]
+
+    def list_labels(self, scope: str | None = None) -> list[tuple[int, str]]:
+        """(ID, label) of live entries by ascending ID, optionally only those in a scope.
+
+        The label is the first record's title, else its first author's
+        display form, else ``(untitled)``. One statement, and no entry is
+        decoded: the authors are read only for an untitled record.
+        """
+        rows = self._select_live(
+            "SELECT e.global_id, r.title, r.authors FROM entries e"
+            " JOIN records r ON r.entry_id = e.global_id AND r.position = 0",
+            scope,
+        )
+        return [(gid, title or _first_author_label(authors)) for gid, title, authors in rows]
 
     def lookup_crossref(self, scope: str, parameter: str, local_id: int) -> int:
         row = self._conn.execute(
@@ -380,6 +396,17 @@ class RefStore:
         finally:
             rows.close()
 
+    def _select_live(self, select: str, scope: str | None) -> sqlite3.Cursor:
+        """Run ``select`` (from ``entries e``) over live entries by ID, maybe only a scope's."""
+        if scope is None:
+            return self._conn.execute(select + " WHERE e.deleted = 0 ORDER BY e.global_id")
+        return self._conn.execute(
+            select + " WHERE e.deleted = 0 AND e.global_id IN"
+            " (SELECT global_id FROM crossrefs WHERE dataset_scope = ?)"
+            " ORDER BY e.global_id",
+            (scope,),
+        )
+
     def _live_id_for_doi_set(self, doi_set: str | None) -> int | None:
         if doi_set is None:
             return None
@@ -396,6 +423,12 @@ class RefStore:
         return row is not None
 
 
+def _duplicate(existing: int) -> DuplicateEntryError:
+    return DuplicateEntryError(
+        f"an entry with the same DOI set already exists: {existing}", existing_id=existing
+    )
+
+
 def _doi_set(dois: Iterable[Doi | None]) -> str | None:
     canonical = sorted({d.canonical for d in dois if d is not None})
     return "|".join(canonical) if canonical else None
@@ -409,6 +442,11 @@ def _record_row(record: BibRecord) -> tuple:
     if pages is not None:
         fields["page_first"], fields["page_last"] = pages["first"], pages["last"]
     return tuple(fields.get(column) for column in _RECORD_COLUMNS)
+
+
+def _first_author_label(authors_json: str) -> str:
+    authors = json.loads(authors_json)
+    return author_from_dict(authors[0]).formatted if authors else "(untitled)"
 
 
 def _entry_from_rows(global_id: int, rows: list[tuple]) -> RefEntry:

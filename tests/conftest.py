@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import socket
+import sqlite3
 import time
 from pathlib import Path
 
@@ -98,3 +99,18 @@ def store(tmp_path) -> RefStore:
     s = RefStore(tmp_path / "refs.db")
     yield s
     s.close()
+
+
+@pytest.fixture()
+def statements(monkeypatch):
+    """Every SQL statement run on connections opened during the test, in order."""
+    seen: list[str] = []
+    connect = sqlite3.connect
+
+    def traced(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        conn.set_trace_callback(seen.append)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", traced)
+    return seen

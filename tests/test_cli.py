@@ -11,6 +11,7 @@ import pytest
 
 import refs
 import refs.render
+import refs.store
 from refs import BibRecord, RefStore, make_author, parse_doi
 from refs.cli import main
 from refs.model import Pages
@@ -72,6 +73,17 @@ class TestAdd:
         assert out == "id=1 path=fallback\n"
         assert "warning: ADS DOI search failed: " in err
         assert "answered 503 on all 3 attempts" in err
+
+    def test_offline_replay_waits_out_no_backoff(self, capsys, db_path, monkeypatch):
+        import refs.resolvers
+
+        sleeps = []
+        monkeypatch.setattr(refs.resolvers, "_sleep", sleeps.append)
+        code, out, err = run(capsys, *offline("add", "--doi", "10.5555/flaky", db=db_path))
+        assert code == 2
+        assert out == ""
+        assert "resolution failed" in err
+        assert sleeps and set(sleeps) == {0}
 
     def test_neither_doi_nor_query_is_usage_error(self, capsys, db_path):
         code, out, err = run(capsys, "add", "--db", db_path, "--offline",
@@ -299,6 +311,62 @@ class TestList:
         assert code == 0
         assert out.startswith("2\t")
         assert "1\t" not in out
+
+    def test_labels_of_untitled_and_authorless_entries(self, capsys, db_path):
+        def label(entry):
+            first = entry.records[0]
+            return first.title or (first.authors[0].formatted if first.authors else "(untitled)")
+
+        with RefStore(db_path) as store:
+            store.add_entry([BibRecord(title="Titled", authors=[make_author("A.", "Bee")])])
+            store.add_entry([BibRecord(authors=[make_author("Iouli E.", "Gordon"),
+                                                make_author("L.", "Rothman")])])
+            store.add_entry([BibRecord(authors=[make_author("", "HITRAN Collaboration")])])
+            store.add_entry([BibRecord(year=2001)])
+            store.add_entry([BibRecord(year=2002), BibRecord(title="Second record")])
+            gone = store.add_entry([BibRecord(title="Deleted")])
+            store.delete_entry(gone)
+            store.attach_crossref("H2O", "nu", 0, 2)
+            store.attach_crossref("H2O", "nu", 1, 4)
+            expected = {
+                scope: "".join(f"{e.global_id}\t{label(e)}\n"
+                               for e in store.list_entries(scope=scope))
+                for scope in (None, "H2O")
+            }
+        code, out, _ = run(capsys, "list", "--db", db_path)
+        assert code == 0
+        assert out == expected[None]
+        assert out.splitlines()[1:5] == ["2\tI. E. Gordon", "3\tHITRAN Collaboration",
+                                         "4\t(untitled)", "5\t(untitled)"]
+        code, out, _ = run(capsys, "list", "--scope", "H2O", "--db", db_path)
+        assert code == 0
+        assert out == expected["H2O"] == "2\tI. E. Gordon\n4\t(untitled)\n"
+
+    def test_list_is_one_query_and_decodes_no_entry(self, capsys, tmp_path, monkeypatch,
+                                                    statements):
+        decoded = []
+
+        def counting(global_id, rows):
+            decoded.append(global_id)
+            return entry_from_rows(global_id, rows)
+
+        entry_from_rows = refs.store._entry_from_rows
+        monkeypatch.setattr(refs.store, "_entry_from_rows", counting)
+        queries = []
+        for size in (5, 50):
+            db = str(tmp_path / f"{size}.db")
+            with RefStore(db) as store:
+                for i in range(size):
+                    store.add_entry([BibRecord(title=f"T{i}", doi=parse_doi(f"10.1000/{i}"))])
+                    store.attach_crossref("H2O", "nu", i, i + 1)
+            for scope in ([], ["--scope", "H2O"]):
+                statements.clear()
+                code, out, _ = run(capsys, "list", *scope, "--db", db)
+                assert code == 0
+                assert len(out.splitlines()) == size
+                queries.append([q for q in statements if not q.startswith("PRAGMA")])
+        assert all(len(q) == 1 for q in queries)
+        assert decoded == []
 
 
 class TestStoreFailures:

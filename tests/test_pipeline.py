@@ -18,7 +18,6 @@ from refs import (
     UpstreamUnavailableError,
     parse_doi,
     render_all,
-    resolve_and_store,
     resolve_and_store_report,
     resolve_query_reference,
     resolve_reference,
@@ -253,29 +252,31 @@ class TestQueryMode:
 
 class TestResolveAndStore:
     def test_fresh_doi_gets_new_id(self, transport, ads_config, store):
-        gid = resolve_and_store(HITRAN, None, store, ads_config, transport)
+        gid, _ = resolve_and_store_report(HITRAN, None, store, ads_config, transport)
         assert gid == 1
 
     def test_same_doi_twice_returns_same_id(self, transport, ads_config, store):
-        first = resolve_and_store(HITRAN, None, store, ads_config, transport)
+        first, _ = resolve_and_store_report(HITRAN, None, store, ads_config, transport)
         again, report = resolve_and_store_report(HITRAN, None, store, ads_config, transport)
         assert again == first
         assert any("already stored" in w for w in report.warnings)
 
     def test_batch_assigns_consecutive_ids(self, transport, ads_config, store):
         dois = [HITRAN, parse_doi("10.1086/670067"), parse_doi("10.1093/mnras/stw2949")]
-        ids = [resolve_and_store(d, None, store, ads_config, transport) for d in dois]
+        ids = [resolve_and_store_report(d, None, store, ads_config, transport)[0] for d in dois]
         assert ids == [1, 2, 3]
 
     def test_stored_entry_carries_note(self, transport, ads_config, store):
-        gid = resolve_and_store(HITRAN, "For the line list.", store, ads_config, transport)
+        gid, _ = resolve_and_store_report(HITRAN, "For the line list.", store, ads_config,
+                                          transport)
         assert store.get_entry(gid).note == "For the line list."
 
     @pytest.mark.parametrize("doi, path", [(HITRAN, ResolutionPath.ADS),
                                            (NIST, ResolutionPath.FALLBACK)])
     def test_stored_doi_is_answered_from_the_store_without_requests(
             self, doi, path, counting_transport, ads_config, store):
-        first = resolve_and_store(doi, "First note.", store, ads_config, counting_transport)
+        first, _ = resolve_and_store_report(doi, "First note.", store, ads_config,
+                                            counting_transport)
         counting_transport.requests.clear()
         again, report = resolve_and_store_report(doi, "Second note.", store, ads_config,
                                                  counting_transport)
@@ -289,7 +290,7 @@ class TestResolveAndStore:
 
     def test_entry_deleted_after_the_lookup_is_resolved_afresh(self, transport, ads_config,
                                                               store, monkeypatch):
-        first = resolve_and_store(HITRAN, None, store, ads_config, transport)
+        first, _ = resolve_and_store_report(HITRAN, None, store, ads_config, transport)
         lookup = store.find_entry_by_dois
 
         def lookup_then_lose_the_race(dois):

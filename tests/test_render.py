@@ -23,10 +23,12 @@ from refs import (
     render_json,
     render_text,
 )
-from refs.model import entry_from_dict
+from refs.model import MAX_YEAR, MIN_YEAR, AuthorName, entry_from_dict, entry_to_dict
+from refs.render import _write_json
 
 from corpus import build_corpus_entries
 from conftest import GOLDEN_DIR
+from test_identifiers import valid_bibcodes
 
 RAW_SPECIALS = set('&<>"\'')
 
@@ -37,6 +39,34 @@ ESCAPE_TABLE = {"&": "&amp;", "<": "&lt;", '"': "&quot;", "'": "&#x27;", ">": "&
 def table_escape(raw: str) -> str:
     """Independent oracle for escape_html: per-character table lookup."""
     return "".join(ESCAPE_TABLE.get(c, c) for c in raw)
+
+
+# Text rich in what JSON escapes (quotes, backslashes, control characters)
+# and in U+2028/U+2029, which it leaves bare.
+json_text = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029'), max_size=20)
+optional_json_text = st.none() | json_text
+json_entries = st.builds(
+    RefEntry,
+    records=st.lists(st.builds(
+        BibRecord,
+        title=json_text,
+        authors=st.lists(st.builds(
+            AuthorName,
+            given_names=st.lists(json_text, max_size=3).map(tuple),
+            surname=json_text.filter(str.strip),
+        ), max_size=3),
+        journal=optional_json_text,
+        volume=optional_json_text,
+        number=optional_json_text,
+        pages=st.none() | st.builds(Pages, first=json_text.filter(bool), last=optional_json_text),
+        year=st.none() | st.integers(MIN_YEAR, MAX_YEAR),
+        publisher=optional_json_text,
+        doi=st.none() | st.from_regex(r"10\.[0-9]{4,9}/[!-~]{1,30}", fullmatch=True).map(parse_doi),
+        bibcode=st.none() | valid_bibcodes().map(parse_bibcode),
+    ), min_size=1, max_size=3),
+    note=optional_json_text,
+    global_id=st.none() | st.integers(1, 10**12),
+)
 
 
 def full_entry(global_id=None, note=None) -> RefEntry:
@@ -225,6 +255,18 @@ class TestRenderBibtex:
         body = render_bibtex(RefEntry(records=[record])).body
         assert bibtex_to_record(body) == record
 
+    @pytest.mark.parametrize("surname", ["Smith, Jr", "Smith,Jr.", "a, b, c", ","])
+    def test_comma_in_a_surname_parses_back(self, surname):
+        record = BibRecord(
+            title="T",
+            authors=[make_author("A. B.", surname), make_author("", surname),
+                     make_author("D.", "Eff")],
+            year=2001,
+        )
+        body = render_bibtex(RefEntry(records=[record])).body
+        assert f"author = {{{{{surname}}}, A. B. and {{{surname}}} and Eff, D.}}" in body
+        assert bibtex_to_record(body).authors == record.authors
+
     def test_multi_record_keys_get_sublabels(self):
         entry = RefEntry(
             records=[
@@ -264,6 +306,16 @@ class TestRenderJson:
         body = render_json(full_entry()).body
         assert not body.endswith(("\n", " "))
         assert not any(line != line.rstrip() for line in body.splitlines())
+
+    @given(json_entries)
+    def test_bytes_match_the_stdlib_encoder(self, entry):
+        expected = json.dumps(entry_to_dict(entry), sort_keys=True, ensure_ascii=False, indent=2)
+        assert render_json(entry).body == expected
+
+    @pytest.mark.parametrize("value", [1.5, True, (1, 2), b"x", {1: "a"}, {"a": [1.0]}])
+    def test_types_entry_to_dict_never_makes_are_refused(self, value):
+        with pytest.raises(TypeError):
+            _write_json(value, "", [])
 
 
 class TestRenderText:

@@ -96,6 +96,23 @@ class TestAddEntry:
         store.delete_entry(gid)
         assert store.find_entry_by_dois([parse_doi("10.1000/a"), parse_doi("10.1000/b")]) is None
 
+    def test_a_duplicate_stored_after_the_read_is_refused_by_the_index(self, store, monkeypatch):
+        first = store.add_entry([record("10.1000/a")])
+        lookup = store._live_id_for_doi_set
+        seen = []
+
+        def stale_then_fresh(doi_set):
+            # The first read misses, as if another process committed just after it.
+            seen.append(doi_set)
+            return None if len(seen) == 1 else lookup(doi_set)
+
+        monkeypatch.setattr(store, "_live_id_for_doi_set", stale_then_fresh)
+        with pytest.raises(DuplicateEntryError) as exc_info:
+            store.add_entry([record("10.1000/a")])
+        assert exc_info.value.existing_id == first
+        assert seen == ["10.1000/a", "10.1000/a"]
+        assert store.live_ids() == [first]
+
     def test_entries_without_dois_never_collide(self, store):
         a = BibRecord(title="Private communication", year=2001)
         b = BibRecord(title="Another private communication", year=2002)
@@ -376,6 +393,48 @@ class TestConcurrency:
         assert store.live_ids() == list(range(1, 47))
         assert len(store.list_crossrefs("H2O")) == 45
 
+    def test_duplicate_read_waits_for_an_add_in_flight_on_the_handle(self, store, monkeypatch):
+        import threading
+
+        class FailingRecordInsert:
+            """The handle's connection, except that the first record insert stalls, then fails."""
+
+            def __init__(self, conn):
+                self._conn = conn
+                self.stalled = threading.Event()
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+            def executemany(self, sql, rows):
+                if self.stalled.is_set():
+                    return self._conn.executemany(sql, rows)
+                self.stalled.set()
+                time.sleep(0.3)  # the entries row is inserted but not committed
+                raise sqlite3.OperationalError("disk I/O error")
+
+        conn = FailingRecordInsert(store._conn)
+        monkeypatch.setattr(store, "_conn", conn)
+        errors = []
+
+        def first_add():
+            try:
+                store.add_entry([record("10.1000/a")])
+            except sqlite3.OperationalError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=first_add)
+        thread.start()
+        try:
+            assert conn.stalled.wait(timeout=10)
+            # The rolled-back row must not be reported as a duplicate.
+            gid = store.add_entry([record("10.1000/a")])
+        finally:
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(errors) == 1
+        assert store.live_ids() == [gid]
+
 
 class TestPersistence:
     def test_reopen_preserves_everything(self, tmp_path):
@@ -421,21 +480,6 @@ class TestPersistence:
             RefStore(path)
 
 
-@pytest.fixture()
-def statements(monkeypatch):
-    """Every SQL statement run on connections opened during the test, in order."""
-    seen: list[str] = []
-    connect = sqlite3.connect
-
-    def traced(*args, **kwargs):
-        conn = connect(*args, **kwargs)
-        conn.set_trace_callback(seen.append)
-        return conn
-
-    monkeypatch.setattr(sqlite3, "connect", traced)
-    return seen
-
-
 def filled_store(path: Path, size: int) -> RefStore:
     store = RefStore(path)
     for i in range(size):
@@ -476,6 +520,17 @@ class TestQueryCounts:
             counts.append(per_call)
         assert counts[0] == counts[1]
         assert counts[0][0] == 1
+
+    def test_a_duplicate_add_is_one_read_without_the_write_lock(self, tmp_path, statements):
+        with filled_store(tmp_path / "refs.db", 10) as store:
+            statements.clear()
+            with pytest.raises(DuplicateEntryError) as exc_info:
+                store.add_entry([record("10.5000/1")])
+            (lookup,) = statements
+            store.find_entry_by_dois([parse_doi("10.5000/1")])
+        assert statements == [lookup, lookup]
+        assert exc_info.value.existing_id == 2
+        assert str(exc_info.value) == "an entry with the same DOI set already exists: 2"
 
     def test_duplicate_lookup_uses_the_live_doi_set_index(self, tmp_path, statements):
         with filled_store(tmp_path / "refs.db", 10) as store:
