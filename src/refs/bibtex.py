@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import html
 import re
-from dataclasses import dataclass
 
 from .errors import BibcodeError, BibtexCardinalityError, BibtexParseError, InvalidDoiError
 from .identifiers import parse_bibcode, parse_doi
 from .model import AuthorName, BibRecord, Pages, SourceType, make_author
+from .values import Frozen
 
 _ENTRY_TYPE_MAP = {
     "article": SourceType.ARTICLE,
@@ -23,25 +23,42 @@ _ENTRY_TYPE_MAP = {
     "unpublished": SourceType.UNPUBLISHED,
 }
 
-_UNESCAPE_RE = re.compile(r"\\textbackslash\{\}|\\([{}%&$#_])")
-_UNPROTECTED_BRACE_RE = re.compile(r"(?<!\\)[{}]")
+# render.escape_value's escapes, plus the ``\{`` and ``\}`` that doi.org writes.
+_ESCAPE = r"\\text(backslash|braceleft|braceright)\{\}|\\([{}%&$#_])"
+_UNESCAPE_RE = re.compile(_ESCAPE)
+# An escape, or a brace outside one: case protection, which is dropped.
+_CLEAN_RE = re.compile(_ESCAPE + "|[{}]")
+_TEXT_COMMANDS = {"backslash": "\\", "braceleft": "{", "braceright": "}"}
 _PAGE_RANGE_RE = re.compile(r"\s*(?:--|–|—|-)\s*")
 _YEAR_RE = re.compile(r"\d{4}")
 
 
-@dataclass(frozen=True)
-class BibtexEntry:
+class BibtexEntry(Frozen):
     """One ``@type{key, ...}`` block with raw (still escaped) field values."""
 
+    __slots__ = ("entry_type", "key", "fields", "raw")
     entry_type: str
     key: str
     fields: dict[str, str]
-    raw: str = ""
+    raw: str
+
+    def __init__(self, entry_type: str, key: str, fields: dict[str, str], raw: str = "") -> None:
+        object.__setattr__(self, "entry_type", entry_type)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "raw", raw)
+
+
+def _unescaped(match: re.Match) -> str:
+    command, char = match.groups()
+    if command:
+        return _TEXT_COMMANDS[command]
+    return char or ""
 
 
 def unescape_value(text: str) -> str:
     """Undo render.escape_value."""
-    return _UNESCAPE_RE.sub(lambda m: m.group(1) or "\\", text)
+    return _UNESCAPE_RE.sub(_unescaped, text)
 
 
 def clean_value(raw: str) -> str:
@@ -50,8 +67,7 @@ def clean_value(raw: str) -> str:
     Case-protection braces are dropped, escapes resolved, HTML entities
     decoded, and line-wrapped whitespace collapsed to single spaces.
     """
-    text = _UNPROTECTED_BRACE_RE.sub("", raw)
-    text = unescape_value(text)
+    text = _CLEAN_RE.sub(_unescaped, raw)
     text = html.unescape(text)
     return " ".join(text.split())
 
@@ -198,9 +214,23 @@ def _top_level_comma(name: str) -> int:
     return -1
 
 
+def _is_one_group(name: str) -> bool:
+    """Whether the brace that opens name is the one that closes it."""
+    depth = 0
+    for i, ch in enumerate(name):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return i == len(name) - 1
+    return False
+
+
 def _author_from_bibtex(name: str) -> AuthorName:
     stripped = name.strip()
-    if stripped.startswith("{") and stripped.endswith("}"):
+    if stripped.startswith("{") and _is_one_group(stripped):
+        # Braced whole, like "{HITRAN Collaboration}": a surname alone.
         return AuthorName(given_names=(), surname=clean_value(stripped))
     comma = _top_level_comma(stripped)
     if comma != -1:

@@ -162,7 +162,8 @@ def _build_ads_config(args) -> AdsConfig:
     from .resolvers import ADS_TOKEN_ENV, AdsConfig
 
     if args.offline:
-        # Fixture replay answers at once, so waiting between retries buys nothing.
+        # Fixture replay answers at once, so waiting between retries, or out a
+        # recorded Retry-After, buys nothing.
         return AdsConfig.from_env(backoff_base=0)
     cfg = AdsConfig.from_env()
     if not cfg.token:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from urllib.parse import quote
 
 from .errors import BibcodeFormatError, BibcodeLengthError, InvalidDoiError
+from .values import Frozen
 
-_DOI_RE = re.compile(r"^10\.[0-9]{4,9}/\S+$")
+# A lone surrogate is not text: no request, store or file could carry it.
+_DOI_RE = re.compile(r"^10\.[0-9]{4,9}/[^\s\ud800-\udfff]+$")
 
 # Prefixes stripped from raw DOI input, longest first, matched case-insensitively.
 _DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "doi.org/", "doi:")
@@ -18,18 +19,22 @@ BIBCODE_LENGTH = 19
 ADS_ABS_URL = "https://ui.adsabs.harvard.edu/abs/"
 DOI_URL_PREFIX = "https://doi.org/"
 
+# The characters urllib.parse.quote never encodes.
+_ALWAYS_SAFE = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~"
 
-@dataclass(frozen=True)
-class Doi:
+
+class Doi(Frozen):
     """A DOI in canonical form: lowercase, no URL scheme, no doi.org host."""
 
+    __slots__ = ("canonical",)
     canonical: str
 
-    def __post_init__(self) -> None:
-        if not _DOI_RE.match(self.canonical):
-            raise InvalidDoiError(f"not a valid canonical DOI: {self.canonical!r}")
-        if self.canonical != self.canonical.lower():
-            raise InvalidDoiError(f"canonical DOI must be lowercase: {self.canonical!r}")
+    def __init__(self, canonical: str) -> None:
+        if not _DOI_RE.match(canonical):
+            raise InvalidDoiError(f"not a valid canonical DOI: {canonical!r}")
+        if canonical != canonical.lower():
+            raise InvalidDoiError(f"canonical DOI must be lowercase: {canonical!r}")
+        object.__setattr__(self, "canonical", canonical)
 
     def __str__(self) -> str:
         return self.canonical
@@ -54,10 +59,11 @@ def parse_doi(raw: str) -> Doi:
         if lowered.startswith(prefix):
             text = text[len(prefix):]
             break
-    canonical = text.lower()
-    if not _DOI_RE.match(canonical):
-        raise InvalidDoiError(f"not a valid DOI: {raw!r}")
-    return Doi(canonical)
+    try:
+        # Lowercasing is idempotent, so Doi can only refuse the grammar.
+        return Doi(text.lower())
+    except InvalidDoiError:
+        raise InvalidDoiError(f"not a valid DOI: {raw!r}") from None
 
 
 # Bibcode columns, 0-indexed half-open ranges into the 19-character string.
@@ -69,8 +75,7 @@ _PAGE = slice(14, 18)
 _AUTHOR = 18
 
 
-@dataclass(frozen=True)
-class Bibcode:
+class Bibcode(Frozen):
     """One ADS bibcode, split into its fixed-width fields.
 
     The formatted form is always exactly 19 characters; empty positions are
@@ -78,33 +83,40 @@ class Bibcode:
     column, in which case ``qualifier`` is None.
     """
 
+    __slots__ = ("year", "journal", "volume", "page", "author_initial", "qualifier")
     year: int
     journal: str
     volume: str
     page: str
     author_initial: str
-    qualifier: str | None = None
+    qualifier: str | None
 
-    def __post_init__(self) -> None:
-        if not 1000 <= self.year <= 9999:
-            raise BibcodeFormatError(f"bibcode year out of range: {self.year}")
-        if len(self.journal) > 5:
-            raise BibcodeFormatError(f"journal abbreviation too wide: {self.journal!r}")
-        if len(self.volume) > 4:
-            raise BibcodeFormatError(f"volume too wide: {self.volume!r}")
-        if self.qualifier is not None:
-            if len(self.qualifier) != 1 or not self.qualifier.isalnum():
-                raise BibcodeFormatError(f"qualifier must be one alphanumeric character: {self.qualifier!r}")
-            if len(self.page) > 4:
+    def __init__(self, year: int, journal: str, volume: str, page: str, author_initial: str,
+                 qualifier: str | None = None) -> None:
+        if not 1000 <= year <= 9999:
+            raise BibcodeFormatError(f"bibcode year out of range: {year}")
+        if len(journal) > 5:
+            raise BibcodeFormatError(f"journal abbreviation too wide: {journal!r}")
+        if len(volume) > 4:
+            raise BibcodeFormatError(f"volume too wide: {volume!r}")
+        if qualifier is not None:
+            if len(qualifier) != 1 or not qualifier.isalnum():
+                raise BibcodeFormatError(f"qualifier must be one alphanumeric character: {qualifier!r}")
+            if len(page) > 4:
                 raise BibcodeFormatError(
-                    f"page {self.page!r} does not fit beside qualifier {self.qualifier!r}"
+                    f"page {page!r} does not fit beside qualifier {qualifier!r}"
                 )
-        elif len(self.page) > 5:
-            raise BibcodeFormatError(f"page too wide: {self.page!r}")
-        if len(self.author_initial) != 1 or not (
-            self.author_initial.isalpha() or self.author_initial == "."
-        ):
-            raise BibcodeFormatError(f"author initial must be one letter or '.': {self.author_initial!r}")
+        elif len(page) > 5:
+            raise BibcodeFormatError(f"page too wide: {page!r}")
+        if len(author_initial) != 1 or not (author_initial.isalpha() or author_initial == "."):
+            raise BibcodeFormatError(f"author initial must be one letter or '.': {author_initial!r}")
+        set_field = object.__setattr__
+        set_field(self, "year", year)
+        set_field(self, "journal", journal)
+        set_field(self, "volume", volume)
+        set_field(self, "page", page)
+        set_field(self, "author_initial", author_initial)
+        set_field(self, "qualifier", qualifier)
 
     def __str__(self) -> str:
         return format_bibcode(self)
@@ -112,7 +124,10 @@ class Bibcode:
     @property
     def ads_url(self) -> str:
         """Link to the abstract page, with the bibcode percent-encoded."""
-        return ADS_ABS_URL + quote(format_bibcode(self), safe="")
+        text = format_bibcode(self)
+        if text.strip(_ALWAYS_SAFE):
+            text = quote(text, safe="")
+        return ADS_ABS_URL + text
 
 
 def parse_bibcode(raw: str) -> Bibcode:

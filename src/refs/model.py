@@ -7,12 +7,12 @@ nothing downstream needs to know which service a record came from.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Any
 from urllib.parse import unquote
 
 from .errors import InvalidAuthorError
 from .identifiers import Bibcode, Doi, format_bibcode, parse_bibcode, parse_doi
+from .values import Frozen, Value
 
 MIN_YEAR = 1500
 MAX_YEAR = 2999
@@ -31,8 +31,10 @@ class SourceType(str, enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class AuthorName:
+_SOURCE_TYPES = {t.value: t for t in SourceType}
+
+
+class AuthorName(Frozen):
     """One author, kept as given-name tokens plus surname.
 
     Initials are derived, never stored: the first letter of each given-name
@@ -40,18 +42,23 @@ class AuthorName:
     tokens (a consortium, say) renders as the bare surname.
     """
 
+    __slots__ = ("given_names", "surname")
     given_names: tuple[str, ...]
     surname: str
 
-    def __post_init__(self) -> None:
-        if not self.surname.strip():
+    def __init__(self, given_names: tuple[str, ...], surname: str) -> None:
+        if not surname.strip():
             raise InvalidAuthorError("author surname must be non-empty")
+        object.__setattr__(self, "given_names", given_names)
+        object.__setattr__(self, "surname", surname)
 
     @property
     def initials(self) -> list[str]:
         out = []
         for token in self.given_names:
-            letter = next((c for c in token if c.isalpha()), None)
+            letter = token[:1]
+            if not letter.isalpha():
+                letter = next((c for c in token if c.isalpha()), None)
             if letter is not None:
                 out.append(letter.upper() + ".")
         return out
@@ -106,78 +113,114 @@ def _alpha_label(i: int) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class Pages:
+class Pages(Frozen):
     """First page plus an optional last page."""
 
+    __slots__ = ("first", "last")
     first: str
-    last: str | None = None
+    last: str | None
 
-    def __post_init__(self) -> None:
-        if not self.first:
+    def __init__(self, first: str, last: str | None = None) -> None:
+        if not first:
             raise ValueError("first page must be non-empty")
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "last", last)
 
     @property
     def formatted(self) -> str:
         return format_pages(self.first, self.last)
 
 
-@dataclass
-class BibRecord:
+class BibRecord(Value):
     """Source-independent metadata for one cited work.
 
     The title holds clean Unicode: HTML entities are decoded once, at the
     resolver boundary, never at render time. When a DOI or bibcode is set
-    the matching hyperlink is derived automatically.
+    the matching hyperlink is derived automatically. ``authors`` of None
+    means an empty list.
     """
 
-    title: str = ""
-    authors: list[AuthorName] = field(default_factory=list)
-    source_type: SourceType = SourceType.ARTICLE
-    journal: str | None = None
-    volume: str | None = None
-    number: str | None = None
-    pages: Pages | None = None
-    year: int | None = None
-    publisher: str | None = None
-    doi: Doi | None = None
-    bibcode: Bibcode | None = None
-    doi_url: str | None = None
-    ads_url: str | None = None
+    __slots__ = ("title", "authors", "source_type", "journal", "volume", "number", "pages",
+                 "year", "publisher", "doi", "bibcode", "doi_url", "ads_url")
+    title: str
+    authors: list[AuthorName]
+    source_type: SourceType
+    journal: str | None
+    volume: str | None
+    number: str | None
+    pages: Pages | None
+    year: int | None
+    publisher: str | None
+    doi: Doi | None
+    bibcode: Bibcode | None
+    doi_url: str | None
+    ads_url: str | None
 
-    def __post_init__(self) -> None:
-        if self.year is not None and not MIN_YEAR <= self.year <= MAX_YEAR:
-            raise ValueError(f"year out of range [{MIN_YEAR}, {MAX_YEAR}]: {self.year}")
-        if self.doi is not None:
-            expected = self.doi.url
-            if self.doi_url is None:
-                self.doi_url = expected
-            elif self.doi_url != expected:
-                raise ValueError(f"doi_url {self.doi_url!r} does not match DOI {self.doi.canonical!r}")
-        if self.bibcode is not None:
-            if self.ads_url is None:
-                self.ads_url = self.bibcode.ads_url
-            elif format_bibcode(self.bibcode) not in unquote(self.ads_url):
-                raise ValueError(f"ads_url {self.ads_url!r} does not embed bibcode {self.bibcode}")
+    def __init__(
+        self,
+        title: str = "",
+        authors: list[AuthorName] | None = None,
+        source_type: SourceType = SourceType.ARTICLE,
+        journal: str | None = None,
+        volume: str | None = None,
+        number: str | None = None,
+        pages: Pages | None = None,
+        year: int | None = None,
+        publisher: str | None = None,
+        doi: Doi | None = None,
+        bibcode: Bibcode | None = None,
+        doi_url: str | None = None,
+        ads_url: str | None = None,
+    ) -> None:
+        if year is not None and not MIN_YEAR <= year <= MAX_YEAR:
+            raise ValueError(f"year out of range [{MIN_YEAR}, {MAX_YEAR}]: {year}")
+        if doi is not None:
+            expected = doi.url
+            if doi_url is None:
+                doi_url = expected
+            elif doi_url != expected:
+                raise ValueError(f"doi_url {doi_url!r} does not match DOI {doi.canonical!r}")
+        if bibcode is not None:
+            if ads_url is None:
+                ads_url = bibcode.ads_url
+            elif format_bibcode(bibcode) not in unquote(ads_url):
+                raise ValueError(f"ads_url {ads_url!r} does not embed bibcode {bibcode}")
+        self.title = title
+        self.authors = [] if authors is None else authors
+        self.source_type = source_type
+        self.journal = journal
+        self.volume = volume
+        self.number = number
+        self.pages = pages
+        self.year = year
+        self.publisher = publisher
+        self.doi = doi
+        self.bibcode = bibcode
+        self.doi_url = doi_url
+        self.ads_url = ads_url
 
 
-@dataclass
-class RefEntry:
+class RefEntry(Value):
     """One stored reference: an ID, one or more nested records, and a note.
 
     ``global_id`` is None until the store assigns one. Display labels are
     the ID concatenated with each record's sub-label, e.g. ``663a``.
     """
 
+    __slots__ = ("records", "note", "global_id")
     records: list[BibRecord]
-    note: str | None = None
-    global_id: int | None = None
+    note: str | None
+    global_id: int | None
 
-    def __post_init__(self) -> None:
-        if not self.records:
+    def __init__(self, records: list[BibRecord], note: str | None = None,
+                 global_id: int | None = None) -> None:
+        if not records:
             raise ValueError("an entry needs at least one record")
-        if self.global_id is not None and self.global_id < 1:
-            raise ValueError(f"global_id must be positive, got {self.global_id}")
+        if global_id is not None and global_id < 1:
+            raise ValueError(f"global_id must be positive, got {global_id}")
+        self.records = records
+        self.note = note
+        self.global_id = global_id
 
     @property
     def sub_labels(self) -> list[str]:
@@ -190,24 +233,29 @@ class RefEntry:
         return [prefix + sub for sub in self.sub_labels]
 
 
-@dataclass(frozen=True)
-class SourceCrossRef:
+class SourceCrossRef(Frozen):
     """Maps a dataset-local reference integer onto a global entry ID."""
 
+    __slots__ = ("dataset_scope", "parameter", "local_id", "global_id")
     dataset_scope: str
     parameter: str
     local_id: int
     global_id: int
 
-    def __post_init__(self) -> None:
-        if not self.dataset_scope:
+    def __init__(self, dataset_scope: str, parameter: str, local_id: int, global_id: int) -> None:
+        if not dataset_scope:
             raise ValueError("dataset_scope must be non-empty")
-        if not self.parameter:
+        if not parameter:
             raise ValueError("parameter must be non-empty")
-        if self.local_id < 0:
-            raise ValueError(f"local_id must be >= 0, got {self.local_id}")
-        if self.global_id < 1:
-            raise ValueError(f"global_id must be >= 1, got {self.global_id}")
+        if local_id < 0:
+            raise ValueError(f"local_id must be >= 0, got {local_id}")
+        if global_id < 1:
+            raise ValueError(f"global_id must be >= 1, got {global_id}")
+        set_field = object.__setattr__
+        set_field(self, "dataset_scope", dataset_scope)
+        set_field(self, "parameter", parameter)
+        set_field(self, "local_id", local_id)
+        set_field(self, "global_id", global_id)
 
 
 # --- dict codecs, used by the JSON renderer and the store ------------------
@@ -254,10 +302,15 @@ def record_from_dict(d: dict[str, Any]) -> BibRecord:
     pages = None
     if d.get("pages") is not None:
         pages = Pages(first=d["pages"]["first"], last=d["pages"].get("last"))
+    source_type = d.get("source_type", "article")
+    try:
+        source_type = _SOURCE_TYPES[source_type]
+    except (KeyError, TypeError):
+        source_type = SourceType(source_type)  # raises the enum's ValueError
     return BibRecord(
         title=d.get("title", ""),
         authors=[author_from_dict(a) for a in d.get("authors", [])],
-        source_type=SourceType(d.get("source_type", "article")),
+        source_type=source_type,
         journal=d.get("journal"),
         volume=d.get("volume"),
         number=d.get("number"),

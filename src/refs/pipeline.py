@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
 
 from .bibtex import bibtex_to_record
 from .errors import (
@@ -34,6 +33,7 @@ from .resolvers import (
 )
 from .store import RefStore
 from .transport import Transport
+from .values import Value
 
 
 class ResolutionPath(str, enum.Enum):
@@ -41,23 +41,39 @@ class ResolutionPath(str, enum.Enum):
     FALLBACK = "fallback"
 
 
-@dataclass
-class ResolutionReport:
-    """What one resolution did and produced."""
+class ResolutionReport(Value):
+    """What one resolution did and produced. ``warnings`` of None means none."""
 
+    __slots__ = ("doi", "path_taken", "record", "renders", "bibcode", "warnings", "unverified")
     doi: Doi
     path_taken: ResolutionPath
     record: BibRecord
     renders: dict[RenderFormat, RenderedCitation]
-    bibcode: Bibcode | None = None
-    warnings: list[str] = field(default_factory=list)
-    unverified: bool = False
+    bibcode: Bibcode | None
+    warnings: list[str]
+    unverified: bool
 
-    def __post_init__(self) -> None:
-        if (self.path_taken is ResolutionPath.ADS) != (self.bibcode is not None):
+    def __init__(
+        self,
+        doi: Doi,
+        path_taken: ResolutionPath,
+        record: BibRecord,
+        renders: dict[RenderFormat, RenderedCitation],
+        bibcode: Bibcode | None = None,
+        warnings: list[str] | None = None,
+        unverified: bool = False,
+    ) -> None:
+        if (path_taken is ResolutionPath.ADS) != (bibcode is not None):
             raise ValueError("the ads path carries a bibcode and the fallback path does not")
-        if set(self.renders) != set(RenderFormat):
+        if set(renders) != set(RenderFormat):
             raise ValueError("a report carries exactly the four render formats")
+        self.doi = doi
+        self.path_taken = path_taken
+        self.record = record
+        self.renders = renders
+        self.bibcode = bibcode
+        self.warnings = [] if warnings is None else warnings
+        self.unverified = unverified
 
 
 def resolve_reference(

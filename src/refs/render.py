@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 
 from .errors import UnrenderableError
 from .identifiers import format_bibcode
 from .model import AuthorName, BibRecord, RefEntry, SourceType, entry_to_dict, format_pages
+from .values import Frozen
 
 _BIBTEX_TYPE = {
     SourceType.ARTICLE: "article",
@@ -31,10 +31,12 @@ _BIBTEX_TYPE = {
 _BIBTEX_KEY_JUNK = re.compile(r"[\s{},\"\\]+")
 
 # Characters with special meaning in BibTeX/LaTeX values and their escapes.
+# Braces become text commands: BibTeX counts even an escaped brace when it
+# balances a value's braces.
 _VALUE_ESCAPES = {
     "\\": r"\textbackslash{}",
-    "{": r"\{",
-    "}": r"\}",
+    "{": r"\textbraceleft{}",
+    "}": r"\textbraceright{}",
     "%": r"\%",
     "&": r"\&",
     "$": r"\$",
@@ -42,6 +44,7 @@ _VALUE_ESCAPES = {
     "_": r"\_",
 }
 _VALUE_ESCAPE_TABLE = str.maketrans(_VALUE_ESCAPES)
+_VALUE_SPECIAL = re.compile("[" + re.escape("".join(_VALUE_ESCAPES)) + "]")
 
 
 class RenderFormat(str, enum.Enum):
@@ -51,13 +54,18 @@ class RenderFormat(str, enum.Enum):
     TEXT = "text"
 
 
-@dataclass(frozen=True)
-class RenderedCitation:
+class RenderedCitation(Frozen):
     """One reference rendered in one concrete format."""
 
+    __slots__ = ("format", "body", "global_label")
     format: RenderFormat
     body: str
     global_label: str
+
+    def __init__(self, format: RenderFormat, body: str, global_label: str) -> None:
+        object.__setattr__(self, "format", format)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "global_label", global_label)
 
 
 def escape_html(raw: str) -> str:
@@ -164,6 +172,8 @@ def _bibtex_key(record: BibRecord, sub: str) -> str:
 
 def escape_value(text: str) -> str:
     """Escape a field value for emission inside braces."""
+    if _VALUE_SPECIAL.search(text) is None:
+        return text
     return text.translate(_VALUE_ESCAPE_TABLE)
 
 

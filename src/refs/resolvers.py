@@ -14,7 +14,6 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass
 from urllib.parse import quote, urlencode
 
 from .bibtex import _author_from_bibtex, parse_entries, split_page_range
@@ -36,6 +35,7 @@ from .errors import (
 from .identifiers import Bibcode, Doi, parse_bibcode, parse_doi
 from .model import AuthorName, BibRecord, SourceType, make_author
 from .transport import HttpRequest, HttpResponse, Transport
+from .values import Value
 
 ADS_TOKEN_ENV = "REFS_ADS_TOKEN"
 DEFAULT_ADS_BASE_URL = "https://api.adsabs.harvard.edu/v1"
@@ -72,19 +72,28 @@ class ExportFormat(str, enum.Enum):
     JSON_FIELDS = "json-fields"
 
 
-@dataclass
-class AdsConfig:
+class AdsConfig(Value):
     """Connection settings for the ADS API, and the retry policy of every request.
 
     max_retries and backoff_base govern ADS, doi.org and CrossRef alike.
-    The token comes from configuration or the REFS_ADS_TOKEN environment
-    variable, never from command-line arguments, and is sent to ADS only.
+    A backoff_base of 0 retries without waiting at all, a 429's Retry-After
+    included: fixture replay answers at once. The token comes from
+    configuration or the REFS_ADS_TOKEN environment variable, never from
+    command-line arguments, and is sent to ADS only.
     """
 
-    base_url: str = DEFAULT_ADS_BASE_URL
-    token: str = ""
-    max_retries: int = 3
-    backoff_base: float = 1.0
+    __slots__ = ("base_url", "token", "max_retries", "backoff_base")
+    base_url: str
+    token: str
+    max_retries: int
+    backoff_base: float
+
+    def __init__(self, base_url: str = DEFAULT_ADS_BASE_URL, token: str = "",
+                 max_retries: int = 3, backoff_base: float = 1.0) -> None:
+        self.base_url = base_url
+        self.token = token
+        self.max_retries = max_retries
+        self.backoff_base = backoff_base
 
     @classmethod
     def from_env(cls, **overrides) -> "AdsConfig":
@@ -118,7 +127,8 @@ def _send(
     with a backoff that doubles from cfg.backoff_base. A 429 (throttled)
     waits its Retry-After instead when that is a whole number of seconds
     (RFC 9110 section 10.2.3), and fails at once, without waiting, when
-    that is more than MAX_RETRY_AFTER_S. Exhausted attempts raise
+    that is more than MAX_RETRY_AFTER_S. A backoff_base of 0 waits for
+    neither. Exhausted attempts raise
     UpstreamUnavailableError with the last status. Other statuses are never
     retried: one listed in ``errors`` raises that error, any other non-200
     an UpstreamError naming the service (and ``about``, when given).
@@ -139,13 +149,15 @@ def _send(
             _sleep(delay)
             continue
         if response.status == 429:
-            delay = _retry_after(response, delay)
-            if delay > MAX_RETRY_AFTER_S:
+            throttled_for = _retry_after(response, delay)
+            if throttled_for > MAX_RETRY_AFTER_S:
                 raise UpstreamUnavailableError(
-                    f"{request.url} is throttled for {delay:g} s,"
+                    f"{request.url} is throttled for {throttled_for:g} s,"
                     f" longer than the {MAX_RETRY_AFTER_S} s allowed",
                     status=429,
                 )
+            if cfg.backoff_base:
+                delay = throttled_for
         elif response.status < 500:
             break
         if attempt >= cfg.max_retries:

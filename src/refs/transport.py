@@ -8,20 +8,29 @@ and deterministically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol
 
 from .errors import FixtureMissingError, TransportTimeoutError
 from .fileio import replace_files
+from .values import Frozen
 
 
-@dataclass(frozen=True)
-class HttpRequest:
+class HttpRequest(Frozen):
+    """One outgoing request. ``headers`` of None means no headers."""
+
+    __slots__ = ("method", "url", "headers", "body")
     method: str
     url: str
-    headers: dict[str, str] = field(default_factory=dict)
-    body: bytes | None = None
+    headers: dict[str, str]
+    body: bytes | None
+
+    def __init__(self, method: str, url: str, headers: dict[str, str] | None = None,
+                 body: bytes | None = None) -> None:
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "url", url)
+        object.__setattr__(self, "headers", {} if headers is None else headers)
+        object.__setattr__(self, "body", body)
 
     @property
     def accept(self) -> str:
@@ -31,11 +40,19 @@ class HttpRequest:
         return ""
 
 
-@dataclass(frozen=True)
-class HttpResponse:
+class HttpResponse(Frozen):
+    """One response. ``headers`` of None means no headers."""
+
+    __slots__ = ("status", "headers", "body")
     status: int
-    headers: dict[str, str] = field(default_factory=dict)
-    body: bytes = b""
+    headers: dict[str, str]
+    body: bytes
+
+    def __init__(self, status: int, headers: dict[str, str] | None = None,
+                 body: bytes = b"") -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "headers", {} if headers is None else headers)
+        object.__setattr__(self, "body", body)
 
     def text(self) -> str:
         return self.body.decode("utf-8")

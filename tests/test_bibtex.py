@@ -58,7 +58,7 @@ class TestValueEscaping:
     def test_escape_table(self):
         assert escape_value("50% & rising") == r"50\% \& rising"
         assert escape_value("a_b #c $d") == r"a\_b \#c \$d"
-        assert escape_value("{x}") == r"\{x\}"
+        assert escape_value("{x}") == r"\textbraceleft{}x\textbraceright{}"
         assert escape_value("a\\b") == r"a\textbackslash{}b"
 
     @given(st.text(max_size=80))
@@ -71,6 +71,11 @@ class TestValueEscaping:
 
     def test_clean_value_drops_protection_braces_keeps_escaped(self):
         assert clean_value(r"a \{b\} {Case}") == "a {b} Case"
+
+    def test_text_commands_read_back(self):
+        escaped = r"\textbraceleft{}a\textbackslash{}b\textbraceright{}"
+        assert unescape_value(escaped) == "{a\\b}"
+        assert clean_value("{" + escaped + "}") == "{a\\b}"
 
     def test_clean_value_collapses_whitespace(self):
         assert clean_value("spread\n    over lines") == "spread over lines"

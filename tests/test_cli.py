@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -83,6 +84,28 @@ class TestAdd:
         assert code == 2
         assert out == ""
         assert "resolution failed" in err
+        assert sleeps and set(sleeps) == {0}
+
+    def test_offline_replay_waits_out_no_retry_after(self, capsys, db_path, tmp_path,
+                                                     monkeypatch):
+        import refs.resolvers
+
+        sleeps = []
+        monkeypatch.setattr(refs.resolvers, "_sleep", sleeps.append)
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "doi_org.json").write_text((FIXTURE_DIR / "doi_org.json").read_text())
+        url = refs.resolvers.ads_search_url(
+            refs.resolvers.AdsConfig(), f'doi:"{HITRAN}"', refs.resolvers.ADS_FIELD_LIST, 10
+        )
+        throttled = {"request": {"method": "GET", "url": url, "accept": ""},
+                     "response": {"status": 429, "headers": {"Retry-After": "2"}, "body": ""}}
+        (fixtures / "ads.json").write_text(json.dumps({"entries": [throttled]}))
+        code, out, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path, "--offline",
+                             "--fixtures", str(fixtures))
+        assert code == 0
+        assert out == "id=1 path=fallback\n"
+        assert "answered 429 on all 3 attempts" in err
         assert sleeps and set(sleeps) == {0}
 
     def test_neither_doi_nor_query_is_usage_error(self, capsys, db_path):
@@ -396,6 +419,41 @@ class TestImports:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert out == "[]\n"
+
+    def test_no_command_loads_dataclasses_or_inspect(self, tmp_path):
+        guarded = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+        db, out_dir = str(tmp_path / "refs.db"), str(tmp_path / "bundle")
+        commands = [
+            ["add", "--doi", HITRAN, "--offline", "--fixtures", str(FIXTURE_DIR)],
+            *(["render", "1", "--format", fmt] for fmt in ("html", "json", "bibtex", "text")),
+            ["list"],
+            ["export", "--all", "-o", out_dir],
+        ]
+        script = (
+            "import sys\n"
+            "from refs.cli import main\n"
+            f"codes = [main(argv + ['--db', {db!r}]) for argv in {commands!r}]\n"
+            f"print(codes, sorted(m for m in {guarded!r} if m in sys.modules))\n"
+        )
+        env = {"PYTHONPATH": str(Path(refs.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.splitlines()[-1] == f"{[0] * len(commands)} []"
+
+    def test_no_module_imports_dataclasses(self):
+        importers = []
+        for path in sorted(Path(refs.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.partition(".")[0] == "dataclasses" for m in modules):
+                    importers.append(path.name)
+        assert importers == []
 
     def test_every_public_name_resolves(self):
         assert refs.__all__

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from urllib.parse import quote
+
 from refs import (
     Bibcode,
     BibcodeFormatError,
@@ -15,6 +17,7 @@ from refs import (
     parse_bibcode,
     parse_doi,
 )
+from refs.identifiers import _DOI_PREFIXES, _DOI_RE, ADS_ABS_URL
 
 EXAMPLE = "2017JQSRT.203....3G"
 
@@ -32,6 +35,29 @@ def accepted_dois() -> st.SearchStrategy[Doi]:
     suffix = st.text(st.sampled_from('"\\():/*?Ab') | st.characters(), min_size=1, max_size=30)
     raw = st.tuples(prefix, suffix).map("/".join)
     return raw.map(_parsed_or_none).filter(lambda doi: doi is not None)
+
+
+def parse_doi_checking_twice(raw: str) -> Doi:
+    """parse_doi as first written: the grammar checked here, then again by Doi."""
+    if not raw or not raw.strip():
+        raise InvalidDoiError("empty DOI string")
+    text = raw.strip()
+    lowered = text.lower()
+    for prefix in _DOI_PREFIXES:
+        if lowered.startswith(prefix):
+            text = text[len(prefix):]
+            break
+    canonical = text.lower()
+    if not _DOI_RE.match(canonical):
+        raise InvalidDoiError(f"not a valid DOI: {raw!r}")
+    return Doi(canonical)
+
+
+def outcome(parse, raw: str):
+    try:
+        return parse(raw)
+    except InvalidDoiError as exc:
+        return str(exc)
 
 
 class TestParseDoi:
@@ -75,6 +101,24 @@ class TestParseDoi:
     @given(accepted_dois())
     def test_idempotent_on_its_own_output(self, doi):
         assert parse_doi(doi.canonical) == doi
+
+    @pytest.mark.parametrize("raw", ["10.1000/\ud800", "10.1000/a\udfffb", "\udc80"])
+    def test_a_lone_surrogate_is_refused(self, raw):
+        with pytest.raises(InvalidDoiError, match="not a valid DOI"):
+            parse_doi(raw)
+
+    @given(
+        st.tuples(
+            st.sampled_from(["", " ", "doi:", "DOI:", "https://doi.org/", "HTTP://DOI.ORG/"]),
+            st.sampled_from(["10.", "10.1", "11.", ""]),
+            st.text("0123456789", max_size=10),
+            st.sampled_from(["/", "", "//"]),
+            st.text(st.sampled_from("aZ/. \t\"") | st.characters(), max_size=12),
+        ).map("".join)
+        | st.text()
+    )
+    def test_accepts_and_refuses_as_checking_twice(self, raw):
+        assert outcome(parse_doi, raw) == outcome(parse_doi_checking_twice, raw)
 
 
 class TestParseBibcode:
@@ -159,6 +203,30 @@ def valid_bibcodes() -> st.SearchStrategy[str]:
     middle = st.one_of(st.tuples(qualifier, page).map("".join), overflow_page)
     author = st.one_of(upper, st.just("."))
     return st.tuples(year, journal, volume, middle, author).map("".join)
+
+
+def any_bibcodes() -> st.SearchStrategy[Bibcode]:
+    """Bibcodes from the grammar, and from the constructor over any non-surrogate text."""
+    text = st.characters(exclude_categories=("Cs",))
+    built = st.builds(
+        Bibcode,
+        year=st.integers(1000, 9999),
+        journal=st.text(text, max_size=5),
+        volume=st.text(text, max_size=4),
+        page=st.text(text, max_size=4),
+        author_initial=st.characters(categories=("Lu", "Ll")) | st.just("."),
+        qualifier=st.none() | st.sampled_from("LQ0"),
+    )
+    return valid_bibcodes().map(parse_bibcode) | built
+
+
+class TestAdsUrl:
+    def test_journal_with_an_ampersand_is_encoded(self):
+        assert parse_bibcode("2019A&A...625A..13S").ads_url == ADS_ABS_URL + "2019A%26A...625A..13S"
+
+    @given(any_bibcodes())
+    def test_matches_quoting_every_bibcode(self, bibcode):
+        assert bibcode.ads_url == ADS_ABS_URL + quote(format_bibcode(bibcode), safe="")
 
 
 class TestRoundtripProperty:

@@ -21,7 +21,19 @@ from refs import (
     parse_doi,
     sub_labels,
 )
-from refs.model import entry_from_dict, entry_to_dict, record_from_dict, record_to_dict
+from refs.model import (
+    SourceType,
+    entry_from_dict,
+    entry_to_dict,
+    record_from_dict,
+    record_to_dict,
+)
+
+
+def initials_by_search(given_names: tuple[str, ...]) -> list[str]:
+    """The initials rule as first written: the first letter anywhere in each token."""
+    letters = (next((c for c in token if c.isalpha()), None) for token in given_names)
+    return [letter.upper() + "." for letter in letters if letter is not None]
 
 
 class TestMakeAuthor:
@@ -47,6 +59,16 @@ class TestMakeAuthor:
 
     def test_non_letter_tokens_contribute_no_initial(self):
         assert make_author("123 Bob", "Smith").initials == ["B."]
+
+    @given(st.lists(
+        st.text(max_size=6)
+        | st.tuples(st.characters().filter(lambda c: not c.isalpha()), st.text(max_size=6))
+        .map("".join),
+        max_size=4,
+    ))
+    def test_initials_match_the_first_letter_anywhere(self, tokens):
+        author = AuthorName(given_names=tuple(tokens), surname="S")
+        assert author.initials == initials_by_search(author.given_names)
 
     def test_idempotent_on_own_formatted_output(self):
         a = make_author("Iouli E.", "Gordon")
@@ -195,6 +217,19 @@ class TestDictCodecs:
         )
         loaded = entry_from_dict(entry_to_dict(entry))
         assert loaded == entry
+
+    @pytest.mark.parametrize("source_type", list(SourceType))
+    def test_every_source_type_reads_back(self, source_type):
+        r = BibRecord(title="T", source_type=source_type)
+        assert record_from_dict(record_to_dict(r)).source_type is source_type
+
+    @pytest.mark.parametrize("value", ["journal", "ARTICLE", "", ["article"], None])
+    def test_unknown_source_type_is_the_enums_value_error(self, value):
+        with pytest.raises(ValueError) as exc_info:
+            record_from_dict({"title": "T", "source_type": value})
+        with pytest.raises(ValueError) as enum_info:
+            SourceType(value)
+        assert str(exc_info.value) == str(enum_info.value)
 
     def test_consortium_author_roundtrip(self):
         r = BibRecord(title="T", authors=[AuthorName(given_names=(), surname="Team X")])

@@ -81,11 +81,12 @@ class TestAdsPath:
         assert counting_transport.count("doi.org") == 0
         assert counting_transport.count("adsabs.harvard.edu") == 1  # the fields come with the search
 
-    def test_throttled_search_is_retried_not_fallen_back(self, transport, ads_config,
-                                                         monkeypatch):
+    def test_throttled_search_is_retried_not_fallen_back(self, transport, monkeypatch):
         sleeps = []
         monkeypatch.setattr(resolvers, "_sleep", sleeps.append)
-        report = resolve_reference(HITRAN, cfg=ads_config, transport=_ThrottledOnce(transport))
+        # A backoff_base of 0 would skip the Retry-After wait this test checks.
+        cfg = AdsConfig(token="", backoff_base=1.0)
+        report = resolve_reference(HITRAN, cfg=cfg, transport=_ThrottledOnce(transport))
         assert report.path_taken is ResolutionPath.ADS
         assert str(report.record.bibcode) == "2017JQSRT.203....3G"
         assert sleeps == [2.0]

@@ -32,6 +32,17 @@ from test_identifiers import valid_bibcodes
 
 RAW_SPECIALS = set('&<>"\'')
 
+# Text rich in BibTeX's specials, as the parser reads it back: single
+# spaces, none at either end. Whitespace other than U+0020 stays out, since
+# whether a no-break space in a name should survive is not settled. ASCII
+# letters, digits and ";" stay out as well: after "&" they can spell an HTML
+# character reference such as "&lt" or "&#38", which the parser decodes.
+BIBTEX_RICH_TEXT = (
+    st.text("{}\\%&$#_, éßλЖ", min_size=1, max_size=30)
+    .map(lambda s: " ".join(s.split()))
+    .filter(bool)
+)
+
 # The exact five-entry substitution table, applied per codepoint.
 ESCAPE_TABLE = {"&": "&amp;", "<": "&lt;", '"': "&quot;", "'": "&#x27;", ">": "&gt;"}
 
@@ -266,6 +277,34 @@ class TestRenderBibtex:
         body = render_bibtex(RefEntry(records=[record])).body
         assert f"author = {{{{{surname}}}, A. B. and {{{surname}}} and Eff, D.}}" in body
         assert bibtex_to_record(body).authors == record.authors
+
+    def test_a_brace_in_a_value_parses_back(self):
+        record = BibRecord(title="{T", authors=[make_author("A{", "B")], year=2001)
+        body = render_bibtex(RefEntry(records=[record])).body
+        assert "author = {B, A\\textbraceleft{}}," in body
+        assert bibtex_to_record(body) == record
+
+    def test_braced_surname_before_a_closing_brace_is_not_one_name(self):
+        record = BibRecord(title="T", authors=[make_author("A}", "Smith, Jr")], year=2001)
+        body = render_bibtex(RefEntry(records=[record])).body
+        assert "author = {{Smith, Jr}, A\\textbraceright{}}," in body
+        assert bibtex_to_record(body) == record
+
+    @given(
+        title=BIBTEX_RICH_TEXT,
+        journal=BIBTEX_RICH_TEXT,
+        names=st.lists(st.tuples(st.just("") | BIBTEX_RICH_TEXT, BIBTEX_RICH_TEXT),
+                       min_size=1, max_size=3),
+    )
+    def test_specials_in_titles_journals_and_names_parse_back(self, title, journal, names):
+        record = BibRecord(
+            title=title,
+            authors=[make_author(given, surname) for given, surname in names],
+            journal=journal,
+            year=2001,
+        )
+        body = render_bibtex(RefEntry(records=[record])).body
+        assert bibtex_to_record(body) == record
 
     def test_multi_record_keys_get_sublabels(self):
         entry = RefEntry(
