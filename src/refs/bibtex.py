@@ -26,8 +26,13 @@ _ENTRY_TYPE_MAP = {
 # render.escape_value's escapes, plus the ``\{`` and ``\}`` that doi.org writes.
 _ESCAPE = r"\\text(backslash|braceleft|braceright)\{\}|\\([{}%&$#_])"
 _UNESCAPE_RE = re.compile(_ESCAPE)
-# An escape, or a brace outside one: case protection, which is dropped.
-_CLEAN_RE = re.compile(_ESCAPE + "|[{}]")
+# An escape; an HTML character reference, spelled as html.unescape reads
+# one but not across a brace or backslash; or a brace outside both: case
+# protection, which is dropped. A ``\&`` is an escape, so the text after
+# it is never read as a reference.
+_CLEAN_RE = re.compile(
+    _ESCAPE + r"|(&(?:#[0-9]+;?|#[xX][0-9a-fA-F]+;?|[^\t\n\f <&#;{}\\]{1,32};?))|[{}]"
+)
 _TEXT_COMMANDS = {"backslash": "\\", "braceleft": "{", "braceright": "}"}
 _PAGE_RANGE_RE = re.compile(r"\s*(?:--|–|—|-)\s*")
 _YEAR_RE = re.compile(r"\d{4}")
@@ -50,10 +55,15 @@ class BibtexEntry(Frozen):
 
 
 def _unescaped(match: re.Match) -> str:
-    command, char = match.groups()
+    command, char = match.group(1, 2)
     if command:
         return _TEXT_COMMANDS[command]
     return char or ""
+
+
+def _cleaned(match: re.Match) -> str:
+    reference = match.group(3)
+    return html.unescape(reference) if reference else _unescaped(match)
 
 
 def unescape_value(text: str) -> str:
@@ -64,12 +74,11 @@ def unescape_value(text: str) -> str:
 def clean_value(raw: str) -> str:
     """Turn a raw field value into model text.
 
-    Case-protection braces are dropped, escapes resolved, HTML entities
-    decoded, and line-wrapped whitespace collapsed to single spaces.
+    Case-protection braces are dropped, escapes resolved, HTML character
+    references decoded unless an escaped ``\\&`` starts them, and
+    line-wrapped whitespace collapsed to single spaces.
     """
-    text = _CLEAN_RE.sub(_unescaped, raw)
-    text = html.unescape(text)
-    return " ".join(text.split())
+    return " ".join(_CLEAN_RE.sub(_cleaned, raw).split())
 
 
 def parse_entries(text: str) -> list[BibtexEntry]:

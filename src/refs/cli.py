@@ -28,7 +28,7 @@ from .errors import (
     UnusableMetadataError,
 )
 from .identifiers import parse_doi
-from .render import RenderFormat, render_format
+from .render import RenderFormat
 from .store import RefStore
 
 # Only `add` makes requests, so only it imports pipeline, resolvers and
@@ -209,12 +209,12 @@ def cmd_add(args) -> int:
 def cmd_render(args) -> int:
     store = _open_store(args)
     try:
-        entry = store.get_entry(args.id)
+        rendered = store.get_rendered(args.id, RenderFormat(args.format))
     except MissingEntryError as exc:
         return _fail(EXIT_RESOLUTION, str(exc))
     finally:
         store.close()
-    print(render_format(entry, RenderFormat(args.format)).body)
+    print(rendered.body)
     return EXIT_OK
 
 

@@ -14,9 +14,11 @@ def replace_files(paths: Sequence[Path], rows: Iterable[Sequence[str]]) -> None:
     Every temp file is opened first. Each row then carries one text chunk
     per path, in the order of ``paths``, so one pass over the rows writes
     all files in lockstep and a large file is never held in memory as one
-    string. No target is replaced until every file is written and closed,
-    so a failure while producing or writing any text leaves all targets as
-    they were. Text is UTF-8 with LF line endings.
+    string. No target is replaced until every file is written, flushed to
+    disk and closed, so a failure while producing or writing any text
+    leaves all targets as they were. After the moves, each target's
+    directory is flushed too, so the new names survive a crash. Text is
+    UTF-8 with LF line endings.
     """
     staged: list[tuple[Path, Path]] = []
     try:
@@ -29,8 +31,17 @@ def replace_files(paths: Sequence[Path], rows: Iterable[Sequence[str]]) -> None:
             for row in rows:
                 for fh, chunk in zip(files, row, strict=True):
                     fh.write(chunk)
+            for fh in files:
+                fh.flush()
+                os.fsync(fh.fileno())
         for tmp, path in staged:
             os.replace(tmp, path)
     finally:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
+    for directory in dict.fromkeys(path.parent for path in paths):
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)

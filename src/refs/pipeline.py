@@ -42,9 +42,16 @@ class ResolutionPath(str, enum.Enum):
 
 
 class ResolutionReport(Value):
-    """What one resolution did and produced. ``warnings`` of None means none."""
+    """What one resolution did and produced. ``warnings`` of None means none.
 
-    __slots__ = ("doi", "path_taken", "record", "renders", "bibcode", "warnings", "unverified")
+    ``bibtex_fetched`` says that the BibTeX render is the text this
+    resolution fetched from upstream, which the store keeps as it is.
+    """
+
+    __slots__ = (
+        "doi", "path_taken", "record", "renders", "bibcode", "warnings", "unverified",
+        "bibtex_fetched",
+    )
     doi: Doi
     path_taken: ResolutionPath
     record: BibRecord
@@ -52,6 +59,7 @@ class ResolutionReport(Value):
     bibcode: Bibcode | None
     warnings: list[str]
     unverified: bool
+    bibtex_fetched: bool
 
     def __init__(
         self,
@@ -62,6 +70,7 @@ class ResolutionReport(Value):
         bibcode: Bibcode | None = None,
         warnings: list[str] | None = None,
         unverified: bool = False,
+        bibtex_fetched: bool = False,
     ) -> None:
         if (path_taken is ResolutionPath.ADS) != (bibcode is not None):
             raise ValueError("the ads path carries a bibcode and the fallback path does not")
@@ -74,6 +83,7 @@ class ResolutionReport(Value):
         self.bibcode = bibcode
         self.warnings = [] if warnings is None else warnings
         self.unverified = unverified
+        self.bibtex_fetched = bibtex_fetched
 
 
 def resolve_reference(
@@ -149,11 +159,12 @@ def _resolve_via_fallback(
     entry = RefEntry(records=[record], note=note)
     renders = render_all(entry)
     extra = []
+    fetched = False
     try:
-        fetched = fetch_bibtex(doi, transport, cfg)
         renders[RenderFormat.BIBTEX] = RenderedCitation(
-            format=RenderFormat.BIBTEX, body=fetched, global_label=""
+            format=RenderFormat.BIBTEX, body=fetch_bibtex(doi, transport, cfg), global_label=""
         )
+        fetched = True
     except RefsError as exc:
         extra.append(f"BibTeX fetch failed ({exc}); generated locally from the record")
     return ResolutionReport(
@@ -162,6 +173,7 @@ def _resolve_via_fallback(
         record=record,
         renders=renders,
         warnings=extra,
+        bibtex_fetched=fetched,
     )
 
 
@@ -199,6 +211,7 @@ def resolve_query_reference(
         renders=renders,
         warnings=_warning_messages(caught),
         unverified=True,
+        bibtex_fetched=True,
     )
 
 
@@ -214,12 +227,12 @@ def resolve_and_store_report(
     A duplicate DOI is not an error here: the existing ID is returned with
     a warning on the report, which keeps batch imports idempotent. A DOI
     the store already holds costs no request; its report is built from the
-    stored entry, note included.
+    stored entry and its stored HTML and BibTeX, note included.
     """
     gid = store.find_entry_by_dois([doi])
     if gid is not None:
         try:
-            return gid, _stored_report(doi, store.get_entry(gid))
+            return gid, _stored_report(doi, store, gid)
         except MissingEntryError:
             pass  # deleted by another writer since the lookup: resolve afresh
     report = resolve_reference(doi, note, cfg, transport)
@@ -227,9 +240,13 @@ def resolve_and_store_report(
 
 
 def store_report(store: RefStore, report: ResolutionReport, note: str | None) -> int:
-    """Persist a report's record; a duplicate DOI yields the existing ID plus a warning."""
+    """Persist a report's record, and its BibTeX if fetched.
+
+    A duplicate DOI yields the existing ID plus a warning.
+    """
+    bibtex = report.renders[RenderFormat.BIBTEX].body if report.bibtex_fetched else None
     try:
-        return store.add_entry([report.record], note=note)
+        return store.add_entry([report.record], note=note, bibtex=bibtex)
     except DuplicateEntryError as exc:
         report.warnings.append(_already_stored(report.doi, exc.existing_id))
         return exc.existing_id
@@ -239,13 +256,14 @@ def _already_stored(doi: Doi, gid: int) -> str:
     return f"DOI {doi} is already stored as entry {gid}"
 
 
-def _stored_report(doi: Doi, entry: RefEntry) -> ResolutionReport:
+def _stored_report(doi: Doi, store: RefStore, gid: int) -> ResolutionReport:
+    entry = store.get_entry(gid)
     record = next(r for r in entry.records if r.doi == doi)
     return ResolutionReport(
         doi=doi,
         path_taken=ResolutionPath.ADS if record.bibcode else ResolutionPath.FALLBACK,
         record=record,
-        renders=render_all(entry),
+        renders={fmt: store.get_rendered(gid, fmt) for fmt in RenderFormat},
         bibcode=record.bibcode,
         warnings=[_already_stored(doi, entry.global_id)],
     )

@@ -45,6 +45,8 @@ _VALUE_ESCAPES = {
 }
 _VALUE_ESCAPE_TABLE = str.maketrans(_VALUE_ESCAPES)
 _VALUE_SPECIAL = re.compile("[" + re.escape("".join(_VALUE_ESCAPES)) + "]")
+# The word BibTeX splits an author list on, in any case.
+_AND_WORD = re.compile(r"(?:^|\s)and(?:\s|$)", re.IGNORECASE)
 
 
 class RenderFormat(str, enum.Enum):
@@ -181,10 +183,14 @@ def _bibtex_author(author: AuthorName) -> str:
     surname = escape_value(author.surname)
     if not author.given_names:
         return "{" + surname + "}"
-    if "," in surname:
-        # Braced, so its comma is not read as the surname/given-name split.
+    given = escape_value(" ".join(author.given_names))
+    # Braced, so that a comma is not read as the surname/given-name split
+    # and an "and" does not split the author in two.
+    if "," in surname or _AND_WORD.search(surname):
         surname = "{" + surname + "}"
-    return f"{surname}, {escape_value(' '.join(author.given_names))}"
+    if _AND_WORD.search(given):
+        given = "{" + given + "}"
+    return f"{surname}, {given}"
 
 
 def _bibtex_block(record: BibRecord, sub: str) -> str:

@@ -3,11 +3,23 @@
 Global IDs come from an AUTOINCREMENT primary key and are never reused:
 deletion is a tombstone, so an ID keeps naming the same work forever.
 
+Entries do not change after they are added, so each entry's HTML and
+BibTeX are rendered once, by ``add_entry``, and stored beside its records.
+For an entry resolved through doi.org, the stored BibTeX is the text
+doi.org sent. ``render --format html|bibtex``, a repeat add and the bundle
+export read the stored text; JSON and plain text are rendered from the
+records on every read. A change to the bytes either renderer writes is a
+schema change: it appends a step to ``_MIGRATIONS`` that renders the
+stored texts afresh, keeping fetched BibTeX, and the schema version is
+the one stamp of what the stored texts hold.
+
 What holds when several processes share one database file:
 
 - Every write is one ``BEGIN IMMEDIATE`` transaction, so writers take
   turns on SQLite's file lock and each add, delete or cross-reference is
-  all or nothing. A writer waits up to five seconds for the lock.
+  all or nothing. A writer waits up to five seconds for the lock. The
+  rollback journal is truncated, not deleted, at each commit, which
+  leaves a zero-length ``-journal`` file beside the database.
 - IDs are handed out in increasing order, each to exactly one entry.
 - At most one live entry holds a given DOI set. An add first reads the
   DOI set through the live-DOI-set index and, on a hit, raises
@@ -15,10 +27,10 @@ What holds when several processes share one database file:
   The index is also unique, so when two processes add the same DOIs at
   once, one gets the ID and the other gets DuplicateEntryError naming it.
 - Reads see what other processes have committed. ``get_entry`` is one
-  statement. ``export_bundle`` reads inside one transaction and decodes
-  each entry once, writing its HTML and BibTeX side by side, so both
-  bundle files describe the same state; a writer waits for it, again
-  for up to five seconds.
+  statement. ``export_bundle`` reads inside one transaction and streams
+  the stored texts in ID order, decoding no entry, so both bundle files
+  describe the same state; a writer waits for it, again for up to five
+  seconds.
   ``list_entries`` reads the live IDs, then those entries, and leaves out
   any entry deleted in between.
 
@@ -41,7 +53,13 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import CrossRefConflictError, DuplicateEntryError, MissingEntryError, StoreError
+from .errors import (
+    CrossRefConflictError,
+    DuplicateEntryError,
+    MissingEntryError,
+    StoreError,
+    UnrenderableError,
+)
 from .fileio import replace_files
 from .identifiers import Doi
 from .model import (
@@ -52,9 +70,9 @@ from .model import (
     record_from_dict,
     record_to_dict,
 )
-from .render import render_bibtex, render_html
+from .render import RenderedCitation, RenderFormat, render_bibtex, render_format, render_html
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _LIVE_DOI_SET_INDEX = (
     "CREATE UNIQUE INDEX live_doi_set ON entries (doi_set) WHERE deleted = 0"
@@ -65,6 +83,18 @@ CREATE TABLE {name} (
     global_id INTEGER PRIMARY KEY AUTOINCREMENT,
     doi_set   TEXT,
     deleted   INTEGER NOT NULL DEFAULT 0
+)"""
+
+# Each entry's HTML body and BibTeX text, as ``render_html`` and
+# ``render_bibtex`` write them. ``html`` is NULL when a record has no
+# renderable field, and ``bibtex_fetched`` marks BibTeX fetched from
+# upstream, which a re-render keeps.
+_TEXTS_TABLE = """
+CREATE TABLE texts (
+    entry_id       INTEGER PRIMARY KEY REFERENCES entries(global_id),
+    html           TEXT,
+    bibtex         TEXT NOT NULL,
+    bibtex_fetched INTEGER NOT NULL
 )"""
 
 _SCHEMA = (
@@ -101,6 +131,7 @@ _SCHEMA = (
         global_id     INTEGER NOT NULL REFERENCES entries(global_id),
         PRIMARY KEY (dataset_scope, parameter, local_id)
     )""",
+    _TEXTS_TABLE,
 )
 
 # Record columns after (entry_id, position), named after the keys of
@@ -116,19 +147,32 @@ _INSERT_RECORD = (
     f" VALUES (?, ?{', ?' * len(_RECORD_COLUMNS)})"
 )
 
-# Live entries meeting a condition, one row per record, in ID then
-# record order; the rows of one entry are adjacent.
-_SELECT_LIVE = (
+_INSERT_TEXTS = (
+    "INSERT INTO texts (entry_id, html, bibtex, bibtex_fetched) VALUES (?, ?, ?, ?)"
+)
+
+# Entries meeting a condition, one row per record, in ID then record
+# order; the rows of one entry are adjacent.
+_SELECT_ROWS = (
     "SELECT e.global_id, n.note, "
     + ", ".join(f"r.{c}" for c in _RECORD_COLUMNS)
     + " FROM entries e"
     " JOIN records r ON r.entry_id = e.global_id"
     " LEFT JOIN notes n ON n.entry_id = e.global_id"
-    " WHERE e.deleted = 0 AND {}"
+    " WHERE {}"
     " ORDER BY e.global_id, r.position"
 )
-_SELECT_ENTRY = _SELECT_LIVE.format("e.global_id = ?")
-_SELECT_ENTRIES = _SELECT_LIVE.format("e.global_id IN (SELECT value FROM json_each(?))")
+_SELECT_ENTRY = _SELECT_ROWS.format("e.deleted = 0 AND e.global_id = ?")
+_SELECT_ENTRIES = _SELECT_ROWS.format(
+    "e.deleted = 0 AND e.global_id IN (SELECT value FROM json_each(?))"
+)
+
+# The stored text of one live entry, by format.
+_SELECT_TEXT = {
+    fmt: f"SELECT t.{fmt.value} FROM texts t JOIN entries e ON e.global_id = t.entry_id"
+    " WHERE t.entry_id = ? AND e.deleted = 0"
+    for fmt in (RenderFormat.HTML, RenderFormat.BIBTEX)
+}
 
 HTML_BUNDLE_NAME = "refs.html"
 BIB_BUNDLE_NAME = "refs.bib"
@@ -153,6 +197,9 @@ class RefStore:
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False, isolation_level=None)
         try:
+            # Still a rollback journal, truncated rather than deleted at
+            # each commit: one file operation fewer per write.
+            self._conn.execute("PRAGMA journal_mode = TRUNCATE")
             self._conn.execute("PRAGMA synchronous = NORMAL")
             if self._user_version() != SCHEMA_VERSION:
                 self._upgrade()
@@ -214,8 +261,14 @@ class RefStore:
 
     # -- writes --------------------------------------------------------
 
-    def add_entry(self, records: list[BibRecord], note: str | None = None) -> int:
+    def add_entry(
+        self, records: list[BibRecord], note: str | None = None, bibtex: str | None = None
+    ) -> int:
         """Persist one entry and return its freshly allocated global ID.
+
+        The entry's HTML and BibTeX are rendered and stored with it.
+        ``bibtex``, the text fetched from upstream, say, is stored instead
+        of the rendered BibTeX, and no re-render replaces it.
 
         Raises DuplicateEntryError when another live entry holds the exact
         same set of DOIs; entries without any DOI are never deduplicated.
@@ -230,6 +283,9 @@ class RefStore:
         if existing is not None:
             raise _duplicate(existing)
         rows = [_record_row(record) for record in records]
+        fetched = bibtex is not None
+        if not fetched:
+            bibtex = render_bibtex(RefEntry(records, note)).body
         with self._transaction() as conn:
             try:
                 gid = conn.execute(
@@ -244,6 +300,9 @@ class RefStore:
             )
             if note is not None:
                 conn.execute("INSERT INTO notes (entry_id, note) VALUES (?, ?)", (gid, note))
+            # The HTML labels each line with the ID, known only now.
+            html = _html_or_none(RefEntry(records, note, gid))
+            conn.execute(_INSERT_TEXTS, (gid, html, bibtex, fetched))
         return gid
 
     def delete_entry(self, global_id: int) -> None:
@@ -292,6 +351,22 @@ class RefStore:
         if not rows:
             raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
         return _entry_from_rows(global_id, rows)
+
+    def get_rendered(self, global_id: int, fmt: RenderFormat) -> RenderedCitation:
+        """A live entry in one house format.
+
+        HTML and BibTeX are the texts stored with the entry; JSON and text
+        are rendered from its records. Raises MissingEntryError for an
+        unknown or deleted ID.
+        """
+        if fmt in _SELECT_TEXT:
+            row = self._conn.execute(_SELECT_TEXT[fmt], (global_id,)).fetchone()
+            if row is None:
+                raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
+            if row[0] is not None:
+                return RenderedCitation(format=fmt, body=row[0], global_label=str(global_id))
+            # No HTML was stored: rendering the records raises UnrenderableError.
+        return render_format(self.get_entry(global_id), fmt)
 
     def list_entries(self, scope: str | None = None) -> list[RefEntry]:
         """Live entries by ascending ID, optionally only those cross-referenced in a scope."""
@@ -369,12 +444,23 @@ class RefStore:
         return html_path, bib_path
 
     def _bundle_rows(self, ids: list[int]) -> Iterator[tuple[str, str]]:
-        """(HTML, BibTeX) chunks for the bundle, one pass decoding each entry once."""
+        """(HTML, BibTeX) chunks for the bundle: the stored texts of these live IDs, in order."""
         yield _HTML_HEAD, ""
-        separator = ""
-        for entry in self._load(ids):
-            yield f"<p>{render_html(entry).body}</p>\n", separator + render_bibtex(entry).body
-            separator = "\n\n"
+        rows = self._conn.execute(
+            "SELECT entry_id, html, bibtex FROM texts"
+            " WHERE entry_id IN (SELECT value FROM json_each(?)) ORDER BY entry_id",
+            (json.dumps(ids),),
+        )
+        try:
+            separator = ""
+            for global_id, html, bibtex in rows:
+                if html is None:
+                    # Rendering the records raises UnrenderableError.
+                    html = render_html(self.get_entry(global_id)).body
+                yield f"<p>{html}</p>\n", separator + bibtex
+                separator = "\n\n"
+        finally:
+            rows.close()
         yield _HTML_TAIL, "\n"
 
     # -- internals -----------------------------------------------------
@@ -444,6 +530,14 @@ def _record_row(record: BibRecord) -> tuple:
     return tuple(fields.get(column) for column in _RECORD_COLUMNS)
 
 
+def _html_or_none(entry: RefEntry) -> str | None:
+    """The HTML body to store, or None when a record has no renderable field."""
+    try:
+        return render_html(entry).body
+    except UnrenderableError:
+        return None
+
+
 def _first_author_label(authors_json: str) -> str:
     authors = json.loads(authors_json)
     return author_from_dict(authors[0]).formatted if authors else "(untitled)"
@@ -508,5 +602,40 @@ def _v1_to_v2(conn: sqlite3.Connection) -> None:
         raise StoreError(f"cannot migrate to schema version 2: dangling references {broken}")
 
 
+def _v2_to_v3(conn: sqlite3.Connection) -> None:
+    """Each entry's HTML and BibTeX, rendered once and stored."""
+    conn.execute(_TEXTS_TABLE)
+    for entry in _every_entry(conn):
+        conn.execute(
+            _INSERT_TEXTS,
+            (entry.global_id, _html_or_none(entry), render_bibtex(entry).body, False),
+        )
+
+
+def _rerender(conn: sqlite3.Connection) -> None:
+    """Render every entry's stored texts afresh; BibTeX fetched from upstream is kept.
+
+    A change to the bytes render_html or render_bibtex writes appends a
+    migration step that calls this.
+    """
+    for entry in _every_entry(conn):
+        conn.execute(
+            "UPDATE texts SET html = ?,"
+            " bibtex = CASE bibtex_fetched WHEN 0 THEN ? ELSE bibtex END"
+            " WHERE entry_id = ?",
+            (_html_or_none(entry), render_bibtex(entry).body, entry.global_id),
+        )
+
+
+def _every_entry(conn: sqlite3.Connection) -> Iterator[RefEntry]:
+    """Every entry, tombstones included, in ID order."""
+    rows = conn.execute(_SELECT_ROWS.format("1"))
+    try:
+        for global_id, entry_rows in groupby(rows, key=itemgetter(0)):
+            yield _entry_from_rows(global_id, list(entry_rows))
+    finally:
+        rows.close()
+
+
 # _MIGRATIONS[v - 1] turns a version-v file into version v + 1.
-_MIGRATIONS = (_v1_to_v2,)
+_MIGRATIONS = (_v1_to_v2, _v2_to_v3)

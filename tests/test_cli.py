@@ -207,6 +207,34 @@ class TestRender:
         assert code == 0
         assert "HITRAN2016" in out
 
+    @pytest.mark.parametrize("fmt", ["html", "bibtex"])
+    def test_html_and_bibtex_are_read_not_rendered(self, capsys, seeded, monkeypatch, fmt):
+        expected = run(capsys, "render", "1", "--format", fmt, "--db", seeded)
+
+        def not_rendered(entry):
+            raise AssertionError("rendered a stored format")
+
+        for name in ("render_html", "render_bibtex"):
+            monkeypatch.setattr(refs.store, name, not_rendered)
+            monkeypatch.setattr(refs.render, name, not_rendered)
+        assert run(capsys, "render", "1", "--format", fmt, "--db", seeded) == expected
+
+    def test_fallback_entry_emits_the_bibtex_fetched_from_doi_org(self, capsys, db_path,
+                                                                  tmp_path):
+        archive = json.loads((FIXTURE_DIR / "doi_org.json").read_text(encoding="utf-8"))
+        (fetched,) = [e["response"]["body"] for e in archive["entries"]
+                      if e["request"]["url"] == "https://doi.org/10.18434/t4w30f"
+                      and e["request"]["accept"] == "application/x-bibtex"]
+        assert fetched.startswith("@misc{Kramida_2022,")
+        for _ in range(2):
+            code, out, _ = run(capsys, *offline("add", "--doi", "10.18434/t4w30f", db=db_path))
+            assert (code, out) == (0, "id=1 path=fallback\n")
+        code, out, _ = run(capsys, "render", "1", "--format", "bibtex", "--db", db_path)
+        assert (code, out) == (0, fetched + "\n")
+        code, _, _ = run(capsys, "export", "--all", "-o", str(tmp_path / "out"), "--db", db_path)
+        assert code == 0
+        assert (tmp_path / "out" / "refs.bib").read_text(encoding="utf-8") == fetched + "\n"
+
     def test_unknown_id_exits_2(self, capsys, seeded):
         code, _, err = run(capsys, "render", "999", "--format", "json", "--db", seeded)
         assert code == 2

@@ -13,6 +13,7 @@ from refs import (
     FixtureTransport,
     HttpResponse,
     RenderFormat,
+    RenderedCitation,
     ResolutionFailedError,
     ResolutionPath,
     UpstreamUnavailableError,
@@ -276,8 +277,8 @@ class TestResolveAndStore:
                                            (NIST, ResolutionPath.FALLBACK)])
     def test_stored_doi_is_answered_from_the_store_without_requests(
             self, doi, path, counting_transport, ads_config, store):
-        first, _ = resolve_and_store_report(doi, "First note.", store, ads_config,
-                                            counting_transport)
+        first, added = resolve_and_store_report(doi, "First note.", store, ads_config,
+                                                counting_transport)
         counting_transport.requests.clear()
         again, report = resolve_and_store_report(doi, "Second note.", store, ads_config,
                                                  counting_transport)
@@ -286,8 +287,27 @@ class TestResolveAndStore:
         assert report.warnings == [f"DOI {doi} is already stored as entry {first}"]
         assert report.path_taken is path
         assert report.record == store.get_entry(first).records[0]
-        assert report.renders == render_all(store.get_entry(first))
+        # The BibTeX the first add reported: doi.org's text on the fallback path.
+        expected = render_all(store.get_entry(first))
+        expected[RenderFormat.BIBTEX] = RenderedCitation(
+            RenderFormat.BIBTEX, added.renders[RenderFormat.BIBTEX].body, str(first))
+        assert report.renders == expected
         assert report.renders[RenderFormat.HTML].body.startswith(f"{first}. First note. ")
+
+    @pytest.mark.parametrize("route, fetched", [
+        (HITRAN, False), (NIST, True), (parse_doi("10.5555/emptybib"), False), ("query", True)])
+    def test_the_store_keeps_the_bibtex_the_add_reported(self, route, fetched, transport,
+                                                         ads_config, store):
+        if route == "query":
+            report = resolve_query_reference("The HITRAN2016 molecular spectroscopic database",
+                                             cfg=ads_config, transport=transport)
+            gid = store_report(store, report, None)
+        else:
+            gid, report = resolve_and_store_report(route, None, store, ads_config, transport)
+        assert report.bibtex_fetched is fetched
+        added = report.renders[RenderFormat.BIBTEX].body
+        assert store.get_rendered(gid, RenderFormat.BIBTEX).body == added
+        assert (added == render_all(store.get_entry(gid))[RenderFormat.BIBTEX].body) != fetched
 
     def test_entry_deleted_after_the_lookup_is_resolved_afresh(self, transport, ads_config,
                                                               store, monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import string
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,14 +33,17 @@ from test_identifiers import valid_bibcodes
 
 RAW_SPECIALS = set('&<>"\'')
 
-# Text rich in BibTeX's specials, as the parser reads it back: single
+# Text rich in BibTeX's specials, in the word "and" and in what spells an
+# HTML character reference after "&", as the parser reads it back: single
 # spaces, none at either end. Whitespace other than U+0020 stays out, since
-# whether a no-break space in a name should survive is not settled. ASCII
-# letters, digits and ";" stay out as well: after "&" they can spell an HTML
-# character reference such as "&lt" or "&#38", which the parser decodes.
+# whether a no-break space in a name should survive is not settled.
 BIBTEX_RICH_TEXT = (
-    st.text("{}\\%&$#_, éßλЖ", min_size=1, max_size=30)
-    .map(lambda s: " ".join(s.split()))
+    st.lists(
+        st.sampled_from([*"{}\\%&$#_, éßλЖ;", " and ", " AND ", "&lt", "&#38", "&amp;"])
+        | st.sampled_from(string.ascii_letters + string.digits),
+        min_size=1, max_size=30,
+    )
+    .map(lambda pieces: " ".join("".join(pieces).split()))
     .filter(bool)
 )
 
@@ -277,6 +281,31 @@ class TestRenderBibtex:
         body = render_bibtex(RefEntry(records=[record])).body
         assert f"author = {{{{{surname}}}, A. B. and {{{surname}}} and Eff, D.}}" in body
         assert bibtex_to_record(body).authors == record.authors
+
+    @pytest.mark.parametrize("surname", ["Smith and Jones", "Smith AND Jones", "and",
+                                         "Smith and", "and Jones"])
+    def test_and_in_a_surname_keeps_one_author(self, surname):
+        record = BibRecord(
+            title="T",
+            authors=[make_author("A", surname), make_author("D.", "Eff")],
+            year=2001,
+        )
+        body = render_bibtex(RefEntry(records=[record])).body
+        assert f"author = {{{{{surname}}}, A and Eff, D.}}" in body
+        assert bibtex_to_record(body).authors == record.authors
+
+    def test_and_in_given_names_keeps_one_author(self):
+        record = BibRecord(title="T", authors=[make_author("A and", "Smith"),
+                                               make_author("D.", "Eff")], year=2001)
+        body = render_bibtex(RefEntry(records=[record])).body
+        assert "author = {Smith, {A and} and Eff, D.}" in body
+        assert bibtex_to_record(body).authors == record.authors
+
+    @pytest.mark.parametrize("title", ["a &lt b &#38 c", "&amp;", "x&#x41;y", "&lt;&gt;"])
+    def test_escaped_ampersand_is_not_read_as_a_character_reference(self, title):
+        record = BibRecord(title=title, year=2001)
+        body = render_bibtex(RefEntry(records=[record])).body
+        assert bibtex_to_record(body).title == title
 
     def test_a_brace_in_a_value_parses_back(self):
         record = BibRecord(title="{T", authors=[make_author("A{", "B")], year=2001)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
+import os
 import random
 import sqlite3
+import stat
 import subprocess
 import sys
 import time
@@ -22,16 +25,25 @@ from refs import (
     DuplicateEntryError,
     MissingEntryError,
     Pages,
+    RefEntry,
     RefStore,
+    RenderFormat,
     SourceType,
     StoreError,
+    UnrenderableError,
     make_author,
     parse_bibcode,
     parse_doi,
+    render_bibtex,
+    render_html,
 )
 from refs import fileio
 from refs.model import MAX_YEAR, MIN_YEAR
+from refs.render import render_format
+from refs.store import SCHEMA_VERSION
 
+from conftest import GOLDEN_DIR
+from corpus import build_corpus_entries
 from test_identifiers import valid_bibcodes
 
 
@@ -312,7 +324,32 @@ class TestExportBundle:
         assert (html_path.read_bytes(), bib_path.read_bytes()) == before
         assert sorted(p.name for p in out.iterdir()) == ["refs.bib", "refs.html"]
 
-    def test_each_entry_is_decoded_once(self, store, tmp_path, monkeypatch):
+    def test_files_are_flushed_before_the_moves_and_the_directory_after(
+            self, store, tmp_path, monkeypatch):
+        store.add_entry([record("10.1000/a")])
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def traced_fsync(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", info.st_ino, stat.S_ISDIR(info.st_mode)))
+            fsync(fd)
+
+        def traced_replace(src, dst):
+            events.append(("replace", Path(dst).name))
+            replace(src, dst)
+
+        monkeypatch.setattr(fileio.os, "fsync", traced_fsync)
+        monkeypatch.setattr(fileio.os, "replace", traced_replace)
+        html_path, bib_path = store.export_bundle([1], tmp_path / "out")
+        inode = {p.name: p.stat().st_ino for p in (html_path, bib_path, tmp_path / "out")}
+        assert events == [
+            ("fsync", inode["refs.html"], False), ("fsync", inode["refs.bib"], False),
+            ("replace", "refs.html"), ("replace", "refs.bib"),
+            ("fsync", inode["out"], True),
+        ]
+
+    def test_no_entry_is_decoded(self, store, tmp_path, monkeypatch):
         for suffix in "abc":
             store.add_entry([record(f"10.1000/{suffix}")])
         decoded = []
@@ -324,9 +361,110 @@ class TestExportBundle:
         entry_from_rows = refs.store._entry_from_rows
         monkeypatch.setattr(refs.store, "_entry_from_rows", counting)
         html_path, bib_path = store.export_bundle([3, 1, 2], tmp_path)
-        assert decoded == [1, 2, 3]
+        assert decoded == []
         assert html_path.read_text(encoding="utf-8").count("<p>") == 3
         assert bib_path.read_text(encoding="utf-8").count("@article{") == 3
+
+
+def stored_texts(store: RefStore, gid: int) -> tuple:
+    return store._conn.execute(
+        "SELECT html, bibtex, bibtex_fetched FROM texts WHERE entry_id = ?", (gid,)
+    ).fetchone()
+
+
+def fresh_html(entry: RefEntry) -> str | None:
+    try:
+        return render_html(entry).body
+    except UnrenderableError:
+        return None
+
+
+class TestStoredTexts:
+    def test_renderers_are_pinned_to_the_schema_version(self):
+        # The store keeps what render_html and render_bibtex wrote at add
+        # time. When these bytes change, append a migration step that calls
+        # refs.store._rerender, raise SCHEMA_VERSION, and pin both here.
+        digest = hashlib.sha256()
+        for entry in build_corpus_entries():
+            for body in (render_html(entry).body, render_bibtex(entry).body):
+                digest.update(body.encode("utf-8") + b"\0")
+        assert (SCHEMA_VERSION, digest.hexdigest()) == (
+            3, "a85ae15d7c661886aac797a0c65816d55c04bef3f18b7c07858416985eb0b79a")
+
+    def test_corpus_through_the_store_matches_the_golden(self, store):
+        for entry in build_corpus_entries():
+            assert store.add_entry(entry.records, note=entry.note) == entry.global_id
+        bodies = "".join(store.get_rendered(e.global_id, RenderFormat.HTML).body + "\n"
+                         for e in build_corpus_entries())
+        assert bodies == (GOLDEN_DIR / "html_corpus.html").read_text(encoding="utf-8")
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=st.lists(st.tuples(st.lists(records_strategy, min_size=1, max_size=3),
+                                      optional_text), min_size=1, max_size=3))
+    def test_stored_texts_equal_a_fresh_render(self, entries):
+        with RefStore(":memory:") as store:
+            for recs, note in entries:
+                try:
+                    gid = store.add_entry(recs, note=note)
+                except DuplicateEntryError:
+                    continue
+                entry = store.get_entry(gid)
+                assert stored_texts(store, gid) == (fresh_html(entry), render_bibtex(entry).body, 0)
+
+    def test_a_given_bibtex_is_stored_and_emitted(self, store, tmp_path):
+        fetched = "@misc{Fetched_2022, title={T}, year={2022}}\n"
+        gid = store.add_entry([record("10.1000/a")], bibtex=fetched)
+        other = store.add_entry([record("10.1000/b")])
+        assert stored_texts(store, gid)[1:] == (fetched, 1)
+        assert store.get_rendered(gid, RenderFormat.BIBTEX).body == fetched
+        _, bib_path = store.export_bundle([gid, other], tmp_path)
+        local = render_bibtex(store.get_entry(other)).body
+        assert bib_path.read_text(encoding="utf-8") == f"{fetched}\n\n{local}\n"
+
+    def test_json_and_text_are_rendered_from_the_records(self, store):
+        gid = store.add_entry([record("10.1000/a")], note="n", bibtex="@misc{k, title={T}}")
+        entry = store.get_entry(gid)
+        for fmt in (RenderFormat.JSON, RenderFormat.TEXT):
+            assert store.get_rendered(gid, fmt) == render_format(entry, fmt)
+
+    def test_render_of_an_unknown_or_deleted_entry(self, store):
+        gid = store.add_entry([record("10.1000/a")])
+        store.delete_entry(gid)
+        for fmt in RenderFormat:
+            for missing in (gid, 99):
+                with pytest.raises(MissingEntryError):
+                    store.get_rendered(missing, fmt)
+
+    def test_an_unrenderable_record_is_stored_and_refused_on_export(self, store, tmp_path):
+        blank = BibRecord(title="", doi=parse_doi("10.1000/blank"))
+        gid = store.add_entry([blank])
+        ok = store.add_entry([record("10.1000/a")])
+        assert stored_texts(store, gid) == (None, render_bibtex(RefEntry([blank])).body, 0)
+        with pytest.raises(UnrenderableError, match="record has no renderable fields"):
+            store.export_bundle([gid, ok], tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
+        with pytest.raises(UnrenderableError, match="record has no renderable fields"):
+            store.get_rendered(gid, RenderFormat.HTML)
+        assert store.get_rendered(gid, RenderFormat.BIBTEX).body.startswith("@article{refnd,")
+
+    def test_a_rerender_keeps_fetched_bibtex(self, store, monkeypatch):
+        fetched = "@misc{Fetched_2022, title={T}}"
+        kept = store.add_entry([record("10.1000/a")], bibtex=fetched)
+        local = store.add_entry([record("10.1000/b")], note="n")
+        monkeypatch.setattr(refs.store, "render_bibtex", lambda entry: refs.RenderedCitation(
+            RenderFormat.BIBTEX, "new bibtex", ""))
+        monkeypatch.setattr(refs.store, "render_html", lambda entry: refs.RenderedCitation(
+            RenderFormat.HTML, f"new html {entry.global_id} {entry.note}", ""))
+        with store._transaction() as conn:
+            refs.store._rerender(conn)
+        assert stored_texts(store, kept) == (f"new html {kept} None", fetched, 1)
+        assert stored_texts(store, local) == (f"new html {local} n", "new bibtex", 0)
+
+    def test_journal_is_truncated_not_deleted(self, tmp_path):
+        with RefStore(tmp_path / "refs.db") as store:
+            store.add_entry([record("10.1000/a")])
+            assert store._conn.execute("PRAGMA journal_mode").fetchone() == ("truncate",)
+        assert (tmp_path / "refs.db-journal").stat().st_size == 0
 
 
 class TestConcurrency:
@@ -651,29 +789,77 @@ PRAGMA user_version = 1;
 """
 
 
-def write_v1_store(path: Path, entries: dict, deleted=(), crossrefs=(), next_id=None) -> None:
-    """A version-1 file holding ``{gid: (records, note)}``, written as version 1 wrote it."""
+# The version-2 schema exactly as the store created it.
+V2_SCHEMA = """
+CREATE TABLE entries (
+    global_id INTEGER PRIMARY KEY AUTOINCREMENT,
+    doi_set   TEXT,
+    deleted   INTEGER NOT NULL DEFAULT 0
+);
+CREATE UNIQUE INDEX live_doi_set ON entries (doi_set) WHERE deleted = 0;
+
+CREATE TABLE records (
+    entry_id    INTEGER NOT NULL REFERENCES entries(global_id),
+    position    INTEGER NOT NULL,
+    source_type TEXT NOT NULL,
+    title       TEXT NOT NULL,
+    authors     TEXT NOT NULL,
+    journal     TEXT,
+    volume      TEXT,
+    number      TEXT,
+    page_first  TEXT,
+    page_last   TEXT,
+    year        INTEGER,
+    publisher   TEXT,
+    doi         TEXT,
+    bibcode     TEXT,
+    PRIMARY KEY (entry_id, position)
+);
+
+CREATE TABLE notes (
+    entry_id INTEGER PRIMARY KEY REFERENCES entries(global_id),
+    note     TEXT NOT NULL
+);
+
+CREATE TABLE crossrefs (
+    dataset_scope TEXT NOT NULL,
+    parameter     TEXT NOT NULL,
+    local_id      INTEGER NOT NULL,
+    global_id     INTEGER NOT NULL REFERENCES entries(global_id),
+    PRIMARY KEY (dataset_scope, parameter, local_id)
+);
+PRAGMA user_version = 2;
+"""
+
+
+def write_old_store(version: int, path: Path, entries: dict, deleted=(), crossrefs=(),
+                    next_id=None) -> None:
+    """A version-1 or -2 file holding ``{gid: (records, note)}``, as that version wrote it."""
     conn = sqlite3.connect(path)
-    conn.executescript(V1_SCHEMA)
+    conn.executescript(V1_SCHEMA if version == 1 else V2_SCHEMA)
     for gid, (recs, note) in entries.items():
         dois = sorted({r.doi.canonical for r in recs if r.doi})
         conn.execute("INSERT INTO entries VALUES (?, ?, ?)",
                      (gid, "|".join(dois) or None, int(gid in deleted)))
         for position, r in enumerate(recs):
-            conn.execute(
-                "INSERT INTO records VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (gid, position, r.source_type.value, r.title,
-                 json.dumps([{"given_names": list(a.given_names), "surname": a.surname}
-                             for a in r.authors], ensure_ascii=False),
-                 r.journal, r.volume, r.number,
-                 r.pages.first if r.pages else None, r.pages.last if r.pages else None,
-                 r.year, r.publisher, r.doi.canonical if r.doi else None,
-                 refs.format_bibcode(r.bibcode) if r.bibcode else None, r.doi_url, r.ads_url),
-            )
+            row = (gid, position, r.source_type.value, r.title,
+                   json.dumps([{"given_names": list(a.given_names), "surname": a.surname}
+                               for a in r.authors], ensure_ascii=False),
+                   r.journal, r.volume, r.number,
+                   r.pages.first if r.pages else None, r.pages.last if r.pages else None,
+                   r.year, r.publisher, r.doi.canonical if r.doi else None,
+                   refs.format_bibcode(r.bibcode) if r.bibcode else None)
+            if version == 1:
+                row += (r.doi_url, r.ads_url)
+            conn.execute(f"INSERT INTO records VALUES ({', '.join('?' * len(row))})", row)
         if note is not None:
             conn.execute("INSERT INTO notes VALUES (?, ?)", (gid, note))
     conn.executemany("INSERT INTO crossrefs VALUES (?, ?, ?, ?)", crossrefs)
-    conn.execute("UPDATE id_sequence SET next_id = ?", (next_id or max(entries) + 1,))
+    next_id = next_id or max(entries) + 1
+    if version == 1:
+        conn.execute("UPDATE id_sequence SET next_id = ?", (next_id,))
+    else:
+        conn.execute("UPDATE sqlite_sequence SET seq = ? WHERE name = 'entries'", (next_id - 1,))
     conn.commit()
     conn.close()
 
@@ -706,8 +892,8 @@ class TestMigration:
     def test_v1_file_migrates_in_place(self, tmp_path, next_id):
         path = tmp_path / "v1.db"
         entries = self.v1_entries()
-        write_v1_store(path, entries, deleted={3},
-                       crossrefs=[("H2O", "nu", 1, 1), ("CO2", "nu", 7, 3)], next_id=next_id)
+        write_old_store(1, path, entries, deleted={3},
+                        crossrefs=[("H2O", "nu", 1, 1), ("CO2", "nu", 7, 3)], next_id=next_id)
         with RefStore(path) as store:
             for gid in (1, 2, 4):
                 loaded = store.get_entry(gid)
@@ -722,16 +908,45 @@ class TestMigration:
             assert exc_info.value.existing_id == 2
             assert store.add_entry([record("10.1000/c")]) == next_id
             assert store.add_entry([record("10.1000/d")]) == next_id + 1
-        assert schema_of(path) == (2, {"entries", "records", "notes", "crossrefs", "sqlite_sequence"})
+        assert schema_of(path) == (3, {"entries", "records", "notes", "crossrefs", "texts",
+                                       "sqlite_sequence"})
         with RefStore(path) as store:
             assert store.add_entry([record("10.1000/e")]) == next_id + 2
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_file_gets_its_texts_in_the_opening_transaction(self, tmp_path, statements,
+                                                                version):
+        path = tmp_path / f"v{version}.db"
+        entries = self.v1_entries()
+        write_old_store(version, path, entries, deleted={3},
+                        crossrefs=[("H2O", "nu", 1, 1), ("CO2", "nu", 7, 3)], next_id=9)
+        statements.clear()
+        with RefStore(path) as store:
+            assert statements.count("BEGIN IMMEDIATE") == statements.count("COMMIT") == 1
+            for gid, (recs, note) in entries.items():
+                entry = RefEntry(recs, note, gid)
+                assert stored_texts(store, gid) == (render_html(entry).body,
+                                                    render_bibtex(entry).body, 0)
+            for gid in (1, 2, 4):
+                loaded = store.get_entry(gid)
+                assert (loaded.records, loaded.note) == entries[gid]
+                for fmt in RenderFormat:
+                    assert store.get_rendered(gid, fmt) == render_format(loaded, fmt)
+            with pytest.raises(MissingEntryError):
+                store.get_rendered(3, RenderFormat.HTML)
+            assert store.live_ids() == [1, 2, 4]
+            assert store.list_crossrefs() == [refs.SourceCrossRef("CO2", "nu", 7, 3),
+                                              refs.SourceCrossRef("H2O", "nu", 1, 1)]
+            assert store.add_entry([record("10.1000/c")]) == 9
+        assert schema_of(path) == (3, {"entries", "records", "notes", "crossrefs", "texts",
+                                       "sqlite_sequence"})
 
     def test_live_entries_sharing_a_doi_set_stop_the_migration(self, tmp_path, statements):
         path = tmp_path / "v1.db"
         entries = self.v1_entries()
         entries[5] = ([record("10.1000/c", title="Raced copy")], None)
         entries[6] = ([record("10.1000/a"), record("10.1000/b")], None)
-        write_v1_store(path, entries)
+        write_old_store(1, path, entries)
         before = path.read_bytes()
         statements.clear()
         with pytest.raises(StoreError, match=r"2, 6 \(DOIs 10\.1000/a\|10\.1000/b\)") as exc_info:

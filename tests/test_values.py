@@ -123,9 +123,10 @@ SPECS = [
          ("https://ads.test/v1", "s3cret", 2, 0.5), ("https://ads.test/v1", "", 2, 0.5), ()),
     Spec(ResolutionReport, False,
          [("doi", REQUIRED), ("path_taken", REQUIRED), ("record", REQUIRED),
-          ("renders", REQUIRED), ("bibcode", None), ("warnings", LIST), ("unverified", False)],
-         (DOI, ResolutionPath.ADS, RECORD, RENDERS, BIBCODE, ["w"], True),
-         (DOI, ResolutionPath.ADS, RECORD, RENDERS, BIBCODE, [], True),
+          ("renders", REQUIRED), ("bibcode", None), ("warnings", LIST), ("unverified", False),
+          ("bibtex_fetched", False)],
+         (DOI, ResolutionPath.ADS, RECORD, RENDERS, BIBCODE, ["w"], True, True),
+         (DOI, ResolutionPath.ADS, RECORD, RENDERS, BIBCODE, [], True, True),
          (DOI, ResolutionPath.FALLBACK, FALLBACK_RECORD, RENDERS)),
 ]
 
