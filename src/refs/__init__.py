@@ -39,7 +39,6 @@ _EXPORTS = {
         "UnknownDoiError",
         "UnrenderableError",
         "UnusableMetadataError",
-        "UnverifiedResultWarning",
         "UpstreamError",
         "UpstreamUnavailableError",
     ),
@@ -77,11 +76,10 @@ _EXPORTS = {
         "ExportFormat",
         "ads_doc_to_record",
         "csl_to_record",
+        "fetch_ads_docs",
         "fetch_ads_export",
         "fetch_bibtex",
-        "fetch_bibtex_by_query",
         "fetch_csl_json",
-        "resolve_bibcode",
     ),
     "store": ("RefStore",),
     "transport": (

@@ -142,12 +142,12 @@ class ResolutionFailedError(RefsError):
 
 
 class RefsWarning(UserWarning):
-    """Base category for warnings surfaced by resolvers."""
+    """Base warning category, kept for callers' warning filters.
+
+    Resolution issues no Python warnings: it lists them as text on
+    ResolutionReport.warnings.
+    """
 
 
 class MultipleBibcodesWarning(RefsWarning):
     """More than one bibcode matched a DOI; the first one was used."""
-
-
-class UnverifiedResultWarning(RefsWarning):
-    """A free-text search produced this result; it may be the wrong article."""

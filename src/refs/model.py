@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 from typing import Any
-from urllib.parse import unquote
 
 from .errors import InvalidAuthorError
 from .identifiers import Bibcode, Doi, format_bibcode, parse_bibcode, parse_doi
@@ -135,8 +134,9 @@ class BibRecord(Value):
     """Source-independent metadata for one cited work.
 
     The title holds clean Unicode: HTML entities are decoded once, at the
-    resolver boundary, never at render time. When a DOI or bibcode is set
-    the matching hyperlink is derived automatically. ``authors`` of None
+    resolver boundary, never at render time. ``doi_url`` and ``ads_url``
+    are not arguments: they are derived from ``doi`` and ``bibcode`` when
+    the record is built, and are None without them. ``authors`` of None
     means an empty list.
     """
 
@@ -169,22 +169,9 @@ class BibRecord(Value):
         publisher: str | None = None,
         doi: Doi | None = None,
         bibcode: Bibcode | None = None,
-        doi_url: str | None = None,
-        ads_url: str | None = None,
     ) -> None:
         if year is not None and not MIN_YEAR <= year <= MAX_YEAR:
             raise ValueError(f"year out of range [{MIN_YEAR}, {MAX_YEAR}]: {year}")
-        if doi is not None:
-            expected = doi.url
-            if doi_url is None:
-                doi_url = expected
-            elif doi_url != expected:
-                raise ValueError(f"doi_url {doi_url!r} does not match DOI {doi.canonical!r}")
-        if bibcode is not None:
-            if ads_url is None:
-                ads_url = bibcode.ads_url
-            elif format_bibcode(bibcode) not in unquote(ads_url):
-                raise ValueError(f"ads_url {ads_url!r} does not embed bibcode {bibcode}")
         self.title = title
         self.authors = [] if authors is None else authors
         self.source_type = source_type
@@ -196,8 +183,8 @@ class BibRecord(Value):
         self.publisher = publisher
         self.doi = doi
         self.bibcode = bibcode
-        self.doi_url = doi_url
-        self.ads_url = ads_url
+        self.doi_url = None if doi is None else doi.url
+        self.ads_url = None if bibcode is None else bibcode.ads_url
 
 
 class RefEntry(Value):
@@ -319,8 +306,6 @@ def record_from_dict(d: dict[str, Any]) -> BibRecord:
         publisher=d.get("publisher"),
         doi=parse_doi(d["doi"]) if d.get("doi") else None,
         bibcode=parse_bibcode(d["bibcode"]) if d.get("bibcode") else None,
-        doi_url=d.get("doi_url"),
-        ads_url=d.get("ads_url"),
     )
 
 

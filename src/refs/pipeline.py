@@ -8,14 +8,12 @@ the output formats, so both routes yield identical HTML by construction.
 from __future__ import annotations
 
 import enum
-import warnings
 
 from .bibtex import bibtex_to_record
 from .errors import (
     DuplicateEntryError,
     MissingEntryError,
     RefsError,
-    RefsWarning,
     ResolutionFailedError,
     UnusableMetadataError,
 )
@@ -25,10 +23,10 @@ from .render import RenderedCitation, RenderFormat, render_all
 from .resolvers import (
     AdsConfig,
     ads_doc_to_record,
+    crossref_top_doi,
     csl_to_record,
-    fetch_ads_doc,
+    fetch_ads_docs,
     fetch_bibtex,
-    fetch_bibtex_by_query,
     fetch_csl_json,
 )
 from .store import RefStore
@@ -96,8 +94,9 @@ def resolve_reference(
 
     An empty ADS result cleanly selects the fallback; an ADS *error* (a
     failed search or an unusable document) also falls back, with the cause
-    kept as a warning. When the fallback fails too, a ResolutionFailedError
-    aggregates both causes.
+    kept as a warning. When several bibcodes match, the first by service
+    relevance is used, and the report's warnings say so first. When the
+    fallback fails too, a ResolutionFailedError aggregates both causes.
     """
     if cfg is None:
         cfg = AdsConfig.from_env()
@@ -106,34 +105,31 @@ def resolve_reference(
 
     collected: list[str] = []
     ads_cause = "DOI not in ADS (empty DOI search result)"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        doc = None
+    docs: list[dict] = []
+    try:
+        docs = fetch_ads_docs(doi, cfg, transport)
+    except RefsError as exc:
+        ads_cause = f"ADS DOI search failed: {exc}"
+        collected.append(ads_cause)
+    if len(docs) > 1:
+        collected.append(f"DOI {doi} matches {len(docs)} bibcodes; using {docs[0]['bibcode']}")
+
+    if docs:
         try:
-            doc = fetch_ads_doc(doi, cfg, transport)
+            report = _resolve_via_ads(doi, docs[0], note)
         except RefsError as exc:
-            ads_cause = f"ADS DOI search failed: {exc}"
+            ads_cause = f"ADS document for {docs[0]['bibcode']} is unusable: {exc}"
             collected.append(ads_cause)
+        else:
+            report.warnings = collected + report.warnings
+            return report
 
-        if doc is not None:
-            try:
-                report = _resolve_via_ads(doi, doc, note)
-                report.warnings = _warning_messages(caught) + report.warnings
-                return report
-            except RefsError as exc:
-                ads_cause = f"ADS document for {doc['bibcode']} is unusable: {exc}"
-                collected.append(ads_cause)
-
-        try:
-            report = _resolve_via_fallback(doi, note, cfg, transport)
-        except RefsError as exc:
-            raise ResolutionFailedError(ads_cause, str(exc)) from exc
-        report.warnings = _warning_messages(caught) + collected + report.warnings
-        return report
-
-
-def _warning_messages(caught) -> list[str]:
-    return [str(w.message) for w in caught if issubclass(w.category, RefsWarning)]
+    try:
+        report = _resolve_via_fallback(doi, note, cfg, transport)
+    except RefsError as exc:
+        raise ResolutionFailedError(ads_cause, str(exc)) from exc
+    report.warnings = collected + report.warnings
+    return report
 
 
 def _resolve_via_ads(doi: Doi, doc: dict, note: str | None) -> ResolutionReport:
@@ -193,9 +189,8 @@ def resolve_query_reference(
         cfg = AdsConfig.from_env()
     if transport is None:
         raise ValueError("a transport is required")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fetched = fetch_bibtex_by_query(freeform, transport, cfg)
+    matched = crossref_top_doi(freeform, transport, cfg)
+    fetched = fetch_bibtex(matched, transport, cfg)
     record = bibtex_to_record(fetched)
     if record.doi is None:
         raise UnusableMetadataError(f"query result for {freeform!r} carries no DOI")
@@ -209,7 +204,10 @@ def resolve_query_reference(
         path_taken=ResolutionPath.FALLBACK,
         record=record,
         renders=renders,
-        warnings=_warning_messages(caught),
+        warnings=[
+            f"bibliography for query {freeform!r} resolved by keyword match to {matched}; "
+            "it may belong to a different article"
+        ],
         unverified=True,
         bibtex_fetched=True,
     )

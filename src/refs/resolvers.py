@@ -13,21 +13,18 @@ import html
 import json
 import os
 import time
-import warnings
 from urllib.parse import quote, urlencode
 
 from .bibtex import _author_from_bibtex, parse_entries, split_page_range
 from .errors import (
     AuthError,
     MissingEntryError,
-    MultipleBibcodesWarning,
     NoMatchError,
     NoMetadataFormatError,
     RefsError,
     ResponseDecodeError,
     UnknownDoiError,
     UnusableMetadataError,
-    UnverifiedResultWarning,
     UpstreamError,
     UpstreamUnavailableError,
     TransportTimeoutError,
@@ -69,7 +66,6 @@ _sleep = time.sleep
 
 class ExportFormat(str, enum.Enum):
     BIBTEX = "bibtex"
-    JSON_FIELDS = "json-fields"
 
 
 class AdsConfig(Value):
@@ -233,50 +229,20 @@ def crossref_query_url(text: str, rows: int = 1) -> str:
     return f"{CROSSREF_WORKS_URL}?{params}"
 
 
-def _ads_docs(response: HttpResponse, url: str) -> list[dict]:
+def fetch_ads_docs(doi: Doi, cfg: AdsConfig, transport: Transport) -> list[dict]:
+    """The ADS search documents (ADS_FIELD_LIST) for a DOI, in one request.
+
+    Only documents that carry a bibcode are kept, in the service's relevance
+    order. An empty list means ADS has no match: that selects the fallback
+    path and is not an error.
+    """
+    url = ads_search_url(cfg, ads_doi_query(doi), ADS_FIELD_LIST, rows=10)
+    response = _ads_send(cfg, transport, "GET", url, about=url)
     try:
-        payload = response.json()
-        return list(payload["response"]["docs"])
+        docs = list(response.json()["response"]["docs"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ResponseDecodeError(f"malformed ADS response from {url}: {exc}") from exc
-
-
-def _ads_doi_docs(doi: Doi, fields: str, cfg: AdsConfig, transport: Transport) -> list[dict]:
-    """Run the ADS ``doi:"..."`` search for ``fields``; the docs that carry a bibcode.
-
-    When several documents match, the first by service relevance leads and
-    a MultipleBibcodesWarning is issued.
-    """
-    url = ads_search_url(cfg, ads_doi_query(doi), fields, rows=10)
-    response = _ads_send(cfg, transport, "GET", url, about=url)
-    docs = [d for d in _ads_docs(response, url) if d.get("bibcode")]
-    if len(docs) > 1:
-        warnings.warn(
-            f"DOI {doi} matches {len(docs)} bibcodes; using {docs[0]['bibcode']}",
-            MultipleBibcodesWarning,
-            stacklevel=3,
-        )
-    return docs
-
-
-def resolve_bibcode(doi: Doi, cfg: AdsConfig, transport: Transport) -> Bibcode | None:
-    """Look up the ADS bibcode for a DOI.
-
-    Returns None when ADS has no match (that selects the fallback path; it
-    is not an error). When several bibcodes match, the first by service
-    relevance is used and a MultipleBibcodesWarning is issued.
-    """
-    docs = _ads_doi_docs(doi, "bibcode", cfg, transport)
-    return parse_bibcode(docs[0]["bibcode"]) if docs else None
-
-
-def fetch_ads_doc(doi: Doi, cfg: AdsConfig, transport: Transport) -> dict | None:
-    """The ADS search document (ADS_FIELD_LIST) for a DOI, in one request.
-
-    None when ADS has no match; several matches behave as in resolve_bibcode.
-    """
-    docs = _ads_doi_docs(doi, ADS_FIELD_LIST, cfg, transport)
-    return docs[0] if docs else None
+    return [d for d in docs if d.get("bibcode")]
 
 
 def fetch_ads_export(
@@ -285,22 +251,10 @@ def fetch_ads_export(
     cfg: AdsConfig,
     transport: Transport,
 ) -> list[tuple[Bibcode, str]]:
-    """Fetch one export string per bibcode, preserving input order.
-
-    ``bibtex`` uses the ADS export endpoint; ``json-fields`` fetches the
-    structured fields needed to build a BibRecord.
-    """
+    """Fetch one ADS BibTeX export string per bibcode, preserving input order."""
     if not bibcodes:
         raise ValueError("bibcode list must be non-empty")
-    if ExportFormat(format) is ExportFormat.BIBTEX:
-        return _fetch_ads_bibtex(bibcodes, cfg, transport)
-    docs = _fetch_ads_docs(bibcodes, cfg, transport)
-    return [(b, json.dumps(docs[str(b)], sort_keys=True)) for b in bibcodes]
-
-
-def _fetch_ads_bibtex(
-    bibcodes: list[Bibcode], cfg: AdsConfig, transport: Transport
-) -> list[tuple[Bibcode, str]]:
+    ExportFormat(format)  # BibTeX is the only format; anything else raises ValueError
     body = json.dumps({"bibcode": [str(b) for b in bibcodes]}).encode("utf-8")
     url = f"{cfg.base_url}/export/bibtex"
     response = _ads_send(cfg, transport, "POST", url, body, service="ADS export")
@@ -316,21 +270,6 @@ def _fetch_ads_bibtex(
             f"ADS export is missing bibcodes: {', '.join(missing)}", missing=missing
         )
     return [(b, by_key[str(b)]) for b in bibcodes]
-
-
-def _fetch_ads_docs(
-    bibcodes: list[Bibcode], cfg: AdsConfig, transport: Transport
-) -> dict[str, dict]:
-    joined = " OR ".join(f'"{b}"' for b in bibcodes)
-    url = ads_search_url(cfg, f"bibcode:({joined})", ADS_FIELD_LIST, rows=len(bibcodes))
-    response = _ads_send(cfg, transport, "GET", url, about=url)
-    docs = {d.get("bibcode", ""): d for d in _ads_docs(response, url)}
-    missing = [str(b) for b in bibcodes if str(b) not in docs]
-    if missing:
-        raise MissingEntryError(
-            f"ADS returned no fields for bibcodes: {', '.join(missing)}", missing=missing
-        )
-    return docs
 
 
 def ads_doc_to_record(doc: dict, queried_doi: Doi | None = None) -> BibRecord:
@@ -382,33 +321,19 @@ def fetch_csl_json(doi: Doi, transport: Transport, cfg: AdsConfig | None = None)
 
 
 def fetch_bibtex(doi: Doi, transport: Transport, cfg: AdsConfig | None = None) -> str:
-    """Content-negotiate a BibTeX entry for a DOI; the body is returned verbatim."""
+    """Content-negotiate a BibTeX entry for a DOI; the body without surrounding whitespace.
+
+    doi.org ends its entries with a newline; stripped, the text is stored,
+    rendered and exported like any other entry.
+    """
     response = _negotiate(doi, BIBTEX_ACCEPT, transport, cfg)
     try:
-        text = response.text()
+        text = response.text().strip()
     except UnicodeDecodeError as exc:
         raise ResponseDecodeError(f"BibTeX for {doi} is not valid UTF-8") from exc
-    if not text.strip():
+    if not text:
         raise ResponseDecodeError(f"empty BibTeX response for {doi}")
     return text
-
-
-def fetch_bibtex_by_query(freeform: str, transport: Transport,
-                          cfg: AdsConfig | None = None) -> str:
-    """Resolve free text to BibTeX via the top-ranked CrossRef match.
-
-    The match is keyword-based, so an UnverifiedResultWarning is issued:
-    the result may belong to a different article than intended.
-    """
-    doi = crossref_top_doi(freeform, transport, cfg)
-    bibtex = fetch_bibtex(doi, transport, cfg)
-    warnings.warn(
-        f"bibliography for query {freeform!r} resolved by keyword match to {doi}; "
-        "it may belong to a different article",
-        UnverifiedResultWarning,
-        stacklevel=2,
-    )
-    return bibtex
 
 
 def crossref_top_doi(freeform: str, transport: Transport, cfg: AdsConfig | None = None) -> Doi:

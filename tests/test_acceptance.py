@@ -6,7 +6,6 @@ per criterion (see conftest.pytest_terminal_summary).
 
 from __future__ import annotations
 
-import json
 import random
 import socket
 import time
@@ -31,14 +30,7 @@ from refs import (
     render_html,
     resolve_reference,
 )
-from refs.resolvers import (
-    ExportFormat,
-    ads_doc_to_record,
-    csl_to_record,
-    fetch_ads_export,
-    fetch_csl_json,
-    resolve_bibcode,
-)
+from refs.resolvers import ads_doc_to_record, csl_to_record, fetch_ads_docs, fetch_csl_json
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR, CountingTransport, NetworkBlockedError
 from corpus import build_corpus_entries
@@ -197,10 +189,9 @@ def test_criterion_6_dual_path_equivalence():
     transport = FixtureTransport.from_dir(FIXTURE_DIR)
     for raw in OVERLAP_DOIS:
         doi = parse_doi(raw)
-        bibcode = resolve_bibcode(doi, cfg, transport)
-        assert bibcode is not None, f"{doi} missing from the ADS fixtures"
-        (_, doc_json), = fetch_ads_export([bibcode], ExportFormat.JSON_FIELDS, cfg, transport)
-        via_ads = ads_doc_to_record(json.loads(doc_json), queried_doi=doi)
+        docs = fetch_ads_docs(doi, cfg, transport)
+        assert docs, f"{doi} missing from the ADS fixtures"
+        via_ads = ads_doc_to_record(docs[0], queried_doi=doi)
         via_fallback = csl_to_record(fetch_csl_json(doi, transport))
         assert via_ads.doi == via_fallback.doi, raw
         assert via_ads.year == via_fallback.year, raw

@@ -229,11 +229,16 @@ class TestRender:
         for _ in range(2):
             code, out, _ = run(capsys, *offline("add", "--doi", "10.18434/t4w30f", db=db_path))
             assert (code, out) == (0, "id=1 path=fallback\n")
+        # doi.org ends the entry with a newline, which is not kept.
+        assert fetched.endswith("}\n")
         code, out, _ = run(capsys, "render", "1", "--format", "bibtex", "--db", db_path)
-        assert (code, out) == (0, fetched + "\n")
+        assert (code, out) == (0, fetched.strip() + "\n")
+        run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
+        code, hitran, _ = run(capsys, "render", "2", "--format", "bibtex", "--db", db_path)
+        assert code == 0
         code, _, _ = run(capsys, "export", "--all", "-o", str(tmp_path / "out"), "--db", db_path)
         assert code == 0
-        assert (tmp_path / "out" / "refs.bib").read_text(encoding="utf-8") == fetched + "\n"
+        assert (tmp_path / "out" / "refs.bib").read_text(encoding="utf-8") == out + "\n" + hitran
 
     def test_unknown_id_exits_2(self, capsys, seeded):
         code, _, err = run(capsys, "render", "999", "--format", "json", "--db", seeded)

@@ -136,8 +136,29 @@ class TestBibRecord:
         assert r.doi_url == "https://doi.org/10.1000/x"
 
     def test_mismatched_doi_url_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             BibRecord(title="T", doi=parse_doi("10.1000/x"), doi_url="https://doi.org/10.1000/y")
+
+    # A link set by hand would reach the stored HTML but not the text and
+    # JSON renders or the decoded record, so links come from the identifiers only.
+    @pytest.mark.parametrize("link", [
+        {"doi_url": "https://example.org/x"},
+        {"bibcode": parse_bibcode("2017JQSRT.203....3G"),
+         "ads_url": "http://adsabs.harvard.edu/abs/2017JQSRT.203....3G"},
+    ], ids=["doi_url", "ads_url"])
+    def test_a_link_cannot_be_passed(self, link):
+        with pytest.raises(TypeError):
+            BibRecord(title="T", year=2000, **link)
+
+    def test_a_decoded_link_is_derived_not_read(self):
+        record = record_from_dict({
+            "title": "T", "bibcode": "2017JQSRT.203....3G",
+            "doi_url": "https://example.org/x",
+            "ads_url": "http://adsabs.harvard.edu/abs/2017JQSRT.203....3G",
+        })
+        assert record.doi_url is None
+        assert record.ads_url == "https://ui.adsabs.harvard.edu/abs/2017JQSRT.203....3G"
+        assert "doi_url" not in record_to_dict(record)
 
     def test_ads_url_embeds_bibcode(self):
         r = BibRecord(title="T", bibcode=parse_bibcode("2017JQSRT.203....3G"))

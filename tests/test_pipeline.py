@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
-from urllib.parse import urlsplit
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from urllib.parse import parse_qs, unquote, urlsplit
 
 import pytest
-from conftest import CountingTransport
+from conftest import FIXTURE_DIR, CountingTransport
 
 from refs import (
     AdsConfig,
@@ -16,6 +19,7 @@ from refs import (
     RenderedCitation,
     ResolutionFailedError,
     ResolutionPath,
+    ResolutionReport,
     UpstreamUnavailableError,
     parse_doi,
     render_all,
@@ -29,6 +33,21 @@ from refs.resolvers import ADS_FIELD_LIST, ads_search_url
 
 HITRAN = parse_doi("10.1016/j.jqsrt.2017.06.038")
 NIST = parse_doi("10.18434/t4w30f")
+HITRAN_TITLE = "The HITRAN2016 molecular spectroscopic database"
+
+
+def fixture_dois() -> list:
+    """Every DOI the archives hold an answer for, at doi.org or from an ADS DOI search."""
+    found = set()
+    for archive in sorted(FIXTURE_DIR.glob("*.json")):
+        for entry in json.loads(archive.read_text(encoding="utf-8"))["entries"]:
+            parts = urlsplit(entry["request"]["url"])
+            query = parse_qs(parts.query).get("q", [""])[0]
+            if parts.hostname == "doi.org":
+                found.add(unquote(parts.path[1:]))
+            elif query.startswith('doi:"'):
+                found.add(query[len('doi:"'):-1])
+    return [parse_doi(raw) for raw in sorted(found)]
 
 
 class _AlwaysUnavailable:
@@ -51,6 +70,19 @@ class _ThrottledOnce:
         if not self.throttled:
             self.throttled = True
             return HttpResponse(status=429, headers={"Retry-After": "2"})
+        return self.inner.execute(request)
+
+
+class _Warns:
+    """Issues a DeprecationWarning on every request, as a transport library may."""
+
+    is_live = False
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def execute(self, request):
+        warnings.warn(f"deprecated call for {request.url}", DeprecationWarning)
         return self.inner.execute(request)
 
 
@@ -331,6 +363,37 @@ class TestResolveAndStore:
         assert store_report(store, report, None) == gid
         assert report.warnings[-1] == f"DOI {HITRAN} is already stored as entry {gid}"
         assert len(store.list_entries()) == 1
+
+
+class TestWarningsStayTheCallers:
+    @pytest.mark.parametrize("resolve", [
+        partial(resolve_reference, HITRAN),
+        partial(resolve_reference, NIST),
+        partial(resolve_query_reference, HITRAN_TITLE),
+    ], ids=["ads", "fallback", "query"])
+    def test_a_transport_warning_reaches_the_caller(self, resolve, transport, ads_config):
+        with pytest.warns(DeprecationWarning, match="deprecated call for https://"):
+            report = resolve(cfg=ads_config, transport=_Warns(transport))
+        assert not any("deprecated" in w for w in report.warnings)
+
+    def test_threads_sharing_a_transport_get_their_sequential_reports(self, transport,
+                                                                      ads_config):
+        def outcome(resolve):
+            try:
+                return resolve(cfg=ads_config, transport=transport)
+            except Exception as exc:  # a failed resolution is part of the outcome
+                return type(exc), str(exc)
+
+        jobs = [partial(resolve_reference, doi) for doi in fixture_dois()]
+        jobs.append(partial(resolve_query_reference, HITRAN_TITLE))
+        sequential = [outcome(job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(4):
+                assert list(pool.map(outcome, jobs)) == sequential
+        warned = [w for r in sequential if isinstance(r, ResolutionReport) for w in r.warnings]
+        multiple = "DOI 10.3847/1538-4365/aa8e94 matches 2 bibcodes; using 2017ApJS..232...12W"
+        assert multiple in warned
+        assert any(isinstance(r, tuple) for r in sequential)
 
 
 class TestPathExclusivity:

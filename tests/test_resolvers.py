@@ -16,35 +16,36 @@ from refs import (
     HttpResponse,
     LiveTransport,
     MissingEntryError,
-    MultipleBibcodesWarning,
     NoMatchError,
     NoMetadataFormatError,
+    RenderFormat,
     ResponseDecodeError,
     UnknownDoiError,
     UnusableMetadataError,
-    UnverifiedResultWarning,
     UpstreamError,
     UpstreamUnavailableError,
     bibtex_to_record,
     parse_bibcode,
     parse_doi,
+    resolve_query_reference,
+    resolve_reference,
 )
 import refs.resolvers as resolvers_mod
 from refs.resolvers import (
+    ADS_FIELD_LIST,
     MAX_RETRY_AFTER_S,
     AdsConfig,
     ExportFormat,
     ads_doc_to_record,
     crossref_top_doi,
     csl_to_record,
-    fetch_ads_doc,
+    fetch_ads_docs,
     fetch_ads_export,
     fetch_bibtex,
-    fetch_bibtex_by_query,
     fetch_csl_json,
-    resolve_bibcode,
 )
 
+from conftest import FIXTURE_DIR
 from test_identifiers import accepted_dois
 
 HITRAN_DOI = parse_doi("10.1016/j.jqsrt.2017.06.038")
@@ -101,29 +102,39 @@ def sent_query(transport: ScriptedTransport) -> str:
     return query
 
 
+def bibcodes(docs: list[dict]) -> list[str]:
+    return [doc["bibcode"] for doc in docs]
+
+
 class TestResolveBibcode:
+    """The ADS DOI search, fetch_ads_docs: the bibcodes it finds and the errors it raises."""
+
     def test_known_doi(self, transport, ads_config):
-        assert resolve_bibcode(HITRAN_DOI, ads_config, transport) == HITRAN_BIB
+        assert bibcodes(fetch_ads_docs(HITRAN_DOI, ads_config, transport)) == [str(HITRAN_BIB)]
 
     def test_empty_result_is_none(self, transport, ads_config):
-        assert resolve_bibcode(parse_doi("10.18434/t4w30f"), ads_config, transport) is None
+        assert fetch_ads_docs(parse_doi("10.18434/t4w30f"), ads_config, transport) == []
 
-    def test_multiple_matches_warn_and_take_first(self, transport, ads_config):
-        with pytest.warns(MultipleBibcodesWarning):
-            b = resolve_bibcode(parse_doi("10.3847/1538-4365/aa8e94"), ads_config, transport)
-        assert str(b) == "2017ApJS..232...12W"
+    def test_multiple_matches_warn_and_take_first(self, transport, ads_config, recwarn):
+        doi = parse_doi("10.3847/1538-4365/aa8e94")
+        docs = fetch_ads_docs(doi, ads_config, transport)
+        assert bibcodes(docs) == ["2017ApJS..232...12W", "2017arXiv170300000W"]
+        report = resolve_reference(doi, cfg=ads_config, transport=transport)
+        assert str(report.bibcode) == "2017ApJS..232...12W"
+        assert report.warnings == [f"DOI {doi} matches 2 bibcodes; using 2017ApJS..232...12W"]
+        assert len(recwarn) == 0
 
     def test_live_with_empty_token_fails_before_any_request(self):
         with pytest.raises(AuthError):
-            resolve_bibcode(HITRAN_DOI, AdsConfig(token=""), LiveTransport())
+            fetch_ads_docs(HITRAN_DOI, AdsConfig(token=""), LiveTransport())
 
     def test_rejected_token(self, transport, ads_config):
         with pytest.raises(AuthError):
-            resolve_bibcode(parse_doi("10.5555/authfail"), ads_config, transport)
+            fetch_ads_docs(parse_doi("10.5555/authfail"), ads_config, transport)
 
     def test_malformed_body(self, transport, ads_config):
         with pytest.raises(ResponseDecodeError):
-            resolve_bibcode(parse_doi("10.5555/badads"), ads_config, transport)
+            fetch_ads_docs(parse_doi("10.5555/badads"), ads_config, transport)
 
 
 class TestRetryPolicy:
@@ -134,13 +145,13 @@ class TestRetryPolicy:
         monkeypatch.setattr(resolvers_mod, "_sleep", sleeps.append)
         cfg = AdsConfig(token="", max_retries=3, backoff_base=1.0)
         with pytest.raises(UpstreamUnavailableError):
-            resolve_bibcode(parse_doi("10.5555/flaky"), cfg, counting_transport)
+            fetch_ads_docs(parse_doi("10.5555/flaky"), cfg, counting_transport)
         assert len(counting_transport.requests) == 3
         assert sleeps == [1.0, 2.0]
 
     def test_4xx_never_retried(self, counting_transport, ads_config):
         with pytest.raises(AuthError):
-            resolve_bibcode(parse_doi("10.5555/authfail"), ads_config, counting_transport)
+            fetch_ads_docs(parse_doi("10.5555/authfail"), ads_config, counting_transport)
         assert len(counting_transport.requests) == 1
 
     def test_404_on_negotiation_not_retried(self, counting_transport):
@@ -158,7 +169,8 @@ class TestRetryPolicy:
 
     def test_429_waits_out_retry_after(self, sleeps):
         transport = ScriptedTransport(throttled(**{"Retry-After": "7"}), HITRAN_BIBCODE_DOC)
-        assert resolve_bibcode(HITRAN_DOI, AdsConfig(token=""), transport) == HITRAN_BIB
+        docs = fetch_ads_docs(HITRAN_DOI, AdsConfig(token=""), transport)
+        assert bibcodes(docs) == [str(HITRAN_BIB)]
         assert len(transport.requests) == 2
         assert sleeps == [7.0]
 
@@ -169,13 +181,13 @@ class TestRetryPolicy:
             HITRAN_BIBCODE_DOC,
         )
         cfg = AdsConfig(token="", max_retries=3, backoff_base=1.0)
-        assert resolve_bibcode(HITRAN_DOI, cfg, transport) == HITRAN_BIB
+        assert bibcodes(fetch_ads_docs(HITRAN_DOI, cfg, transport)) == [str(HITRAN_BIB)]
         assert sleeps == [1.0, 2.0]
 
     def test_429_longer_than_the_cap_fails_at_once(self, sleeps):
         transport = ScriptedTransport(throttled(**{"Retry-After": str(MAX_RETRY_AFTER_S + 1)}))
         with pytest.raises(UpstreamUnavailableError) as exc_info:
-            resolve_bibcode(HITRAN_DOI, AdsConfig(token=""), transport)
+            fetch_ads_docs(HITRAN_DOI, AdsConfig(token=""), transport)
         assert exc_info.value.status == 429
         assert len(transport.requests) == 1
         assert sleeps == []
@@ -183,7 +195,7 @@ class TestRetryPolicy:
     def test_429_on_every_attempt_gives_up_within_the_budget(self, sleeps):
         transport = ScriptedTransport(*[throttled(**{"Retry-After": "0"})] * 3)
         with pytest.raises(UpstreamUnavailableError) as exc_info:
-            resolve_bibcode(HITRAN_DOI, AdsConfig(token="", max_retries=3), transport)
+            fetch_ads_docs(HITRAN_DOI, AdsConfig(token="", max_retries=3), transport)
         assert exc_info.value.status == 429
         assert len(transport.requests) == 3
         assert sleeps == [0.0, 0.0]
@@ -196,7 +208,7 @@ def _json_ok(payload: object) -> HttpResponse:
 # Every kind of upstream request: (call, a 200 answer it accepts, a status
 # that must not be retried, the error that status raises).
 REQUEST_KINDS = [
-    pytest.param(lambda cfg, t: fetch_ads_doc(HITRAN_DOI, cfg, t),
+    pytest.param(lambda cfg, t: fetch_ads_docs(HITRAN_DOI, cfg, t),
                  HITRAN_BIBCODE_DOC, 401, AuthError, id="ads-search"),
     pytest.param(lambda cfg, t: fetch_ads_export([HITRAN_BIB], ExportFormat.BIBTEX, cfg, t),
                  _json_ok({"export": "@ARTICLE{2017JQSRT.203....3G,\n title={T}\n}\n"}),
@@ -259,17 +271,34 @@ def test_one_function_sends_every_request():
     assert senders == ["_send"]
 
 
+def test_no_module_imports_warnings():
+    """Resolution reports its warnings on the report, never through the process-global
+    ``warnings`` state, so concurrent resolutions cannot see each other's."""
+    importers = []
+    for path in sorted(Path(resolvers_mod.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "warnings" for module in modules):
+                importers.append(path.name)
+    assert importers == []
+
+
 class TestAdsDoiQuery:
     def test_quotes_in_a_doi_cannot_add_query_terms(self):
         doi = parse_doi('10.1000/a"OR"doi:10.1086/670067')
         transport = ScriptedTransport(NO_DOCS)
-        assert fetch_ads_doc(doi, AdsConfig(token=""), transport) is None
+        assert fetch_ads_docs(doi, AdsConfig(token=""), transport) == []
         assert sent_query(transport) == r'doi:"10.1000/a\"or\"doi:10.1086/670067"'
 
     @given(accepted_dois())
     def test_the_phrase_reads_back_as_the_doi(self, doi):
         transport = ScriptedTransport(NO_DOCS)
-        fetch_ads_doc(doi, AdsConfig(token=""), transport)
+        fetch_ads_docs(doi, AdsConfig(token=""), transport)
         assert read_doi_phrase(sent_query(transport)) == doi.canonical
 
 
@@ -286,13 +315,6 @@ class TestFetchAdsExport:
         out = fetch_ads_export(pair, ExportFormat.BIBTEX, ads_config, transport)
         assert [b for b, _ in out] == pair
         assert "2017JQSRT" in out[0][1] and "2013A&A" in out[1][1]
-
-    def test_json_fields_order_restored(self, transport, ads_config):
-        # The recorded response lists the docs in the opposite order.
-        pair = [HITRAN_BIB, parse_bibcode("2013A&A...558A..33A")]
-        out = fetch_ads_export(pair, ExportFormat.JSON_FIELDS, ads_config, transport)
-        docs = [json.loads(raw) for _, raw in out]
-        assert [d["bibcode"] for d in docs] == [str(b) for b in pair]
 
     def test_missing_bibcode_in_response(self, transport, ads_config):
         ghost = parse_bibcode("1111AAAAA1111A1111A")
@@ -350,20 +372,26 @@ class TestFetchBibtex:
 
 
 class TestFetchBibtexByQuery:
-    def test_title_query_resolves_with_unverified_warning(self, transport):
-        with pytest.warns(UnverifiedResultWarning):
-            raw = fetch_bibtex_by_query(
-                "The HITRAN2016 molecular spectroscopic database", transport
-            )
-        assert "10.1016/j.jqsrt.2017.06.038" in raw
+    """The query route: the top CrossRef match's BibTeX, reported as unverified."""
 
-    def test_empty_query_rejected(self, transport):
+    def test_title_query_resolves_with_unverified_warning(self, transport, ads_config, recwarn):
+        query = "The HITRAN2016 molecular spectroscopic database"
+        report = resolve_query_reference(query, cfg=ads_config, transport=transport)
+        assert report.renders[RenderFormat.BIBTEX].body == fetch_bibtex(HITRAN_DOI, transport)
+        assert report.warnings == [
+            f"bibliography for query {query!r} resolved by keyword match to {HITRAN_DOI}; "
+            "it may belong to a different article"
+        ]
+        assert len(recwarn) == 0
+
+    def test_empty_query_rejected(self, transport, ads_config):
         with pytest.raises(ValueError):
-            fetch_bibtex_by_query("   ", transport)
+            resolve_query_reference("   ", cfg=ads_config, transport=transport)
 
-    def test_zero_hits(self, transport):
+    def test_zero_hits(self, transport, ads_config):
         with pytest.raises(NoMatchError):
-            fetch_bibtex_by_query("xyzzy plugh no such paper", transport)
+            resolve_query_reference("xyzzy plugh no such paper", cfg=ads_config,
+                                    transport=transport)
 
 
 class TestCslToRecord:
@@ -400,19 +428,53 @@ class TestDualPathEquivalence:
         from_bibtex = bibtex_to_record(fetch_bibtex(HITRAN_DOI, transport))
         assert from_csl == from_bibtex
 
-    @pytest.mark.filterwarnings("ignore::refs.MultipleBibcodesWarning")
     @pytest.mark.parametrize("raw_doi", OVERLAP_DOIS)
     def test_overlap_corpus_agrees_on_key_fields(self, raw_doi, transport, ads_config):
         doi = parse_doi(raw_doi)
-        bibcode = resolve_bibcode(doi, ads_config, transport)
-        (_, doc_json), = fetch_ads_export([bibcode], ExportFormat.JSON_FIELDS,
-                                          ads_config, transport)
-        ads_record = ads_doc_to_record(json.loads(doc_json), queried_doi=doi)
+        ads_record = ads_doc_to_record(fetch_ads_docs(doi, ads_config, transport)[0],
+                                       queried_doi=doi)
         csl_record = csl_to_record(fetch_csl_json(doi, transport))
         assert ads_record.doi == csl_record.doi
         assert ads_record.year == csl_record.year
         assert ads_record.volume == csl_record.volume
         assert ads_record.pages.first == csl_record.pages.first
+
+
+ADS_ARCHIVE = json.loads((FIXTURE_DIR / "ads.json").read_text(encoding="utf-8"))["entries"]
+
+
+def ads_search(entry: dict) -> tuple[str, str]:
+    """The (q, fl) parameters of an ADS search exchange; empty for an export."""
+    params = parse_qs(urlsplit(entry["request"]["url"]).query)
+    return params.get("q", [""])[0], params.get("fl", [""])[0]
+
+
+def ads_docs_in(body: str) -> list[dict] | None:
+    try:
+        return json.loads(body)["response"]["docs"]
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("synthesized", [e for e in ADS_ARCHIVE if e.get("synthesized")],
+                         ids=lambda e: ads_search(e)[0])
+def test_synthesized_doi_search_repeats_the_recorded_exchanges(synthesized):
+    """A synthesized full-field DOI search answers as the recorded ``fl=bibcode`` one did,
+    each doc carrying the fields recorded for its bibcode by a ``bibcode:(...)`` search."""
+    query, fields = ads_search(synthesized)
+    assert fields == ADS_FIELD_LIST
+    (recorded,) = [e for e in ADS_ARCHIVE if ads_search(e) == (query, "bibcode")]
+    field_docs = {doc["bibcode"]: doc
+                  for e in ADS_ARCHIVE if ads_search(e)[0].startswith("bibcode:(")
+                  for doc in ads_docs_in(e["response"]["body"])}
+    ours, theirs = synthesized["response"], recorded["response"]
+    assert ours["status"] == theirs["status"]
+    recorded_docs = ads_docs_in(theirs["body"]) if theirs["status"] == 200 else None
+    if recorded_docs is None:
+        assert ours["body"] == theirs["body"]
+    else:
+        want = [field_docs.get(doc["bibcode"], doc) for doc in recorded_docs]
+        assert ads_docs_in(ours["body"]) == want
 
 
 class TestDeterminism:
@@ -421,10 +483,10 @@ class TestDeterminism:
         for _ in range(2):
             transport = FixtureTransport.from_dir(fixture_dir)
             bibtex = fetch_bibtex(HITRAN_DOI, transport)
-            (_, fields), = fetch_ads_export([HITRAN_BIB], ExportFormat.JSON_FIELDS,
-                                            ads_config, transport)
+            docs = fetch_ads_docs(HITRAN_DOI, ads_config, transport)
             csl = fetch_csl_json(HITRAN_DOI, transport)
-            outputs.append((bibtex, fields, json.dumps(csl, sort_keys=True)))
+            outputs.append((bibtex, json.dumps(docs, sort_keys=True),
+                            json.dumps(csl, sort_keys=True)))
         assert outputs[0] == outputs[1]
 
 

@@ -38,11 +38,19 @@ REQUIRED = dataclasses.MISSING
 LIST = object()  # default_factory=list
 DICT = object()  # default_factory=dict
 
+
+class Derived:
+    """A field the constructor sets from the others: ``field(init=False)`` on the twin."""
+
+    def __init__(self, rule):
+        self.rule = rule
+
+
 DOI = Doi("10.1016/j.jqsrt.2017.06.038")
 BIBCODE = Bibcode(2017, "JQSRT", "203", "3", "G")
 AUTHOR = AuthorName(("I.", "E."), "Gordon")
 RECORD_ARGS = ("T", [AUTHOR], SourceType.BOOK, "J", "1", "2", Pages("1", "2"), 2001, "P",
-               DOI, BIBCODE, DOI.url, BIBCODE.ads_url)
+               DOI, BIBCODE)
 RECORD = BibRecord(*RECORD_ARGS)
 FALLBACK_RECORD = BibRecord("T", [AUTHOR], doi=DOI)
 RENDERS = render_all(RefEntry([RECORD]))
@@ -56,12 +64,16 @@ class Spec:
         self.cls = cls
         self.frozen = frozen
         self.names = [name for name, _ in fields]
+        self.init_names = [name for name, d in fields if not isinstance(d, Derived)]
         self.full = full  # every field, positionally, none derived
         self.other = other  # every field, unequal to full
         self.required = required  # the fields without defaults
+        derived = {name: d.rule for name, d in fields if isinstance(d, Derived)}
         twin_fields = []
         for name, default in fields:
-            if default is REQUIRED:
+            if name in derived:
+                twin_fields.append((name, Any, dataclasses.field(init=False)))
+            elif default is REQUIRED:
                 twin_fields.append((name, Any))
             elif default is LIST:
                 twin_fields.append((name, Any, dataclasses.field(default_factory=list)))
@@ -69,7 +81,13 @@ class Spec:
                 twin_fields.append((name, Any, dataclasses.field(default_factory=dict)))
             else:
                 twin_fields.append((name, Any, dataclasses.field(default=default)))
-        self.twin = dataclasses.make_dataclass(cls.__name__, twin_fields, frozen=frozen)
+
+        def derive(twin):
+            for name, rule in derived.items():
+                object.__setattr__(twin, name, rule(twin))
+
+        self.twin = dataclasses.make_dataclass(cls.__name__, twin_fields, frozen=frozen,
+                                               namespace={"__post_init__": derive})
         self.twin.__qualname__ = cls.__qualname__
 
     def __repr__(self) -> str:
@@ -92,9 +110,10 @@ SPECS = [
          [("title", ""), ("authors", LIST), ("source_type", SourceType.ARTICLE),
           ("journal", None), ("volume", None), ("number", None), ("pages", None),
           ("year", None), ("publisher", None), ("doi", None), ("bibcode", None),
-          ("doi_url", None), ("ads_url", None)],
+          ("doi_url", Derived(lambda r: None if r.doi is None else r.doi.url)),
+          ("ads_url", Derived(lambda r: None if r.bibcode is None else r.bibcode.ads_url))],
          RECORD_ARGS,
-         ("U", [], SourceType.OTHER, None, None, None, None, None, None, None, None, None, None),
+         ("U", [], SourceType.OTHER, None, None, None, None, None, None, None, None),
          ()),
     Spec(RefEntry, False, [("records", REQUIRED), ("note", None), ("global_id", None)],
          ([RECORD], "note", 3), ([RECORD, FALLBACK_RECORD], None, 3), ([FALLBACK_RECORD],)),
@@ -150,10 +169,11 @@ class TestLikeTheDataclass:
         assert not hasattr(spec.cls(*spec.full), "__dict__")
 
     def test_positional_construction(self, spec):
-        assert fields_of(spec.cls(*spec.full), spec.names) == list(spec.full)
-        assert spec.cls(*spec.full) == spec.cls(**dict(zip(spec.names, spec.full)))
-        assert (fields_of(spec.cls(*spec.required), spec.names)
-                == fields_of(spec.twin(*spec.required), spec.names))
+        assert fields_of(spec.cls(*spec.full), spec.init_names) == list(spec.full)
+        assert spec.cls(*spec.full) == spec.cls(**dict(zip(spec.init_names, spec.full)))
+        for args in (spec.full, spec.other, spec.required):
+            ours, twin = spec.cls(*args), spec.twin(*args)
+            assert fields_of(ours, spec.names) == fields_of(twin, spec.names)
 
     def test_repr(self, spec):
         for args in (spec.full, spec.other, spec.required):
