@@ -42,6 +42,7 @@ _EXPORTS = {
         "UpstreamError",
         "UpstreamUnavailableError",
     ),
+    "formats": ("RenderedCitation", "RenderFormat"),
     "identifiers": ("Bibcode", "Doi", "format_bibcode", "parse_bibcode", "parse_doi"),
     "model": (
         "AuthorName",
@@ -58,12 +59,11 @@ _EXPORTS = {
         "ResolutionPath",
         "ResolutionReport",
         "resolve_and_store_report",
+        "resolve_query_and_store_report",
         "resolve_query_reference",
         "resolve_reference",
     ),
     "render": (
-        "RenderedCitation",
-        "RenderFormat",
         "escape_html",
         "render_all",
         "render_bibtex",

@@ -27,12 +27,11 @@ from .errors import (
     ResolutionFailedError,
     UnusableMetadataError,
 )
-from .identifiers import parse_doi
-from .render import RenderFormat
+from .formats import RenderFormat
 from .store import RefStore
 
-# Only `add` makes requests, so only it imports pipeline, resolvers and
-# transport; the other commands start without loading them.
+# Only `add` makes requests or parses a DOI, so only it imports pipeline,
+# resolvers, transport and identifiers; the other commands start without them.
 if TYPE_CHECKING:
     from .resolvers import AdsConfig
     from .transport import Transport
@@ -172,7 +171,8 @@ def _build_ads_config(args) -> AdsConfig:
 
 
 def cmd_add(args) -> int:
-    from .pipeline import resolve_and_store_report, resolve_query_reference, store_report
+    from .identifiers import parse_doi
+    from .pipeline import resolve_and_store_report, resolve_query_and_store_report
 
     if bool(args.doi) == bool(args.query):
         raise UsageError("pass exactly one of --doi or --query")
@@ -190,8 +190,9 @@ def cmd_add(args) -> int:
         if args.doi:
             gid, report = resolve_and_store_report(doi, args.note, store, cfg, transport)
         else:
-            report = resolve_query_reference(args.query, args.note, cfg, transport)
-            gid = store_report(store, report, args.note)
+            gid, report = resolve_query_and_store_report(
+                args.query, args.note, store, cfg, transport
+            )
     except (ResolutionFailedError, UnusableMetadataError, TransportError) as exc:
         return _fail(EXIT_RESOLUTION, str(exc))
     except (StoreError, sqlite3.Error, OSError) as exc:

@@ -17,9 +17,10 @@ from .errors import (
     ResolutionFailedError,
     UnusableMetadataError,
 )
+from .formats import RenderedCitation, RenderFormat
 from .identifiers import Bibcode, Doi
 from .model import BibRecord, RefEntry
-from .render import RenderedCitation, RenderFormat, render_all
+from .render import render_all
 from .resolvers import (
     AdsConfig,
     ads_doc_to_record,
@@ -98,11 +99,7 @@ def resolve_reference(
     relevance is used, and the report's warnings say so first. When the
     fallback fails too, a ResolutionFailedError aggregates both causes.
     """
-    if cfg is None:
-        cfg = AdsConfig.from_env()
-    if transport is None:
-        raise ValueError("a transport is required")
-
+    cfg = _config(cfg, transport)
     collected: list[str] = []
     ads_cause = "DOI not in ADS (empty DOI search result)"
     docs: list[dict] = []
@@ -185,11 +182,15 @@ def resolve_query_reference(
     Reports from this route are always marked unverified: a keyword match
     may belong to a different article.
     """
-    if cfg is None:
-        cfg = AdsConfig.from_env()
-    if transport is None:
-        raise ValueError("a transport is required")
+    cfg = _config(cfg, transport)
     matched = crossref_top_doi(freeform, transport, cfg)
+    return _resolve_match(freeform, matched, note, cfg, transport)
+
+
+def _resolve_match(
+    freeform: str, matched: Doi, note: str | None, cfg: AdsConfig, transport: Transport
+) -> ResolutionReport:
+    """The query route's report for the DOI its keyword search matched."""
     fetched = fetch_bibtex(matched, transport, cfg)
     record = bibtex_to_record(fetched)
     if record.doi is None:
@@ -204,13 +205,24 @@ def resolve_query_reference(
         path_taken=ResolutionPath.FALLBACK,
         record=record,
         renders=renders,
-        warnings=[
-            f"bibliography for query {freeform!r} resolved by keyword match to {matched}; "
-            "it may belong to a different article"
-        ],
+        warnings=[_keyword_match(freeform, matched)],
         unverified=True,
         bibtex_fetched=True,
     )
+
+
+def _keyword_match(freeform: str, matched: Doi) -> str:
+    return (
+        f"bibliography for query {freeform!r} resolved by keyword match to {matched}; "
+        "it may belong to a different article"
+    )
+
+
+def _config(cfg: AdsConfig | None, transport: Transport | None) -> AdsConfig:
+    """The configuration to resolve with: ``cfg``, else the environment's."""
+    if transport is None:
+        raise ValueError("a transport is required")
+    return AdsConfig.from_env() if cfg is None else cfg
 
 
 def resolve_and_store_report(
@@ -234,6 +246,36 @@ def resolve_and_store_report(
         except MissingEntryError:
             pass  # deleted by another writer since the lookup: resolve afresh
     report = resolve_reference(doi, note, cfg, transport)
+    return store_report(store, report, note), report
+
+
+def resolve_query_and_store_report(
+    freeform: str,
+    note: str | None,
+    store: RefStore,
+    cfg: AdsConfig | None = None,
+    transport: Transport | None = None,
+) -> tuple[int, ResolutionReport]:
+    """Resolve free text through the keyword search route and persist the match.
+
+    As for ``resolve_and_store_report``, a matched DOI the store already
+    holds is answered from the stored entry, so the query costs only its
+    search request. That report is still unverified and carries the
+    keyword-match warning before the already-stored one.
+    """
+    cfg = _config(cfg, transport)
+    matched = crossref_top_doi(freeform, transport, cfg)
+    gid = store.find_entry_by_dois([matched])
+    if gid is not None:
+        try:
+            report = _stored_report(matched, store, gid)
+        except MissingEntryError:
+            pass  # deleted by another writer since the lookup: resolve afresh
+        else:
+            report.warnings.insert(0, _keyword_match(freeform, matched))
+            report.unverified = True
+            return gid, report
+    report = _resolve_match(freeform, matched, note, cfg, transport)
     return store_report(store, report, note), report
 
 

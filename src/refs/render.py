@@ -8,14 +8,13 @@ for the exact punctuation.
 
 from __future__ import annotations
 
-import enum
 import re
 from json.encoder import encode_basestring
 
 from .errors import UnrenderableError
+from .formats import RenderedCitation, RenderFormat
 from .identifiers import format_bibcode
 from .model import AuthorName, BibRecord, RefEntry, SourceType, entry_to_dict, format_pages
-from .values import Frozen
 
 _BIBTEX_TYPE = {
     SourceType.ARTICLE: "article",
@@ -47,27 +46,6 @@ _VALUE_ESCAPE_TABLE = str.maketrans(_VALUE_ESCAPES)
 _VALUE_SPECIAL = re.compile("[" + re.escape("".join(_VALUE_ESCAPES)) + "]")
 # The word BibTeX splits an author list on, in any case.
 _AND_WORD = re.compile(r"(?:^|\s)and(?:\s|$)", re.IGNORECASE)
-
-
-class RenderFormat(str, enum.Enum):
-    HTML = "html"
-    JSON = "json"
-    BIBTEX = "bibtex"
-    TEXT = "text"
-
-
-class RenderedCitation(Frozen):
-    """One reference rendered in one concrete format."""
-
-    __slots__ = ("format", "body", "global_label")
-    format: RenderFormat
-    body: str
-    global_label: str
-
-    def __init__(self, format: RenderFormat, body: str, global_label: str) -> None:
-        object.__setattr__(self, "format", format)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "global_label", global_label)
 
 
 def escape_html(raw: str) -> str:

@@ -8,10 +8,13 @@ BibTeX are rendered once, by ``add_entry``, and stored beside its records.
 For an entry resolved through doi.org, the stored BibTeX is the text
 doi.org sent. ``render --format html|bibtex``, a repeat add and the bundle
 export read the stored text; JSON and plain text are rendered from the
-records on every read. A change to the bytes either renderer writes is a
-schema change: it appends a step to ``_MIGRATIONS`` that renders the
-stored texts afresh, keeping fetched BibTeX, and the schema version is
-the one stamp of what the stored texts hold.
+records on every read. Reading stored text needs no model and no
+renderer, so this module imports ``refs.model`` and ``refs.render`` only
+when a call first decodes or renders an entry. A change to the bytes
+either renderer writes is a schema change: it appends a step to
+``refs.migrations._MIGRATIONS`` that renders the stored texts afresh,
+keeping fetched BibTeX, and the schema version is the one stamp of what
+the stored texts hold.
 
 What holds when several processes share one database file:
 
@@ -38,8 +41,9 @@ One handle may be shared between threads. Its writes, and the duplicate
 read before an add, are serialized by an internal lock; any other read
 may see another thread's write on the same handle before that write
 commits. Opening a file creates the current schema, or migrates an older
-one in place, in one transaction. Migration is one way: older versions
-of this module refuse the migrated file.
+one in place, in one transaction. The migration steps live in
+``refs.migrations``, which is imported only to migrate a file. Migration
+is one way: older versions of this module refuse the migrated file.
 """
 
 from __future__ import annotations
@@ -48,10 +52,11 @@ import json
 import sqlite3
 import threading
 from contextlib import contextmanager
+from importlib import import_module
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     CrossRefConflictError,
@@ -61,16 +66,31 @@ from .errors import (
     UnrenderableError,
 )
 from .fileio import replace_files
-from .identifiers import Doi
-from .model import (
-    BibRecord,
-    RefEntry,
-    SourceCrossRef,
-    author_from_dict,
-    record_from_dict,
-    record_to_dict,
-)
-from .render import RenderedCitation, RenderFormat, render_bibtex, render_format, render_html
+from .formats import RenderedCitation, RenderFormat
+
+if TYPE_CHECKING:
+    from .identifiers import Doi
+    from .model import BibRecord, RefEntry, SourceCrossRef
+
+
+class _OnFirstUse:
+    """Stands in for a sibling module until an attribute is read from it.
+
+    The first read imports the module and rebinds this module's global to
+    it, so later reads cost one attribute lookup and no call.
+    """
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        module = import_module(f".{self._name}", __package__)
+        globals()[self._name] = module
+        return getattr(module, attr)
+
+
+model = _OnFirstUse("model")
+render = _OnFirstUse("render")
 
 SCHEMA_VERSION = 3
 
@@ -223,6 +243,8 @@ class RefStore:
                 for statement in _SCHEMA:
                     conn.execute(statement)
             elif 1 <= version < SCHEMA_VERSION:
+                from .migrations import _MIGRATIONS
+
                 for migrate in _MIGRATIONS[version - 1:]:
                     migrate(conn)
             else:
@@ -285,7 +307,7 @@ class RefStore:
         rows = [_record_row(record) for record in records]
         fetched = bibtex is not None
         if not fetched:
-            bibtex = render_bibtex(RefEntry(records, note)).body
+            bibtex = render.render_bibtex(model.RefEntry(records, note)).body
         with self._transaction() as conn:
             try:
                 gid = conn.execute(
@@ -301,7 +323,7 @@ class RefStore:
             if note is not None:
                 conn.execute("INSERT INTO notes (entry_id, note) VALUES (?, ?)", (gid, note))
             # The HTML labels each line with the ID, known only now.
-            html = _html_or_none(RefEntry(records, note, gid))
+            html = _html_or_none(model.RefEntry(records, note, gid))
             conn.execute(_INSERT_TEXTS, (gid, html, bibtex, fetched))
         return gid
 
@@ -319,7 +341,7 @@ class RefStore:
         self, scope: str, parameter: str, local_id: int, global_id: int
     ) -> None:
         """Map a dataset-local integer onto a global ID; idempotent on re-attach."""
-        crossref = SourceCrossRef(scope, parameter, local_id, global_id)
+        crossref = model.SourceCrossRef(scope, parameter, local_id, global_id)
         with self._transaction() as conn:
             if not self._entry_exists(global_id):
                 raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
@@ -366,7 +388,7 @@ class RefStore:
             if row[0] is not None:
                 return RenderedCitation(format=fmt, body=row[0], global_label=str(global_id))
             # No HTML was stored: rendering the records raises UnrenderableError.
-        return render_format(self.get_entry(global_id), fmt)
+        return render.render_format(self.get_entry(global_id), fmt)
 
     def list_entries(self, scope: str | None = None) -> list[RefEntry]:
         """Live entries by ascending ID, optionally only those cross-referenced in a scope."""
@@ -412,7 +434,7 @@ class RefStore:
             query += " WHERE dataset_scope = ?"
             params = (scope,)
         query += " ORDER BY dataset_scope, parameter, local_id"
-        return [SourceCrossRef(*row) for row in self._conn.execute(query, params)]
+        return [model.SourceCrossRef(*row) for row in self._conn.execute(query, params)]
 
     # -- export --------------------------------------------------------
 
@@ -456,7 +478,7 @@ class RefStore:
             for global_id, html, bibtex in rows:
                 if html is None:
                     # Rendering the records raises UnrenderableError.
-                    html = render_html(self.get_entry(global_id)).body
+                    html = render.render_html(self.get_entry(global_id)).body
                 yield f"<p>{html}</p>\n", separator + bibtex
                 separator = "\n\n"
         finally:
@@ -522,7 +544,7 @@ def _doi_set(dois: Iterable[Doi | None]) -> str | None:
 
 def _record_row(record: BibRecord) -> tuple:
     """A record's values for _RECORD_COLUMNS, through the model's dict codec."""
-    fields = record_to_dict(record)
+    fields = model.record_to_dict(record)
     fields["authors"] = json.dumps(fields["authors"], ensure_ascii=False)
     pages = fields.pop("pages", None)
     if pages is not None:
@@ -533,14 +555,14 @@ def _record_row(record: BibRecord) -> tuple:
 def _html_or_none(entry: RefEntry) -> str | None:
     """The HTML body to store, or None when a record has no renderable field."""
     try:
-        return render_html(entry).body
+        return render.render_html(entry).body
     except UnrenderableError:
         return None
 
 
 def _first_author_label(authors_json: str) -> str:
     authors = json.loads(authors_json)
-    return author_from_dict(authors[0]).formatted if authors else "(untitled)"
+    return model.author_from_dict(authors[0]).formatted if authors else "(untitled)"
 
 
 def _entry_from_rows(global_id: int, rows: list[tuple]) -> RefEntry:
@@ -551,91 +573,5 @@ def _entry_from_rows(global_id: int, rows: list[tuple]) -> RefEntry:
         fields["authors"] = json.loads(fields["authors"])
         if "page_first" in fields:
             fields["pages"] = {"first": fields.pop("page_first"), "last": fields.pop("page_last", None)}
-        records.append(record_from_dict(fields))
-    return RefEntry(records=records, note=rows[0][1], global_id=global_id)
-
-
-# -- migrations ----------------------------------------------------------
-
-
-def _v1_to_v2(conn: sqlite3.Connection) -> None:
-    """IDs from AUTOINCREMENT, one live entry per DOI set, no stored links.
-
-    Runs inside the opening transaction with foreign keys off, as SQLite's
-    procedure for changing a table's definition requires.
-    """
-    shared = conn.execute(
-        "SELECT doi_set, global_id FROM entries WHERE deleted = 0 AND doi_set IN"
-        " (SELECT doi_set FROM entries WHERE deleted = 0 GROUP BY doi_set HAVING COUNT(*) > 1)"
-        " ORDER BY doi_set, global_id"
-    ).fetchall()
-    if shared:
-        groups = [
-            f"{', '.join(str(row[1]) for row in rows)} (DOIs {doi_set})"
-            for doi_set, rows in groupby(shared, key=itemgetter(0))
-        ]
-        raise StoreError(
-            "cannot migrate to schema version 2: live entries share a DOI set: "
-            + "; ".join(groups) + ". Delete all but one of each group first."
-        )
-    (next_id,) = conn.execute("SELECT next_id FROM id_sequence").fetchone()
-    conn.execute(_ENTRIES_TABLE.format(name="new_entries"))
-    conn.execute(
-        "INSERT INTO new_entries (global_id, doi_set, deleted)"
-        " SELECT global_id, doi_set, deleted FROM entries"
-    )
-    conn.execute("DROP TABLE entries")
-    conn.execute("ALTER TABLE new_entries RENAME TO entries")
-    # The next ID stays above every ID the old sequence handed out.
-    conn.execute("DELETE FROM sqlite_sequence WHERE name = 'entries'")
-    conn.execute(
-        "INSERT INTO sqlite_sequence (name, seq)"
-        " SELECT 'entries', MAX(?, COALESCE(MAX(global_id), 0)) FROM entries",
-        (next_id - 1,),
-    )
-    conn.execute("DROP TABLE id_sequence")
-    conn.execute("ALTER TABLE records DROP COLUMN doi_url")
-    conn.execute("ALTER TABLE records DROP COLUMN ads_url")
-    conn.execute(_LIVE_DOI_SET_INDEX)
-    broken = conn.execute("PRAGMA foreign_key_check").fetchall()
-    if broken:
-        raise StoreError(f"cannot migrate to schema version 2: dangling references {broken}")
-
-
-def _v2_to_v3(conn: sqlite3.Connection) -> None:
-    """Each entry's HTML and BibTeX, rendered once and stored."""
-    conn.execute(_TEXTS_TABLE)
-    for entry in _every_entry(conn):
-        conn.execute(
-            _INSERT_TEXTS,
-            (entry.global_id, _html_or_none(entry), render_bibtex(entry).body, False),
-        )
-
-
-def _rerender(conn: sqlite3.Connection) -> None:
-    """Render every entry's stored texts afresh; BibTeX fetched from upstream is kept.
-
-    A change to the bytes render_html or render_bibtex writes appends a
-    migration step that calls this.
-    """
-    for entry in _every_entry(conn):
-        conn.execute(
-            "UPDATE texts SET html = ?,"
-            " bibtex = CASE bibtex_fetched WHEN 0 THEN ? ELSE bibtex END"
-            " WHERE entry_id = ?",
-            (_html_or_none(entry), render_bibtex(entry).body, entry.global_id),
-        )
-
-
-def _every_entry(conn: sqlite3.Connection) -> Iterator[RefEntry]:
-    """Every entry, tombstones included, in ID order."""
-    rows = conn.execute(_SELECT_ROWS.format("1"))
-    try:
-        for global_id, entry_rows in groupby(rows, key=itemgetter(0)):
-            yield _entry_from_rows(global_id, list(entry_rows))
-    finally:
-        rows.close()
-
-
-# _MIGRATIONS[v - 1] turns a version-v file into version v + 1.
-_MIGRATIONS = (_v1_to_v2, _v2_to_v3)
+        records.append(model.record_from_dict(fields))
+    return model.RefEntry(records=records, note=rows[0][1], global_id=global_id)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import refs
+import refs.formats
 import refs.render
 import refs.store
 from refs import BibRecord, RefStore, make_author, parse_doi
@@ -139,6 +140,32 @@ class TestAdd:
         assert out == "id=1 path=fallback unverified\n"
         assert "may belong to a different article" in err
 
+    def test_query_for_a_stored_doi_is_answered_from_the_store(self, capsys, db_path,
+                                                               monkeypatch):
+        from refs.transport import FixtureTransport
+
+        run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
+        urls = []
+        execute = FixtureTransport.execute
+
+        def counting(self, request):
+            urls.append(request.url)
+            return execute(self, request)
+
+        monkeypatch.setattr(FixtureTransport, "execute", counting)
+        query = "The HITRAN2016 molecular spectroscopic database"
+        code, out, err = run(capsys, *offline("add", "--query", query, db=db_path))
+        assert code == 0
+        assert out == "id=1 path=ads unverified\n"
+        assert [url.split("?")[0] for url in urls] == ["https://api.crossref.org/works"]
+        assert err == (
+            f"refs: warning: bibliography for query {query!r} resolved by keyword match to "
+            f"{HITRAN}; it may belong to a different article\n"
+            f"refs: warning: DOI {HITRAN} is already stored as entry 1\n"
+        )
+        with RefStore(db_path) as store:
+            assert store.live_ids() == [1]
+
     def test_repeat_add_returns_same_id_with_warning(self, capsys, db_path):
         run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
         code, out, err = run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
@@ -215,7 +242,6 @@ class TestRender:
             raise AssertionError("rendered a stored format")
 
         for name in ("render_html", "render_bibtex"):
-            monkeypatch.setattr(refs.store, name, not_rendered)
             monkeypatch.setattr(refs.render, name, not_rendered)
         assert run(capsys, "render", "1", "--format", fmt, "--db", seeded) == expected
 
@@ -440,7 +466,85 @@ class TestStoreFailures:
         assert code == 3
 
 
+# What reading an entry's stored text needs none of: the model, the DOI
+# parser, the renderers and the migration steps.
+NOT_FOR_STORED_TEXT = ["refs.identifiers", "refs.migrations", "refs.model", "refs.render"]
+
+
+def loaded_by(argv: list[str], watched: list[str]) -> tuple[int, str, list[str]]:
+    """Run one command in a fresh interpreter with no bytecode cache.
+
+    Returns its exit code, its stdout, and which of ``watched`` it imported.
+    """
+    script = (
+        "import sys\n"
+        "from refs.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print((code, sorted(m for m in {watched!r} if m in sys.modules)), file=sys.stderr)\n"
+    )
+    env = {"PYTHONPATH": str(Path(refs.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    code, loaded = ast.literal_eval(done.stderr.splitlines()[-1])
+    return code, done.stdout, loaded
+
+
 class TestImports:
+    @pytest.fixture()
+    def stored(self, capsys, db_path):
+        for doi in (HITRAN, "10.18434/t4w30f"):
+            run(capsys, *offline("add", "--doi", doi, db=db_path))
+        return db_path
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "1", "--format", "html"],
+        ["render", "2", "--format", "bibtex"],
+        ["list"],
+        ["export", "--all", "-o", "{out}"],
+    ], ids=["render-html", "render-bibtex", "list", "export-all"])
+    def test_reading_stored_text_loads_no_model_renderer_or_migrations(self, capsys, stored,
+                                                                       tmp_path, argv):
+        argv = [arg.format(out=tmp_path / "out") for arg in argv] + ["--db", stored]
+        code, out, loaded = loaded_by(argv, NOT_FOR_STORED_TEXT)
+        assert (code, out) == run(capsys, *argv)[:2]
+        assert code == 0 and out
+        assert loaded == []
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_rendering_from_the_records_still_works(self, capsys, stored, fmt):
+        argv = ["render", "1", "--format", fmt, "--db", stored]
+        code, out, loaded = loaded_by(argv, NOT_FOR_STORED_TEXT)
+        assert (code, out) == run(capsys, *argv)[:2]
+        assert code == 0 and out
+        assert loaded == ["refs.identifiers", "refs.model", "refs.render"]
+
+    def test_add_still_works(self, db_path):
+        code, out, loaded = loaded_by(offline("add", "--doi", HITRAN, db=db_path),
+                                      NOT_FOR_STORED_TEXT)
+        assert (code, out) == (0, "id=1 path=ads\n")
+        assert loaded == ["refs.identifiers", "refs.model", "refs.render"]
+
+    def test_opening_a_current_store_loads_no_migrations(self, tmp_path):
+        path = str(tmp_path / "refs.db")
+        script = (
+            "import sys\n"
+            "from refs.store import RefStore\n"
+            f"RefStore({path!r}).close()\n"
+            f"RefStore({path!r}).close()\n"
+            f"print(sorted(m for m in {NOT_FOR_STORED_TEXT!r} if m in sys.modules))\n"
+        )
+        env = {"PYTHONPATH": str(Path(refs.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
+
+    def test_format_names_have_one_home(self):
+        assert refs.render.RenderFormat is refs.formats.RenderFormat is refs.RenderFormat
+        assert (refs.render.RenderedCitation is refs.formats.RenderedCitation
+                is refs.RenderedCitation)
+
     def test_cli_start_up_leaves_the_network_and_parser_modules_unloaded(self):
         network = ["refs.pipeline", "refs.resolvers", "refs.transport", "refs.bibtex", "html"]
         script = (

@@ -24,6 +24,7 @@ from refs import (
     parse_doi,
     render_all,
     resolve_and_store_report,
+    resolve_query_and_store_report,
     resolve_query_reference,
     resolve_reference,
     resolvers,
@@ -340,6 +341,57 @@ class TestResolveAndStore:
         added = report.renders[RenderFormat.BIBTEX].body
         assert store.get_rendered(gid, RenderFormat.BIBTEX).body == added
         assert (added == render_all(store.get_entry(gid))[RenderFormat.BIBTEX].body) != fetched
+
+    def test_query_for_a_stored_doi_is_answered_from_the_store(self, counting_transport,
+                                                               ads_config, store):
+        gid, _ = resolve_and_store_report(HITRAN, None, store, ads_config, counting_transport)
+        counting_transport.requests.clear()
+        again, report = resolve_query_and_store_report(HITRAN_TITLE, "Ignored.", store,
+                                                       ads_config, counting_transport)
+        assert again == gid
+        assert [urlsplit(r.url).hostname for r in counting_transport.requests] == [
+            "api.crossref.org"]
+        assert report.unverified is True
+        assert report.warnings == [
+            f"bibliography for query {HITRAN_TITLE!r} resolved by keyword match to {HITRAN}; "
+            "it may belong to a different article",
+            f"DOI {HITRAN} is already stored as entry {gid}",
+        ]
+        assert report.path_taken is ResolutionPath.ADS
+        assert report.record == store.get_entry(gid).records[0]
+        assert report.renders[RenderFormat.BIBTEX] == store.get_rendered(gid,
+                                                                         RenderFormat.BIBTEX)
+        assert store.get_entry(gid).note is None
+
+    def test_query_for_a_new_doi_is_resolved_and_stored(self, counting_transport, ads_config,
+                                                        store, transport):
+        gid, report = resolve_query_and_store_report(HITRAN_TITLE, None, store, ads_config,
+                                                     counting_transport)
+        assert gid == 1
+        assert [urlsplit(r.url).hostname for r in counting_transport.requests] == [
+            "api.crossref.org", "doi.org"]
+        assert report == resolve_query_reference(HITRAN_TITLE, cfg=ads_config,
+                                                 transport=transport)
+        assert store.get_rendered(gid, RenderFormat.BIBTEX).body == (
+            report.renders[RenderFormat.BIBTEX].body)
+
+    def test_query_match_deleted_after_the_lookup_is_resolved_afresh(
+            self, transport, ads_config, store, monkeypatch):
+        first, _ = resolve_and_store_report(HITRAN, None, store, ads_config, transport)
+        lookup = store.find_entry_by_dois
+
+        def lookup_then_lose_the_race(dois):
+            gid = lookup(dois)
+            store.delete_entry(gid)  # another writer tombstones it in between
+            return gid
+
+        monkeypatch.setattr(store, "find_entry_by_dois", lookup_then_lose_the_race)
+        again, report = resolve_query_and_store_report(HITRAN_TITLE, None, store, ads_config,
+                                                       transport)
+        assert again != first
+        assert report.unverified and report.bibtex_fetched
+        assert len(report.warnings) == 1
+        assert store.get_entry(again).records == [report.record]
 
     def test_entry_deleted_after_the_lookup_is_resolved_afresh(self, transport, ads_config,
                                                               store, monkeypatch):

@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import refs
+import refs.migrations
+import refs.render
 from refs import (
     AuthorName,
     BibRecord,
@@ -383,7 +385,7 @@ class TestStoredTexts:
     def test_renderers_are_pinned_to_the_schema_version(self):
         # The store keeps what render_html and render_bibtex wrote at add
         # time. When these bytes change, append a migration step that calls
-        # refs.store._rerender, raise SCHEMA_VERSION, and pin both here.
+        # refs.migrations._rerender, raise SCHEMA_VERSION, and pin both here.
         digest = hashlib.sha256()
         for entry in build_corpus_entries():
             for body in (render_html(entry).body, render_bibtex(entry).body):
@@ -451,12 +453,12 @@ class TestStoredTexts:
         fetched = "@misc{Fetched_2022, title={T}}"
         kept = store.add_entry([record("10.1000/a")], bibtex=fetched)
         local = store.add_entry([record("10.1000/b")], note="n")
-        monkeypatch.setattr(refs.store, "render_bibtex", lambda entry: refs.RenderedCitation(
+        monkeypatch.setattr(refs.render, "render_bibtex", lambda entry: refs.RenderedCitation(
             RenderFormat.BIBTEX, "new bibtex", ""))
-        monkeypatch.setattr(refs.store, "render_html", lambda entry: refs.RenderedCitation(
+        monkeypatch.setattr(refs.render, "render_html", lambda entry: refs.RenderedCitation(
             RenderFormat.HTML, f"new html {entry.global_id} {entry.note}", ""))
         with store._transaction() as conn:
-            refs.store._rerender(conn)
+            refs.migrations._rerender(conn)
         assert stored_texts(store, kept) == (f"new html {kept} None", fetched, 1)
         assert stored_texts(store, local) == (f"new html {local} n", "new bibtex", 0)
 
