@@ -27,11 +27,9 @@ _EXPORTS = {
         "InvalidAuthorError",
         "InvalidDoiError",
         "MissingEntryError",
-        "MultipleBibcodesWarning",
         "NoMatchError",
         "NoMetadataFormatError",
         "RefsError",
-        "RefsWarning",
         "ResolutionFailedError",
         "ResponseDecodeError",
         "StoreError",
@@ -74,6 +72,7 @@ _EXPORTS = {
     "resolvers": (
         "AdsConfig",
         "ExportFormat",
+        "Upstream",
         "ads_doc_to_record",
         "csl_to_record",
         "fetch_ads_docs",

@@ -140,14 +140,3 @@ class ResolutionFailedError(RefsError):
         self.ads_cause = ads_cause
         self.fallback_cause = fallback_cause
 
-
-class RefsWarning(UserWarning):
-    """Base warning category, kept for callers' warning filters.
-
-    Resolution issues no Python warnings: it lists them as text on
-    ResolutionReport.warnings.
-    """
-
-
-class MultipleBibcodesWarning(RefsWarning):
-    """More than one bibcode matched a DOI; the first one was used."""

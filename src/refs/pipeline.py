@@ -23,6 +23,7 @@ from .model import BibRecord, RefEntry
 from .render import render_all
 from .resolvers import (
     AdsConfig,
+    Upstream,
     ads_doc_to_record,
     crossref_top_doi,
     csl_to_record,
@@ -99,12 +100,12 @@ def resolve_reference(
     relevance is used, and the report's warnings say so first. When the
     fallback fails too, a ResolutionFailedError aggregates both causes.
     """
-    cfg = _config(cfg, transport)
+    upstream = Upstream(transport, cfg)
     collected: list[str] = []
     ads_cause = "DOI not in ADS (empty DOI search result)"
     docs: list[dict] = []
     try:
-        docs = fetch_ads_docs(doi, cfg, transport)
+        docs = fetch_ads_docs(doi, upstream)
     except RefsError as exc:
         ads_cause = f"ADS DOI search failed: {exc}"
         collected.append(ads_cause)
@@ -122,7 +123,7 @@ def resolve_reference(
             return report
 
     try:
-        report = _resolve_via_fallback(doi, note, cfg, transport)
+        report = _resolve_via_fallback(doi, note, upstream)
     except RefsError as exc:
         raise ResolutionFailedError(ads_cause, str(exc)) from exc
     report.warnings = collected + report.warnings
@@ -145,17 +146,15 @@ def _resolve_via_ads(doi: Doi, doc: dict, note: str | None) -> ResolutionReport:
     )
 
 
-def _resolve_via_fallback(
-    doi: Doi, note: str | None, cfg: AdsConfig, transport: Transport
-) -> ResolutionReport:
-    record = csl_to_record(fetch_csl_json(doi, transport, cfg))
+def _resolve_via_fallback(doi: Doi, note: str | None, upstream: Upstream) -> ResolutionReport:
+    record = csl_to_record(fetch_csl_json(doi, upstream))
     entry = RefEntry(records=[record], note=note)
     renders = render_all(entry)
     extra = []
     fetched = False
     try:
         renders[RenderFormat.BIBTEX] = RenderedCitation(
-            format=RenderFormat.BIBTEX, body=fetch_bibtex(doi, transport, cfg), global_label=""
+            format=RenderFormat.BIBTEX, body=fetch_bibtex(doi, upstream), global_label=""
         )
         fetched = True
     except RefsError as exc:
@@ -182,16 +181,16 @@ def resolve_query_reference(
     Reports from this route are always marked unverified: a keyword match
     may belong to a different article.
     """
-    cfg = _config(cfg, transport)
-    matched = crossref_top_doi(freeform, transport, cfg)
-    return _resolve_match(freeform, matched, note, cfg, transport)
+    upstream = Upstream(transport, cfg)
+    matched = crossref_top_doi(freeform, upstream)
+    return _resolve_match(freeform, matched, note, upstream)
 
 
 def _resolve_match(
-    freeform: str, matched: Doi, note: str | None, cfg: AdsConfig, transport: Transport
+    freeform: str, matched: Doi, note: str | None, upstream: Upstream
 ) -> ResolutionReport:
     """The query route's report for the DOI its keyword search matched."""
-    fetched = fetch_bibtex(matched, transport, cfg)
+    fetched = fetch_bibtex(matched, upstream)
     record = bibtex_to_record(fetched)
     if record.doi is None:
         raise UnusableMetadataError(f"query result for {freeform!r} carries no DOI")
@@ -216,13 +215,6 @@ def _keyword_match(freeform: str, matched: Doi) -> str:
         f"bibliography for query {freeform!r} resolved by keyword match to {matched}; "
         "it may belong to a different article"
     )
-
-
-def _config(cfg: AdsConfig | None, transport: Transport | None) -> AdsConfig:
-    """The configuration to resolve with: ``cfg``, else the environment's."""
-    if transport is None:
-        raise ValueError("a transport is required")
-    return AdsConfig.from_env() if cfg is None else cfg
 
 
 def resolve_and_store_report(
@@ -263,8 +255,8 @@ def resolve_query_and_store_report(
     search request. That report is still unverified and carries the
     keyword-match warning before the already-stored one.
     """
-    cfg = _config(cfg, transport)
-    matched = crossref_top_doi(freeform, transport, cfg)
+    upstream = Upstream(transport, cfg)
+    matched = crossref_top_doi(freeform, upstream)
     gid = store.find_entry_by_dois([matched])
     if gid is not None:
         try:
@@ -275,7 +267,7 @@ def resolve_query_and_store_report(
             report.warnings.insert(0, _keyword_match(freeform, matched))
             report.unverified = True
             return gid, report
-    report = _resolve_match(freeform, matched, note, cfg, transport)
+    report = _resolve_match(freeform, matched, note, upstream)
     return store_report(store, report, note), report
 
 

@@ -2,8 +2,10 @@
 
 Two routes exist: the ADS path (one DOI search that returns the bibcode
 and the structured fields) and the DOI content-negotiation fallback at
-doi.org. Both run over a pluggable transport, so tests replay recorded
-fixtures instead of hitting the services.
+doi.org. The fetchers a resolution calls take their subject and an
+Upstream, the transport and AdsConfig of that resolution. The transport
+is pluggable, so tests replay recorded fixtures instead of hitting the
+services.
 """
 
 from __future__ import annotations
@@ -109,65 +111,104 @@ def _first(value) -> str:
     return str(value) if value is not None else ""
 
 
-def _send(
-    request: HttpRequest,
-    cfg: AdsConfig | None,
-    transport: Transport,
-    service: str,
-    about: str = "",
-    errors: dict[int, RefsError] | None = None,
-) -> HttpResponse:
-    """Run one upstream request under the retry policy; the 200 response.
+class Upstream:
+    """One resolution's route to the services: its transport and its AdsConfig.
 
-    At most cfg.max_retries attempts are made on 5xx, 429 or timeouts,
-    with a backoff that doubles from cfg.backoff_base. A 429 (throttled)
-    waits its Retry-After instead when that is a whole number of seconds
-    (RFC 9110 section 10.2.3), and fails at once, without waiting, when
-    that is more than MAX_RETRY_AFTER_S. A backoff_base of 0 waits for
-    neither. Exhausted attempts raise
-    UpstreamUnavailableError with the last status. Other statuses are never
-    retried: one listed in ``errors`` raises that error, any other non-200
-    an UpstreamError naming the service (and ``about``, when given).
-    A cfg of None means AdsConfig()'s defaults.
+    A cfg of None reads the environment (AdsConfig.from_env()). Every
+    request goes through send, the one retry loop.
     """
-    cfg = cfg or AdsConfig()
-    attempt = 0
-    while True:
-        attempt += 1
-        delay = cfg.backoff_base * 2 ** (attempt - 1)
-        try:
-            response = transport.execute(request)
-        except TransportTimeoutError:
+
+    __slots__ = ("transport", "cfg")
+
+    def __init__(self, transport: Transport, cfg: AdsConfig | None = None) -> None:
+        if transport is None:
+            raise ValueError("a transport is required")
+        self.transport = transport
+        self.cfg = AdsConfig.from_env() if cfg is None else cfg
+
+    def send(
+        self,
+        request: HttpRequest,
+        service: str,
+        about: str = "",
+        errors: dict[int, RefsError] | None = None,
+    ) -> HttpResponse:
+        """Run one upstream request under the retry policy; the 200 response.
+
+        At most cfg.max_retries attempts are made on 5xx, 429 or timeouts,
+        with a backoff that doubles from cfg.backoff_base. A 429 (throttled)
+        waits its Retry-After instead when that is a whole number of seconds
+        (RFC 9110 section 10.2.3), and fails at once, without waiting, when
+        that is more than MAX_RETRY_AFTER_S. A backoff_base of 0 waits for
+        neither. Exhausted attempts raise
+        UpstreamUnavailableError with the last status. Other statuses are never
+        retried: one listed in ``errors`` raises that error, any other non-200
+        an UpstreamError naming the service (and ``about``, when given).
+        """
+        cfg = self.cfg
+        attempt = 0
+        while True:
+            attempt += 1
+            delay = cfg.backoff_base * 2 ** (attempt - 1)
+            try:
+                response = self.transport.execute(request)
+            except TransportTimeoutError:
+                if attempt >= cfg.max_retries:
+                    raise UpstreamUnavailableError(
+                        f"{request.url} kept timing out after {attempt} attempts"
+                    ) from None
+                _sleep(delay)
+                continue
+            if response.status == 429:
+                throttled_for = _retry_after(response, delay)
+                if throttled_for > MAX_RETRY_AFTER_S:
+                    raise UpstreamUnavailableError(
+                        f"{request.url} is throttled for {throttled_for:g} s,"
+                        f" longer than the {MAX_RETRY_AFTER_S} s allowed",
+                        status=429,
+                    )
+                if cfg.backoff_base:
+                    delay = throttled_for
+            elif response.status < 500:
+                break
             if attempt >= cfg.max_retries:
                 raise UpstreamUnavailableError(
-                    f"{request.url} kept timing out after {attempt} attempts"
-                ) from None
-            _sleep(delay)
-            continue
-        if response.status == 429:
-            throttled_for = _retry_after(response, delay)
-            if throttled_for > MAX_RETRY_AFTER_S:
-                raise UpstreamUnavailableError(
-                    f"{request.url} is throttled for {throttled_for:g} s,"
-                    f" longer than the {MAX_RETRY_AFTER_S} s allowed",
-                    status=429,
+                    f"{request.url} answered {response.status} on all {attempt} attempts",
+                    status=response.status,
                 )
-            if cfg.backoff_base:
-                delay = throttled_for
-        elif response.status < 500:
-            break
-        if attempt >= cfg.max_retries:
-            raise UpstreamUnavailableError(
-                f"{request.url} answered {response.status} on all {attempt} attempts",
-                status=response.status,
-            )
-        _sleep(delay)
-    if response.status == 200:
-        return response
-    if errors and response.status in errors:
-        raise errors[response.status]
-    where = f" for {about}" if about else ""
-    raise UpstreamError(f"{service} answered {response.status}{where}", status=response.status)
+            _sleep(delay)
+        if response.status == 200:
+            return response
+        if errors and response.status in errors:
+            raise errors[response.status]
+        where = f" for {about}" if about else ""
+        raise UpstreamError(f"{service} answered {response.status}{where}", status=response.status)
+
+    def ads(
+        self, method: str, url: str, body: bytes | None = None, service: str = "ADS",
+        about: str = "",
+    ) -> HttpResponse:
+        """An ADS request: the token check, the bearer header and the 401 mapping."""
+        if getattr(self.transport, "is_live", True) and not self.cfg.token:
+            raise AuthError("no ADS token configured; set REFS_ADS_TOKEN or AdsConfig.token")
+        headers = {"Authorization": f"Bearer {self.cfg.token}"}
+        if body is not None:
+            headers["Content-Type"] = "application/json"
+        return self.send(
+            HttpRequest(method, url, headers=headers, body=body),
+            service,
+            about,
+            errors={401: AuthError("ADS rejected the token", status=401)},
+        )
+
+    def negotiate(self, doi: Doi, accept: str) -> HttpResponse:
+        """A doi.org content-negotiation request, with 404 and 406 mapped to their errors."""
+        request = HttpRequest("GET", doi_negotiation_url(doi), headers={"Accept": accept})
+        errors = {
+            404: UnknownDoiError(f"DOI {doi} is not registered"),
+            406: NoMetadataFormatError(f"no {accept} metadata available for DOI {doi}"),
+        }
+        return self.send(request, "doi.org", str(doi), errors)
 
 
 def _retry_after(response: HttpResponse, default: float) -> float:
@@ -178,31 +219,6 @@ def _retry_after(response: HttpResponse, default: float) -> float:
             if value.isascii() and value.isdigit():
                 return float(value)
     return default
-
-
-def _ads_send(
-    cfg: AdsConfig,
-    transport: Transport,
-    method: str,
-    url: str,
-    body: bytes | None = None,
-    service: str = "ADS",
-    about: str = "",
-) -> HttpResponse:
-    """An ADS request: the token check, the bearer header and the 401 mapping."""
-    if getattr(transport, "is_live", True) and not cfg.token:
-        raise AuthError("no ADS token configured; set REFS_ADS_TOKEN or AdsConfig.token")
-    headers = {"Authorization": f"Bearer {cfg.token}"}
-    if body is not None:
-        headers["Content-Type"] = "application/json"
-    return _send(
-        HttpRequest(method, url, headers=headers, body=body),
-        cfg,
-        transport,
-        service,
-        about,
-        errors={401: AuthError("ADS rejected the token", status=401)},
-    )
 
 
 def ads_doi_query(doi: Doi) -> str:
@@ -229,15 +245,15 @@ def crossref_query_url(text: str, rows: int = 1) -> str:
     return f"{CROSSREF_WORKS_URL}?{params}"
 
 
-def fetch_ads_docs(doi: Doi, cfg: AdsConfig, transport: Transport) -> list[dict]:
+def fetch_ads_docs(doi: Doi, upstream: Upstream) -> list[dict]:
     """The ADS search documents (ADS_FIELD_LIST) for a DOI, in one request.
 
     Only documents that carry a bibcode are kept, in the service's relevance
     order. An empty list means ADS has no match: that selects the fallback
     path and is not an error.
     """
-    url = ads_search_url(cfg, ads_doi_query(doi), ADS_FIELD_LIST, rows=10)
-    response = _ads_send(cfg, transport, "GET", url, about=url)
+    url = ads_search_url(upstream.cfg, ads_doi_query(doi), ADS_FIELD_LIST, rows=10)
+    response = upstream.ads("GET", url, about=url)
     try:
         docs = list(response.json()["response"]["docs"])
     except (ValueError, KeyError, TypeError) as exc:
@@ -255,9 +271,10 @@ def fetch_ads_export(
     if not bibcodes:
         raise ValueError("bibcode list must be non-empty")
     ExportFormat(format)  # BibTeX is the only format; anything else raises ValueError
+    upstream = Upstream(transport, cfg)
     body = json.dumps({"bibcode": [str(b) for b in bibcodes]}).encode("utf-8")
-    url = f"{cfg.base_url}/export/bibtex"
-    response = _ads_send(cfg, transport, "POST", url, body, service="ADS export")
+    url = f"{upstream.cfg.base_url}/export/bibtex"
+    response = upstream.ads("POST", url, body, service="ADS export")
     try:
         blob = response.json()["export"]
     except (ValueError, KeyError, TypeError) as exc:
@@ -294,18 +311,9 @@ def ads_doc_to_record(doc: dict, queried_doi: Doi | None = None) -> BibRecord:
     )
 
 
-def _negotiate(doi: Doi, accept: str, transport: Transport, cfg: AdsConfig | None) -> HttpResponse:
-    request = HttpRequest("GET", doi_negotiation_url(doi), headers={"Accept": accept})
-    errors = {
-        404: UnknownDoiError(f"DOI {doi} is not registered"),
-        406: NoMetadataFormatError(f"no {accept} metadata available for DOI {doi}"),
-    }
-    return _send(request, cfg, transport, "doi.org", str(doi), errors)
-
-
-def fetch_csl_json(doi: Doi, transport: Transport, cfg: AdsConfig | None = None) -> dict:
+def fetch_csl_json(doi: Doi, upstream: Upstream) -> dict:
     """Content-negotiate citation-styles JSON for a DOI at doi.org; the decoded object."""
-    response = _negotiate(doi, CSL_JSON_ACCEPT, transport, cfg)
+    response = upstream.negotiate(doi, CSL_JSON_ACCEPT)
     try:
         payload = response.json()
     except ValueError as exc:
@@ -320,13 +328,13 @@ def fetch_csl_json(doi: Doi, transport: Transport, cfg: AdsConfig | None = None)
     return payload
 
 
-def fetch_bibtex(doi: Doi, transport: Transport, cfg: AdsConfig | None = None) -> str:
+def fetch_bibtex(doi: Doi, upstream: Upstream) -> str:
     """Content-negotiate a BibTeX entry for a DOI; the body without surrounding whitespace.
 
     doi.org ends its entries with a newline; stripped, the text is stored,
     rendered and exported like any other entry.
     """
-    response = _negotiate(doi, BIBTEX_ACCEPT, transport, cfg)
+    response = upstream.negotiate(doi, BIBTEX_ACCEPT)
     try:
         text = response.text().strip()
     except UnicodeDecodeError as exc:
@@ -336,14 +344,14 @@ def fetch_bibtex(doi: Doi, transport: Transport, cfg: AdsConfig | None = None) -
     return text
 
 
-def crossref_top_doi(freeform: str, transport: Transport, cfg: AdsConfig | None = None) -> Doi:
+def crossref_top_doi(freeform: str, upstream: Upstream) -> Doi:
     """The DOI of the top-ranked CrossRef hit for a free-text query."""
     if not freeform or not freeform.strip():
         raise ValueError("query text must be non-empty")
     request = HttpRequest(
         "GET", crossref_query_url(freeform.strip()), headers={"Accept": "application/json"}
     )
-    response = _send(request, cfg, transport, "CrossRef")
+    response = upstream.send(request, "CrossRef")
     try:
         items = response.json()["message"]["items"]
     except (ValueError, KeyError, TypeError) as exc:

@@ -125,12 +125,6 @@ class FixtureTransport:
         self._entries.setdefault(key, []).append(entry)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "FixtureTransport":
-        transport = cls()
-        transport.load_file(path)
-        return transport
-
-    @classmethod
     def from_dir(cls, path: str | Path) -> "FixtureTransport":
         """Load every .json archive under a directory."""
         transport = cls()

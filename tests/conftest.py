@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from refs import AdsConfig, FixtureTransport, RefStore
+from refs import AdsConfig, FixtureTransport, RefStore, Upstream
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -92,6 +92,11 @@ def counting_transport(transport) -> CountingTransport:
 @pytest.fixture()
 def ads_config() -> AdsConfig:
     return AdsConfig(token="", backoff_base=0.0)
+
+
+@pytest.fixture()
+def upstream(transport, ads_config) -> Upstream:
+    return Upstream(transport, ads_config)
 
 
 @pytest.fixture()

@@ -30,7 +30,13 @@ from refs import (
     render_html,
     resolve_reference,
 )
-from refs.resolvers import ads_doc_to_record, csl_to_record, fetch_ads_docs, fetch_csl_json
+from refs.resolvers import (
+    Upstream,
+    ads_doc_to_record,
+    csl_to_record,
+    fetch_ads_docs,
+    fetch_csl_json,
+)
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR, CountingTransport, NetworkBlockedError
 from corpus import build_corpus_entries
@@ -182,17 +188,15 @@ def test_criterion_5_pipeline_branching():
     assert set(report.renders) == set(RenderFormat)
 
 
-@pytest.mark.filterwarnings("ignore::refs.MultipleBibcodesWarning")
 def test_criterion_6_dual_path_equivalence():
     assert len(OVERLAP_DOIS) >= 5
-    cfg = _cfg()
-    transport = FixtureTransport.from_dir(FIXTURE_DIR)
+    upstream = Upstream(FixtureTransport.from_dir(FIXTURE_DIR), _cfg())
     for raw in OVERLAP_DOIS:
         doi = parse_doi(raw)
-        docs = fetch_ads_docs(doi, cfg, transport)
+        docs = fetch_ads_docs(doi, upstream)
         assert docs, f"{doi} missing from the ADS fixtures"
         via_ads = ads_doc_to_record(docs[0], queried_doi=doi)
-        via_fallback = csl_to_record(fetch_csl_json(doi, transport))
+        via_fallback = csl_to_record(fetch_csl_json(doi, upstream))
         assert via_ads.doi == via_fallback.doi, raw
         assert via_ads.year == via_fallback.year, raw
         assert via_ads.volume == via_fallback.volume, raw

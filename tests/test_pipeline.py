@@ -20,6 +20,7 @@ from refs import (
     ResolutionFailedError,
     ResolutionPath,
     ResolutionReport,
+    Upstream,
     UpstreamUnavailableError,
     parse_doi,
     render_all,
@@ -446,6 +447,36 @@ class TestWarningsStayTheCallers:
         multiple = "DOI 10.3847/1538-4365/aa8e94 matches 2 bibcodes; using 2017ApJS..232...12W"
         assert multiple in warned
         assert any(isinstance(r, tuple) for r in sequential)
+
+
+class TestUpstreamContext:
+    """What the public entry points build their one Upstream from."""
+
+    def test_a_left_out_cfg_sends_the_environment_token_to_ads_only(
+            self, counting_transport, monkeypatch):
+        monkeypatch.setenv("REFS_ADS_TOKEN", "s3cret")
+        report = resolve_reference(NIST, transport=counting_transport)
+        assert report.path_taken is ResolutionPath.FALLBACK
+        ads = [r for r in counting_transport.requests if "adsabs.harvard.edu" in r.url]
+        negotiated = [r for r in counting_transport.requests if "doi.org" in r.url]
+        assert [r.headers["Authorization"] for r in ads] == ["Bearer s3cret"]
+        assert len(negotiated) == 2
+        assert not any("Authorization" in r.headers for r in negotiated)
+
+    @pytest.mark.parametrize("call", [
+        partial(Upstream, None),
+        partial(resolve_reference, HITRAN),
+        partial(resolve_query_reference, "x"),
+    ], ids=["upstream", "doi", "query"])
+    def test_no_transport_is_refused(self, call):
+        with pytest.raises(ValueError, match="a transport is required"):
+            call()
+
+    def test_a_stored_doi_is_answered_without_a_transport(self, transport, ads_config, store):
+        gid, _ = resolve_and_store_report(HITRAN, None, store, ads_config, transport)
+        again, report = resolve_and_store_report(HITRAN, None, store)
+        assert again == gid
+        assert report.warnings == [f"DOI {HITRAN} is already stored as entry {gid}"]
 
 
 class TestPathExclusivity:

@@ -30,12 +30,14 @@ from refs import (
     resolve_query_reference,
     resolve_reference,
 )
+import refs.pipeline as pipeline_mod
 import refs.resolvers as resolvers_mod
 from refs.resolvers import (
     ADS_FIELD_LIST,
     MAX_RETRY_AFTER_S,
     AdsConfig,
     ExportFormat,
+    Upstream,
     ads_doc_to_record,
     crossref_top_doi,
     csl_to_record,
@@ -109,15 +111,17 @@ def bibcodes(docs: list[dict]) -> list[str]:
 class TestResolveBibcode:
     """The ADS DOI search, fetch_ads_docs: the bibcodes it finds and the errors it raises."""
 
-    def test_known_doi(self, transport, ads_config):
-        assert bibcodes(fetch_ads_docs(HITRAN_DOI, ads_config, transport)) == [str(HITRAN_BIB)]
+    def test_known_doi(self, upstream):
+        docs = fetch_ads_docs(HITRAN_DOI, upstream)
+        assert bibcodes(docs) == [str(HITRAN_BIB)]
 
-    def test_empty_result_is_none(self, transport, ads_config):
-        assert fetch_ads_docs(parse_doi("10.18434/t4w30f"), ads_config, transport) == []
+    def test_empty_result_is_none(self, upstream):
+        assert fetch_ads_docs(parse_doi("10.18434/t4w30f"), upstream) == []
 
-    def test_multiple_matches_warn_and_take_first(self, transport, ads_config, recwarn):
+    def test_multiple_matches_warn_and_take_first(self, upstream, transport, ads_config,
+                                                  recwarn):
         doi = parse_doi("10.3847/1538-4365/aa8e94")
-        docs = fetch_ads_docs(doi, ads_config, transport)
+        docs = fetch_ads_docs(doi, upstream)
         assert bibcodes(docs) == ["2017ApJS..232...12W", "2017arXiv170300000W"]
         report = resolve_reference(doi, cfg=ads_config, transport=transport)
         assert str(report.bibcode) == "2017ApJS..232...12W"
@@ -126,50 +130,46 @@ class TestResolveBibcode:
 
     def test_live_with_empty_token_fails_before_any_request(self):
         with pytest.raises(AuthError):
-            fetch_ads_docs(HITRAN_DOI, AdsConfig(token=""), LiveTransport())
+            fetch_ads_docs(HITRAN_DOI, Upstream(LiveTransport(), AdsConfig(token="")))
 
-    def test_rejected_token(self, transport, ads_config):
+    def test_rejected_token(self, upstream):
         with pytest.raises(AuthError):
-            fetch_ads_docs(parse_doi("10.5555/authfail"), ads_config, transport)
+            fetch_ads_docs(parse_doi("10.5555/authfail"), upstream)
 
-    def test_malformed_body(self, transport, ads_config):
+    def test_malformed_body(self, upstream):
         with pytest.raises(ResponseDecodeError):
-            fetch_ads_docs(parse_doi("10.5555/badads"), ads_config, transport)
+            fetch_ads_docs(parse_doi("10.5555/badads"), upstream)
 
 
 class TestRetryPolicy:
     def test_5xx_retries_then_gives_up(self, counting_transport, monkeypatch):
-        import refs.resolvers as resolvers_mod
-
         sleeps = []
         monkeypatch.setattr(resolvers_mod, "_sleep", sleeps.append)
         cfg = AdsConfig(token="", max_retries=3, backoff_base=1.0)
         with pytest.raises(UpstreamUnavailableError):
-            fetch_ads_docs(parse_doi("10.5555/flaky"), cfg, counting_transport)
+            fetch_ads_docs(parse_doi("10.5555/flaky"), Upstream(counting_transport, cfg))
         assert len(counting_transport.requests) == 3
         assert sleeps == [1.0, 2.0]
 
     def test_4xx_never_retried(self, counting_transport, ads_config):
         with pytest.raises(AuthError):
-            fetch_ads_docs(parse_doi("10.5555/authfail"), ads_config, counting_transport)
+            fetch_ads_docs(parse_doi("10.5555/authfail"), Upstream(counting_transport, ads_config))
         assert len(counting_transport.requests) == 1
 
     def test_404_on_negotiation_not_retried(self, counting_transport):
         with pytest.raises(UnknownDoiError):
-            fetch_csl_json(parse_doi("10.1000/unregistered"), counting_transport)
+            fetch_csl_json(parse_doi("10.1000/unregistered"), Upstream(counting_transport))
         assert len(counting_transport.requests) == 1
 
     @pytest.fixture()
     def sleeps(self, monkeypatch):
-        import refs.resolvers as resolvers_mod
-
         sleeps = []
         monkeypatch.setattr(resolvers_mod, "_sleep", sleeps.append)
         return sleeps
 
     def test_429_waits_out_retry_after(self, sleeps):
         transport = ScriptedTransport(throttled(**{"Retry-After": "7"}), HITRAN_BIBCODE_DOC)
-        docs = fetch_ads_docs(HITRAN_DOI, AdsConfig(token=""), transport)
+        docs = fetch_ads_docs(HITRAN_DOI, Upstream(transport, AdsConfig(token="")))
         assert bibcodes(docs) == [str(HITRAN_BIB)]
         assert len(transport.requests) == 2
         assert sleeps == [7.0]
@@ -181,13 +181,13 @@ class TestRetryPolicy:
             HITRAN_BIBCODE_DOC,
         )
         cfg = AdsConfig(token="", max_retries=3, backoff_base=1.0)
-        assert bibcodes(fetch_ads_docs(HITRAN_DOI, cfg, transport)) == [str(HITRAN_BIB)]
+        assert bibcodes(fetch_ads_docs(HITRAN_DOI, Upstream(transport, cfg))) == [str(HITRAN_BIB)]
         assert sleeps == [1.0, 2.0]
 
     def test_429_longer_than_the_cap_fails_at_once(self, sleeps):
         transport = ScriptedTransport(throttled(**{"Retry-After": str(MAX_RETRY_AFTER_S + 1)}))
         with pytest.raises(UpstreamUnavailableError) as exc_info:
-            fetch_ads_docs(HITRAN_DOI, AdsConfig(token=""), transport)
+            fetch_ads_docs(HITRAN_DOI, Upstream(transport, AdsConfig(token="")))
         assert exc_info.value.status == 429
         assert len(transport.requests) == 1
         assert sleeps == []
@@ -195,7 +195,7 @@ class TestRetryPolicy:
     def test_429_on_every_attempt_gives_up_within_the_budget(self, sleeps):
         transport = ScriptedTransport(*[throttled(**{"Retry-After": "0"})] * 3)
         with pytest.raises(UpstreamUnavailableError) as exc_info:
-            fetch_ads_docs(HITRAN_DOI, AdsConfig(token="", max_retries=3), transport)
+            fetch_ads_docs(HITRAN_DOI, Upstream(transport, AdsConfig(token="", max_retries=3)))
         assert exc_info.value.status == 429
         assert len(transport.requests) == 3
         assert sleeps == [0.0, 0.0]
@@ -205,27 +205,32 @@ def _json_ok(payload: object) -> HttpResponse:
     return HttpResponse(200, body=json.dumps(payload).encode("utf-8"))
 
 
-# Every kind of upstream request: (call, a 200 answer it accepts, a status
-# that must not be retried, the error that status raises).
+def _export(bibcodes, upstream):
+    return fetch_ads_export(bibcodes, ExportFormat.BIBTEX, upstream.cfg, upstream.transport)
+
+
+# Every kind of upstream request: (fetcher, its subject, a 200 answer it
+# accepts, a status that must not be retried, the error that status raises).
+# Each is called as fetcher(subject, upstream).
 REQUEST_KINDS = [
-    pytest.param(lambda cfg, t: fetch_ads_docs(HITRAN_DOI, cfg, t),
+    pytest.param(fetch_ads_docs, HITRAN_DOI,
                  HITRAN_BIBCODE_DOC, 401, AuthError, id="ads-search"),
-    pytest.param(lambda cfg, t: fetch_ads_export([HITRAN_BIB], ExportFormat.BIBTEX, cfg, t),
+    pytest.param(_export, [HITRAN_BIB],
                  _json_ok({"export": "@ARTICLE{2017JQSRT.203....3G,\n title={T}\n}\n"}),
                  401, AuthError, id="ads-export"),
-    pytest.param(lambda cfg, t: fetch_csl_json(HITRAN_DOI, t, cfg),
+    pytest.param(fetch_csl_json, HITRAN_DOI,
                  _json_ok({"DOI": HITRAN_DOI.canonical, "title": "T"}),
                  404, UnknownDoiError, id="doi-csl"),
-    pytest.param(lambda cfg, t: fetch_bibtex(HITRAN_DOI, t, cfg),
+    pytest.param(fetch_bibtex, HITRAN_DOI,
                  HttpResponse(200, body=b"@article{x, title={T}}"),
                  404, UnknownDoiError, id="doi-bibtex"),
-    pytest.param(lambda cfg, t: crossref_top_doi("HITRAN2016", t, cfg),
+    pytest.param(crossref_top_doi, "HITRAN2016",
                  _json_ok({"message": {"items": [{"DOI": HITRAN_DOI.canonical}]}}),
                  404, UpstreamError, id="crossref"),
 ]
 
 
-@pytest.mark.parametrize("call, ok, client_status, client_error", REQUEST_KINDS)
+@pytest.mark.parametrize("fetch, subject, ok, client_status, client_error", REQUEST_KINDS)
 class TestOnePolicyForEveryRequest:
     @pytest.fixture()
     def sleeps(self, monkeypatch):
@@ -234,41 +239,76 @@ class TestOnePolicyForEveryRequest:
         return sleeps
 
     def test_5xx_makes_max_retries_attempts_with_doubling_backoff(
-            self, call, ok, client_status, client_error, sleeps):
+            self, fetch, subject, ok, client_status, client_error, sleeps):
         transport = ScriptedTransport(*[HttpResponse(503)] * 3)
+        cfg = AdsConfig(token="", max_retries=3, backoff_base=0.5)
         with pytest.raises(UpstreamUnavailableError) as exc_info:
-            call(AdsConfig(token="", max_retries=3, backoff_base=0.5), transport)
+            fetch(subject, Upstream(transport, cfg))
         assert exc_info.value.status == 503
         assert len(transport.requests) == 3
         assert sleeps == [0.5, 1.0]
 
-    def test_client_error_makes_one_attempt(self, call, ok, client_status, client_error, sleeps):
+    def test_client_error_makes_one_attempt(
+            self, fetch, subject, ok, client_status, client_error, sleeps):
         transport = ScriptedTransport(HttpResponse(client_status))
         with pytest.raises(client_error):
-            call(AdsConfig(token=""), transport)
+            fetch(subject, Upstream(transport, AdsConfig(token="")))
         assert len(transport.requests) == 1
         assert sleeps == []
 
-    def test_429_retry_after_is_waited_out(self, call, ok, client_status, client_error, sleeps):
+    def test_429_retry_after_is_waited_out(
+            self, fetch, subject, ok, client_status, client_error, sleeps):
         transport = ScriptedTransport(throttled(**{"Retry-After": "7"}), ok)
-        call(AdsConfig(token=""), transport)
+        fetch(subject, Upstream(transport, AdsConfig(token="")))
         assert len(transport.requests) == 2
         assert sleeps == [7.0]
 
 
+def _functions(module) -> list[tuple[str, ast.FunctionDef]]:
+    """Every function of a module, methods included, with its qualified name."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append((prefix + child.name, child))
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(ast.parse(Path(module.__file__).read_text(encoding="utf-8")), "")
+    return found
+
+
 def test_one_function_sends_every_request():
     """A second copy of the retry loop would be a second caller of ``.execute(``."""
-    tree = ast.parse(Path(resolvers_mod.__file__).read_text(encoding="utf-8"))
     senders = [
-        function.name
-        for function in ast.walk(tree)
-        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        name
+        for name, function in _functions(resolvers_mod)
         for node in ast.walk(function)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "execute"
     ]
-    assert senders == ["_send"]
+    assert senders == ["Upstream.send"]
+
+
+def test_only_the_entry_points_take_cfg_and_transport():
+    """Below the public entry points, one Upstream carries the pair."""
+    pairs = [
+        f"{module.__name__}.{name}"
+        for module in (resolvers_mod, pipeline_mod)
+        for name, function in _functions(module)
+        if {"cfg", "transport"} <= {a.arg for a in function.args.args + function.args.kwonlyargs}
+    ]
+    assert sorted(pairs) == [
+        "refs.pipeline.resolve_and_store_report",
+        "refs.pipeline.resolve_query_and_store_report",
+        "refs.pipeline.resolve_query_reference",
+        "refs.pipeline.resolve_reference",
+        "refs.resolvers.Upstream.__init__",
+        "refs.resolvers.fetch_ads_export",
+    ]
 
 
 def test_no_module_imports_warnings():
@@ -292,13 +332,13 @@ class TestAdsDoiQuery:
     def test_quotes_in_a_doi_cannot_add_query_terms(self):
         doi = parse_doi('10.1000/a"OR"doi:10.1086/670067')
         transport = ScriptedTransport(NO_DOCS)
-        assert fetch_ads_docs(doi, AdsConfig(token=""), transport) == []
+        assert fetch_ads_docs(doi, Upstream(transport, AdsConfig(token=""))) == []
         assert sent_query(transport) == r'doi:"10.1000/a\"or\"doi:10.1086/670067"'
 
     @given(accepted_dois())
     def test_the_phrase_reads_back_as_the_doi(self, doi):
         transport = ScriptedTransport(NO_DOCS)
-        fetch_ads_docs(doi, AdsConfig(token=""), transport)
+        fetch_ads_docs(doi, Upstream(transport, AdsConfig(token="")))
         assert read_doi_phrase(sent_query(transport)) == doi.canonical
 
 
@@ -328,56 +368,58 @@ class TestFetchAdsExport:
 
 
 class TestFetchCslJson:
-    def test_known_doi(self, transport):
-        record = fetch_csl_json(HITRAN_DOI, transport)
+    def test_known_doi(self, upstream):
+        record = fetch_csl_json(HITRAN_DOI, upstream)
         assert record["container-title"] == (
             "Journal of Quantitative Spectroscopy and Radiative Transfer"
         )
 
-    def test_doi_matched_case_insensitively(self, transport):
-        record = fetch_csl_json(parse_doi("10.3847/1538-4365/aa8e94"), transport)
+    def test_doi_matched_case_insensitively(self, upstream):
+        record = fetch_csl_json(parse_doi("10.3847/1538-4365/aa8e94"), upstream)
         assert record["DOI"] == "10.3847/1538-4365/AA8E94"
 
-    def test_unregistered_doi(self, transport):
+    def test_unregistered_doi(self, upstream):
         with pytest.raises(UnknownDoiError):
-            fetch_csl_json(parse_doi("10.1000/unregistered"), transport)
+            fetch_csl_json(parse_doi("10.1000/unregistered"), upstream)
 
-    def test_non_json_body(self, transport):
+    def test_non_json_body(self, upstream):
         with pytest.raises(ResponseDecodeError):
-            fetch_csl_json(parse_doi("10.5555/badjson"), transport)
+            fetch_csl_json(parse_doi("10.5555/badjson"), upstream)
 
-    def test_406_means_no_format(self, transport):
+    def test_406_means_no_format(self, upstream):
         with pytest.raises(NoMetadataFormatError):
-            fetch_csl_json(parse_doi("10.5555/noformat"), transport)
+            fetch_csl_json(parse_doi("10.5555/noformat"), upstream)
 
-    def test_mismatched_doi_in_body(self, transport):
+    def test_mismatched_doi_in_body(self, upstream):
         with pytest.raises(ResponseDecodeError):
-            fetch_csl_json(parse_doi("10.5555/mismatch"), transport)
+            fetch_csl_json(parse_doi("10.5555/mismatch"), upstream)
 
 
 class TestFetchBibtex:
-    def test_contains_the_bibliography_fields(self, transport):
-        raw = fetch_bibtex(HITRAN_DOI, transport)
+    def test_contains_the_bibliography_fields(self, upstream):
+        raw = fetch_bibtex(HITRAN_DOI, upstream)
         for field in ("title", "author", "journal", "volume", "pages", "year", "publisher"):
             assert f"{field}={{" in raw
         assert "DOI={10.1016/j.jqsrt.2017.06.038}" in raw
 
-    def test_unregistered_doi(self, transport):
+    def test_unregistered_doi(self, upstream):
         with pytest.raises(UnknownDoiError):
-            fetch_bibtex(parse_doi("10.1000/unregistered"), transport)
+            fetch_bibtex(parse_doi("10.1000/unregistered"), upstream)
 
-    def test_empty_body_is_decode_error(self, transport):
+    def test_empty_body_is_decode_error(self, upstream):
         with pytest.raises(ResponseDecodeError):
-            fetch_bibtex(parse_doi("10.5555/emptybib"), transport)
+            fetch_bibtex(parse_doi("10.5555/emptybib"), upstream)
 
 
 class TestFetchBibtexByQuery:
     """The query route: the top CrossRef match's BibTeX, reported as unverified."""
 
-    def test_title_query_resolves_with_unverified_warning(self, transport, ads_config, recwarn):
+    def test_title_query_resolves_with_unverified_warning(self, upstream, transport, ads_config,
+                                                          recwarn):
         query = "The HITRAN2016 molecular spectroscopic database"
         report = resolve_query_reference(query, cfg=ads_config, transport=transport)
-        assert report.renders[RenderFormat.BIBTEX].body == fetch_bibtex(HITRAN_DOI, transport)
+        fetched = fetch_bibtex(HITRAN_DOI, upstream)
+        assert report.renders[RenderFormat.BIBTEX].body == fetched
         assert report.warnings == [
             f"bibliography for query {query!r} resolved by keyword match to {HITRAN_DOI}; "
             "it may belong to a different article"
@@ -395,8 +437,8 @@ class TestFetchBibtexByQuery:
 
 
 class TestCslToRecord:
-    def test_hitran_mapping(self, transport):
-        record = csl_to_record(fetch_csl_json(HITRAN_DOI, transport))
+    def test_hitran_mapping(self, upstream):
+        record = csl_to_record(fetch_csl_json(HITRAN_DOI, upstream))
         assert record.year == 2017
         assert record.journal == "Journal of Quantitative Spectroscopy and Radiative Transfer"
         assert (record.pages.first, record.pages.last) == ("3", "69")
@@ -412,28 +454,28 @@ class TestCslToRecord:
         with pytest.raises(UnusableMetadataError):
             csl_to_record({"DOI": "10.1000/x", "volume": "1"})
 
-    def test_entities_decoded_at_ingestion(self, transport):
-        record = csl_to_record(fetch_csl_json(ASTROPY_DOI, transport))
+    def test_entities_decoded_at_ingestion(self, upstream):
+        record = csl_to_record(fetch_csl_json(ASTROPY_DOI, upstream))
         assert record.journal == "Astronomy & Astrophysics"
 
-    def test_literal_author_kept_as_consortium(self, transport):
-        record = csl_to_record(fetch_csl_json(ASTROPY_DOI, transport))
+    def test_literal_author_kept_as_consortium(self, upstream):
+        record = csl_to_record(fetch_csl_json(ASTROPY_DOI, upstream))
         assert record.authors[0].surname == "Astropy Collaboration"
         assert record.authors[0].given_names == ()
 
 
 class TestDualPathEquivalence:
-    def test_hitran_records_agree_field_by_field(self, transport):
-        from_csl = csl_to_record(fetch_csl_json(HITRAN_DOI, transport))
-        from_bibtex = bibtex_to_record(fetch_bibtex(HITRAN_DOI, transport))
+    def test_hitran_records_agree_field_by_field(self, upstream):
+        from_csl = csl_to_record(fetch_csl_json(HITRAN_DOI, upstream))
+        from_bibtex = bibtex_to_record(fetch_bibtex(HITRAN_DOI, upstream))
         assert from_csl == from_bibtex
 
     @pytest.mark.parametrize("raw_doi", OVERLAP_DOIS)
-    def test_overlap_corpus_agrees_on_key_fields(self, raw_doi, transport, ads_config):
+    def test_overlap_corpus_agrees_on_key_fields(self, raw_doi, upstream):
         doi = parse_doi(raw_doi)
-        ads_record = ads_doc_to_record(fetch_ads_docs(doi, ads_config, transport)[0],
+        ads_record = ads_doc_to_record(fetch_ads_docs(doi, upstream)[0],
                                        queried_doi=doi)
-        csl_record = csl_to_record(fetch_csl_json(doi, transport))
+        csl_record = csl_to_record(fetch_csl_json(doi, upstream))
         assert ads_record.doi == csl_record.doi
         assert ads_record.year == csl_record.year
         assert ads_record.volume == csl_record.volume
@@ -482,9 +524,9 @@ class TestDeterminism:
         outputs = []
         for _ in range(2):
             transport = FixtureTransport.from_dir(fixture_dir)
-            bibtex = fetch_bibtex(HITRAN_DOI, transport)
-            docs = fetch_ads_docs(HITRAN_DOI, ads_config, transport)
-            csl = fetch_csl_json(HITRAN_DOI, transport)
+            bibtex = fetch_bibtex(HITRAN_DOI, Upstream(transport))
+            docs = fetch_ads_docs(HITRAN_DOI, Upstream(transport, ads_config))
+            csl = fetch_csl_json(HITRAN_DOI, Upstream(transport))
             outputs.append((bibtex, json.dumps(docs, sort_keys=True),
                             json.dumps(csl, sort_keys=True)))
         assert outputs[0] == outputs[1]

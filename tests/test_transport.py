@@ -96,7 +96,8 @@ class TestRecordingTransport:
         req = HttpRequest("GET", "https://x.test/live", headers={"Accept": "text/plain"})
         assert recorder.execute(req).text() == "answer"
 
-        replay = FixtureTransport.from_file(archive)
+        replay = FixtureTransport()
+        replay.load_file(archive)
         assert replay.execute(req).text() == "answer"
 
     def test_records_post_bodies(self, tmp_path):
@@ -118,7 +119,8 @@ class TestRecordingTransport:
         for req in requests[1:]:
             recorder.execute(req)
 
-        replay = FixtureTransport.from_file(archive)
+        replay = FixtureTransport()
+        replay.load_file(archive)
         assert [replay.execute(req).text() for req in requests] == [r.url for r in requests]
         assert snapshot.read_bytes() == first_version
         assert sorted(p.name for p in tmp_path.iterdir()) == ["recorded.json", "snapshot.json"]
@@ -128,7 +130,8 @@ class TestRecordingTransport:
         first, second = HttpRequest("GET", "https://x.test/1"), HttpRequest("GET", "https://x.test/2")
         RecordingTransport(_EchoTransport(), archive).execute(first)
         RecordingTransport(_EchoTransport(), archive).execute(second)
-        replay = FixtureTransport.from_file(archive)
+        replay = FixtureTransport()
+        replay.load_file(archive)
         assert [replay.execute(r).text() for r in (first, second)] == [first.url, second.url]
 
     def test_wrapped_transport_is_live(self, tmp_path):
