@@ -176,6 +176,8 @@ def cmd_add(args) -> int:
 
     if bool(args.doi) == bool(args.query):
         raise UsageError("pass exactly one of --doi or --query")
+    if args.query is not None and not args.query.strip():
+        raise UsageError("--query needs text that is not blank")
     transport = _build_transport(args)
     cfg = _build_ads_config(args)
 

@@ -255,8 +255,12 @@ def author_from_dict(d: dict[str, Any]) -> AuthorName:
     return AuthorName(given_names=tuple(d.get("given_names", [])), surname=d["surname"])
 
 
-def record_to_dict(r: BibRecord) -> dict[str, Any]:
-    """Plain-dict form of a record. None-valued fields are omitted."""
+def record_to_dict(r: BibRecord, links: bool = True) -> dict[str, Any]:
+    """Plain-dict form of a record. None-valued fields are omitted.
+
+    ``links=False`` leaves out ``doi_url`` and ``ads_url``, which
+    record_from_dict derives again.
+    """
     out: dict[str, Any] = {
         "source_type": r.source_type.value,
         "title": r.title,
@@ -278,9 +282,9 @@ def record_to_dict(r: BibRecord) -> dict[str, Any]:
         out["doi"] = r.doi.canonical
     if r.bibcode is not None:
         out["bibcode"] = format_bibcode(r.bibcode)
-    if r.doi_url is not None:
+    if links and r.doi_url is not None:
         out["doi_url"] = r.doi_url
-    if r.ads_url is not None:
+    if links and r.ads_url is not None:
         out["ads_url"] = r.ads_url
     return out
 

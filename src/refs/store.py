@@ -3,8 +3,14 @@
 Global IDs come from an AUTOINCREMENT primary key and are never reused:
 deletion is a tombstone, so an ID keeps naming the same work forever.
 
+Each entry is one ``entries`` row: its ID, its DOI set (the duplicate
+key), its tombstone flag, its note, and its records as one JSON array of
+``model.record_to_dict`` objects, without the links that ``BibRecord``
+derives. So reading an entry back is one primary-key lookup, and the
+model's dict codec is the one record codec.
+
 Entries do not change after they are added, so each entry's HTML and
-BibTeX are rendered once, by ``add_entry``, and stored beside its records.
+BibTeX are rendered once, by ``add_entry``, and stored in ``texts``.
 For an entry resolved through doi.org, the stored BibTeX is the text
 doi.org sent. ``render --format html|bibtex``, a repeat add and the bundle
 export read the stored text; JSON and plain text are rendered from the
@@ -29,8 +35,8 @@ What holds when several processes share one database file:
   DuplicateEntryError naming the stored ID without taking the write lock.
   The index is also unique, so when two processes add the same DOIs at
   once, one gets the ID and the other gets DuplicateEntryError naming it.
-- Reads see what other processes have committed. ``get_entry`` is one
-  statement. ``export_bundle`` reads inside one transaction and streams
+- Reads see what other processes have committed. ``get_entry`` reads
+  one row. ``export_bundle`` reads inside one transaction and streams
   the stored texts in ID order, decoding no entry, so both bundle files
   describe the same state; a writer waits for it, again for up to five
   seconds.
@@ -53,8 +59,6 @@ import sqlite3
 import threading
 from contextlib import contextmanager
 from importlib import import_module
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -92,57 +96,23 @@ class _OnFirstUse:
 model = _OnFirstUse("model")
 render = _OnFirstUse("render")
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _LIVE_DOI_SET_INDEX = (
     "CREATE UNIQUE INDEX live_doi_set ON entries (doi_set) WHERE deleted = 0"
 )
 
-_ENTRIES_TABLE = """
-CREATE TABLE {name} (
+_SCHEMA = (
+    # ``records`` is the JSON array that _records_json writes.
+    """
+CREATE TABLE entries (
     global_id INTEGER PRIMARY KEY AUTOINCREMENT,
     doi_set   TEXT,
-    deleted   INTEGER NOT NULL DEFAULT 0
-)"""
-
-# Each entry's HTML body and BibTeX text, as ``render_html`` and
-# ``render_bibtex`` write them. ``html`` is NULL when a record has no
-# renderable field, and ``bibtex_fetched`` marks BibTeX fetched from
-# upstream, which a re-render keeps.
-_TEXTS_TABLE = """
-CREATE TABLE texts (
-    entry_id       INTEGER PRIMARY KEY REFERENCES entries(global_id),
-    html           TEXT,
-    bibtex         TEXT NOT NULL,
-    bibtex_fetched INTEGER NOT NULL
-)"""
-
-_SCHEMA = (
-    _ENTRIES_TABLE.format(name="entries"),
+    deleted   INTEGER NOT NULL DEFAULT 0,
+    note      TEXT,
+    records   TEXT NOT NULL
+)""",
     _LIVE_DOI_SET_INDEX,
-    """
-    CREATE TABLE records (
-        entry_id    INTEGER NOT NULL REFERENCES entries(global_id),
-        position    INTEGER NOT NULL,
-        source_type TEXT NOT NULL,
-        title       TEXT NOT NULL,
-        authors     TEXT NOT NULL,
-        journal     TEXT,
-        volume      TEXT,
-        number      TEXT,
-        page_first  TEXT,
-        page_last   TEXT,
-        year        INTEGER,
-        publisher   TEXT,
-        doi         TEXT,
-        bibcode     TEXT,
-        PRIMARY KEY (entry_id, position)
-    )""",
-    """
-    CREATE TABLE notes (
-        entry_id INTEGER PRIMARY KEY REFERENCES entries(global_id),
-        note     TEXT NOT NULL
-    )""",
     """
     CREATE TABLE crossrefs (
         dataset_scope TEXT NOT NULL,
@@ -151,40 +121,25 @@ _SCHEMA = (
         global_id     INTEGER NOT NULL REFERENCES entries(global_id),
         PRIMARY KEY (dataset_scope, parameter, local_id)
     )""",
-    _TEXTS_TABLE,
+    # Each entry's HTML body and BibTeX text, as ``render_html`` and
+    # ``render_bibtex`` write them. ``html`` is NULL when a record has no
+    # renderable field, and ``bibtex_fetched`` marks BibTeX fetched from
+    # upstream, which a re-render keeps.
+    """
+CREATE TABLE texts (
+    entry_id       INTEGER PRIMARY KEY REFERENCES entries(global_id),
+    html           TEXT,
+    bibtex         TEXT NOT NULL,
+    bibtex_fetched INTEGER NOT NULL
+)""",
 )
 
-# Record columns after (entry_id, position), named after the keys of
-# model.record_to_dict except that pages are split in two. The DOI and
-# ADS links are not stored: BibRecord derives them.
-_RECORD_COLUMNS = (
-    "source_type", "title", "authors", "journal", "volume", "number",
-    "page_first", "page_last", "year", "publisher", "doi", "bibcode",
-)
-
-_INSERT_RECORD = (
-    f"INSERT INTO records (entry_id, position, {', '.join(_RECORD_COLUMNS)})"
-    f" VALUES (?, ?{', ?' * len(_RECORD_COLUMNS)})"
-)
-
-_INSERT_TEXTS = (
-    "INSERT INTO texts (entry_id, html, bibtex, bibtex_fetched) VALUES (?, ?, ?, ?)"
-)
-
-# Entries meeting a condition, one row per record, in ID then record
-# order; the rows of one entry are adjacent.
-_SELECT_ROWS = (
-    "SELECT e.global_id, n.note, "
-    + ", ".join(f"r.{c}" for c in _RECORD_COLUMNS)
-    + " FROM entries e"
-    " JOIN records r ON r.entry_id = e.global_id"
-    " LEFT JOIN notes n ON n.entry_id = e.global_id"
-    " WHERE {}"
-    " ORDER BY e.global_id, r.position"
-)
-_SELECT_ENTRY = _SELECT_ROWS.format("e.deleted = 0 AND e.global_id = ?")
-_SELECT_ENTRIES = _SELECT_ROWS.format(
-    "e.deleted = 0 AND e.global_id IN (SELECT value FROM json_each(?))"
+_SELECT_ENTRY = "SELECT note, records FROM entries WHERE global_id = ? AND deleted = 0"
+# The live entries among a JSON array of IDs, in ID order.
+_SELECT_ENTRIES = (
+    "SELECT global_id, note, records FROM entries"
+    " WHERE deleted = 0 AND global_id IN (SELECT value FROM json_each(?))"
+    " ORDER BY global_id"
 )
 
 # The stored text of one live entry, by format.
@@ -304,27 +259,26 @@ class RefStore:
             existing = self._live_id_for_doi_set(doi_set)
         if existing is not None:
             raise _duplicate(existing)
-        rows = [_record_row(record) for record in records]
+        records_json = _records_json(records)
         fetched = bibtex is not None
         if not fetched:
             bibtex = render.render_bibtex(model.RefEntry(records, note)).body
         with self._transaction() as conn:
             try:
                 gid = conn.execute(
-                    "INSERT INTO entries (doi_set) VALUES (?)", (doi_set,)
+                    "INSERT INTO entries (doi_set, note, records) VALUES (?, ?, ?)",
+                    (doi_set, note, records_json),
                 ).lastrowid
             except sqlite3.IntegrityError:
                 # Only the live_doi_set index can refuse this row: another
                 # writer stored the same DOIs since the read above.
                 raise _duplicate(self._live_id_for_doi_set(doi_set)) from None
-            conn.executemany(
-                _INSERT_RECORD, [(gid, position, *row) for position, row in enumerate(rows)]
-            )
-            if note is not None:
-                conn.execute("INSERT INTO notes (entry_id, note) VALUES (?, ?)", (gid, note))
             # The HTML labels each line with the ID, known only now.
             html = _html_or_none(model.RefEntry(records, note, gid))
-            conn.execute(_INSERT_TEXTS, (gid, html, bibtex, fetched))
+            conn.execute(
+                "INSERT INTO texts (entry_id, html, bibtex, bibtex_fetched) VALUES (?, ?, ?, ?)",
+                (gid, html, bibtex, fetched),
+            )
         return gid
 
     def delete_entry(self, global_id: int) -> None:
@@ -369,10 +323,10 @@ class RefStore:
         return self._live_id_for_doi_set(_doi_set(dois))
 
     def get_entry(self, global_id: int) -> RefEntry:
-        rows = self._conn.execute(_SELECT_ENTRY, (global_id,)).fetchall()
-        if not rows:
+        row = self._conn.execute(_SELECT_ENTRY, (global_id,)).fetchone()
+        if row is None:
             raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
-        return _entry_from_rows(global_id, rows)
+        return _entry_from_row(global_id, *row)
 
     def get_rendered(self, global_id: int, fmt: RenderFormat) -> RenderedCitation:
         """A live entry in one house format.
@@ -403,14 +357,23 @@ class RefStore:
 
         The label is the first record's title, else its first author's
         display form, else ``(untitled)``. One statement, and no entry is
-        decoded: the authors are read only for an untitled record.
+        decoded: SQLite reads each title out of the records' JSON. An
+        untitled first record comes back as its JSON, in a blob so that no
+        title is ever taken for JSON, and is labeled from that. So is one
+        whose JSON holds the escape of U+0000, at which ``json_extract``
+        cuts a string.
         """
         rows = self._select_live(
-            "SELECT e.global_id, r.title, r.authors FROM entries e"
-            " JOIN records r ON r.entry_id = e.global_id AND r.position = 0",
+            "SELECT e.global_id, CASE WHEN e.records GLOB '*\\u0000*'"
+            " THEN CAST(json_extract(e.records, '$[0]') AS BLOB)"
+            " ELSE COALESCE(NULLIF(json_extract(e.records, '$[0].title'), ''),"
+            " CAST(json_extract(e.records, '$[0]') AS BLOB)) END FROM entries e",
             scope,
         )
-        return [(gid, title or _first_author_label(authors)) for gid, title, authors in rows]
+        return [
+            (gid, label if isinstance(label, str) else _record_label(label))
+            for gid, label in rows
+        ]
 
     def lookup_crossref(self, scope: str, parameter: str, local_id: int) -> int:
         row = self._conn.execute(
@@ -498,9 +461,9 @@ class RefStore:
         rows = self._conn.execute(_SELECT_ENTRIES, (json.dumps(ids),))
         wanted = iter(ids)
         try:
-            for row_id, entry_rows in groupby(rows, key=itemgetter(0)):
+            for row_id, note, records_json in rows:
                 global_id = next(i for i in wanted if i == row_id)
-                yield _entry_from_rows(global_id, list(entry_rows))
+                yield _entry_from_row(global_id, note, records_json)
         finally:
             rows.close()
 
@@ -542,14 +505,9 @@ def _doi_set(dois: Iterable[Doi | None]) -> str | None:
     return "|".join(canonical) if canonical else None
 
 
-def _record_row(record: BibRecord) -> tuple:
-    """A record's values for _RECORD_COLUMNS, through the model's dict codec."""
-    fields = model.record_to_dict(record)
-    fields["authors"] = json.dumps(fields["authors"], ensure_ascii=False)
-    pages = fields.pop("pages", None)
-    if pages is not None:
-        fields["page_first"], fields["page_last"] = pages["first"], pages["last"]
-    return tuple(fields.get(column) for column in _RECORD_COLUMNS)
+def _records_json(records: list[BibRecord]) -> str:
+    """The ``records`` column of an entry: its records through the model's dict codec."""
+    return json.dumps([model.record_to_dict(r, links=False) for r in records], ensure_ascii=False)
 
 
 def _html_or_none(entry: RefEntry) -> str | None:
@@ -560,18 +518,16 @@ def _html_or_none(entry: RefEntry) -> str | None:
         return None
 
 
-def _first_author_label(authors_json: str) -> str:
-    authors = json.loads(authors_json)
+def _record_label(record_json: bytes) -> str:
+    """A record's title, else its first author's display form, else ``(untitled)``."""
+    record = json.loads(record_json)
+    if record["title"]:
+        return record["title"]
+    authors = record["authors"]
     return model.author_from_dict(authors[0]).formatted if authors else "(untitled)"
 
 
-def _entry_from_rows(global_id: int, rows: list[tuple]) -> RefEntry:
-    """One entry from its _SELECT_ENTRIES rows, records decoded by the model's dict codec."""
-    records = []
-    for row in rows:
-        fields = {c: v for c, v in zip(_RECORD_COLUMNS, row[2:]) if v is not None}
-        fields["authors"] = json.loads(fields["authors"])
-        if "page_first" in fields:
-            fields["pages"] = {"first": fields.pop("page_first"), "last": fields.pop("page_last", None)}
-        records.append(model.record_from_dict(fields))
-    return model.RefEntry(records=records, note=rows[0][1], global_id=global_id)
+def _entry_from_row(global_id: int, note: str | None, records_json: str) -> RefEntry:
+    """One entry from its ``entries`` row, records decoded by the model's dict codec."""
+    records = [model.record_from_dict(fields) for fields in json.loads(records_json)]
+    return model.RefEntry(records=records, note=note, global_id=global_id)

@@ -120,6 +120,13 @@ class TestAdd:
         code, _, _ = run(capsys, *offline("add", "--doi", HITRAN, "--query", "t", db=db_path))
         assert code == 64
 
+    def test_blank_query_is_usage_error_and_creates_no_store(self, capsys, db_path):
+        code, out, err = run(capsys, *offline("add", "--query", " \t ", db=db_path))
+        assert code == 64
+        assert out == ""
+        assert err == "refs: --query needs text that is not blank\n"
+        assert not Path(db_path).exists()
+
     def test_invalid_doi_exits_1(self, capsys, db_path):
         code, _, err = run(capsys, *offline("add", "--doi", "not-a-doi", db=db_path))
         assert code == 1
@@ -428,12 +435,12 @@ class TestList:
                                                     statements):
         decoded = []
 
-        def counting(global_id, rows):
+        def counting(global_id, note, records_json):
             decoded.append(global_id)
-            return entry_from_rows(global_id, rows)
+            return entry_from_row(global_id, note, records_json)
 
-        entry_from_rows = refs.store._entry_from_rows
-        monkeypatch.setattr(refs.store, "_entry_from_rows", counting)
+        entry_from_row = refs.store._entry_from_row
+        monkeypatch.setattr(refs.store, "_entry_from_row", counting)
         queries = []
         for size in (5, 50):
             db = str(tmp_path / f"{size}.db")

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import refs
 import refs.migrations
@@ -166,6 +166,25 @@ class TestRetrieval:
                 loaded = store.get_entry(gid)
                 assert (loaded.records, loaded.note, loaded.global_id) == (recs, note, gid)
             assert [(e.records, e.note) for e in store.list_entries()] == list(stored.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(entries=st.lists(st.lists(records_strategy, min_size=1, max_size=2),
+                            min_size=1, max_size=4))
+    @example(entries=[[BibRecord(title="\x00")], [BibRecord(title="a\x00b")],
+                      [BibRecord(title="a\\u0000b")],
+                      [BibRecord(authors=[make_author("\x00", "N\x00")])]])
+    def test_labels_read_from_the_stored_json_match_the_decoded_entries(self, entries):
+        def label(entry):
+            first = entry.records[0]
+            return first.title or (first.authors[0].formatted if first.authors else "(untitled)")
+
+        with RefStore(":memory:") as store:
+            for recs in entries:
+                try:
+                    store.add_entry(recs)
+                except DuplicateEntryError:
+                    pass
+            assert store.list_labels() == [(e.global_id, label(e)) for e in store.list_entries()]
 
     def test_unknown_id(self, store):
         with pytest.raises(MissingEntryError):
@@ -356,12 +375,12 @@ class TestExportBundle:
             store.add_entry([record(f"10.1000/{suffix}")])
         decoded = []
 
-        def counting(global_id, rows):
+        def counting(global_id, note, records_json):
             decoded.append(global_id)
-            return entry_from_rows(global_id, rows)
+            return entry_from_row(global_id, note, records_json)
 
-        entry_from_rows = refs.store._entry_from_rows
-        monkeypatch.setattr(refs.store, "_entry_from_rows", counting)
+        entry_from_row = refs.store._entry_from_row
+        monkeypatch.setattr(refs.store, "_entry_from_row", counting)
         html_path, bib_path = store.export_bundle([3, 1, 2], tmp_path)
         assert decoded == []
         assert html_path.read_text(encoding="utf-8").count("<p>") == 3
@@ -391,7 +410,7 @@ class TestStoredTexts:
             for body in (render_html(entry).body, render_bibtex(entry).body):
                 digest.update(body.encode("utf-8") + b"\0")
         assert (SCHEMA_VERSION, digest.hexdigest()) == (
-            3, "a85ae15d7c661886aac797a0c65816d55c04bef3f18b7c07858416985eb0b79a")
+            4, "a85ae15d7c661886aac797a0c65816d55c04bef3f18b7c07858416985eb0b79a")
 
     def test_corpus_through_the_store_matches_the_golden(self, store):
         for entry in build_corpus_entries():
@@ -536,8 +555,8 @@ class TestConcurrency:
     def test_duplicate_read_waits_for_an_add_in_flight_on_the_handle(self, store, monkeypatch):
         import threading
 
-        class FailingRecordInsert:
-            """The handle's connection, except that the first record insert stalls, then fails."""
+        class FailingTextsInsert:
+            """The handle's connection, except that the first texts insert stalls, then fails."""
 
             def __init__(self, conn):
                 self._conn = conn
@@ -546,14 +565,14 @@ class TestConcurrency:
             def __getattr__(self, name):
                 return getattr(self._conn, name)
 
-            def executemany(self, sql, rows):
-                if self.stalled.is_set():
-                    return self._conn.executemany(sql, rows)
+            def execute(self, sql, *params):
+                if self.stalled.is_set() or not sql.startswith("INSERT INTO texts"):
+                    return self._conn.execute(sql, *params)
                 self.stalled.set()
                 time.sleep(0.3)  # the entries row is inserted but not committed
                 raise sqlite3.OperationalError("disk I/O error")
 
-        conn = FailingRecordInsert(store._conn)
+        conn = FailingTextsInsert(store._conn)
         monkeypatch.setattr(store, "_conn", conn)
         errors = []
 
@@ -660,6 +679,24 @@ class TestQueryCounts:
             counts.append(per_call)
         assert counts[0] == counts[1]
         assert counts[0][0] == 1
+
+    def test_get_entry_reads_one_row_by_primary_key(self, tmp_path, statements):
+        with filled_store(tmp_path / "refs.db", 10) as store:
+            statements.clear()
+            entry = store.get_entry(4)
+            (read,) = statements
+            plan = [row[-1] for row in store._conn.execute("EXPLAIN QUERY PLAN " + read)]
+        assert len(entry.records) == 2 and entry.note == "note 3"
+        assert plan == ["SEARCH entries USING INTEGER PRIMARY KEY (rowid=?)"]
+
+    def test_a_fresh_add_is_two_inserts(self, tmp_path, statements):
+        with filled_store(tmp_path / "refs.db", 10) as store:
+            statements.clear()
+            gid = store.add_entry([record("10.5000/new.a"), record("10.5000/new.b")], note="n")
+        inserts = [s.split(" (")[0] for s in statements if s.startswith("INSERT")]
+        assert inserts == ["INSERT INTO entries", "INSERT INTO texts"]
+        assert statements.count("BEGIN IMMEDIATE") == statements.count("COMMIT") == 1
+        assert gid == 11
 
     def test_a_duplicate_add_is_one_read_without_the_write_lock(self, tmp_path, statements):
         with filled_store(tmp_path / "refs.db", 10) as store:
@@ -834,11 +871,61 @@ PRAGMA user_version = 2;
 """
 
 
+# The version-3 schema exactly as the store created it, whitespace included.
+V3_SCHEMA = """
+CREATE TABLE entries (
+    global_id INTEGER PRIMARY KEY AUTOINCREMENT,
+    doi_set   TEXT,
+    deleted   INTEGER NOT NULL DEFAULT 0
+);
+CREATE UNIQUE INDEX live_doi_set ON entries (doi_set) WHERE deleted = 0;
+CREATE TABLE records (
+        entry_id    INTEGER NOT NULL REFERENCES entries(global_id),
+        position    INTEGER NOT NULL,
+        source_type TEXT NOT NULL,
+        title       TEXT NOT NULL,
+        authors     TEXT NOT NULL,
+        journal     TEXT,
+        volume      TEXT,
+        number      TEXT,
+        page_first  TEXT,
+        page_last   TEXT,
+        year        INTEGER,
+        publisher   TEXT,
+        doi         TEXT,
+        bibcode     TEXT,
+        PRIMARY KEY (entry_id, position)
+    );
+CREATE TABLE notes (
+        entry_id INTEGER PRIMARY KEY REFERENCES entries(global_id),
+        note     TEXT NOT NULL
+    );
+CREATE TABLE crossrefs (
+        dataset_scope TEXT NOT NULL,
+        parameter     TEXT NOT NULL,
+        local_id      INTEGER NOT NULL,
+        global_id     INTEGER NOT NULL REFERENCES entries(global_id),
+        PRIMARY KEY (dataset_scope, parameter, local_id)
+    );
+CREATE TABLE texts (
+    entry_id       INTEGER PRIMARY KEY REFERENCES entries(global_id),
+    html           TEXT,
+    bibtex         TEXT NOT NULL,
+    bibtex_fetched INTEGER NOT NULL
+);
+PRAGMA user_version = 3;
+"""
+
+
 def write_old_store(version: int, path: Path, entries: dict, deleted=(), crossrefs=(),
-                    next_id=None) -> None:
-    """A version-1 or -2 file holding ``{gid: (records, note)}``, as that version wrote it."""
+                    next_id=None, fetched=None) -> None:
+    """A version-1, -2 or -3 file holding ``{gid: (records, note)}``, as that version wrote it.
+
+    A version-3 file also holds each entry's rendered HTML and BibTeX, or,
+    for an ID in ``fetched``, that BibTeX text as fetched from upstream.
+    """
     conn = sqlite3.connect(path)
-    conn.executescript(V1_SCHEMA if version == 1 else V2_SCHEMA)
+    conn.executescript({1: V1_SCHEMA, 2: V2_SCHEMA, 3: V3_SCHEMA}[version])
     for gid, (recs, note) in entries.items():
         dois = sorted({r.doi.canonical for r in recs if r.doi})
         conn.execute("INSERT INTO entries VALUES (?, ?, ?)",
@@ -856,6 +943,12 @@ def write_old_store(version: int, path: Path, entries: dict, deleted=(), crossre
             conn.execute(f"INSERT INTO records VALUES ({', '.join('?' * len(row))})", row)
         if note is not None:
             conn.execute("INSERT INTO notes VALUES (?, ?)", (gid, note))
+        if version == 3:
+            entry = RefEntry(recs, note, gid)
+            bibtex = (fetched or {}).get(gid)
+            conn.execute("INSERT INTO texts VALUES (?, ?, ?, ?)",
+                         (gid, fresh_html(entry), bibtex or render_bibtex(entry).body,
+                          int(bibtex is not None)))
     conn.executemany("INSERT INTO crossrefs VALUES (?, ?, ?, ?)", crossrefs)
     next_id = next_id or max(entries) + 1
     if version == 1:
@@ -872,6 +965,13 @@ def schema_of(path: Path) -> tuple[int, set[str]]:
     tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")}
     conn.close()
     return version, tables
+
+
+def read_table(path: Path, query: str) -> list[tuple]:
+    conn = sqlite3.connect(path)
+    rows = conn.execute(query).fetchall()
+    conn.close()
+    return rows
 
 
 class TestMigration:
@@ -910,8 +1010,7 @@ class TestMigration:
             assert exc_info.value.existing_id == 2
             assert store.add_entry([record("10.1000/c")]) == next_id
             assert store.add_entry([record("10.1000/d")]) == next_id + 1
-        assert schema_of(path) == (3, {"entries", "records", "notes", "crossrefs", "texts",
-                                       "sqlite_sequence"})
+        assert schema_of(path) == (4, {"entries", "crossrefs", "texts", "sqlite_sequence"})
         with RefStore(path) as store:
             assert store.add_entry([record("10.1000/e")]) == next_id + 2
 
@@ -940,8 +1039,56 @@ class TestMigration:
             assert store.list_crossrefs() == [refs.SourceCrossRef("CO2", "nu", 7, 3),
                                               refs.SourceCrossRef("H2O", "nu", 1, 1)]
             assert store.add_entry([record("10.1000/c")]) == 9
-        assert schema_of(path) == (3, {"entries", "records", "notes", "crossrefs", "texts",
-                                       "sqlite_sequence"})
+        assert schema_of(path) == (4, {"entries", "crossrefs", "texts", "sqlite_sequence"})
+
+    def test_v3_file_becomes_one_row_per_entry_in_the_opening_transaction(self, tmp_path,
+                                                                         statements):
+        path = tmp_path / "v3.db"
+        entries = self.v1_entries()
+        fetched = {2: "@misc{Author_2000, title={A title}, year={2000}}"}
+        write_old_store(3, path, entries, deleted={3},
+                        crossrefs=[("H2O", "nu", 1, 1), ("CO2", "nu", 7, 3)], next_id=9,
+                        fetched=fetched)
+        texts = read_table(path, "SELECT * FROM texts ORDER BY entry_id")
+        assert texts[1][2:] == (fetched[2], 1)
+        statements.clear()
+        with RefStore(path) as store:
+            assert statements.count("BEGIN IMMEDIATE") == statements.count("COMMIT") == 1
+            for gid in (1, 2, 4):
+                loaded = store.get_entry(gid)
+                assert (loaded.records, loaded.note) == entries[gid]
+            assert store.get_rendered(2, RenderFormat.BIBTEX).body == fetched[2]
+            with pytest.raises(MissingEntryError):
+                store.get_entry(3)
+            assert store.list_labels() == [(1, "The HITRAN2016 molecular spectroscopic database"),
+                                           (2, "A title"), (4, "Private communication")]
+            assert store.list_crossrefs() == [refs.SourceCrossRef("CO2", "nu", 7, 3),
+                                              refs.SourceCrossRef("H2O", "nu", 1, 1)]
+            with pytest.raises(DuplicateEntryError) as exc_info:
+                store.add_entry([record("10.1000/b"), record("10.1000/a")])
+            assert exc_info.value.existing_id == 2
+            assert store.add_entry([record("10.1000/c")]) == 9
+        assert read_table(path, "SELECT * FROM texts WHERE entry_id < 9 ORDER BY entry_id") == texts
+        assert read_table(path, "SELECT deleted, note FROM entries WHERE global_id = 3") == [
+            (1, "tombstoned")]
+        assert schema_of(path) == (4, {"entries", "crossrefs", "texts", "sqlite_sequence"})
+        RefStore(tmp_path / "new.db").close()
+        master = "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name"
+        assert read_table(path, master) == read_table(tmp_path / "new.db", master)
+
+    def test_a_v3_entry_without_records_stops_the_migration(self, tmp_path, statements):
+        path = tmp_path / "v3.db"
+        write_old_store(3, path, self.v1_entries(), crossrefs=[("H2O", "nu", 1, 4)])
+        conn = sqlite3.connect(path)
+        conn.execute("DELETE FROM records WHERE entry_id = 4")
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        statements.clear()
+        with pytest.raises(StoreError, match="cannot migrate to schema version 4: dangling"):
+            RefStore(path)
+        assert "COMMIT" not in statements
+        assert path.read_bytes() == before
 
     def test_live_entries_sharing_a_doi_set_stop_the_migration(self, tmp_path, statements):
         path = tmp_path / "v1.db"
