@@ -4,6 +4,10 @@
 ``SCHEMA_VERSION``; opening a current file never loads it. Each step
 creates its tables from the definitions of the version it writes, pinned
 here, so a later change to the store's schema leaves the step as it was.
+The record JSON is not pinned yet: ``_v3_to_v4`` encodes with the store's
+``_records_json`` and the v3 reader decodes with ``model.record_from_dict``,
+both today's version-4 codec. A version that changes that JSON first
+copies the version-4 encoder and decoder in here for those two.
 
 Up to version 3, an entry's records were the rows of a ``records`` table,
 one column per field, and its note a row of ``notes``. The reader of that

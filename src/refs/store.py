@@ -357,23 +357,16 @@ class RefStore:
 
         The label is the first record's title, else its first author's
         display form, else ``(untitled)``. One statement, and no entry is
-        decoded: SQLite reads each title out of the records' JSON. An
-        untitled first record comes back as its JSON, in a blob so that no
-        title is ever taken for JSON, and is labeled from that. So is one
-        whose JSON holds the escape of U+0000, at which ``json_extract``
-        cuts a string.
+        decoded: SQLite reads the title and the first author out of each
+        row's JSON, as JSON (a string that ``json_extract`` returned as
+        text would end at an escaped U+0000).
         """
         rows = self._select_live(
-            "SELECT e.global_id, CASE WHEN e.records GLOB '*\\u0000*'"
-            " THEN CAST(json_extract(e.records, '$[0]') AS BLOB)"
-            " ELSE COALESCE(NULLIF(json_extract(e.records, '$[0].title'), ''),"
-            " CAST(json_extract(e.records, '$[0]') AS BLOB)) END FROM entries e",
+            "SELECT e.global_id, json_extract(e.records, '$[0].title', '$[0].authors[0]')"
+            " FROM entries e",
             scope,
         )
-        return [
-            (gid, label if isinstance(label, str) else _record_label(label))
-            for gid, label in rows
-        ]
+        return [(gid, _record_label(title_and_author)) for gid, title_and_author in rows]
 
     def lookup_crossref(self, scope: str, parameter: str, local_id: int) -> int:
         row = self._conn.execute(
@@ -506,7 +499,12 @@ def _doi_set(dois: Iterable[Doi | None]) -> str | None:
 
 
 def _records_json(records: list[BibRecord]) -> str:
-    """The ``records`` column of an entry: its records through the model's dict codec."""
+    """The ``records`` column of an entry: its records through the model's dict codec.
+
+    ``migrations._v3_to_v4`` writes its rows with this function too: a
+    change to this JSON first pins the version-4 codec there (see that
+    module's docstring).
+    """
     return json.dumps([model.record_to_dict(r, links=False) for r in records], ensure_ascii=False)
 
 
@@ -518,13 +516,12 @@ def _html_or_none(entry: RefEntry) -> str | None:
         return None
 
 
-def _record_label(record_json: bytes) -> str:
-    """A record's title, else its first author's display form, else ``(untitled)``."""
-    record = json.loads(record_json)
-    if record["title"]:
-        return record["title"]
-    authors = record["authors"]
-    return model.author_from_dict(authors[0]).formatted if authors else "(untitled)"
+def _record_label(title_and_author_json: str) -> str:
+    """A label from ``[title, first author or null]``: the title, else the author, else ``(untitled)``."""
+    title, author = json.loads(title_and_author_json)
+    if title:
+        return title
+    return model.author_from_dict(author).formatted if author else "(untitled)"
 
 
 def _entry_from_row(global_id: int, note: str | None, records_json: str) -> RefEntry:
