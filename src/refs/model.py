@@ -65,10 +65,7 @@ class AuthorName(Frozen):
     @property
     def formatted(self) -> str:
         """The display form: initials then surname, e.g. ``I. E. Gordon``."""
-        initials = self.initials
-        if not initials:
-            return self.surname
-        return " ".join(initials) + " " + self.surname
+        return " ".join([*self.initials, self.surname])
 
 
 def make_author(raw_given: str, raw_surname: str) -> AuthorName:
@@ -135,13 +132,12 @@ class BibRecord(Value):
 
     The title holds clean Unicode: HTML entities are decoded once, at the
     resolver boundary, never at render time. ``doi_url`` and ``ads_url``
-    are not arguments: they are derived from ``doi`` and ``bibcode`` when
-    the record is built, and are None without them. ``authors`` of None
-    means an empty list.
+    are read-only properties, derived from ``doi`` and ``bibcode`` on each
+    read, and None without them. ``authors`` of None means an empty list.
     """
 
     __slots__ = ("title", "authors", "source_type", "journal", "volume", "number", "pages",
-                 "year", "publisher", "doi", "bibcode", "doi_url", "ads_url")
+                 "year", "publisher", "doi", "bibcode")
     title: str
     authors: list[AuthorName]
     source_type: SourceType
@@ -153,8 +149,6 @@ class BibRecord(Value):
     publisher: str | None
     doi: Doi | None
     bibcode: Bibcode | None
-    doi_url: str | None
-    ads_url: str | None
 
     def __init__(
         self,
@@ -183,8 +177,9 @@ class BibRecord(Value):
         self.publisher = publisher
         self.doi = doi
         self.bibcode = bibcode
-        self.doi_url = None if doi is None else doi.url
-        self.ads_url = None if bibcode is None else bibcode.ads_url
+
+    doi_url = property(lambda self: None if self.doi is None else self.doi.url)
+    ads_url = property(lambda self: None if self.bibcode is None else self.bibcode.ads_url)
 
 
 class RefEntry(Value):
@@ -252,14 +247,14 @@ def author_to_dict(a: AuthorName) -> dict[str, Any]:
 
 
 def author_from_dict(d: dict[str, Any]) -> AuthorName:
-    return AuthorName(given_names=tuple(d.get("given_names", [])), surname=d["surname"])
+    return AuthorName(tuple(d.get("given_names", ())), d["surname"])
 
 
 def record_to_dict(r: BibRecord, links: bool = True) -> dict[str, Any]:
     """Plain-dict form of a record. None-valued fields are omitted.
 
-    ``links=False`` leaves out ``doi_url`` and ``ads_url``, which
-    record_from_dict derives again.
+    ``links=False`` leaves out ``doi_url`` and ``ads_url``, which a
+    BibRecord derives from ``doi`` and ``bibcode`` on read.
     """
     out: dict[str, Any] = {
         "source_type": r.source_type.value,
@@ -282,34 +277,28 @@ def record_to_dict(r: BibRecord, links: bool = True) -> dict[str, Any]:
         out["doi"] = r.doi.canonical
     if r.bibcode is not None:
         out["bibcode"] = format_bibcode(r.bibcode)
-    if links and r.doi_url is not None:
-        out["doi_url"] = r.doi_url
-    if links and r.ads_url is not None:
-        out["ads_url"] = r.ads_url
+    if links and r.doi is not None:
+        out["doi_url"] = r.doi.url
+    if links and r.bibcode is not None:
+        out["ads_url"] = r.bibcode.ads_url
     return out
 
 
 def record_from_dict(d: dict[str, Any]) -> BibRecord:
-    pages = None
-    if d.get("pages") is not None:
-        pages = Pages(first=d["pages"]["first"], last=d["pages"].get("last"))
+    """The record record_to_dict wrote, built positionally through every constructor check."""
+    pages = d.get("pages")
+    if pages is not None:
+        pages = Pages(pages["first"], pages.get("last"))
     source_type = d.get("source_type", "article")
     try:
         source_type = _SOURCE_TYPES[source_type]
     except (KeyError, TypeError):
         source_type = SourceType(source_type)  # raises the enum's ValueError
     return BibRecord(
-        title=d.get("title", ""),
-        authors=[author_from_dict(a) for a in d.get("authors", [])],
-        source_type=source_type,
-        journal=d.get("journal"),
-        volume=d.get("volume"),
-        number=d.get("number"),
-        pages=pages,
-        year=d.get("year"),
-        publisher=d.get("publisher"),
-        doi=parse_doi(d["doi"]) if d.get("doi") else None,
-        bibcode=parse_bibcode(d["bibcode"]) if d.get("bibcode") else None,
+        d.get("title", ""), [author_from_dict(a) for a in d.get("authors", ())], source_type,
+        d.get("journal"), d.get("volume"), d.get("number"), pages, d.get("year"),
+        d.get("publisher"), parse_doi(d["doi"]) if d.get("doi") else None,
+        parse_bibcode(d["bibcode"]) if d.get("bibcode") else None,
     )
 
 

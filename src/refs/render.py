@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import re
 from json.encoder import encode_basestring
+from typing import Iterable
 
 from .errors import UnrenderableError
 from .formats import RenderedCitation, RenderFormat
 from .identifiers import format_bibcode
-from .model import AuthorName, BibRecord, RefEntry, SourceType, entry_to_dict, format_pages
+from .model import AuthorName, BibRecord, RefEntry, SourceType, format_pages
 
 _BIBTEX_TYPE = {
     SourceType.ARTICLE: "article",
@@ -46,6 +47,8 @@ _VALUE_ESCAPE_TABLE = str.maketrans(_VALUE_ESCAPES)
 _VALUE_SPECIAL = re.compile("[" + re.escape("".join(_VALUE_ESCAPES)) + "]")
 # The word BibTeX splits an author list on, in any case.
 _AND_WORD = re.compile(r"(?:^|\s)and(?:\s|$)", re.IGNORECASE)
+# What makes _bibtex_author escape or brace a name part, in "surname\ngiven names".
+_NAME_NEEDS_WORK = re.compile(f"[,{re.escape(''.join(_VALUE_ESCAPES))}]|{_AND_WORD.pattern}", re.I)
 
 
 def escape_html(raw: str) -> str:
@@ -77,7 +80,8 @@ def _citation_line(record: BibRecord, note: str | None, markup: bool) -> str:
 
     segments = []
     if record.authors:
-        segments.append(", ".join(esc(a.formatted) for a in record.authors))
+        # One escape for the list: ", " holds nothing escape_html changes.
+        segments.append(esc(", ".join([a.formatted for a in record.authors])))
     if record.title:
         if markup:
             segments.append("&quot;" + esc(record.title) + "&quot;")
@@ -98,10 +102,10 @@ def _citation_line(record: BibRecord, note: str | None, markup: bool) -> str:
     line = f"{head} ({year_text})." if head else f"({year_text})."
 
     links = []
-    if record.doi_url:
-        links.append(f'<a href="{esc(record.doi_url)}">[link]</a>' if markup else record.doi_url)
-    if record.ads_url:
-        links.append(f'<a href="{esc(record.ads_url)}">[ADS]</a>' if markup else record.ads_url)
+    if doi_url := record.doi_url:
+        links.append(f'<a href="{esc(doi_url)}">[link]</a>' if markup else doi_url)
+    if ads_url := record.ads_url:
+        links.append(f'<a href="{esc(ads_url)}">[ADS]</a>' if markup else ads_url)
     if links:
         line += " " + " ".join(links)
 
@@ -111,13 +115,12 @@ def _citation_line(record: BibRecord, note: str | None, markup: bool) -> str:
 
 
 def _entry_lines(entry: RefEntry, markup: bool) -> list[str]:
-    esc = escape_html if markup else (lambda s: s)
     lines = []
     for i, (record, sub) in enumerate(zip(entry.records, entry.sub_labels)):
         note = entry.note if i == 0 else None
         line = _citation_line(record, note, markup)
         if entry.global_id is not None:
-            line = f"{esc(str(entry.global_id) + sub)}. {line}"
+            line = f"{entry.global_id}{sub}. {line}"
         lines.append(line)
     return lines
 
@@ -158,17 +161,16 @@ def escape_value(text: str) -> str:
 
 
 def _bibtex_author(author: AuthorName) -> str:
-    surname = escape_value(author.surname)
-    if not author.given_names:
-        return "{" + surname + "}"
-    given = escape_value(" ".join(author.given_names))
-    # Braced, so that a comma is not read as the surname/given-name split
-    # and an "and" does not split the author in two.
-    if "," in surname or _AND_WORD.search(surname):
-        surname = "{" + surname + "}"
-    if _AND_WORD.search(given):
-        given = "{" + given + "}"
-    return f"{surname}, {given}"
+    surname, given = author.surname, " ".join(author.given_names)
+    if _NAME_NEEDS_WORK.search(surname + "\n" + given) is not None:
+        surname, given = escape_value(surname), escape_value(given)
+        # Braced, so that a comma is not read as the surname/given-name split
+        # and an "and" does not split the author in two.
+        if author.given_names and ("," in surname or _AND_WORD.search(surname)):
+            surname = "{" + surname + "}"
+        if _AND_WORD.search(given):
+            given = "{" + given + "}"
+    return f"{surname}, {given}" if author.given_names else "{" + surname + "}"
 
 
 def _bibtex_block(record: BibRecord, sub: str) -> str:
@@ -220,51 +222,60 @@ def render_json(entry: RefEntry) -> RenderedCitation:
     """Canonical JSON form: sorted keys, UTF-8, two-space indent, no trailing whitespace.
 
     The bytes are those of ``json.dumps(entry_to_dict(entry), sort_keys=True,
-    ensure_ascii=False, indent=2)``. That call always runs the stdlib's
-    pure-Python encoder, because the C one cannot indent; _write_json does
-    the same walk over the few types entry_to_dict produces.
+    ensure_ascii=False, indent=2)``, written from the fields in that key order at
+    their fixed depths. Strings go through the stdlib's C escaper and ints are
+    numbers; any other type in a field raises TypeError.
     """
-    out: list[str] = []
-    _write_json(entry_to_dict(entry), "", out)
-    return RenderedCitation(format=RenderFormat.JSON, body="".join(out), global_label=_label(entry))
+    members = []
+    if entry.global_id is not None:
+        labels = _json_list(map(_json_value, entry.display_labels), "  ")
+        members += ['"global_id": ' + _json_value(entry.global_id), '"labels": ' + labels]
+    if entry.note is not None:
+        members.append('"note": ' + _json_value(entry.note))
+    members.append('"records": ' + _json_list(map(_json_record, entry.records), "  "))
+    body = "{\n  " + ",\n  ".join(members) + "\n}"
+    return RenderedCitation(format=RenderFormat.JSON, body=body, global_label=_label(entry))
 
 
-def _write_json(value, indent: str, out: list[str]) -> None:
-    """Append value's indented JSON text, nested at ``indent``, to out.
+def _json_record(r: BibRecord) -> str:
+    """The members record_to_dict gives a record, in key order, as an item of "records"."""
+    doi, bibcode, pages = r.doi, r.bibcode, r.pages
+    authors = (f'{{\n          "given_names": {_json_list(map(_json_value, a.given_names), " " * 10)},'
+               f'\n          "surname": {_json_value(a.surname)}\n        }}' for a in r.authors)
+    members = [
+        None if bibcode is None else '"ads_url": ' + _json_value(bibcode.ads_url),
+        '"authors": ' + _json_list(authors, " " * 6),
+        None if bibcode is None else '"bibcode": ' + _json_value(format_bibcode(bibcode)),
+        None if doi is None else '"doi": ' + _json_value(doi.canonical),
+        None if doi is None else '"doi_url": ' + _json_value(doi.url),
+        None if r.journal is None else '"journal": ' + _json_value(r.journal),
+        None if r.number is None else '"number": ' + _json_value(r.number),
+        None if pages is None else f'"pages": {{\n        "first": {_json_value(pages.first)},'
+                                   f'\n        "last": {_json_value(pages.last)}\n      }}',
+        None if r.publisher is None else '"publisher": ' + _json_value(r.publisher),
+        '"source_type": ' + _json_value(r.source_type.value),
+        '"title": ' + _json_value(r.title),
+        None if r.volume is None else '"volume": ' + _json_value(r.volume),
+        None if r.year is None else '"year": ' + _json_value(r.year),
+    ]
+    return "{\n      " + ",\n      ".join(filter(None, members)) + "\n    }"
 
-    Takes dicts with string keys, lists, str, int and None; any other type
-    raises TypeError. Strings go through the stdlib's own C escaper.
-    """
+
+def _json_value(value) -> str:
     if isinstance(value, str):
-        out.append(encode_basestring(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        separator = "{\n" + inner
-        for key, item in sorted(value.items()):
-            out.append(f"{separator}{encode_basestring(key)}: ")
-            _write_json(item, inner, out)
-            separator = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        separator = "[\n" + inner
-        for item in value:
-            out.append(separator)
-            _write_json(item, inner, out)
-            separator = ",\n" + inner
-        out.append("\n" + indent + "]")
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, int) and not isinstance(value, bool):
-        out.append(int.__repr__(value))
-    else:
-        raise TypeError(f"{type(value).__name__} is not one of the JSON renderer's types")
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is not one of the JSON renderer's types")
+
+
+def _json_list(items: Iterable[str], pad: str) -> str:
+    """Written items as a JSON array whose closing bracket is indented by ``pad``."""
+    inner = ",\n  " + pad
+    written = inner.join(items)
+    return f"[{inner[1:]}{written}\n{pad}]" if written else "[]"
 
 
 def render_format(entry: RefEntry, fmt: RenderFormat) -> RenderedCitation:

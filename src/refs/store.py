@@ -526,5 +526,5 @@ def _record_label(title_and_author_json: str) -> str:
 
 def _entry_from_row(global_id: int, note: str | None, records_json: str) -> RefEntry:
     """One entry from its ``entries`` row, records decoded by the model's dict codec."""
-    records = [model.record_from_dict(fields) for fields in json.loads(records_json)]
-    return model.RefEntry(records=records, note=note, global_id=global_id)
+    records = list(map(model.record_from_dict, json.loads(records_json)))
+    return model.RefEntry(records, note, global_id)

@@ -10,8 +10,11 @@ from hypothesis import given, strategies as st
 
 from refs import (
     AuthorName,
+    BibcodeFormatError,
+    BibcodeLengthError,
     BibRecord,
     InvalidAuthorError,
+    InvalidDoiError,
     Pages,
     RefEntry,
     SourceCrossRef,
@@ -19,6 +22,8 @@ from refs import (
     make_author,
     parse_bibcode,
     parse_doi,
+    render_html,
+    render_text,
     sub_labels,
 )
 from refs.model import (
@@ -28,6 +33,8 @@ from refs.model import (
     record_from_dict,
     record_to_dict,
 )
+
+from test_render import json_records
 
 
 def initials_by_search(given_names: tuple[str, ...]) -> list[str]:
@@ -160,6 +167,20 @@ class TestBibRecord:
         assert record.ads_url == "https://ui.adsabs.harvard.edu/abs/2017JQSRT.203....3G"
         assert "doi_url" not in record_to_dict(record)
 
+    def test_links_follow_a_reassigned_identifier(self):
+        r = BibRecord(title="t", doi=parse_doi("10.1000/a"),
+                      bibcode=parse_bibcode("2017JQSRT.203....3G"))
+        r.doi = parse_doi("10.1000/b")
+        r.bibcode = parse_bibcode("2016JQSRT.200....4R")
+        assert r.doi_url == "https://doi.org/10.1000/b"
+        assert r.ads_url == "https://ui.adsabs.harvard.edu/abs/2016JQSRT.200....4R"
+        entry = RefEntry([r])
+        assert '<a href="https://doi.org/10.1000/b">' in render_html(entry).body
+        assert "2016JQSRT.200....4R" in render_text(entry).body
+        assert "10.1000/a" not in render_html(entry).body + render_text(entry).body
+        r.doi = r.bibcode = None
+        assert (r.doi_url, r.ads_url) == (None, None)
+
     def test_ads_url_embeds_bibcode(self):
         r = BibRecord(title="T", bibcode=parse_bibcode("2017JQSRT.203....3G"))
         assert "2017JQSRT.203....3G" in r.ads_url
@@ -251,6 +272,27 @@ class TestDictCodecs:
         with pytest.raises(ValueError) as enum_info:
             SourceType(value)
         assert str(exc_info.value) == str(enum_info.value)
+
+    # A stored dict that breaks a rule the constructors check, and the type
+    # of what decoding it raises.
+    @pytest.mark.parametrize("fields, error", [
+        ({"authors": [{"given_names": ["A."], "surname": "  "}]}, InvalidAuthorError),
+        ({"authors": [{"given_names": ["A."]}]}, KeyError),
+        ({"source_type": "journal"}, ValueError),
+        ({"year": 1499}, ValueError),
+        ({"doi": "11.1000/x"}, InvalidDoiError),
+        ({"bibcode": "2017JQSRT.203....3"}, BibcodeLengthError),
+        ({"bibcode": "2017JQSRT.203!...3G"}, BibcodeFormatError),
+    ], ids=["blank-surname", "no-surname", "source-type", "year", "doi", "bibcode-18",
+            "qualifier"])
+    def test_a_malformed_stored_dict_is_refused(self, fields, error):
+        with pytest.raises(error) as exc_info:
+            record_from_dict({"title": "T", **fields})
+        assert type(exc_info.value) is error
+
+    @given(json_records)
+    def test_record_roundtrip_property(self, r):
+        assert record_from_dict(record_to_dict(r, links=False)) == r
 
     def test_consortium_author_roundtrip(self):
         r = BibRecord(title="T", authors=[AuthorName(given_names=(), surname="Team X")])

@@ -25,7 +25,7 @@ from refs import (
     render_text,
 )
 from refs.model import MAX_YEAR, MIN_YEAR, AuthorName, entry_from_dict, entry_to_dict
-from refs.render import _write_json
+from refs.render import escape_value
 
 from corpus import build_corpus_entries
 from conftest import GOLDEN_DIR
@@ -60,28 +60,51 @@ def table_escape(raw: str) -> str:
 # and in U+2028/U+2029, which it leaves bare.
 json_text = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029'), max_size=20)
 optional_json_text = st.none() | json_text
+json_records = st.builds(
+    BibRecord,
+    title=json_text,
+    authors=st.lists(st.builds(
+        AuthorName,
+        given_names=st.lists(json_text, max_size=3).map(tuple),
+        surname=json_text.filter(str.strip),
+    ), max_size=3),
+    journal=optional_json_text,
+    volume=optional_json_text,
+    number=optional_json_text,
+    pages=st.none() | st.builds(Pages, first=json_text.filter(bool), last=optional_json_text),
+    year=st.none() | st.integers(MIN_YEAR, MAX_YEAR),
+    publisher=optional_json_text,
+    doi=st.none() | st.from_regex(r"10\.[0-9]{4,9}/[!-~]{1,30}", fullmatch=True).map(parse_doi),
+    bibcode=st.none() | valid_bibcodes().map(parse_bibcode),
+)
 json_entries = st.builds(
     RefEntry,
-    records=st.lists(st.builds(
-        BibRecord,
-        title=json_text,
-        authors=st.lists(st.builds(
-            AuthorName,
-            given_names=st.lists(json_text, max_size=3).map(tuple),
-            surname=json_text.filter(str.strip),
-        ), max_size=3),
-        journal=optional_json_text,
-        volume=optional_json_text,
-        number=optional_json_text,
-        pages=st.none() | st.builds(Pages, first=json_text.filter(bool), last=optional_json_text),
-        year=st.none() | st.integers(MIN_YEAR, MAX_YEAR),
-        publisher=optional_json_text,
-        doi=st.none() | st.from_regex(r"10\.[0-9]{4,9}/[!-~]{1,30}", fullmatch=True).map(parse_doi),
-        bibcode=st.none() | valid_bibcodes().map(parse_bibcode),
-    ), min_size=1, max_size=3),
+    records=st.lists(json_records, min_size=1, max_size=3),
     note=optional_json_text,
     global_id=st.none() | st.integers(1, 10**12),
 )
+
+
+# Name text rich in what the BibTeX author rule escapes or braces, and in
+# the whitespace around an "and" that decides whether it is a word.
+name_text = st.lists(
+    st.sampled_from(["and", "AND", "aNd", " ", "\n", "\t", "\u00a0", ",", "&", "{", "\\", "x", "é"]),
+    max_size=8,
+).map("".join)
+AND_WORD = re.compile(r"(?:^|\s)and(?:\s|$)", re.IGNORECASE)
+
+
+def bibtex_author_by_parts(author: AuthorName) -> str:
+    """The author rule as first written: escape each part, then brace what needs it."""
+    surname = escape_value(author.surname)
+    if not author.given_names:
+        return "{" + surname + "}"
+    given = escape_value(" ".join(author.given_names))
+    if "," in surname or AND_WORD.search(surname):
+        surname = "{" + surname + "}"
+    if AND_WORD.search(given):
+        given = "{" + given + "}"
+    return f"{surname}, {given}"
 
 
 def full_entry(global_id=None, note=None) -> RefEntry:
@@ -313,6 +336,14 @@ class TestRenderBibtex:
         assert "author = {B, A\\textbraceleft{}}," in body
         assert bibtex_to_record(body) == record
 
+    @given(st.lists(st.tuples(st.lists(name_text, max_size=3), name_text.filter(str.strip)),
+                    min_size=1, max_size=3))
+    def test_author_field_matches_the_rule_part_by_part(self, names):
+        authors = [AuthorName(tuple(given), surname) for given, surname in names]
+        body = render_bibtex(RefEntry([BibRecord(title="T", authors=authors)])).body
+        expected = " and ".join(bibtex_author_by_parts(a) for a in authors)
+        assert f"\n    author = {{{expected}}},\n" in body
+
     def test_braced_surname_before_a_closing_brace_is_not_one_name(self):
         record = BibRecord(title="T", authors=[make_author("A}", "Smith, Jr")], year=2001)
         body = render_bibtex(RefEntry(records=[record])).body
@@ -349,6 +380,10 @@ class TestRenderBibtex:
         assert "@article{Cee2001a," in body
         assert "@article{Cee2001b," in body
 
+    def test_golden_corpus(self):
+        bodies = "\n\n".join(render_bibtex(e).body for e in build_corpus_entries()) + "\n"
+        assert bodies.encode("utf-8") == (GOLDEN_DIR / "bibtex_corpus.bib").read_bytes()
+
 
 class TestRenderJson:
     def test_roundtrips_to_equal_entry(self):
@@ -383,7 +418,34 @@ class TestRenderJson:
     @pytest.mark.parametrize("value", [1.5, True, (1, 2), b"x", {1: "a"}, {"a": [1.0]}])
     def test_types_entry_to_dict_never_makes_are_refused(self, value):
         with pytest.raises(TypeError):
-            _write_json(value, "", [])
+            render_json(RefEntry([BibRecord(title=value)]))
+
+    @pytest.mark.parametrize("where", ["journal", "volume", "number", "publisher", "year",
+                                       "given_name", "first_page", "last_page", "note",
+                                       "global_id"])
+    def test_a_float_anywhere_in_an_entry_is_refused(self, where):
+        author = AuthorName((1.5,) if where == "given_name" else ("A.",), "B")
+        pages = Pages(1.5 if where == "first_page" else "1", 1.5 if where == "last_page" else None)
+        record = BibRecord(title="T", authors=[author], pages=pages)
+        entry = RefEntry([record], note=1.5 if where == "note" else None, global_id=1)
+        if where in ("journal", "volume", "number", "publisher", "year"):
+            setattr(record, where, 1.5)
+        if where == "global_id":
+            entry.global_id = 1.5
+        with pytest.raises(TypeError):
+            render_json(entry)
+
+    def test_an_int_in_a_text_field_is_a_json_number(self):
+        entry = RefEntry([BibRecord(title="T", authors=[make_author("A.", "B")], volume=7)],
+                         global_id=1)
+        body = render_json(entry).body
+        assert body == json.dumps(entry_to_dict(entry), sort_keys=True, ensure_ascii=False,
+                                  indent=2)
+        assert json.loads(body)["records"][0]["volume"] == 7
+
+    def test_golden_corpus(self):
+        bodies = "\n".join(render_json(e).body for e in build_corpus_entries()) + "\n"
+        assert bodies.encode("utf-8") == (GOLDEN_DIR / "json_corpus.json").read_bytes()
 
 
 class TestRenderText:

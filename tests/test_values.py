@@ -39,13 +39,6 @@ LIST = object()  # default_factory=list
 DICT = object()  # default_factory=dict
 
 
-class Derived:
-    """A field the constructor sets from the others: ``field(init=False)`` on the twin."""
-
-    def __init__(self, rule):
-        self.rule = rule
-
-
 DOI = Doi("10.1016/j.jqsrt.2017.06.038")
 BIBCODE = Bibcode(2017, "JQSRT", "203", "3", "G")
 AUTHOR = AuthorName(("I.", "E."), "Gordon")
@@ -57,23 +50,24 @@ RENDERS = render_all(RefEntry([RECORD]))
 
 
 class Spec:
-    """One value type: its fields with the dataclass defaults, and sample arguments."""
+    """One value type: its fields with the dataclass defaults, and sample arguments.
+
+    ``derived`` maps each read-only property computed from the fields to
+    its rule: it is no field, so it is not in the twin.
+    """
 
     def __init__(self, cls: type, frozen: bool, fields: list[tuple[str, Any]],
-                 full: tuple, other: tuple, required: tuple):
+                 full: tuple, other: tuple, required: tuple, derived: dict | None = None):
         self.cls = cls
         self.frozen = frozen
         self.names = [name for name, _ in fields]
-        self.init_names = [name for name, d in fields if not isinstance(d, Derived)]
-        self.full = full  # every field, positionally, none derived
+        self.full = full  # every field, positionally
         self.other = other  # every field, unequal to full
         self.required = required  # the fields without defaults
-        derived = {name: d.rule for name, d in fields if isinstance(d, Derived)}
+        self.derived = derived or {}
         twin_fields = []
         for name, default in fields:
-            if name in derived:
-                twin_fields.append((name, Any, dataclasses.field(init=False)))
-            elif default is REQUIRED:
+            if default is REQUIRED:
                 twin_fields.append((name, Any))
             elif default is LIST:
                 twin_fields.append((name, Any, dataclasses.field(default_factory=list)))
@@ -81,13 +75,7 @@ class Spec:
                 twin_fields.append((name, Any, dataclasses.field(default_factory=dict)))
             else:
                 twin_fields.append((name, Any, dataclasses.field(default=default)))
-
-        def derive(twin):
-            for name, rule in derived.items():
-                object.__setattr__(twin, name, rule(twin))
-
-        self.twin = dataclasses.make_dataclass(cls.__name__, twin_fields, frozen=frozen,
-                                               namespace={"__post_init__": derive})
+        self.twin = dataclasses.make_dataclass(cls.__name__, twin_fields, frozen=frozen)
         self.twin.__qualname__ = cls.__qualname__
 
     def __repr__(self) -> str:
@@ -109,12 +97,12 @@ SPECS = [
     Spec(BibRecord, False,
          [("title", ""), ("authors", LIST), ("source_type", SourceType.ARTICLE),
           ("journal", None), ("volume", None), ("number", None), ("pages", None),
-          ("year", None), ("publisher", None), ("doi", None), ("bibcode", None),
-          ("doi_url", Derived(lambda r: None if r.doi is None else r.doi.url)),
-          ("ads_url", Derived(lambda r: None if r.bibcode is None else r.bibcode.ads_url))],
+          ("year", None), ("publisher", None), ("doi", None), ("bibcode", None)],
          RECORD_ARGS,
          ("U", [], SourceType.OTHER, None, None, None, None, None, None, None, None),
-         ()),
+         (),
+         {"doi_url": lambda r: None if r.doi is None else r.doi.url,
+          "ads_url": lambda r: None if r.bibcode is None else r.bibcode.ads_url}),
     Spec(RefEntry, False, [("records", REQUIRED), ("note", None), ("global_id", None)],
          ([RECORD], "note", 3), ([RECORD, FALLBACK_RECORD], None, 3), ([FALLBACK_RECORD],)),
     Spec(SourceCrossRef, True,
@@ -169,8 +157,8 @@ class TestLikeTheDataclass:
         assert not hasattr(spec.cls(*spec.full), "__dict__")
 
     def test_positional_construction(self, spec):
-        assert fields_of(spec.cls(*spec.full), spec.init_names) == list(spec.full)
-        assert spec.cls(*spec.full) == spec.cls(**dict(zip(spec.init_names, spec.full)))
+        assert fields_of(spec.cls(*spec.full), spec.names) == list(spec.full)
+        assert spec.cls(*spec.full) == spec.cls(**dict(zip(spec.names, spec.full)))
         for args in (spec.full, spec.other, spec.required):
             ours, twin = spec.cls(*args), spec.twin(*args)
             assert fields_of(ours, spec.names) == fields_of(twin, spec.names)
@@ -221,6 +209,20 @@ class TestLikeTheDataclass:
             assert getattr(ours, name) == value
         with pytest.raises(AttributeError):
             ours.not_a_field = 1
+
+    def test_derived_properties_are_read_only_and_follow_the_fields(self, spec):
+        for name, rule in spec.derived.items():
+            assert isinstance(getattr(spec.cls, name), property)
+            for args in (spec.full, spec.other, spec.required):
+                obj = spec.cls(*args)
+                assert getattr(obj, name) == rule(obj)
+                with pytest.raises(AttributeError):
+                    setattr(obj, name, getattr(obj, name))
+            if not spec.frozen:
+                obj = spec.cls(*spec.required)
+                for field, value in zip(spec.names, spec.full):
+                    setattr(obj, field, value)
+                assert getattr(obj, name) == rule(spec.cls(*spec.full))
 
     @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
                                            lambda obj: pickle.loads(pickle.dumps(obj))],
