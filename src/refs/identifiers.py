@@ -142,7 +142,7 @@ def parse_bibcode(raw: str) -> Bibcode:
     if len(s) != BIBCODE_LENGTH:
         raise BibcodeLengthError(f"bibcode must be {BIBCODE_LENGTH} characters, got {len(s)}: {raw!r}")
     year_text = s[_YEAR]
-    if not all(c in "0123456789" for c in year_text):
+    if not (year_text.isascii() and year_text.isdigit()):
         raise BibcodeFormatError(f"bibcode year is not numeric: {year_text!r} in {s!r}")
     qualifier_char = s[_QUALIFIER]
     if qualifier_char in "0123456789":
@@ -152,14 +152,8 @@ def parse_bibcode(raw: str) -> Bibcode:
     else:
         qualifier = None if qualifier_char == "." else qualifier_char
         page = s[_PAGE].lstrip(".")
-    return Bibcode(
-        year=int(year_text),
-        journal=s[_JOURNAL].rstrip("."),
-        volume=s[_VOLUME].lstrip("."),
-        qualifier=qualifier,
-        page=page,
-        author_initial=s[_AUTHOR],
-    )
+    return Bibcode(int(year_text), s[_JOURNAL].rstrip("."), s[_VOLUME].lstrip("."), page,
+                   s[_AUTHOR], qualifier)
 
 
 def format_bibcode(b: Bibcode) -> str:

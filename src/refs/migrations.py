@@ -4,10 +4,17 @@
 ``SCHEMA_VERSION``; opening a current file never loads it. Each step
 creates its tables from the definitions of the version it writes, pinned
 here, so a later change to the store's schema leaves the step as it was.
-The record JSON is not pinned yet: ``_v3_to_v4`` encodes with the store's
-``_records_json`` and the v3 reader decodes with ``model.record_from_dict``,
-both today's version-4 codec. A version that changes that JSON first
-copies the version-4 encoder and decoder in here for those two.
+
+The record JSON of each version is pinned here too. Version 4 stored each
+record as a ``model.record_to_dict(r, links=False)`` object, which
+``_v4_records_json`` writes (for ``_v3_to_v4``) and ``_v4_records`` reads
+(for ``_v4_to_v5``); both lean on the model's dict codec, so a change to
+that codec first copies its version-4 form in here. Version 5 stores the
+positional arrays of ``model.record_to_row``: ``_v4_to_v5`` writes them
+with the store's ``_records_json``, and ``_rerender`` reads them with the
+store's ``_entry_from_row``. A version 6 that changes that JSON first
+copies the version-5 encoder in here for ``_v4_to_v5``, keeps a version-5
+decoder for its own step, and changes the store's codec only then.
 
 Up to version 3, an entry's records were the rows of a ``records`` table,
 one column per field, and its note a row of ``notes``. The reader of that
@@ -24,10 +31,10 @@ from typing import Iterator
 
 from . import render
 from .errors import StoreError
-from .model import RefEntry, record_from_dict
+from .model import BibRecord, RefEntry, record_from_dict, record_to_dict
 from .store import _entry_from_row, _html_or_none, _records_json
 
-# The index on live DOI sets, the same in versions 2 to 4.
+# The index on live DOI sets, the same in versions 2 to 5.
 _LIVE_DOI_SET_INDEX = (
     "CREATE UNIQUE INDEX live_doi_set ON entries (doi_set) WHERE deleted = 0"
 )
@@ -141,7 +148,7 @@ def _v3_to_v4(conn: sqlite3.Connection) -> None:
         conn.execute(
             "INSERT INTO v4_entries SELECT global_id, doi_set, deleted, ?, ?"
             " FROM main.entries WHERE global_id = ?",
-            (entry.note, _records_json(entry.records), entry.global_id),
+            (entry.note, _v4_records_json(entry.records), entry.global_id),
         )
     for table in ("records", "notes", "entries"):
         conn.execute(f"DROP TABLE main.{table}")
@@ -154,6 +161,39 @@ def _v3_to_v4(conn: sqlite3.Connection) -> None:
     _set_sequence(conn, seq)
     conn.execute(_LIVE_DOI_SET_INDEX)
     _check_references(conn, 4)
+
+
+def _v4_to_v5(conn: sqlite3.Connection) -> None:
+    """Positional records: each row's records JSON becomes ``model.record_to_row`` arrays.
+
+    Every row is rewritten, tombstones included; the tables, the stored
+    texts and the IDs are left as they are.
+    """
+    rows = conn.execute("SELECT global_id, records FROM entries ORDER BY global_id").fetchall()
+    conn.executemany(
+        "UPDATE entries SET records = ? WHERE global_id = ?",
+        ((_records_json(_v4_records(global_id, records_json)), global_id)
+         for global_id, records_json in rows),
+    )
+
+
+def _v4_records_json(records: list[BibRecord]) -> str:
+    """An entry's ``records`` column as version 4 wrote it: one dict per record."""
+    return json.dumps([record_to_dict(r, links=False) for r in records], ensure_ascii=False)
+
+
+def _v4_records(global_id: int, records_json: str) -> list[BibRecord]:
+    """The records of one version-4 ``records`` column, decoded by the model's dict codec."""
+    try:
+        dicts = json.loads(records_json)
+    except ValueError:
+        dicts = None
+    if not isinstance(dicts, list):
+        raise StoreError(
+            f"cannot migrate to schema version 5: the records of entry {global_id}"
+            " are not a JSON array"
+        )
+    return list(map(record_from_dict, dicts))
 
 
 def _rerender(conn: sqlite3.Connection) -> None:
@@ -222,4 +262,4 @@ def _entry_from_rows(global_id: int, rows: list[tuple]) -> RefEntry:
 
 
 # _MIGRATIONS[v - 1] turns a version-v file into version v + 1.
-_MIGRATIONS = (_v1_to_v2, _v2_to_v3, _v3_to_v4)
+_MIGRATIONS = (_v1_to_v2, _v2_to_v3, _v3_to_v4, _v4_to_v5)

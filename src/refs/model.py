@@ -240,7 +240,7 @@ class SourceCrossRef(Frozen):
         set_field(self, "global_id", global_id)
 
 
-# --- dict codecs, used by the JSON renderer and the store ------------------
+# --- dict codecs: the JSON renderer's members, and version-4 store rows -----
 
 def author_to_dict(a: AuthorName) -> dict[str, Any]:
     return {"given_names": list(a.given_names), "surname": a.surname}
@@ -289,16 +289,58 @@ def record_from_dict(d: dict[str, Any]) -> BibRecord:
     pages = d.get("pages")
     if pages is not None:
         pages = Pages(pages["first"], pages.get("last"))
-    source_type = d.get("source_type", "article")
-    try:
-        source_type = _SOURCE_TYPES[source_type]
-    except (KeyError, TypeError):
-        source_type = SourceType(source_type)  # raises the enum's ValueError
     return BibRecord(
-        d.get("title", ""), [author_from_dict(a) for a in d.get("authors", ())], source_type,
+        d.get("title", ""), [author_from_dict(a) for a in d.get("authors", ())],
+        _source_type(d.get("source_type", "article")),
         d.get("journal"), d.get("volume"), d.get("number"), pages, d.get("year"),
         d.get("publisher"), parse_doi(d["doi"]) if d.get("doi") else None,
         parse_bibcode(d["bibcode"]) if d.get("bibcode") else None,
+    )
+
+
+def _source_type(value: Any) -> SourceType:
+    try:
+        return _SOURCE_TYPES[value]
+    except (KeyError, TypeError):
+        return SourceType(value)  # raises the enum's ValueError
+
+
+# --- row codec, the store's ``records`` column ------------------------------
+
+def record_to_row(r: BibRecord) -> list[Any]:
+    """A record as a list of its fields in constructor order, each as plain JSON data.
+
+    Authors are ``[given_names, surname]``, the source type its value,
+    pages ``[first, last]``, the DOI its canonical form and the bibcode its
+    19 characters; an absent field is None. The row has no keys, so a new
+    ``BibRecord`` field changes what a stored row means: it needs a schema
+    step in ``refs.migrations``.
+    """
+    pages, doi, bibcode = r.pages, r.doi, r.bibcode
+    return [
+        r.title, [[list(a.given_names), a.surname] for a in r.authors], r.source_type.value,
+        r.journal, r.volume, r.number, None if pages is None else [pages.first, pages.last],
+        r.year, r.publisher, None if doi is None else doi.canonical,
+        None if bibcode is None else format_bibcode(bibcode),
+    ]
+
+
+def record_from_row(row: list[Any]) -> BibRecord:
+    """The record record_to_row wrote, built through every constructor check.
+
+    The DOI goes straight to ``Doi``, which checks the grammar and the
+    lowercase form that ``parse_doi`` would produce; a stored DOI carries
+    no prefix to strip.
+    """
+    title, authors, source_type, journal, volume, number, pages, year, publisher, doi, bibcode = row
+    if pages is not None:
+        first, last = pages
+        pages = Pages(first, last)
+    return BibRecord(
+        title, [AuthorName(tuple(given), surname) for given, surname in authors],
+        _source_type(source_type), journal, volume, number, pages, year, publisher,
+        None if doi is None else Doi(doi),
+        None if bibcode is None else parse_bibcode(bibcode),
     )
 
 

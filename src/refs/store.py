@@ -4,10 +4,14 @@ Global IDs come from an AUTOINCREMENT primary key and are never reused:
 deletion is a tombstone, so an ID keeps naming the same work forever.
 
 Each entry is one ``entries`` row: its ID, its DOI set (the duplicate
-key), its tombstone flag, its note, and its records as one JSON array of
-``model.record_to_dict`` objects, without the links that ``BibRecord``
-derives. So reading an entry back is one primary-key lookup, and the
-model's dict codec is the one record codec.
+key), its tombstone flag, its note, and its records as one compact JSON
+array of ``model.record_to_row`` arrays. A record's array holds its
+fields in ``BibRecord``'s constructor order: title; authors, each
+``[given_names, surname]``; the source type's value; journal, volume and
+number; pages as ``[first, last]`` or null; year and publisher; the
+canonical DOI and the 19-character bibcode. An absent field is null. So
+reading an entry back is one primary-key lookup, and each record is
+built straight through its constructors, every check included.
 
 Entries do not change after they are added, so each entry's HTML and
 BibTeX are rendered once, by ``add_entry``, and stored in ``texts``.
@@ -96,7 +100,7 @@ class _OnFirstUse:
 model = _OnFirstUse("model")
 render = _OnFirstUse("render")
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _LIVE_DOI_SET_INDEX = (
     "CREATE UNIQUE INDEX live_doi_set ON entries (doi_set) WHERE deleted = 0"
@@ -362,7 +366,7 @@ class RefStore:
         text would end at an escaped U+0000).
         """
         rows = self._select_live(
-            "SELECT e.global_id, json_extract(e.records, '$[0].title', '$[0].authors[0]')"
+            "SELECT e.global_id, json_extract(e.records, '$[0][0]', '$[0][1][0]')"
             " FROM entries e",
             scope,
         )
@@ -499,13 +503,15 @@ def _doi_set(dois: Iterable[Doi | None]) -> str | None:
 
 
 def _records_json(records: list[BibRecord]) -> str:
-    """The ``records`` column of an entry: its records through the model's dict codec.
+    """The ``records`` column of an entry: its records through the model's row codec.
 
-    ``migrations._v3_to_v4`` writes its rows with this function too: a
-    change to this JSON first pins the version-4 codec there (see that
+    ``migrations._v4_to_v5`` writes its rows with this function too: a
+    change to this JSON first pins the version-5 codec there (see that
     module's docstring).
     """
-    return json.dumps([model.record_to_dict(r, links=False) for r in records], ensure_ascii=False)
+    return json.dumps(
+        [model.record_to_row(r) for r in records], ensure_ascii=False, separators=(",", ":")
+    )
 
 
 def _html_or_none(entry: RefEntry) -> str | None:
@@ -521,10 +527,10 @@ def _record_label(title_and_author_json: str) -> str:
     title, author = json.loads(title_and_author_json)
     if title:
         return title
-    return model.author_from_dict(author).formatted if author else "(untitled)"
+    return model.AuthorName(tuple(author[0]), author[1]).formatted if author else "(untitled)"
 
 
 def _entry_from_row(global_id: int, note: str | None, records_json: str) -> RefEntry:
-    """One entry from its ``entries`` row, records decoded by the model's dict codec."""
-    records = list(map(model.record_from_dict, json.loads(records_json)))
+    """One entry from its ``entries`` row, records decoded by the model's row codec."""
+    records = list(map(model.record_from_row, json.loads(records_json)))
     return model.RefEntry(records, note, global_id)

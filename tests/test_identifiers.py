@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import string
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from urllib.parse import quote
 
 from refs import (
     Bibcode,
+    BibcodeError,
     BibcodeFormatError,
     BibcodeLengthError,
     Doi,
@@ -17,7 +20,10 @@ from refs import (
     parse_bibcode,
     parse_doi,
 )
-from refs.identifiers import _DOI_PREFIXES, _DOI_RE, ADS_ABS_URL
+from refs.identifiers import (
+    _AUTHOR, _DOI_PREFIXES, _DOI_RE, _JOURNAL, _PAGE, _QUALIFIER, _VOLUME, _YEAR, ADS_ABS_URL,
+    BIBCODE_LENGTH,
+)
 
 EXAMPLE = "2017JQSRT.203....3G"
 
@@ -58,6 +64,38 @@ def outcome(parse, raw: str):
         return parse(raw)
     except InvalidDoiError as exc:
         return str(exc)
+
+
+def parse_bibcode_by_keywords(raw: str) -> Bibcode:
+    """parse_bibcode as first written: a per-character year check, fields passed by keyword."""
+    s = raw.strip()
+    if len(s) != BIBCODE_LENGTH:
+        raise BibcodeLengthError(f"bibcode must be {BIBCODE_LENGTH} characters, got {len(s)}: {raw!r}")
+    year_text = s[_YEAR]
+    if not all(c in "0123456789" for c in year_text):
+        raise BibcodeFormatError(f"bibcode year is not numeric: {year_text!r} in {s!r}")
+    qualifier_char = s[_QUALIFIER]
+    if qualifier_char in "0123456789":
+        qualifier = None
+        page = s[_QUALIFIER:_PAGE.stop].lstrip(".")
+    else:
+        qualifier = None if qualifier_char == "." else qualifier_char
+        page = s[_PAGE].lstrip(".")
+    return Bibcode(
+        year=int(year_text),
+        journal=s[_JOURNAL].rstrip("."),
+        volume=s[_VOLUME].lstrip("."),
+        qualifier=qualifier,
+        page=page,
+        author_initial=s[_AUTHOR],
+    )
+
+
+def bibcode_outcome(parse, raw: str):
+    try:
+        return parse(raw)
+    except BibcodeError as exc:
+        return type(exc), str(exc)
 
 
 class TestParseDoi:
@@ -227,6 +265,30 @@ class TestAdsUrl:
     @given(any_bibcodes())
     def test_matches_quoting_every_bibcode(self, bibcode):
         assert bibcode.ads_url == ADS_ABS_URL + quote(format_bibcode(bibcode), safe="")
+
+
+# Digits, ASCII letters, periods, whitespace, and characters that are
+# digits to str.isdigit but not ASCII: Arabic-Indic and Devanagari digits,
+# and a superscript two, which int() refuses.
+BIBCODE_CHARS = string.digits + string.ascii_letters + ". \t\n\u00a0\u0663\u0969\u00b2"
+
+
+@st.composite
+def bibcode_like(draw) -> str:
+    """A valid bibcode with up to four characters replaced, maybe padded with whitespace."""
+    chars = list(draw(valid_bibcodes()))
+    for i in draw(st.lists(st.integers(0, BIBCODE_LENGTH - 1), max_size=4)):
+        chars[i] = draw(st.sampled_from(BIBCODE_CHARS))
+    pad = st.text(" \t\n", max_size=2)
+    return draw(pad) + "".join(chars) + draw(pad)
+
+
+class TestParseBibcodeProperty:
+    @given(bibcode_like() | st.text(BIBCODE_CHARS, min_size=BIBCODE_LENGTH,
+                                     max_size=BIBCODE_LENGTH))
+    def test_accepts_refuses_and_splits_as_first_written(self, raw):
+        assert bibcode_outcome(parse_bibcode, raw) == bibcode_outcome(
+            parse_bibcode_by_keywords, raw)
 
 
 class TestRoundtripProperty:

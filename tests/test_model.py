@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import string
 
 import pytest
@@ -31,8 +32,11 @@ from refs.model import (
     entry_from_dict,
     entry_to_dict,
     record_from_dict,
+    record_from_row,
     record_to_dict,
+    record_to_row,
 )
+from refs.store import SCHEMA_VERSION
 
 from test_render import json_records
 
@@ -290,10 +294,70 @@ class TestDictCodecs:
             record_from_dict({"title": "T", **fields})
         assert type(exc_info.value) is error
 
+    # The store's row codec rides along: drawing these records is most of the cost.
     @given(json_records)
     def test_record_roundtrip_property(self, r):
         assert record_from_dict(record_to_dict(r, links=False)) == r
+        assert record_from_row(record_to_row(r)) == r
+        assert record_from_row(json.loads(json.dumps(record_to_row(r)))) == r
 
     def test_consortium_author_roundtrip(self):
         r = BibRecord(title="T", authors=[AuthorName(given_names=(), surname="Team X")])
         assert record_from_dict(record_to_dict(r)) == r
+
+
+def full_record() -> BibRecord:
+    return BibRecord(
+        title="T", authors=[make_author("A. B.", "Cee"), make_author("", "Team X")],
+        source_type=SourceType.BOOK, journal="J", volume="9", number="2",
+        pages=Pages("1", "2"), year=2001, publisher="P", doi=parse_doi("10.1000/x"),
+        bibcode=parse_bibcode("2017JQSRT.203....3G"),
+    )
+
+
+class TestRowCodec:
+    def test_row_holds_the_fields_in_constructor_order(self):
+        # A stored row has no keys, so it means what this order says. A new
+        # BibRecord field needs a migration step that rewrites every row, a
+        # new SCHEMA_VERSION, and a new pin here.
+        assert (SCHEMA_VERSION, BibRecord._field_names) == (5, (
+            "title", "authors", "source_type", "journal", "volume", "number", "pages",
+            "year", "publisher", "doi", "bibcode"))
+        r = full_record()
+        assert BibRecord(*[getattr(r, name) for name in BibRecord._field_names]) == r
+        encoded = {
+            "authors": [[["A.", "B."], "Cee"], [[], "Team X"]],
+            "source_type": "book",
+            "pages": ["1", "2"],
+            "doi": "10.1000/x",
+            "bibcode": "2017JQSRT.203....3G",
+        }
+        assert record_to_row(r) == [encoded.get(name, getattr(r, name))
+                                    for name in BibRecord._field_names]
+
+    def test_absent_fields_are_null(self):
+        assert record_to_row(BibRecord(title="Only a title")) == [
+            "Only a title", [], "article", None, None, None, None, None, None, None, None]
+
+    # A stored row that breaks a rule the constructors check, and the type
+    # of what decoding it raises.
+    @pytest.mark.parametrize("position, value, error", [
+        (None, None, ValueError),
+        (1, [[["A."], "  "]], InvalidAuthorError),
+        (2, "journal", ValueError),
+        (7, 1499, ValueError),
+        (9, "10.1000/X", InvalidDoiError),
+        (9, "doi:10.1000/x", InvalidDoiError),
+        (10, "2017JQSRT.203....3", BibcodeLengthError),
+        (10, "2017JQSRT.203!...3G", BibcodeFormatError),
+    ], ids=["arity", "blank-surname", "source-type", "year", "doi-uppercase", "doi-prefixed",
+            "bibcode-18", "qualifier"])
+    def test_a_malformed_stored_row_is_refused(self, position, value, error):
+        row = record_to_row(full_record())
+        if position is None:
+            row.pop()
+        else:
+            row[position] = value
+        with pytest.raises(error) as exc_info:
+            record_from_row(row)
+        assert type(exc_info.value) is error

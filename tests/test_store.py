@@ -410,7 +410,7 @@ class TestStoredTexts:
             for body in (render_html(entry).body, render_bibtex(entry).body):
                 digest.update(body.encode("utf-8") + b"\0")
         assert (SCHEMA_VERSION, digest.hexdigest()) == (
-            4, "a85ae15d7c661886aac797a0c65816d55c04bef3f18b7c07858416985eb0b79a")
+            5, "a85ae15d7c661886aac797a0c65816d55c04bef3f18b7c07858416985eb0b79a")
 
     def test_corpus_through_the_store_matches_the_golden(self, store):
         for entry in build_corpus_entries():
@@ -917,20 +917,65 @@ PRAGMA user_version = 3;
 """
 
 
+# The version-4 schema exactly as the store created it, whitespace included.
+V4_SCHEMA = """
+CREATE TABLE entries (
+    global_id INTEGER PRIMARY KEY AUTOINCREMENT,
+    doi_set   TEXT,
+    deleted   INTEGER NOT NULL DEFAULT 0,
+    note      TEXT,
+    records   TEXT NOT NULL
+);
+CREATE UNIQUE INDEX live_doi_set ON entries (doi_set) WHERE deleted = 0;
+CREATE TABLE crossrefs (
+        dataset_scope TEXT NOT NULL,
+        parameter     TEXT NOT NULL,
+        local_id      INTEGER NOT NULL,
+        global_id     INTEGER NOT NULL REFERENCES entries(global_id),
+        PRIMARY KEY (dataset_scope, parameter, local_id)
+    );
+CREATE TABLE texts (
+    entry_id       INTEGER PRIMARY KEY REFERENCES entries(global_id),
+    html           TEXT,
+    bibtex         TEXT NOT NULL,
+    bibtex_fetched INTEGER NOT NULL
+);
+PRAGMA user_version = 4;
+"""
+
+
+def v4_record(r: BibRecord) -> dict:
+    """A record as version 4 stored it: an object of its non-null fields, links left out."""
+    fields = {
+        "source_type": r.source_type.value, "title": r.title,
+        "authors": [{"given_names": list(a.given_names), "surname": a.surname} for a in r.authors],
+        "journal": r.journal, "volume": r.volume, "number": r.number,
+        "pages": r.pages and {"first": r.pages.first, "last": r.pages.last},
+        "year": r.year, "publisher": r.publisher, "doi": r.doi and r.doi.canonical,
+        "bibcode": r.bibcode and refs.format_bibcode(r.bibcode),
+    }
+    return {key: value for key, value in fields.items() if value is not None}
+
+
 def write_old_store(version: int, path: Path, entries: dict, deleted=(), crossrefs=(),
                     next_id=None, fetched=None) -> None:
-    """A version-1, -2 or -3 file holding ``{gid: (records, note)}``, as that version wrote it.
+    """A version-1 to -4 file holding ``{gid: (records, note)}``, as that version wrote it.
 
-    A version-3 file also holds each entry's rendered HTML and BibTeX, or,
-    for an ID in ``fetched``, that BibTeX text as fetched from upstream.
+    A version-3 or -4 file also holds each entry's rendered HTML and
+    BibTeX, or, for an ID in ``fetched``, that BibTeX text as fetched from
+    upstream.
     """
     conn = sqlite3.connect(path)
-    conn.executescript({1: V1_SCHEMA, 2: V2_SCHEMA, 3: V3_SCHEMA}[version])
+    conn.executescript({1: V1_SCHEMA, 2: V2_SCHEMA, 3: V3_SCHEMA, 4: V4_SCHEMA}[version])
     for gid, (recs, note) in entries.items():
         dois = sorted({r.doi.canonical for r in recs if r.doi})
-        conn.execute("INSERT INTO entries VALUES (?, ?, ?)",
-                     (gid, "|".join(dois) or None, int(gid in deleted)))
-        for position, r in enumerate(recs):
+        key = (gid, "|".join(dois) or None, int(gid in deleted))
+        if version == 4:
+            records_json = json.dumps([v4_record(r) for r in recs], ensure_ascii=False)
+            conn.execute("INSERT INTO entries VALUES (?, ?, ?, ?, ?)", key + (note, records_json))
+        else:
+            conn.execute("INSERT INTO entries VALUES (?, ?, ?)", key)
+        for position, r in enumerate(recs if version < 4 else ()):
             row = (gid, position, r.source_type.value, r.title,
                    json.dumps([{"given_names": list(a.given_names), "surname": a.surname}
                                for a in r.authors], ensure_ascii=False),
@@ -941,9 +986,9 @@ def write_old_store(version: int, path: Path, entries: dict, deleted=(), crossre
             if version == 1:
                 row += (r.doi_url, r.ads_url)
             conn.execute(f"INSERT INTO records VALUES ({', '.join('?' * len(row))})", row)
-        if note is not None:
+        if note is not None and version < 4:
             conn.execute("INSERT INTO notes VALUES (?, ?)", (gid, note))
-        if version == 3:
+        if version >= 3:
             entry = RefEntry(recs, note, gid)
             bibtex = (fetched or {}).get(gid)
             conn.execute("INSERT INTO texts VALUES (?, ?, ?, ?)",
@@ -1010,7 +1055,7 @@ class TestMigration:
             assert exc_info.value.existing_id == 2
             assert store.add_entry([record("10.1000/c")]) == next_id
             assert store.add_entry([record("10.1000/d")]) == next_id + 1
-        assert schema_of(path) == (4, {"entries", "crossrefs", "texts", "sqlite_sequence"})
+        assert schema_of(path) == (5, {"entries", "crossrefs", "texts", "sqlite_sequence"})
         with RefStore(path) as store:
             assert store.add_entry([record("10.1000/e")]) == next_id + 2
 
@@ -1039,7 +1084,7 @@ class TestMigration:
             assert store.list_crossrefs() == [refs.SourceCrossRef("CO2", "nu", 7, 3),
                                               refs.SourceCrossRef("H2O", "nu", 1, 1)]
             assert store.add_entry([record("10.1000/c")]) == 9
-        assert schema_of(path) == (4, {"entries", "crossrefs", "texts", "sqlite_sequence"})
+        assert schema_of(path) == (5, {"entries", "crossrefs", "texts", "sqlite_sequence"})
 
     def test_v3_file_becomes_one_row_per_entry_in_the_opening_transaction(self, tmp_path,
                                                                          statements):
@@ -1071,10 +1116,71 @@ class TestMigration:
         assert read_table(path, "SELECT * FROM texts WHERE entry_id < 9 ORDER BY entry_id") == texts
         assert read_table(path, "SELECT deleted, note FROM entries WHERE global_id = 3") == [
             (1, "tombstoned")]
-        assert schema_of(path) == (4, {"entries", "crossrefs", "texts", "sqlite_sequence"})
+        assert schema_of(path) == (5, {"entries", "crossrefs", "texts", "sqlite_sequence"})
         RefStore(tmp_path / "new.db").close()
         master = "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name"
         assert read_table(path, master) == read_table(tmp_path / "new.db", master)
+
+    def test_v4_file_gets_positional_rows_in_the_opening_transaction(self, tmp_path,
+                                                                      statements):
+        path = tmp_path / "v4.db"
+        entries = self.v1_entries()
+        entries[5] = ([BibRecord(authors=[make_author("Jean-Luc", "Ångström")], year=1990)], None)
+        entries[6] = ([BibRecord(year=1999)], "untitled")
+        entries[7] = ([BibRecord(title="Nul\x00title", doi=parse_doi("10.1000/nul"))], None)
+        fetched = {2: "@misc{Author_2000, title={A title}, year={2000}}"}
+        write_old_store(4, path, entries, deleted={3},
+                        crossrefs=[("H2O", "nu", 1, 1), ("CO2", "nu", 7, 3), ("H2O", "nu", 2, 7)],
+                        next_id=12, fetched=fetched)
+        texts = read_table(path, "SELECT * FROM texts ORDER BY entry_id")
+        assert texts[1][2:] == (fetched[2], 1)
+        statements.clear()
+        with RefStore(path) as store:
+            assert statements.count("BEGIN IMMEDIATE") == statements.count("COMMIT") == 1
+            for gid in (1, 2, 4, 5, 6, 7):
+                loaded = store.get_entry(gid)
+                assert (loaded.records, loaded.note) == entries[gid]
+            assert store.get_rendered(2, RenderFormat.BIBTEX).body == fetched[2]
+            with pytest.raises(MissingEntryError):
+                store.get_entry(3)
+            assert store.list_labels() == [
+                (1, "The HITRAN2016 molecular spectroscopic database"), (2, "A title"),
+                (4, "Private communication"), (5, "J. L. Ångström"), (6, "(untitled)"),
+                (7, "Nul\x00title")]
+            assert store.list_crossrefs() == [refs.SourceCrossRef("CO2", "nu", 7, 3),
+                                              refs.SourceCrossRef("H2O", "nu", 1, 1),
+                                              refs.SourceCrossRef("H2O", "nu", 2, 7)]
+            with pytest.raises(DuplicateEntryError) as exc_info:
+                store.add_entry([record("10.1000/b"), record("10.1000/a")])
+            assert exc_info.value.existing_id == 2
+            assert store.add_entry([record("10.1000/c")]) == 12
+        # Every row, the tombstone's too, holds what an add writes today.
+        rows = read_table(path, "SELECT global_id, deleted, note, records FROM entries"
+                                " WHERE global_id < 12 ORDER BY global_id")
+        assert rows == [(gid, int(gid == 3), note, refs.store._records_json(recs))
+                        for gid, (recs, note) in entries.items()]
+        assert read_table(path, "SELECT * FROM texts WHERE entry_id < 12 ORDER BY entry_id") == texts
+        assert schema_of(path) == (5, {"entries", "crossrefs", "texts", "sqlite_sequence"})
+        RefStore(tmp_path / "new.db").close()
+        master = "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name"
+        assert read_table(path, master) == read_table(tmp_path / "new.db", master)
+
+    @pytest.mark.parametrize("records_json", ['{"title": "T"}', '"T"', "[{", ""])
+    def test_a_v4_row_that_is_not_a_json_array_stops_the_migration(self, tmp_path, statements,
+                                                                   records_json):
+        path = tmp_path / "v4.db"
+        write_old_store(4, path, self.v1_entries(), deleted={3})
+        conn = sqlite3.connect(path)
+        conn.execute("UPDATE entries SET records = ? WHERE global_id = 3", (records_json,))
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        statements.clear()
+        with pytest.raises(StoreError, match="cannot migrate to schema version 5: the records"
+                                             " of entry 3 are not a JSON array"):
+            RefStore(path)
+        assert "COMMIT" not in statements
+        assert path.read_bytes() == before
 
     def test_a_v3_entry_without_records_stops_the_migration(self, tmp_path, statements):
         path = tmp_path / "v3.db"
