@@ -25,7 +25,6 @@ _ENTRY_TYPE_MAP = {
 
 # render.escape_value's escapes, plus the ``\{`` and ``\}`` that doi.org writes.
 _ESCAPE = r"\\text(backslash|braceleft|braceright)\{\}|\\([{}%&$#_])"
-_UNESCAPE_RE = re.compile(_ESCAPE)
 # An escape; an HTML character reference, spelled as html.unescape reads
 # one but not across a brace or backslash; or a brace outside both: case
 # protection, which is dropped. A ``\&`` is an escape, so the text after
@@ -64,11 +63,6 @@ def _unescaped(match: re.Match) -> str:
 def _cleaned(match: re.Match) -> str:
     reference = match.group(3)
     return html.unescape(reference) if reference else _unescaped(match)
-
-
-def unescape_value(text: str) -> str:
-    """Undo render.escape_value."""
-    return _UNESCAPE_RE.sub(_unescaped, text)
 
 
 def clean_value(raw: str) -> str:

@@ -240,7 +240,7 @@ class SourceCrossRef(Frozen):
         set_field(self, "global_id", global_id)
 
 
-# --- dict codecs: the JSON renderer's members, and version-4 store rows -----
+# --- dict codecs: the JSON renderer's members, and stored records of v1-v4 ---
 
 def author_to_dict(a: AuthorName) -> dict[str, Any]:
     return {"given_names": list(a.given_names), "surname": a.surname}
@@ -250,12 +250,8 @@ def author_from_dict(d: dict[str, Any]) -> AuthorName:
     return AuthorName(tuple(d.get("given_names", ())), d["surname"])
 
 
-def record_to_dict(r: BibRecord, links: bool = True) -> dict[str, Any]:
-    """Plain-dict form of a record. None-valued fields are omitted.
-
-    ``links=False`` leaves out ``doi_url`` and ``ads_url``, which a
-    BibRecord derives from ``doi`` and ``bibcode`` on read.
-    """
+def record_to_dict(r: BibRecord) -> dict[str, Any]:
+    """Plain-dict form of a record. None-valued fields are omitted."""
     out: dict[str, Any] = {
         "source_type": r.source_type.value,
         "title": r.title,
@@ -277,9 +273,9 @@ def record_to_dict(r: BibRecord, links: bool = True) -> dict[str, Any]:
         out["doi"] = r.doi.canonical
     if r.bibcode is not None:
         out["bibcode"] = format_bibcode(r.bibcode)
-    if links and r.doi is not None:
+    if r.doi is not None:
         out["doi_url"] = r.doi.url
-    if links and r.bibcode is not None:
+    if r.bibcode is not None:
         out["ads_url"] = r.bibcode.ads_url
     return out
 
@@ -313,8 +309,8 @@ def record_to_row(r: BibRecord) -> list[Any]:
     Authors are ``[given_names, surname]``, the source type its value,
     pages ``[first, last]``, the DOI its canonical form and the bibcode its
     19 characters; an absent field is None. The row has no keys, so a new
-    ``BibRecord`` field changes what a stored row means: it needs a schema
-    step in ``refs.migrations``.
+    ``BibRecord`` field changes what a stored row means: it needs a new
+    schema version, and a reader of today's rows in ``refs.migrations``.
     """
     pages, doi, bibcode = r.pages, r.doi, r.bibcode
     return [
@@ -352,11 +348,3 @@ def entry_to_dict(e: RefEntry) -> dict[str, Any]:
     if e.note is not None:
         out["note"] = e.note
     return out
-
-
-def entry_from_dict(d: dict[str, Any]) -> RefEntry:
-    return RefEntry(
-        records=[record_from_dict(r) for r in d["records"]],
-        note=d.get("note"),
-        global_id=d.get("global_id"),
-    )

@@ -21,10 +21,10 @@ export read the stored text; JSON and plain text are rendered from the
 records on every read. Reading stored text needs no model and no
 renderer, so this module imports ``refs.model`` and ``refs.render`` only
 when a call first decodes or renders an entry. A change to the bytes
-either renderer writes is a schema change: it appends a step to
-``refs.migrations._MIGRATIONS`` that renders the stored texts afresh,
-keeping fetched BibTeX, and the schema version is the one stamp of what
-the stored texts hold.
+either renderer writes is a schema change: it raises ``SCHEMA_VERSION``,
+and ``refs.migrations.migrate`` then renders the stored texts of older
+files afresh instead of copying them, keeping fetched BibTeX. The schema
+version is the one stamp of what the stored texts hold.
 
 What holds when several processes share one database file:
 
@@ -51,9 +51,11 @@ One handle may be shared between threads. Its writes, and the duplicate
 read before an add, are serialized by an internal lock; any other read
 may see another thread's write on the same handle before that write
 commits. Opening a file creates the current schema, or migrates an older
-one in place, in one transaction. The migration steps live in
-``refs.migrations``, which is imported only to migrate a file. Migration
-is one way: older versions of this module refuse the migrated file.
+one in place, in one transaction. ``refs.migrations.migrate`` reads the
+older file's entries and writes them through ``_SCHEMA`` and
+``_records_json``, as an add would; that module is imported only to
+migrate a file. Migration is one way: older versions of this module
+refuse the migrated file.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from .formats import RenderedCitation, RenderFormat
 
 if TYPE_CHECKING:
     from .identifiers import Doi
-    from .model import BibRecord, RefEntry, SourceCrossRef
+    from .model import BibRecord, RefEntry
 
 
 class _OnFirstUse:
@@ -202,10 +204,9 @@ class RefStore:
                 for statement in _SCHEMA:
                     conn.execute(statement)
             elif 1 <= version < SCHEMA_VERSION:
-                from .migrations import _MIGRATIONS
+                from .migrations import migrate
 
-                for migrate in _MIGRATIONS[version - 1:]:
-                    migrate(conn)
+                migrate(conn, version)
             else:
                 raise StoreError(
                     f"{self.path} carries schema version {version}, expected {SCHEMA_VERSION}"
@@ -385,17 +386,6 @@ class RefStore:
             )
         return row[0]
 
-    def list_crossrefs(self, scope: str | None = None) -> list[SourceCrossRef]:
-        query = (
-            "SELECT dataset_scope, parameter, local_id, global_id FROM crossrefs"
-        )
-        params: tuple = ()
-        if scope is not None:
-            query += " WHERE dataset_scope = ?"
-            params = (scope,)
-        query += " ORDER BY dataset_scope, parameter, local_id"
-        return [model.SourceCrossRef(*row) for row in self._conn.execute(query, params)]
-
     # -- export --------------------------------------------------------
 
     def export_bundle(self, ids: list[int], out_dir: str | Path) -> tuple[Path, Path]:
@@ -503,12 +493,7 @@ def _doi_set(dois: Iterable[Doi | None]) -> str | None:
 
 
 def _records_json(records: list[BibRecord]) -> str:
-    """The ``records`` column of an entry: its records through the model's row codec.
-
-    ``migrations._v4_to_v5`` writes its rows with this function too: a
-    change to this JSON first pins the version-5 codec there (see that
-    module's docstring).
-    """
+    """The ``records`` column of an entry: its records through the model's row codec."""
     return json.dumps(
         [model.record_to_row(r) for r in records], ensure_ascii=False, separators=(",", ":")
     )

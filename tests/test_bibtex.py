@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,10 +13,17 @@ from refs.bibtex import (
     parse_entries,
     split_authors,
     split_page_range,
-    unescape_value,
 )
 from refs.model import SourceType
 from refs.render import _VALUE_ESCAPES, escape_value
+
+# The inverse of escape_value: every backslash it writes starts one of its escapes.
+_UNESCAPES = {escaped: char for char, escaped in _VALUE_ESCAPES.items()}
+_UNESCAPE_RE = re.compile("|".join(map(re.escape, _UNESCAPES)))
+
+
+def unescape_value(text: str) -> str:
+    return _UNESCAPE_RE.sub(lambda m: _UNESCAPES[m.group()], text)
 
 
 class TestParseEntries:

@@ -29,7 +29,6 @@ from refs import (
 )
 from refs.model import (
     SourceType,
-    entry_from_dict,
     entry_to_dict,
     record_from_dict,
     record_from_row,
@@ -38,7 +37,7 @@ from refs.model import (
 )
 from refs.store import SCHEMA_VERSION
 
-from test_render import json_records
+from test_render import entry_from_dict, json_records
 
 
 def initials_by_search(given_names: tuple[str, ...]) -> list[str]:
@@ -297,7 +296,7 @@ class TestDictCodecs:
     # The store's row codec rides along: drawing these records is most of the cost.
     @given(json_records)
     def test_record_roundtrip_property(self, r):
-        assert record_from_dict(record_to_dict(r, links=False)) == r
+        assert record_from_dict(record_to_dict(r)) == r
         assert record_from_row(record_to_row(r)) == r
         assert record_from_row(json.loads(json.dumps(record_to_row(r)))) == r
 

@@ -24,7 +24,7 @@ from refs import (
     render_json,
     render_text,
 )
-from refs.model import MAX_YEAR, MIN_YEAR, AuthorName, entry_from_dict, entry_to_dict
+from refs.model import MAX_YEAR, MIN_YEAR, AuthorName, entry_to_dict, record_from_dict
 from refs.render import escape_value
 
 from corpus import build_corpus_entries
@@ -105,6 +105,11 @@ def bibtex_author_by_parts(author: AuthorName) -> str:
     if AND_WORD.search(given):
         given = "{" + given + "}"
     return f"{surname}, {given}"
+
+
+def entry_from_dict(d: dict) -> RefEntry:
+    """The entry that ``entry_to_dict``, and so ``render_json``, describes as ``d``."""
+    return RefEntry([record_from_dict(r) for r in d["records"]], d.get("note"), d.get("global_id"))
 
 
 def full_entry(global_id=None, note=None) -> RefEntry:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import json
+import re
+from collections import Counter
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
@@ -326,6 +328,62 @@ def test_no_module_imports_warnings():
             if any(module.split(".")[0] == "warnings" for module in modules):
                 importers.append(path.name)
     assert importers == []
+
+
+def _names(tree: ast.AST) -> Counter:
+    """How often ``tree`` names each identifier, docstrings left out.
+
+    A name, an attribute, an imported name and a whole string all count:
+    ``refs._EXPORTS`` lists the public names as strings.
+    """
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+    named: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            named[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            named[node.name.rpartition(".")[2]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            named[node.value] += 1
+    return named
+
+
+def test_every_definition_has_a_caller_or_is_documented():
+    """Code that only the tests call is dead weight: delete it, call it, or document it."""
+    package = Path(resolvers_mod.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    named = sum(map(_names, trees.values()), Counter())
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {word for span in re.findall(r"`([^`]*)`", readme)
+                  for word in re.findall(r"\w+", span)}
+    uncalled = []
+
+    def visit(module, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and named[name] == _names(child)[name]:
+                    uncalled.append(f"{module}.{prefix}{name}")
+                visit(module, child, f"{prefix}{name}.")
+            else:
+                visit(module, child, prefix)
+
+    for module, tree in trees.items():
+        visit(module, tree, "")
+    assert [q for q in uncalled if q.rpartition(".")[2] not in documented] == []
+    # The library API that only README documents; anything else needs a caller.
+    assert uncalled == ["model.entry_to_dict", "store.RefStore.delete_entry",
+                        "store.RefStore.list_entries", "store.RefStore.lookup_crossref"]
 
 
 class TestAdsDoiQuery:

@@ -18,8 +18,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import refs
-import refs.migrations
-import refs.render
 from refs import (
     AuthorName,
     BibRecord,
@@ -40,6 +38,7 @@ from refs import (
     render_html,
 )
 from refs import fileio
+from refs.cli import EXIT_STORE, main as cli_main
 from refs.model import MAX_YEAR, MIN_YEAR
 from refs.render import render_format
 from refs.store import SCHEMA_VERSION
@@ -205,8 +204,9 @@ class TestRetrieval:
             for local, gid in enumerate(members):
                 store.attach_crossref(scope, "nu", local, gid)
         # brute-force oracle over every crossref row
+        rows = read_table(store.path, "SELECT dataset_scope, global_id FROM crossrefs")
         for scope in scoped:
-            expected = sorted({c.global_id for c in store.list_crossrefs() if c.dataset_scope == scope})
+            expected = sorted({gid for row_scope, gid in rows if row_scope == scope})
             assert [e.global_id for e in store.list_entries(scope=scope)] == expected
         assert [e.global_id for e in store.list_entries(scope="none-such")] == []
 
@@ -221,7 +221,7 @@ class TestCrossRefs:
         gid = store.add_entry([record("10.1000/a")])
         store.attach_crossref("H2O", "nu", 1, gid)
         store.attach_crossref("H2O", "nu", 1, gid)
-        assert len(store.list_crossrefs()) == 1
+        assert read_table(store.path, "SELECT * FROM crossrefs") == [("H2O", "nu", 1, gid)]
 
     def test_conflicting_remap_rejected(self, store):
         a = store.add_entry([record("10.1000/a")])
@@ -403,8 +403,9 @@ def fresh_html(entry: RefEntry) -> str | None:
 class TestStoredTexts:
     def test_renderers_are_pinned_to_the_schema_version(self):
         # The store keeps what render_html and render_bibtex wrote at add
-        # time. When these bytes change, append a migration step that calls
-        # refs.migrations._rerender, raise SCHEMA_VERSION, and pin both here.
+        # time. When these bytes change, raise SCHEMA_VERSION, have
+        # refs.migrations.migrate render the texts of files older than it
+        # afresh, keeping fetched BibTeX, and pin both here.
         digest = hashlib.sha256()
         for entry in build_corpus_entries():
             for body in (render_html(entry).body, render_bibtex(entry).body):
@@ -467,19 +468,6 @@ class TestStoredTexts:
         with pytest.raises(UnrenderableError, match="record has no renderable fields"):
             store.get_rendered(gid, RenderFormat.HTML)
         assert store.get_rendered(gid, RenderFormat.BIBTEX).body.startswith("@article{refnd,")
-
-    def test_a_rerender_keeps_fetched_bibtex(self, store, monkeypatch):
-        fetched = "@misc{Fetched_2022, title={T}}"
-        kept = store.add_entry([record("10.1000/a")], bibtex=fetched)
-        local = store.add_entry([record("10.1000/b")], note="n")
-        monkeypatch.setattr(refs.render, "render_bibtex", lambda entry: refs.RenderedCitation(
-            RenderFormat.BIBTEX, "new bibtex", ""))
-        monkeypatch.setattr(refs.render, "render_html", lambda entry: refs.RenderedCitation(
-            RenderFormat.HTML, f"new html {entry.global_id} {entry.note}", ""))
-        with store._transaction() as conn:
-            refs.migrations._rerender(conn)
-        assert stored_texts(store, kept) == (f"new html {kept} None", fetched, 1)
-        assert stored_texts(store, local) == (f"new html {local} n", "new bibtex", 0)
 
     def test_journal_is_truncated_not_deleted(self, tmp_path):
         with RefStore(tmp_path / "refs.db") as store:
@@ -550,7 +538,8 @@ class TestConcurrency:
         assert not any(t.is_alive() for t in threads)
         assert not errors
         assert store.live_ids() == list(range(1, 47))
-        assert len(store.list_crossrefs("H2O")) == 45
+        assert read_table(store.path, "SELECT COUNT(*) FROM crossrefs"
+                                      " WHERE dataset_scope = 'H2O'") == [(45,)]
 
     def test_duplicate_read_waits_for_an_add_in_flight_on_the_handle(self, store, monkeypatch):
         import threading
@@ -1019,6 +1008,9 @@ def read_table(path: Path, query: str) -> list[tuple]:
     return rows
 
 
+CROSSREFS = "SELECT * FROM crossrefs ORDER BY dataset_scope, parameter, local_id"
+
+
 class TestMigration:
     def v1_entries(self) -> dict:
         hitran = BibRecord(
@@ -1048,8 +1040,7 @@ class TestMigration:
             with pytest.raises(MissingEntryError):
                 store.get_entry(3)
             assert store.live_ids() == [1, 2, 4]
-            assert store.list_crossrefs() == [refs.SourceCrossRef("CO2", "nu", 7, 3),
-                                              refs.SourceCrossRef("H2O", "nu", 1, 1)]
+            assert read_table(path, CROSSREFS) == [("CO2", "nu", 7, 3), ("H2O", "nu", 1, 1)]
             with pytest.raises(DuplicateEntryError) as exc_info:
                 store.add_entry([record("10.1000/b"), record("10.1000/a")])
             assert exc_info.value.existing_id == 2
@@ -1081,8 +1072,7 @@ class TestMigration:
             with pytest.raises(MissingEntryError):
                 store.get_rendered(3, RenderFormat.HTML)
             assert store.live_ids() == [1, 2, 4]
-            assert store.list_crossrefs() == [refs.SourceCrossRef("CO2", "nu", 7, 3),
-                                              refs.SourceCrossRef("H2O", "nu", 1, 1)]
+            assert read_table(path, CROSSREFS) == [("CO2", "nu", 7, 3), ("H2O", "nu", 1, 1)]
             assert store.add_entry([record("10.1000/c")]) == 9
         assert schema_of(path) == (5, {"entries", "crossrefs", "texts", "sqlite_sequence"})
 
@@ -1107,8 +1097,7 @@ class TestMigration:
                 store.get_entry(3)
             assert store.list_labels() == [(1, "The HITRAN2016 molecular spectroscopic database"),
                                            (2, "A title"), (4, "Private communication")]
-            assert store.list_crossrefs() == [refs.SourceCrossRef("CO2", "nu", 7, 3),
-                                              refs.SourceCrossRef("H2O", "nu", 1, 1)]
+            assert read_table(path, CROSSREFS) == [("CO2", "nu", 7, 3), ("H2O", "nu", 1, 1)]
             with pytest.raises(DuplicateEntryError) as exc_info:
                 store.add_entry([record("10.1000/b"), record("10.1000/a")])
             assert exc_info.value.existing_id == 2
@@ -1117,9 +1106,6 @@ class TestMigration:
         assert read_table(path, "SELECT deleted, note FROM entries WHERE global_id = 3") == [
             (1, "tombstoned")]
         assert schema_of(path) == (5, {"entries", "crossrefs", "texts", "sqlite_sequence"})
-        RefStore(tmp_path / "new.db").close()
-        master = "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name"
-        assert read_table(path, master) == read_table(tmp_path / "new.db", master)
 
     def test_v4_file_gets_positional_rows_in_the_opening_transaction(self, tmp_path,
                                                                       statements):
@@ -1147,9 +1133,8 @@ class TestMigration:
                 (1, "The HITRAN2016 molecular spectroscopic database"), (2, "A title"),
                 (4, "Private communication"), (5, "J. L. Ångström"), (6, "(untitled)"),
                 (7, "Nul\x00title")]
-            assert store.list_crossrefs() == [refs.SourceCrossRef("CO2", "nu", 7, 3),
-                                              refs.SourceCrossRef("H2O", "nu", 1, 1),
-                                              refs.SourceCrossRef("H2O", "nu", 2, 7)]
+            assert read_table(path, CROSSREFS) == [("CO2", "nu", 7, 3), ("H2O", "nu", 1, 1),
+                                                   ("H2O", "nu", 2, 7)]
             with pytest.raises(DuplicateEntryError) as exc_info:
                 store.add_entry([record("10.1000/b"), record("10.1000/a")])
             assert exc_info.value.existing_id == 2
@@ -1161,9 +1146,46 @@ class TestMigration:
                         for gid, (recs, note) in entries.items()]
         assert read_table(path, "SELECT * FROM texts WHERE entry_id < 12 ORDER BY entry_id") == texts
         assert schema_of(path) == (5, {"entries", "crossrefs", "texts", "sqlite_sequence"})
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_a_migrated_file_has_the_schema_of_a_new_one(self, tmp_path, version):
+        path = tmp_path / f"v{version}.db"
+        write_old_store(version, path, self.v1_entries(), deleted={3},
+                        crossrefs=[("H2O", "nu", 1, 1), ("CO2", "nu", 7, 3)])
+        RefStore(path).close()
         RefStore(tmp_path / "new.db").close()
         master = "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name"
         assert read_table(path, master) == read_table(tmp_path / "new.db", master)
+
+    # A stored record that no constructor accepts, in a version-4 row or in
+    # a version-2 records column; entry 3 is a tombstone, which is kept too.
+    @pytest.mark.parametrize("version, update, value", [
+        (4, "UPDATE entries SET records = ? WHERE global_id = 3",
+         '[{"title":"T","authors":[{"given_names":["A."]}]}]'),
+        (4, "UPDATE entries SET records = ? WHERE global_id = 3", '["T"]'),
+        (4, "UPDATE entries SET records = ? WHERE global_id = 3",
+         '[{"title":"T","doi":"11.1000/x"}]'),
+        (2, "UPDATE records SET authors = ? WHERE entry_id = 3", "not json"),
+        (2, "UPDATE records SET doi = ? WHERE entry_id = 3", "11.1000/x"),
+    ], ids=["v4-no-surname", "v4-not-an-object", "v4-doi", "v2-authors", "v2-doi"])
+    def test_an_unreadable_record_stops_the_migration(self, tmp_path, capsys, statements,
+                                                      version, update, value):
+        path = tmp_path / f"v{version}.db"
+        write_old_store(version, path, self.v1_entries(), deleted={3})
+        conn = sqlite3.connect(path)
+        conn.execute(update, (value,))
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        statements.clear()
+        refusal = "cannot migrate to schema version 5: the records of entry 3 cannot be read"
+        with pytest.raises(StoreError, match=refusal) as exc_info:
+            RefStore(path)
+        assert exc_info.value.__cause__ is not None
+        assert "COMMIT" not in statements
+        assert cli_main(["list", "--db", str(path)]) == EXIT_STORE
+        assert refusal in capsys.readouterr().err
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("records_json", ['{"title": "T"}', '"T"', "[{", ""])
     def test_a_v4_row_that_is_not_a_json_array_stops_the_migration(self, tmp_path, statements,
@@ -1191,7 +1213,7 @@ class TestMigration:
         conn.close()
         before = path.read_bytes()
         statements.clear()
-        with pytest.raises(StoreError, match="cannot migrate to schema version 4: dangling"):
+        with pytest.raises(StoreError, match="cannot migrate to schema version 5: dangling"):
             RefStore(path)
         assert "COMMIT" not in statements
         assert path.read_bytes() == before
