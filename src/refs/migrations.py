@@ -22,27 +22,30 @@ import json
 import sqlite3
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from . import render
 from .errors import StoreError
-from .model import BibRecord, RefEntry, record_from_dict
+from .identifiers import parse_bibcode, parse_doi
+from .model import AuthorName, BibRecord, Pages, RefEntry, SourceType
 from .store import _SCHEMA, SCHEMA_VERSION, _html_or_none, _records_json
 
 # Record columns of versions 1 to 3, named after the keys of
-# model.record_to_dict except that pages are split in two.
+# model.record_to_dict except that pages are split in two. ``source_type``
+# is NOT NULL, so it is null only where an entry has no ``records`` row.
 _RECORD_COLUMNS = (
     "source_type", "title", "authors", "journal", "volume", "number",
     "page_first", "page_last", "year", "publisher", "doi", "bibcode",
 )
 
 # Every entry of a version 1 to 3 file, tombstones included, one row per
-# record, in ID then record order; the rows of one entry are adjacent.
+# record, in ID then record order; the rows of one entry are adjacent. An
+# entry without records still gets a row, so that it is refused, not lost.
 _SELECT_ROWS = (
     "SELECT e.global_id, e.doi_set, e.deleted, n.note, "
     + ", ".join(f"r.{c}" for c in _RECORD_COLUMNS)
     + " FROM entries e"
-    " JOIN records r ON r.entry_id = e.global_id"
+    " LEFT JOIN records r ON r.entry_id = e.global_id"
     " LEFT JOIN notes n ON n.entry_id = e.global_id"
     " ORDER BY e.global_id, r.position"
 )
@@ -159,13 +162,33 @@ def _decoded(global_id: int, note: str | None, records: Iterable[BibRecord]) -> 
 
 
 def _records_from_columns(rows: Iterator[tuple]) -> Iterator[BibRecord]:
-    """The records of one entry's _SELECT_ROWS rows, through the model's dict codec."""
+    """The records of one entry's _SELECT_ROWS rows, through ``record_from_dict``."""
     for row in rows:
+        if row[4] is None:
+            raise _refusal(f"entry {row[0]} has no records")
         fields = {c: v for c, v in zip(_RECORD_COLUMNS, row[4:]) if v is not None}
         fields["authors"] = json.loads(fields["authors"])
         if "page_first" in fields:
             fields["pages"] = {"first": fields.pop("page_first"), "last": fields.pop("page_last", None)}
         yield record_from_dict(fields)
+
+
+def author_from_dict(d: dict[str, Any]) -> AuthorName:
+    return AuthorName(tuple(d.get("given_names", ())), d["surname"])
+
+
+def record_from_dict(d: dict[str, Any]) -> BibRecord:
+    """The record ``model.record_to_dict`` wrote, built through every constructor check."""
+    pages = d.get("pages")
+    if pages is not None:
+        pages = Pages(pages["first"], pages.get("last"))
+    return BibRecord(
+        d.get("title", ""), [author_from_dict(a) for a in d.get("authors", ())],
+        SourceType(d.get("source_type", "article")),
+        d.get("journal"), d.get("volume"), d.get("number"), pages, d.get("year"),
+        d.get("publisher"), parse_doi(d["doi"]) if d.get("doi") else None,
+        parse_bibcode(d["bibcode"]) if d.get("bibcode") else None,
+    )
 
 
 def _refusal(reason: str) -> StoreError:

@@ -10,7 +10,7 @@ import enum
 from typing import Any
 
 from .errors import InvalidAuthorError
-from .identifiers import Bibcode, Doi, format_bibcode, parse_bibcode, parse_doi
+from .identifiers import Bibcode, Doi, format_bibcode, parse_bibcode
 from .values import Frozen, Value
 
 MIN_YEAR = 1500
@@ -240,14 +240,10 @@ class SourceCrossRef(Frozen):
         set_field(self, "global_id", global_id)
 
 
-# --- dict codecs: the JSON renderer's members, and stored records of v1-v4 ---
+# --- dict codec: the JSON renderer's members -------------------------------
 
 def author_to_dict(a: AuthorName) -> dict[str, Any]:
     return {"given_names": list(a.given_names), "surname": a.surname}
-
-
-def author_from_dict(d: dict[str, Any]) -> AuthorName:
-    return AuthorName(tuple(d.get("given_names", ())), d["surname"])
 
 
 def record_to_dict(r: BibRecord) -> dict[str, Any]:
@@ -280,19 +276,7 @@ def record_to_dict(r: BibRecord) -> dict[str, Any]:
     return out
 
 
-def record_from_dict(d: dict[str, Any]) -> BibRecord:
-    """The record record_to_dict wrote, built positionally through every constructor check."""
-    pages = d.get("pages")
-    if pages is not None:
-        pages = Pages(pages["first"], pages.get("last"))
-    return BibRecord(
-        d.get("title", ""), [author_from_dict(a) for a in d.get("authors", ())],
-        _source_type(d.get("source_type", "article")),
-        d.get("journal"), d.get("volume"), d.get("number"), pages, d.get("year"),
-        d.get("publisher"), parse_doi(d["doi"]) if d.get("doi") else None,
-        parse_bibcode(d["bibcode"]) if d.get("bibcode") else None,
-    )
-
+# --- row codec, the store's ``records`` column ------------------------------
 
 def _source_type(value: Any) -> SourceType:
     try:
@@ -300,8 +284,6 @@ def _source_type(value: Any) -> SourceType:
     except (KeyError, TypeError):
         return SourceType(value)  # raises the enum's ValueError
 
-
-# --- row codec, the store's ``records`` column ------------------------------
 
 def record_to_row(r: BibRecord) -> list[Any]:
     """A record as a list of its fields in constructor order, each as plain JSON data.

@@ -1,4 +1,4 @@
-"""End-to-end flow: DOI in, resolved record plus all four renders out.
+"""End-to-end flow: DOI in, resolved entry out, to store and render in all four formats.
 
 The ADS route is preferred; when ADS knows nothing about the DOI, metadata
 is content-negotiated at doi.org instead. Either way one renderer produces
@@ -44,46 +44,52 @@ class ResolutionPath(str, enum.Enum):
 class ResolutionReport(Value):
     """What one resolution did and produced. ``warnings`` of None means none.
 
-    ``bibtex_fetched`` says that the BibTeX render is the text this
-    resolution fetched from upstream, which the store keeps as it is.
+    ``entry`` is the resolved record with the note, which ``store_report``
+    gives its global ID; from the store, it is the stored entry. ``bibtex``
+    is doi.org's text on the fallback and query routes, the stored text from
+    the store, else None. ``renders`` is computed on each read: all four
+    formats of ``entry``, with ``bibtex`` in the BibTeX slot when set, so a
+    stored report renders what ``RefStore.get_rendered`` returns.
     """
 
-    __slots__ = (
-        "doi", "path_taken", "record", "renders", "bibcode", "warnings", "unverified",
-        "bibtex_fetched",
-    )
+    __slots__ = ("doi", "path_taken", "record", "entry", "bibtex", "warnings", "unverified")
     doi: Doi
     path_taken: ResolutionPath
     record: BibRecord
-    renders: dict[RenderFormat, RenderedCitation]
-    bibcode: Bibcode | None
+    entry: RefEntry
+    bibtex: str | None
     warnings: list[str]
     unverified: bool
-    bibtex_fetched: bool
 
     def __init__(
         self,
         doi: Doi,
         path_taken: ResolutionPath,
         record: BibRecord,
-        renders: dict[RenderFormat, RenderedCitation],
-        bibcode: Bibcode | None = None,
+        entry: RefEntry,
+        bibtex: str | None = None,
         warnings: list[str] | None = None,
         unverified: bool = False,
-        bibtex_fetched: bool = False,
     ) -> None:
-        if (path_taken is ResolutionPath.ADS) != (bibcode is not None):
-            raise ValueError("the ads path carries a bibcode and the fallback path does not")
-        if set(renders) != set(RenderFormat):
-            raise ValueError("a report carries exactly the four render formats")
         self.doi = doi
         self.path_taken = path_taken
         self.record = record
-        self.renders = renders
-        self.bibcode = bibcode
+        self.entry = entry
+        self.bibtex = bibtex
         self.warnings = [] if warnings is None else warnings
         self.unverified = unverified
-        self.bibtex_fetched = bibtex_fetched
+
+    @property
+    def renders(self) -> dict[RenderFormat, RenderedCitation]:
+        renders = render_all(self.entry)
+        if self.bibtex is not None:
+            bib = renders[RenderFormat.BIBTEX]
+            renders[bib.format] = RenderedCitation(bib.format, self.bibtex, bib.global_label)
+        return renders
+
+    @property
+    def bibcode(self) -> Bibcode | None:
+        return self.record.bibcode if self.path_taken is ResolutionPath.ADS else None
 
 
 def resolve_reference(
@@ -92,7 +98,7 @@ def resolve_reference(
     cfg: AdsConfig | None = None,
     transport: Transport | None = None,
 ) -> ResolutionReport:
-    """Resolve one DOI into a record rendered in all four formats.
+    """Resolve one DOI into a record and its unstored entry.
 
     An empty ADS result cleanly selects the fallback; an ADS *error* (a
     failed search or an unusable document) also falls back, with the cause
@@ -135,38 +141,20 @@ def _resolve_via_ads(doi: Doi, doc: dict, note: str | None) -> ResolutionReport:
     extra = []
     if record.doi is not None and record.doi.canonical != doi.canonical:
         extra.append(f"ADS reports DOI {record.doi} for bibcode {record.bibcode}, queried {doi}")
-    entry = RefEntry(records=[record], note=note)
-    return ResolutionReport(
-        doi=doi,
-        path_taken=ResolutionPath.ADS,
-        record=record,
-        renders=render_all(entry),
-        bibcode=record.bibcode,
-        warnings=extra,
-    )
+    return ResolutionReport(doi, ResolutionPath.ADS, record, RefEntry([record], note),
+                            warnings=extra)
 
 
 def _resolve_via_fallback(doi: Doi, note: str | None, upstream: Upstream) -> ResolutionReport:
     record = csl_to_record(fetch_csl_json(doi, upstream))
-    entry = RefEntry(records=[record], note=note)
-    renders = render_all(entry)
+    bibtex = None
     extra = []
-    fetched = False
     try:
-        renders[RenderFormat.BIBTEX] = RenderedCitation(
-            format=RenderFormat.BIBTEX, body=fetch_bibtex(doi, upstream), global_label=""
-        )
-        fetched = True
+        bibtex = fetch_bibtex(doi, upstream)
     except RefsError as exc:
         extra.append(f"BibTeX fetch failed ({exc}); generated locally from the record")
-    return ResolutionReport(
-        doi=doi,
-        path_taken=ResolutionPath.FALLBACK,
-        record=record,
-        renders=renders,
-        warnings=extra,
-        bibtex_fetched=fetched,
-    )
+    return ResolutionReport(doi, ResolutionPath.FALLBACK, record, RefEntry([record], note),
+                            bibtex, extra)
 
 
 def resolve_query_reference(
@@ -194,19 +182,13 @@ def _resolve_match(
     record = bibtex_to_record(fetched)
     if record.doi is None:
         raise UnusableMetadataError(f"query result for {freeform!r} carries no DOI")
-    entry = RefEntry(records=[record], note=note)
-    renders = render_all(entry)
-    renders[RenderFormat.BIBTEX] = RenderedCitation(
-        format=RenderFormat.BIBTEX, body=fetched, global_label=""
-    )
+    if not record.authors and not record.title:
+        raise UnusableMetadataError(
+            f"query result for {freeform!r} carries neither author nor title"
+        )
     return ResolutionReport(
-        doi=record.doi,
-        path_taken=ResolutionPath.FALLBACK,
-        record=record,
-        renders=renders,
-        warnings=[_keyword_match(freeform, matched)],
-        unverified=True,
-        bibtex_fetched=True,
+        record.doi, ResolutionPath.FALLBACK, record, RefEntry([record], note), fetched,
+        [_keyword_match(freeform, matched)], unverified=True,
     )
 
 
@@ -229,7 +211,7 @@ def resolve_and_store_report(
     A duplicate DOI is not an error here: the existing ID is returned with
     a warning on the report, which keeps batch imports idempotent. A DOI
     the store already holds costs no request; its report is built from the
-    stored entry and its stored HTML and BibTeX, note included.
+    stored entry and its stored BibTeX, note included.
     """
     gid = store.find_entry_by_dois([doi])
     if gid is not None:
@@ -238,7 +220,7 @@ def resolve_and_store_report(
         except MissingEntryError:
             pass  # deleted by another writer since the lookup: resolve afresh
     report = resolve_reference(doi, note, cfg, transport)
-    return store_report(store, report, note), report
+    return store_report(store, report), report
 
 
 def resolve_query_and_store_report(
@@ -268,20 +250,21 @@ def resolve_query_and_store_report(
             report.unverified = True
             return gid, report
     report = _resolve_match(freeform, matched, note, upstream)
-    return store_report(store, report, note), report
+    return store_report(store, report), report
 
 
-def store_report(store: RefStore, report: ResolutionReport, note: str | None) -> int:
-    """Persist a report's record, and its BibTeX if fetched.
+def store_report(store: RefStore, report: ResolutionReport) -> int:
+    """Persist a report's entry, and its BibTeX if set; the entry then carries its ID.
 
     A duplicate DOI yields the existing ID plus a warning.
     """
-    bibtex = report.renders[RenderFormat.BIBTEX].body if report.bibtex_fetched else None
+    entry = report.entry
     try:
-        return store.add_entry([report.record], note=note, bibtex=bibtex)
+        entry.global_id = store.add_entry(entry.records, note=entry.note, bibtex=report.bibtex)
     except DuplicateEntryError as exc:
         report.warnings.append(_already_stored(report.doi, exc.existing_id))
         return exc.existing_id
+    return entry.global_id
 
 
 def _already_stored(doi: Doi, gid: int) -> str:
@@ -291,11 +274,6 @@ def _already_stored(doi: Doi, gid: int) -> str:
 def _stored_report(doi: Doi, store: RefStore, gid: int) -> ResolutionReport:
     entry = store.get_entry(gid)
     record = next(r for r in entry.records if r.doi == doi)
-    return ResolutionReport(
-        doi=doi,
-        path_taken=ResolutionPath.ADS if record.bibcode else ResolutionPath.FALLBACK,
-        record=record,
-        renders={fmt: store.get_rendered(gid, fmt) for fmt in RenderFormat},
-        bibcode=record.bibcode,
-        warnings=[_already_stored(doi, entry.global_id)],
-    )
+    path = ResolutionPath.ADS if record.bibcode else ResolutionPath.FALLBACK
+    bibtex = store.get_rendered(gid, RenderFormat.BIBTEX).body
+    return ResolutionReport(doi, path, record, entry, bibtex, [_already_stored(doi, gid)])

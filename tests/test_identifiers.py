@@ -35,9 +35,22 @@ def _parsed_or_none(raw: str) -> Doi | None:
         return None
 
 
+def doi_texts() -> st.SearchStrategy[str]:
+    """The strings ``10\\.[0-9]{4,9}/[!-~]{1,30}`` matches, built from two text draws.
+
+    Hypothesis draws these several times faster than ``st.from_regex``.
+    """
+    return st.builds(
+        "10.{}/{}".format,
+        st.text(string.digits, min_size=4, max_size=9),
+        st.text(st.characters(min_codepoint=ord("!"), max_codepoint=ord("~")), min_size=1,
+                max_size=30),
+    )
+
+
 def accepted_dois() -> st.SearchStrategy[Doi]:
     """DOIs that parse_doi accepts, with suffixes rich in quotes, backslashes and Unicode."""
-    prefix = st.from_regex(r"10\.[0-9]{4,9}", fullmatch=True)
+    prefix = st.text(string.digits, min_size=4, max_size=9).map("10.".__add__)
     suffix = st.text(st.sampled_from('"\\():/*?Ab') | st.characters(), min_size=1, max_size=30)
     raw = st.tuples(prefix, suffix).map("/".join)
     return raw.map(_parsed_or_none).filter(lambda doi: doi is not None)
@@ -131,7 +144,7 @@ class TestParseDoi:
     def test_url_property(self):
         assert parse_doi("10.1000/x").url == "https://doi.org/10.1000/x"
 
-    @given(st.from_regex(r"10\.[0-9]{4,9}/[!-~]{1,30}", fullmatch=True))
+    @given(doi_texts())
     def test_idempotent(self, raw):
         first = parse_doi(raw)
         assert parse_doi(first.canonical).canonical == first.canonical

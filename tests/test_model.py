@@ -27,10 +27,10 @@ from refs import (
     render_text,
     sub_labels,
 )
+from refs.migrations import record_from_dict
 from refs.model import (
     SourceType,
     entry_to_dict,
-    record_from_dict,
     record_from_row,
     record_to_dict,
     record_to_row,

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
 
 import pytest
@@ -15,13 +17,17 @@ from refs import (
     AdsConfig,
     FixtureTransport,
     HttpResponse,
+    RefsError,
+    RefStore,
     RenderFormat,
     RenderedCitation,
     ResolutionFailedError,
     ResolutionPath,
     ResolutionReport,
+    UnusableMetadataError,
     Upstream,
     UpstreamUnavailableError,
+    bibtex_to_record,
     parse_doi,
     render_all,
     resolve_and_store_report,
@@ -30,6 +36,8 @@ from refs import (
     resolve_reference,
     resolvers,
 )
+import refs.pipeline
+import refs.render
 from refs.pipeline import store_report
 from refs.resolvers import ADS_FIELD_LIST, ads_search_url
 
@@ -50,6 +58,13 @@ def fixture_dois() -> list:
             elif query.startswith('doi:"'):
                 found.add(query[len('doi:"'):-1])
     return [parse_doi(raw) for raw in sorted(found)]
+
+
+def fixture_queries() -> list[str]:
+    """Every free-text query the CrossRef archive holds an answer for."""
+    archive = json.loads((FIXTURE_DIR / "crossref.json").read_text(encoding="utf-8"))
+    return [parse_qs(urlsplit(entry["request"]["url"]).query)["query.bibliographic"][0]
+            for entry in archive["entries"]]
 
 
 class _AlwaysUnavailable:
@@ -335,10 +350,10 @@ class TestResolveAndStore:
         if route == "query":
             report = resolve_query_reference("The HITRAN2016 molecular spectroscopic database",
                                              cfg=ads_config, transport=transport)
-            gid = store_report(store, report, None)
+            gid = store_report(store, report)
         else:
             gid, report = resolve_and_store_report(route, None, store, ads_config, transport)
-        assert report.bibtex_fetched is fetched
+        assert (report.bibtex is not None) is fetched
         added = report.renders[RenderFormat.BIBTEX].body
         assert store.get_rendered(gid, RenderFormat.BIBTEX).body == added
         assert (added == render_all(store.get_entry(gid))[RenderFormat.BIBTEX].body) != fetched
@@ -371,8 +386,11 @@ class TestResolveAndStore:
         assert gid == 1
         assert [urlsplit(r.url).hostname for r in counting_transport.requests] == [
             "api.crossref.org", "doi.org"]
-        assert report == resolve_query_reference(HITRAN_TITLE, cfg=ads_config,
-                                                 transport=transport)
+        # The same report as an unstored resolution's, but for the entry's new ID.
+        unstored = resolve_query_reference(HITRAN_TITLE, cfg=ads_config, transport=transport)
+        assert unstored.entry.global_id is None
+        unstored.entry.global_id = gid
+        assert report == unstored
         assert store.get_rendered(gid, RenderFormat.BIBTEX).body == (
             report.renders[RenderFormat.BIBTEX].body)
 
@@ -390,7 +408,7 @@ class TestResolveAndStore:
         again, report = resolve_query_and_store_report(HITRAN_TITLE, None, store, ads_config,
                                                        transport)
         assert again != first
-        assert report.unverified and report.bibtex_fetched
+        assert report.unverified and report.bibtex is not None
         assert len(report.warnings) == 1
         assert store.get_entry(again).records == [report.record]
 
@@ -413,9 +431,109 @@ class TestResolveAndStore:
     def test_add_race_is_still_answered_with_the_existing_id(self, transport, ads_config, store):
         report = resolve_reference(HITRAN, cfg=ads_config, transport=transport)
         gid = store.add_entry([report.record])
-        assert store_report(store, report, None) == gid
+        assert store_report(store, report) == gid
         assert report.warnings[-1] == f"DOI {HITRAN} is already stored as entry {gid}"
+        assert report.entry.global_id is None  # the report's entry is not the stored one
         assert len(store.list_entries()) == 1
+
+
+class TestRendersAreTheStoredEntry:
+    """A report renders its entry on each read: once stored, exactly what the store serves."""
+
+    def test_first_add_repeat_add_and_store_agree(self, tmp_path, ads_config):
+        resolved, paths = [], set()
+        subjects = [(resolve_and_store_report, doi) for doi in fixture_dois()]
+        subjects += [(resolve_query_and_store_report, text) for text in fixture_queries()]
+        for n, (resolve_and_store, subject) in enumerate(subjects):
+            transport = FixtureTransport.from_dir(FIXTURE_DIR)
+            with RefStore(tmp_path / f"{n}.db") as store:
+                try:
+                    gid, first = resolve_and_store(subject, "A note.", store, ads_config,
+                                                   transport)
+                except RefsError:
+                    assert store.live_ids() == []
+                    continue
+                again, repeat = resolve_and_store(subject, "A note.", store, ads_config,
+                                                  transport)
+                stored = {fmt: store.get_rendered(gid, fmt) for fmt in RenderFormat}
+            assert again == gid
+            assert first.renders == repeat.renders == stored, subject
+            assert first.renders[RenderFormat.HTML].body.startswith(f"{gid}. A note. ")
+            resolved.append(subject)
+            paths.add(first.path_taken)
+        assert len(resolved) == 9 and HITRAN_TITLE in resolved
+        assert paths == set(ResolutionPath)
+
+    @pytest.mark.parametrize("route, bibtex_renders", [
+        (HITRAN, 1), (NIST, 0), (parse_doi("10.5555/emptybib"), 1), (HITRAN_TITLE, 0)],
+        ids=["ads", "fallback", "fallback-without-bibtex", "query"])
+    def test_a_new_add_renders_only_what_the_store_keeps(self, route, bibtex_renders,
+                                                        transport, ads_config, store,
+                                                        monkeypatch):
+        calls = dict.fromkeys(["render_all", "render_html", "render_json", "render_text",
+                               "render_bibtex"], 0)
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def counted(entry):
+                calls[name] += 1
+                return inner(entry)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in calls:
+            counting(refs.pipeline if name == "render_all" else refs.render, name)
+        if route == HITRAN_TITLE:
+            resolve_query_and_store_report(route, None, store, ads_config, transport)
+        else:
+            resolve_and_store_report(route, None, store, ads_config, transport)
+        assert calls == {"render_all": 0, "render_html": 1, "render_json": 0, "render_text": 0,
+                         "render_bibtex": bibtex_renders}
+
+    @pytest.mark.parametrize("bibtex", [
+        "@misc{bare, doi = {10.1000/bare}}",
+        "@article{bare, journal = {J}, year = {2020}, doi = {10.1000/bare}}",
+    ], ids=["doi-only", "journal-and-year"])
+    def test_a_query_match_without_author_or_title_is_refused(self, bibtex, ads_config, store):
+        record = bibtex_to_record(bibtex)
+        assert record.doi is not None and not record.authors and not record.title
+        crossref = {"message": {"items": [{"DOI": "10.1000/bare"}]}}
+        transport = _Answers(HttpResponse(200, body=json.dumps(crossref).encode()),
+                             HttpResponse(200, body=bibtex.encode()))
+        with pytest.raises(UnusableMetadataError, match="neither author nor title"):
+            resolve_query_and_store_report("Bare", None, store, ads_config, transport)
+        assert transport.responses == []
+        assert store.live_ids() == []
+
+    def test_only_the_renders_property_names_a_renderer(self):
+        tree = ast.parse(Path(refs.pipeline.__file__).read_text(encoding="utf-8"))
+        report = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == "ResolutionReport")
+        renders = next(node for node in report.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "renders")
+
+        def renderers(node):
+            return [sub for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))
+                    and (getattr(sub, "id", None) or sub.attr).startswith("render_")]
+
+        assert renderers(renders)
+        inside = set(map(id, renderers(renders)))
+        assert [sub.lineno for sub in renderers(tree) if id(sub) not in inside] == []
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names if alias.name.startswith("render")]
+        assert imported == ["render_all"]
+
+
+class _Answers:
+    """Answers each request with the next of a fixed list of responses."""
+
+    is_live = False
+
+    def __init__(self, *responses):
+        self.responses = list(responses)
+
+    def execute(self, request):
+        return self.responses.pop(0)
 
 
 class TestWarningsStayTheCallers:

@@ -382,8 +382,9 @@ def test_every_definition_has_a_caller_or_is_documented():
         visit(module, tree, "")
     assert [q for q in uncalled if q.rpartition(".")[2] not in documented] == []
     # The library API that only README documents; anything else needs a caller.
-    assert uncalled == ["model.entry_to_dict", "store.RefStore.delete_entry",
-                        "store.RefStore.list_entries", "store.RefStore.lookup_crossref"]
+    assert uncalled == ["model.entry_to_dict", "pipeline.ResolutionReport.renders",
+                        "store.RefStore.delete_entry", "store.RefStore.list_entries",
+                        "store.RefStore.lookup_crossref"]
 
 
 class TestAdsDoiQuery:

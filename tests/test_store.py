@@ -45,7 +45,7 @@ from refs.store import SCHEMA_VERSION
 
 from conftest import GOLDEN_DIR
 from corpus import build_corpus_entries
-from test_identifiers import valid_bibcodes
+from test_identifiers import doi_texts, valid_bibcodes
 
 
 optional_text = st.none() | st.text(max_size=20)
@@ -64,7 +64,7 @@ records_strategy = st.builds(
     pages=st.none() | st.builds(Pages, first=st.text(min_size=1, max_size=6), last=optional_text),
     year=st.none() | st.integers(MIN_YEAR, MAX_YEAR),
     publisher=optional_text,
-    doi=st.none() | st.from_regex(r"10\.[0-9]{4,9}/[!-~]{1,30}", fullmatch=True).map(parse_doi),
+    doi=st.none() | doi_texts().map(parse_doi),
     bibcode=st.none() | valid_bibcodes().map(parse_bibcode),
 )
 
@@ -1213,9 +1213,30 @@ class TestMigration:
         conn.close()
         before = path.read_bytes()
         statements.clear()
-        with pytest.raises(StoreError, match="cannot migrate to schema version 5: dangling"):
+        with pytest.raises(StoreError, match="cannot migrate to schema version 5: entry 4 has"
+                                             " no records"):
             RefStore(path)
         assert "COMMIT" not in statements
+        assert path.read_bytes() == before
+
+    # Nothing points at entry 4, so only the reader can notice that its records are gone.
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_an_entry_without_records_is_refused_not_lost(self, tmp_path, capsys, statements,
+                                                           version):
+        path = tmp_path / f"v{version}.db"
+        write_old_store(version, path, self.v1_entries())
+        conn = sqlite3.connect(path)
+        conn.execute("DELETE FROM records WHERE entry_id = 4")
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        statements.clear()
+        refusal = "cannot migrate to schema version 5: entry 4 has no records"
+        with pytest.raises(StoreError, match=refusal):
+            RefStore(path)
+        assert "COMMIT" not in statements
+        assert cli_main(["list", "--db", str(path)]) == EXIT_STORE
+        assert refusal in capsys.readouterr().err
         assert path.read_bytes() == before
 
     def test_live_entries_sharing_a_doi_set_stop_the_migration(self, tmp_path, statements):

@@ -46,7 +46,15 @@ RECORD_ARGS = ("T", [AUTHOR], SourceType.BOOK, "J", "1", "2", Pages("1", "2"), 2
                DOI, BIBCODE)
 RECORD = BibRecord(*RECORD_ARGS)
 FALLBACK_RECORD = BibRecord("T", [AUTHOR], doi=DOI)
-RENDERS = render_all(RefEntry([RECORD]))
+
+
+def report_renders(report: ResolutionReport) -> dict:
+    """All four formats of the report's entry, with its BibTeX text, if any, in that slot."""
+    renders = render_all(report.entry)
+    if report.bibtex is not None:
+        label = "" if report.entry.global_id is None else str(report.entry.global_id)
+        renders[RenderFormat.BIBTEX] = RenderedCitation(RenderFormat.BIBTEX, report.bibtex, label)
+    return renders
 
 
 class Spec:
@@ -129,12 +137,13 @@ SPECS = [
           ("backoff_base", 1.0)],
          ("https://ads.test/v1", "s3cret", 2, 0.5), ("https://ads.test/v1", "", 2, 0.5), ()),
     Spec(ResolutionReport, False,
-         [("doi", REQUIRED), ("path_taken", REQUIRED), ("record", REQUIRED),
-          ("renders", REQUIRED), ("bibcode", None), ("warnings", LIST), ("unverified", False),
-          ("bibtex_fetched", False)],
-         (DOI, ResolutionPath.ADS, RECORD, RENDERS, BIBCODE, ["w"], True, True),
-         (DOI, ResolutionPath.ADS, RECORD, RENDERS, BIBCODE, [], True, True),
-         (DOI, ResolutionPath.FALLBACK, FALLBACK_RECORD, RENDERS)),
+         [("doi", REQUIRED), ("path_taken", REQUIRED), ("record", REQUIRED), ("entry", REQUIRED),
+          ("bibtex", None), ("warnings", LIST), ("unverified", False)],
+         (DOI, ResolutionPath.ADS, RECORD, RefEntry([RECORD], "n", 3), "@misc{k}", ["w"], True),
+         (DOI, ResolutionPath.ADS, RECORD, RefEntry([RECORD]), None, [], True),
+         (DOI, ResolutionPath.FALLBACK, FALLBACK_RECORD, RefEntry([FALLBACK_RECORD])),
+         {"renders": report_renders,
+          "bibcode": lambda r: r.record.bibcode if r.path_taken is ResolutionPath.ADS else None}),
 ]
 
 
