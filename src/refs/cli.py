@@ -4,8 +4,9 @@ Exit codes are stable for scripting:
   0  success
   1  invalid DOI
   2  resolution failed, unknown entry, or nothing to export
-  3  store or filesystem error
-  64 usage or configuration error
+  3  store or filesystem error, including a stored entry that cannot be read
+  64 usage or configuration error, including an argument argparse refuses
+Commands raise; ``main`` maps each error to its code once (``_EXIT_CODES``).
 Diagnostics go to stderr; stdout carries data only.
 """
 
@@ -17,16 +18,7 @@ import sqlite3
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import (
-    CrossRefConflictError,
-    InvalidDoiError,
-    MissingEntryError,
-    RefsError,
-    StoreError,
-    TransportError,
-    ResolutionFailedError,
-    UnusableMetadataError,
-)
+from .errors import InvalidDoiError, MissingEntryError, RefsError, StoreError
 from .formats import RenderFormat
 from .store import RefStore
 
@@ -51,8 +43,30 @@ class UsageError(Exception):
     pass
 
 
+# The exit code of an error that reaches ``main``, first match wins.
+_EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    MissingEntryError: EXIT_RESOLUTION,  # a StoreError, so before StoreError
+    StoreError: EXIT_STORE,
+    sqlite3.Error: EXIT_STORE,
+    OSError: EXIT_STORE,
+    RefsError: EXIT_RESOLUTION,
+}
+
+
 def _err(message: str) -> None:
     print(f"refs: {message}", file=sys.stderr)
+
+
+def _int64(text: str) -> int:
+    """An integer argument that SQLite can bind: a signed 64-bit one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not -(2**63) <= value < 2**63:
+        raise argparse.ArgumentTypeError(f"{text} is outside the signed 64-bit range")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_add.set_defaults(func=cmd_add)
 
     p_render = sub.add_parser("render", parents=[common], help="print one stored entry")
-    p_render.add_argument("id", type=int)
+    p_render.add_argument("id", type=_int64)
     p_render.add_argument(
         "--format",
         choices=[f.value for f in RenderFormat],
@@ -107,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser(
         "export", parents=[common], help="write the HTML and .bib bibliography bundle"
     )
-    p_export.add_argument("ids", nargs="*", type=int)
+    p_export.add_argument("ids", nargs="*", type=_int64)
     p_export.add_argument("--all", action="store_true", help="export every stored entry")
     p_export.add_argument("-o", "--out-dir", default=".")
     p_export.set_defaults(func=cmd_export)
@@ -117,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_crossref.add_argument("scope")
     p_crossref.add_argument("parameter")
-    p_crossref.add_argument("local_id", type=int)
-    p_crossref.add_argument("global_id", type=int)
+    p_crossref.add_argument("local_id", type=_int64)
+    p_crossref.add_argument("global_id", type=_int64)
     p_crossref.set_defaults(func=cmd_crossref)
 
     p_list = sub.add_parser("list", parents=[common], help="list stored entries")
@@ -128,12 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _db_path(args) -> str:
-    return args.db or os.environ.get(DB_ENV) or DEFAULT_DB
-
-
 def _open_store(args) -> RefStore:
-    return RefStore(_db_path(args))
+    return RefStore(args.db or os.environ.get(DB_ENV) or DEFAULT_DB)
 
 
 def _fail(code: int, message: str) -> int:
@@ -187,21 +197,13 @@ def cmd_add(args) -> int:
         except InvalidDoiError as exc:
             return _fail(EXIT_INVALID_DOI, str(exc))
 
-    store = _open_store(args)
-    try:
+    with _open_store(args) as store:
         if args.doi:
             gid, report = resolve_and_store_report(doi, args.note, store, cfg, transport)
         else:
             gid, report = resolve_query_and_store_report(
                 args.query, args.note, store, cfg, transport
             )
-    except (ResolutionFailedError, UnusableMetadataError, TransportError) as exc:
-        return _fail(EXIT_RESOLUTION, str(exc))
-    except (StoreError, sqlite3.Error, OSError) as exc:
-        return _fail(EXIT_STORE, str(exc))
-    finally:
-        store.close()
-
     for warning in report.warnings:
         _err(f"warning: {warning}")
     suffix = " unverified" if report.unverified else ""
@@ -210,13 +212,8 @@ def cmd_add(args) -> int:
 
 
 def cmd_render(args) -> int:
-    store = _open_store(args)
-    try:
+    with _open_store(args) as store:
         rendered = store.get_rendered(args.id, RenderFormat(args.format))
-    except MissingEntryError as exc:
-        return _fail(EXIT_RESOLUTION, str(exc))
-    finally:
-        store.close()
     print(rendered.body)
     return EXIT_OK
 
@@ -224,64 +221,46 @@ def cmd_render(args) -> int:
 def cmd_export(args) -> int:
     if args.all == bool(args.ids):
         raise UsageError("pass entry IDs or --all, not both or neither")
-    store = _open_store(args)
-    try:
-        ids = args.ids
-        if args.all:
-            ids = store.live_ids()
-            if not ids:
-                return _fail(EXIT_RESOLUTION, "no entries")
-        html_path, bib_path = store.export_bundle(ids, args.out_dir)
-    except MissingEntryError as exc:
-        return _fail(EXIT_RESOLUTION, str(exc))
-    except (StoreError, sqlite3.Error, OSError) as exc:
-        return _fail(EXIT_STORE, str(exc))
-    finally:
-        store.close()
-    print(html_path)
-    print(bib_path)
+    with _open_store(args) as store:
+        ids = store.live_ids() if args.all else args.ids
+        if not ids:
+            return _fail(EXIT_RESOLUTION, "no entries")
+        paths = store.export_bundle(ids, args.out_dir)
+    print(*paths, sep="\n")
     return EXIT_OK
 
 
 def cmd_crossref(args) -> int:
-    store = _open_store(args)
+    from .model import SourceCrossRef
+
     try:
+        SourceCrossRef(args.scope, args.parameter, args.local_id, args.global_id)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    with _open_store(args) as store:
         store.attach_crossref(args.scope, args.parameter, args.local_id, args.global_id)
-    except MissingEntryError as exc:
-        return _fail(EXIT_RESOLUTION, str(exc))
-    except (CrossRefConflictError, StoreError, sqlite3.Error) as exc:
-        return _fail(EXIT_STORE, str(exc))
-    finally:
-        store.close()
     return EXIT_OK
 
 
 def cmd_list(args) -> int:
-    store = _open_store(args)
-    try:
+    with _open_store(args) as store:
         labels = store.list_labels(scope=args.scope)
-    finally:
-        store.close()
     for gid, label in labels:
         print(f"{gid}\t{label}")
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except SystemExit as exc:
+        if exc.code != 2:  # --help exits 0
+            raise
+        return EXIT_USAGE  # argparse refused an argument and has said why
+    except tuple(_EXIT_CODES) as exc:
         _err(str(exc))
-        return EXIT_USAGE
-    except (StoreError, sqlite3.Error, OSError) as exc:
-        _err(str(exc))
-        return EXIT_STORE
-    except RefsError as exc:
-        # Anything not mapped above is a resolution-side failure.
-        _err(str(exc))
-        return EXIT_RESOLUTION
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,8 @@ from . import render
 from .errors import StoreError
 from .identifiers import parse_bibcode, parse_doi
 from .model import AuthorName, BibRecord, Pages, RefEntry, SourceType
-from .store import _SCHEMA, SCHEMA_VERSION, _html_or_none, _records_json
+from .store import (_SCHEMA, SCHEMA_VERSION, _UNDECODABLE, _html_or_none, _records_json,
+                    _unreadable)
 
 # Record columns of versions 1 to 3, named after the keys of
 # model.record_to_dict except that pages are split in two. ``source_type``
@@ -155,10 +156,8 @@ def _decoded(global_id: int, note: str | None, records: Iterable[BibRecord]) -> 
     """Entry ``global_id``, its records decoded as ``records`` is drawn, every check included."""
     try:
         return RefEntry(list(records), note, global_id)
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise _refusal(
-            f"the records of entry {global_id} cannot be read: {type(exc).__name__}: {exc}"
-        ) from exc
+    except _UNDECODABLE as exc:
+        raise _refusal(_unreadable(global_id, exc)) from exc
 
 
 def _records_from_columns(rows: Iterator[tuple]) -> Iterator[BibRecord]:

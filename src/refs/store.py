@@ -371,7 +371,7 @@ class RefStore:
             " FROM entries e",
             scope,
         )
-        return [(gid, _record_label(title_and_author)) for gid, title_and_author in rows]
+        return [(gid, _record_label(gid, title_and_author)) for gid, title_and_author in rows]
 
     def lookup_crossref(self, scope: str, parameter: str, local_id: int) -> int:
         row = self._conn.execute(
@@ -507,15 +507,29 @@ def _html_or_none(entry: RefEntry) -> str | None:
         return None
 
 
-def _record_label(title_and_author_json: str) -> str:
+# What decoding a malformed stored entry raises, past the model's checks.
+_UNDECODABLE = (AttributeError, LookupError, TypeError, ValueError)
+
+
+def _unreadable(global_id: int, exc: Exception) -> str:
+    return f"the records of entry {global_id} cannot be read: {type(exc).__name__}: {exc}"
+
+
+def _record_label(global_id: int, title_and_author_json: str) -> str:
     """A label from ``[title, first author or null]``: the title, else the author, else ``(untitled)``."""
-    title, author = json.loads(title_and_author_json)
-    if title:
-        return title
-    return model.AuthorName(tuple(author[0]), author[1]).formatted if author else "(untitled)"
+    try:
+        title, author = json.loads(title_and_author_json)
+        if title:
+            return title
+        return model.AuthorName(tuple(author[0]), author[1]).formatted if author else "(untitled)"
+    except _UNDECODABLE as exc:
+        raise StoreError(_unreadable(global_id, exc)) from exc
 
 
 def _entry_from_row(global_id: int, note: str | None, records_json: str) -> RefEntry:
     """One entry from its ``entries`` row, records decoded by the model's row codec."""
-    records = list(map(model.record_from_row, json.loads(records_json)))
-    return model.RefEntry(records, note, global_id)
+    try:
+        records = list(map(model.record_from_row, json.loads(records_json)))
+        return model.RefEntry(records, note, global_id)
+    except _UNDECODABLE as exc:
+        raise StoreError(_unreadable(global_id, exc)) from exc

@@ -100,6 +100,14 @@ class LiveTransport:
         )
 
 
+def _archive_entries(path: Path) -> list[dict]:
+    """The recorded exchanges of a fixture archive, a JSON ``{"entries": [...]}`` file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))["entries"]
+    except (LookupError, TypeError, ValueError) as exc:
+        raise FixtureMissingError(f"{path} is not a fixture archive: {exc!r}") from exc
+
+
 def _request_key(method: str, url: str, accept: str) -> tuple[str, str, str]:
     return (method.upper(), url, accept)
 
@@ -136,8 +144,7 @@ class FixtureTransport:
         return transport
 
     def load_file(self, path: str | Path) -> None:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        for entry in data["entries"]:
+        for entry in _archive_entries(Path(path)):
             self.add(entry)
 
     def execute(self, request: HttpRequest) -> HttpResponse:
@@ -178,7 +185,7 @@ class RecordingTransport:
         self._path = Path(archive_path)
         self._entries: list[dict] = []
         if self._path.exists():
-            self._entries = json.loads(self._path.read_text(encoding="utf-8"))["entries"]
+            self._entries = _archive_entries(self._path)
 
     def execute(self, request: HttpRequest) -> HttpResponse:
         response = self._inner.execute(request)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import json
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,23 @@ from pathlib import Path
 import pytest
 
 import refs
+import refs.cli
 import refs.formats
 import refs.render
 import refs.store
-from refs import BibRecord, RefStore, make_author, parse_doi
-from refs.cli import main
+from refs import (
+    BibRecord,
+    CrossRefConflictError,
+    FixtureMissingError,
+    InvalidDoiError,
+    MissingEntryError,
+    RefsError,
+    RefStore,
+    StoreError,
+    make_author,
+    parse_doi,
+)
+from refs.cli import UsageError, main
 from refs.model import Pages
 
 from conftest import FIXTURE_DIR
@@ -189,6 +202,17 @@ class TestAdd:
         code, _, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path, "--offline")
         assert code == 64
         assert "REFS_FIXTURES" in err
+
+    @pytest.mark.parametrize("text", ["not json", '{"items": []}'], ids=["not-json", "no-entries"])
+    def test_a_malformed_fixture_archive_exits_2_naming_it(self, capsys, db_path, tmp_path, text):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "bad.json").write_text(text)
+        code, out, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path, "--offline",
+                             "--fixtures", str(fixtures))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"refs: {fixtures / 'bad.json'} is not a fixture archive: ")
+        assert not Path(db_path).exists()
 
     def test_live_mode_without_token_fails_fast(self, capsys, db_path):
         code, _, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path)
@@ -381,6 +405,18 @@ class TestCrossref:
         code, _, _ = run(capsys, "crossref", "H2C18O", "nu", "5", "42", "--db", seeded)
         assert code == 2
 
+    @pytest.mark.parametrize("key, message", [
+        (["", "nu", "5", "1"], "dataset_scope must be non-empty"),
+        (["H2O", "", "5", "1"], "parameter must be non-empty"),
+        (["H2O", "nu", "-1", "1"], "local_id must be >= 0, got -1"),
+        (["H2O", "nu", "5", "0"], "global_id must be >= 1, got 0"),
+    ], ids=["empty-scope", "empty-parameter", "negative-local-id", "global-id-below-1"])
+    def test_a_key_the_model_refuses_is_usage_error_and_creates_no_store(self, capsys, db_path,
+                                                                        key, message):
+        code, out, err = run(capsys, "crossref", *key, "--db", db_path)
+        assert (code, out, err) == (64, "", f"refs: {message}\n")
+        assert not Path(db_path).exists()
+
 
 class TestList:
     def test_lists_ids_and_titles(self, capsys, db_path):
@@ -456,6 +492,113 @@ class TestList:
                 queries.append([q for q in statements if not q.startswith("PRAGMA")])
         assert all(len(q) == 1 for q in queries)
         assert decoded == []
+
+
+class TestUnreadableEntry:
+    """A stored row that does not decode: untitled, its first author ``[["A."]]``."""
+
+    @pytest.fixture()
+    def damaged(self, capsys, db_path):
+        run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
+        conn = sqlite3.connect(db_path)
+        (records_json,) = conn.execute("SELECT records FROM entries").fetchone()
+        rows = json.loads(records_json)
+        rows[0][:2] = ["", [["A."]]]
+        with conn:
+            conn.execute("UPDATE entries SET records = ?", (json.dumps(rows),))
+        conn.close()
+        return db_path
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "1", "--format", "json"],
+        ["render", "1", "--format", "text"],
+        ["list"],
+        ["add", "--doi", HITRAN, "--offline", "--fixtures", str(FIXTURE_DIR)],
+    ], ids=["render-json", "render-text", "list", "repeat-add"])
+    def test_reading_it_exits_3_and_leaves_the_file_unchanged(self, capsys, damaged, argv):
+        before = Path(damaged).read_bytes()
+        code, out, err = run(capsys, *argv, "--db", damaged)
+        assert (code, out) == (3, "")
+        assert err.startswith("refs: the records of entry 1 cannot be read: ")
+        assert err.count("\n") == 1
+        assert Path(damaged).read_bytes() == before
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("argv, message", [
+        ([], "refs: error: the following arguments are required: command"),
+        (["render", "abc"], "refs render: error: argument id: invalid int value: 'abc'"),
+        (["render", "1", "--format", "xml"],
+         "refs render: error: argument --format: invalid choice: 'xml'"),
+    ], ids=["no-command", "non-integer-id", "unknown-format"])
+    def test_argparse_refusals_exit_64_with_its_own_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err.startswith("usage: refs")
+        assert err.splitlines()[-1].startswith(message)
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: refs")
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "9223372036854775808"],
+        ["export", "1", "-9223372036854775809"],
+        ["crossref", "H2O", "nu", "99999999999999999999", "1"],
+        ["crossref", "H2O", "nu", "0", "99999999999999999999"],
+    ], ids=["render", "export", "crossref-local-id", "crossref-global-id"])
+    def test_an_integer_sqlite_cannot_bind_is_usage_error(self, capsys, db_path, argv):
+        code, out, err = run(capsys, *argv, "--db", db_path)
+        assert (code, out) == (64, "")
+        assert err.endswith("is outside the signed 64-bit range\n")
+        assert not Path(db_path).exists()
+
+    def test_the_largest_sqlite_integer_is_an_id(self, capsys, db_path):
+        code, _, err = run(capsys, "render", "9223372036854775807", "--db", db_path)
+        assert (code, err) == (2, "refs: no entry 9223372036854775807\n")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (UsageError("boom"), 64),
+        (MissingEntryError("boom"), 2),  # a StoreError, mapped ahead of it
+        (CrossRefConflictError("boom"), 3),
+        (StoreError("boom"), 3),
+        (sqlite3.OperationalError("boom"), 3),
+        (OSError("boom"), 3),
+        (FixtureMissingError("boom"), 2),
+        (InvalidDoiError("boom"), 2),  # an upstream answer's DOI, not the user's --doi
+        (RefsError("boom"), 2),
+    ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+    def test_main_maps_what_a_command_raises(self, capsys, db_path, monkeypatch, error, code):
+        def list_labels(self, scope=None):
+            raise error
+
+        monkeypatch.setattr(RefStore, "list_labels", list_labels)
+        assert run(capsys, "list", "--db", db_path) == (code, "", "refs: boom\n")
+
+    def test_no_command_catches_an_error_the_table_maps(self):
+        """Only main turns errors into exit codes; cmd_add's check of the user's --doi is the one catch."""
+        tree = ast.parse(Path(refs.cli.__file__).read_text(encoding="utf-8"))
+        commands = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+        mapped = tuple(refs.cli._EXIT_CODES)
+        caught = []
+        for command in commands:
+            for handler in ast.walk(command):
+                if not isinstance(handler, ast.ExceptHandler):
+                    continue
+                kinds = BaseException if handler.type is None else eval(
+                    ast.unparse(handler.type), vars(refs.cli))
+                for kind in kinds if isinstance(kinds, tuple) else (kinds,):
+                    # A class the table maps, or one that would catch such a class.
+                    if issubclass(kind, mapped) or any(issubclass(m, kind) for m in mapped):
+                        caught.append((command.name, kind.__name__))
+        assert sorted(c.name for c in commands) == [
+            "cmd_add", "cmd_crossref", "cmd_export", "cmd_list", "cmd_render"]
+        assert caught == [("cmd_add", "InvalidDoiError")]
 
 
 class TestStoreFailures:

@@ -189,6 +189,20 @@ class TestRetrieval:
         with pytest.raises(MissingEntryError):
             store.get_entry(999999)
 
+    def test_a_row_that_does_not_decode_is_a_store_error_naming_the_entry(self, store):
+        gid = store.add_entry([record("10.1000/a", title="")])
+        (records_json,) = store._conn.execute("SELECT records FROM entries").fetchone()
+        rows = json.loads(records_json)
+        rows[0][1] = [["A."]]  # an author with no surname
+        store._conn.execute("UPDATE entries SET records = ?", (json.dumps(rows),))
+        unreadable = f"the records of entry {gid} cannot be read: "
+        with pytest.raises(StoreError, match=unreadable + "ValueError"):
+            store.get_entry(gid)
+        with pytest.raises(StoreError, match=unreadable + "ValueError"):
+            store.list_entries()
+        with pytest.raises(StoreError, match=unreadable + "IndexError"):
+            store.list_labels()
+
     def test_list_empty_store(self, store):
         assert store.list_entries() == []
 

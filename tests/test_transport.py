@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -137,3 +138,27 @@ class TestRecordingTransport:
     def test_wrapped_transport_is_live(self, tmp_path):
         recorder = RecordingTransport(_StubTransport(HttpResponse(200)), tmp_path / "a.json")
         assert recorder.is_live is True
+
+
+# A file in a fixture directory that is not an archive: not JSON, or no "entries".
+MALFORMED_ARCHIVES = pytest.mark.parametrize("text, cause", [
+    ("not json", "JSONDecodeError"),
+    ('{"items": []}', "KeyError('entries')"),
+], ids=["not-json", "no-entries"])
+
+
+class TestMalformedArchive:
+    @MALFORMED_ARCHIVES
+    def test_loading_it_names_the_file(self, tmp_path, text, cause):
+        archive = tmp_path / "bad.json"
+        archive.write_text(text)
+        with pytest.raises(FixtureMissingError, match=re.escape(f"bad.json is not a fixture archive: {cause}")):
+            FixtureTransport.from_dir(tmp_path)
+
+    @MALFORMED_ARCHIVES
+    def test_recording_onto_it_names_the_file(self, tmp_path, text, cause):
+        archive = tmp_path / "bad.json"
+        archive.write_text(text)
+        with pytest.raises(FixtureMissingError, match=re.escape(f"bad.json is not a fixture archive: {cause}")):
+            RecordingTransport(_EchoTransport(), archive)
+        assert archive.read_text() == text
