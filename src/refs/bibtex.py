@@ -8,7 +8,7 @@ import re
 from .errors import BibcodeError, BibtexCardinalityError, BibtexParseError, InvalidDoiError
 from .identifiers import parse_bibcode, parse_doi
 from .model import AuthorName, BibRecord, Pages, SourceType, make_author
-from .values import Frozen
+from .values import Frozen, slot_setters
 
 _ENTRY_TYPE_MAP = {
     "article": SourceType.ARTICLE,
@@ -47,10 +47,13 @@ class BibtexEntry(Frozen):
     raw: str
 
     def __init__(self, entry_type: str, key: str, fields: dict[str, str], raw: str = "") -> None:
-        object.__setattr__(self, "entry_type", entry_type)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "raw", raw)
+        _set_entry_type(self, entry_type)
+        _set_key(self, key)
+        _set_fields(self, fields)
+        _set_raw(self, raw)
+
+
+_set_entry_type, _set_key, _set_fields, _set_raw = slot_setters(BibtexEntry)
 
 
 def _unescaped(match: re.Match) -> str:

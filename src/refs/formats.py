@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 
-from .values import Frozen
+from .values import Frozen, slot_setters
 
 
 class RenderFormat(str, enum.Enum):
@@ -27,6 +27,9 @@ class RenderedCitation(Frozen):
     global_label: str
 
     def __init__(self, format: RenderFormat, body: str, global_label: str) -> None:
-        object.__setattr__(self, "format", format)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "global_label", global_label)
+        _set_format(self, format)
+        _set_body(self, body)
+        _set_global_label(self, global_label)
+
+
+_set_format, _set_body, _set_global_label = slot_setters(RenderedCitation)

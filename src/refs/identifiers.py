@@ -6,7 +6,7 @@ import re
 from urllib.parse import quote
 
 from .errors import BibcodeFormatError, BibcodeLengthError, InvalidDoiError
-from .values import Frozen
+from .values import Frozen, slot_setters
 
 # A lone surrogate is not text: no request, store or file could carry it.
 _DOI_RE = re.compile(r"^10\.[0-9]{4,9}/[^\s\ud800-\udfff]+$")
@@ -34,7 +34,7 @@ class Doi(Frozen):
             raise InvalidDoiError(f"not a valid canonical DOI: {canonical!r}")
         if canonical != canonical.lower():
             raise InvalidDoiError(f"canonical DOI must be lowercase: {canonical!r}")
-        object.__setattr__(self, "canonical", canonical)
+        _set_canonical(self, canonical)
 
     def __str__(self) -> str:
         return self.canonical
@@ -42,6 +42,9 @@ class Doi(Frozen):
     @property
     def url(self) -> str:
         return DOI_URL_PREFIX + self.canonical
+
+
+(_set_canonical,) = slot_setters(Doi)
 
 
 def parse_doi(raw: str) -> Doi:
@@ -110,13 +113,12 @@ class Bibcode(Frozen):
             raise BibcodeFormatError(f"page too wide: {page!r}")
         if len(author_initial) != 1 or not (author_initial.isalpha() or author_initial == "."):
             raise BibcodeFormatError(f"author initial must be one letter or '.': {author_initial!r}")
-        set_field = object.__setattr__
-        set_field(self, "year", year)
-        set_field(self, "journal", journal)
-        set_field(self, "volume", volume)
-        set_field(self, "page", page)
-        set_field(self, "author_initial", author_initial)
-        set_field(self, "qualifier", qualifier)
+        _set_year(self, year)
+        _set_journal(self, journal)
+        _set_volume(self, volume)
+        _set_page(self, page)
+        _set_author_initial(self, author_initial)
+        _set_qualifier(self, qualifier)
 
     def __str__(self) -> str:
         return format_bibcode(self)
@@ -128,6 +130,10 @@ class Bibcode(Frozen):
         if text.strip(_ALWAYS_SAFE):
             text = quote(text, safe="")
         return ADS_ABS_URL + text
+
+
+_set_year, _set_journal, _set_volume, _set_page, _set_author_initial, _set_qualifier = (
+    slot_setters(Bibcode))
 
 
 def parse_bibcode(raw: str) -> Bibcode:
@@ -158,11 +164,13 @@ def parse_bibcode(raw: str) -> Bibcode:
 
 def format_bibcode(b: Bibcode) -> str:
     """Emit the exact 19-character form of a bibcode."""
-    if b.qualifier is None and len(b.page) == 5:
-        middle = b.page
+    page = b.page
+    if b.qualifier is None and len(page) == 5:
+        middle = page
     else:
-        middle = (b.qualifier or ".") + b.page.rjust(4, ".")
-    out = f"{b.year:04d}" + b.journal.ljust(5, ".") + b.volume.rjust(4, ".") + middle + b.author_initial
+        middle = (b.qualifier or ".") + page.rjust(4, ".")
+    # Bibcode holds a year of four digits, so it needs no padding.
+    out = f"{b.year}{b.journal.ljust(5, '.')}{b.volume.rjust(4, '.')}{middle}{b.author_initial}"
     if len(out) != BIBCODE_LENGTH:
         raise BibcodeFormatError(f"formatted bibcode is {len(out)} characters: {out!r}")
     return out

@@ -11,7 +11,7 @@ from typing import Any
 
 from .errors import InvalidAuthorError
 from .identifiers import Bibcode, Doi, format_bibcode, parse_bibcode
-from .values import Frozen, Value
+from .values import Frozen, Value, slot_setters
 
 MIN_YEAR = 1500
 MAX_YEAR = 2999
@@ -48,24 +48,27 @@ class AuthorName(Frozen):
     def __init__(self, given_names: tuple[str, ...], surname: str) -> None:
         if not surname.strip():
             raise InvalidAuthorError("author surname must be non-empty")
-        object.__setattr__(self, "given_names", given_names)
-        object.__setattr__(self, "surname", surname)
+        _set_given_names(self, given_names)
+        _set_surname(self, surname)
 
     @property
     def initials(self) -> list[str]:
         out = []
         for token in self.given_names:
             letter = token[:1]
-            if not letter.isalpha():
-                letter = next((c for c in token if c.isalpha()), None)
-            if letter is not None:
+            if letter.isalpha() or (letter := next(filter(str.isalpha, token), "")):
                 out.append(letter.upper() + ".")
         return out
 
     @property
     def formatted(self) -> str:
         """The display form: initials then surname, e.g. ``I. E. Gordon``."""
-        return " ".join([*self.initials, self.surname])
+        parts = self.initials
+        parts.append(self.surname)
+        return " ".join(parts)
+
+
+_set_given_names, _set_surname = slot_setters(AuthorName)
 
 
 def make_author(raw_given: str, raw_surname: str) -> AuthorName:
@@ -119,12 +122,15 @@ class Pages(Frozen):
     def __init__(self, first: str, last: str | None = None) -> None:
         if not first:
             raise ValueError("first page must be non-empty")
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "last", last)
+        _set_first(self, first)
+        _set_last(self, last)
 
     @property
     def formatted(self) -> str:
         return format_pages(self.first, self.last)
+
+
+_set_first, _set_last = slot_setters(Pages)
 
 
 class BibRecord(Value):
@@ -233,11 +239,14 @@ class SourceCrossRef(Frozen):
             raise ValueError(f"local_id must be >= 0, got {local_id}")
         if global_id < 1:
             raise ValueError(f"global_id must be >= 1, got {global_id}")
-        set_field = object.__setattr__
-        set_field(self, "dataset_scope", dataset_scope)
-        set_field(self, "parameter", parameter)
-        set_field(self, "local_id", local_id)
-        set_field(self, "global_id", global_id)
+        _set_dataset_scope(self, dataset_scope)
+        _set_parameter(self, parameter)
+        _set_local_id(self, local_id)
+        _set_crossref_global_id(self, global_id)
+
+
+_set_dataset_scope, _set_parameter, _set_local_id, _set_crossref_global_id = (
+    slot_setters(SourceCrossRef))
 
 
 # --- dict codec: the JSON renderer's members -------------------------------
@@ -278,13 +287,6 @@ def record_to_dict(r: BibRecord) -> dict[str, Any]:
 
 # --- row codec, the store's ``records`` column ------------------------------
 
-def _source_type(value: Any) -> SourceType:
-    try:
-        return _SOURCE_TYPES[value]
-    except (KeyError, TypeError):
-        return SourceType(value)  # raises the enum's ValueError
-
-
 def record_to_row(r: BibRecord) -> list[Any]:
     """A record as a list of its fields in constructor order, each as plain JSON data.
 
@@ -311,12 +313,16 @@ def record_from_row(row: list[Any]) -> BibRecord:
     no prefix to strip.
     """
     title, authors, source_type, journal, volume, number, pages, year, publisher, doi, bibcode = row
+    try:
+        source_type = _SOURCE_TYPES[source_type]
+    except (KeyError, TypeError):
+        source_type = SourceType(source_type)  # raises the enum's ValueError
     if pages is not None:
         first, last = pages
         pages = Pages(first, last)
     return BibRecord(
         title, [AuthorName(tuple(given), surname) for given, surname in authors],
-        _source_type(source_type), journal, volume, number, pages, year, publisher,
+        source_type, journal, volume, number, pages, year, publisher,
         None if doi is None else Doi(doi),
         None if bibcode is None else parse_bibcode(bibcode),
     )

@@ -28,6 +28,9 @@ _BIBTEX_TYPE = {
     SourceType.OTHER: "misc",
 }
 
+# A source type's JSON string, read without the enum's Python-level ``value`` property.
+_JSON_SOURCE_TYPE = {t: encode_basestring(t.value) for t in SourceType}
+
 _BIBTEX_KEY_JUNK = re.compile(r"[\s{},\"\\]+")
 
 # Characters with special meaning in BibTeX/LaTeX values and their escapes.
@@ -66,63 +69,54 @@ def escape_html(raw: str) -> str:
 
 def _citation_line(record: BibRecord, note: str | None, markup: bool) -> str:
     """One citation line, either HTML (markup=True) or plain text."""
-    esc = escape_html if markup else (lambda s: s)
-
-    if not (
-        record.authors
-        or record.title
-        or record.journal
-        or record.volume
-        or record.pages
-        or record.year
-    ):
+    esc = escape_html if markup else str
+    authors, title, journal, volume, pages, year = (
+        record.authors, record.title, record.journal, record.volume, record.pages, record.year)
+    if not (authors or title or journal or volume or pages or year):
         raise UnrenderableError("record has no renderable fields")
 
     segments = []
-    if record.authors:
+    if authors:
         # One escape for the list: ", " holds nothing escape_html changes.
-        segments.append(esc(", ".join([a.formatted for a in record.authors])))
-    if record.title:
-        if markup:
-            segments.append("&quot;" + esc(record.title) + "&quot;")
-        else:
-            segments.append('"' + record.title + '"')
-    journal_volume = []
-    if record.journal:
-        journal_volume.append(f"<i>{esc(record.journal)}</i>" if markup else record.journal)
-    if record.volume:
-        journal_volume.append(f"<b>{esc(record.volume)}</b>" if markup else record.volume)
-    if journal_volume:
-        segments.append(" ".join(journal_volume))
-    if record.pages:
-        segments.append(esc(format_pages(record.pages.first, record.pages.last)))
+        segments.append(esc(", ".join([a.formatted for a in authors])))
+    if title:
+        segments.append("&quot;" + esc(title) + "&quot;" if markup else '"' + title + '"')
+    if markup:
+        journal = journal and f"<i>{esc(journal)}</i>"
+        volume = volume and f"<b>{esc(volume)}</b>"
+    if journal and volume:
+        segments.append(journal + " " + volume)
+    elif journal or volume:
+        segments.append(journal or volume)
+    if pages:
+        segments.append(esc(format_pages(pages.first, pages.last)))
 
-    year_text = str(record.year) if record.year is not None else "n.d."
-    head = ", ".join(segments)
-    line = f"{head} ({year_text})." if head else f"({year_text})."
+    year_text = str(year) if year is not None else "n.d."
+    line = f"{', '.join(segments)} ({year_text})." if segments else f"({year_text})."
 
-    links = []
-    if doi_url := record.doi_url:
-        links.append(f'<a href="{esc(doi_url)}">[link]</a>' if markup else doi_url)
-    if ads_url := record.ads_url:
-        links.append(f'<a href="{esc(ads_url)}">[ADS]</a>' if markup else ads_url)
-    if links:
-        line += " " + " ".join(links)
+    if (doi := record.doi) is not None:
+        line += f' <a href="{esc(doi.url)}">[link]</a>' if markup else " " + doi.url
+    if (bibcode := record.bibcode) is not None:
+        # Percent-encoded, so it holds nothing escape_html would change.
+        ads_url = bibcode.ads_url
+        line += f' <a href="{ads_url}">[ADS]</a>' if markup else " " + ads_url
 
     if note:
-        line = f"{esc(note)} {line}" if markup else f"{note} {line}"
+        line = f"{esc(note)} {line}"
     return line
 
 
-def _entry_lines(entry: RefEntry, markup: bool) -> list[str]:
+def _entry_body(entry: RefEntry, markup: bool, label: str) -> str:
+    """Each record's citation line, prefixed ``<label><sub-label>. `` once stored."""
+    records = entry.records
+    if len(records) == 1:  # most entries: no sub-label to number
+        line = _citation_line(records[0], entry.note, markup)
+        return f"{label}. {line}" if label else line
     lines = []
-    for i, (record, sub) in enumerate(zip(entry.records, entry.sub_labels)):
-        note = entry.note if i == 0 else None
-        line = _citation_line(record, note, markup)
-        if entry.global_id is not None:
-            line = f"{entry.global_id}{sub}. {line}"
-        lines.append(line)
-    return lines
+    for i, (record, sub) in enumerate(zip(records, entry.sub_labels)):
+        line = _citation_line(record, entry.note if i == 0 else None, markup)
+        lines.append(f"{label}{sub}. {line}" if label else line)
+    return ("<br>\n" if markup else "\n").join(lines)
 
 
 def _label(entry: RefEntry) -> str:
@@ -135,14 +129,14 @@ def render_html(entry: RefEntry) -> RenderedCitation:
     All free text goes through escape_html; only the <i>/<b>/<a> tags and
     the label punctuation are emitted raw.
     """
-    body = "<br>\n".join(_entry_lines(entry, markup=True))
-    return RenderedCitation(format=RenderFormat.HTML, body=body, global_label=_label(entry))
+    label = _label(entry)
+    return RenderedCitation(RenderFormat.HTML, _entry_body(entry, True, label), label)
 
 
 def render_text(entry: RefEntry) -> RenderedCitation:
     """Same field order as HTML with markup stripped and links as bare URLs."""
-    body = "\n".join(_entry_lines(entry, markup=False))
-    return RenderedCitation(format=RenderFormat.TEXT, body=body, global_label=_label(entry))
+    label = _label(entry)
+    return RenderedCitation(RenderFormat.TEXT, _entry_body(entry, False, label), label)
 
 
 def _bibtex_key(record: BibRecord, sub: str) -> str:
@@ -174,28 +168,25 @@ def _bibtex_author(author: AuthorName) -> str:
 
 
 def _bibtex_block(record: BibRecord, sub: str) -> str:
-    fields: list[tuple[str, str]] = []
-    if record.title:
-        fields.append(("title", escape_value(record.title)))
-    if record.authors:
-        fields.append(("author", " and ".join(_bibtex_author(a) for a in record.authors)))
-    if record.journal:
-        fields.append(("journal", escape_value(record.journal)))
-    if record.volume:
-        fields.append(("volume", escape_value(record.volume)))
-    if record.number:
-        fields.append(("number", escape_value(record.number)))
-    if record.pages:
-        fields.append(("pages", escape_value(format_pages(record.pages.first, record.pages.last))))
-    if record.year is not None:
-        fields.append(("year", str(record.year)))
-    if record.publisher:
-        fields.append(("publisher", escape_value(record.publisher)))
-    if record.doi is not None:
-        fields.append(("doi", escape_value(record.doi.canonical)))
-
     lines = [f"@{_BIBTEX_TYPE[record.source_type]}{{{_bibtex_key(record, sub)},"]
-    lines.extend(f"    {name} = {{{value}}}," for name, value in fields)
+    if title := record.title:
+        lines.append(f"    title = {{{escape_value(title)}}},")
+    if authors := record.authors:
+        lines.append(f"    author = {{{' and '.join([_bibtex_author(a) for a in authors])}}},")
+    if journal := record.journal:
+        lines.append(f"    journal = {{{escape_value(journal)}}},")
+    if volume := record.volume:
+        lines.append(f"    volume = {{{escape_value(volume)}}},")
+    if number := record.number:
+        lines.append(f"    number = {{{escape_value(number)}}},")
+    if pages := record.pages:
+        lines.append(f"    pages = {{{escape_value(format_pages(pages.first, pages.last))}}},")
+    if (year := record.year) is not None:
+        lines.append(f"    year = {{{year!s}}},")
+    if publisher := record.publisher:
+        lines.append(f"    publisher = {{{escape_value(publisher)}}},")
+    if (doi := record.doi) is not None:
+        lines.append(f"    doi = {{{escape_value(doi.canonical)}}},")
     lines.append("}")
     return "\n".join(lines)
 
@@ -208,14 +199,13 @@ def render_bibtex(entry: RefEntry) -> RenderedCitation:
     bibcode when there is one, else surname plus year (plus the sub-label
     when records share an entry).
     """
-    multi = len(entry.records) > 1
-    blocks = [
-        _bibtex_block(record, sub if multi else "")
-        for record, sub in zip(entry.records, entry.sub_labels)
-    ]
-    return RenderedCitation(
-        format=RenderFormat.BIBTEX, body="\n\n".join(blocks), global_label=_label(entry)
-    )
+    records = entry.records
+    if len(records) == 1:  # most entries: the key takes no sub-label
+        body = _bibtex_block(records[0], "")
+    else:
+        body = "\n\n".join([_bibtex_block(record, sub)
+                             for record, sub in zip(records, entry.sub_labels)])
+    return RenderedCitation(RenderFormat.BIBTEX, body, _label(entry))
 
 
 def render_json(entry: RefEntry) -> RenderedCitation:
@@ -227,38 +217,48 @@ def render_json(entry: RefEntry) -> RenderedCitation:
     numbers; any other type in a field raises TypeError.
     """
     members = []
-    if entry.global_id is not None:
-        labels = _json_list(map(_json_value, entry.display_labels), "  ")
-        members += ['"global_id": ' + _json_value(entry.global_id), '"labels": ' + labels]
+    if (global_id := entry.global_id) is not None:
+        records = entry.records
+        # One record's only label is the ID itself.
+        labels = [str(global_id)] if len(records) == 1 else entry.display_labels
+        members += ['"global_id": ' + _json_value(global_id),
+                    '"labels": ' + _json_list(map(_json_value, labels), "  ")]
     if entry.note is not None:
         members.append('"note": ' + _json_value(entry.note))
     members.append('"records": ' + _json_list(map(_json_record, entry.records), "  "))
     body = "{\n  " + ",\n  ".join(members) + "\n}"
-    return RenderedCitation(format=RenderFormat.JSON, body=body, global_label=_label(entry))
+    return RenderedCitation(RenderFormat.JSON, body, _label(entry))
 
 
 def _json_record(r: BibRecord) -> str:
     """The members record_to_dict gives a record, in key order, as an item of "records"."""
     doi, bibcode, pages = r.doi, r.bibcode, r.pages
-    authors = (f'{{\n          "given_names": {_json_list(map(_json_value, a.given_names), " " * 10)},'
-               f'\n          "surname": {_json_value(a.surname)}\n        }}' for a in r.authors)
-    members = [
-        None if bibcode is None else '"ads_url": ' + _json_value(bibcode.ads_url),
-        '"authors": ' + _json_list(authors, " " * 6),
-        None if bibcode is None else '"bibcode": ' + _json_value(format_bibcode(bibcode)),
-        None if doi is None else '"doi": ' + _json_value(doi.canonical),
-        None if doi is None else '"doi_url": ' + _json_value(doi.url),
-        None if r.journal is None else '"journal": ' + _json_value(r.journal),
-        None if r.number is None else '"number": ' + _json_value(r.number),
-        None if pages is None else f'"pages": {{\n        "first": {_json_value(pages.first)},'
-                                   f'\n        "last": {_json_value(pages.last)}\n      }}',
-        None if r.publisher is None else '"publisher": ' + _json_value(r.publisher),
-        '"source_type": ' + _json_value(r.source_type.value),
-        '"title": ' + _json_value(r.title),
-        None if r.volume is None else '"volume": ' + _json_value(r.volume),
-        None if r.year is None else '"year": ' + _json_value(r.year),
-    ]
-    return "{\n      " + ",\n      ".join(filter(None, members)) + "\n    }"
+    authors = [f'{{\n          "given_names": {_json_list(map(_json_value, a.given_names), " " * 10)},'
+               f'\n          "surname": {_json_value(a.surname)}\n        }}' for a in r.authors]
+    members = []
+    if bibcode is not None:
+        members.append('"ads_url": ' + _json_value(bibcode.ads_url))
+    members.append('"authors": ' + _json_list(authors, " " * 6))
+    if bibcode is not None:
+        members.append('"bibcode": ' + _json_value(format_bibcode(bibcode)))
+    if doi is not None:
+        members += ['"doi": ' + _json_value(doi.canonical), '"doi_url": ' + _json_value(doi.url)]
+    if r.journal is not None:
+        members.append('"journal": ' + _json_value(r.journal))
+    if r.number is not None:
+        members.append('"number": ' + _json_value(r.number))
+    if pages is not None:
+        members.append(f'"pages": {{\n        "first": {_json_value(pages.first)},'
+                       f'\n        "last": {_json_value(pages.last)}\n      }}')
+    if r.publisher is not None:
+        members.append('"publisher": ' + _json_value(r.publisher))
+    members += ['"source_type": ' + _JSON_SOURCE_TYPE[r.source_type],
+                '"title": ' + _json_value(r.title)]
+    if r.volume is not None:
+        members.append('"volume": ' + _json_value(r.volume))
+    if r.year is not None:
+        members.append('"year": ' + _json_value(r.year))
+    return "{\n      " + ",\n      ".join(members) + "\n    }"
 
 
 def _json_value(value) -> str:

@@ -13,7 +13,7 @@ from typing import Iterable, Protocol
 
 from .errors import FixtureMissingError, TransportTimeoutError
 from .fileio import replace_files
-from .values import Frozen
+from .values import Frozen, slot_setters
 
 
 class HttpRequest(Frozen):
@@ -27,10 +27,10 @@ class HttpRequest(Frozen):
 
     def __init__(self, method: str, url: str, headers: dict[str, str] | None = None,
                  body: bytes | None = None) -> None:
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "url", url)
-        object.__setattr__(self, "headers", {} if headers is None else headers)
-        object.__setattr__(self, "body", body)
+        _set_request_method(self, method)
+        _set_request_url(self, url)
+        _set_request_headers(self, {} if headers is None else headers)
+        _set_request_body(self, body)
 
     @property
     def accept(self) -> str:
@@ -38,6 +38,10 @@ class HttpRequest(Frozen):
             if name.lower() == "accept":
                 return value
         return ""
+
+
+_set_request_method, _set_request_url, _set_request_headers, _set_request_body = (
+    slot_setters(HttpRequest))
 
 
 class HttpResponse(Frozen):
@@ -50,15 +54,18 @@ class HttpResponse(Frozen):
 
     def __init__(self, status: int, headers: dict[str, str] | None = None,
                  body: bytes = b"") -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "headers", {} if headers is None else headers)
-        object.__setattr__(self, "body", body)
+        _set_response_status(self, status)
+        _set_response_headers(self, {} if headers is None else headers)
+        _set_response_body(self, body)
 
     def text(self) -> str:
         return self.body.decode("utf-8")
 
     def json(self) -> object:
         return json.loads(self.body.decode("utf-8"))
+
+
+_set_response_status, _set_response_headers, _set_response_body = slot_setters(HttpResponse)
 
 
 class Transport(Protocol):
@@ -101,11 +108,45 @@ class LiveTransport:
 
 
 def _archive_entries(path: Path) -> list[dict]:
-    """The recorded exchanges of a fixture archive, a JSON ``{"entries": [...]}`` file."""
+    """The recorded exchanges of a fixture archive, a JSON ``{"entries": [...]}`` file.
+
+    Each exchange is checked here, once, for every member playback reads.
+    """
     try:
-        return json.loads(path.read_text(encoding="utf-8"))["entries"]
+        entries = json.loads(path.read_text(encoding="utf-8"))["entries"]
     except (LookupError, TypeError, ValueError) as exc:
         raise FixtureMissingError(f"{path} is not a fixture archive: {exc!r}") from exc
+    if not isinstance(entries, list):
+        raise FixtureMissingError(f"{path} is not a fixture archive: its entries are not a list")
+    for index, entry in enumerate(entries):
+        if problem := _exchange_problem(entry):
+            raise FixtureMissingError(f"{path} entry {index} is not a recorded exchange: {problem}")
+    return entries
+
+
+def _exchange_problem(entry: object) -> str | None:
+    """What playback could not read in one recorded exchange, or None."""
+    if not isinstance(entry, dict):
+        return f"a {type(entry).__name__}, not an object"
+    request, response = entry.get("request"), entry.get("response")
+    if not isinstance(request, dict):
+        return "no request object"
+    if not isinstance(request.get("url"), str):
+        return "no request url"
+    if not isinstance(response, dict):
+        return "no response object"
+    status = response.get("status")
+    if not isinstance(status, int) or isinstance(status, bool):
+        return "no integer response status"
+    if not isinstance(response.get("headers", {}), dict):
+        return "response headers are not an object"
+    for name, value in (("request method", request.get("method", "GET")),
+                        ("request accept", request.get("accept", "")),
+                        ("request body", request.get("body") or ""),
+                        ("response body", response.get("body", ""))):
+        if not isinstance(value, str):
+            return f"the {name} is not text"
+    return None
 
 
 def _request_key(method: str, url: str, accept: str) -> tuple[str, str, str]:

@@ -6,6 +6,12 @@ compares the fields against an instance of the same class only; ``repr``
 reads ``Name(field=value, ...)``.
 No ``dataclasses`` here: importing it loads ``inspect``, ``ast`` and ``dis``,
 and building each class costs about a millisecond, at every command's start.
+
+A ``Frozen`` type refuses assignment, so its ``__init__`` sets each field
+through the slot's own descriptor: ``slot_setters(cls)``, called once
+after the class, gives each slot descriptor's ``__set__``. That skips the
+attribute lookup by name that ``object.__setattr__`` does on every call,
+and value types are built on every read of a stored entry.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ class Value:
 class Frozen(Value):
     """An immutable value, hashed by its fields.
 
-    ``__init__`` sets each field once, with ``object.__setattr__``. Copies
-    and pickles rebuild the instance through its constructor.
+    ``__init__`` sets each field once, through its setter from
+    ``slot_setters``. Copies and pickles rebuild the instance through its
+    constructor.
     """
 
     __slots__ = ()
@@ -55,3 +62,12 @@ class Frozen(Value):
 
     def __reduce__(self):
         return self.__class__, self._fields()
+
+
+def slot_setters(cls: type[Frozen]) -> tuple:
+    """The ``__set__`` of each field's slot descriptor, in field order.
+
+    ``set_name(obj, value)`` stores a field the way ``object.__setattr__``
+    would, bypassing ``Frozen.__setattr__``.
+    """
+    return tuple([getattr(cls, name).__set__ for name in cls._field_names])

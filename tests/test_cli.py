@@ -214,6 +214,27 @@ class TestAdd:
         assert err.startswith(f"refs: {fixtures / 'bad.json'} is not a fixture archive: ")
         assert not Path(db_path).exists()
 
+    @pytest.mark.parametrize("malformed, problem", [
+        (lambda search: {"request": {"method": "GET"}}, "no request url"),
+        (lambda search: {"request": search["request"]}, "no response object"),
+        (lambda search: "x", "a str, not an object"),
+    ], ids=["no-url", "no-response", "not-an-object"])
+    def test_a_malformed_exchange_exits_2_naming_the_file_and_entry(
+            self, capsys, db_path, tmp_path, malformed, problem):
+        # Entry 1 is made from the recorded ADS search that the add sends; entry 0 is
+        # another well-formed exchange.
+        recorded = json.loads((FIXTURE_DIR / "ads.json").read_text(encoding="utf-8"))["entries"]
+        search = next(e for e in recorded if "fl=author" in e["request"]["url"]
+                      and "jqsrt.2017.06.038" in e["request"]["url"])
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "bad.json").write_text(json.dumps({"entries": [recorded[0], malformed(search)]}))
+        code, out, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path, "--offline",
+                             "--fixtures", str(fixtures))
+        assert (code, out) == (2, "")
+        assert err == f"refs: {fixtures / 'bad.json'} entry 1 is not a recorded exchange: {problem}\n"
+        assert not Path(db_path).exists()
+
     def test_live_mode_without_token_fails_fast(self, capsys, db_path):
         code, _, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path)
         assert code == 64

@@ -162,3 +162,57 @@ class TestMalformedArchive:
         with pytest.raises(FixtureMissingError, match=re.escape(f"bad.json is not a fixture archive: {cause}")):
             RecordingTransport(_EchoTransport(), archive)
         assert archive.read_text() == text
+
+
+def _reshaped(change):
+    """A well-formed exchange with one change applied to it."""
+    exchange = entry("https://x.test/a")
+    change(exchange)
+    return exchange
+
+
+# One exchange that playback could not read, and the problem its refusal names.
+MALFORMED_EXCHANGES = pytest.mark.parametrize("exchange, problem", [
+    ("x", "a str, not an object"),
+    (_reshaped(lambda e: e.pop("request")), "no request object"),
+    (_reshaped(lambda e: e["request"].pop("url")), "no request url"),
+    (_reshaped(lambda e: e.pop("response")), "no response object"),
+    (_reshaped(lambda e: e["response"].update(status="200")), "no integer response status"),
+    (_reshaped(lambda e: e["response"].update(status=True)), "no integer response status"),
+    (_reshaped(lambda e: e["response"].update(headers=[])), "response headers are not an object"),
+    (_reshaped(lambda e: e["request"].update(method=1)), "the request method is not text"),
+    (_reshaped(lambda e: e["request"].update(accept=None)), "the request accept is not text"),
+    (_reshaped(lambda e: e["request"].update(body=[1])), "the request body is not text"),
+    (_reshaped(lambda e: e["response"].update(body=None)), "the response body is not text"),
+], ids=["not-an-object", "no-request", "no-url", "no-response", "text-status", "bool-status",
+        "list-headers", "int-method", "null-accept", "list-request-body", "null-response-body"])
+
+
+class TestMalformedExchange:
+    @MALFORMED_EXCHANGES
+    def test_loading_it_names_the_file_and_entry(self, tmp_path, exchange, problem):
+        archive = tmp_path / "bad.json"
+        archive.write_text(json.dumps({"entries": [entry("https://x.test/ok"), exchange]}))
+        with pytest.raises(FixtureMissingError) as caught:
+            FixtureTransport.from_dir(tmp_path)
+        assert str(caught.value) == f"{archive} entry 1 is not a recorded exchange: {problem}"
+
+    @MALFORMED_EXCHANGES
+    def test_recording_onto_it_names_the_file_and_entry(self, tmp_path, exchange, problem):
+        archive = tmp_path / "bad.json"
+        text = json.dumps({"entries": [exchange]})
+        archive.write_text(text)
+        with pytest.raises(FixtureMissingError, match=re.escape(f"entry 0 is not a recorded exchange: {problem}")):
+            RecordingTransport(_EchoTransport(), archive)
+        assert archive.read_text() == text
+
+    def test_entries_that_are_not_a_list_are_no_archive(self, tmp_path):
+        (tmp_path / "bad.json").write_text('{"entries": {"request": {}}}')
+        with pytest.raises(FixtureMissingError, match="bad.json is not a fixture archive: its entries are not a list"):
+            FixtureTransport.from_dir(tmp_path)
+
+    def test_optional_members_may_be_left_out_and_a_request_body_null(self, tmp_path):
+        exchange = {"request": {"url": "https://x.test/a", "body": None}, "response": {"status": 204}}
+        (tmp_path / "sparse.json").write_text(json.dumps({"entries": [exchange]}))
+        response = FixtureTransport.from_dir(tmp_path).execute(HttpRequest("GET", "https://x.test/a"))
+        assert (response.status, response.headers, response.body) == (204, {}, b"")

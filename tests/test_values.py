@@ -6,9 +6,11 @@ list, defaults and frozenness: the twin is the reference.
 
 from __future__ import annotations
 
+import ast
 import copy
 import dataclasses
 import pickle
+from pathlib import Path
 from typing import Any
 
 import pytest
@@ -31,6 +33,7 @@ from refs import (
     SourceType,
     render_all,
 )
+import refs.values
 from refs.bibtex import BibtexEntry
 from refs.resolvers import DEFAULT_ADS_BASE_URL
 
@@ -244,3 +247,19 @@ class TestLikeTheDataclass:
             assert type(clone) is spec.cls
             assert clone == obj
             assert repr(clone) == repr(spec.twin(*args))
+
+
+def test_only_values_py_names_setattr():
+    """Every Frozen constructor sets its fields one way, through ``slot_setters``.
+
+    ``object.__setattr__`` outside ``values.py`` would be a second idiom, and
+    a slower one: it looks the field up by name on every call.
+    """
+    package = Path(refs.values.__file__).parent
+    uses = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py")) if path.name != "values.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+    ]
+    assert uses == []
