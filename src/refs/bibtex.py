@@ -7,7 +7,7 @@ import re
 
 from .errors import BibcodeError, BibtexCardinalityError, BibtexParseError, InvalidDoiError
 from .identifiers import parse_bibcode, parse_doi
-from .model import AuthorName, BibRecord, Pages, SourceType, make_author
+from .model import AuthorName, BibRecord, Pages, SourceType
 from .values import Frozen, slot_setters
 
 _ENTRY_TYPE_MAP = {
@@ -33,6 +33,9 @@ _CLEAN_RE = re.compile(
     _ESCAPE + r"|(&(?:#[0-9]+;?|#[xX][0-9a-fA-F]+;?|[^\t\n\f <&#;{}\\]{1,32};?))|[{}]"
 )
 _TEXT_COMMANDS = {"backslash": "\\", "braceleft": "{", "braceright": "}"}
+# BibTeX separates words only with these; a U+00A0 or U+2009 is part of a word.
+_SPACE = " \t\r\n"
+_SPACE_RUN_RE = re.compile(f"[{_SPACE}]+")
 _PAGE_RANGE_RE = re.compile(r"\s*(?:--|–|—|-)\s*")
 _YEAR_RE = re.compile(r"\d{4}")
 
@@ -75,7 +78,7 @@ def clean_value(raw: str) -> str:
     references decoded unless an escaped ``\\&`` starts them, and
     line-wrapped whitespace collapsed to single spaces.
     """
-    return " ".join(_CLEAN_RE.sub(_cleaned, raw).split())
+    return _SPACE_RUN_RE.sub(" ", _CLEAN_RE.sub(_cleaned, raw)).strip(" ")
 
 
 def parse_entries(text: str) -> list[BibtexEntry]:
@@ -204,7 +207,7 @@ def split_authors(raw: str) -> list[str]:
         current.append(ch)
         i += 1
     parts.append("".join(current))
-    return [p.strip() for p in parts if p.strip()]
+    return [p.strip(_SPACE) for p in parts if p.strip(_SPACE)]
 
 
 def _top_level_comma(name: str) -> int:
@@ -234,17 +237,18 @@ def _is_one_group(name: str) -> bool:
 
 
 def _author_from_bibtex(name: str) -> AuthorName:
-    stripped = name.strip()
+    """One name of an author field: as make_author reads it, but words are split
+    only where BibTeX splits them, at its own whitespace and at hyphens."""
+    stripped = name.strip(_SPACE)
     if stripped.startswith("{") and _is_one_group(stripped):
         # Braced whole, like "{HITRAN Collaboration}": a surname alone.
         return AuthorName(given_names=(), surname=clean_value(stripped))
     comma = _top_level_comma(stripped)
     if comma != -1:
-        return make_author(clean_value(stripped[comma + 1 :]), clean_value(stripped[:comma]))
-    tokens = clean_value(stripped).split()
-    if len(tokens) == 1:
-        return AuthorName(given_names=(), surname=tokens[0])
-    return make_author(" ".join(tokens[:-1]), tokens[-1])
+        given, surname = clean_value(stripped[comma + 1 :]), clean_value(stripped[:comma])
+    else:
+        given, _, surname = clean_value(stripped).rpartition(" ")
+    return AuthorName(tuple(filter(None, given.replace("-", " ").split(" "))), surname)
 
 
 def split_page_range(value: str) -> Pages | None:

@@ -126,10 +126,7 @@ class Bibcode(Frozen):
     @property
     def ads_url(self) -> str:
         """Link to the abstract page, with the bibcode percent-encoded."""
-        text = format_bibcode(self)
-        if text.strip(_ALWAYS_SAFE):
-            text = quote(text, safe="")
-        return ADS_ABS_URL + text
+        return ads_abs_url(format_bibcode(self))
 
 
 _set_year, _set_journal, _set_volume, _set_page, _set_author_initial, _set_qualifier = (
@@ -160,6 +157,13 @@ def parse_bibcode(raw: str) -> Bibcode:
         page = s[_PAGE].lstrip(".")
     return Bibcode(int(year_text), s[_JOURNAL].rstrip("."), s[_VOLUME].lstrip("."), page,
                    s[_AUTHOR], qualifier)
+
+
+def ads_abs_url(text: str) -> str:
+    """The ADS abstract page of a formatted bibcode, with the bibcode percent-encoded."""
+    if text.strip(_ALWAYS_SAFE):
+        text = quote(text, safe="")
+    return ADS_ABS_URL + text
 
 
 def format_bibcode(b: Bibcode) -> str:

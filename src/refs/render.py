@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .errors import UnrenderableError
 from .formats import RenderedCitation, RenderFormat
-from .identifiers import format_bibcode
+from .identifiers import ads_abs_url, format_bibcode
 from .model import AuthorName, BibRecord, RefEntry, SourceType, format_pages
 
 _BIBTEX_TYPE = {
@@ -237,10 +237,11 @@ def _json_record(r: BibRecord) -> str:
                f'\n          "surname": {_json_value(a.surname)}\n        }}' for a in r.authors]
     members = []
     if bibcode is not None:
-        members.append('"ads_url": ' + _json_value(bibcode.ads_url))
+        bibcode_text = format_bibcode(bibcode)
+        members.append('"ads_url": ' + _json_value(ads_abs_url(bibcode_text)))
     members.append('"authors": ' + _json_list(authors, " " * 6))
     if bibcode is not None:
-        members.append('"bibcode": ' + _json_value(format_bibcode(bibcode)))
+        members.append('"bibcode": ' + _json_value(bibcode_text))
     if doi is not None:
         members += ['"doi": ' + _json_value(doi.canonical), '"doi_url": ' + _json_value(doi.url)]
     if r.journal is not None:

@@ -291,7 +291,8 @@ def fetch_ads_export(
 
 def ads_doc_to_record(doc: dict, queried_doi: Doi | None = None) -> BibRecord:
     """Map one ADS search document onto the canonical model."""
-    authors = [_author_from_bibtex(a) for a in doc.get("author", [])]
+    # ADS names are JSON text, not BibTeX: any whitespace in them separates words.
+    authors = [_author_from_bibtex(" ".join(a.split())) for a in doc.get("author", [])]
     title = _clean_text(_first(doc.get("title")))
     if not authors and not title:
         raise UnusableMetadataError("ADS document carries neither author nor title")

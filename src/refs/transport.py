@@ -2,16 +2,23 @@
 
 Resolvers never touch a socket directly; they hand an HttpRequest to a
 transport. Tests replay recorded fixtures, so the whole suite runs offline
-and deterministically.
+and deterministically. LiveTransport needs nothing outside the standard
+library: http.client, and ssl with the system's certificate store
+(``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` point it elsewhere). Both are
+imported only when a LiveTransport is built.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import zlib
 from pathlib import Path
 from typing import Iterable, Protocol
+from urllib.parse import urljoin, urlsplit
 
-from .errors import FixtureMissingError, TransportTimeoutError
+from . import __version__
+from .errors import FixtureMissingError, TransportTimeoutError, UpstreamError
 from .fileio import replace_files
 from .values import Frozen, slot_setters
 
@@ -74,37 +81,108 @@ class Transport(Protocol):
     def execute(self, request: HttpRequest) -> HttpResponse: ...
 
 
+REDIRECT_LIMIT = 10
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+_DEFAULT_HEADERS = {"user-agent": "refs/" + __version__, "accept-encoding": "gzip, deflate",
+                    "accept": "*/*"}
+
+
+def _connect(scheme: str, netloc: str, timeout: float):
+    """A new connection to one origin; module-level so tests can pass a fake one."""
+    import http.client
+
+    if scheme == "https":
+        return http.client.HTTPSConnection(netloc, timeout=timeout, context=_tls_context())
+    return http.client.HTTPConnection(netloc, timeout=timeout)
+
+
+@functools.cache
+def _tls_context():
+    """The system certificate store, loaded once: each load takes tens of milliseconds."""
+    import ssl
+
+    return ssl.create_default_context()
+
+
+def _origin(url: str) -> tuple[str, str, int]:
+    """A URL's (scheme, host, port): what a connection is kept for and a token sent to."""
+    parts = urlsplit(url)
+    try:
+        return parts.scheme, parts.hostname or "", parts.port or _DEFAULT_PORTS[parts.scheme]
+    except (KeyError, ValueError):
+        raise UpstreamError(f"cannot fetch {url!r}: not a valid http or https URL") from None
+
+
 class LiveTransport:
-    """Real HTTP via requests, following redirects to depth 10."""
+    """Real HTTP on http.client, with one kept-alive connection per origin.
+
+    Redirects are followed to depth REDIRECT_LIMIT. A 303, and a 301 or 302
+    after a POST, becomes a GET without a body. Authorization is dropped once
+    a redirect leaves the first URL's origin (RFC 9110 section 15.4).
+    """
 
     is_live = True
 
     def __init__(self, timeout: float = 30.0):
-        import requests
+        import http.client
 
         self.timeout = timeout
-        self._session = requests.Session()
-        self._session.max_redirects = 10
+        self._failures = (OSError, http.client.HTTPException, zlib.error)
+        self._connections: dict[tuple[str, str, int], object] = {}
 
     def execute(self, request: HttpRequest) -> HttpResponse:
-        import requests
+        method, url, body = request.method.upper(), request.url, request.body
+        first_origin = _origin(url)
+        # Field names are case-insensitive (RFC 9110 section 5.1): one spelling each.
+        headers = _DEFAULT_HEADERS | {k.lower(): v for k, v in request.headers.items()}
+        for _ in range(REDIRECT_LIMIT + 1):
+            try:
+                response, data = self._exchange(method, url, headers, body)
+            except self._failures as exc:
+                raise TransportTimeoutError(f"{method} {url}: {exc!r}") from exc
+            status, location = response.status, response.getheader("Location")
+            if status not in (301, 302, 303, 307, 308) or location is None:
+                return HttpResponse(status, dict(response.getheaders()), data)
+            url = urljoin(url, location)
+            if status == 303 or (status in (301, 302) and method == "POST"):
+                method, body = "GET", None
+                headers.pop("content-type", None)
+            if _origin(url) != first_origin:
+                headers.pop("authorization", None)
+        raise UpstreamError(f"{request.url} redirected more than {REDIRECT_LIMIT} times")
 
+    def _exchange(self, method: str, url: str, headers: dict[str, str], body: bytes | None):
+        """One request on the origin's kept connection, or a new one; the response and body."""
+        origin, parts = _origin(url), urlsplit(url)
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        conn = self._connections.pop(origin, None)
+        retry = conn is not None and method == "GET"
+        if conn is None:
+            conn = _connect(parts.scheme, parts.netloc, self.timeout)
         try:
-            resp = self._session.request(
-                request.method,
-                request.url,
-                headers=request.headers,
-                data=request.body,
-                timeout=self.timeout,
-                allow_redirects=True,
-            )
-        except (requests.Timeout, requests.ConnectionError) as exc:
-            raise TransportTimeoutError(f"{request.method} {request.url}: {exc}") from exc
-        return HttpResponse(
-            status=resp.status_code,
-            headers=dict(resp.headers),
-            body=resp.content,
-        )
+            while True:
+                try:
+                    conn.request(method, target, body, headers)
+                    response = conn.getresponse()
+                    break
+                except self._failures as exc:
+                    # An idle connection that the server has closed fails before
+                    # any response: a GET is sent once more on a fresh connection.
+                    if not retry or isinstance(exc, TimeoutError):
+                        raise
+                    conn.close()
+                    conn, retry = _connect(parts.scheme, parts.netloc, self.timeout), False
+            data = response.read()
+            if response.getheader("Content-Encoding", "").strip().lower() in ("gzip", "deflate"):
+                data = zlib.decompress(data, 47)  # 32 + 15: a zlib or a gzip stream
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            self._connections[origin] = conn
+        return response, data
 
 
 def _archive_entries(path: Path) -> list[dict]:

@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from refs import BibtexCardinalityError, BibtexParseError, bibtex_to_record
+from refs import BibtexCardinalityError, BibtexParseError, InvalidAuthorError, bibtex_to_record
 from refs.bibtex import (
     clean_value,
     parse_entries,
@@ -89,6 +89,9 @@ class TestValueEscaping:
     def test_clean_value_collapses_whitespace(self):
         assert clean_value("spread\n    over lines") == "spread over lines"
 
+    def test_clean_value_keeps_whitespace_that_bibtex_does_not_separate_on(self):
+        assert clean_value("\u00a0a\u2009b \t\r\n c\u00a0") == "\u00a0a\u2009b c\u00a0"
+
     def test_clean_value_decodes_entities(self):
         assert clean_value("Astronomy &amp; Astrophysics") == "Astronomy & Astrophysics"
 
@@ -144,6 +147,10 @@ class TestBibtexToRecord:
     def test_bibcode_key_is_recognised(self):
         r = bibtex_to_record("@article{2017JQSRT.203....3G, title={T}, year={2017}}")
         assert str(r.bibcode) == "2017JQSRT.203....3G"
+
+    def test_an_unbraced_name_with_no_text_is_refused(self):
+        with pytest.raises(InvalidAuthorError):
+            bibtex_to_record("@article{k, title={T}, author={{}{}}}")
 
     def test_braced_author_is_literal(self):
         r = bibtex_to_record("@article{k, title={T}, author={{HITRAN Team} and Doe, Jane}}")

@@ -15,11 +15,15 @@ import refs
 import refs.cli
 import refs.formats
 import refs.render
+import refs.resolvers
 import refs.store
+import refs.transport
 from refs import (
     BibRecord,
     CrossRefConflictError,
     FixtureMissingError,
+    FixtureTransport,
+    HttpRequest,
     InvalidDoiError,
     MissingEntryError,
     RefsError,
@@ -28,10 +32,11 @@ from refs import (
     make_author,
     parse_doi,
 )
-from refs.cli import UsageError, main
+from refs.cli import EXIT_RESOLUTION, UsageError, main
 from refs.model import Pages
 
 from conftest import FIXTURE_DIR
+from test_transport import FakeNetwork, FakeResponse, header
 
 HITRAN = "10.1016/j.jqsrt.2017.06.038"
 
@@ -581,6 +586,54 @@ class TestArgumentErrors:
         assert (code, err) == (2, "refs: no entry 9223372036854775807\n")
 
 
+class TestLiveFailures:
+    """Live ``refs add`` over a fake network: no socket is opened."""
+
+    @pytest.fixture()
+    def network(self, monkeypatch):
+        monkeypatch.setenv("REFS_ADS_TOKEN", "s3cret")
+        monkeypatch.setattr(refs.resolvers, "_sleep", lambda s: None)
+        fake = FakeNetwork()
+        monkeypatch.setattr(refs.transport, "_connect", fake)
+        return fake
+
+    def test_a_redirect_loop_fails_the_resolution(self, capsys, db_path, network):
+        network.answer = lambda sent: FakeResponse(302, [("Location", sent.target)])
+        code, out, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path)
+        assert (code, out) == (EXIT_RESOLUTION, "")
+        assert err.startswith("refs: reference resolution failed: ") and err.count("\n") == 1
+        assert err.count("redirected more than 10 times") == 2
+
+    def test_a_reset_connection_fails_the_resolution(self, capsys, db_path, network):
+        def answer(sent):
+            raise ConnectionResetError(104, "Connection reset by peer")
+
+        network.answer = answer
+        code, out, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path)
+        assert (code, out) == (EXIT_RESOLUTION, "")
+        assert err.startswith("refs: reference resolution failed: ") and err.count("\n") == 1
+        assert err.count("kept timing out after 3 attempts") == 2
+
+    def test_an_ads_search_that_fails_in_transport_falls_back_to_doi_org(self, capsys, db_path,
+                                                                         network):
+        recorded = FixtureTransport.from_dir(FIXTURE_DIR)
+
+        def answer(sent):
+            if sent.conn.netloc == "api.adsabs.harvard.edu":
+                raise ConnectionResetError(104, "Connection reset by peer")
+            url = f"{sent.conn.scheme}://{sent.conn.netloc}{sent.target}"
+            response = recorded.execute(HttpRequest(sent.method, url, sent.headers))
+            return FakeResponse(response.status, response.headers.items(), response.body)
+
+        network.answer = answer
+        code, out, err = run(capsys, "add", "--doi", "10.18434/t4w30f", "--db", db_path)
+        assert (code, out) == (0, "id=1 path=fallback\n")
+        assert "refs: warning: ADS DOI search failed: " in err
+        assert [s.conn.netloc for s in network.sent] == ["api.adsabs.harvard.edu"] * 3 + [
+            "doi.org"] * 2
+        assert [header(s, "Authorization") for s in network.sent[3:]] == [None, None]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("error, code", [
         (UsageError("boom"), 64),
@@ -695,6 +748,24 @@ class TestImports:
                                       NOT_FOR_STORED_TEXT)
         assert (code, out) == (0, "id=1 path=ads\n")
         assert loaded == ["refs.identifiers", "refs.model", "refs.render"]
+
+    def test_offline_add_loads_no_http_client_or_ssl(self, db_path):
+        code, out, loaded = loaded_by(offline("add", "--doi", HITRAN, db=db_path),
+                                      ["http.client", "ssl"])
+        assert (code, out, loaded) == (0, "id=1 path=ads\n", [])
+
+    def test_a_live_transport_loads_no_third_party_http_module(self):
+        third_party = ["requests", "urllib3", "idna", "charset_normalizer", "chardet"]
+        script = (
+            "import sys, refs.cli, refs.pipeline, refs.transport\n"
+            "refs.transport.LiveTransport()\n"
+            f"print(sorted(m for m in {third_party!r} if m in sys.modules))\n"
+        )
+        env = {"PYTHONPATH": str(Path(refs.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
 
     def test_opening_a_current_store_loads_no_migrations(self, tmp_path):
         path = str(tmp_path / "refs.db")

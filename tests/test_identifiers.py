@@ -22,7 +22,7 @@ from refs import (
 )
 from refs.identifiers import (
     _AUTHOR, _DOI_PREFIXES, _DOI_RE, _JOURNAL, _PAGE, _QUALIFIER, _VOLUME, _YEAR, ADS_ABS_URL,
-    BIBCODE_LENGTH,
+    BIBCODE_LENGTH, ads_abs_url,
 )
 
 EXAMPLE = "2017JQSRT.203....3G"
@@ -289,6 +289,7 @@ class TestAdsUrl:
     @given(any_bibcodes())
     def test_matches_quoting_every_bibcode(self, bibcode):
         assert bibcode.ads_url == ADS_ABS_URL + quote(format_bibcode(bibcode), safe="")
+        assert ads_abs_url(format_bibcode(bibcode)) == bibcode.ads_url
 
 
 # Digits, ASCII letters, periods, whitespace, and characters that are

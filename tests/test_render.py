@@ -9,6 +9,8 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
+import refs.identifiers
+import refs.render
 from refs import (
     BibRecord,
     Pages,
@@ -24,6 +26,7 @@ from refs import (
     render_json,
     render_text,
 )
+from refs.identifiers import ADS_ABS_URL, format_bibcode
 from refs.migrations import record_from_dict
 from refs.model import MAX_YEAR, MIN_YEAR, AuthorName, entry_to_dict
 from refs.render import escape_value
@@ -34,18 +37,19 @@ from test_identifiers import doi_texts, valid_bibcodes
 
 RAW_SPECIALS = set('&<>"\'')
 
-# Text rich in BibTeX's specials, in the word "and" and in what spells an
-# HTML character reference after "&", as the parser reads it back: single
-# spaces, none at either end. Whitespace other than U+0020 stays out, since
-# whether a no-break space in a name should survive is not settled.
+# Text rich in BibTeX's specials, in the word "and", in what spells an HTML
+# character reference after "&", and in the no-break and thin spaces, which
+# BibTeX does not separate words on. As the parser reads it back: single
+# spaces, none at either end, and something besides whitespace.
 BIBTEX_RICH_TEXT = (
     st.lists(
-        st.sampled_from([*"{}\\%&$#_, éßλЖ;", " and ", " AND ", "&lt", "&#38", "&amp;"])
+        st.sampled_from([*"{}\\%&$#_, éßλЖ;\u00a0\u2009", " and ", " AND ", "&lt", "&#38",
+                         "&amp;"])
         | st.sampled_from(string.ascii_letters + string.digits),
         min_size=1, max_size=30,
     )
-    .map(lambda pieces: " ".join("".join(pieces).split()))
-    .filter(bool)
+    .map(lambda pieces: re.sub(" +", " ", "".join(pieces)).strip(" "))
+    .filter(str.strip)
 )
 
 # The exact five-entry substitution table, applied per codepoint.
@@ -380,10 +384,16 @@ class TestRenderBibtex:
     def test_specials_in_titles_journals_and_names_parse_back(self, title, journal, names):
         record = BibRecord(
             title=title,
-            authors=[make_author(given, surname) for given, surname in names],
+            authors=[AuthorName(tuple(given.split(" ")) if given else (), surname)
+                     for given, surname in names],
             journal=journal,
             year=2001,
         )
+        body = render_bibtex(RefEntry(records=[record])).body
+        assert bibtex_to_record(body) == record
+
+    def test_a_no_break_space_in_a_name_parses_back(self):
+        record = BibRecord(title="T", authors=[AuthorName(("A\u00a0B",), "van\u00a0Berg")])
         body = render_bibtex(RefEntry(records=[record])).body
         assert bibtex_to_record(body) == record
 
@@ -467,6 +477,20 @@ class TestRenderJson:
     def test_golden_corpus(self):
         bodies = "\n".join(render_json(e).body for e in build_corpus_entries()) + "\n"
         assert bodies.encode("utf-8") == (GOLDEN_DIR / "json_corpus.json").read_bytes()
+
+    def test_each_bibcode_is_formatted_once(self, monkeypatch):
+        calls = []
+
+        def counted(bibcode):
+            calls.append(bibcode)
+            return format_bibcode(bibcode)
+
+        monkeypatch.setattr(refs.render, "format_bibcode", counted)
+        monkeypatch.setattr(refs.identifiers, "format_bibcode", counted)
+        payload = json.loads(render_json(full_entry()).body)
+        assert len(calls) == 1
+        record = payload["records"][0]
+        assert record["ads_url"] == ADS_ABS_URL + record["bibcode"]
 
 
 class TestRenderText:

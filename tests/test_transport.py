@@ -1,15 +1,30 @@
-"""Fixture playback and recording behavior."""
+"""Live HTTP over a fake connection, fixture playback, and recording behavior."""
 
 from __future__ import annotations
 
+import gzip
+import http.client
 import json
 import os
 import re
+import zlib
+from typing import NamedTuple
 
 import pytest
 
-from refs import FixtureMissingError, FixtureTransport, HttpRequest, HttpResponse
-from refs.transport import RecordingTransport
+import refs.resolvers
+import refs.transport
+from refs import (
+    AdsConfig,
+    FixtureMissingError,
+    FixtureTransport,
+    HttpRequest,
+    HttpResponse,
+    Upstream,
+    UpstreamError,
+)
+from refs.errors import TransportTimeoutError
+from refs.transport import LiveTransport, RecordingTransport
 
 
 def entry(url, body="ok", method="GET", accept="", status=200, request_body=None):
@@ -216,3 +231,300 @@ class TestMalformedExchange:
         (tmp_path / "sparse.json").write_text(json.dumps({"entries": [exchange]}))
         response = FixtureTransport.from_dir(tmp_path).execute(HttpRequest("GET", "https://x.test/a"))
         assert (response.status, response.headers, response.body) == (204, {}, b"")
+
+
+class FakeResponse:
+    """The part of http.client.HTTPResponse that LiveTransport reads."""
+
+    def __init__(self, status=200, headers=(), body=b"", will_close=False):
+        self.status, self.headers, self.body, self.will_close = status, list(headers), body, will_close
+
+    def getheader(self, name, default=None):
+        values = [v for k, v in self.headers if k.lower() == name.lower()]
+        return ", ".join(values) if values else default
+
+    def getheaders(self):
+        return list(self.headers)
+
+    def read(self):
+        return self.body
+
+
+class Sent(NamedTuple):
+    conn: "FakeConnection"
+    method: str
+    target: str
+    body: bytes | None
+    headers: dict[str, str]
+
+
+class FakeConnection:
+    """One connection to one origin; each request is answered by its network."""
+
+    def __init__(self, network, scheme, netloc, timeout):
+        self.network, self.scheme, self.netloc, self.timeout = network, scheme, netloc, timeout
+        self.sent: list[Sent] = []
+        self.closed = False
+
+    def request(self, method, target, body=None, headers=None):
+        assert not self.closed, "a closed connection was used again"
+        self.sent.append(Sent(self, method, target, body, dict(headers or {})))
+        self.network.sent.append(self.sent[-1])
+
+    def getresponse(self):
+        return self.network.answer(self.sent[-1])
+
+    def close(self):
+        self.closed = True
+
+
+class FakeNetwork:
+    """Stands in for ``transport._connect``: no socket is opened.
+
+    ``answer(sent)`` returns the FakeResponse to one request, or raises what
+    the connection would. ``connections`` and ``sent`` keep everything made.
+    """
+
+    def __init__(self, answer=None):
+        self.answer = answer or (lambda sent: FakeResponse(body=b"ok"))
+        self.connections: list[FakeConnection] = []
+        self.sent: list[Sent] = []
+
+    def __call__(self, scheme, netloc, timeout):
+        self.connections.append(FakeConnection(self, scheme, netloc, timeout))
+        return self.connections[-1]
+
+
+def redirect(status, location):
+    return FakeResponse(status, [("Location", location)])
+
+
+def header(sent, name):
+    return next((v for k, v in sent.headers.items() if k.lower() == name.lower()), None)
+
+
+@pytest.fixture()
+def network(monkeypatch):
+    fake = FakeNetwork()
+    monkeypatch.setattr(refs.transport, "_connect", fake)
+    return fake
+
+
+class TestLiveTransportRedirects:
+    @pytest.mark.parametrize("location", ["https://elsewhere.test/b", "http://api.test/b",
+                                          "https://api.test:8443/b"],
+                             ids=["other-host", "other-scheme", "other-port"])
+    def test_a_redirect_off_the_origin_never_carries_the_token(self, network, location):
+        network.answer = lambda sent: (redirect(302, location) if sent.target == "/a"
+                                       else FakeResponse())
+        request = HttpRequest("GET", "https://api.test/a", {"Authorization": "Bearer s3cret"})
+        assert LiveTransport().execute(request).status == 200
+        first, second = network.sent
+        assert header(first, "Authorization") == "Bearer s3cret"
+        assert second.conn is not first.conn
+        assert not any("s3cret" in f"{k}: {v}" for k, v in second.headers.items())
+
+    def test_a_same_host_redirect_keeps_the_token(self, network):
+        network.answer = lambda sent: (redirect(302, "/b?x=1") if sent.target == "/a"
+                                       else FakeResponse())
+        request = HttpRequest("GET", "https://api.test:443/a", {"Authorization": "Bearer s3cret"})
+        LiveTransport().execute(request)
+        assert [(s.target, header(s, "Authorization")) for s in network.sent] == [
+            ("/a", "Bearer s3cret"), ("/b?x=1", "Bearer s3cret")]
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_each_redirect_status_is_followed(self, network, status):
+        network.answer = lambda sent: (redirect(status, "https://b.test/c")
+                                       if sent.conn.netloc == "a.test" else FakeResponse(body=b"c"))
+        assert LiveTransport().execute(HttpRequest("GET", "https://a.test/")).body == b"c"
+        assert [(s.conn.netloc, s.method, s.target) for s in network.sent] == [
+            ("a.test", "GET", "/"), ("b.test", "GET", "/c")]
+
+    @pytest.mark.parametrize("status, method", [(301, "GET"), (302, "GET"), (303, "GET"),
+                                                (307, "POST"), (308, "POST")])
+    def test_a_post_redirected(self, network, status, method):
+        network.answer = lambda sent: (redirect(status, "/next") if sent.target == "/form"
+                                       else FakeResponse())
+        LiveTransport().execute(HttpRequest("POST", "https://a.test/form",
+                                            {"Content-Type": "application/json"}, b"{}"))
+        second = network.sent[1]
+        assert second.method == method
+        if method == "GET":
+            assert second.body is None and header(second, "Content-Type") is None
+        else:
+            assert second.body == b"{}" and header(second, "Content-Type") == "application/json"
+
+    def test_ten_redirects_are_followed(self, network):
+        network.answer = lambda sent: (redirect(302, f"/{int(sent.target[1:]) + 1}")
+                                       if sent.target != "/10" else FakeResponse())
+        assert LiveTransport().execute(HttpRequest("GET", "https://a.test/0")).status == 200
+        assert len(network.sent) == 11
+
+    def test_an_eleventh_redirect_is_an_upstream_error_and_not_retried(self, network):
+        network.answer = lambda sent: redirect(302, f"/{int(sent.target[1:]) + 1}")
+        upstream = Upstream(LiveTransport(), AdsConfig(backoff_base=0.0))
+        with pytest.raises(UpstreamError, match=re.escape("https://a.test/0 redirected more than 10")):
+            upstream.send(HttpRequest("GET", "https://a.test/0"), "A")
+        assert len(network.sent) == 11
+
+    def test_a_redirect_away_from_http_is_an_upstream_error(self, network):
+        network.answer = lambda sent: redirect(302, "ftp://a.test/file")
+        with pytest.raises(UpstreamError, match="not a valid http or https URL"):
+            LiveTransport().execute(HttpRequest("GET", "https://a.test/"))
+
+
+class TestLiveTransportFailures:
+    @pytest.mark.parametrize("failure", [
+        TimeoutError("timed out"),
+        ConnectionRefusedError(111, "Connection refused"),
+        http.client.BadStatusLine("HTTP/9"),
+    ], ids=["timeout", "oserror", "httpexception"])
+    def test_each_becomes_a_transport_timeout(self, network, failure):
+        def answer(sent):
+            raise failure
+
+        network.answer = answer
+        with pytest.raises(TransportTimeoutError, match="GET https://a.test/x"):
+            LiveTransport().execute(HttpRequest("GET", "https://a.test/x"))
+        assert network.connections[0].closed
+
+    def test_a_body_that_does_not_decode_becomes_a_transport_timeout(self, network):
+        network.answer = lambda sent: FakeResponse(headers=[("Content-Encoding", "gzip")],
+                                                   body=b"not gzip")
+        with pytest.raises(TransportTimeoutError):
+            LiveTransport().execute(HttpRequest("GET", "https://a.test/"))
+
+    def test_a_timeout_is_retried_by_upstream(self, network, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(refs.resolvers, "_sleep", sleeps.append)
+
+        def answer(sent):
+            if len(network.sent) < 3:
+                raise TimeoutError("timed out")
+            return FakeResponse(body=b"late")
+
+        network.answer = answer
+        upstream = Upstream(LiveTransport(), AdsConfig(backoff_base=1.0))
+        assert upstream.send(HttpRequest("GET", "https://a.test/"), "A").body == b"late"
+        assert sleeps == [1.0, 2.0]
+
+
+class TestLiveTransportConnections:
+    def test_requests_to_one_origin_share_one_connection(self, network):
+        live = LiveTransport(timeout=7.0)
+        for url in ("https://a.test/1", "https://a.test/2", "https://b.test/1",
+                    "http://a.test/1"):
+            live.execute(HttpRequest("GET", url))
+        assert [(c.scheme, c.netloc, c.timeout, len(c.sent)) for c in network.connections] == [
+            ("https", "a.test", 7.0, 2), ("https", "b.test", 7.0, 1), ("http", "a.test", 7.0, 1)]
+        assert not any(c.closed for c in network.connections)
+
+    def test_a_failed_connection_is_not_reused(self, network):
+        def answer(sent):
+            if len(network.sent) == 1:
+                raise ConnectionResetError(104, "Connection reset by peer")
+            return FakeResponse()
+
+        network.answer = answer
+        live = LiveTransport()
+        with pytest.raises(TransportTimeoutError):
+            live.execute(HttpRequest("GET", "https://a.test/1"))
+        assert live.execute(HttpRequest("GET", "https://a.test/2")).status == 200
+        first, second = network.connections
+        assert first.closed and not second.closed
+        assert [len(first.sent), len(second.sent)] == [1, 1]
+
+    def test_a_connection_the_server_closes_is_not_reused(self, network):
+        network.answer = lambda sent: FakeResponse(will_close=True)
+        live = LiveTransport()
+        live.execute(HttpRequest("GET", "https://a.test/1"))
+        live.execute(HttpRequest("GET", "https://a.test/2"))
+        assert [(c.closed, len(c.sent)) for c in network.connections] == [(True, 1), (True, 1)]
+
+    def test_a_get_on_a_reset_idle_connection_is_sent_once_more(self, network):
+        def answer(sent):
+            if sent.conn is network.connections[0] and len(sent.conn.sent) == 2:
+                raise http.client.RemoteDisconnected("Remote end closed connection")
+            return FakeResponse(body=sent.target.encode())
+
+        network.answer = answer
+        live = LiveTransport()
+        live.execute(HttpRequest("GET", "https://a.test/1"))
+        assert live.execute(HttpRequest("GET", "https://a.test/2")).body == b"/2"
+        first, second = network.connections
+        assert first.closed and [s.target for s in second.sent] == ["/2"]
+
+    def test_it_is_sent_once_more_only(self, network):
+        def answer(sent):
+            if len(network.sent) > 1:
+                raise BrokenPipeError(32, "Broken pipe")
+            return FakeResponse()
+
+        network.answer = answer
+        live = LiveTransport()
+        live.execute(HttpRequest("GET", "https://a.test/1"))
+        with pytest.raises(TransportTimeoutError):
+            live.execute(HttpRequest("GET", "https://a.test/2"))
+        assert len(network.connections) == 2 and len(network.sent) == 3
+
+    @pytest.mark.parametrize("method, failure", [
+        ("POST", ConnectionResetError(104, "Connection reset by peer")),
+        ("GET", TimeoutError("timed out")),
+    ], ids=["post", "timeout"])
+    def test_a_post_or_a_timeout_is_not_sent_once_more(self, network, method, failure):
+        def answer(sent):
+            if len(network.sent) > 1:
+                raise failure
+            return FakeResponse()
+
+        network.answer = answer
+        live = LiveTransport()
+        live.execute(HttpRequest("GET", "https://a.test/1"))
+        with pytest.raises(TransportTimeoutError):
+            live.execute(HttpRequest(method, "https://a.test/2", body=b"{}"))
+        assert len(network.connections) == 1 and len(network.sent) == 2
+
+
+class TestLiveTransportMessages:
+    def test_status_headers_and_body_pass_through(self, network):
+        network.answer = lambda sent: FakeResponse(
+            404, [("Content-Type", "text/plain"), ("Retry-After", "3")], b"missing")
+        response = LiveTransport().execute(HttpRequest("GET", "https://a.test/x"))
+        assert (response.status, response.headers, response.body) == (
+            404, {"Content-Type": "text/plain", "Retry-After": "3"}, b"missing")
+
+    def test_method_target_and_body_are_sent(self, network):
+        LiveTransport().execute(HttpRequest("post", "https://a.test/p/q?r=1&s=2", body=b"{}"))
+        assert [(s.method, s.target, s.body) for s in network.sent] == [
+            ("POST", "/p/q?r=1&s=2", b"{}")]
+
+    def test_default_headers_and_the_requests_own(self, network):
+        live = LiveTransport()
+        live.execute(HttpRequest("GET", "https://a.test/"))
+        live.execute(HttpRequest("GET", "https://a.test/", {"accept": "application/x-bibtex"}))
+        bare, negotiated = network.sent
+        assert bare.headers == {"user-agent": f"refs/{refs.__version__}",
+                                "accept-encoding": "gzip, deflate", "accept": "*/*"}
+        assert negotiated.headers == {**bare.headers, "accept": "application/x-bibtex"}
+
+    @pytest.mark.parametrize("encoding, encode", [
+        ("gzip", gzip.compress), ("deflate", zlib.compress), ("GZip", gzip.compress),
+    ])
+    def test_a_compressed_body_is_decoded(self, network, encoding, encode):
+        text = "Jäger, A. and Øster, B."
+        network.answer = lambda sent: FakeResponse(
+            headers=[("Content-Encoding", encoding)], body=encode(text.encode()))
+        assert LiveTransport().execute(HttpRequest("GET", "https://a.test/")).text() == text
+
+    def test_recording_keeps_the_decoded_text(self, network, tmp_path):
+        text = '{"title": "Spektren"}'
+        network.answer = lambda sent: FakeResponse(
+            headers=[("Content-Type", "application/json"), ("Content-Encoding", "gzip")],
+            body=gzip.compress(text.encode()))
+        archive = tmp_path / "recorded.json"
+        request = HttpRequest("GET", "https://a.test/", {"Accept": "application/json"})
+        RecordingTransport(LiveTransport(), archive).execute(request)
+        recorded = json.loads(archive.read_text())["entries"][0]["response"]
+        assert recorded == {"status": 200, "headers": {"Content-Type": "application/json"},
+                            "body": text}
+        assert FixtureTransport.from_dir(tmp_path).execute(request).text() == text
