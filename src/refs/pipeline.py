@@ -15,6 +15,7 @@ from .errors import (
     MissingEntryError,
     RefsError,
     ResolutionFailedError,
+    StoreError,
     UnusableMetadataError,
 )
 from .formats import RenderedCitation, RenderFormat
@@ -213,12 +214,8 @@ def resolve_and_store_report(
     the store already holds costs no request; its report is built from the
     stored entry and its stored BibTeX, note included.
     """
-    gid = store.find_entry_by_dois([doi])
-    if gid is not None:
-        try:
-            return gid, _stored_report(doi, store, gid)
-        except MissingEntryError:
-            pass  # deleted by another writer since the lookup: resolve afresh
+    if stored := _from_store(doi, store):
+        return stored
     report = resolve_reference(doi, note, cfg, transport)
     return store_report(store, report), report
 
@@ -239,16 +236,8 @@ def resolve_query_and_store_report(
     """
     upstream = Upstream(transport, cfg)
     matched = crossref_top_doi(freeform, upstream)
-    gid = store.find_entry_by_dois([matched])
-    if gid is not None:
-        try:
-            report = _stored_report(matched, store, gid)
-        except MissingEntryError:
-            pass  # deleted by another writer since the lookup: resolve afresh
-        else:
-            report.warnings.insert(0, _keyword_match(freeform, matched))
-            report.unverified = True
-            return gid, report
+    if stored := _from_store(matched, store, (_keyword_match(freeform, matched),), True):
+        return stored
     report = _resolve_match(freeform, matched, note, upstream)
     return store_report(store, report), report
 
@@ -271,9 +260,19 @@ def _already_stored(doi: Doi, gid: int) -> str:
     return f"DOI {doi} is already stored as entry {gid}"
 
 
-def _stored_report(doi: Doi, store: RefStore, gid: int) -> ResolutionReport:
-    entry = store.get_entry(gid)
-    record = next(r for r in entry.records if r.doi == doi)
+def _from_store(doi: Doi, store: RefStore, warnings: tuple[str, ...] = (),
+                unverified: bool = False) -> tuple[int, ResolutionReport] | None:
+    """The ID and report of the live entry holding a DOI, read with no request; else None."""
+    if (gid := store.find_entry_by_dois([doi])) is None:
+        return None
+    try:
+        entry = store.get_entry(gid)
+        bibtex = store.get_rendered(gid, RenderFormat.BIBTEX).body
+    except MissingEntryError:
+        return None  # deleted by another writer since the lookup: resolve afresh
+    record = next((r for r in entry.records if r.doi == doi), None)
+    if record is None:  # the DOI-set key joins DOIs with "|", which a DOI may hold
+        raise StoreError(f"DOI {doi} has the DOI-set key of entry {gid}, which does not hold it")
     path = ResolutionPath.ADS if record.bibcode else ResolutionPath.FALLBACK
-    bibtex = store.get_rendered(gid, RenderFormat.BIBTEX).body
-    return ResolutionReport(doi, path, record, entry, bibtex, [_already_stored(doi, gid)])
+    return gid, ResolutionReport(doi, path, record, entry, bibtex,
+                                 [*warnings, _already_stored(doi, gid)], unverified)

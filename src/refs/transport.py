@@ -290,6 +290,11 @@ class FixtureTransport:
         )
 
 
+# The response headers a recording keeps (lower-cased): those a replay's caller
+# reads, so a replayed 429 is waited out or refused on its Retry-After, as live.
+RECORDED_HEADERS = ("content-type", "retry-after")
+
+
 class RecordingTransport:
     """Wraps a live transport and appends each exchange to a fixture archive.
 
@@ -317,9 +322,7 @@ class RecordingTransport:
             "response": {
                 "status": response.status,
                 "headers": {
-                    k: v
-                    for k, v in response.headers.items()
-                    if k.lower() in ("content-type",)
+                    k: v for k, v in response.headers.items() if k.lower() in RECORDED_HEADERS
                 },
                 "body": response.body.decode("utf-8", errors="replace"),
             },

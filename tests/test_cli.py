@@ -191,6 +191,22 @@ class TestAdd:
         with RefStore(db_path) as store:
             assert store.live_ids() == [1]
 
+    def test_a_doi_whose_set_key_names_another_entry_exits_3(self, capsys, db_path,
+                                                             monkeypatch):
+        # The key joins DOIs with "|", and a DOI suffix may hold "|" too.
+        with RefStore(db_path) as store:
+            store.add_entry([BibRecord(title="A", doi=parse_doi("10.1234/a")),
+                             BibRecord(title="B", doi=parse_doi("10.1234/b"))])
+        urls = []
+        monkeypatch.setattr(FixtureTransport, "execute", lambda self, request: urls.append(
+            request.url))
+        code, out, err = run(capsys, *offline("add", "--doi", "10.1234/a|10.1234/b",
+                                              db=db_path))
+        assert (code, out, urls) == (3, "", [])
+        assert err.startswith("refs: DOI 10.1234/a|10.1234/b ") and err.count("\n") == 1
+        with RefStore(db_path) as store:
+            assert store.live_ids() == [1]
+
     def test_repeat_add_returns_same_id_with_warning(self, capsys, db_path):
         run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
         code, out, err = run(capsys, *offline("add", "--doi", HITRAN, db=db_path))

@@ -15,6 +15,7 @@ from conftest import FIXTURE_DIR, CountingTransport
 
 from refs import (
     AdsConfig,
+    BibRecord,
     FixtureTransport,
     HttpResponse,
     RefsError,
@@ -24,6 +25,7 @@ from refs import (
     ResolutionFailedError,
     ResolutionPath,
     ResolutionReport,
+    StoreError,
     UnusableMetadataError,
     Upstream,
     UpstreamUnavailableError,
@@ -427,6 +429,17 @@ class TestResolveAndStore:
         assert again != first
         assert report.warnings == []
         assert store.get_entry(again).records == [report.record]
+
+    def test_a_doi_whose_set_key_names_another_entry_is_a_store_error(
+            self, counting_transport, ads_config, store):
+        # The key joins DOIs with "|", and a DOI suffix may hold "|" too.
+        gid = store.add_entry([BibRecord(title="A", doi=parse_doi("10.1234/a")),
+                               BibRecord(title="B", doi=parse_doi("10.1234/b"))])
+        joined = parse_doi("10.1234/a|10.1234/b")
+        with pytest.raises(StoreError, match=rf"DOI 10\.1234/a\|10\.1234/b .* entry {gid}\b"):
+            resolve_and_store_report(joined, None, store, ads_config, counting_transport)
+        assert counting_transport.requests == []
+        assert store.live_ids() == [gid]
 
     def test_add_race_is_still_answered_with_the_existing_id(self, transport, ads_config, store):
         report = resolve_reference(HITRAN, cfg=ads_config, transport=transport)

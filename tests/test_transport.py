@@ -22,9 +22,12 @@ from refs import (
     HttpResponse,
     Upstream,
     UpstreamError,
+    UpstreamUnavailableError,
 )
 from refs.errors import TransportTimeoutError
 from refs.transport import LiveTransport, RecordingTransport
+
+from conftest import CountingTransport
 
 
 def entry(url, body="ok", method="GET", accept="", status=200, request_body=None):
@@ -528,3 +531,21 @@ class TestLiveTransportMessages:
         assert recorded == {"status": 200, "headers": {"Content-Type": "application/json"},
                             "body": text}
         assert FixtureTransport.from_dir(tmp_path).execute(request).text() == text
+
+    def test_a_recorded_429_fails_at_once_on_replay_as_it_did_live(self, network, tmp_path,
+                                                                     monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(refs.resolvers, "_sleep", sleeps.append)
+        network.answer = lambda sent: FakeResponse(
+            429, [("Retry-After", "120"), ("Content-Type", "text/plain")], b"slow down")
+        request = HttpRequest("GET", "https://a.test/")
+
+        def fail(transport):
+            counting = CountingTransport(transport)
+            with pytest.raises(UpstreamUnavailableError, match="throttled for 120 s") as raised:
+                Upstream(counting, AdsConfig(backoff_base=1.0)).send(request, "A")
+            return raised.value.status, len(counting.requests)
+
+        live = fail(RecordingTransport(LiveTransport(), tmp_path / "recorded.json"))
+        assert fail(FixtureTransport.from_dir(tmp_path)) == live == (429, 1)
+        assert sleeps == []
