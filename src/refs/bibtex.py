@@ -38,6 +38,17 @@ _SPACE = " \t\r\n"
 _SPACE_RUN_RE = re.compile(f"[{_SPACE}]+")
 _PAGE_RANGE_RE = re.compile(r"\s*(?:--|–|—|-)\s*")
 _YEAR_RE = re.compile(r"\d{4}")
+_BRACE_RE = re.compile("[{}]")
+# What _find_outside_braces looks for, in group 1, or else a "{" whose group it
+# skips. BibTeX splits authors on "and" in any case, between its whitespace.
+_AND_RE = re.compile(rf"([{_SPACE}]+(?i:and)(?=[{_SPACE}]))|\{{")
+_COMMA_RE = re.compile(r"(,)|\{")
+_QUOTE_RE = re.compile(r'(")|\{')
+# The parts of an entry between its values.
+_WHITESPACE_RE = re.compile(r"\s*")
+_FIELD_GAP_RE = re.compile(r"[\s,]*")
+_ASSIGNMENT_RE = re.compile(r"([\w-]+)\s*=\s*")
+_BARE_VALUE_RE = re.compile(r"[^,\n]*")
 
 
 class BibtexEntry(Frozen):
@@ -81,171 +92,115 @@ def clean_value(raw: str) -> str:
     return _SPACE_RUN_RE.sub(" ", _CLEAN_RE.sub(_cleaned, raw)).strip(" ")
 
 
-def parse_entries(text: str) -> list[BibtexEntry]:
-    """Tokenize every @-entry in the input, respecting nested braces."""
-    entries = []
-    i = 0
-    n = len(text)
-    while True:
-        start = text.find("@", i)
-        if start == -1:
-            return entries
-        entry, i = _parse_entry(text, start)
-        entries.append(entry)
-
-
-def _parse_entry(text: str, start: int) -> tuple[BibtexEntry, int]:
-    n = len(text)
-    i = start + 1
-    type_start = i
-    while i < n and (text[i].isalpha() or text[i] in "-_"):
-        i += 1
-    entry_type = text[type_start:i].lower()
-    if not entry_type:
-        raise BibtexParseError("expected an entry type after '@'", offset=start)
-    while i < n and text[i].isspace():
-        i += 1
-    if i >= n or text[i] != "{":
-        raise BibtexParseError(f"expected '{{' after @{entry_type}", offset=i)
-    body_start = i + 1
-    depth = 1
-    i += 1
-    while i < n and depth > 0:
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-        i += 1
-    if depth != 0:
-        raise BibtexParseError("unbalanced braces in entry", offset=start)
-    body = text[body_start : i - 1]
-    comma = body.find(",")
-    if comma == -1:
-        raise BibtexParseError("entry has no key separator comma", offset=body_start)
-    key = body[:comma].strip()
-    if not key:
-        raise BibtexParseError("entry has an empty key", offset=body_start)
-    fields = _parse_fields(body[comma + 1 :], body_start + comma + 1)
-    return BibtexEntry(entry_type=entry_type, key=key, fields=fields, raw=text[start:i]), i
-
-
-def _parse_fields(body: str, base_offset: int) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    i = 0
-    n = len(body)
-    while i < n:
-        while i < n and (body[i].isspace() or body[i] == ","):
-            i += 1
-        if i >= n:
-            break
-        name_start = i
-        while i < n and (body[i].isalnum() or body[i] in "-_"):
-            i += 1
-        name = body[name_start:i].lower()
-        while i < n and body[i].isspace():
-            i += 1
-        if not name or i >= n or body[i] != "=":
-            raise BibtexParseError("malformed field assignment", offset=base_offset + name_start)
-        i += 1
-        while i < n and body[i].isspace():
-            i += 1
-        value, i = _parse_value(body, i, base_offset)
-        fields[name] = value
-    return fields
-
-
-def _parse_value(body: str, i: int, base_offset: int) -> tuple[str, int]:
-    n = len(body)
-    if i >= n:
-        return "", i
-    ch = body[i]
-    if ch == "{":
-        depth = 1
-        start = i + 1
-        i += 1
-        while i < n and depth > 0:
-            if body[i] == "{":
-                depth += 1
-            elif body[i] == "}":
-                depth -= 1
-            i += 1
-        if depth != 0:
-            raise BibtexParseError("unbalanced braces in field value", offset=base_offset + start - 1)
-        return body[start : i - 1], i
-    if ch == '"':
-        start = i + 1
-        i += 1
-        while i < n and body[i] != '"':
-            i += 1
-        if i >= n:
-            raise BibtexParseError("unterminated quoted value", offset=base_offset + start - 1)
-        return body[start:i], i + 1
-    start = i
-    while i < n and body[i] not in ",\n":
-        i += 1
-    return body[start:i].strip(), i
-
-
-def split_authors(raw: str) -> list[str]:
-    """Split an author field on `` and `` at brace depth zero."""
-    parts = []
+def _group_end(text: str, opening: int, end: int) -> int:
+    """The index just past the "}" that closes a "{" at ``opening``: -1 if none
+    does before ``end``, ``opening`` if no "{" is there. Only this counts depth."""
+    if not text.startswith("{", opening, end):
+        return opening
     depth = 0
-    current = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        ch = raw[i]
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if depth == 0 and raw.startswith(" and ", i):
-            parts.append("".join(current))
-            current = []
-            i += 5
-            continue
-        current.append(ch)
-        i += 1
-    parts.append("".join(current))
-    return [p.strip(_SPACE) for p in parts if p.strip(_SPACE)]
-
-
-def _top_level_comma(name: str) -> int:
-    """Index of the first comma outside braces, or -1."""
-    depth = 0
-    for i, ch in enumerate(name):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return i
+    for brace in _BRACE_RE.finditer(text, opening, end):
+        depth += 1 if brace.group() == "{" else -1
+        if not depth:
+            return brace.end()
     return -1
 
 
-def _is_one_group(name: str) -> bool:
-    """Whether the brace that opens name is the one that closes it."""
-    depth = 0
-    for i, ch in enumerate(name):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return i == len(name) - 1
-    return False
+def _find_outside_braces(text: str, sought: re.Pattern, pos: int, end: int) -> re.Match | None:
+    """The first match of ``sought`` from ``pos`` to ``end`` that no brace group holds.
+
+    ``sought`` matches what is looked for in its group 1, or else a "{", whose
+    group is skipped whole; a "{" that nothing closes ends the search.
+    """
+    while (match := sought.search(text, pos, end)) and match.group(1) is None:
+        pos = _group_end(text, match.start(), end)
+        if pos < 0:
+            return None
+    return match
+
+
+def parse_entries(text: str) -> list[BibtexEntry]:
+    """Tokenize every @-entry in the input, respecting nested braces."""
+    entries = []
+    start = text.find("@")
+    while start != -1:
+        entries.append(_parse_entry(text, start))
+        start = text.find("@", start + len(entries[-1].raw))
+    return entries
+
+
+def _parse_entry(text: str, start: int) -> BibtexEntry:
+    i = start + 1
+    while i < len(text) and (text[i].isalpha() or text[i] in "-_"):
+        i += 1
+    entry_type = text[start + 1 : i].lower()
+    if not entry_type:
+        raise BibtexParseError("expected an entry type after '@'", offset=start)
+    i = _WHITESPACE_RE.match(text, i).end()
+    end = _group_end(text, i, len(text))
+    if end == i:
+        raise BibtexParseError(f"expected '{{' after @{entry_type}", offset=i)
+    if end < 0:
+        raise BibtexParseError("unbalanced braces in entry", offset=start)
+    comma = text.find(",", i + 1, end - 1)
+    if comma == -1:
+        raise BibtexParseError("entry has no key separator comma", offset=i + 1)
+    key = text[i + 1 : comma].strip()
+    if not key:
+        raise BibtexParseError("entry has an empty key", offset=i + 1)
+    fields = _parse_fields(text, comma + 1, end - 1)
+    return BibtexEntry(entry_type=entry_type, key=key, fields=fields, raw=text[start:end])
+
+
+def _parse_fields(text: str, i: int, end: int) -> dict[str, str]:
+    """The ``name = value`` pairs from ``i`` to ``end``, where their entry closes."""
+    fields: dict[str, str] = {}
+    while (i := _FIELD_GAP_RE.match(text, i, end).end()) < end:
+        assignment = _ASSIGNMENT_RE.match(text, i, end)
+        if not assignment:
+            raise BibtexParseError("malformed field assignment", offset=i)
+        value, i = _parse_value(text, assignment.end(), end)
+        fields[assignment.group(1).lower()] = value
+    return fields
+
+
+def _parse_value(text: str, i: int, end: int) -> tuple[str, int]:
+    """A braced, quoted or bare value at ``i``, and the index past it. A braced
+    value always closes, as every brace in a balanced entry does; in a quoted
+    value, a '"' inside braces is text."""
+    close = _group_end(text, i, end)
+    if close > i:
+        return text[i + 1 : close - 1], close
+    if text.startswith('"', i, end):
+        quote = _find_outside_braces(text, _QUOTE_RE, i + 1, end)
+        if quote is None:
+            raise BibtexParseError("unterminated quoted value", offset=i)
+        return text[i + 1 : quote.start()], quote.end()
+    bare = _BARE_VALUE_RE.match(text, i, end)
+    return bare.group().strip(), bare.end()
+
+
+def split_authors(raw: str) -> list[str]:
+    """Split an author field on the word ``and``, in any case, between runs of
+    BibTeX whitespace at brace depth zero."""
+    parts = []
+    start = 0
+    while separator := _find_outside_braces(raw, _AND_RE, start, len(raw)):
+        parts.append(raw[start : separator.start()])
+        start = separator.end()
+    parts.append(raw[start:])
+    return [p.strip(_SPACE) for p in parts if p.strip(_SPACE)]
 
 
 def _author_from_bibtex(name: str) -> AuthorName:
     """One name of an author field: as make_author reads it, but words are split
     only where BibTeX splits them, at its own whitespace and at hyphens."""
     stripped = name.strip(_SPACE)
-    if stripped.startswith("{") and _is_one_group(stripped):
+    if stripped and _group_end(stripped, 0, len(stripped)) == len(stripped):
         # Braced whole, like "{HITRAN Collaboration}": a surname alone.
         return AuthorName(given_names=(), surname=clean_value(stripped))
-    comma = _top_level_comma(stripped)
-    if comma != -1:
-        given, surname = clean_value(stripped[comma + 1 :]), clean_value(stripped[:comma])
+    cut = _find_outside_braces(stripped, _COMMA_RE, 0, len(stripped))
+    if cut:
+        given, surname = clean_value(stripped[cut.end() :]), clean_value(stripped[: cut.start()])
     else:
         given, _, surname = clean_value(stripped).rpartition(" ")
     return AuthorName(tuple(filter(None, given.replace("-", " ").split(" "))), surname)

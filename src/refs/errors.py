@@ -30,7 +30,7 @@ class InvalidAuthorError(RefsError, ValueError):
 class BibtexParseError(RefsError, ValueError):
     """A BibTeX entry could not be tokenized.
 
-    ``offset`` is the byte offset into the input at which parsing failed.
+    ``offset`` is the character index into the input at which parsing failed.
     """
 
     def __init__(self, message: str, offset: int | None = None):

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import refs.bibtex
 from refs import BibtexCardinalityError, BibtexParseError, InvalidAuthorError, bibtex_to_record
 from refs.bibtex import (
+    _group_end,
     clean_value,
     parse_entries,
     split_authors,
@@ -62,6 +66,67 @@ class TestParseEntries:
         entries = parse_entries("@article{k, DOI={10.1000/x}, Title={T}}")
         assert set(entries[0].fields) == {"doi", "title"}
 
+    def test_a_quote_inside_braces_in_a_quoted_value_is_text(self):
+        entries = parse_entries('@article{k, title = "A {"}B", year = 2000}')
+        assert entries[0].fields == {"title": 'A {"}B', "year": "2000"}
+
+
+class TestParseErrors:
+    """Each refusal, with its message and the character index it names."""
+
+    @pytest.mark.parametrize("text,message,offset", [
+        ("x @ y", "expected an entry type after '@'", 2),
+        ("@article  (k, t={T})", "expected '{' after @article", 10),
+        ("% c\n@article{k, title={T}", "unbalanced braces in entry", 4),
+        ("@misc{nokey}", "entry has no key separator comma", 6),
+        ("@misc{  , title={T}}", "entry has an empty key", 6),
+        ("@misc{a, x = 1}\n@misc{k, title {T}}", "malformed field assignment", 25),
+        # An entry's braces are counted before its fields are read, and every
+        # brace inside a balanced entry closes inside it, so an unclosed value
+        # brace is reported as the entry's.
+        ("@misc{k, title = {T}", "unbalanced braces in entry", 0),
+        ('@misc{a, x = 1}\n@misc{k, t = 1, title = "abc}', "unterminated quoted value", 40),
+    ], ids=["type", "open-brace", "entry-braces", "key-comma", "empty-key", "assignment",
+            "value-braces", "quoted"])
+    def test_message_and_offset(self, text, message, offset):
+        with pytest.raises(BibtexParseError) as exc_info:
+            parse_entries(text)
+        assert exc_info.value.offset == offset
+        assert str(exc_info.value) == f"{message} (at offset {offset})"
+
+
+class TestBraceScanner:
+    @pytest.mark.parametrize("text,opening,end,expected", [
+        ("{a{b}c}d", 0, 8, 7),
+        ("x{a}", 1, 4, 4),
+        ("x{a}", 0, 4, 0),  # no "{" at the opening: the group is empty
+        ("{a{b}", 0, 5, -1),
+        ("{a}", 0, 2, -1),  # the "}" lies past the end
+        ("", 0, 0, 0),
+    ])
+    def test_group_end(self, text, opening, end, expected):
+        assert _group_end(text, opening, end) == expected
+
+    def test_only_the_scanner_compares_with_a_brace(self):
+        """Brace depth is counted in _group_end alone; the rest of the reader
+        finds braces through it, or through a pattern that skips its groups."""
+        tree = ast.parse(Path(refs.bibtex.__file__).read_text(encoding="utf-8"))
+        comparing = set()
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    operands = node.args  # text.startswith("{"), text.find("}"), ...
+                else:
+                    continue
+                if any(isinstance(operand, ast.Constant) and isinstance(operand.value, str)
+                       and {"{", "}"} & set(operand.value) for operand in operands):
+                    comparing.add(function.name)
+        assert comparing == {"_group_end"}
+
 
 class TestValueEscaping:
     def test_escape_table(self):
@@ -103,6 +168,18 @@ class TestSplitAuthors:
     def test_braced_group_not_split(self):
         parts = split_authors("{Barnes and Noble} and Smith, J.")
         assert parts == ["{Barnes and Noble}", "Smith, J."]
+
+    @pytest.mark.parametrize("raw,expected", [
+        ("A and\nB", ["A", "B"]),
+        ("A AND B", ["A", "B"]),
+        ("A \t and\r\n  B aNd C", ["A", "B", "C"]),
+    ], ids=["wrapped", "upper-case", "runs"])
+    def test_and_splits_in_any_case_at_any_bibtex_whitespace(self, raw, expected):
+        assert split_authors(raw) == expected
+
+    def test_and_inside_a_word_or_next_to_other_whitespace_does_not_split(self):
+        assert split_authors("Sand and Anders, J.") == ["Sand", "Anders, J."]
+        assert split_authors("A\u00a0and B") == ["A\u00a0and B"]
 
 
 class TestSplitPageRange:
@@ -151,6 +228,11 @@ class TestBibtexToRecord:
     def test_an_unbraced_name_with_no_text_is_refused(self):
         with pytest.raises(InvalidAuthorError):
             bibtex_to_record("@article{k, title={T}, author={{}{}}}")
+
+    def test_a_line_wrapped_author_list_gives_each_author(self):
+        r = bibtex_to_record("@article{k, author = {Smith, John and\n    Doe, Jane}}")
+        assert [(a.surname, a.given_names) for a in r.authors] == [
+            ("Smith", ("John",)), ("Doe", ("Jane",))]
 
     def test_braced_author_is_literal(self):
         r = bibtex_to_record("@article{k, title={T}, author={{HITRAN Team} and Doe, Jane}}")
