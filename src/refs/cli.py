@@ -242,11 +242,16 @@ def cmd_crossref(args) -> int:
     return EXIT_OK
 
 
+# Each character ``str.splitlines`` breaks at, and the tab, which a label prints as a
+# space: one entry, one line of two tab-separated fields.
+_ONE_FIELD = str.maketrans(dict.fromkeys("\t\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029", " "))
+
+
 def cmd_list(args) -> int:
     with _open_store(args) as store:
         labels = store.list_labels(scope=args.scope)
     for gid, label in labels:
-        print(f"{gid}\t{label}")
+        print(f"{gid}\t{label.translate(_ONE_FIELD)}")
     return EXIT_OK
 
 

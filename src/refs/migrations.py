@@ -2,18 +2,19 @@
 
 ``RefStore`` imports this module only when it opens a file older than
 ``SCHEMA_VERSION``; opening a current file never loads it. ``migrate``
-reads every entry through the reader of the file's version and writes the
-current layout once, through the store's own ``_SCHEMA`` and
-``_records_json``, so a migrated file reads exactly as a new one. Nothing
-here pins what the store writes: a new schema version adds a reader for
-the version it replaces.
+reads every entry through the reader of the file's version, which yields
+only its tombstone flag and the entry, and writes the current layout once
+by the store's own rules for a new entry: ``_SCHEMA``, ``_records_json``,
+``_doi_set`` and ``_texts``. So a migrated file reads exactly as a new
+one, and nothing here pins what the store writes: a new schema version
+adds a reader for the version it replaces.
 
 Up to version 3, an entry's records were the rows of a ``records`` table,
 one column per field, and its note a row of ``notes``. Version 4 kept both
 in the ``entries`` row, the records as a JSON array of
 ``model.record_to_dict`` objects. Versions 3 and 4 also stored each
 entry's HTML and BibTeX, which are copied byte for byte; a version 1 or 2
-file gets them rendered.
+file gets them rendered. No old DOI-set key is read.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
-from . import render
 from .errors import StoreError
 from .identifiers import parse_bibcode, parse_doi
 from .model import AuthorName, BibRecord, Pages, RefEntry, SourceType
-from .store import (_SCHEMA, SCHEMA_VERSION, _UNDECODABLE, _html_or_none, _records_json,
+from .store import (_SCHEMA, SCHEMA_VERSION, _UNDECODABLE, _doi_set, _records_json, _texts,
                     _unreadable)
 
 # Record columns of versions 1 to 3, named after the keys of
@@ -43,7 +43,7 @@ _RECORD_COLUMNS = (
 # record, in ID then record order; the rows of one entry are adjacent. An
 # entry without records still gets a row, so that it is refused, not lost.
 _SELECT_ROWS = (
-    "SELECT e.global_id, e.doi_set, e.deleted, n.note, "
+    "SELECT e.global_id, e.deleted, n.note, "
     + ", ".join(f"r.{c}" for c in _RECORD_COLUMNS)
     + " FROM entries e"
     " LEFT JOIN records r ON r.entry_id = e.global_id"
@@ -61,16 +61,13 @@ def migrate(conn: sqlite3.Connection, version: int) -> None:
     cannot be read or a reference would dangle.
     """
     if version == 1:
-        _refuse_shared_doi_sets(conn)
         (seq,) = conn.execute("SELECT next_id - 1 FROM id_sequence").fetchone()
     else:
         (seq,) = conn.execute(
             "SELECT COALESCE(MAX(seq), 0) FROM sqlite_sequence WHERE name = 'entries'"
         ).fetchone()
-    conn.execute(
-        "CREATE TEMP TABLE old_entries (global_id INTEGER PRIMARY KEY, doi_set, deleted,"
-        " note, records)"
-    )
+    conn.execute("CREATE TEMP TABLE old_entries"
+                 " (global_id INTEGER PRIMARY KEY, doi_set, deleted, note, records)")
     conn.execute("CREATE TEMP TABLE old_texts (entry_id, html, bibtex, bibtex_fetched)")
     conn.execute("CREATE TEMP TABLE old_crossrefs AS SELECT"
                  " dataset_scope, parameter, local_id, global_id FROM main.crossrefs")
@@ -78,12 +75,17 @@ def migrate(conn: sqlite3.Connection, version: int) -> None:
         conn.execute("INSERT INTO old_texts"
                      " SELECT entry_id, html, bibtex, bibtex_fetched FROM main.texts")
     reader = _entries_v1_to_v3 if version <= 3 else _entries_v4
-    for doi_set, deleted, entry in reader(conn):
+    live: dict[str, list[int]] = {}  # the live entries' IDs by DOI-set key
+    for deleted, entry in reader(conn):
+        doi_set = _doi_set(r.doi for r in entry.records)
+        if doi_set is not None and not deleted:
+            live.setdefault(doi_set, []).append(entry.global_id)
         conn.execute("INSERT INTO old_entries VALUES (?, ?, ?, ?, ?)",
                      (entry.global_id, doi_set, deleted, entry.note, _records_json(entry.records)))
         if version <= 2:
-            conn.execute("INSERT INTO old_texts VALUES (?, ?, ?, 0)",
-                         (entry.global_id, _html_or_none(entry), render.render_bibtex(entry).body))
+            conn.execute("INSERT INTO old_texts VALUES (?, ?, ?, ?)",
+                         (entry.global_id, *_texts(entry)))
+    _refuse_shared_keys(live)
     old_tables = conn.execute(
         "SELECT name FROM main.sqlite_master WHERE type = 'table' AND name NOT LIKE 'sqlite%'"
     ).fetchall()
@@ -106,48 +108,37 @@ def migrate(conn: sqlite3.Connection, version: int) -> None:
         raise _refusal(f"dangling references {broken}")
 
 
-def _refuse_shared_doi_sets(conn: sqlite3.Connection) -> None:
-    """Version 1 did not enforce one live entry per DOI set; the current schema does."""
-    shared = conn.execute(
-        "SELECT doi_set, global_id FROM entries WHERE deleted = 0 AND doi_set IN"
-        " (SELECT doi_set FROM entries WHERE deleted = 0 GROUP BY doi_set HAVING COUNT(*) > 1)"
-        " ORDER BY doi_set, global_id"
-    ).fetchall()
+def _refuse_shared_keys(live: dict[str, list[int]]) -> None:
+    """Refuse live entries that share a DOI-set key, as the ``live_doi_set`` index would."""
+    shared = [f"{', '.join(map(str, ids))} (DOIs {key})" for key, ids in sorted(live.items())
+              if len(ids) > 1]
     if shared:
-        groups = [
-            f"{', '.join(str(row[1]) for row in rows)} (DOIs {doi_set})"
-            for doi_set, rows in groupby(shared, key=itemgetter(0))
-        ]
-        raise _refusal(
-            "live entries share a DOI set: " + "; ".join(groups)
-            + ". Delete all but one of each group first."
-        )
+        raise _refusal(f"live entries share a DOI set: {'; '.join(shared)}."
+                       " Delete all but one of each group first.")
 
 
-def _entries_v1_to_v3(conn: sqlite3.Connection) -> Iterator[tuple[str | None, int, RefEntry]]:
-    """(DOI set, deleted, entry) for every entry of a version 1 to 3 file, in ID order."""
+def _entries_v1_to_v3(conn: sqlite3.Connection) -> Iterator[tuple[int, RefEntry]]:
+    """(deleted, entry) for every entry of a version 1 to 3 file, in ID order."""
     rows = conn.execute(_SELECT_ROWS)
     try:
-        for (global_id, doi_set, deleted, note), group in groupby(rows, itemgetter(0, 1, 2, 3)):
-            yield doi_set, deleted, _decoded(global_id, note, _records_from_columns(group))
+        for (global_id, deleted, note), group in groupby(rows, itemgetter(0, 1, 2)):
+            yield deleted, _decoded(global_id, note, _records_from_columns(group))
     finally:
         rows.close()
 
 
-def _entries_v4(conn: sqlite3.Connection) -> Iterator[tuple[str | None, int, RefEntry]]:
-    """(DOI set, deleted, entry) for every entry of a version 4 file, in ID order."""
-    rows = conn.execute(
-        "SELECT global_id, doi_set, deleted, note, records FROM entries ORDER BY global_id"
-    )
+def _entries_v4(conn: sqlite3.Connection) -> Iterator[tuple[int, RefEntry]]:
+    """(deleted, entry) for every entry of a version 4 file, in ID order."""
+    rows = conn.execute("SELECT global_id, deleted, note, records FROM entries ORDER BY global_id")
     try:
-        for global_id, doi_set, deleted, note, records_json in rows:
+        for global_id, deleted, note, records_json in rows:
             try:
                 dicts = json.loads(records_json)
             except ValueError:
                 dicts = None
             if not isinstance(dicts, list):
                 raise _refusal(f"the records of entry {global_id} are not a JSON array")
-            yield doi_set, deleted, _decoded(global_id, note, map(record_from_dict, dicts))
+            yield deleted, _decoded(global_id, note, map(record_from_dict, dicts))
     finally:
         rows.close()
 
@@ -163,9 +154,9 @@ def _decoded(global_id: int, note: str | None, records: Iterable[BibRecord]) -> 
 def _records_from_columns(rows: Iterator[tuple]) -> Iterator[BibRecord]:
     """The records of one entry's _SELECT_ROWS rows, through ``record_from_dict``."""
     for row in rows:
-        if row[4] is None:
+        if row[3] is None:
             raise _refusal(f"entry {row[0]} has no records")
-        fields = {c: v for c, v in zip(_RECORD_COLUMNS, row[4:]) if v is not None}
+        fields = {c: v for c, v in zip(_RECORD_COLUMNS, row[3:]) if v is not None}
         fields["authors"] = json.loads(fields["authors"])
         if "page_first" in fields:
             fields["pages"] = {"first": fields.pop("page_first"), "last": fields.pop("page_last", None)}

@@ -108,54 +108,42 @@ def resolve_reference(
     fallback fails too, a ResolutionFailedError aggregates both causes.
     """
     upstream = Upstream(transport, cfg)
-    collected: list[str] = []
+    warnings: list[str] = []
     ads_cause = "DOI not in ADS (empty DOI search result)"
     docs: list[dict] = []
     try:
         docs = fetch_ads_docs(doi, upstream)
     except RefsError as exc:
         ads_cause = f"ADS DOI search failed: {exc}"
-        collected.append(ads_cause)
+        warnings.append(ads_cause)
     if len(docs) > 1:
-        collected.append(f"DOI {doi} matches {len(docs)} bibcodes; using {docs[0]['bibcode']}")
+        warnings.append(f"DOI {doi} matches {len(docs)} bibcodes; using {docs[0]['bibcode']}")
 
     if docs:
         try:
-            report = _resolve_via_ads(doi, docs[0], note)
+            record = ads_doc_to_record(docs[0], queried_doi=doi)
+            # Last in the try: an unusable document leaves no mismatch warning.
+            if record.doi is not None and record.doi.canonical != doi.canonical:
+                warnings.append(
+                    f"ADS reports DOI {record.doi} for bibcode {record.bibcode}, queried {doi}")
         except RefsError as exc:
             ads_cause = f"ADS document for {docs[0]['bibcode']} is unusable: {exc}"
-            collected.append(ads_cause)
+            warnings.append(ads_cause)
         else:
-            report.warnings = collected + report.warnings
-            return report
+            return ResolutionReport(doi, ResolutionPath.ADS, record, RefEntry([record], note),
+                                    warnings=warnings)
 
     try:
-        report = _resolve_via_fallback(doi, note, upstream)
+        record = csl_to_record(fetch_csl_json(doi, upstream))
     except RefsError as exc:
         raise ResolutionFailedError(ads_cause, str(exc)) from exc
-    report.warnings = collected + report.warnings
-    return report
-
-
-def _resolve_via_ads(doi: Doi, doc: dict, note: str | None) -> ResolutionReport:
-    record = ads_doc_to_record(doc, queried_doi=doi)
-    extra = []
-    if record.doi is not None and record.doi.canonical != doi.canonical:
-        extra.append(f"ADS reports DOI {record.doi} for bibcode {record.bibcode}, queried {doi}")
-    return ResolutionReport(doi, ResolutionPath.ADS, record, RefEntry([record], note),
-                            warnings=extra)
-
-
-def _resolve_via_fallback(doi: Doi, note: str | None, upstream: Upstream) -> ResolutionReport:
-    record = csl_to_record(fetch_csl_json(doi, upstream))
     bibtex = None
-    extra = []
     try:
         bibtex = fetch_bibtex(doi, upstream)
     except RefsError as exc:
-        extra.append(f"BibTeX fetch failed ({exc}); generated locally from the record")
+        warnings.append(f"BibTeX fetch failed ({exc}); generated locally from the record")
     return ResolutionReport(doi, ResolutionPath.FALLBACK, record, RefEntry([record], note),
-                            bibtex, extra)
+                            bibtex, warnings)
 
 
 def resolve_query_reference(

@@ -14,7 +14,7 @@ reading an entry back is one primary-key lookup, and each record is
 built straight through its constructors, every check included.
 
 Entries do not change after they are added, so each entry's HTML and
-BibTeX are rendered once, by ``add_entry``, and stored in ``texts``.
+BibTeX are rendered once, by ``_texts``, and stored in ``texts``.
 For an entry resolved through doi.org, the stored BibTeX is the text
 doi.org sent. ``render --format html|bibtex``, a repeat add and the bundle
 export read the stored text; JSON and plain text are rendered from the
@@ -52,10 +52,10 @@ read before an add, are serialized by an internal lock; any other read
 may see another thread's write on the same handle before that write
 commits. Opening a file creates the current schema, or migrates an older
 one in place, in one transaction. ``refs.migrations.migrate`` reads the
-older file's entries and writes them through ``_SCHEMA`` and
-``_records_json``, as an add would; that module is imported only to
-migrate a file. Migration is one way: older versions of this module
-refuse the migrated file.
+older file's entries and writes them as an add would, through
+``_SCHEMA``, ``_records_json``, ``_doi_set`` and ``_texts``; that module
+is imported only to migrate a file. Migration is one way: older versions
+of this module refuse the migrated file.
 """
 
 from __future__ import annotations
@@ -265,9 +265,6 @@ class RefStore:
         if existing is not None:
             raise _duplicate(existing)
         records_json = _records_json(records)
-        fetched = bibtex is not None
-        if not fetched:
-            bibtex = render.render_bibtex(model.RefEntry(records, note)).body
         with self._transaction() as conn:
             try:
                 gid = conn.execute(
@@ -279,10 +276,9 @@ class RefStore:
                 # writer stored the same DOIs since the read above.
                 raise _duplicate(self._live_id_for_doi_set(doi_set)) from None
             # The HTML labels each line with the ID, known only now.
-            html = _html_or_none(model.RefEntry(records, note, gid))
             conn.execute(
                 "INSERT INTO texts (entry_id, html, bibtex, bibtex_fetched) VALUES (?, ?, ?, ?)",
-                (gid, html, bibtex, fetched),
+                (gid, *_texts(model.RefEntry(records, note, gid), bibtex)),
             )
         return gid
 
@@ -499,12 +495,15 @@ def _records_json(records: list[BibRecord]) -> str:
     )
 
 
-def _html_or_none(entry: RefEntry) -> str | None:
-    """The HTML body to store, or None when a record has no renderable field."""
+def _texts(entry: RefEntry, bibtex: str | None = None) -> tuple[str | None, str, bool]:
+    """(HTML or None if unrenderable, BibTeX, fetched): ``bibtex`` is kept, else rendered."""
     try:
-        return render.render_html(entry).body
+        html = render.render_html(entry).body
     except UnrenderableError:
-        return None
+        html = None
+    if bibtex is not None:
+        return html, bibtex, True
+    return html, render.render_bibtex(entry).body, False
 
 
 # What decoding a malformed stored entry raises, past the model's checks.

@@ -32,6 +32,7 @@ from refs import (
     make_author,
     parse_doi,
 )
+from refs.bibtex import clean_value
 from refs.cli import EXIT_RESOLUTION, UsageError, main
 from refs.model import Pages
 
@@ -508,6 +509,19 @@ class TestList:
         code, out, _ = run(capsys, "list", "--scope", "H2O", "--db", db_path)
         assert code == 0
         assert out == expected["H2O"] == "2\tI. E. Gordon\n4\t(untitled)\n"
+
+    def test_a_line_break_or_tab_in_a_label_prints_as_a_space(self, capsys, db_path):
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        breaks = "".join(line[-1] for line in text.splitlines(keepends=True)[:-1])
+        titles = ["Line one\nline\ttwo", f"A{breaks}\tB", clean_value("A&#8232;B")]
+        with RefStore(db_path) as store:
+            for title in titles:
+                store.add_entry([BibRecord(title=title)])
+            assert store.list_labels() == list(enumerate(titles, 1))
+        code, out, _ = run(capsys, "list", "--db", db_path)
+        assert code == 0
+        assert out.splitlines() == ["1\tLine one line two", "2\tA" + " " * (len(breaks) + 1) + "B",
+                                    "3\tA B"]
 
     def test_list_is_one_query_and_decodes_no_entry(self, capsys, tmp_path, monkeypatch,
                                                     statements):

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import errno
 import hashlib
+import itertools
 import json
 import os
 import random
+import re
 import sqlite3
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -26,6 +30,7 @@ from refs import (
     MissingEntryError,
     Pages,
     RefEntry,
+    RefsError,
     RefStore,
     RenderFormat,
     SourceType,
@@ -39,13 +44,15 @@ from refs import (
 )
 from refs import fileio
 from refs.cli import EXIT_STORE, main as cli_main
-from refs.model import MAX_YEAR, MIN_YEAR
+from refs.migrations import record_from_dict
+from refs.model import MAX_YEAR, MIN_YEAR, record_to_dict
 from refs.render import render_format
-from refs.store import SCHEMA_VERSION
+from refs.store import BIB_BUNDLE_NAME, HTML_BUNDLE_NAME, SCHEMA_VERSION
 
 from conftest import GOLDEN_DIR
 from corpus import build_corpus_entries
 from test_identifiers import doi_texts, valid_bibcodes
+from test_render import json_records, json_text, nonempty_json_text
 
 
 optional_text = st.none() | st.text(max_size=20)
@@ -1267,3 +1274,166 @@ class TestMigration:
         assert "COMMIT" not in statements
         assert path.read_bytes() == before
         assert schema_of(path) == (1, {"entries", "records", "notes", "crossrefs", "id_sequence"})
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_a_doi_set_shared_behind_a_stale_key_stops_the_migration(self, tmp_path, statements,
+                                                                      version):
+        """Keys are derived from the records, never copied: entry 6's stored key hides that
+        it holds entry 2's DOIs, which a file of any version is refused for."""
+        path = tmp_path / f"v{version}.db"
+        entries = self.v1_entries()
+        entries[6] = ([record("10.1000/b"), record("10.1000/a", title="Part two")], None)
+        write_old_store(version, path, entries, deleted={3, 6})
+        conn = sqlite3.connect(path)
+        conn.execute("UPDATE entries SET deleted = 0, doi_set = 'stale' WHERE global_id = 6")
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        statements.clear()
+        with pytest.raises(StoreError, match=r"^cannot migrate to schema version 5: live entries"
+                           r" share a DOI set: 2, 6 \(DOIs 10\.1000/a\|10\.1000/b\)\. Delete all"
+                           r" but one of each group first\.$"):
+            RefStore(path)
+        assert "COMMIT" not in statements
+        assert path.read_bytes() == before
+
+    def test_only_the_store_selects_the_doi_set_key(self):
+        """The key is derived by ``store._doi_set`` and read back by the store alone, so a
+        new key rule changes that one function; a migration derives every key afresh."""
+        selects_doi_set = re.compile(r"\bSELECT\b.*\bdoi_set\b", re.IGNORECASE | re.DOTALL)
+        selecting = []
+        for path in sorted(Path(refs.__file__).parent.glob("*.py")):
+            if path.stem == "store":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                # One text per literal, f-string or "+" chain of them.
+                if isinstance(node, (ast.Constant, ast.JoinedStr, ast.BinOp)):
+                    text = "".join(part.value for part in ast.walk(node)
+                                   if isinstance(part, ast.Constant) and isinstance(part.value, str))
+                    if selects_doi_set.search(text):
+                        selecting.append(f"{path.stem}:{node.lineno}")
+        assert selecting == []
+
+
+# Cross-reference keys the migration property draws from.
+CROSSREF_KEYS = list(itertools.product(["H2O", "CO2"], ["nu", "A"], range(3)))
+
+
+def storable(text: str) -> str:
+    """``text`` with each lone surrogate, which SQLite's UTF-8 cannot hold, as U+FFFD."""
+    return re.sub("[\ud800-\udfff]", "\ufffd", text)
+
+
+storable_records = json_records.map(lambda record: record_from_dict(json.loads(
+    storable(json.dumps(record_to_dict(record), ensure_ascii=False)))))
+storable_notes = st.none() | json_text.map(storable)
+
+
+@st.composite
+def entry_sets(draw) -> dict:
+    """``write_old_store``'s arguments for an entry set every version can hold.
+
+    Some entries repeat an earlier entry's records, so DOI sets recur. The
+    tombstones drawn here are only those deleted by hand; ``write_new_store``
+    adds those that a later entry with the same DOI set replaced.
+    """
+    entries = {}
+    for gid in range(1, draw(st.integers(1, 4)) + 1):
+        if gid > 1 and draw(st.booleans()):
+            records = entries[draw(st.integers(1, gid - 1))][0]
+        else:
+            records = draw(st.lists(storable_records, min_size=1, max_size=2))
+        entries[gid] = (records, draw(storable_notes))
+    ids = st.sampled_from(list(entries))
+    return {
+        "entries": entries,
+        "deleted": draw(st.sets(ids)),
+        "crossrefs": draw(st.dictionaries(st.sampled_from(CROSSREF_KEYS), ids, max_size=3)),
+        "next_id": len(entries) + 1 + draw(st.integers(0, 3)),
+        "fetched": draw(st.dictionaries(ids, nonempty_json_text.map(storable), max_size=2)),
+    }
+
+
+def write_new_store(path: Path, entries: dict, deleted, crossrefs: dict, next_id: int,
+                    fetched: dict) -> set[int]:
+    """The entry set added to a new file through ``add_entry``; the IDs it tombstoned.
+
+    Each entry is added in ID order and gets its cross-references while it
+    is live. An entry whose DOI set a live entry holds replaces that entry,
+    which is deleted first.
+    """
+    with RefStore(path) as store:
+        for gid, (records, note) in entries.items():
+            try:
+                store.add_entry(records, note, fetched.get(gid))
+            except DuplicateEntryError as exc:
+                store.delete_entry(exc.existing_id)
+                store.add_entry(records, note, fetched.get(gid))
+            for key, target in crossrefs.items():
+                if target == gid:
+                    store.attach_crossref(*key, gid)
+            if gid in deleted:
+                store.delete_entry(gid)
+        # No add leaves a gap in the IDs, but version 1's counter could run
+        # ahead of them, and a migration keeps it.
+        store._conn.execute("UPDATE sqlite_sequence SET seq = ? WHERE name = 'entries'",
+                            (next_id - 1,))
+        return set(entries) - set(store.live_ids())
+
+
+def every_answer(path: Path, last_id: int, out_dir: Path) -> list:
+    """What a store answers to each read about IDs 1 to ``last_id``, and the ID it adds next.
+
+    A read that raises answers with its error's type and message.
+    """
+    def answer(read, *args):
+        try:
+            return read(*args)
+        except RefsError as exc:
+            return type(exc), str(exc)
+
+    def bundle(ids):
+        store.export_bundle(ids, out_dir)
+        return [(out_dir / name).read_bytes() for name in (HTML_BUNDLE_NAME, BIB_BUNDLE_NAME)]
+
+    ids = range(1, last_id + 1)
+    with RefStore(path) as store:
+        answers = [answer(store.get_entry, gid) for gid in ids]
+        answers += [answer(store.get_rendered, gid, fmt) for gid in ids for fmt in RenderFormat]
+        for scope in (None, "H2O"):
+            answers += [store.list_labels(scope), store.live_ids(scope)]
+        answers += [answer(store.lookup_crossref, *key) for key in CROSSREF_KEYS]
+        if live := store.live_ids():
+            answers.append(answer(bundle, live))
+        answers.append(store.add_entry([BibRecord(title="Next")]))
+    return answers + [read_table(path, "SELECT type, name, tbl_name, sql FROM sqlite_master"
+                                       " ORDER BY name"),
+                      read_table(path, "SELECT global_id, doi_set FROM entries ORDER BY global_id"),
+                      read_table(path, "SELECT * FROM texts ORDER BY entry_id")]
+
+
+class TestMigrationProperty:
+    @settings(max_examples=10, deadline=None)
+    @given(entry_sets())
+    def test_a_migrated_file_answers_every_read_as_a_new_one(self, drawn):
+        """A v1 to v4 file migrates to the file that adding its entries to a new one makes.
+
+        Fetched BibTeX exists from version 3 on, so a v1 or v2 file is held
+        against a new file without it.
+        """
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            last_id = max(drawn["entries"])
+            new = {}
+            for with_fetched in (False, True):
+                path = tmp / f"new-{with_fetched}.db"
+                tombstones = write_new_store(
+                    path, **{**drawn, "fetched": drawn["fetched"] if with_fetched else {}})
+                new[with_fetched] = every_answer(path, last_id, tmp / "out")
+            for version in (1, 2, 3, 4):
+                path = tmp / f"v{version}.db"
+                write_old_store(
+                    version, path, drawn["entries"], tombstones,
+                    [(*key, gid) for key, gid in drawn["crossrefs"].items()], drawn["next_id"],
+                    drawn["fetched"] if version >= 3 else None)
+                assert every_answer(path, last_id, tmp / "out") == new[version >= 3]
