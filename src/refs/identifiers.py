@@ -9,7 +9,7 @@ from .errors import BibcodeFormatError, BibcodeLengthError, InvalidDoiError
 from .values import Frozen, slot_setters
 
 # A lone surrogate is not text: no request, store or file could carry it.
-_DOI_RE = re.compile(r"^10\.[0-9]{4,9}/[^\s\ud800-\udfff]+$")
+_DOI_RE = re.compile(r"^10\.[0-9]{4,9}/[^\s\ud800-\udfff]+\Z")
 
 # Prefixes stripped from raw DOI input, longest first, matched case-insensitively.
 _DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "doi.org/", "doi:")

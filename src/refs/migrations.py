@@ -5,16 +5,18 @@
 reads every entry through the reader of the file's version, which yields
 only its tombstone flag and the entry, and writes the current layout once
 by the store's own rules for a new entry: ``_SCHEMA``, ``_records_json``,
-``_doi_set`` and ``_texts``. So a migrated file reads exactly as a new
-one, and nothing here pins what the store writes: a new schema version
-adds a reader for the version it replaces.
+``_doi_set``, ``model.entry_label`` and ``_texts``. So a migrated file
+reads exactly as a new one, and nothing here pins what the store writes:
+a new schema version, which a new label rule or new rendered bytes also
+need, adds a reader for the version it replaces.
 
 Up to version 3, an entry's records were the rows of a ``records`` table,
-one column per field, and its note a row of ``notes``. Version 4 kept both
-in the ``entries`` row, the records as a JSON array of
-``model.record_to_dict`` objects. Versions 3 and 4 also stored each
-entry's HTML and BibTeX, which are copied byte for byte; a version 1 or 2
-file gets them rendered. No old DOI-set key is read.
+one column per field, and its note a row of ``notes``. Versions 4 and 5
+kept both in the ``entries`` row, the records as a JSON array: of
+``model.record_to_dict`` objects in version 4, of ``model.record_to_row``
+arrays in version 5. Versions 3 to 5 also stored each entry's HTML and
+BibTeX, which are copied byte for byte; a version 1 or 2 file gets them
+rendered. No old DOI-set key or label is read.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ import json
 import sqlite3
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import StoreError
 from .identifiers import parse_bibcode, parse_doi
-from .model import AuthorName, BibRecord, Pages, RefEntry, SourceType
+from .model import AuthorName, BibRecord, Pages, RefEntry, SourceType, entry_label, record_from_row
 from .store import (_SCHEMA, SCHEMA_VERSION, _UNDECODABLE, _doi_set, _records_json, _texts,
                     _unreadable)
 
@@ -67,21 +69,23 @@ def migrate(conn: sqlite3.Connection, version: int) -> None:
             "SELECT COALESCE(MAX(seq), 0) FROM sqlite_sequence WHERE name = 'entries'"
         ).fetchone()
     conn.execute("CREATE TEMP TABLE old_entries"
-                 " (global_id INTEGER PRIMARY KEY, doi_set, deleted, note, records)")
+                 " (global_id INTEGER PRIMARY KEY, doi_set, deleted, note, label, records)")
     conn.execute("CREATE TEMP TABLE old_texts (entry_id, html, bibtex, bibtex_fetched)")
     conn.execute("CREATE TEMP TABLE old_crossrefs AS SELECT"
                  " dataset_scope, parameter, local_id, global_id FROM main.crossrefs")
     if version >= 3:
         conn.execute("INSERT INTO old_texts"
                      " SELECT entry_id, html, bibtex, bibtex_fetched FROM main.texts")
-    reader = _entries_v1_to_v3 if version <= 3 else _entries_v4
+    decode = record_from_dict if version == 4 else record_from_row
+    entries = _entries_v1_to_v3(conn) if version <= 3 else _entries_json(conn, decode)
     live: dict[str, list[int]] = {}  # the live entries' IDs by DOI-set key
-    for deleted, entry in reader(conn):
+    for deleted, entry in entries:
         doi_set = _doi_set(r.doi for r in entry.records)
         if doi_set is not None and not deleted:
             live.setdefault(doi_set, []).append(entry.global_id)
-        conn.execute("INSERT INTO old_entries VALUES (?, ?, ?, ?, ?)",
-                     (entry.global_id, doi_set, deleted, entry.note, _records_json(entry.records)))
+        conn.execute("INSERT INTO old_entries VALUES (?, ?, ?, ?, ?, ?)",
+                     (entry.global_id, doi_set, deleted, entry.note, entry_label(entry.records),
+                      _records_json(entry.records)))
         if version <= 2:
             conn.execute("INSERT INTO old_texts VALUES (?, ?, ?, ?)",
                          (entry.global_id, *_texts(entry)))
@@ -127,18 +131,20 @@ def _entries_v1_to_v3(conn: sqlite3.Connection) -> Iterator[tuple[int, RefEntry]
         rows.close()
 
 
-def _entries_v4(conn: sqlite3.Connection) -> Iterator[tuple[int, RefEntry]]:
-    """(deleted, entry) for every entry of a version 4 file, in ID order."""
+def _entries_json(conn: sqlite3.Connection,
+                  decode: Callable[[Any], BibRecord]) -> Iterator[tuple[int, RefEntry]]:
+    """(deleted, entry) for every entry of a version 4 or 5 file, in ID order; each record
+    of the row's JSON array through ``decode``."""
     rows = conn.execute("SELECT global_id, deleted, note, records FROM entries ORDER BY global_id")
     try:
         for global_id, deleted, note, records_json in rows:
             try:
-                dicts = json.loads(records_json)
+                records = json.loads(records_json)
             except ValueError:
-                dicts = None
-            if not isinstance(dicts, list):
+                records = None
+            if not isinstance(records, list):
                 raise _refusal(f"the records of entry {global_id} are not a JSON array")
-            yield deleted, _decoded(global_id, note, map(record_from_dict, dicts))
+            yield deleted, _decoded(global_id, note, map(decode, records))
     finally:
         rows.close()
 

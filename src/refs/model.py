@@ -221,6 +221,13 @@ class RefEntry(Value):
         return [prefix + sub for sub in self.sub_labels]
 
 
+def entry_label(records: list[BibRecord]) -> str:
+    """The label ``refs list`` prints: the first record's title, else its first author, else
+    ``(untitled)``. The store writes it once, at add."""
+    first = records[0]
+    return first.title or (first.authors[0].formatted if first.authors else "(untitled)")
+
+
 class SourceCrossRef(Frozen):
     """Maps a dataset-local reference integer onto a global entry ID."""
 

@@ -15,7 +15,6 @@ from .errors import (
     MissingEntryError,
     RefsError,
     ResolutionFailedError,
-    StoreError,
     UnusableMetadataError,
 )
 from .formats import RenderedCitation, RenderFormat
@@ -258,9 +257,7 @@ def _from_store(doi: Doi, store: RefStore, warnings: tuple[str, ...] = (),
         bibtex = store.get_rendered(gid, RenderFormat.BIBTEX).body
     except MissingEntryError:
         return None  # deleted by another writer since the lookup: resolve afresh
-    record = next((r for r in entry.records if r.doi == doi), None)
-    if record is None:  # the DOI-set key joins DOIs with "|", which a DOI may hold
-        raise StoreError(f"DOI {doi} has the DOI-set key of entry {gid}, which does not hold it")
+    record = next(r for r in entry.records if r.doi == doi)
     path = ResolutionPath.ADS if record.bibcode else ResolutionPath.FALLBACK
     return gid, ResolutionReport(doi, path, record, entry, bibtex,
                                  [*warnings, _already_stored(doi, gid)], unverified)

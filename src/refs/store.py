@@ -3,15 +3,17 @@
 Global IDs come from an AUTOINCREMENT primary key and are never reused:
 deletion is a tombstone, so an ID keeps naming the same work forever.
 
-Each entry is one ``entries`` row: its ID, its DOI set (the duplicate
-key), its tombstone flag, its note, and its records as one compact JSON
-array of ``model.record_to_row`` arrays. A record's array holds its
-fields in ``BibRecord``'s constructor order: title; authors, each
-``[given_names, surname]``; the source type's value; journal, volume and
-number; pages as ``[first, last]`` or null; year and publisher; the
-canonical DOI and the 19-character bibcode. An absent field is null. So
-reading an entry back is one primary-key lookup, and each record is
-built straight through its constructors, every check included.
+Each entry is one ``entries`` row: its ID; its DOI set, the duplicate
+key, its sorted canonical DOIs joined by spaces, which no DOI holds; its
+tombstone flag; its note; its ``model.entry_label``; and its records as
+one compact JSON array of ``model.record_to_row`` arrays. A record's
+array holds its fields in ``BibRecord``'s constructor order: title;
+authors, each ``[given_names, surname]``; the source type's value;
+journal, volume and number; pages as ``[first, last]`` or null; year and
+publisher; the canonical DOI and the 19-character bibcode. An absent
+field is null. So reading an entry back is one primary-key lookup, and
+each record is built straight through its constructors, every check
+included.
 
 Entries do not change after they are added, so each entry's HTML and
 BibTeX are rendered once, by ``_texts``, and stored in ``texts``.
@@ -20,11 +22,12 @@ doi.org sent. ``render --format html|bibtex``, a repeat add and the bundle
 export read the stored text; JSON and plain text are rendered from the
 records on every read. Reading stored text needs no model and no
 renderer, so this module imports ``refs.model`` and ``refs.render`` only
-when a call first decodes or renders an entry. A change to the bytes
-either renderer writes is a schema change: it raises ``SCHEMA_VERSION``,
-and ``refs.migrations.migrate`` then renders the stored texts of older
-files afresh instead of copying them, keeping fetched BibTeX. The schema
-version is the one stamp of what the stored texts hold.
+when a call first decodes, labels or renders an entry. A change to the
+bytes either renderer writes, or to the label rule, is a schema change:
+it raises ``SCHEMA_VERSION``, and ``refs.migrations.migrate`` then
+renders the stored texts of older files afresh instead of copying them,
+keeping fetched BibTeX. The schema version is the one stamp of what the
+stored texts and labels hold.
 
 What holds when several processes share one database file:
 
@@ -53,9 +56,9 @@ may see another thread's write on the same handle before that write
 commits. Opening a file creates the current schema, or migrates an older
 one in place, in one transaction. ``refs.migrations.migrate`` reads the
 older file's entries and writes them as an add would, through
-``_SCHEMA``, ``_records_json``, ``_doi_set`` and ``_texts``; that module
-is imported only to migrate a file. Migration is one way: older versions
-of this module refuse the migrated file.
+``_SCHEMA``, ``_records_json``, ``_doi_set``, ``model.entry_label`` and
+``_texts``; that module is imported only to migrate a file. Migration is
+one way: older versions of this module refuse the migrated file.
 """
 
 from __future__ import annotations
@@ -102,20 +105,21 @@ class _OnFirstUse:
 model = _OnFirstUse("model")
 render = _OnFirstUse("render")
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 _LIVE_DOI_SET_INDEX = (
     "CREATE UNIQUE INDEX live_doi_set ON entries (doi_set) WHERE deleted = 0"
 )
 
 _SCHEMA = (
-    # ``records`` is the JSON array that _records_json writes.
+    # ``label`` is model.entry_label's, ``records`` the JSON array _records_json writes.
     """
 CREATE TABLE entries (
     global_id INTEGER PRIMARY KEY AUTOINCREMENT,
     doi_set   TEXT,
     deleted   INTEGER NOT NULL DEFAULT 0,
     note      TEXT,
+    label     TEXT NOT NULL,
     records   TEXT NOT NULL
 )""",
     _LIVE_DOI_SET_INDEX,
@@ -268,8 +272,8 @@ class RefStore:
         with self._transaction() as conn:
             try:
                 gid = conn.execute(
-                    "INSERT INTO entries (doi_set, note, records) VALUES (?, ?, ?)",
-                    (doi_set, note, records_json),
+                    "INSERT INTO entries (doi_set, note, label, records) VALUES (?, ?, ?, ?)",
+                    (doi_set, note, model.entry_label(records), records_json),
                 ).lastrowid
             except sqlite3.IntegrityError:
                 # Only the live_doi_set index can refuse this row: another
@@ -356,18 +360,10 @@ class RefStore:
     def list_labels(self, scope: str | None = None) -> list[tuple[int, str]]:
         """(ID, label) of live entries by ascending ID, optionally only those in a scope.
 
-        The label is the first record's title, else its first author's
-        display form, else ``(untitled)``. One statement, and no entry is
-        decoded: SQLite reads the title and the first author out of each
-        row's JSON, as JSON (a string that ``json_extract`` returned as
-        text would end at an escaped U+0000).
+        The labels are those stored at add (``model.entry_label``), so no
+        entry is decoded.
         """
-        rows = self._select_live(
-            "SELECT e.global_id, json_extract(e.records, '$[0][0]', '$[0][1][0]')"
-            " FROM entries e",
-            scope,
-        )
-        return [(gid, _record_label(gid, title_and_author)) for gid, title_and_author in rows]
+        return self._select_live("SELECT e.global_id, e.label FROM entries e", scope).fetchall()
 
     def lookup_crossref(self, scope: str, parameter: str, local_id: int) -> int:
         row = self._conn.execute(
@@ -485,7 +481,7 @@ def _duplicate(existing: int) -> DuplicateEntryError:
 
 def _doi_set(dois: Iterable[Doi | None]) -> str | None:
     canonical = sorted({d.canonical for d in dois if d is not None})
-    return "|".join(canonical) if canonical else None
+    return " ".join(canonical) if canonical else None
 
 
 def _records_json(records: list[BibRecord]) -> str:
@@ -512,17 +508,6 @@ _UNDECODABLE = (AttributeError, LookupError, TypeError, ValueError)
 
 def _unreadable(global_id: int, exc: Exception) -> str:
     return f"the records of entry {global_id} cannot be read: {type(exc).__name__}: {exc}"
-
-
-def _record_label(global_id: int, title_and_author_json: str) -> str:
-    """A label from ``[title, first author or null]``: the title, else the author, else ``(untitled)``."""
-    try:
-        title, author = json.loads(title_and_author_json)
-        if title:
-            return title
-        return model.AuthorName(tuple(author[0]), author[1]).formatted if author else "(untitled)"
-    except _UNDECODABLE as exc:
-        raise StoreError(_unreadable(global_id, exc)) from exc
 
 
 def _entry_from_row(global_id: int, note: str | None, records_json: str) -> RefEntry:

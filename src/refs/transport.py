@@ -69,7 +69,12 @@ class HttpResponse(Frozen):
         return self.body.decode("utf-8")
 
     def json(self) -> object:
-        return json.loads(self.body.decode("utf-8"))
+        """The decoded body; a ValueError if a string in it holds a lone surrogate."""
+        text = self.body.decode("utf-8")
+        value = json.loads(text)
+        if "\\ud" in text or "\\uD" in text:  # only a \u escape decodes to a surrogate
+            json.dumps(value, ensure_ascii=False).encode("utf-8")  # UnicodeEncodeError if one did
+        return value
 
 
 _set_response_status, _set_response_headers, _set_response_body = slot_setters(HttpResponse)

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from refs import AdsConfig, FixtureTransport, RefStore, Upstream
+from refs.resolvers import (ADS_FIELD_LIST, BIBTEX_ACCEPT, CSL_JSON_ACCEPT, ads_doi_query,
+                            ads_search_url, doi_negotiation_url)
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -72,6 +74,19 @@ class CountingTransport:
 
     def count(self, url_fragment: str) -> int:
         return sum(1 for r in self.requests if url_fragment in r.url)
+
+
+def fallback_exchanges(doi, csl_body: str, bibtex: str) -> list[dict]:
+    """Recorded exchanges that resolve a DOI on the fallback path: ADS finds nothing, then
+    doi.org sends ``csl_body`` and ``bibtex`` as they are."""
+    def exchange(url: str, accept: str, body: str) -> dict:
+        return {"request": {"method": "GET", "url": url, "accept": accept},
+                "response": {"status": 200, "body": body}}
+
+    search = ads_search_url(AdsConfig(), ads_doi_query(doi), ADS_FIELD_LIST, rows=10)
+    return [exchange(search, "", '{"response": {"numFound": 0, "docs": []}}'),
+            exchange(doi_negotiation_url(doi), CSL_JSON_ACCEPT, csl_body),
+            exchange(doi_negotiation_url(doi), BIBTEX_ACCEPT, bibtex)]
 
 
 @pytest.fixture(scope="session")

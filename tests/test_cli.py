@@ -36,7 +36,7 @@ from refs.bibtex import clean_value
 from refs.cli import EXIT_RESOLUTION, UsageError, main
 from refs.model import Pages
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, fallback_exchanges
 from test_transport import FakeNetwork, FakeResponse, header
 
 HITRAN = "10.1016/j.jqsrt.2017.06.038"
@@ -192,21 +192,48 @@ class TestAdd:
         with RefStore(db_path) as store:
             assert store.live_ids() == [1]
 
-    def test_a_doi_whose_set_key_names_another_entry_exits_3(self, capsys, db_path,
-                                                             monkeypatch):
-        # The key joins DOIs with "|", and a DOI suffix may hold "|" too.
-        with RefStore(db_path) as store:
-            store.add_entry([BibRecord(title="A", doi=parse_doi("10.1234/a")),
-                             BibRecord(title="B", doi=parse_doi("10.1234/b"))])
-        urls = []
-        monkeypatch.setattr(FixtureTransport, "execute", lambda self, request: urls.append(
-            request.url))
-        code, out, err = run(capsys, *offline("add", "--doi", "10.1234/a|10.1234/b",
-                                              db=db_path))
-        assert (code, out, urls) == (3, "", [])
-        assert err.startswith("refs: DOI 10.1234/a|10.1234/b ") and err.count("\n") == 1
-        with RefStore(db_path) as store:
-            assert store.live_ids() == [1]
+    def test_a_doi_whose_old_set_key_named_another_entry_is_added_in_either_order(
+            self, capsys, tmp_path):
+        # Up to schema version 5 the DOI-set key joined DOIs with "|", which a DOI may hold.
+        joined = "10.1234/a|10.1234/b"
+        csl = json.dumps({"type": "journal-article", "DOI": joined, "title": "Joined"})
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "joined.json").write_text(json.dumps(
+            {"entries": fallback_exchanges(parse_doi(joined), csl, "@misc{J, title={Joined}}")}))
+        parts = [BibRecord(title="A", doi=parse_doi("10.1234/a")),
+                 BibRecord(title="B", doi=parse_doi("10.1234/b"))]
+        for parts_first, listed in ((True, "1\tA\n2\tJoined\n"), (False, "1\tJoined\n2\tA\n")):
+            db = str(tmp_path / f"{parts_first}.db")
+            if parts_first:
+                with RefStore(db) as store:
+                    store.add_entry(parts)
+            code, out, err = run(capsys, "add", "--doi", joined, "--db", db, "--offline",
+                                 "--fixtures", str(fixtures))
+            assert (code, out, err) == (0, f"id={1 + parts_first} path=fallback\n", "")
+            if not parts_first:
+                with RefStore(db) as store:
+                    assert store.add_entry(parts) == 2
+            assert run(capsys, "list", "--db", db) == (0, listed, "")
+
+    def test_a_lone_surrogate_in_the_citation_json_exits_2_and_leaves_the_store(
+            self, capsys, db_path, tmp_path):
+        # doi.org may escape a lone surrogate in its JSON, and no store can hold one.
+        doi = "10.1234/surrogate"
+        csl = '{"type": "journal-article", "DOI": "%s", "title": "A \\ud800 B"}' % doi
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "surrogate.json").write_text(json.dumps(
+            {"entries": fallback_exchanges(parse_doi(doi), csl, "@misc{S, title={A B}}")}))
+        run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
+        before = Path(db_path).read_bytes()
+        code, out, err = run(capsys, "add", "--doi", doi, "--db", db_path, "--offline",
+                             "--fixtures", str(fixtures))
+        assert (code, out) == (2, "")
+        assert err.startswith("refs: reference resolution failed: ") and err.count("\n") == 1
+        assert f"citation JSON for {doi} does not parse: " in err
+        assert "surrogates not allowed" in err
+        assert Path(db_path).read_bytes() == before
 
     def test_repeat_add_returns_same_id_with_warning(self, capsys, db_path):
         run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
@@ -568,15 +595,21 @@ class TestUnreadableEntry:
     @pytest.mark.parametrize("argv", [
         ["render", "1", "--format", "json"],
         ["render", "1", "--format", "text"],
-        ["list"],
         ["add", "--doi", HITRAN, "--offline", "--fixtures", str(FIXTURE_DIR)],
-    ], ids=["render-json", "render-text", "list", "repeat-add"])
+    ], ids=["render-json", "render-text", "repeat-add"])
     def test_reading_it_exits_3_and_leaves_the_file_unchanged(self, capsys, damaged, argv):
         before = Path(damaged).read_bytes()
         code, out, err = run(capsys, *argv, "--db", damaged)
         assert (code, out) == (3, "")
         assert err.startswith("refs: the records of entry 1 cannot be read: ")
         assert err.count("\n") == 1
+        assert Path(damaged).read_bytes() == before
+
+    def test_list_prints_the_stored_label_and_leaves_the_file_unchanged(self, capsys, damaged):
+        # The label was written at add, so listing decodes no records.
+        before = Path(damaged).read_bytes()
+        assert run(capsys, "list", "--db", damaged) == (
+            0, "1\tThe HITRAN2016 molecular spectroscopic database\n", "")
         assert Path(damaged).read_bytes() == before
 
 

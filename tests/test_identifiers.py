@@ -169,6 +169,12 @@ class TestParseDoi:
         with pytest.raises(InvalidDoiError, match="not a valid DOI"):
             parse_doi(raw)
 
+    def test_a_canonical_doi_ends_at_its_last_character(self):
+        # "$" also matches before a final line break; the store's DOI-set key joins DOIs
+        # with spaces, so no DOI may hold whitespace.
+        with pytest.raises(InvalidDoiError, match="not a valid canonical DOI"):
+            Doi("10.1000/abc\n")
+
     @given(
         st.tuples(
             st.sampled_from(["", " ", "doi:", "DOI:", "https://doi.org/", "HTTP://DOI.ORG/"]),

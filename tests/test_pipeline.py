@@ -11,7 +11,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
 
 import pytest
-from conftest import FIXTURE_DIR, CountingTransport
+from conftest import FIXTURE_DIR, CountingTransport, fallback_exchanges
 
 from refs import (
     AdsConfig,
@@ -25,7 +25,6 @@ from refs import (
     ResolutionFailedError,
     ResolutionPath,
     ResolutionReport,
-    StoreError,
     UnusableMetadataError,
     Upstream,
     UpstreamUnavailableError,
@@ -233,6 +232,22 @@ class TestAdsFailureIsReported:
         ads_warnings = [w for w in report.warnings if w.startswith("ADS DOI search failed: ")]
         assert len(ads_warnings) == 1 and cause in ads_warnings[0]
 
+    def test_a_lone_surrogate_in_the_ads_answer_falls_back_with_the_cause(self, fixture_dir,
+                                                                          ads_config):
+        # JSON may escape a lone surrogate, which no store can hold.
+        doc = '{"bibcode": "2017JQSRT.203....3G", "title": ["A \\ud800 B"], "year": "2017"}'
+        url = ads_search_url(ads_config, f'doi:"{HITRAN}"', ADS_FIELD_LIST, rows=10)
+        # Loaded first, this answer wins over the recorded one.
+        transport = FixtureTransport([{"request": {"method": "GET", "url": url, "accept": ""},
+                                       "response": {"status": 200, "body": (
+                                           '{"response": {"docs": [%s]}}' % doc)}}])
+        for archive in sorted(fixture_dir.glob("*.json")):
+            transport.load_file(archive)
+        report = resolve_reference(HITRAN, cfg=ads_config, transport=transport)
+        assert (report.path_taken, report.record.title) == (ResolutionPath.FALLBACK, HITRAN_TITLE)
+        (cause,) = [w for w in report.warnings if w.startswith("ADS DOI search failed: ")]
+        assert "surrogates not allowed" in cause
+
     def test_clean_miss_carries_no_ads_warning(self, transport, ads_config):
         report = resolve_reference(NIST, cfg=ads_config, transport=transport)
         assert report.path_taken is ResolutionPath.FALLBACK
@@ -430,16 +445,27 @@ class TestResolveAndStore:
         assert report.warnings == []
         assert store.get_entry(again).records == [report.record]
 
-    def test_a_doi_whose_set_key_names_another_entry_is_a_store_error(
-            self, counting_transport, ads_config, store):
-        # The key joins DOIs with "|", and a DOI suffix may hold "|" too.
-        gid = store.add_entry([BibRecord(title="A", doi=parse_doi("10.1234/a")),
-                               BibRecord(title="B", doi=parse_doi("10.1234/b"))])
+    def test_a_doi_whose_old_set_key_named_another_entry_is_stored_in_either_order(
+            self, tmp_path, ads_config):
+        # Up to schema version 5 the DOI-set key joined DOIs with "|", which a DOI may hold.
         joined = parse_doi("10.1234/a|10.1234/b")
-        with pytest.raises(StoreError, match=rf"DOI 10\.1234/a\|10\.1234/b .* entry {gid}\b"):
-            resolve_and_store_report(joined, None, store, ads_config, counting_transport)
-        assert counting_transport.requests == []
-        assert store.live_ids() == [gid]
+        parts = [BibRecord(title="A", doi=parse_doi("10.1234/a")),
+                 BibRecord(title="B", doi=parse_doi("10.1234/b"))]
+        csl = json.dumps({"type": "journal-article", "DOI": joined.canonical, "title": "Joined"})
+        transport = FixtureTransport(fallback_exchanges(joined, csl, "@misc{J, title={Joined}}"))
+        for parts_first in (True, False):
+            with RefStore(tmp_path / f"{parts_first}.db") as store:
+                parts_id = store.add_entry(parts) if parts_first else None
+                gid, report = resolve_and_store_report(joined, None, store, ads_config, transport)
+                parts_id = parts_id or store.add_entry(parts)
+                assert gid != parts_id
+                assert report.path_taken is ResolutionPath.FALLBACK
+                assert report.record.title == "Joined"
+                assert store.find_entry_by_dois([joined]) == gid
+                assert store.find_entry_by_dois([r.doi for r in parts]) == parts_id
+                again, report = resolve_and_store_report(joined, None, store, ads_config, transport)
+                assert (again, report.record.title) == (gid, "Joined")
+                assert report.warnings == [f"DOI {joined} is already stored as entry {gid}"]
 
     def test_add_race_is_still_answered_with_the_existing_id(self, transport, ads_config, store):
         report = resolve_reference(HITRAN, cfg=ads_config, transport=transport)

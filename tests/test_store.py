@@ -45,7 +45,7 @@ from refs import (
 from refs import fileio
 from refs.cli import EXIT_STORE, main as cli_main
 from refs.migrations import record_from_dict
-from refs.model import MAX_YEAR, MIN_YEAR, record_to_dict
+from refs.model import MAX_YEAR, MIN_YEAR, entry_label, record_to_dict, record_to_row
 from refs.render import render_format
 from refs.store import BIB_BUNDLE_NAME, HTML_BUNDLE_NAME, SCHEMA_VERSION
 
@@ -179,7 +179,7 @@ class TestRetrieval:
     @example(entries=[[BibRecord(title="\x00")], [BibRecord(title="a\x00b")],
                       [BibRecord(title="a\\u0000b")],
                       [BibRecord(authors=[make_author("\x00", "N\x00")])]])
-    def test_labels_read_from_the_stored_json_match_the_decoded_entries(self, entries):
+    def test_stored_labels_match_the_decoded_entries(self, entries):
         def label(entry):
             first = entry.records[0]
             return first.title or (first.authors[0].formatted if first.authors else "(untitled)")
@@ -207,8 +207,8 @@ class TestRetrieval:
             store.get_entry(gid)
         with pytest.raises(StoreError, match=unreadable + "ValueError"):
             store.list_entries()
-        with pytest.raises(StoreError, match=unreadable + "IndexError"):
-            store.list_labels()
+        # The label was written at add, so listing decodes no records.
+        assert store.list_labels() == [(gid, "A. Author")]
 
     def test_list_empty_store(self, store):
         assert store.list_entries() == []
@@ -432,7 +432,7 @@ class TestStoredTexts:
             for body in (render_html(entry).body, render_bibtex(entry).body):
                 digest.update(body.encode("utf-8") + b"\0")
         assert (SCHEMA_VERSION, digest.hexdigest()) == (
-            5, "a85ae15d7c661886aac797a0c65816d55c04bef3f18b7c07858416985eb0b79a")
+            6, "a85ae15d7c661886aac797a0c65816d55c04bef3f18b7c07858416985eb0b79a")
 
     def test_corpus_through_the_store_matches_the_golden(self, store):
         for entry in build_corpus_entries():
@@ -953,6 +953,9 @@ CREATE TABLE texts (
 PRAGMA user_version = 4;
 """
 
+# Version 5 kept version 4's tables; only its records column changed.
+V5_SCHEMA = V4_SCHEMA.replace("PRAGMA user_version = 4;", "PRAGMA user_version = 5;")
+
 
 def v4_record(r: BibRecord) -> dict:
     """A record as version 4 stored it: an object of its non-null fields, links left out."""
@@ -969,19 +972,23 @@ def v4_record(r: BibRecord) -> dict:
 
 def write_old_store(version: int, path: Path, entries: dict, deleted=(), crossrefs=(),
                     next_id=None, fetched=None) -> None:
-    """A version-1 to -4 file holding ``{gid: (records, note)}``, as that version wrote it.
+    """A version-1 to -5 file holding ``{gid: (records, note)}``, as that version wrote it.
 
-    A version-3 or -4 file also holds each entry's rendered HTML and
-    BibTeX, or, for an ID in ``fetched``, that BibTeX text as fetched from
-    upstream.
+    Each DOI-set key joins the entry's DOIs with ``|``. A version-3 to -5
+    file also holds each entry's rendered HTML and BibTeX, or, for an ID in
+    ``fetched``, that BibTeX text as fetched from upstream.
     """
     conn = sqlite3.connect(path)
-    conn.executescript({1: V1_SCHEMA, 2: V2_SCHEMA, 3: V3_SCHEMA, 4: V4_SCHEMA}[version])
+    conn.executescript(
+        {1: V1_SCHEMA, 2: V2_SCHEMA, 3: V3_SCHEMA, 4: V4_SCHEMA, 5: V5_SCHEMA}[version])
     for gid, (recs, note) in entries.items():
         dois = sorted({r.doi.canonical for r in recs if r.doi})
         key = (gid, "|".join(dois) or None, int(gid in deleted))
-        if version == 4:
-            records_json = json.dumps([v4_record(r) for r in recs], ensure_ascii=False)
+        if version >= 4:
+            records_json = (
+                json.dumps([v4_record(r) for r in recs], ensure_ascii=False) if version == 4
+                else json.dumps([record_to_row(r) for r in recs], ensure_ascii=False,
+                                separators=(",", ":")))
             conn.execute("INSERT INTO entries VALUES (?, ?, ?, ?, ?)", key + (note, records_json))
         else:
             conn.execute("INSERT INTO entries VALUES (?, ?, ?)", key)
@@ -1012,6 +1019,10 @@ def write_old_store(version: int, path: Path, entries: dict, deleted=(), crossre
         conn.execute("UPDATE sqlite_sequence SET seq = ? WHERE name = 'entries'", (next_id - 1,))
     conn.commit()
     conn.close()
+
+
+# What schema_of reads from a file in the current layout.
+CURRENT_SCHEMA = (SCHEMA_VERSION, {"entries", "crossrefs", "texts", "sqlite_sequence"})
 
 
 def schema_of(path: Path) -> tuple[int, set[str]]:
@@ -1067,7 +1078,7 @@ class TestMigration:
             assert exc_info.value.existing_id == 2
             assert store.add_entry([record("10.1000/c")]) == next_id
             assert store.add_entry([record("10.1000/d")]) == next_id + 1
-        assert schema_of(path) == (5, {"entries", "crossrefs", "texts", "sqlite_sequence"})
+        assert schema_of(path) == CURRENT_SCHEMA
         with RefStore(path) as store:
             assert store.add_entry([record("10.1000/e")]) == next_id + 2
 
@@ -1095,7 +1106,7 @@ class TestMigration:
             assert store.live_ids() == [1, 2, 4]
             assert read_table(path, CROSSREFS) == [("CO2", "nu", 7, 3), ("H2O", "nu", 1, 1)]
             assert store.add_entry([record("10.1000/c")]) == 9
-        assert schema_of(path) == (5, {"entries", "crossrefs", "texts", "sqlite_sequence"})
+        assert schema_of(path) == CURRENT_SCHEMA
 
     def test_v3_file_becomes_one_row_per_entry_in_the_opening_transaction(self, tmp_path,
                                                                          statements):
@@ -1126,7 +1137,7 @@ class TestMigration:
         assert read_table(path, "SELECT * FROM texts WHERE entry_id < 9 ORDER BY entry_id") == texts
         assert read_table(path, "SELECT deleted, note FROM entries WHERE global_id = 3") == [
             (1, "tombstoned")]
-        assert schema_of(path) == (5, {"entries", "crossrefs", "texts", "sqlite_sequence"})
+        assert schema_of(path) == CURRENT_SCHEMA
 
     def test_v4_file_gets_positional_rows_in_the_opening_transaction(self, tmp_path,
                                                                       statements):
@@ -1166,9 +1177,48 @@ class TestMigration:
         assert rows == [(gid, int(gid == 3), note, refs.store._records_json(recs))
                         for gid, (recs, note) in entries.items()]
         assert read_table(path, "SELECT * FROM texts WHERE entry_id < 12 ORDER BY entry_id") == texts
-        assert schema_of(path) == (5, {"entries", "crossrefs", "texts", "sqlite_sequence"})
+        assert schema_of(path) == CURRENT_SCHEMA
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_v5_file_gets_labels_and_space_joined_keys_in_the_opening_transaction(
+            self, tmp_path, statements):
+        # Version 5 joined DOIs with "|", so entry 6's one DOI had the key of entry 7's two.
+        path = tmp_path / "v5.db"
+        entries = self.v1_entries()
+        entries[5] = ([BibRecord(authors=[make_author("Jean-Luc", "Ångström")], year=1990)], None)
+        entries[6] = ([BibRecord(title="Joined", doi=parse_doi("10.1234/a|10.1234/b"))], None)
+        entries[7] = ([record("10.1234/a", title=""), record("10.1234/b")], "parts")
+        fetched = {2: "@misc{Author_2000, title={A title}, year={2000}}"}
+        write_old_store(5, path, entries, deleted={3, 7},
+                        crossrefs=[("H2O", "nu", 1, 1), ("CO2", "nu", 7, 3), ("H2O", "nu", 2, 7)],
+                        next_id=12, fetched=fetched)
+        texts = read_table(path, "SELECT * FROM texts ORDER BY entry_id")
+        statements.clear()
+        with RefStore(path) as store:
+            assert statements.count("BEGIN IMMEDIATE") == statements.count("COMMIT") == 1
+            for gid in (1, 2, 4, 5, 6):
+                loaded = store.get_entry(gid)
+                assert (loaded.records, loaded.note) == entries[gid]
+            assert store.list_labels() == [
+                (1, "The HITRAN2016 molecular spectroscopic database"), (2, "A title"),
+                (4, "Private communication"), (5, "J. L. Ångström"), (6, "Joined")]
+            assert store.get_rendered(2, RenderFormat.BIBTEX).body == fetched[2]
+            assert read_table(path, CROSSREFS) == [("CO2", "nu", 7, 3), ("H2O", "nu", 1, 1),
+                                                   ("H2O", "nu", 2, 7)]
+            assert store.add_entry(entries[7][0]) == 12
+            assert store.find_entry_by_dois([parse_doi("10.1234/a|10.1234/b")]) == 6
+            assert store.find_entry_by_dois([parse_doi("10.1234/b"), parse_doi("10.1234/a")]) == 12
+        rows = read_table(path, "SELECT global_id, doi_set, deleted, note, label, records"
+                                " FROM entries WHERE global_id < 12 ORDER BY global_id")
+        assert [row[:2] for row in rows[5:]] == [(6, "10.1234/a|10.1234/b"),
+                                                 (7, "10.1234/a 10.1234/b")]
+        assert rows == [(gid, refs.store._doi_set(r.doi for r in recs), int(gid in (3, 7)), note,
+                         entry_label(recs), refs.store._records_json(recs))
+                        for gid, (recs, note) in entries.items()]
+        assert rows[6][4] == "A. Author"
+        assert read_table(path, "SELECT * FROM texts WHERE entry_id < 12 ORDER BY entry_id") == texts
+        assert schema_of(path) == CURRENT_SCHEMA
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_a_migrated_file_has_the_schema_of_a_new_one(self, tmp_path, version):
         path = tmp_path / f"v{version}.db"
         write_old_store(version, path, self.v1_entries(), deleted={3},
@@ -1178,17 +1228,23 @@ class TestMigration:
         master = "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name"
         assert read_table(path, master) == read_table(tmp_path / "new.db", master)
 
-    # A stored record that no constructor accepts, in a version-4 row or in
-    # a version-2 records column; entry 3 is a tombstone, which is kept too.
+    # A stored record that no constructor accepts, in a version-4 or -5 row or
+    # in a version-2 records column; entry 3 is a tombstone, which is kept too.
     @pytest.mark.parametrize("version, update, value", [
         (4, "UPDATE entries SET records = ? WHERE global_id = 3",
          '[{"title":"T","authors":[{"given_names":["A."]}]}]'),
         (4, "UPDATE entries SET records = ? WHERE global_id = 3", '["T"]'),
         (4, "UPDATE entries SET records = ? WHERE global_id = 3",
          '[{"title":"T","doi":"11.1000/x"}]'),
+        (5, "UPDATE entries SET records = ? WHERE global_id = 3",
+         '[["T",[[["A."]]],"article",null,null,null,null,null,null,null,null]]'),
+        (5, "UPDATE entries SET records = ? WHERE global_id = 3", '[["T"]]'),
+        (5, "UPDATE entries SET records = ? WHERE global_id = 3",
+         '[["T",[],"article",null,null,null,null,null,null,"10.1000/x\\n",null]]'),
         (2, "UPDATE records SET authors = ? WHERE entry_id = 3", "not json"),
         (2, "UPDATE records SET doi = ? WHERE entry_id = 3", "11.1000/x"),
-    ], ids=["v4-no-surname", "v4-not-an-object", "v4-doi", "v2-authors", "v2-doi"])
+    ], ids=["v4-no-surname", "v4-not-an-object", "v4-doi", "v5-no-surname", "v5-short-row",
+            "v5-doi", "v2-authors", "v2-doi"])
     def test_an_unreadable_record_stops_the_migration(self, tmp_path, capsys, statements,
                                                       version, update, value):
         path = tmp_path / f"v{version}.db"
@@ -1199,7 +1255,8 @@ class TestMigration:
         conn.close()
         before = path.read_bytes()
         statements.clear()
-        refusal = "cannot migrate to schema version 5: the records of entry 3 cannot be read"
+        refusal = (f"cannot migrate to schema version {SCHEMA_VERSION}: the records of entry 3"
+                   " cannot be read")
         with pytest.raises(StoreError, match=refusal) as exc_info:
             RefStore(path)
         assert exc_info.value.__cause__ is not None
@@ -1219,8 +1276,8 @@ class TestMigration:
         conn.close()
         before = path.read_bytes()
         statements.clear()
-        with pytest.raises(StoreError, match="cannot migrate to schema version 5: the records"
-                                             " of entry 3 are not a JSON array"):
+        with pytest.raises(StoreError, match=f"cannot migrate to schema version {SCHEMA_VERSION}:"
+                                             " the records of entry 3 are not a JSON array"):
             RefStore(path)
         assert "COMMIT" not in statements
         assert path.read_bytes() == before
@@ -1234,8 +1291,8 @@ class TestMigration:
         conn.close()
         before = path.read_bytes()
         statements.clear()
-        with pytest.raises(StoreError, match="cannot migrate to schema version 5: entry 4 has"
-                                             " no records"):
+        with pytest.raises(StoreError, match=f"cannot migrate to schema version {SCHEMA_VERSION}:"
+                                             " entry 4 has no records"):
             RefStore(path)
         assert "COMMIT" not in statements
         assert path.read_bytes() == before
@@ -1252,7 +1309,7 @@ class TestMigration:
         conn.close()
         before = path.read_bytes()
         statements.clear()
-        refusal = "cannot migrate to schema version 5: entry 4 has no records"
+        refusal = f"cannot migrate to schema version {SCHEMA_VERSION}: entry 4 has no records"
         with pytest.raises(StoreError, match=refusal):
             RefStore(path)
         assert "COMMIT" not in statements
@@ -1268,14 +1325,14 @@ class TestMigration:
         write_old_store(1, path, entries)
         before = path.read_bytes()
         statements.clear()
-        with pytest.raises(StoreError, match=r"2, 6 \(DOIs 10\.1000/a\|10\.1000/b\)") as exc_info:
+        with pytest.raises(StoreError, match=r"2, 6 \(DOIs 10\.1000/a 10\.1000/b\)") as exc_info:
             RefStore(path)
         assert "3, 5" in str(exc_info.value)
         assert "COMMIT" not in statements
         assert path.read_bytes() == before
         assert schema_of(path) == (1, {"entries", "records", "notes", "crossrefs", "id_sequence"})
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_a_doi_set_shared_behind_a_stale_key_stops_the_migration(self, tmp_path, statements,
                                                                       version):
         """Keys are derived from the records, never copied: entry 6's stored key hides that
@@ -1290,9 +1347,9 @@ class TestMigration:
         conn.close()
         before = path.read_bytes()
         statements.clear()
-        with pytest.raises(StoreError, match=r"^cannot migrate to schema version 5: live entries"
-                           r" share a DOI set: 2, 6 \(DOIs 10\.1000/a\|10\.1000/b\)\. Delete all"
-                           r" but one of each group first\.$"):
+        with pytest.raises(StoreError, match=rf"^cannot migrate to schema version {SCHEMA_VERSION}:"
+                           r" live entries share a DOI set: 2, 6 \(DOIs 10\.1000/a 10\.1000/b\)\."
+                           r" Delete all but one of each group first\.$"):
             RefStore(path)
         assert "COMMIT" not in statements
         assert path.read_bytes() == before
@@ -1301,18 +1358,25 @@ class TestMigration:
         """The key is derived by ``store._doi_set`` and read back by the store alone, so a
         new key rule changes that one function; a migration derives every key afresh."""
         selects_doi_set = re.compile(r"\bSELECT\b.*\bdoi_set\b", re.IGNORECASE | re.DOTALL)
-        selecting = []
-        for path in sorted(Path(refs.__file__).parent.glob("*.py")):
-            if path.stem == "store":
-                continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                # One text per literal, f-string or "+" chain of them.
-                if isinstance(node, (ast.Constant, ast.JoinedStr, ast.BinOp)):
-                    text = "".join(part.value for part in ast.walk(node)
-                                   if isinstance(part, ast.Constant) and isinstance(part.value, str))
-                    if selects_doi_set.search(text):
-                        selecting.append(f"{path.stem}:{node.lineno}")
-        assert selecting == []
+        assert [where for where, text in literal_texts()
+                if not where.startswith("store:") and selects_doi_set.search(text)] == []
+
+    def test_no_query_reads_the_record_layout(self):
+        """Only ``model.record_from_row`` reads a stored record row: no SQL reaches into the
+        ``records`` JSON, so the row layout is the model's codec alone."""
+        assert [where for where, text in literal_texts() if "json_extract" in text.lower()] == []
+
+
+def literal_texts() -> list[tuple[str, str]]:
+    """("module:line", text) for each string literal, f-string or "+" chain of them in refs."""
+    texts = []
+    for path in sorted(Path(refs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Constant, ast.JoinedStr, ast.BinOp)):
+                text = "".join(part.value for part in ast.walk(node)
+                               if isinstance(part, ast.Constant) and isinstance(part.value, str))
+                texts.append((f"{path.stem}:{node.lineno}", text))
+    return texts
 
 
 # Cross-reference keys the migration property draws from.
@@ -1408,15 +1472,23 @@ def every_answer(path: Path, last_id: int, out_dir: Path) -> list:
         answers.append(store.add_entry([BibRecord(title="Next")]))
     return answers + [read_table(path, "SELECT type, name, tbl_name, sql FROM sqlite_master"
                                        " ORDER BY name"),
-                      read_table(path, "SELECT global_id, doi_set FROM entries ORDER BY global_id"),
+                      read_table(path, "SELECT global_id, doi_set, label FROM entries"
+                                       " ORDER BY global_id"),
                       read_table(path, "SELECT * FROM texts ORDER BY entry_id")]
 
 
 class TestMigrationProperty:
     @settings(max_examples=10, deadline=None)
     @given(entry_sets())
+    # A DOI holding "|" had the old key of a tombstone holding its parts.
+    @example({"entries": {1: ([BibRecord(title="Joined", doi=parse_doi("10.1234/a|10.1234/b"))],
+                              None),
+                          2: ([record("10.1234/a", title=""), record("10.1234/b")], "parts"),
+                          3: ([BibRecord(authors=[make_author("A.", "Author")])], None)},
+              "deleted": {2}, "crossrefs": {("H2O", "nu", 0): 1, ("CO2", "A", 2): 2},
+              "next_id": 6, "fetched": {1: "@misc{Joined, title={Joined}}"}})
     def test_a_migrated_file_answers_every_read_as_a_new_one(self, drawn):
-        """A v1 to v4 file migrates to the file that adding its entries to a new one makes.
+        """A v1 to v5 file migrates to the file that adding its entries to a new one makes.
 
         Fetched BibTeX exists from version 3 on, so a v1 or v2 file is held
         against a new file without it.
@@ -1430,7 +1502,7 @@ class TestMigrationProperty:
                 tombstones = write_new_store(
                     path, **{**drawn, "fetched": drawn["fetched"] if with_fetched else {}})
                 new[with_fetched] = every_answer(path, last_id, tmp / "out")
-            for version in (1, 2, 3, 4):
+            for version in (1, 2, 3, 4, 5):
                 path = tmp / f"v{version}.db"
                 write_old_store(
                     version, path, drawn["entries"], tombstones,

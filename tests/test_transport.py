@@ -40,6 +40,23 @@ def entry(url, body="ok", method="GET", accept="", status=200, request_body=None
     return e
 
 
+class TestHttpResponseJson:
+    @pytest.mark.parametrize("body, value", [
+        (r'{"t": "x\ud83d\ude00"}', {"t": "x\U0001f600"}),
+        (r'{"t": "x\\ud800"}', {"t": "x\\ud800"}),
+        (r'{"t": "\u00e9"}', {"t": "\u00e9"}),
+    ], ids=["surrogate-pair", "escaped-backslash", "bmp-escape"])
+    def test_escapes_decode_to_text(self, body, value):
+        assert HttpResponse(200, body=body.encode()).json() == value
+
+    @pytest.mark.parametrize("body", [
+        r'{"t": "A \ud800 B"}', r'["\uDFFF"]', r'{"\udc00": 1}', r'[1, {"t": ["\ude00\ud83d"]}]',
+    ], ids=["high", "low-upper-case", "in-a-key", "reversed-pair"])
+    def test_a_lone_surrogate_is_a_value_error(self, body):
+        with pytest.raises(ValueError, match="surrogates not allowed"):
+            HttpResponse(200, body=body.encode()).json()
+
+
 class TestFixtureTransport:
     def test_playback_is_deterministic(self):
         t = FixtureTransport([entry("https://x.test/a", body="payload")])
