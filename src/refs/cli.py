@@ -69,6 +69,13 @@ def _int64(text: str) -> int:
     return value
 
 
+def _text(text: str) -> str:
+    """A text argument SQLite can store: argv bytes that are not UTF-8 decode to lone surrogates."""
+    if any("\ud800" <= c <= "\udfff" for c in text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not UTF-8 text")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="refs",
@@ -105,8 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
         "add", parents=[common, net], help="resolve a DOI (or free-text query) and store it"
     )
     p_add.add_argument("--doi", help="DOI of the work to reference")
-    p_add.add_argument("--query", help="free-text search instead of a DOI (marked unverified)")
-    p_add.add_argument("--note", help="curation note stored and rendered with the entry")
+    p_add.add_argument(
+        "--query", type=_text, help="free-text search instead of a DOI (marked unverified)"
+    )
+    p_add.add_argument("--note", type=_text, help="curation note stored and rendered with the entry")
     p_add.set_defaults(func=cmd_add)
 
     p_render = sub.add_parser("render", parents=[common], help="print one stored entry")
@@ -129,14 +138,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_crossref = sub.add_parser(
         "crossref", parents=[common], help="map a dataset-local integer onto a global ID"
     )
-    p_crossref.add_argument("scope")
-    p_crossref.add_argument("parameter")
+    p_crossref.add_argument("scope", type=_text)
+    p_crossref.add_argument("parameter", type=_text)
     p_crossref.add_argument("local_id", type=_int64)
     p_crossref.add_argument("global_id", type=_int64)
     p_crossref.set_defaults(func=cmd_crossref)
 
     p_list = sub.add_parser("list", parents=[common], help="list stored entries")
-    p_list.add_argument("--scope", help="only entries cross-referenced in this dataset scope")
+    p_list.add_argument(
+        "--scope", type=_text, help="only entries cross-referenced in this dataset scope"
+    )
     p_list.set_defaults(func=cmd_list)
 
     return parser

@@ -43,7 +43,11 @@ class BibtexCardinalityError(RefsError, ValueError):
 
 
 class UnusableMetadataError(RefsError):
-    """Fetched metadata is too sparse to build a record (no author and no title)."""
+    """Fetched metadata builds no record: no author and no title, or a value the model refuses."""
+
+
+# What the model raises, besides a RefsError, when it refuses malformed data.
+MODEL_REFUSALS = (AttributeError, LookupError, TypeError, ValueError)
 
 
 class UnrenderableError(RefsError):

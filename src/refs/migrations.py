@@ -2,21 +2,22 @@
 
 ``RefStore`` imports this module only when it opens a file older than
 ``SCHEMA_VERSION``; opening a current file never loads it. ``migrate``
-reads every entry through the reader of the file's version, which yields
-only its tombstone flag and the entry, and writes the current layout once
-by the store's own rules for a new entry: ``_SCHEMA``, ``_records_json``,
-``_doi_set``, ``model.entry_label`` and ``_texts``. So a migrated file
-reads exactly as a new one, and nothing here pins what the store writes:
-a new schema version, which a new label rule or new rendered bytes also
-need, adds a reader for the version it replaces.
+reads from the old file only what no rule derives: each entry's records,
+note and tombstone flag, through the reader of the file's version; its
+fetched BibTeX; the cross-references; and the ID sequence. It writes the
+current layout once, by the store's own rules for a new entry: ``_SCHEMA``
+and ``_row``. So a migrated file reads exactly as a new one, and nothing
+here pins what the store writes: a new schema version, which a new label
+rule or new rendered bytes also need, adds a reader for the version it
+replaces.
 
 Up to version 3, an entry's records were the rows of a ``records`` table,
-one column per field, and its note a row of ``notes``. Versions 4 and 5
+one column per field, and its note a row of ``notes``. Versions 4 to 6
 kept both in the ``entries`` row, the records as a JSON array: of
 ``model.record_to_dict`` objects in version 4, of ``model.record_to_row``
-arrays in version 5. Versions 3 to 5 also stored each entry's HTML and
-BibTeX, which are copied byte for byte; a version 1 or 2 file gets them
-rendered. No old DOI-set key or label is read.
+arrays from version 5 on. Versions 3 to 6 kept each entry's HTML and
+BibTeX in a ``texts`` table, of which only BibTeX fetched from upstream
+is read. No old DOI-set key, label or rendered text is read.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
-from .errors import StoreError
+from .errors import MODEL_REFUSALS, StoreError
 from .identifiers import parse_bibcode, parse_doi
-from .model import AuthorName, BibRecord, Pages, RefEntry, SourceType, entry_label, record_from_row
-from .store import (_SCHEMA, SCHEMA_VERSION, _UNDECODABLE, _doi_set, _records_json, _texts,
-                    _unreadable)
+from .model import AuthorName, BibRecord, Pages, RefEntry, SourceType, record_from_row
+from .store import _SCHEMA, SCHEMA_VERSION, _row, _unreadable
 
 # Record columns of versions 1 to 3, named after the keys of
 # model.record_to_dict except that pages are split in two. ``source_type``
@@ -68,27 +68,20 @@ def migrate(conn: sqlite3.Connection, version: int) -> None:
         (seq,) = conn.execute(
             "SELECT COALESCE(MAX(seq), 0) FROM sqlite_sequence WHERE name = 'entries'"
         ).fetchone()
-    conn.execute("CREATE TEMP TABLE old_entries"
-                 " (global_id INTEGER PRIMARY KEY, doi_set, deleted, note, label, records)")
-    conn.execute("CREATE TEMP TABLE old_texts (entry_id, html, bibtex, bibtex_fetched)")
+    fetched = dict(conn.execute("SELECT entry_id, bibtex FROM main.texts WHERE bibtex_fetched = 1")
+                   if version >= 3 else ())
+    conn.execute("CREATE TEMP TABLE old_entries (global_id INTEGER PRIMARY KEY, doi_set, deleted,"
+                 " note, label, records, html, bibtex, bibtex_fetched)")
     conn.execute("CREATE TEMP TABLE old_crossrefs AS SELECT"
                  " dataset_scope, parameter, local_id, global_id FROM main.crossrefs")
-    if version >= 3:
-        conn.execute("INSERT INTO old_texts"
-                     " SELECT entry_id, html, bibtex, bibtex_fetched FROM main.texts")
     decode = record_from_dict if version == 4 else record_from_row
     entries = _entries_v1_to_v3(conn) if version <= 3 else _entries_json(conn, decode)
     live: dict[str, list[int]] = {}  # the live entries' IDs by DOI-set key
     for deleted, entry in entries:
-        doi_set = _doi_set(r.doi for r in entry.records)
-        if doi_set is not None and not deleted:
-            live.setdefault(doi_set, []).append(entry.global_id)
-        conn.execute("INSERT INTO old_entries VALUES (?, ?, ?, ?, ?, ?)",
-                     (entry.global_id, doi_set, deleted, entry.note, entry_label(entry.records),
-                      _records_json(entry.records)))
-        if version <= 2:
-            conn.execute("INSERT INTO old_texts VALUES (?, ?, ?, ?)",
-                         (entry.global_id, *_texts(entry)))
+        row = _row(entry, deleted, fetched.get(entry.global_id))
+        if row[1] is not None and not deleted:
+            live.setdefault(row[1], []).append(entry.global_id)
+        conn.execute("INSERT INTO old_entries VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)", row)
     _refuse_shared_keys(live)
     old_tables = conn.execute(
         "SELECT name FROM main.sqlite_master WHERE type = 'table' AND name NOT LIKE 'sqlite%'"
@@ -97,7 +90,7 @@ def migrate(conn: sqlite3.Connection, version: int) -> None:
         conn.execute(f"DROP TABLE main.{table}")
     for statement in _SCHEMA:
         conn.execute(statement)
-    for table in ("entries", "crossrefs", "texts"):
+    for table in ("entries", "crossrefs"):
         conn.execute(f"INSERT INTO main.{table} SELECT * FROM old_{table}")
         conn.execute(f"DROP TABLE old_{table}")
     # The next ID stays above every ID the file ever handed out.
@@ -133,7 +126,7 @@ def _entries_v1_to_v3(conn: sqlite3.Connection) -> Iterator[tuple[int, RefEntry]
 
 def _entries_json(conn: sqlite3.Connection,
                   decode: Callable[[Any], BibRecord]) -> Iterator[tuple[int, RefEntry]]:
-    """(deleted, entry) for every entry of a version 4 or 5 file, in ID order; each record
+    """(deleted, entry) for every entry of a version 4 to 6 file, in ID order; each record
     of the row's JSON array through ``decode``."""
     rows = conn.execute("SELECT global_id, deleted, note, records FROM entries ORDER BY global_id")
     try:
@@ -153,7 +146,7 @@ def _decoded(global_id: int, note: str | None, records: Iterable[BibRecord]) -> 
     """Entry ``global_id``, its records decoded as ``records`` is drawn, every check included."""
     try:
         return RefEntry(list(records), note, global_id)
-    except _UNDECODABLE as exc:
+    except MODEL_REFUSALS as exc:
         raise _refusal(_unreadable(global_id, exc)) from exc
 
 
@@ -169,17 +162,14 @@ def _records_from_columns(rows: Iterator[tuple]) -> Iterator[BibRecord]:
         yield record_from_dict(fields)
 
 
-def author_from_dict(d: dict[str, Any]) -> AuthorName:
-    return AuthorName(tuple(d.get("given_names", ())), d["surname"])
-
-
 def record_from_dict(d: dict[str, Any]) -> BibRecord:
     """The record ``model.record_to_dict`` wrote, built through every constructor check."""
     pages = d.get("pages")
     if pages is not None:
         pages = Pages(pages["first"], pages.get("last"))
     return BibRecord(
-        d.get("title", ""), [author_from_dict(a) for a in d.get("authors", ())],
+        d.get("title", ""),
+        [AuthorName(tuple(a.get("given_names", ())), a["surname"]) for a in d.get("authors", ())],
         SourceType(d.get("source_type", "article")),
         d.get("journal"), d.get("volume"), d.get("number"), pages, d.get("year"),
         d.get("publisher"), parse_doi(d["doi"]) if d.get("doi") else None,

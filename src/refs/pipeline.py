@@ -8,9 +8,11 @@ the output formats, so both routes yield identical HTML by construction.
 from __future__ import annotations
 
 import enum
+from typing import Callable
 
 from .bibtex import bibtex_to_record
 from .errors import (
+    MODEL_REFUSALS,
     DuplicateEntryError,
     MissingEntryError,
     RefsError,
@@ -120,7 +122,7 @@ def resolve_reference(
 
     if docs:
         try:
-            record = ads_doc_to_record(docs[0], queried_doi=doi)
+            record = _record("ADS document", ads_doc_to_record, docs[0], doi)
             # Last in the try: an unusable document leaves no mismatch warning.
             if record.doi is not None and record.doi.canonical != doi.canonical:
                 warnings.append(
@@ -133,7 +135,7 @@ def resolve_reference(
                                     warnings=warnings)
 
     try:
-        record = csl_to_record(fetch_csl_json(doi, upstream))
+        record = _record(f"citation JSON for {doi}", csl_to_record, fetch_csl_json(doi, upstream))
     except RefsError as exc:
         raise ResolutionFailedError(ads_cause, str(exc)) from exc
     bibtex = None
@@ -167,7 +169,7 @@ def _resolve_match(
 ) -> ResolutionReport:
     """The query route's report for the DOI its keyword search matched."""
     fetched = fetch_bibtex(matched, upstream)
-    record = bibtex_to_record(fetched)
+    record = _record(f"BibTeX for {matched}", bibtex_to_record, fetched)
     if record.doi is None:
         raise UnusableMetadataError(f"query result for {freeform!r} carries no DOI")
     if not record.authors and not record.title:
@@ -178,6 +180,17 @@ def _resolve_match(
         record.doi, ResolutionPath.FALLBACK, record, RefEntry([record], note), fetched,
         [_keyword_match(freeform, matched)], unverified=True,
     )
+
+
+def _record(source: str, to_record: Callable[..., BibRecord], *upstream_data) -> BibRecord:
+    """``to_record(*upstream_data)``; a value the model refuses is UnusableMetadataError."""
+    try:
+        return to_record(*upstream_data)
+    except RefsError:
+        raise
+    except MODEL_REFUSALS as exc:
+        raise UnusableMetadataError(
+            f"{source} holds a value the model refuses: {type(exc).__name__}: {exc}") from exc
 
 
 def _keyword_match(freeform: str, matched: Doi) -> str:

@@ -5,29 +5,29 @@ deletion is a tombstone, so an ID keeps naming the same work forever.
 
 Each entry is one ``entries`` row: its ID; its DOI set, the duplicate
 key, its sorted canonical DOIs joined by spaces, which no DOI holds; its
-tombstone flag; its note; its ``model.entry_label``; and its records as
-one compact JSON array of ``model.record_to_row`` arrays. A record's
-array holds its fields in ``BibRecord``'s constructor order: title;
-authors, each ``[given_names, surname]``; the source type's value;
-journal, volume and number; pages as ``[first, last]`` or null; year and
-publisher; the canonical DOI and the 19-character bibcode. An absent
-field is null. So reading an entry back is one primary-key lookup, and
-each record is built straight through its constructors, every check
-included.
+tombstone flag; its note; its ``model.entry_label``; its records as one
+compact JSON array of ``model.record_to_row`` arrays; and its HTML and
+BibTeX. A record's array holds its fields in ``BibRecord``'s constructor
+order: title; authors, each ``[given_names, surname]``; the source type's
+value; journal, volume and number; pages as ``[first, last]`` or null;
+year and publisher; the canonical DOI and the 19-character bibcode. An
+absent field is null. So reading an entry back is one primary-key
+lookup, and each record is built straight through its constructors,
+every check included.
 
 Entries do not change after they are added, so each entry's HTML and
-BibTeX are rendered once, by ``_texts``, and stored in ``texts``.
-For an entry resolved through doi.org, the stored BibTeX is the text
-doi.org sent. ``render --format html|bibtex``, a repeat add and the bundle
+BibTeX are rendered once, by ``_row``, and stored in its row. For an
+entry resolved through doi.org, the stored BibTeX is the text doi.org
+sent. ``render --format html|bibtex``, a repeat add and the bundle
 export read the stored text; JSON and plain text are rendered from the
 records on every read. Reading stored text needs no model and no
 renderer, so this module imports ``refs.model`` and ``refs.render`` only
 when a call first decodes, labels or renders an entry. A change to the
 bytes either renderer writes, or to the label rule, is a schema change:
 it raises ``SCHEMA_VERSION``, and ``refs.migrations.migrate`` then
-renders the stored texts of older files afresh instead of copying them,
-keeping fetched BibTeX. The schema version is the one stamp of what the
-stored texts and labels hold.
+renders the stored texts of older files afresh, keeping fetched BibTeX.
+The schema version is the one stamp of what the stored texts and labels
+hold.
 
 What holds when several processes share one database file:
 
@@ -56,9 +56,9 @@ may see another thread's write on the same handle before that write
 commits. Opening a file creates the current schema, or migrates an older
 one in place, in one transaction. ``refs.migrations.migrate`` reads the
 older file's entries and writes them as an add would, through
-``_SCHEMA``, ``_records_json``, ``_doi_set``, ``model.entry_label`` and
-``_texts``; that module is imported only to migrate a file. Migration is
-one way: older versions of this module refuse the migrated file.
+``_SCHEMA`` and ``_row``; that module is imported only to migrate a
+file. Migration is one way: older versions of this module refuse the
+migrated file.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
+    MODEL_REFUSALS,
     CrossRefConflictError,
     DuplicateEntryError,
     MissingEntryError,
@@ -105,22 +106,25 @@ class _OnFirstUse:
 model = _OnFirstUse("model")
 render = _OnFirstUse("render")
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 _LIVE_DOI_SET_INDEX = (
     "CREATE UNIQUE INDEX live_doi_set ON entries (doi_set) WHERE deleted = 0"
 )
 
 _SCHEMA = (
-    # ``label`` is model.entry_label's, ``records`` the JSON array _records_json writes.
+    # Each column as _row writes it; ``bibtex_fetched`` marks BibTeX that a re-render keeps.
     """
 CREATE TABLE entries (
-    global_id INTEGER PRIMARY KEY AUTOINCREMENT,
-    doi_set   TEXT,
-    deleted   INTEGER NOT NULL DEFAULT 0,
-    note      TEXT,
-    label     TEXT NOT NULL,
-    records   TEXT NOT NULL
+    global_id      INTEGER PRIMARY KEY AUTOINCREMENT,
+    doi_set        TEXT,
+    deleted        INTEGER NOT NULL DEFAULT 0,
+    note           TEXT,
+    label          TEXT NOT NULL,
+    records        TEXT NOT NULL,
+    html           TEXT,
+    bibtex         TEXT NOT NULL,
+    bibtex_fetched INTEGER NOT NULL
 )""",
     _LIVE_DOI_SET_INDEX,
     """
@@ -131,17 +135,6 @@ CREATE TABLE entries (
         global_id     INTEGER NOT NULL REFERENCES entries(global_id),
         PRIMARY KEY (dataset_scope, parameter, local_id)
     )""",
-    # Each entry's HTML body and BibTeX text, as ``render_html`` and
-    # ``render_bibtex`` write them. ``html`` is NULL when a record has no
-    # renderable field, and ``bibtex_fetched`` marks BibTeX fetched from
-    # upstream, which a re-render keeps.
-    """
-CREATE TABLE texts (
-    entry_id       INTEGER PRIMARY KEY REFERENCES entries(global_id),
-    html           TEXT,
-    bibtex         TEXT NOT NULL,
-    bibtex_fetched INTEGER NOT NULL
-)""",
 )
 
 _SELECT_ENTRY = "SELECT note, records FROM entries WHERE global_id = ? AND deleted = 0"
@@ -154,8 +147,7 @@ _SELECT_ENTRIES = (
 
 # The stored text of one live entry, by format.
 _SELECT_TEXT = {
-    fmt: f"SELECT t.{fmt.value} FROM texts t JOIN entries e ON e.global_id = t.entry_id"
-    " WHERE t.entry_id = ? AND e.deleted = 0"
+    fmt: f"SELECT {fmt.value} FROM entries WHERE global_id = ? AND deleted = 0"
     for fmt in (RenderFormat.HTML, RenderFormat.BIBTEX)
 }
 
@@ -204,7 +196,9 @@ class RefStore:
             version = self._user_version()
             if version == SCHEMA_VERSION:
                 return
-            if version == 0 and not self._has_tables():
+            if version == 0 and not conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'entries'"
+            ).fetchone():
                 for statement in _SCHEMA:
                     conn.execute(statement)
             elif 1 <= version < SCHEMA_VERSION:
@@ -216,12 +210,6 @@ class RefStore:
                     f"{self.path} carries schema version {version}, expected {SCHEMA_VERSION}"
                 )
             conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-
-    def _has_tables(self) -> bool:
-        row = self._conn.execute(
-            "SELECT COUNT(*) FROM sqlite_master WHERE type='table' AND name='entries'"
-        ).fetchone()
-        return row[0] > 0
 
     @contextmanager
     def _transaction(self, begin: str = "BEGIN IMMEDIATE") -> Iterator[sqlite3.Connection]:
@@ -268,22 +256,18 @@ class RefStore:
             existing = self._live_id_for_doi_set(doi_set)
         if existing is not None:
             raise _duplicate(existing)
-        records_json = _records_json(records)
         with self._transaction() as conn:
+            # The HTML labels each line with the ID, so take the one AUTOINCREMENT would.
+            (gid,) = conn.execute(
+                "SELECT 1 + MAX(IFNULL((SELECT seq FROM sqlite_sequence WHERE name = 'entries'),"
+                " 0), IFNULL((SELECT MAX(global_id) FROM entries), 0))").fetchone()
             try:
-                gid = conn.execute(
-                    "INSERT INTO entries (doi_set, note, label, records) VALUES (?, ?, ?, ?)",
-                    (doi_set, note, model.entry_label(records), records_json),
-                ).lastrowid
+                conn.execute("INSERT INTO entries VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                             _row(model.RefEntry(records, note, gid), 0, bibtex))
             except sqlite3.IntegrityError:
                 # Only the live_doi_set index can refuse this row: another
                 # writer stored the same DOIs since the read above.
                 raise _duplicate(self._live_id_for_doi_set(doi_set)) from None
-            # The HTML labels each line with the ID, known only now.
-            conn.execute(
-                "INSERT INTO texts (entry_id, html, bibtex, bibtex_fetched) VALUES (?, ?, ?, ?)",
-                (gid, *_texts(model.RefEntry(records, note, gid), bibtex)),
-            )
         return gid
 
     def delete_entry(self, global_id: int) -> None:
@@ -411,8 +395,8 @@ class RefStore:
         """(HTML, BibTeX) chunks for the bundle: the stored texts of these live IDs, in order."""
         yield _HTML_HEAD, ""
         rows = self._conn.execute(
-            "SELECT entry_id, html, bibtex FROM texts"
-            " WHERE entry_id IN (SELECT value FROM json_each(?)) ORDER BY entry_id",
+            "SELECT global_id, html, bibtex FROM entries"
+            " WHERE global_id IN (SELECT value FROM json_each(?)) ORDER BY global_id",
             (json.dumps(ids),),
         )
         try:
@@ -484,26 +468,23 @@ def _doi_set(dois: Iterable[Doi | None]) -> str | None:
     return " ".join(canonical) if canonical else None
 
 
-def _records_json(records: list[BibRecord]) -> str:
-    """The ``records`` column of an entry: its records through the model's row codec."""
-    return json.dumps(
-        [model.record_to_row(r) for r in records], ensure_ascii=False, separators=(",", ":")
-    )
+def _row(entry: RefEntry, deleted: int, bibtex: str | None) -> tuple:
+    """The ``entries`` row of an entry, each column by the rule for a new entry.
 
-
-def _texts(entry: RefEntry, bibtex: str | None = None) -> tuple[str | None, str, bool]:
-    """(HTML or None if unrenderable, BibTeX, fetched): ``bibtex`` is kept, else rendered."""
+    ``records`` goes through the model's row codec, and ``html`` is None if
+    no record renders. ``bibtex``, fetched from upstream, is kept, else rendered.
+    """
+    records = entry.records
     try:
         html = render.render_html(entry).body
     except UnrenderableError:
         html = None
-    if bibtex is not None:
-        return html, bibtex, True
-    return html, render.render_bibtex(entry).body, False
-
-
-# What decoding a malformed stored entry raises, past the model's checks.
-_UNDECODABLE = (AttributeError, LookupError, TypeError, ValueError)
+    return (entry.global_id, _doi_set(r.doi for r in records), deleted, entry.note,
+            model.entry_label(records),
+            json.dumps([model.record_to_row(r) for r in records], ensure_ascii=False,
+                       separators=(",", ":")),
+            html, render.render_bibtex(entry).body if bibtex is None else bibtex,
+            bibtex is not None)
 
 
 def _unreadable(global_id: int, exc: Exception) -> str:
@@ -515,5 +496,5 @@ def _entry_from_row(global_id: int, note: str | None, records_json: str) -> RefE
     try:
         records = list(map(model.record_from_row, json.loads(records_json)))
         return model.RefEntry(records, note, global_id)
-    except _UNDECODABLE as exc:
+    except MODEL_REFUSALS as exc:
         raise StoreError(_unreadable(global_id, exc)) from exc

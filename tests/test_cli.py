@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import io
 import json
+import os
+import shutil
 import sqlite3
 import subprocess
 import sys
@@ -61,6 +64,14 @@ def run(capsys, *argv: str):
 
 def offline(*argv: str, db: str) -> list[str]:
     return [*argv, "--db", db, "--offline", "--fixtures", str(FIXTURE_DIR)]
+
+
+def write_fixtures(tmp_path: Path, exchanges: list[dict]) -> Path:
+    """A fixture directory holding one archive of these recorded exchanges."""
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    (fixtures / "recorded.json").write_text(json.dumps({"entries": exchanges}))
+    return fixtures
 
 
 class TestAdd:
@@ -233,6 +244,68 @@ class TestAdd:
         assert err.startswith("refs: reference resolution failed: ") and err.count("\n") == 1
         assert f"citation JSON for {doi} does not parse: " in err
         assert "surrogates not allowed" in err
+        assert Path(db_path).read_bytes() == before
+
+    @pytest.mark.parametrize("year, cause", [
+        ("1200", "ValueError: year out of range [1500, 2999]: 1200"),
+        ("20x7", "ValueError: invalid literal for int() with base 10: '20x7'"),
+    ], ids=["year-1200", "year-20x7"])
+    def test_an_ads_doc_with_a_value_the_model_refuses_falls_back(self, capsys, db_path,
+                                                                  tmp_path, year, cause):
+        doi = "10.1234/ads-year"
+        csl = json.dumps({"type": "journal-article", "DOI": doi, "title": "From doi.org"})
+        exchanges = fallback_exchanges(parse_doi(doi), csl, "@misc{D, title={From doi.org}}")
+        doc = {"bibcode": "2017JQSRT.203....3G", "title": ["From ADS"], "year": year, "doi": [doi]}
+        exchanges[0]["response"]["body"] = json.dumps({"response": {"numFound": 1, "docs": [doc]}})
+        code, out, err = run(capsys, "add", "--doi", doi, "--db", db_path, "--offline",
+                             "--fixtures", str(write_fixtures(tmp_path, exchanges)))
+        assert (code, out) == (0, "id=1 path=fallback\n")
+        assert err == ("refs: warning: ADS document for 2017JQSRT.203....3G is unusable:"
+                       f" ADS document holds a value the model refuses: {cause}\n")
+        with RefStore(db_path) as store:
+            assert store.get_entry(1).records[0].title == "From doi.org"
+
+    @pytest.mark.parametrize("fields, cause", [
+        ({"issued": {"date-parts": [[99999]]}}, "ValueError: year out of range [1500, 2999]: 99999"),
+        ({"issued": {"date-parts": [["abc"]]}},
+         "ValueError: invalid literal for int() with base 10: 'abc'"),
+        ({"issued": {"date-parts": [[float("nan")]]}},
+         "ValueError: cannot convert float NaN to integer"),
+        ({"author": "x"}, "AttributeError: 'str' object has no attribute 'get'"),
+    ], ids=["year-99999", "year-abc", "year-nan", "author-str"])
+    def test_citation_json_with_a_value_the_model_refuses_exits_2_and_leaves_the_store(
+            self, capsys, db_path, tmp_path, fields, cause):
+        doi = "10.1234/csl-refused"
+        csl = json.dumps({"type": "journal-article", "DOI": doi, "title": "T", **fields})
+        fixtures = write_fixtures(tmp_path, fallback_exchanges(parse_doi(doi), csl, "@misc{C}"))
+        run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
+        before = Path(db_path).read_bytes()
+        code, out, err = run(capsys, "add", "--doi", doi, "--db", db_path, "--offline",
+                             "--fixtures", str(fixtures))
+        assert (code, out) == (EXIT_RESOLUTION, "")
+        assert err.startswith("refs: reference resolution failed: ") and err.count("\n") == 1
+        assert f"fallback path: citation JSON for {doi} holds a value the model refuses: {cause}\n" in err
+        assert Path(db_path).read_bytes() == before
+
+    def test_a_query_match_with_a_year_the_model_refuses_exits_2_and_leaves_the_store(
+            self, capsys, db_path, tmp_path):
+        doi = parse_doi("10.1234/query-year")
+        query = "An old title"
+        bibtex = "@article{Q, title={An old title}, year={1200}, doi={10.1234/query-year}}"
+        exchanges = [
+            {"request": {"method": "GET", "url": refs.resolvers.crossref_query_url(query),
+                         "accept": "application/json"},
+             "response": {"status": 200, "body": json.dumps(
+                 {"message": {"items": [{"DOI": doi.canonical}]}})}},
+            fallback_exchanges(doi, "{}", bibtex)[2],
+        ]
+        run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
+        before = Path(db_path).read_bytes()
+        code, out, err = run(capsys, "add", "--query", query, "--db", db_path, "--offline",
+                             "--fixtures", str(write_fixtures(tmp_path, exchanges)))
+        assert (code, out) == (EXIT_RESOLUTION, "")
+        assert err == (f"refs: BibTeX for {doi} holds a value the model refuses:"
+                       " ValueError: year out of range [1500, 2999]: 1200\n")
         assert Path(db_path).read_bytes() == before
 
     def test_repeat_add_returns_same_id_with_warning(self, capsys, db_path):
@@ -625,6 +698,57 @@ class TestArgumentErrors:
         assert (code, out) == (64, "")
         assert err.startswith("usage: refs")
         assert err.splitlines()[-1].startswith(message)
+
+    # "\udcff" is how Python decodes the argv byte 0xff, which is not UTF-8.
+    @pytest.mark.parametrize("argv, name", [
+        (["add", "--doi", HITRAN, "--note", "bad \udcff note"], "--note"),
+        (["add", "--query", "HITRAN \udcff"], "--query"),
+        (["crossref", "H2O\udcff", "nu", "1", "1"], "scope"),
+        (["crossref", "H2O", "nu\udcff", "1", "1"], "parameter"),
+        (["list", "--scope", "\udcffH2O"], "--scope"),
+    ], ids=["note", "query", "crossref-scope", "crossref-parameter", "list-scope"])
+    def test_a_text_argument_that_is_not_utf8_exits_64_naming_it(self, capsys, db_path, argv,
+                                                                   name):
+        code, out, err = run(capsys, *argv, "--db", db_path)
+        assert (code, out) == (64, "")
+        assert f"error: argument {name}: " in err and err.endswith(" is not UTF-8 text\n")
+        assert "Traceback" not in err
+        assert not Path(db_path).exists()
+
+    def test_path_arguments_that_are_not_utf8_still_work(self, capsys, tmp_path, monkeypatch):
+        db = str(tmp_path / "refs\udcff.db")
+        fixtures = tmp_path / "fixtures\udcff"
+        shutil.copytree(FIXTURE_DIR, fixtures)
+        assert run(capsys, "add", "--doi", HITRAN, "--db", db, "--offline",
+                   "--fixtures", str(fixtures)) == (0, "id=1 path=ads\n", "")
+        out_dir = tmp_path / "out\udcff"
+        # A process's stdout writes such a path back as the bytes it came from.
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["export", "--all", "--db", db, "-o", str(out_dir)]) == 0
+        stdout.flush()
+        assert stdout.buffer.getvalue() == os.fsencode(
+            f"{out_dir / 'refs.html'}\n{out_dir / 'refs.bib'}\n")
+        monkeypatch.undo()
+        assert (out_dir / "refs.bib").read_text(encoding="utf-8").startswith("@article{")
+        # Live, over a fake network answering from the recorded fixtures.
+        monkeypatch.setenv("REFS_ADS_TOKEN", "s3cret")
+        recorded = FixtureTransport.from_dir(FIXTURE_DIR)
+
+        def answer(sent):
+            url = f"{sent.conn.scheme}://{sent.conn.netloc}{sent.target}"
+            response = recorded.execute(HttpRequest(sent.method, url, sent.headers))
+            return FakeResponse(response.status, response.headers.items(), response.body)
+
+        network = FakeNetwork()
+        network.answer = answer
+        monkeypatch.setattr(refs.transport, "_connect", network)
+        archive = tmp_path / "recorded\udcff.json"
+        code, out, _ = run(capsys, "add", "--doi", "10.18434/t4w30f", "--db", db,
+                           "--record-fixtures", str(archive))
+        assert (code, out) == (0, "id=2 path=fallback\n")
+        recorded = json.loads(archive.read_text(encoding="utf-8"))["entries"]
+        assert [e["request"]["url"] for e in recorded][-2:] == ["https://doi.org/10.18434/t4w30f"] * 2
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as stop:

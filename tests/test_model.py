@@ -319,7 +319,7 @@ class TestRowCodec:
         # A stored row has no keys, so it means what this order says. A new
         # BibRecord field needs a migration step that rewrites every row, a
         # new SCHEMA_VERSION, and a new pin here.
-        assert (SCHEMA_VERSION, BibRecord._field_names) == (6, (
+        assert (SCHEMA_VERSION, BibRecord._field_names) == (7, (
             "title", "authors", "source_type", "journal", "volume", "number", "pages",
             "year", "publisher", "doi", "bibcode"))
         r = full_record()

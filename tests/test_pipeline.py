@@ -317,6 +317,20 @@ class TestQueryMode:
         assert any("may belong to a different article" in w for w in report.warnings)
         assert set(report.renders) == set(RenderFormat)
 
+    def test_a_match_whose_bibtex_the_model_refuses_is_unusable_metadata(self, ads_config):
+        doi = parse_doi("10.1234/query-year")
+        search = {"request": {"method": "GET", "url": resolvers.crossref_query_url("Old"),
+                              "accept": "application/json"},
+                  "response": {"status": 200, "body": json.dumps(
+                      {"message": {"items": [{"DOI": doi.canonical}]}})}}
+        bibtex = "@article{Q, title={Old}, year={1200}, doi={10.1234/query-year}}"
+        transport = FixtureTransport([search, fallback_exchanges(doi, "{}", bibtex)[2]])
+        with pytest.raises(UnusableMetadataError) as exc_info:
+            resolve_query_reference("Old", cfg=ads_config, transport=transport)
+        assert str(exc_info.value) == (f"BibTeX for {doi} holds a value the model refuses:"
+                                       " ValueError: year out of range [1500, 2999]: 1200")
+        assert type(exc_info.value.__cause__) is ValueError
+
 
 class TestResolveAndStore:
     def test_fresh_doi_gets_new_id(self, transport, ads_config, store):

@@ -410,7 +410,7 @@ class TestExportBundle:
 
 def stored_texts(store: RefStore, gid: int) -> tuple:
     return store._conn.execute(
-        "SELECT html, bibtex, bibtex_fetched FROM texts WHERE entry_id = ?", (gid,)
+        "SELECT html, bibtex, bibtex_fetched FROM entries WHERE global_id = ?", (gid,)
     ).fetchone()
 
 
@@ -424,15 +424,15 @@ def fresh_html(entry: RefEntry) -> str | None:
 class TestStoredTexts:
     def test_renderers_are_pinned_to_the_schema_version(self):
         # The store keeps what render_html and render_bibtex wrote at add
-        # time. When these bytes change, raise SCHEMA_VERSION, have
-        # refs.migrations.migrate render the texts of files older than it
-        # afresh, keeping fetched BibTeX, and pin both here.
+        # time. When these bytes change, raise SCHEMA_VERSION, so that
+        # refs.migrations.migrate renders the texts of older files afresh,
+        # and pin both here.
         digest = hashlib.sha256()
         for entry in build_corpus_entries():
             for body in (render_html(entry).body, render_bibtex(entry).body):
                 digest.update(body.encode("utf-8") + b"\0")
         assert (SCHEMA_VERSION, digest.hexdigest()) == (
-            6, "a85ae15d7c661886aac797a0c65816d55c04bef3f18b7c07858416985eb0b79a")
+            7, "a85ae15d7c661886aac797a0c65816d55c04bef3f18b7c07858416985eb0b79a")
 
     def test_corpus_through_the_store_matches_the_golden(self, store):
         for entry in build_corpus_entries():
@@ -565,8 +565,8 @@ class TestConcurrency:
     def test_duplicate_read_waits_for_an_add_in_flight_on_the_handle(self, store, monkeypatch):
         import threading
 
-        class FailingTextsInsert:
-            """The handle's connection, except that the first texts insert stalls, then fails."""
+        class FailingCommit:
+            """The handle's connection, except that the first commit stalls, then fails."""
 
             def __init__(self, conn):
                 self._conn = conn
@@ -576,13 +576,13 @@ class TestConcurrency:
                 return getattr(self._conn, name)
 
             def execute(self, sql, *params):
-                if self.stalled.is_set() or not sql.startswith("INSERT INTO texts"):
+                if self.stalled.is_set() or sql != "COMMIT":
                     return self._conn.execute(sql, *params)
                 self.stalled.set()
                 time.sleep(0.3)  # the entries row is inserted but not committed
                 raise sqlite3.OperationalError("disk I/O error")
 
-        conn = FailingTextsInsert(store._conn)
+        conn = FailingCommit(store._conn)
         monkeypatch.setattr(store, "_conn", conn)
         errors = []
 
@@ -699,13 +699,15 @@ class TestQueryCounts:
         assert len(entry.records) == 2 and entry.note == "note 3"
         assert plan == ["SEARCH entries USING INTEGER PRIMARY KEY (rowid=?)"]
 
-    def test_a_fresh_add_is_two_inserts(self, tmp_path, statements):
+    def test_a_fresh_add_is_one_id_read_and_one_insert(self, tmp_path, statements):
         with filled_store(tmp_path / "refs.db", 10) as store:
             statements.clear()
             gid = store.add_entry([record("10.5000/new.a"), record("10.5000/new.b")], note="n")
-        inserts = [s.split(" (")[0] for s in statements if s.startswith("INSERT")]
-        assert inserts == ["INSERT INTO entries", "INSERT INTO texts"]
-        assert statements.count("BEGIN IMMEDIATE") == statements.count("COMMIT") == 1
+        begin = statements.index("BEGIN IMMEDIATE")
+        id_read, insert, commit = statements[begin + 1:]
+        assert "sqlite_sequence" in id_read and id_read.startswith("SELECT")
+        assert insert.startswith("INSERT INTO entries VALUES")
+        assert commit == "COMMIT"
         assert gid == 11
 
     def test_a_duplicate_add_is_one_read_without_the_write_lock(self, tmp_path, statements):
@@ -956,6 +958,33 @@ PRAGMA user_version = 4;
 # Version 5 kept version 4's tables; only its records column changed.
 V5_SCHEMA = V4_SCHEMA.replace("PRAGMA user_version = 4;", "PRAGMA user_version = 5;")
 
+# The version-6 schema exactly as the store created it, whitespace included.
+V6_SCHEMA = """
+CREATE TABLE entries (
+    global_id INTEGER PRIMARY KEY AUTOINCREMENT,
+    doi_set   TEXT,
+    deleted   INTEGER NOT NULL DEFAULT 0,
+    note      TEXT,
+    label     TEXT NOT NULL,
+    records   TEXT NOT NULL
+);
+CREATE UNIQUE INDEX live_doi_set ON entries (doi_set) WHERE deleted = 0;
+CREATE TABLE crossrefs (
+        dataset_scope TEXT NOT NULL,
+        parameter     TEXT NOT NULL,
+        local_id      INTEGER NOT NULL,
+        global_id     INTEGER NOT NULL REFERENCES entries(global_id),
+        PRIMARY KEY (dataset_scope, parameter, local_id)
+    );
+CREATE TABLE texts (
+    entry_id       INTEGER PRIMARY KEY REFERENCES entries(global_id),
+    html           TEXT,
+    bibtex         TEXT NOT NULL,
+    bibtex_fetched INTEGER NOT NULL
+);
+PRAGMA user_version = 6;
+"""
+
 
 def v4_record(r: BibRecord) -> dict:
     """A record as version 4 stored it: an object of its non-null fields, links left out."""
@@ -972,24 +1001,27 @@ def v4_record(r: BibRecord) -> dict:
 
 def write_old_store(version: int, path: Path, entries: dict, deleted=(), crossrefs=(),
                     next_id=None, fetched=None) -> None:
-    """A version-1 to -5 file holding ``{gid: (records, note)}``, as that version wrote it.
+    """A version-1 to -6 file holding ``{gid: (records, note)}``, as that version wrote it.
 
-    Each DOI-set key joins the entry's DOIs with ``|``. A version-3 to -5
-    file also holds each entry's rendered HTML and BibTeX, or, for an ID in
-    ``fetched``, that BibTeX text as fetched from upstream.
+    Each DOI-set key joins the entry's DOIs with ``|``, or from version 6
+    on with a space. A version-3 to -6 file also holds each entry's
+    rendered HTML and BibTeX, or, for an ID in ``fetched``, that BibTeX
+    text as fetched from upstream.
     """
     conn = sqlite3.connect(path)
-    conn.executescript(
-        {1: V1_SCHEMA, 2: V2_SCHEMA, 3: V3_SCHEMA, 4: V4_SCHEMA, 5: V5_SCHEMA}[version])
+    conn.executescript({1: V1_SCHEMA, 2: V2_SCHEMA, 3: V3_SCHEMA, 4: V4_SCHEMA, 5: V5_SCHEMA,
+                        6: V6_SCHEMA}[version])
     for gid, (recs, note) in entries.items():
         dois = sorted({r.doi.canonical for r in recs if r.doi})
-        key = (gid, "|".join(dois) or None, int(gid in deleted))
+        key = (gid, (" " if version >= 6 else "|").join(dois) or None, int(gid in deleted))
         if version >= 4:
             records_json = (
                 json.dumps([v4_record(r) for r in recs], ensure_ascii=False) if version == 4
                 else json.dumps([record_to_row(r) for r in recs], ensure_ascii=False,
                                 separators=(",", ":")))
-            conn.execute("INSERT INTO entries VALUES (?, ?, ?, ?, ?)", key + (note, records_json))
+            label = (entry_label(recs),) if version >= 6 else ()
+            conn.execute(f"INSERT INTO entries VALUES (?, ?, ?, ?{', ?' * len(label)}, ?)",
+                         key + (note, *label, records_json))
         else:
             conn.execute("INSERT INTO entries VALUES (?, ?, ?)", key)
         for position, r in enumerate(recs if version < 4 else ()):
@@ -1022,7 +1054,7 @@ def write_old_store(version: int, path: Path, entries: dict, deleted=(), crossre
 
 
 # What schema_of reads from a file in the current layout.
-CURRENT_SCHEMA = (SCHEMA_VERSION, {"entries", "crossrefs", "texts", "sqlite_sequence"})
+CURRENT_SCHEMA = (SCHEMA_VERSION, {"entries", "crossrefs", "sqlite_sequence"})
 
 
 def schema_of(path: Path) -> tuple[int, set[str]]:
@@ -1041,6 +1073,8 @@ def read_table(path: Path, query: str) -> list[tuple]:
 
 
 CROSSREFS = "SELECT * FROM crossrefs ORDER BY dataset_scope, parameter, local_id"
+# The stored texts of a current file, in the column order of an old ``texts`` table.
+TEXTS = "SELECT global_id, html, bibtex, bibtex_fetched FROM entries"
 
 
 class TestMigration:
@@ -1134,7 +1168,7 @@ class TestMigration:
                 store.add_entry([record("10.1000/b"), record("10.1000/a")])
             assert exc_info.value.existing_id == 2
             assert store.add_entry([record("10.1000/c")]) == 9
-        assert read_table(path, "SELECT * FROM texts WHERE entry_id < 9 ORDER BY entry_id") == texts
+        assert read_table(path, TEXTS + " WHERE global_id < 9 ORDER BY global_id") == texts
         assert read_table(path, "SELECT deleted, note FROM entries WHERE global_id = 3") == [
             (1, "tombstoned")]
         assert schema_of(path) == CURRENT_SCHEMA
@@ -1172,11 +1206,10 @@ class TestMigration:
             assert exc_info.value.existing_id == 2
             assert store.add_entry([record("10.1000/c")]) == 12
         # Every row, the tombstone's too, holds what an add writes today.
-        rows = read_table(path, "SELECT global_id, deleted, note, records FROM entries"
-                                " WHERE global_id < 12 ORDER BY global_id")
-        assert rows == [(gid, int(gid == 3), note, refs.store._records_json(recs))
+        rows = read_table(path, "SELECT * FROM entries WHERE global_id < 12 ORDER BY global_id")
+        assert rows == [refs.store._row(RefEntry(recs, note, gid), int(gid == 3), fetched.get(gid))
                         for gid, (recs, note) in entries.items()]
-        assert read_table(path, "SELECT * FROM texts WHERE entry_id < 12 ORDER BY entry_id") == texts
+        assert read_table(path, TEXTS + " WHERE global_id < 12 ORDER BY global_id") == texts
         assert schema_of(path) == CURRENT_SCHEMA
 
     def test_v5_file_gets_labels_and_space_joined_keys_in_the_opening_transaction(
@@ -1207,18 +1240,42 @@ class TestMigration:
             assert store.add_entry(entries[7][0]) == 12
             assert store.find_entry_by_dois([parse_doi("10.1234/a|10.1234/b")]) == 6
             assert store.find_entry_by_dois([parse_doi("10.1234/b"), parse_doi("10.1234/a")]) == 12
-        rows = read_table(path, "SELECT global_id, doi_set, deleted, note, label, records"
-                                " FROM entries WHERE global_id < 12 ORDER BY global_id")
+        rows = read_table(path, "SELECT * FROM entries WHERE global_id < 12 ORDER BY global_id")
         assert [row[:2] for row in rows[5:]] == [(6, "10.1234/a|10.1234/b"),
                                                  (7, "10.1234/a 10.1234/b")]
-        assert rows == [(gid, refs.store._doi_set(r.doi for r in recs), int(gid in (3, 7)), note,
-                         entry_label(recs), refs.store._records_json(recs))
+        assert rows == [refs.store._row(RefEntry(recs, note, gid), int(gid in (3, 7)),
+                                        fetched.get(gid))
                         for gid, (recs, note) in entries.items()]
         assert rows[6][4] == "A. Author"
-        assert read_table(path, "SELECT * FROM texts WHERE entry_id < 12 ORDER BY entry_id") == texts
+        assert read_table(path, TEXTS + " WHERE global_id < 12 ORDER BY global_id") == texts
         assert schema_of(path) == CURRENT_SCHEMA
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [3, 4, 5, 6])
+    def test_stored_texts_are_rendered_afresh_and_fetched_bibtex_kept(self, tmp_path, version):
+        """No stored text is copied, so a renderer change reaches every older file; only
+        fetched BibTeX, which no rule derives, is read, byte for byte."""
+        path = tmp_path / f"v{version}.db"
+        entries = self.v1_entries()
+        fetched = {2: "@misc{Author_2000, title={A title}, year={2000}}", 3: "@misc{gone}\n"}
+        write_old_store(version, path, entries, deleted={3}, fetched=fetched)
+        conn = sqlite3.connect(path)
+        conn.execute("UPDATE texts SET html = '<i>stale</i>'")
+        conn.execute("UPDATE texts SET bibtex = '@misc{stale}' WHERE bibtex_fetched = 0")
+        conn.commit()
+        conn.close()
+        with RefStore(path) as store:
+            for gid in (1, 2, 4):
+                html = store.get_rendered(gid, RenderFormat.HTML)
+                assert html == render_format(store.get_entry(gid), RenderFormat.HTML)
+            assert store.get_rendered(2, RenderFormat.BIBTEX).body == fetched[2]
+        expected = []
+        for gid, (recs, note) in entries.items():
+            entry = RefEntry(recs, note, gid)
+            expected.append((gid, fresh_html(entry), fetched.get(gid, render_bibtex(entry).body),
+                             int(gid in fetched)))
+        assert read_table(path, TEXTS + " ORDER BY global_id") == expected
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_a_migrated_file_has_the_schema_of_a_new_one(self, tmp_path, version):
         path = tmp_path / f"v{version}.db"
         write_old_store(version, path, self.v1_entries(), deleted={3},
@@ -1332,7 +1389,7 @@ class TestMigration:
         assert path.read_bytes() == before
         assert schema_of(path) == (1, {"entries", "records", "notes", "crossrefs", "id_sequence"})
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_a_doi_set_shared_behind_a_stale_key_stops_the_migration(self, tmp_path, statements,
                                                                       version):
         """Keys are derived from the records, never copied: entry 6's stored key hides that
@@ -1360,6 +1417,13 @@ class TestMigration:
         selects_doi_set = re.compile(r"\bSELECT\b.*\bdoi_set\b", re.IGNORECASE | re.DOTALL)
         assert [where for where, text in literal_texts()
                 if not where.startswith("store:") and selects_doi_set.search(text)] == []
+
+    def test_only_the_migration_names_the_texts_table(self):
+        """An entry's HTML and BibTeX are columns of its own row; only a migration reads the
+        ``texts`` table of a version 3 to 6 file."""
+        names_texts = re.compile(r"\b(FROM|JOIN|INTO|TABLE)\s+(main\.)?texts\b", re.IGNORECASE)
+        assert [where for where, text in literal_texts()
+                if not where.startswith("migrations:") and names_texts.search(text)] == []
 
     def test_no_query_reads_the_record_layout(self):
         """Only ``model.record_from_row`` reads a stored record row: no SQL reaches into the
@@ -1472,9 +1536,7 @@ def every_answer(path: Path, last_id: int, out_dir: Path) -> list:
         answers.append(store.add_entry([BibRecord(title="Next")]))
     return answers + [read_table(path, "SELECT type, name, tbl_name, sql FROM sqlite_master"
                                        " ORDER BY name"),
-                      read_table(path, "SELECT global_id, doi_set, label FROM entries"
-                                       " ORDER BY global_id"),
-                      read_table(path, "SELECT * FROM texts ORDER BY entry_id")]
+                      read_table(path, "SELECT * FROM entries ORDER BY global_id")]
 
 
 class TestMigrationProperty:
@@ -1488,7 +1550,7 @@ class TestMigrationProperty:
               "deleted": {2}, "crossrefs": {("H2O", "nu", 0): 1, ("CO2", "A", 2): 2},
               "next_id": 6, "fetched": {1: "@misc{Joined, title={Joined}}"}})
     def test_a_migrated_file_answers_every_read_as_a_new_one(self, drawn):
-        """A v1 to v5 file migrates to the file that adding its entries to a new one makes.
+        """A v1 to v6 file migrates to the file that adding its entries to a new one makes.
 
         Fetched BibTeX exists from version 3 on, so a v1 or v2 file is held
         against a new file without it.
@@ -1502,7 +1564,7 @@ class TestMigrationProperty:
                 tombstones = write_new_store(
                     path, **{**drawn, "fetched": drawn["fetched"] if with_fetched else {}})
                 new[with_fetched] = every_answer(path, last_id, tmp / "out")
-            for version in (1, 2, 3, 4, 5):
+            for version in (1, 2, 3, 4, 5, 6):
                 path = tmp / f"v{version}.db"
                 write_old_store(
                     version, path, drawn["entries"], tombstones,
