@@ -50,6 +50,7 @@ _EXIT_CODES = {
     StoreError: EXIT_STORE,
     sqlite3.Error: EXIT_STORE,
     OSError: EXIT_STORE,
+    InvalidDoiError: EXIT_INVALID_DOI,  # the user's --doi: an upstream one is a decode error
     RefsError: EXIT_RESOLUTION,
 }
 
@@ -157,11 +158,6 @@ def _open_store(args) -> RefStore:
     return RefStore(args.db or os.environ.get(DB_ENV) or DEFAULT_DB)
 
 
-def _fail(code: int, message: str) -> int:
-    _err(message)
-    return code
-
-
 def _build_transport(args) -> Transport:
     from .transport import FixtureTransport, LiveTransport, RecordingTransport
 
@@ -201,15 +197,10 @@ def cmd_add(args) -> int:
         raise UsageError("--query needs text that is not blank")
     transport = _build_transport(args)
     cfg = _build_ads_config(args)
-
-    if args.doi:
-        try:
-            doi = parse_doi(args.doi)
-        except InvalidDoiError as exc:
-            return _fail(EXIT_INVALID_DOI, str(exc))
+    doi = parse_doi(args.doi) if args.doi else None
 
     with _open_store(args) as store:
-        if args.doi:
+        if doi is not None:
             gid, report = resolve_and_store_report(doi, args.note, store, cfg, transport)
         else:
             gid, report = resolve_query_and_store_report(
@@ -235,7 +226,7 @@ def cmd_export(args) -> int:
     with _open_store(args) as store:
         ids = store.live_ids() if args.all else args.ids
         if not ids:
-            return _fail(EXIT_RESOLUTION, "no entries")
+            raise MissingEntryError("no entries")
         paths = store.export_bundle(ids, args.out_dir)
     print(*paths, sep="\n")
     return EXIT_OK

@@ -53,6 +53,9 @@ MODEL_REFUSALS = (AttributeError, LookupError, TypeError, ValueError)
 class UnrenderableError(RefsError):
     """A record has no renderable fields at all."""
 
+    def __init__(self, message: str = "record has no renderable fields"):
+        super().__init__(message)
+
 
 class TransportError(RefsError):
     """Base class for HTTP-level failures."""

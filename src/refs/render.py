@@ -73,7 +73,7 @@ def _citation_line(record: BibRecord, note: str | None, markup: bool) -> str:
     authors, title, journal, volume, pages, year = (
         record.authors, record.title, record.journal, record.volume, record.pages, record.year)
     if not (authors or title or journal or volume or pages or year):
-        raise UnrenderableError("record has no renderable fields")
+        raise UnrenderableError()
 
     segments = []
     if authors:

@@ -20,6 +20,7 @@ from urllib.parse import quote, urlencode
 from .bibtex import _author_from_bibtex, parse_entries, split_page_range
 from .errors import (
     AuthError,
+    InvalidDoiError,
     MissingEntryError,
     NoMatchError,
     NoMetadataFormatError,
@@ -362,7 +363,10 @@ def crossref_top_doi(freeform: str, upstream: Upstream) -> Doi:
     top = items[0]
     if not top.get("DOI"):
         raise ResponseDecodeError("top CrossRef hit carries no DOI")
-    return parse_doi(str(top["DOI"]))
+    try:
+        return parse_doi(str(top["DOI"]))
+    except InvalidDoiError as exc:
+        raise ResponseDecodeError(f"top CrossRef hit carries an invalid DOI: {exc}") from exc
 
 
 def _csl_author(item: dict) -> AuthorName:

@@ -20,9 +20,11 @@ BibTeX are rendered once, by ``_row``, and stored in its row. For an
 entry resolved through doi.org, the stored BibTeX is the text doi.org
 sent. ``render --format html|bibtex``, a repeat add and the bundle
 export read the stored text; JSON and plain text are rendered from the
-records on every read. Reading stored text needs no model and no
-renderer, so this module imports ``refs.model`` and ``refs.render`` only
-when a call first decodes, labels or renders an entry. A change to the
+records on every read. An entry none of whose records renders is stored
+with no HTML, and reading its HTML raises UnrenderableError from that
+NULL column. Reading stored text needs no model and no renderer, so this
+module imports ``refs.model`` and ``refs.render`` only when a call first
+decodes, labels or renders an entry. A change to the
 bytes either renderer writes, or to the label rule, is a schema change:
 it raises ``SCHEMA_VERSION``, and ``refs.migrations.migrate`` then
 renders the stored texts of older files afresh, keeping fetched BibTeX.
@@ -43,18 +45,22 @@ What holds when several processes share one database file:
   The index is also unique, so when two processes add the same DOIs at
   once, one gets the ID and the other gets DuplicateEntryError naming it.
 - Reads see what other processes have committed. ``get_entry`` reads
-  one row. ``export_bundle`` reads inside one transaction and streams
-  the stored texts in ID order, decoding no entry, so both bundle files
-  describe the same state; a writer waits for it, again for up to five
-  seconds.
+  one row. ``export_bundle`` reads the requested live rows with one
+  SELECT inside one transaction and streams their stored texts in ID
+  order, decoding no entry, so both bundle files describe the same
+  state; a writer waits for it, again for up to five seconds. A
+  requested ID that the SELECT does not yield is missing, and the export
+  then raises MissingEntryError and replaces neither file.
   ``list_entries`` reads the live IDs, then those entries, and leaves out
   any entry deleted in between.
 
 One handle may be shared between threads. Its writes, and the duplicate
 read before an add, are serialized by an internal lock; any other read
 may see another thread's write on the same handle before that write
-commits. Opening a file creates the current schema, or migrates an older
-one in place, in one transaction. ``refs.migrations.migrate`` reads the
+commits. Opening an empty file creates the current schema, and opening
+an older one migrates it in place, in one transaction. Any other file at
+schema version 0, another program's database say, is refused with
+StoreError and left as it was. ``refs.migrations.migrate`` reads the
 older file's entries and writes them as an add would, through
 ``_SCHEMA`` and ``_row``; that module is imported only to migrate a
 file. Migration is one way: older versions of this module refuse the
@@ -68,6 +74,7 @@ import sqlite3
 import threading
 from contextlib import contextmanager
 from importlib import import_module
+from itertools import takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -138,10 +145,9 @@ CREATE TABLE entries (
 )
 
 _SELECT_ENTRY = "SELECT note, records FROM entries WHERE global_id = ? AND deleted = 0"
-# The live entries among a JSON array of IDs, in ID order.
-_SELECT_ENTRIES = (
-    "SELECT global_id, note, records FROM entries"
-    " WHERE deleted = 0 AND global_id IN (SELECT value FROM json_each(?))"
+# After "SELECT <columns>": the live entries among a JSON array of IDs, in ID order.
+_FROM_LIVE_IDS = (
+    " FROM entries WHERE deleted = 0 AND global_id IN (SELECT value FROM json_each(?))"
     " ORDER BY global_id"
 )
 
@@ -190,15 +196,13 @@ class RefStore:
         return self._conn.execute("PRAGMA user_version").fetchone()[0]
 
     def _upgrade(self) -> None:
-        """Create the schema in an empty file, or migrate an older one; one transaction."""
+        """Create the schema in an empty file or migrate an older one; refuse any other."""
         with self._transaction() as conn:
             # Read again under the write lock: another process may have done it.
             version = self._user_version()
             if version == SCHEMA_VERSION:
                 return
-            if version == 0 and not conn.execute(
-                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'entries'"
-            ).fetchone():
+            if version == 0 and not conn.execute("SELECT 1 FROM sqlite_master").fetchone():
                 for statement in _SCHEMA:
                     conn.execute(statement)
             elif 1 <= version < SCHEMA_VERSION:
@@ -328,9 +332,9 @@ class RefStore:
             row = self._conn.execute(_SELECT_TEXT[fmt], (global_id,)).fetchone()
             if row is None:
                 raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
-            if row[0] is not None:
-                return RenderedCitation(format=fmt, body=row[0], global_label=str(global_id))
-            # No HTML was stored: rendering the records raises UnrenderableError.
+            if row[0] is None:  # a NULL HTML column: no record of the entry renders
+                raise UnrenderableError()
+            return RenderedCitation(format=fmt, body=row[0], global_label=str(global_id))
         return render.render_format(self.get_entry(global_id), fmt)
 
     def list_entries(self, scope: str | None = None) -> list[RefEntry]:
@@ -369,24 +373,15 @@ class RefStore:
 
         Entries are ordered by global ID; both files are UTF-8 with LF line
         endings, and repeated exports of an unchanged store are
-        byte-identical.
+        byte-identical. Neither file is replaced if an ID has no live entry
+        (MissingEntryError, listing them) or an entry no HTML (UnrenderableError).
         """
         if not ids:
             raise ValueError("need at least one entry ID to export")
         out = Path(out_dir)
         html_path = out / HTML_BUNDLE_NAME
         bib_path = out / BIB_BUNDLE_NAME
-        with self._transaction("BEGIN") as conn:
-            missing = [row[0] for row in conn.execute(
-                "SELECT value FROM json_each(?) WHERE value NOT IN"
-                " (SELECT global_id FROM entries WHERE deleted = 0) ORDER BY value",
-                (json.dumps(ids),),
-            )]
-            if missing:
-                raise MissingEntryError(
-                    f"unknown entries: {', '.join(str(m) for m in missing)}",
-                    missing=missing,
-                )
+        with self._transaction("BEGIN"):
             out.mkdir(parents=True, exist_ok=True)
             replace_files([html_path, bib_path], self._bundle_rows(sorted(set(ids))))
         return html_path, bib_path
@@ -394,21 +389,27 @@ class RefStore:
     def _bundle_rows(self, ids: list[int]) -> Iterator[tuple[str, str]]:
         """(HTML, BibTeX) chunks for the bundle: the stored texts of these live IDs, in order."""
         yield _HTML_HEAD, ""
-        rows = self._conn.execute(
-            "SELECT global_id, html, bibtex FROM entries"
-            " WHERE global_id IN (SELECT value FROM json_each(?)) ORDER BY global_id",
-            (json.dumps(ids),),
-        )
+        rows = self._conn.execute("SELECT global_id, html, bibtex" + _FROM_LIVE_IDS, (json.dumps(ids),))
+        wanted = iter(ids)
+        missing: list[int] = []
+        unrenderable = False
         try:
             separator = ""
             for global_id, html, bibtex in rows:
-                if html is None:
-                    # Rendering the records raises UnrenderableError.
-                    html = render.render_html(self.get_entry(global_id)).body
-                yield f"<p>{html}</p>\n", separator + bibtex
-                separator = "\n\n"
+                # Consumes the requested IDs up to this row's: those before it have no live row.
+                missing += takewhile(lambda i: i != global_id, wanted)
+                unrenderable = unrenderable or html is None
+                if not unrenderable:
+                    yield f"<p>{html}</p>\n", separator + bibtex
+                    separator = "\n\n"
         finally:
             rows.close()
+        missing += wanted
+        if missing:
+            raise MissingEntryError(
+                f"unknown entries: {', '.join(map(str, missing))}", missing=missing)
+        if unrenderable:
+            raise UnrenderableError()
         yield _HTML_TAIL, "\n"
 
     # -- internals -----------------------------------------------------
@@ -421,7 +422,7 @@ class RefStore:
         a caller that kept only the IDs would keep all of that memory
         allocated.
         """
-        rows = self._conn.execute(_SELECT_ENTRIES, (json.dumps(ids),))
+        rows = self._conn.execute("SELECT global_id, note, records" + _FROM_LIVE_IDS, (json.dumps(ids),))
         wanted = iter(ids)
         try:
             for row_id, note, records_json in rows:

@@ -308,6 +308,20 @@ class TestAdd:
                        " ValueError: year out of range [1500, 2999]: 1200\n")
         assert Path(db_path).read_bytes() == before
 
+    def test_a_query_match_with_an_invalid_doi_exits_2(self, capsys, db_path, tmp_path):
+        query = "A title"
+        exchanges = [{
+            "request": {"method": "GET", "url": refs.resolvers.crossref_query_url(query),
+                        "accept": "application/json"},
+            "response": {"status": 200, "body": json.dumps(
+                {"message": {"items": [{"DOI": "not a DOI"}]}})},
+        }]
+        code, out, err = run(capsys, "add", "--query", query, "--db", db_path, "--offline",
+                             "--fixtures", str(write_fixtures(tmp_path, exchanges)))
+        assert (code, out) == (EXIT_RESOLUTION, "")
+        assert err == ("refs: top CrossRef hit carries an invalid DOI:"
+                       " not a valid DOI: 'not a DOI'\n")
+
     def test_repeat_add_returns_same_id_with_warning(self, capsys, db_path):
         run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
         code, out, err = run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
@@ -830,7 +844,7 @@ class TestExitCodes:
         (sqlite3.OperationalError("boom"), 3),
         (OSError("boom"), 3),
         (FixtureMissingError("boom"), 2),
-        (InvalidDoiError("boom"), 2),  # an upstream answer's DOI, not the user's --doi
+        (InvalidDoiError("boom"), 1),  # the user's --doi; an upstream one is a decode error
         (RefsError("boom"), 2),
     ], ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
     def test_main_maps_what_a_command_raises(self, capsys, db_path, monkeypatch, error, code):
@@ -841,7 +855,7 @@ class TestExitCodes:
         assert run(capsys, "list", "--db", db_path) == (code, "", "refs: boom\n")
 
     def test_no_command_catches_an_error_the_table_maps(self):
-        """Only main turns errors into exit codes; cmd_add's check of the user's --doi is the one catch."""
+        """Only main turns errors into exit codes; cmd_crossref's key check is the one catch."""
         tree = ast.parse(Path(refs.cli.__file__).read_text(encoding="utf-8"))
         commands = [node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
@@ -859,7 +873,9 @@ class TestExitCodes:
                         caught.append((command.name, kind.__name__))
         assert sorted(c.name for c in commands) == [
             "cmd_add", "cmd_crossref", "cmd_export", "cmd_list", "cmd_render"]
-        assert caught == [("cmd_add", "InvalidDoiError")]
+        # SourceCrossRef refuses a key with a plain ValueError, which becomes a UsageError.
+        # The handler is flagged only because InvalidDoiError, mapped, is a ValueError too.
+        assert caught == [("cmd_crossref", "ValueError")]
 
 
 class TestStoreFailures:
@@ -921,6 +937,18 @@ class TestImports:
         assert (code, out) == run(capsys, *argv)[:2]
         assert code == 0 and out
         assert loaded == []
+
+    @pytest.mark.parametrize("argv", [
+        ["render", "3", "--format", "html"],
+        ["export", "--all", "-o", "{out}"],
+    ], ids=["render-html", "export-all"])
+    def test_an_entry_with_no_html_is_refused_from_its_row(self, capsys, stored, tmp_path, argv):
+        with RefStore(stored) as store:
+            assert store.add_entry([BibRecord(title="", doi=parse_doi("10.1000/blank"))]) == 3
+        argv = [arg.format(out=tmp_path / "out") for arg in argv] + ["--db", stored]
+        code, out, loaded = loaded_by(argv, NOT_FOR_STORED_TEXT)
+        assert (code, out, loaded) == (2, "", [])
+        assert run(capsys, *argv) == (2, "", "refs: record has no renderable fields\n")
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_rendering_from_the_records_still_works(self, capsys, stored, fmt):

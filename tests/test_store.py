@@ -648,6 +648,20 @@ class TestPersistence:
         with pytest.raises(StoreError):
             RefStore(path)
 
+    def test_a_version_0_file_holding_a_table_is_refused_and_left_as_it_was(self, tmp_path, capsys):
+        path = tmp_path / "foreign.db"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE t (x)")
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        with pytest.raises(StoreError, match="carries schema version 0, expected"):
+            RefStore(path)
+        assert cli_main(["list", "--db", str(path)]) == EXIT_STORE
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.db"]
+
 
 def filled_store(path: Path, size: int) -> RefStore:
     store = RefStore(path)
@@ -689,6 +703,27 @@ class TestQueryCounts:
             counts.append(per_call)
         assert counts[0] == counts[1]
         assert counts[0][0] == 1
+
+    def test_an_export_is_one_select_whether_or_not_an_id_is_missing(self, tmp_path, statements):
+        def export(ids: list[int]) -> tuple[list[int], list[str]]:
+            """The IDs the export reports missing, and the SELECTs it ran."""
+            statements.clear()
+            try:
+                store.export_bundle(ids, tmp_path / "out")
+                missing = []
+            except MissingEntryError as exc:
+                missing = exc.missing
+            return missing, [s for s in statements if s.startswith("SELECT")]
+
+        for size in (10, 500):
+            with filled_store(tmp_path / f"{size}.db", size) as store:
+                ids = store.live_ids()
+                answers = [export(ids), export(ids + [size + 7])]
+                store.delete_entry(ids[size // 2])
+                answers.append(export(ids))
+            assert [missing for missing, _ in answers] == [[], [size + 7], [ids[size // 2]]]
+            for _, selects in answers:
+                assert len(selects) == 1 and " FROM entries " in selects[0]
 
     def test_get_entry_reads_one_row_by_primary_key(self, tmp_path, statements):
         with filled_store(tmp_path / "refs.db", 10) as store:
@@ -751,13 +786,56 @@ with RefStore(db) as store:
 """
 
 
-def run_adders(db: Path, prefixes: list[str], count: int) -> list[list[int]]:
-    env = {
+# Workers for the export-beside-delete test. The exporter exports the IDs
+# in a loop, at most 150 times, printing ["whole", sha256 of the HTML, NUL
+# and the .bib] or ["missing", IDs], and stops once every one of the 8
+# deleted IDs is missing. The deleter waits for the first bundle, then
+# tombstones its IDs in turn, printing each.
+EXPORT_WORKER = """
+import hashlib, json, sys, time
+from refs import MissingEntryError, RefStore
+db, out, ids = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+with RefStore(db) as store:
+    for _ in range(150):
+        try:
+            html, bib = store.export_bundle(ids, out)
+        except MissingEntryError as exc:
+            print(json.dumps(["missing", exc.missing]), flush=True)
+            if len(exc.missing) == 8:
+                break
+        else:
+            whole = html.read_text(encoding="utf-8") + "\\0" + bib.read_text(encoding="utf-8")
+            print(json.dumps(["whole", hashlib.sha256(whole.encode()).hexdigest()]), flush=True)
+        time.sleep(0.002)
+"""
+
+DELETE_WORKER = """
+import json, sys, time
+from pathlib import Path
+from refs import RefStore
+db, first_bundle, ids = sys.argv[1], Path(sys.argv[2], "refs.html"), json.loads(sys.argv[3])
+deadline = time.time() + 60
+while not first_bundle.exists() and time.time() < deadline:
+    time.sleep(0.001)
+with RefStore(db) as store:
+    for gid in ids:
+        time.sleep(0.002)
+        store.delete_entry(gid)
+        print(gid, flush=True)
+"""
+
+
+def worker_env() -> dict:
+    return {
         "PYTHONPATH": str(Path(refs.__file__).parents[1]),
         "PATH": "",
         # Leave no bytecode cache in the source tree.
         "PYTHONDONTWRITEBYTECODE": "1",
     }
+
+
+def run_adders(db: Path, prefixes: list[str], count: int) -> list[list[int]]:
+    env = worker_env()
     start = time.time() + 1.0
     procs = [
         subprocess.Popen(
@@ -788,6 +866,41 @@ class TestProcesses:
         assert sorted(first) == list(range(1, 51))
         with RefStore(tmp_path / "refs.db") as store:
             assert store.live_ids() == list(range(1, 51))
+
+    def test_an_export_beside_a_deleting_process_sees_one_state(self, tmp_path):
+        db, out = tmp_path / "refs.db", tmp_path / "out"
+        with RefStore(db) as store:
+            ids = [store.add_entry([record(f"10.4000/e.{i}", title=f"Title {i}")])
+                   for i in range(16)]
+            html = "".join(f"<p>{store.get_rendered(i, RenderFormat.HTML).body}</p>\n" for i in ids)
+            bib = "\n\n".join(store.get_rendered(i, RenderFormat.BIBTEX).body for i in ids)
+        whole = hashlib.sha256(
+            f"{refs.store._HTML_HEAD}{html}{refs.store._HTML_TAIL}\0{bib}\n".encode()).hexdigest()
+        deleted = random.Random(25).sample(ids, 8)
+        exporter, deleter = (
+            subprocess.Popen([sys.executable, "-c", worker, str(db), str(out), json.dumps(argument)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                             env=worker_env())
+            for worker, argument in ((EXPORT_WORKER, ids), (DELETE_WORKER, deleted)))
+        outcomes = []
+        for proc in (exporter, deleter):
+            stdout, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err[-2000:]
+            outcomes.append([json.loads(line) for line in stdout.splitlines()])
+        exports, deletes = outcomes
+        assert deletes == deleted
+        # Each export holds every ID as stored, or misses exactly the first k deletes.
+        seen = []
+        for kind, value in exports:
+            if kind == "whole":
+                assert value == whole
+                seen.append(0)
+            else:
+                k = len(value)
+                assert value == sorted(deleted[:k]), value
+                seen.append(k)
+        assert seen == sorted(seen) and seen[0] == 0 and seen[-1] == len(deleted)
+        assert len(exports) + len(deletes) + len(ids) <= 200
 
 
 # The version-1 schema exactly as the store created it, frozen here because
