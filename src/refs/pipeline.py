@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 from typing import Callable
 
-from .bibtex import bibtex_to_record
 from .errors import (
     MODEL_REFUSALS,
     DuplicateEntryError,
@@ -48,10 +47,10 @@ class ResolutionReport(Value):
 
     ``entry`` is the resolved record with the note, which ``store_report``
     gives its global ID; from the store, it is the stored entry. ``bibtex``
-    is doi.org's text on the fallback and query routes, the stored text from
-    the store, else None. ``renders`` is computed on each read: all four
-    formats of ``entry``, with ``bibtex`` in the BibTeX slot when set, so a
-    stored report renders what ``RefStore.get_rendered`` returns.
+    is doi.org's text on the fallback path, the stored text from the store,
+    else None. ``renders`` is computed on each read: all four formats of
+    ``entry``, with ``bibtex`` in the BibTeX slot when set, so a stored
+    report renders what ``RefStore.get_rendered`` returns.
     """
 
     __slots__ = ("doi", "path_taken", "record", "entry", "bibtex", "warnings", "unverified")
@@ -153,33 +152,16 @@ def resolve_query_reference(
     cfg: AdsConfig | None = None,
     transport: Transport | None = None,
 ) -> ResolutionReport:
-    """Resolve free text (a title, say) through the keyword search route.
+    """Resolve free text (a title, say): one CrossRef search, then the DOI route.
 
-    The top-ranked match's BibTeX is fetched and parsed into the record.
-    Reports from this route are always marked unverified: a keyword match
+    The report is ``resolve_reference``'s for the top-ranked match's DOI,
+    marked unverified with the keyword-match warning first: a keyword match
     may belong to a different article.
     """
     upstream = Upstream(transport, cfg)
     matched = crossref_top_doi(freeform, upstream)
-    return _resolve_match(freeform, matched, note, upstream)
-
-
-def _resolve_match(
-    freeform: str, matched: Doi, note: str | None, upstream: Upstream
-) -> ResolutionReport:
-    """The query route's report for the DOI its keyword search matched."""
-    fetched = fetch_bibtex(matched, upstream)
-    record = _record(f"BibTeX for {matched}", bibtex_to_record, fetched)
-    if record.doi is None:
-        raise UnusableMetadataError(f"query result for {freeform!r} carries no DOI")
-    if not record.authors and not record.title:
-        raise UnusableMetadataError(
-            f"query result for {freeform!r} carries neither author nor title"
-        )
-    return ResolutionReport(
-        record.doi, ResolutionPath.FALLBACK, record, RefEntry([record], note), fetched,
-        [_keyword_match(freeform, matched)], unverified=True,
-    )
+    report = resolve_reference(matched, note, upstream.cfg, upstream.transport)
+    return _unverified(freeform, report)
 
 
 def _record(source: str, to_record: Callable[..., BibRecord], *upstream_data) -> BibRecord:
@@ -193,11 +175,12 @@ def _record(source: str, to_record: Callable[..., BibRecord], *upstream_data) ->
             f"{source} holds a value the model refuses: {type(exc).__name__}: {exc}") from exc
 
 
-def _keyword_match(freeform: str, matched: Doi) -> str:
-    return (
-        f"bibliography for query {freeform!r} resolved by keyword match to {matched}; "
-        "it may belong to a different article"
-    )
+def _unverified(freeform: str, report: ResolutionReport) -> ResolutionReport:
+    """A DOI route's report for a query's match: unverified, the keyword match warned first."""
+    report.warnings.insert(0, f"bibliography for query {freeform!r} resolved by keyword match"
+                              f" to {report.doi}; it may belong to a different article")
+    report.unverified = True
+    return report
 
 
 def resolve_and_store_report(
@@ -227,19 +210,16 @@ def resolve_query_and_store_report(
     cfg: AdsConfig | None = None,
     transport: Transport | None = None,
 ) -> tuple[int, ResolutionReport]:
-    """Resolve free text through the keyword search route and persist the match.
+    """One CrossRef search, then ``resolve_and_store_report`` of the top match's DOI.
 
-    As for ``resolve_and_store_report``, a matched DOI the store already
-    holds is answered from the stored entry, so the query costs only its
-    search request. That report is still unverified and carries the
-    keyword-match warning before the already-stored one.
+    A matched DOI the store already holds costs only the search request.
+    The report is marked unverified, with the keyword-match warning first.
     """
     upstream = Upstream(transport, cfg)
     matched = crossref_top_doi(freeform, upstream)
-    if stored := _from_store(matched, store, (_keyword_match(freeform, matched),), True):
-        return stored
-    report = _resolve_match(freeform, matched, note, upstream)
-    return store_report(store, report), report
+    gid, report = resolve_and_store_report(matched, note, store, upstream.cfg,
+                                           upstream.transport)
+    return gid, _unverified(freeform, report)
 
 
 def store_report(store: RefStore, report: ResolutionReport) -> int:
@@ -260,8 +240,7 @@ def _already_stored(doi: Doi, gid: int) -> str:
     return f"DOI {doi} is already stored as entry {gid}"
 
 
-def _from_store(doi: Doi, store: RefStore, warnings: tuple[str, ...] = (),
-                unverified: bool = False) -> tuple[int, ResolutionReport] | None:
+def _from_store(doi: Doi, store: RefStore) -> tuple[int, ResolutionReport] | None:
     """The ID and report of the live entry holding a DOI, read with no request; else None."""
     if (gid := store.find_entry_by_dois([doi])) is None:
         return None
@@ -272,5 +251,4 @@ def _from_store(doi: Doi, store: RefStore, warnings: tuple[str, ...] = (),
         return None  # deleted by another writer since the lookup: resolve afresh
     record = next(r for r in entry.records if r.doi == doi)
     path = ResolutionPath.ADS if record.bibcode else ResolutionPath.FALLBACK
-    return gid, ResolutionReport(doi, path, record, entry, bibtex,
-                                 [*warnings, _already_stored(doi, gid)], unverified)
+    return gid, ResolutionReport(doi, path, record, entry, bibtex, [_already_stored(doi, gid)])

@@ -105,11 +105,25 @@ def _clean_text(value: str) -> str:
     return " ".join(html.unescape(value).split())
 
 
-def _first(value) -> str:
-    """ADS and the CrossRef works API wrap many scalars in one-element lists."""
-    if isinstance(value, list):
-        return str(value[0]) if value else ""
-    return str(value) if value is not None else ""
+def _objects(value, name: str) -> list[dict]:
+    """A decoded JSON value that is a list of objects; else a TypeError naming it."""
+    if not (isinstance(value, list) and all(isinstance(item, dict) for item in value)):
+        raise TypeError(f"{name} is not a list of objects")
+    return value
+
+
+def _first(obj: dict, field: str) -> str:
+    """The text or number ``obj[field]`` holds, bare or first in a list, as text; else "".
+
+    ADS and the CrossRef works API wrap many scalars in one-element lists.
+    """
+    value = obj.get(field)
+    if value is None or value == []:
+        return ""
+    first = value[0] if isinstance(value, list) else value
+    if isinstance(first, bool) or not isinstance(first, (str, int, float)):
+        raise ResponseDecodeError(f"{field!r} holds {value!r}, not text or a number")
+    return str(first)
 
 
 class Upstream:
@@ -256,7 +270,7 @@ def fetch_ads_docs(doi: Doi, upstream: Upstream) -> list[dict]:
     url = ads_search_url(upstream.cfg, ads_doi_query(doi), ADS_FIELD_LIST, rows=10)
     response = upstream.ads("GET", url, about=url)
     try:
-        docs = list(response.json()["response"]["docs"])
+        docs = _objects(response.json()["response"]["docs"], "docs")
     except (ValueError, KeyError, TypeError) as exc:
         raise ResponseDecodeError(f"malformed ADS response from {url}: {exc}") from exc
     return [d for d in docs if d.get("bibcode")]
@@ -294,19 +308,19 @@ def ads_doc_to_record(doc: dict, queried_doi: Doi | None = None) -> BibRecord:
     """Map one ADS search document onto the canonical model."""
     # ADS names are JSON text, not BibTeX: any whitespace in them separates words.
     authors = [_author_from_bibtex(" ".join(a.split())) for a in doc.get("author", [])]
-    title = _clean_text(_first(doc.get("title")))
+    title = _clean_text(_first(doc, "title"))
     if not authors and not title:
         raise UnusableMetadataError("ADS document carries neither author nor title")
     doi = queried_doi
     if doc.get("doi"):
-        doi = parse_doi(_first(doc["doi"]))
+        doi = parse_doi(_first(doc, "doi"))
     year = int(doc["year"]) if doc.get("year") else None
     return BibRecord(
         title=title,
         authors=authors,
         journal=_clean_text(doc["pub"]) if doc.get("pub") else None,
-        volume=_first(doc.get("volume")) or None,
-        pages=split_page_range(_first(doc.get("page"))),
+        volume=_first(doc, "volume") or None,
+        pages=split_page_range(_first(doc, "page")),
         year=year,
         doi=doi,
         bibcode=parse_bibcode(doc["bibcode"]) if doc.get("bibcode") else None,
@@ -355,7 +369,7 @@ def crossref_top_doi(freeform: str, upstream: Upstream) -> Doi:
     )
     response = upstream.send(request, "CrossRef")
     try:
-        items = response.json()["message"]["items"]
+        items = _objects(response.json()["message"]["items"], "items")
     except (ValueError, KeyError, TypeError) as exc:
         raise ResponseDecodeError(f"malformed CrossRef response: {exc}") from exc
     if not items:
@@ -380,7 +394,7 @@ def csl_to_record(raw: dict) -> BibRecord:
     if not raw.get("DOI"):
         raise UnusableMetadataError("citation JSON carries no DOI")
     authors = [_csl_author(a) for a in raw.get("author", [])]
-    title = _clean_text(_first(raw.get("title")))
+    title = _clean_text(_first(raw, "title"))
     if not authors and not title:
         raise UnusableMetadataError("citation JSON carries neither author nor title")
 
@@ -394,16 +408,16 @@ def csl_to_record(raw: dict) -> BibRecord:
     if raw.get("type"):
         source_type = _CSL_TYPE_MAP.get(str(raw["type"]), SourceType.OTHER)
 
-    journal = _clean_text(_first(raw.get("container-title")))
-    publisher = _clean_text(_first(raw.get("publisher")))
+    journal = _clean_text(_first(raw, "container-title"))
+    publisher = _clean_text(_first(raw, "publisher"))
     return BibRecord(
         title=title,
         authors=authors,
         source_type=source_type,
         journal=journal or None,
-        volume=_first(raw.get("volume")) or None,
-        number=_first(raw.get("issue")) or None,
-        pages=split_page_range(_first(raw.get("page"))),
+        volume=_first(raw, "volume") or None,
+        number=_first(raw, "issue") or None,
+        pages=split_page_range(_first(raw, "page")),
         year=year,
         publisher=publisher or None,
         doi=parse_doi(str(raw["DOI"])),

@@ -180,8 +180,14 @@ class RefStore:
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False, isolation_level=None)
         try:
-            # Still a rollback journal, truncated rather than deleted at
-            # each commit: one file operation fewer per write.
+            # A rollback journal, truncated rather than deleted at each commit:
+            # one file operation fewer per write, and SQLite takes a zero-length
+            # journal for absent after one stat. PERSIST keeps it non-empty, so
+            # every read opens and reads it (registry-10k op_ms_p50 +11-14%, three
+            # seed pairs, shared 2-vCPU machine). WAL cut registry-10k setup_s
+            # from 8.1 to 2.9 s, but its peak RSS rose 18-21%, over the bound, as
+            # the benchmark's own bookkeeping grows with the extra ops: WAL waits
+            # until that figure no longer counts the ops a run completes.
             self._conn.execute("PRAGMA journal_mode = TRUNCATE")
             self._conn.execute("PRAGMA synchronous = NORMAL")
             if self._user_version() != SCHEMA_VERSION:

@@ -40,6 +40,7 @@ from refs.cli import EXIT_RESOLUTION, UsageError, main
 from refs.model import Pages
 
 from conftest import FIXTURE_DIR, fallback_exchanges
+from test_pipeline import MATCHED
 from test_transport import FakeNetwork, FakeResponse, header
 
 HITRAN = "10.1016/j.jqsrt.2017.06.038"
@@ -64,6 +65,13 @@ def run(capsys, *argv: str):
 
 def offline(*argv: str, db: str) -> list[str]:
     return [*argv, "--db", db, "--offline", "--fixtures", str(FIXTURE_DIR)]
+
+
+def crossref_answer(query: str, answer) -> dict:
+    """A recorded exchange in which CrossRef answers a free-text query with ``answer``."""
+    return {"request": {"method": "GET", "url": refs.resolvers.crossref_query_url(query),
+                        "accept": "application/json"},
+            "response": {"status": 200, "body": json.dumps(answer)}}
 
 
 def write_fixtures(tmp_path: Path, exchanges: list[dict]) -> Path:
@@ -168,14 +176,36 @@ class TestAdd:
         assert "resolution failed" in err
 
     def test_query_mode_marks_unverified(self, capsys, db_path):
-        code, out, err = run(
-            capsys,
-            *offline("add", "--query", "The HITRAN2016 molecular spectroscopic database",
-                     db=db_path),
-        )
+        query = "The HITRAN2016 molecular spectroscopic database"
+        code, out, err = run(capsys, *offline("add", "--query", query, db=db_path))
         assert code == 0
-        assert out == "id=1 path=fallback unverified\n"
-        assert "may belong to a different article" in err
+        assert out == "id=1 path=ads unverified\n"
+        assert err == (
+            f"refs: warning: bibliography for query {query!r} resolved by keyword match to "
+            f"{HITRAN}; it may belong to a different article\n"
+        )
+
+    @pytest.mark.parametrize("text, doi", MATCHED, ids=[str(doi) for _, doi in MATCHED])
+    def test_a_query_stores_and_renders_what_add_doi_of_its_match_does(
+            self, capsys, tmp_path, text, doi):
+        """Only the unverified mark and the first warning tell the two adds apart."""
+        results = []
+        for option, subject in (("--doi", str(doi)), ("--query", text)):
+            db = str(tmp_path / f"{option[2:]}.db")
+            added = run(capsys, *offline("add", option, subject, db=db))
+            renders = [run(capsys, "render", "1", "--format", fmt.value, "--db", db)
+                       for fmt in refs.formats.RenderFormat]
+            out_dir = tmp_path / option[2:]
+            run(capsys, "export", "--all", "-o", str(out_dir), "--db", db)
+            bundle = [path.read_bytes() for path in sorted(out_dir.iterdir())]
+            results.append((added, renders, bundle))
+        (by_doi, renders, bundle), (by_query, *rest) = results
+        assert rest == [renders, bundle]
+        keyword = (f"refs: warning: bibliography for query {text!r} resolved by keyword match"
+                   f" to {doi}; it may belong to a different article\n")
+        code, out, err = by_doi
+        assert code == 0
+        assert by_query == (code, out.replace("\n", " unverified\n"), keyword + err)
 
     def test_query_for_a_stored_doi_is_answered_from_the_store(self, capsys, db_path,
                                                                monkeypatch):
@@ -291,31 +321,69 @@ class TestAdd:
             self, capsys, db_path, tmp_path):
         doi = parse_doi("10.1234/query-year")
         query = "An old title"
-        bibtex = "@article{Q, title={An old title}, year={1200}, doi={10.1234/query-year}}"
+        csl = json.dumps({"DOI": doi.canonical, "title": query, "issued": {"date-parts": [[1200]]}})
         exchanges = [
-            {"request": {"method": "GET", "url": refs.resolvers.crossref_query_url(query),
-                         "accept": "application/json"},
-             "response": {"status": 200, "body": json.dumps(
-                 {"message": {"items": [{"DOI": doi.canonical}]}})}},
-            fallback_exchanges(doi, "{}", bibtex)[2],
+            crossref_answer(query, {"message": {"items": [{"DOI": doi.canonical}]}}),
+            *fallback_exchanges(doi, csl, "@misc{Q}"),
         ]
         run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
         before = Path(db_path).read_bytes()
         code, out, err = run(capsys, "add", "--query", query, "--db", db_path, "--offline",
                              "--fixtures", str(write_fixtures(tmp_path, exchanges)))
         assert (code, out) == (EXIT_RESOLUTION, "")
-        assert err == (f"refs: BibTeX for {doi} holds a value the model refuses:"
-                       " ValueError: year out of range [1500, 2999]: 1200\n")
+        assert err == ("refs: reference resolution failed: ADS path: DOI not in ADS (empty DOI"
+                       f" search result); fallback path: citation JSON for {doi} holds a value"
+                       " the model refuses: ValueError: year out of range [1500, 2999]: 1200\n")
+        assert Path(db_path).read_bytes() == before
+
+    @pytest.mark.parametrize("items", [[1], "abc", {"a": 1}, [{"DOI": HITRAN}, None]],
+                             ids=["list-of-int", "str", "object", "second-not-object"])
+    def test_a_crossref_answer_whose_items_are_not_objects_exits_2(self, capsys, db_path,
+                                                                    tmp_path, items):
+        exchanges = [crossref_answer("A title", {"message": {"items": items}})]
+        code, out, err = run(capsys, "add", "--query", "A title", "--db", db_path, "--offline",
+                             "--fixtures", str(write_fixtures(tmp_path, exchanges)))
+        assert (code, out) == (EXIT_RESOLUTION, "")
+        assert err == "refs: malformed CrossRef response: items is not a list of objects\n"
+        with RefStore(db_path) as store:
+            assert store.live_ids() == []
+
+    @pytest.mark.parametrize("docs", [[1], "ab"], ids=["list-of-int", "str"])
+    def test_a_query_whose_ads_answer_has_docs_that_are_not_objects_falls_back(
+            self, capsys, db_path, tmp_path, docs):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(FIXTURE_DIR, fixtures)
+        url = refs.resolvers.ads_search_url(refs.resolvers.AdsConfig(), f'doi:"{HITRAN}"',
+                                            refs.resolvers.ADS_FIELD_LIST, rows=10)
+        # Loaded first, this answer wins over the recorded one.
+        (fixtures / "0-ads.json").write_text(json.dumps({"entries": [{
+            "request": {"method": "GET", "url": url, "accept": ""},
+            "response": {"status": 200, "body": json.dumps({"response": {"docs": docs}})}}]}))
+        query = "The HITRAN2016 molecular spectroscopic database"
+        code, out, err = run(capsys, "add", "--query", query, "--db", db_path, "--offline",
+                             "--fixtures", str(fixtures))
+        assert (code, out) == (0, "id=1 path=fallback unverified\n")
+        assert err.splitlines()[1:] == [
+            f"refs: warning: ADS DOI search failed: malformed ADS response from {url}:"
+            " docs is not a list of objects"]
+
+    def test_citation_json_whose_title_is_an_object_exits_2_and_leaves_the_store(
+            self, capsys, db_path, tmp_path):
+        doi = "10.1234/csl-title"
+        csl = json.dumps({"type": "journal-article", "DOI": doi, "title": {"a": 1}})
+        fixtures = write_fixtures(tmp_path, fallback_exchanges(parse_doi(doi), csl, "@misc{C}"))
+        run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
+        before = Path(db_path).read_bytes()
+        code, out, err = run(capsys, "add", "--doi", doi, "--db", db_path, "--offline",
+                             "--fixtures", str(fixtures))
+        assert (code, out) == (EXIT_RESOLUTION, "")
+        assert err.endswith("; fallback path: 'title' holds {'a': 1}, not text or a number\n")
+        assert err.count("\n") == 1
         assert Path(db_path).read_bytes() == before
 
     def test_a_query_match_with_an_invalid_doi_exits_2(self, capsys, db_path, tmp_path):
         query = "A title"
-        exchanges = [{
-            "request": {"method": "GET", "url": refs.resolvers.crossref_query_url(query),
-                        "accept": "application/json"},
-            "response": {"status": 200, "body": json.dumps(
-                {"message": {"items": [{"DOI": "not a DOI"}]}})},
-        }]
+        exchanges = [crossref_answer(query, {"message": {"items": [{"DOI": "not a DOI"}]}})]
         code, out, err = run(capsys, "add", "--query", query, "--db", db_path, "--offline",
                              "--fixtures", str(write_fixtures(tmp_path, exchanges)))
         assert (code, out) == (EXIT_RESOLUTION, "")

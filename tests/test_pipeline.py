@@ -25,10 +25,8 @@ from refs import (
     ResolutionFailedError,
     ResolutionPath,
     ResolutionReport,
-    UnusableMetadataError,
     Upstream,
     UpstreamUnavailableError,
-    bibtex_to_record,
     parse_doi,
     render_all,
     resolve_and_store_report,
@@ -63,9 +61,22 @@ def fixture_dois() -> list:
 
 def fixture_queries() -> list[str]:
     """Every free-text query the CrossRef archive holds an answer for."""
+    return list(fixture_matches())
+
+
+def fixture_matches() -> dict:
+    """Each free-text query of the CrossRef archive, with the DOI its top hit carries."""
     archive = json.loads((FIXTURE_DIR / "crossref.json").read_text(encoding="utf-8"))
-    return [parse_qs(urlsplit(entry["request"]["url"]).query)["query.bibliographic"][0]
-            for entry in archive["entries"]]
+    matches = {}
+    for entry in archive["entries"]:
+        items = json.loads(entry["response"]["body"])["message"]["items"]
+        text = parse_qs(urlsplit(entry["request"]["url"]).query)["query.bibliographic"][0]
+        matches[text] = parse_doi(items[0]["DOI"]) if items else None
+    return matches
+
+
+# The (query, DOI) pairs whose recorded or synthesized CrossRef answer has a top hit.
+MATCHED = [(text, doi) for text, doi in fixture_matches().items() if doi]
 
 
 class _AlwaysUnavailable:
@@ -232,6 +243,28 @@ class TestAdsFailureIsReported:
         ads_warnings = [w for w in report.warnings if w.startswith("ADS DOI search failed: ")]
         assert len(ads_warnings) == 1 and cause in ads_warnings[0]
 
+    @pytest.mark.parametrize("docs", [[1], "ab", {"bibcode": "x"}],
+                             ids=["list-of-int", "str", "object"])
+    def test_docs_that_are_not_objects_fall_back_with_the_cause(self, docs, transport,
+                                                                ads_config):
+        answer = HttpResponse(200, body=json.dumps({"response": {"docs": docs}}).encode())
+        report = resolve_reference(HITRAN, cfg=ads_config,
+                                   transport=_AdsAnswers(transport, answer))
+        url = ads_search_url(ads_config, f'doi:"{HITRAN}"', ADS_FIELD_LIST, rows=10)
+        assert (report.path_taken, report.record.title) == (ResolutionPath.FALLBACK, HITRAN_TITLE)
+        assert report.warnings == [f"ADS DOI search failed: malformed ADS response from {url}:"
+                                   " docs is not a list of objects"]
+
+    def test_an_ads_title_that_is_an_object_falls_back_with_the_cause(self, transport,
+                                                                      ads_config):
+        doc = {"bibcode": "2017JQSRT.203....3G", "title": {"a": 1}, "year": "2017"}
+        answer = HttpResponse(200, body=json.dumps({"response": {"docs": [doc]}}).encode())
+        report = resolve_reference(HITRAN, cfg=ads_config,
+                                   transport=_AdsAnswers(transport, answer))
+        assert (report.path_taken, report.record.title) == (ResolutionPath.FALLBACK, HITRAN_TITLE)
+        assert report.warnings == ["ADS document for 2017JQSRT.203....3G is unusable:"
+                                   " 'title' holds {'a': 1}, not text or a number"]
+
     def test_a_lone_surrogate_in_the_ads_answer_falls_back_with_the_cause(self, fixture_dir,
                                                                           ads_config):
         # JSON may escape a lone surrogate, which no store can hold.
@@ -306,30 +339,41 @@ class TestQueryMode:
         assert len(counting.requests) == 1
         assert sleeps == []
 
-    def test_query_resolves_unverified(self, transport, ads_config):
-        report = resolve_query_reference(
-            "The HITRAN2016 molecular spectroscopic database", cfg=ads_config,
-            transport=transport,
-        )
+    @pytest.mark.parametrize("text, doi", MATCHED, ids=[str(doi) for _, doi in MATCHED])
+    def test_a_query_is_its_matchs_doi_route_marked_unverified(self, text, doi,
+                                                                counting_transport, ads_config):
+        report = resolve_query_reference(text, "A note.", ads_config, counting_transport)
+        searched = counting_transport.requests.pop(0)
+        assert urlsplit(searched.url).hostname == "api.crossref.org"
+        sent = [r.url for r in counting_transport.requests]
+        counting_transport.requests.clear()
+        by_doi = resolve_reference(doi, "A note.", ads_config, counting_transport)
+        assert sent == [r.url for r in counting_transport.requests]
+        assert report.warnings[0] == (f"bibliography for query {text!r} resolved by keyword"
+                                      f" match to {doi}; it may belong to a different article")
         assert report.unverified is True
-        assert report.path_taken is ResolutionPath.FALLBACK
-        assert report.doi == HITRAN
-        assert any("may belong to a different article" in w for w in report.warnings)
-        assert set(report.renders) == set(RenderFormat)
+        by_doi.warnings.insert(0, report.warnings[0])
+        by_doi.unverified = True
+        assert report == by_doi
+        assert report.renders == by_doi.renders
 
-    def test_a_match_whose_bibtex_the_model_refuses_is_unusable_metadata(self, ads_config):
+    def test_a_match_whose_citation_json_the_model_refuses_fails_as_its_doi_does(
+            self, ads_config):
         doi = parse_doi("10.1234/query-year")
         search = {"request": {"method": "GET", "url": resolvers.crossref_query_url("Old"),
                               "accept": "application/json"},
                   "response": {"status": 200, "body": json.dumps(
                       {"message": {"items": [{"DOI": doi.canonical}]}})}}
-        bibtex = "@article{Q, title={Old}, year={1200}, doi={10.1234/query-year}}"
-        transport = FixtureTransport([search, fallback_exchanges(doi, "{}", bibtex)[2]])
-        with pytest.raises(UnusableMetadataError) as exc_info:
-            resolve_query_reference("Old", cfg=ads_config, transport=transport)
-        assert str(exc_info.value) == (f"BibTeX for {doi} holds a value the model refuses:"
-                                       " ValueError: year out of range [1500, 2999]: 1200")
-        assert type(exc_info.value.__cause__) is ValueError
+        csl = json.dumps({"DOI": doi.canonical, "title": "Old", "issued": {"date-parts": [[1200]]}})
+        transport = FixtureTransport([search, *fallback_exchanges(doi, csl, "@misc{Q}")])
+        failures = []
+        for resolve in (partial(resolve_query_reference, "Old"), partial(resolve_reference, doi)):
+            with pytest.raises(ResolutionFailedError) as exc_info:
+                resolve(cfg=ads_config, transport=transport)
+            failures.append(str(exc_info.value))
+        assert failures[0] == failures[1]
+        assert failures[0].endswith(f"citation JSON for {doi} holds a value the model refuses:"
+                                    " ValueError: year out of range [1500, 2999]: 1200")
 
 
 class TestResolveAndStore:
@@ -379,7 +423,7 @@ class TestResolveAndStore:
     def test_the_store_keeps_the_bibtex_the_add_reported(self, route, fetched, transport,
                                                          ads_config, store):
         if route == "query":
-            report = resolve_query_reference("The HITRAN2016 molecular spectroscopic database",
+            report = resolve_query_reference("NIST Atomic Spectra Database",
                                              cfg=ads_config, transport=transport)
             gid = store_report(store, report)
         else:
@@ -416,7 +460,7 @@ class TestResolveAndStore:
                                                      counting_transport)
         assert gid == 1
         assert [urlsplit(r.url).hostname for r in counting_transport.requests] == [
-            "api.crossref.org", "doi.org"]
+            "api.crossref.org", "api.adsabs.harvard.edu"]
         # The same report as an unstored resolution's, but for the entry's new ID.
         unstored = resolve_query_reference(HITRAN_TITLE, cfg=ads_config, transport=transport)
         assert unstored.entry.global_id is None
@@ -439,7 +483,7 @@ class TestResolveAndStore:
         again, report = resolve_query_and_store_report(HITRAN_TITLE, None, store, ads_config,
                                                        transport)
         assert again != first
-        assert report.unverified and report.bibtex is not None
+        assert report.unverified and report.path_taken is ResolutionPath.ADS
         assert len(report.warnings) == 1
         assert store.get_entry(again).records == [report.record]
 
@@ -514,11 +558,11 @@ class TestRendersAreTheStoredEntry:
             assert first.renders[RenderFormat.HTML].body.startswith(f"{gid}. A note. ")
             resolved.append(subject)
             paths.add(first.path_taken)
-        assert len(resolved) == 9 and HITRAN_TITLE in resolved
+        assert len(resolved) == 11 and HITRAN_TITLE in resolved
         assert paths == set(ResolutionPath)
 
     @pytest.mark.parametrize("route, bibtex_renders", [
-        (HITRAN, 1), (NIST, 0), (parse_doi("10.5555/emptybib"), 1), (HITRAN_TITLE, 0)],
+        (HITRAN, 1), (NIST, 0), (parse_doi("10.5555/emptybib"), 1), (HITRAN_TITLE, 1)],
         ids=["ads", "fallback", "fallback-without-bibtex", "query"])
     def test_a_new_add_renders_only_what_the_store_keeps(self, route, bibtex_renders,
                                                         transport, ads_config, store,
@@ -543,21 +587,6 @@ class TestRendersAreTheStoredEntry:
         assert calls == {"render_all": 0, "render_html": 1, "render_json": 0, "render_text": 0,
                          "render_bibtex": bibtex_renders}
 
-    @pytest.mark.parametrize("bibtex", [
-        "@misc{bare, doi = {10.1000/bare}}",
-        "@article{bare, journal = {J}, year = {2020}, doi = {10.1000/bare}}",
-    ], ids=["doi-only", "journal-and-year"])
-    def test_a_query_match_without_author_or_title_is_refused(self, bibtex, ads_config, store):
-        record = bibtex_to_record(bibtex)
-        assert record.doi is not None and not record.authors and not record.title
-        crossref = {"message": {"items": [{"DOI": "10.1000/bare"}]}}
-        transport = _Answers(HttpResponse(200, body=json.dumps(crossref).encode()),
-                             HttpResponse(200, body=bibtex.encode()))
-        with pytest.raises(UnusableMetadataError, match="neither author nor title"):
-            resolve_query_and_store_report("Bare", None, store, ads_config, transport)
-        assert transport.responses == []
-        assert store.live_ids() == []
-
     def test_only_the_renders_property_names_a_renderer(self):
         tree = ast.parse(Path(refs.pipeline.__file__).read_text(encoding="utf-8"))
         report = next(node for node in tree.body
@@ -575,18 +604,6 @@ class TestRendersAreTheStoredEntry:
         imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     for alias in node.names if alias.name.startswith("render")]
         assert imported == ["render_all"]
-
-
-class _Answers:
-    """Answers each request with the next of a fixed list of responses."""
-
-    is_live = False
-
-    def __init__(self, *responses):
-        self.responses = list(responses)
-
-    def execute(self, request):
-        return self.responses.pop(0)
 
 
 class TestWarningsStayTheCallers:

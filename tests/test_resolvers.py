@@ -20,7 +20,6 @@ from refs import (
     MissingEntryError,
     NoMatchError,
     NoMetadataFormatError,
-    RenderFormat,
     ResponseDecodeError,
     UnknownDoiError,
     UnusableMetadataError,
@@ -470,15 +469,14 @@ class TestFetchBibtex:
             fetch_bibtex(parse_doi("10.5555/emptybib"), upstream)
 
 
-class TestFetchBibtexByQuery:
-    """The query route: the top CrossRef match's BibTeX, reported as unverified."""
+class TestQueryRoute:
+    """The query route: the top CrossRef match's DOI route, reported as unverified."""
 
-    def test_title_query_resolves_with_unverified_warning(self, upstream, transport, ads_config,
-                                                          recwarn):
+    def test_title_query_resolves_with_unverified_warning(self, transport, ads_config, recwarn):
         query = "The HITRAN2016 molecular spectroscopic database"
         report = resolve_query_reference(query, cfg=ads_config, transport=transport)
-        fetched = fetch_bibtex(HITRAN_DOI, upstream)
-        assert report.renders[RenderFormat.BIBTEX].body == fetched
+        by_doi = resolve_reference(HITRAN_DOI, cfg=ads_config, transport=transport)
+        assert report.renders == by_doi.renders
         assert report.warnings == [
             f"bibliography for query {query!r} resolved by keyword match to {HITRAN_DOI}; "
             "it may belong to a different article"
@@ -512,6 +510,21 @@ class TestCslToRecord:
     def test_missing_author_and_title_rejected(self):
         with pytest.raises(UnusableMetadataError):
             csl_to_record({"DOI": "10.1000/x", "volume": "1"})
+
+    @pytest.mark.parametrize("field, value", [
+        ("title", {"a": 1}), ("title", [{"a": 1}]), ("container-title", [["J"]]),
+        ("volume", True), ("issue", [None]), ("page", {"first": "1"}), ("publisher", [False]),
+    ])
+    def test_a_text_field_holding_neither_text_nor_a_number_is_refused(self, field, value):
+        with pytest.raises(ResponseDecodeError) as exc_info:
+            csl_to_record({"DOI": "10.1000/x", "title": "T", field: value})
+        assert str(exc_info.value) == f"{field!r} holds {value!r}, not text or a number"
+
+    def test_text_fields_take_text_or_a_number_bare_or_first_in_a_list(self):
+        record = csl_to_record({"DOI": "10.1000/x", "title": ["T", "U"], "volume": 232,
+                                "issue": [1.5], "page": [], "container-title": []})
+        assert (record.title, record.volume, record.number) == ("T", "232", "1.5")
+        assert (record.pages, record.journal) == (None, None)
 
     def test_entities_decoded_at_ingestion(self, upstream):
         record = csl_to_record(fetch_csl_json(ASTROPY_DOI, upstream))

@@ -10,6 +10,7 @@ import json
 import os
 import random
 import re
+import shutil
 import sqlite3
 import stat
 import subprocess
@@ -675,6 +676,16 @@ def filled_store(path: Path, size: int) -> RefStore:
     return store
 
 
+@pytest.fixture(scope="module")
+def filled_files(tmp_path_factory) -> dict[int, Path]:
+    """``filled_store`` files of 10 and 500 entries, built once; a test opens its own copy."""
+    built = {}
+    for size in (10, 500):
+        built[size] = tmp_path_factory.mktemp("filled") / f"{size}.db"
+        filled_store(built[size], size).close()
+    return built
+
+
 class TestQueryCounts:
     def test_opening_a_new_store_is_one_commit_and_reopening_none(self, tmp_path, statements):
         RefStore(tmp_path / "refs.db").close()
@@ -684,10 +695,10 @@ class TestQueryCounts:
         RefStore(tmp_path / "refs.db").close()
         assert not any(s.startswith(("BEGIN", "COMMIT")) for s in statements)
 
-    def test_loads_run_a_fixed_number_of_statements(self, tmp_path, statements):
+    def test_loads_run_a_fixed_number_of_statements(self, tmp_path, filled_files, statements):
         counts = []
         for size in (10, 500):
-            store = filled_store(tmp_path / f"{size}.db", size)
+            store = RefStore(shutil.copy(filled_files[size], tmp_path))
             ids = store.live_ids()
             per_call = []
             for load in (
@@ -704,7 +715,8 @@ class TestQueryCounts:
         assert counts[0] == counts[1]
         assert counts[0][0] == 1
 
-    def test_an_export_is_one_select_whether_or_not_an_id_is_missing(self, tmp_path, statements):
+    def test_an_export_is_one_select_whether_or_not_an_id_is_missing(self, tmp_path, filled_files,
+                                                                      statements):
         def export(ids: list[int]) -> tuple[list[int], list[str]]:
             """The IDs the export reports missing, and the SELECTs it ran."""
             statements.clear()
@@ -716,7 +728,7 @@ class TestQueryCounts:
             return missing, [s for s in statements if s.startswith("SELECT")]
 
         for size in (10, 500):
-            with filled_store(tmp_path / f"{size}.db", size) as store:
+            with RefStore(shutil.copy(filled_files[size], tmp_path)) as store:
                 ids = store.live_ids()
                 answers = [export(ids), export(ids + [size + 7])]
                 store.delete_entry(ids[size // 2])
@@ -1122,6 +1134,9 @@ def write_old_store(version: int, path: Path, entries: dict, deleted=(), crossre
     text as fetched from upstream.
     """
     conn = sqlite3.connect(path)
+    # Neither setting is kept in the file, which only this connection writes.
+    conn.execute("PRAGMA journal_mode = MEMORY")
+    conn.execute("PRAGMA synchronous = OFF")
     conn.executescript({1: V1_SCHEMA, 2: V2_SCHEMA, 3: V3_SCHEMA, 4: V4_SCHEMA, 5: V5_SCHEMA,
                         6: V6_SCHEMA}[version])
     for gid, (recs, note) in entries.items():
