@@ -42,11 +42,11 @@ class BibtexCardinalityError(RefsError, ValueError):
     """The input did not contain exactly one BibTeX entry."""
 
 
-class UnusableMetadataError(RefsError):
-    """Fetched metadata builds no record: no author and no title, or a value the model refuses."""
+class UnusableMetadataError(RefsError, ValueError):
+    """Metadata builds no record: no author and no title, no DOI, or a year out of range."""
 
 
-# What the model raises, besides a RefsError, when it refuses malformed data.
+# What decoding a row refs wrote itself may raise when the row is damaged.
 MODEL_REFUSALS = (AttributeError, LookupError, TypeError, ValueError)
 
 

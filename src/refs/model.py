@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from typing import Any
 
-from .errors import InvalidAuthorError
+from .errors import InvalidAuthorError, UnusableMetadataError
 from .identifiers import Bibcode, Doi, format_bibcode, parse_bibcode
 from .values import Frozen, Value, slot_setters
 
@@ -171,7 +171,7 @@ class BibRecord(Value):
         bibcode: Bibcode | None = None,
     ) -> None:
         if year is not None and not MIN_YEAR <= year <= MAX_YEAR:
-            raise ValueError(f"year out of range [{MIN_YEAR}, {MAX_YEAR}]: {year}")
+            raise UnusableMetadataError(f"year out of range [{MIN_YEAR}, {MAX_YEAR}]: {year}")
         self.title = title
         self.authors = [] if authors is None else authors
         self.source_type = source_type

@@ -8,16 +8,8 @@ the output formats, so both routes yield identical HTML by construction.
 from __future__ import annotations
 
 import enum
-from typing import Callable
 
-from .errors import (
-    MODEL_REFUSALS,
-    DuplicateEntryError,
-    MissingEntryError,
-    RefsError,
-    ResolutionFailedError,
-    UnusableMetadataError,
-)
+from .errors import DuplicateEntryError, MissingEntryError, RefsError, ResolutionFailedError
 from .formats import RenderedCitation, RenderFormat
 from .identifiers import Bibcode, Doi
 from .model import BibRecord, RefEntry
@@ -121,7 +113,7 @@ def resolve_reference(
 
     if docs:
         try:
-            record = _record("ADS document", ads_doc_to_record, docs[0], doi)
+            record = ads_doc_to_record(docs[0], doi)
             # Last in the try: an unusable document leaves no mismatch warning.
             if record.doi is not None and record.doi.canonical != doi.canonical:
                 warnings.append(
@@ -134,7 +126,7 @@ def resolve_reference(
                                     warnings=warnings)
 
     try:
-        record = _record(f"citation JSON for {doi}", csl_to_record, fetch_csl_json(doi, upstream))
+        record = csl_to_record(fetch_csl_json(doi, upstream))
     except RefsError as exc:
         raise ResolutionFailedError(ads_cause, str(exc)) from exc
     bibtex = None
@@ -162,17 +154,6 @@ def resolve_query_reference(
     matched = crossref_top_doi(freeform, upstream)
     report = resolve_reference(matched, note, upstream.cfg, upstream.transport)
     return _unverified(freeform, report)
-
-
-def _record(source: str, to_record: Callable[..., BibRecord], *upstream_data) -> BibRecord:
-    """``to_record(*upstream_data)``; a value the model refuses is UnusableMetadataError."""
-    try:
-        return to_record(*upstream_data)
-    except RefsError:
-        raise
-    except MODEL_REFUSALS as exc:
-        raise UnusableMetadataError(
-            f"{source} holds a value the model refuses: {type(exc).__name__}: {exc}") from exc
 
 
 def _unverified(freeform: str, report: ResolutionReport) -> ResolutionReport:

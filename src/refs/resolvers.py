@@ -105,10 +105,31 @@ def _clean_text(value: str) -> str:
     return " ".join(html.unescape(value).split())
 
 
-def _objects(value, name: str) -> list[dict]:
-    """A decoded JSON value that is a list of objects; else a TypeError naming it."""
-    if not (isinstance(value, list) and all(isinstance(item, dict) for item in value)):
-        raise TypeError(f"{name} is not a list of objects")
+# The readers of upstream JSON. Every field of an answer is read through one
+# of them, so a member of the wrong type is a ResponseDecodeError naming it.
+def _answer(response: HttpResponse, what: str, *path: str):
+    """The JSON object ``response`` carries, or its member at ``path``, each step an object.
+
+    Anything else raises ResponseDecodeError("<what>: <the problem>"), so ``what``
+    leads the message: "malformed ADS response from <url>", say.
+    """
+    try:
+        value = response.json()
+    except ValueError as exc:
+        raise ResponseDecodeError(f"{what}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ResponseDecodeError(f"{what}: the answer is not an object")
+    for key in path:
+        if not isinstance(value, dict) or key not in value:
+            raise ResponseDecodeError(f"{what}: {key!r} is missing")
+        value = value[key]
+    return value
+
+
+def _list(value, of: type, what: str) -> list:
+    """``value`` if it is a list of ``of``: dict for objects, str for text; else refused."""
+    if not (isinstance(value, list) and all(isinstance(item, of) for item in value)):
+        raise ResponseDecodeError(f"{what} is not a list of {'objects' if of is dict else 'text'}")
     return value
 
 
@@ -124,6 +145,17 @@ def _first(obj: dict, field: str) -> str:
     if isinstance(first, bool) or not isinstance(first, (str, int, float)):
         raise ResponseDecodeError(f"{field!r} holds {value!r}, not text or a number")
     return str(first)
+
+
+def _year(value, field: str) -> int | None:
+    """A year given as an int or a string of digits; None when absent, null, "" or []."""
+    if value in (None, "", []):
+        return None
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ResponseDecodeError(f"{field!r} holds {value!r}, not a year")
+    return value
 
 
 class Upstream:
@@ -264,16 +296,14 @@ def fetch_ads_docs(doi: Doi, upstream: Upstream) -> list[dict]:
     """The ADS search documents (ADS_FIELD_LIST) for a DOI, in one request.
 
     Only documents that carry a bibcode are kept, in the service's relevance
-    order. An empty list means ADS has no match: that selects the fallback
-    path and is not an error.
+    order, each with its bibcode read as text. An empty list means ADS has no
+    match: that selects the fallback path and is not an error.
     """
     url = ads_search_url(upstream.cfg, ads_doi_query(doi), ADS_FIELD_LIST, rows=10)
-    response = upstream.ads("GET", url, about=url)
-    try:
-        docs = _objects(response.json()["response"]["docs"], "docs")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ResponseDecodeError(f"malformed ADS response from {url}: {exc}") from exc
-    return [d for d in docs if d.get("bibcode")]
+    what = f"malformed ADS response from {url}"
+    docs = _list(_answer(upstream.ads("GET", url, about=url), what, "response", "docs"), dict,
+                 f"{what}: docs")
+    return [dict(doc, bibcode=bibcode) for doc in docs if (bibcode := _first(doc, "bibcode"))]
 
 
 def fetch_ads_export(
@@ -289,13 +319,9 @@ def fetch_ads_export(
     upstream = Upstream(transport, cfg)
     body = json.dumps({"bibcode": [str(b) for b in bibcodes]}).encode("utf-8")
     url = f"{upstream.cfg.base_url}/export/bibtex"
-    response = upstream.ads("POST", url, body, service="ADS export")
-    try:
-        blob = response.json()["export"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ResponseDecodeError(f"malformed ADS export response: {exc}") from exc
-
-    by_key = {entry.key: entry.raw for entry in parse_entries(blob)}
+    answer = _answer(upstream.ads("POST", url, body, service="ADS export"),
+                     "malformed ADS export response")
+    by_key = {entry.key: entry.raw for entry in parse_entries(_first(answer, "export"))}
     missing = [str(b) for b in bibcodes if str(b) not in by_key]
     if missing:
         raise MissingEntryError(
@@ -307,36 +333,29 @@ def fetch_ads_export(
 def ads_doc_to_record(doc: dict, queried_doi: Doi | None = None) -> BibRecord:
     """Map one ADS search document onto the canonical model."""
     # ADS names are JSON text, not BibTeX: any whitespace in them separates words.
-    authors = [_author_from_bibtex(" ".join(a.split())) for a in doc.get("author", [])]
+    names = _list(doc.get("author", []), str, "author")
+    authors = [_author_from_bibtex(" ".join(a.split())) for a in names]
     title = _clean_text(_first(doc, "title"))
     if not authors and not title:
         raise UnusableMetadataError("ADS document carries neither author nor title")
-    doi = queried_doi
-    if doc.get("doi"):
-        doi = parse_doi(_first(doc, "doi"))
-    year = int(doc["year"]) if doc.get("year") else None
+    doi, bibcode = _first(doc, "doi"), _first(doc, "bibcode")
     return BibRecord(
         title=title,
         authors=authors,
-        journal=_clean_text(doc["pub"]) if doc.get("pub") else None,
+        journal=_clean_text(_first(doc, "pub")) or None,
         volume=_first(doc, "volume") or None,
         pages=split_page_range(_first(doc, "page")),
-        year=year,
-        doi=doi,
-        bibcode=parse_bibcode(doc["bibcode"]) if doc.get("bibcode") else None,
+        year=_year(doc.get("year"), "year"),
+        doi=parse_doi(doi) if doi else queried_doi,
+        bibcode=parse_bibcode(bibcode) if bibcode else None,
     )
 
 
 def fetch_csl_json(doi: Doi, upstream: Upstream) -> dict:
     """Content-negotiate citation-styles JSON for a DOI at doi.org; the decoded object."""
-    response = upstream.negotiate(doi, CSL_JSON_ACCEPT)
-    try:
-        payload = response.json()
-    except ValueError as exc:
-        raise ResponseDecodeError(f"citation JSON for {doi} does not parse: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ResponseDecodeError(f"citation JSON for {doi} is not an object")
-    reported = str(payload.get("DOI", ""))
+    payload = _answer(upstream.negotiate(doi, CSL_JSON_ACCEPT),
+                      f"citation JSON for {doi} does not parse")
+    reported = _first(payload, "DOI")
     if reported.lower() != doi.canonical:
         raise ResponseDecodeError(
             f"citation JSON reports DOI {reported!r}, expected {doi.canonical!r}"
@@ -367,58 +386,57 @@ def crossref_top_doi(freeform: str, upstream: Upstream) -> Doi:
     request = HttpRequest(
         "GET", crossref_query_url(freeform.strip()), headers={"Accept": "application/json"}
     )
-    response = upstream.send(request, "CrossRef")
-    try:
-        items = _objects(response.json()["message"]["items"], "items")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ResponseDecodeError(f"malformed CrossRef response: {exc}") from exc
+    what = "malformed CrossRef response"
+    items = _list(_answer(upstream.send(request, "CrossRef"), what, "message", "items"), dict,
+                  f"{what}: items")
     if not items:
         raise NoMatchError(f"no bibliographic match for query {freeform!r}")
-    top = items[0]
-    if not top.get("DOI"):
+    top = _first(items[0], "DOI")
+    if not top:
         raise ResponseDecodeError("top CrossRef hit carries no DOI")
     try:
-        return parse_doi(str(top["DOI"]))
+        return parse_doi(top)
     except InvalidDoiError as exc:
         raise ResponseDecodeError(f"top CrossRef hit carries an invalid DOI: {exc}") from exc
 
 
 def _csl_author(item: dict) -> AuthorName:
-    if item.get("literal"):
-        return AuthorName(given_names=(), surname=_clean_text(item["literal"]))
-    return make_author(_clean_text(item.get("given", "")), _clean_text(item.get("family", "")))
+    if literal := _clean_text(_first(item, "literal")):
+        return AuthorName(given_names=(), surname=literal)
+    return make_author(_clean_text(_first(item, "given")), _clean_text(_first(item, "family")))
+
+
+def _csl_year(raw: dict) -> int | None:
+    """The first number of the first ``date-parts`` of CSL ``issued``; None when there is none."""
+    issued = raw.get("issued") or {}
+    if not isinstance(issued, dict):
+        raise ResponseDecodeError(f"'issued' holds {issued!r}, not an object")
+    parts = issued.get("date-parts")
+    if parts and not (isinstance(parts, list) and isinstance(parts[0], list)):
+        raise ResponseDecodeError(f"'date-parts' holds {parts!r}, not a list of lists")
+    return _year(parts[0][0] if parts and parts[0] else None, "issued")
 
 
 def csl_to_record(raw: dict) -> BibRecord:
     """Bridge a citation-styles JSON document onto the canonical model."""
-    if not raw.get("DOI"):
+    doi = _first(raw, "DOI")
+    if not doi:
         raise UnusableMetadataError("citation JSON carries no DOI")
-    authors = [_csl_author(a) for a in raw.get("author", [])]
+    authors = [_csl_author(a) for a in _list(raw.get("author", []), dict, "author")]
     title = _clean_text(_first(raw, "title"))
     if not authors and not title:
         raise UnusableMetadataError("citation JSON carries neither author nor title")
-
-    year = None
-    issued = raw.get("issued", {})
-    date_parts = issued.get("date-parts") if isinstance(issued, dict) else None
-    if date_parts and date_parts[0] and date_parts[0][0] is not None:
-        year = int(date_parts[0][0])
-
-    source_type = SourceType.ARTICLE
-    if raw.get("type"):
-        source_type = _CSL_TYPE_MAP.get(str(raw["type"]), SourceType.OTHER)
-
-    journal = _clean_text(_first(raw, "container-title"))
-    publisher = _clean_text(_first(raw, "publisher"))
+    kind = _first(raw, "type")
+    source_type = _CSL_TYPE_MAP.get(kind, SourceType.OTHER) if kind else SourceType.ARTICLE
     return BibRecord(
         title=title,
         authors=authors,
         source_type=source_type,
-        journal=journal or None,
+        journal=_clean_text(_first(raw, "container-title")) or None,
         volume=_first(raw, "volume") or None,
         number=_first(raw, "issue") or None,
         pages=split_page_range(_first(raw, "page")),
-        year=year,
-        publisher=publisher or None,
-        doi=parse_doi(str(raw["DOI"])),
+        year=_csl_year(raw),
+        publisher=_clean_text(_first(raw, "publisher")) or None,
+        doi=parse_doi(doi),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import sqlite3
 import time
@@ -74,6 +75,22 @@ class CountingTransport:
 
     def count(self, url_fragment: str) -> int:
         return sum(1 for r in self.requests if url_fragment in r.url)
+
+
+@contextlib.contextmanager
+def unsynced(store: RefStore):
+    """``store`` writing with no sync and no journal file until the block ends, for a test
+    that fills a store only to read it. The file's bytes record neither setting."""
+    conn = store._conn
+    saved = [conn.execute(f"PRAGMA {name}").fetchone()[0]
+             for name in ("journal_mode", "synchronous")]
+    conn.execute("PRAGMA journal_mode = MEMORY")
+    conn.execute("PRAGMA synchronous = OFF")
+    try:
+        yield store
+    finally:
+        conn.execute(f"PRAGMA journal_mode = {saved[0]}")
+        conn.execute(f"PRAGMA synchronous = {saved[1]}")
 
 
 def fallback_exchanges(doi, csl_body: str, bibtex: str) -> list[dict]:

@@ -38,7 +38,7 @@ from refs.resolvers import (
     fetch_csl_json,
 )
 
-from conftest import FIXTURE_DIR, GOLDEN_DIR, CountingTransport, NetworkBlockedError
+from conftest import FIXTURE_DIR, GOLDEN_DIR, CountingTransport, NetworkBlockedError, unsynced
 from corpus import build_corpus_entries
 
 OVERLAP_DOIS = [
@@ -264,9 +264,10 @@ def test_criterion_7_store_durability_and_id_permanence(tmp_path):
 @pytest.mark.parametrize("target_id", [2, 663])
 def test_criterion_8_nested_labeling(tmp_path, target_id):
     with RefStore(tmp_path / "refs.db") as store:
-        for i in range(1, target_id):
-            store.add_entry([BibRecord(title=f"Filler {i}", year=2000,
-                                       doi=parse_doi(f"10.8888/fill.{i}"))])
+        with unsynced(store):
+            for i in range(1, target_id):
+                store.add_entry([BibRecord(title=f"Filler {i}", year=2000,
+                                           doi=parse_doi(f"10.8888/fill.{i}"))])
         gid = store.add_entry(
             [
                 BibRecord(title="Nested one", authors=[make_author("A.", "One")],

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import html
 import io
 import json
 import os
@@ -10,9 +12,12 @@ import shutil
 import sqlite3
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from urllib.parse import parse_qs, unquote, urlsplit
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import refs
 import refs.cli
@@ -37,9 +42,10 @@ from refs import (
 )
 from refs.bibtex import clean_value
 from refs.cli import EXIT_RESOLUTION, UsageError, main
+from refs.identifiers import format_bibcode
 from refs.model import Pages
 
-from conftest import FIXTURE_DIR, fallback_exchanges
+from conftest import FIXTURE_DIR, fallback_exchanges, unsynced
 from test_pipeline import MATCHED
 from test_transport import FakeNetwork, FakeResponse, header
 
@@ -276,32 +282,32 @@ class TestAdd:
         assert "surrogates not allowed" in err
         assert Path(db_path).read_bytes() == before
 
-    @pytest.mark.parametrize("year, cause", [
-        ("1200", "ValueError: year out of range [1500, 2999]: 1200"),
-        ("20x7", "ValueError: invalid literal for int() with base 10: '20x7'"),
-    ], ids=["year-1200", "year-20x7"])
+    # A string author was read as a list of names: one author per letter.
+    @pytest.mark.parametrize("fields, cause", [
+        ({"year": "1200"}, "year out of range [1500, 2999]: 1200"),
+        ({"year": "20x7"}, "'year' holds '20x7', not a year"),
+        ({"author": "Gordon"}, "author is not a list of text"),
+    ], ids=["year-1200", "year-20x7", "author-str"])
     def test_an_ads_doc_with_a_value_the_model_refuses_falls_back(self, capsys, db_path,
-                                                                  tmp_path, year, cause):
+                                                                  tmp_path, fields, cause):
         doi = "10.1234/ads-year"
         csl = json.dumps({"type": "journal-article", "DOI": doi, "title": "From doi.org"})
         exchanges = fallback_exchanges(parse_doi(doi), csl, "@misc{D, title={From doi.org}}")
-        doc = {"bibcode": "2017JQSRT.203....3G", "title": ["From ADS"], "year": year, "doi": [doi]}
+        doc = {"bibcode": "2017JQSRT.203....3G", "title": ["From ADS"], "doi": [doi], **fields}
         exchanges[0]["response"]["body"] = json.dumps({"response": {"numFound": 1, "docs": [doc]}})
         code, out, err = run(capsys, "add", "--doi", doi, "--db", db_path, "--offline",
                              "--fixtures", str(write_fixtures(tmp_path, exchanges)))
         assert (code, out) == (0, "id=1 path=fallback\n")
         assert err == ("refs: warning: ADS document for 2017JQSRT.203....3G is unusable:"
-                       f" ADS document holds a value the model refuses: {cause}\n")
+                       f" {cause}\n")
         with RefStore(db_path) as store:
             assert store.get_entry(1).records[0].title == "From doi.org"
 
     @pytest.mark.parametrize("fields, cause", [
-        ({"issued": {"date-parts": [[99999]]}}, "ValueError: year out of range [1500, 2999]: 99999"),
-        ({"issued": {"date-parts": [["abc"]]}},
-         "ValueError: invalid literal for int() with base 10: 'abc'"),
-        ({"issued": {"date-parts": [[float("nan")]]}},
-         "ValueError: cannot convert float NaN to integer"),
-        ({"author": "x"}, "AttributeError: 'str' object has no attribute 'get'"),
+        ({"issued": {"date-parts": [[99999]]}}, "year out of range [1500, 2999]: 99999"),
+        ({"issued": {"date-parts": [["abc"]]}}, "'issued' holds 'abc', not a year"),
+        ({"issued": {"date-parts": [[float("nan")]]}}, "'issued' holds nan, not a year"),
+        ({"author": "x"}, "author is not a list of objects"),
     ], ids=["year-99999", "year-abc", "year-nan", "author-str"])
     def test_citation_json_with_a_value_the_model_refuses_exits_2_and_leaves_the_store(
             self, capsys, db_path, tmp_path, fields, cause):
@@ -314,7 +320,7 @@ class TestAdd:
                              "--fixtures", str(fixtures))
         assert (code, out) == (EXIT_RESOLUTION, "")
         assert err.startswith("refs: reference resolution failed: ") and err.count("\n") == 1
-        assert f"fallback path: citation JSON for {doi} holds a value the model refuses: {cause}\n" in err
+        assert err.endswith(f"; fallback path: {cause}\n")
         assert Path(db_path).read_bytes() == before
 
     def test_a_query_match_with_a_year_the_model_refuses_exits_2_and_leaves_the_store(
@@ -332,8 +338,7 @@ class TestAdd:
                              "--fixtures", str(write_fixtures(tmp_path, exchanges)))
         assert (code, out) == (EXIT_RESOLUTION, "")
         assert err == ("refs: reference resolution failed: ADS path: DOI not in ADS (empty DOI"
-                       f" search result); fallback path: citation JSON for {doi} holds a value"
-                       " the model refuses: ValueError: year out of range [1500, 2999]: 1200\n")
+                       " search result); fallback path: year out of range [1500, 2999]: 1200\n")
         assert Path(db_path).read_bytes() == before
 
     @pytest.mark.parametrize("items", [[1], "abc", {"a": 1}, [{"DOI": HITRAN}, None]],
@@ -461,6 +466,153 @@ class TestAdd:
         assert outs[0] == outs[1]
 
 
+# Every exchange of the recorded fixtures, in the order replay reads them.
+RECORDED = [entry for archive in sorted(FIXTURE_DIR.glob("*.json"))
+            for entry in json.loads(archive.read_text())["entries"]]
+
+
+def recorded_answers() -> list[tuple[tuple[str, str], int, object]]:
+    """Every recorded JSON answer that an add reads: each ADS DOI search, citation JSON
+    and CrossRef search, as (the add's subject, its index in RECORDED, its decoded body)."""
+    answers = []
+    for index, entry in enumerate(RECORDED):
+        request, response = entry["request"], entry["response"]
+        parts = urlsplit(request["url"])
+        params = parse_qs(parts.query)
+        if parts.hostname == "doi.org" and request["accept"] == refs.resolvers.CSL_JSON_ACCEPT:
+            subject = ("--doi", unquote(parts.path[1:]))
+        elif (params.get("fl") == [refs.resolvers.ADS_FIELD_LIST]
+              and params["q"][0].startswith('doi:"')):
+            subject = ("--doi", params["q"][0].removeprefix('doi:"').removesuffix('"'))
+        elif "query.bibliographic" in params:
+            subject = ("--query", params["query.bibliographic"][0])
+        else:
+            continue
+        if response["status"] == 200 and response["body"][:1] in "{[":
+            answers.append((subject, index, json.loads(response["body"])))
+    return answers
+
+
+def node_paths(node, path: tuple = ()) -> list[tuple]:
+    """The path of every node of a decoded JSON value, the root's ``()`` first."""
+    paths = [path]
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            paths += node_paths(child, (*path, key))
+    return paths
+
+
+def scalar_texts(node) -> set[str]:
+    """Each string or number node as text, raw and as the readers clean it."""
+    if isinstance(node, (dict, list)):
+        return set().union(*map(scalar_texts, node.values() if isinstance(node, dict) else node))
+    if node is None or isinstance(node, bool):
+        return set()
+    return {str(node), " ".join(html.unescape(str(node)).split())}
+
+
+RECORDED_ANSWERS = [(subject, index, body, node_paths(body))
+                    for subject, index, body in recorded_answers()]
+RECORDED_SCALARS = {index: scalar_texts(body) for _, index, body, _ in RECORDED_ANSWERS}
+# What a changed node becomes: each JSON type, text the readers treat specially
+# (a year, a page range, an entity, a lone surrogate), and the shapes the
+# answers nest. One sampled value is far cheaper to draw than a built one.
+REPLACEMENTS = [
+    None, True, False, 0, -1, 1200, 2017, 99999, 1.5, float("nan"), float("inf"),
+    "", " ", "x", "2017", "20x7", "1-2", "a &amp; b", "Doe, J.", "journal-article",
+    "10.1234/x", "\ud800", [], [None], [1], ["x"], ["x", 1], [[1]], [[2017, 9]], [["2017"]],
+    [{}], [{"a": 1}], {}, {"a": 1}, {"date-parts": [[1200]]}, {"family": "x"},
+    {"DOI": "10.1234/x"},
+]
+DELETE = object()
+NODE_CHANGES = st.sampled_from([*REPLACEMENTS, DELETE])
+
+
+def with_node(body, path: tuple, value):
+    """A copy of a decoded JSON value whose node at ``path`` is ``value``, or is deleted
+    when ``value`` is DELETE; ``value`` itself when ``path`` is the root's."""
+    if not path:
+        return value
+    body = json.loads(json.dumps(body))
+    parent = body
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return body
+
+
+@st.composite
+def one_node_changed(draw) -> tuple[tuple[str, str], int, object]:
+    """A recorded answer with one node, drawn at any depth, replaced or deleted: the add's
+    subject, the answer's index in RECORDED and its changed body."""
+    subject, index, body, paths = draw(st.sampled_from(RECORDED_ANSWERS))
+    path = draw(st.sampled_from(paths))
+    value = draw(NODE_CHANGES if path else st.sampled_from(REPLACEMENTS))
+    return subject, index, with_node(body, path, value)
+
+
+def record_texts(record: BibRecord) -> list[str]:
+    """Every text field a stored record holds."""
+    texts = [record.title, record.journal, record.volume, record.number, record.publisher]
+    if record.pages:
+        texts += [record.pages.first, record.pages.last]
+    if record.bibcode:
+        texts.append(format_bibcode(record.bibcode))
+    for author in record.authors:
+        texts += [author.surname, *author.given_names]
+    return [text for text in texts if text]
+
+
+@pytest.fixture(scope="module")
+def stored_before(tmp_path_factory) -> Path:
+    """A store that already holds one entry, alone in its directory."""
+    path = tmp_path_factory.mktemp("hostile") / "before.db"
+    with RefStore(path) as store:
+        store.add_entry([BibRecord(title="Stored before", doi=parse_doi("10.1234/before"))])
+    return path
+
+
+class TestHostileUpstream:
+    def test_the_answers_changed_are_ads_searches_citation_json_and_crossref_searches(self):
+        kinds = {(subject[0], "response" in body) for subject, _, body, _ in RECORDED_ANSWERS}
+        assert kinds == {("--doi", True), ("--doi", False), ("--query", False)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(one_node_changed())
+    def test_one_changed_node_exits_0_or_2_and_stores_only_what_scalars_say(
+            self, stored_before, changed):
+        (kind, subject), index, body = changed
+        entry = RECORDED[index]
+        exchanges = [*RECORDED[:index], dict(entry, response=dict(entry["response"],
+                                                                  body=json.dumps(body))),
+                     *RECORDED[index + 1:]]
+        before = stored_before.read_bytes()
+        with tempfile.TemporaryDirectory(dir=stored_before.parent) as work:
+            db = Path(work) / "refs.db"
+            db.write_bytes(before)
+            fixtures = write_fixtures(Path(work), exchanges)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["add", kind, subject, "--db", str(db), "--offline",
+                             "--fixtures", str(fixtures)])
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, EXIT_RESOLUTION), err
+            assert all(line.startswith("refs: ") for line in err.splitlines())
+            if code:
+                assert (out, err.count("\n")) == ("", 1)
+                assert db.read_bytes() == before
+                return
+            with RefStore(db) as store:
+                records = store.get_entry(int(out.split()[0].removeprefix("id="))).records
+        scalars = set().union(scalar_texts(body), *(
+            texts for i, texts in RECORDED_SCALARS.items() if i != index))
+        for text in record_texts(records[0]):
+            assert any(text in scalar for scalar in scalars), text
+
+
 class TestRender:
     @pytest.fixture()
     def seeded(self, capsys, db_path):
@@ -571,7 +723,7 @@ class TestExport:
 
     def test_export_663_and_665_labels(self, capsys, db_path, tmp_path):
         # Seed a store whose IDs genuinely reach 663 and 665.
-        with RefStore(db_path) as store:
+        with RefStore(db_path) as store, unsynced(store):
             for i in range(1, 663):
                 store.add_entry([BibRecord(title=f"Filler {i}", year=2000,
                                            doi=parse_doi(f"10.9999/fill.{i}"))])
@@ -718,7 +870,7 @@ class TestList:
         queries = []
         for size in (5, 50):
             db = str(tmp_path / f"{size}.db")
-            with RefStore(db) as store:
+            with RefStore(db) as store, unsynced(store):
                 for i in range(size):
                     store.add_entry([BibRecord(title=f"T{i}", doi=parse_doi(f"10.1000/{i}"))])
                     store.attach_crossref("H2O", "nu", i, i + 1)

@@ -19,6 +19,7 @@ from refs import (
     Pages,
     RefEntry,
     SourceCrossRef,
+    UnusableMetadataError,
     format_pages,
     make_author,
     parse_bibcode,
@@ -282,7 +283,7 @@ class TestDictCodecs:
         ({"authors": [{"given_names": ["A."], "surname": "  "}]}, InvalidAuthorError),
         ({"authors": [{"given_names": ["A."]}]}, KeyError),
         ({"source_type": "journal"}, ValueError),
-        ({"year": 1499}, ValueError),
+        ({"year": 1499}, UnusableMetadataError),
         ({"doi": "11.1000/x"}, InvalidDoiError),
         ({"bibcode": "2017JQSRT.203....3"}, BibcodeLengthError),
         ({"bibcode": "2017JQSRT.203!...3G"}, BibcodeFormatError),
@@ -344,7 +345,7 @@ class TestRowCodec:
         (None, None, ValueError),
         (1, [[["A."], "  "]], InvalidAuthorError),
         (2, "journal", ValueError),
-        (7, 1499, ValueError),
+        (7, 1499, UnusableMetadataError),
         (9, "10.1000/X", InvalidDoiError),
         (9, "doi:10.1000/x", InvalidDoiError),
         (10, "2017JQSRT.203....3", BibcodeLengthError),

@@ -210,6 +210,17 @@ class TestFallbackPath:
         assert str(report.bibcode) == "2017ApJS..232...12W"
         assert any("matches 2 bibcodes" in w for w in report.warnings)
 
+    def test_bibcodes_wrapped_in_lists_are_named_as_text(self, transport, ads_config):
+        # Read raw, the first bibcode was named in the warning as a Python list.
+        docs = [{"bibcode": ["2017JQSRT.203....3G"], "title": ["T"], "doi": [str(HITRAN)]},
+                {"bibcode": ["2013A&A...558A..33A"], "title": ["U"]}]
+        answer = HttpResponse(200, body=json.dumps({"response": {"docs": docs}}).encode())
+        report = resolve_reference(HITRAN, cfg=ads_config,
+                                   transport=_AdsAnswers(transport, answer))
+        assert (report.path_taken, str(report.bibcode)) == (ResolutionPath.ADS,
+                                                            "2017JQSRT.203....3G")
+        assert report.warnings == [f"DOI {HITRAN} matches 2 bibcodes; using 2017JQSRT.203....3G"]
+
     def test_ads_doc_without_author_or_title_falls_back_with_cause(self, fixture_dir, ads_config):
         bare = {"responseHeader": {"status": 0}, "response": {"numFound": 1, "start": 0, "docs": [
             {"bibcode": "2022nist.data....1K", "doi": ["10.18434/t4w30f"], "year": "2022"}]}}
@@ -372,8 +383,7 @@ class TestQueryMode:
                 resolve(cfg=ads_config, transport=transport)
             failures.append(str(exc_info.value))
         assert failures[0] == failures[1]
-        assert failures[0].endswith(f"citation JSON for {doi} holds a value the model refuses:"
-                                    " ValueError: year out of range [1500, 2999]: 1200")
+        assert failures[0].endswith("; fallback path: year out of range [1500, 2999]: 1200")
 
 
 class TestResolveAndStore:

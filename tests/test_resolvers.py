@@ -10,7 +10,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from refs import (
     AuthError,
@@ -20,7 +20,9 @@ from refs import (
     MissingEntryError,
     NoMatchError,
     NoMetadataFormatError,
+    RefsError,
     ResponseDecodeError,
+    SourceType,
     UnknownDoiError,
     UnusableMetadataError,
     UpstreamError,
@@ -49,6 +51,7 @@ from refs.resolvers import (
 )
 
 from conftest import FIXTURE_DIR
+from test_cli import NODE_CHANGES, RECORDED_ANSWERS, node_paths, with_node
 from test_identifiers import accepted_dois
 
 HITRAN_DOI = parse_doi("10.1016/j.jqsrt.2017.06.038")
@@ -526,6 +529,16 @@ class TestCslToRecord:
         assert (record.title, record.volume, record.number) == ("T", "232", "1.5")
         assert (record.pages, record.journal) == (None, None)
 
+    @pytest.mark.parametrize("kind, source_type", [
+        ("journal-article", SourceType.ARTICLE), (["journal-article"], SourceType.ARTICLE),
+        (["book", "x"], SourceType.BOOK), (None, SourceType.ARTICLE), ([], SourceType.ARTICLE),
+        ("dataset", SourceType.OTHER),
+    ])
+    def test_the_type_is_read_as_every_text_field_is(self, kind, source_type):
+        # Read as its str(), a list named no known type and was stored as OTHER.
+        record = csl_to_record({"DOI": "10.1000/x", "title": "T", "type": kind})
+        assert record.source_type is source_type
+
     def test_entities_decoded_at_ingestion(self, upstream):
         record = csl_to_record(fetch_csl_json(ASTROPY_DOI, upstream))
         assert record.journal == "Astronomy & Astrophysics"
@@ -534,6 +547,33 @@ class TestCslToRecord:
         record = csl_to_record(fetch_csl_json(ASTROPY_DOI, upstream))
         assert record.authors[0].surname == "Astropy Collaboration"
         assert record.authors[0].given_names == ()
+
+
+# Each recorded ADS document and citation JSON answer, the function that maps it and
+# the paths of its nodes below the root: a root that is not an object never reaches it.
+RECORDED_DOCUMENTS = [
+    (to_record, doc, node_paths(doc)[1:])
+    for (kind, _), _, body, _ in RECORDED_ANSWERS if kind == "--doi"
+    for to_record, doc in ([(ads_doc_to_record, d) for d in body["response"]["docs"]]
+                           if "response" in body else [(csl_to_record, body)])
+]
+
+
+@st.composite
+def changed_documents(draw):
+    """A recorded document with one node replaced or deleted, and the function that maps it."""
+    to_record, doc, paths = draw(st.sampled_from(RECORDED_DOCUMENTS))
+    return to_record, with_node(doc, draw(st.sampled_from(paths)), draw(NODE_CHANGES))
+
+
+class TestChangedDocuments:
+    @given(changed_documents())
+    def test_a_changed_node_is_mapped_or_refused_as_a_refs_error(self, changed):
+        to_record, doc = changed
+        try:
+            to_record(doc)
+        except RefsError:
+            pass
 
 
 class TestDualPathEquivalence:

@@ -50,7 +50,7 @@ from refs.model import MAX_YEAR, MIN_YEAR, entry_label, record_to_dict, record_t
 from refs.render import render_format
 from refs.store import BIB_BUNDLE_NAME, HTML_BUNDLE_NAME, SCHEMA_VERSION
 
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, unsynced
 from corpus import build_corpus_entries
 from test_identifiers import doi_texts, valid_bibcodes
 from test_render import json_records, json_text, nonempty_json_text
@@ -666,13 +666,15 @@ class TestPersistence:
 
 def filled_store(path: Path, size: int) -> RefStore:
     store = RefStore(path)
-    for i in range(size):
-        store.add_entry(
-            [record(f"10.5000/{i}.a"), record(f"10.5000/{i}.b")] if i % 3 == 0 else [record(f"10.5000/{i}")],
-            note=f"note {i}" if i % 2 else None,
-        )
-        if i % 5 == 0:
-            store.attach_crossref("H2O", "nu", i, i + 1)
+    with unsynced(store):
+        for i in range(size):
+            store.add_entry(
+                [record(f"10.5000/{i}.a"), record(f"10.5000/{i}.b")] if i % 3 == 0
+                else [record(f"10.5000/{i}")],
+                note=f"note {i}" if i % 2 else None,
+            )
+            if i % 5 == 0:
+                store.attach_crossref("H2O", "nu", i, i + 1)
     return store
 
 
@@ -1618,7 +1620,7 @@ def write_new_store(path: Path, entries: dict, deleted, crossrefs: dict, next_id
     is live. An entry whose DOI set a live entry holds replaces that entry,
     which is deleted first.
     """
-    with RefStore(path) as store:
+    with RefStore(path) as store, unsynced(store):
         for gid, (records, note) in entries.items():
             try:
                 store.add_entry(records, note, fetched.get(gid))
