@@ -71,12 +71,10 @@ _EXPORTS = {
     ),
     "resolvers": (
         "AdsConfig",
-        "ExportFormat",
         "Upstream",
         "ads_doc_to_record",
         "csl_to_record",
         "fetch_ads_docs",
-        "fetch_ads_export",
         "fetch_bibtex",
         "fetch_csl_json",
     ),

@@ -13,6 +13,7 @@ Diagnostics go to stderr; stdout carries data only.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sqlite3
 import sys
@@ -77,7 +78,9 @@ def _text(text: str) -> str:
     return text
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: it keeps no state between parses, so main reuses it."""
     parser = argparse.ArgumentParser(
         prog="refs",
         description="Turn DOIs into consistently formatted bibliography entries.",

@@ -106,7 +106,7 @@ class StoreError(RefsError):
 
 
 class MissingEntryError(StoreError, KeyError):
-    """A requested entry (global ID or bibcode) does not exist.
+    """A requested entry (global ID or cross-reference) does not exist.
 
     ``missing`` lists the offending identifiers.
     """

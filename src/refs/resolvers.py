@@ -10,18 +10,15 @@ services.
 
 from __future__ import annotations
 
-import enum
 import html
-import json
 import os
 import time
 from urllib.parse import quote, urlencode
 
-from .bibtex import _author_from_bibtex, parse_entries, split_page_range
+from .bibtex import _author_from_bibtex, split_page_range
 from .errors import (
     AuthError,
     InvalidDoiError,
-    MissingEntryError,
     NoMatchError,
     NoMetadataFormatError,
     RefsError,
@@ -32,7 +29,7 @@ from .errors import (
     UpstreamUnavailableError,
     TransportTimeoutError,
 )
-from .identifiers import Bibcode, Doi, parse_bibcode, parse_doi
+from .identifiers import Doi, parse_bibcode, parse_doi
 from .model import AuthorName, BibRecord, SourceType, make_author
 from .transport import HttpRequest, HttpResponse, Transport
 from .values import Value
@@ -65,10 +62,6 @@ MAX_RETRY_AFTER_S = 60
 
 # Module-level so tests can stub the backoff delay away.
 _sleep = time.sleep
-
-
-class ExportFormat(str, enum.Enum):
-    BIBTEX = "bibtex"
 
 
 class AdsConfig(Value):
@@ -231,22 +224,13 @@ class Upstream:
         where = f" for {about}" if about else ""
         raise UpstreamError(f"{service} answered {response.status}{where}", status=response.status)
 
-    def ads(
-        self, method: str, url: str, body: bytes | None = None, service: str = "ADS",
-        about: str = "",
-    ) -> HttpResponse:
-        """An ADS request: the token check, the bearer header and the 401 mapping."""
+    def ads(self, url: str) -> HttpResponse:
+        """An ADS GET of ``url``: the token check, the bearer header and the 401 mapping."""
         if getattr(self.transport, "is_live", True) and not self.cfg.token:
             raise AuthError("no ADS token configured; set REFS_ADS_TOKEN or AdsConfig.token")
-        headers = {"Authorization": f"Bearer {self.cfg.token}"}
-        if body is not None:
-            headers["Content-Type"] = "application/json"
-        return self.send(
-            HttpRequest(method, url, headers=headers, body=body),
-            service,
-            about,
-            errors={401: AuthError("ADS rejected the token", status=401)},
-        )
+        request = HttpRequest("GET", url, headers={"Authorization": f"Bearer {self.cfg.token}"})
+        return self.send(request, "ADS", url,
+                         errors={401: AuthError("ADS rejected the token", status=401)})
 
     def negotiate(self, doi: Doi, accept: str) -> HttpResponse:
         """A doi.org content-negotiation request, with 404 and 406 mapped to their errors."""
@@ -301,33 +285,9 @@ def fetch_ads_docs(doi: Doi, upstream: Upstream) -> list[dict]:
     """
     url = ads_search_url(upstream.cfg, ads_doi_query(doi), ADS_FIELD_LIST, rows=10)
     what = f"malformed ADS response from {url}"
-    docs = _list(_answer(upstream.ads("GET", url, about=url), what, "response", "docs"), dict,
+    docs = _list(_answer(upstream.ads(url), what, "response", "docs"), dict,
                  f"{what}: docs")
     return [dict(doc, bibcode=bibcode) for doc in docs if (bibcode := _first(doc, "bibcode"))]
-
-
-def fetch_ads_export(
-    bibcodes: list[Bibcode],
-    format: ExportFormat,
-    cfg: AdsConfig,
-    transport: Transport,
-) -> list[tuple[Bibcode, str]]:
-    """Fetch one ADS BibTeX export string per bibcode, preserving input order."""
-    if not bibcodes:
-        raise ValueError("bibcode list must be non-empty")
-    ExportFormat(format)  # BibTeX is the only format; anything else raises ValueError
-    upstream = Upstream(transport, cfg)
-    body = json.dumps({"bibcode": [str(b) for b in bibcodes]}).encode("utf-8")
-    url = f"{upstream.cfg.base_url}/export/bibtex"
-    answer = _answer(upstream.ads("POST", url, body, service="ADS export"),
-                     "malformed ADS export response")
-    by_key = {entry.key: entry.raw for entry in parse_entries(_first(answer, "export"))}
-    missing = [str(b) for b in bibcodes if str(b) not in by_key]
-    if missing:
-        raise MissingEntryError(
-            f"ADS export is missing bibcodes: {', '.join(missing)}", missing=missing
-        )
-    return [(b, by_key[str(b)]) for b in bibcodes]
 
 
 def ads_doc_to_record(doc: dict, queried_doi: Doi | None = None) -> BibRecord:

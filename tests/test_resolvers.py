@@ -17,7 +17,6 @@ from refs import (
     FixtureTransport,
     HttpResponse,
     LiveTransport,
-    MissingEntryError,
     NoMatchError,
     NoMetadataFormatError,
     RefsError,
@@ -39,13 +38,11 @@ from refs.resolvers import (
     ADS_FIELD_LIST,
     MAX_RETRY_AFTER_S,
     AdsConfig,
-    ExportFormat,
     Upstream,
     ads_doc_to_record,
     crossref_top_doi,
     csl_to_record,
     fetch_ads_docs,
-    fetch_ads_export,
     fetch_bibtex,
     fetch_csl_json,
 )
@@ -209,19 +206,12 @@ def _json_ok(payload: object) -> HttpResponse:
     return HttpResponse(200, body=json.dumps(payload).encode("utf-8"))
 
 
-def _export(bibcodes, upstream):
-    return fetch_ads_export(bibcodes, ExportFormat.BIBTEX, upstream.cfg, upstream.transport)
-
-
 # Every kind of upstream request: (fetcher, its subject, a 200 answer it
 # accepts, a status that must not be retried, the error that status raises).
 # Each is called as fetcher(subject, upstream).
 REQUEST_KINDS = [
     pytest.param(fetch_ads_docs, HITRAN_DOI,
                  HITRAN_BIBCODE_DOC, 401, AuthError, id="ads-search"),
-    pytest.param(_export, [HITRAN_BIB],
-                 _json_ok({"export": "@ARTICLE{2017JQSRT.203....3G,\n title={T}\n}\n"}),
-                 401, AuthError, id="ads-export"),
     pytest.param(fetch_csl_json, HITRAN_DOI,
                  _json_ok({"DOI": HITRAN_DOI.canonical, "title": "T"}),
                  404, UnknownDoiError, id="doi-csl"),
@@ -311,7 +301,6 @@ def test_only_the_entry_points_take_cfg_and_transport():
         "refs.pipeline.resolve_query_reference",
         "refs.pipeline.resolve_reference",
         "refs.resolvers.Upstream.__init__",
-        "refs.resolvers.fetch_ads_export",
     ]
 
 
@@ -335,8 +324,7 @@ def test_no_module_imports_warnings():
 def _names(tree: ast.AST) -> Counter:
     """How often ``tree`` names each identifier, docstrings left out.
 
-    A name, an attribute, an imported name and a whole string all count:
-    ``refs._EXPORTS`` lists the public names as strings.
+    A name, an attribute, an imported name and a whole string all count.
     """
     docstrings = {
         id(node.body[0].value)
@@ -363,7 +351,8 @@ def test_every_definition_has_a_caller_or_is_documented():
     package = Path(resolvers_mod.__file__).parent
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
-    named = sum(map(_names, trees.values()), Counter())
+    # refs._EXPORTS names every public name as a string; an export is not a caller.
+    named = sum((_names(tree) for stem, tree in trees.items() if stem != "__init__"), Counter())
     readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
     documented = {word for span in re.findall(r"`([^`]*)`", readme)
                   for word in re.findall(r"\w+", span)}
@@ -384,7 +373,8 @@ def test_every_definition_has_a_caller_or_is_documented():
         visit(module, tree, "")
     assert [q for q in uncalled if q.rpartition(".")[2] not in documented] == []
     # The library API that only README documents; anything else needs a caller.
-    assert uncalled == ["model.entry_to_dict", "pipeline.ResolutionReport.renders",
+    assert uncalled == ["bibtex.bibtex_to_record", "model.entry_to_dict",
+                        "pipeline.ResolutionReport.renders", "pipeline.resolve_query_reference",
                         "store.RefStore.delete_entry", "store.RefStore.list_entries",
                         "store.RefStore.lookup_crossref"]
 
@@ -401,31 +391,6 @@ class TestAdsDoiQuery:
         transport = ScriptedTransport(NO_DOCS)
         fetch_ads_docs(doi, Upstream(transport, AdsConfig(token="")))
         assert read_doi_phrase(sent_query(transport)) == doi.canonical
-
-
-class TestFetchAdsExport:
-    def test_bibtex_key_embeds_bibcode(self, transport, ads_config):
-        out = fetch_ads_export([HITRAN_BIB], ExportFormat.BIBTEX, ads_config, transport)
-        assert len(out) == 1
-        bibcode, raw = out[0]
-        assert bibcode == HITRAN_BIB
-        assert "@ARTICLE{2017JQSRT.203....3G," in raw
-
-    def test_two_bibcodes_preserve_order(self, transport, ads_config):
-        pair = [HITRAN_BIB, parse_bibcode("2013A&A...558A..33A")]
-        out = fetch_ads_export(pair, ExportFormat.BIBTEX, ads_config, transport)
-        assert [b for b, _ in out] == pair
-        assert "2017JQSRT" in out[0][1] and "2013A&A" in out[1][1]
-
-    def test_missing_bibcode_in_response(self, transport, ads_config):
-        ghost = parse_bibcode("1111AAAAA1111A1111A")
-        with pytest.raises(MissingEntryError) as exc_info:
-            fetch_ads_export([HITRAN_BIB, ghost], ExportFormat.BIBTEX, ads_config, transport)
-        assert "1111AAAAA1111A1111A" in str(exc_info.value)
-
-    def test_empty_list_rejected(self, transport, ads_config):
-        with pytest.raises(ValueError):
-            fetch_ads_export([], ExportFormat.BIBTEX, ads_config, transport)
 
 
 class TestFetchCslJson:
