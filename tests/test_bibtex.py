@@ -225,6 +225,18 @@ class TestBibtexToRecord:
         r = bibtex_to_record("@article{2017JQSRT.203....3G, title={T}, year={2017}}")
         assert str(r.bibcode) == "2017JQSRT.203....3G"
 
+    def test_an_unparsable_doi_is_dropped(self):
+        r = bibtex_to_record("@article{k, title={T}, doi={not a doi}, year={2000}}")
+        assert r.doi is None
+        assert r.title == "T" and r.year == 2000
+
+    @pytest.mark.parametrize(
+        "raw, year",
+        [("2017", 2017), ("{2017a}", 2017), ("{c. 1999--2001}", 1999), ("{99}", None)],
+    )
+    def test_the_year_is_the_first_four_digits(self, raw, year):
+        assert bibtex_to_record(f"@article{{k, title={{T}}, year={raw}}}").year == year
+
     def test_an_unbraced_name_with_no_text_is_refused(self):
         with pytest.raises(InvalidAuthorError):
             bibtex_to_record("@article{k, title={T}, author={{}{}}}")

@@ -1284,3 +1284,16 @@ class TestImports:
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             refs.no_such_name
+
+
+class TestParser:
+    def test_the_parser_is_built_once_per_process(self):
+        assert refs.cli.build_parser() is refs.cli.build_parser()
+
+    def test_a_reused_parser_carries_no_option_into_the_next_parse(self):
+        parser = refs.cli.build_parser()
+        first = parser.parse_args(["list", "--scope", "S", "--db", "a.sqlite"])
+        second = parser.parse_args(["list"])
+        assert (first.scope, first.db) == ("S", "a.sqlite")
+        assert (second.scope, second.db) == (None, None)
+        assert second.func is refs.cli.cmd_list

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import re
 from collections import Counter
@@ -377,6 +378,36 @@ def test_every_definition_has_a_caller_or_is_documented():
                         "pipeline.ResolutionReport.renders", "pipeline.resolve_query_reference",
                         "store.RefStore.delete_entry", "store.RefStore.list_entries",
                         "store.RefStore.lookup_crossref"]
+
+
+class TestUpstreamAds:
+    """Upstream.ads, the one ADS request: a GET with the bearer header."""
+
+    URL = "https://ads.example/v1/search/query?q=x"
+
+    def test_one_get_with_the_bearer_header_and_no_body(self):
+        transport = ScriptedTransport(NO_DOCS)
+        assert Upstream(transport, AdsConfig(token="tok")).ads(self.URL) is not None
+        (request,) = transport.requests
+        assert (request.method, request.url, request.body) == ("GET", self.URL, None)
+        assert request.headers == {"Authorization": "Bearer tok"}
+
+    def test_takes_only_the_url(self):
+        assert list(inspect.signature(Upstream.ads).parameters) == ["self", "url"]
+
+    def test_401_is_an_auth_error_after_one_attempt(self):
+        transport = ScriptedTransport(HttpResponse(401, body=b"Unauthorized"))
+        with pytest.raises(AuthError) as exc_info:
+            Upstream(transport, AdsConfig(token="tok", backoff_base=0)).ads(self.URL)
+        assert exc_info.value.status == 401
+        assert len(transport.requests) == 1
+
+    def test_an_unavailable_ads_is_named_by_its_url(self):
+        transport = ScriptedTransport(*[HttpResponse(503)] * 2)
+        cfg = AdsConfig(token="tok", max_retries=2, backoff_base=0)
+        with pytest.raises(UpstreamUnavailableError, match=re.escape(self.URL)):
+            Upstream(transport, cfg).ads(self.URL)
+        assert len(transport.requests) == 2
 
 
 class TestAdsDoiQuery:
