@@ -46,8 +46,9 @@ class UnusableMetadataError(RefsError, ValueError):
     """Metadata builds no record: no author and no title, no DOI, or a year out of range."""
 
 
-# What decoding a row refs wrote itself may raise when the row is damaged.
-MODEL_REFUSALS = (AttributeError, LookupError, TypeError, ValueError)
+# What decoding a row refs wrote itself may raise when the row is damaged;
+# RecursionError is JSON nested past the interpreter's recursion limit.
+MODEL_REFUSALS = (AttributeError, LookupError, RecursionError, TypeError, ValueError)
 
 
 class UnrenderableError(RefsError):

@@ -133,7 +133,7 @@ def _entries_json(conn: sqlite3.Connection,
         for global_id, deleted, note, records_json in rows:
             try:
                 records = json.loads(records_json)
-            except ValueError:
+            except (RecursionError, ValueError):
                 records = None
             if not isinstance(records, list):
                 raise _refusal(f"the records of entry {global_id} are not a JSON array")

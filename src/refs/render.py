@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from json.encoder import encode_basestring
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import UnrenderableError
 from .formats import RenderedCitation, RenderFormat
@@ -48,10 +48,12 @@ _VALUE_ESCAPES = {
 }
 _VALUE_ESCAPE_TABLE = str.maketrans(_VALUE_ESCAPES)
 _VALUE_SPECIAL = re.compile("[" + re.escape("".join(_VALUE_ESCAPES)) + "]")
-# The word BibTeX splits an author list on, in any case.
+# The word BibTeX splits an author list on, in any case. Under IGNORECASE only
+# ASCII a, n and d match its letters, and no other character lowercases to one,
+# so text whose lowercase form holds no "and" cannot match it.
 _AND_WORD = re.compile(r"(?:^|\s)and(?:\s|$)", re.IGNORECASE)
-# What makes _bibtex_author escape or brace a name part, in "surname\ngiven names".
-_NAME_NEEDS_WORK = re.compile(f"[,{re.escape(''.join(_VALUE_ESCAPES))}]|{_AND_WORD.pattern}", re.I)
+# Besides an "and" word, what makes _bibtex_author escape or brace a name part.
+_NAME_SPECIAL = re.compile("[," + re.escape("".join(_VALUE_ESCAPES)) + "]")
 
 
 def escape_html(raw: str) -> str:
@@ -156,7 +158,8 @@ def escape_value(text: str) -> str:
 
 def _bibtex_author(author: AuthorName) -> str:
     surname, given = author.surname, " ".join(author.given_names)
-    if _NAME_NEEDS_WORK.search(surname + "\n" + given) is not None:
+    parts = surname + "\n" + given
+    if _NAME_SPECIAL.search(parts) or ("and" in parts.lower() and _AND_WORD.search(parts)):
         surname, given = escape_value(surname), escape_value(given)
         # Braced, so that a comma is not read as the surname/given-name split
         # and an "and" does not split the author in two.
@@ -216,53 +219,63 @@ def render_json(entry: RefEntry) -> RenderedCitation:
     their fixed depths. Strings go through the stdlib's C escaper and ints are
     numbers; any other type in a field raises TypeError.
     """
-    members = []
-    if (global_id := entry.global_id) is not None:
-        records = entry.records
-        # One record's only label is the ID itself.
-        labels = [str(global_id)] if len(records) == 1 else entry.display_labels
-        members += ['"global_id": ' + _json_value(global_id),
-                    '"labels": ' + _json_list(map(_json_value, labels), "  ")]
-    if entry.note is not None:
-        members.append('"note": ' + _json_value(entry.note))
-    members.append('"records": ' + _json_list(map(_json_record, entry.records), "  "))
-    body = "{\n  " + ",\n  ".join(members) + "\n}"
+    try:
+        body = _json_entry(entry, encode_basestring)
+    except TypeError:  # a field that is not text: written again by the rule for any value
+        body = _json_entry(entry, _json_value)
     return RenderedCitation(RenderFormat.JSON, body, _label(entry))
 
 
-def _json_record(r: BibRecord) -> str:
+def _json_entry(entry: RefEntry, text: Callable[[str], str]) -> str:
+    """The JSON form of an entry, each text field written by ``text``."""
+    members = []
+    records = entry.records
+    if (global_id := entry.global_id) is not None:
+        # One record's only label is the ID itself.
+        labels = [str(global_id)] if len(records) == 1 else entry.display_labels
+        members += ['"global_id": ' + _json_value(global_id),
+                    '"labels": ' + _json_list(map(text, labels), "  ")]
+    if entry.note is not None:
+        members.append('"note": ' + text(entry.note))
+    members.append('"records": ' + _json_list([_json_record(r, text) for r in records], "  "))
+    return "{\n  " + ",\n  ".join(members) + "\n}"
+
+
+def _json_record(r: BibRecord, text: Callable[[str], str]) -> str:
     """The members record_to_dict gives a record, in key order, as an item of "records"."""
     doi, bibcode, pages = r.doi, r.bibcode, r.pages
-    authors = [f'{{\n          "given_names": {_json_list(map(_json_value, a.given_names), " " * 10)},'
-               f'\n          "surname": {_json_value(a.surname)}\n        }}' for a in r.authors]
+    authors = [f'{{\n          "given_names": {_json_list(map(text, a.given_names), " " * 10)},'
+               f'\n          "surname": {text(a.surname)}\n        }}' for a in r.authors]
     members = []
     if bibcode is not None:
         bibcode_text = format_bibcode(bibcode)
-        members.append('"ads_url": ' + _json_value(ads_abs_url(bibcode_text)))
+        members.append('"ads_url": ' + text(ads_abs_url(bibcode_text)))
     members.append('"authors": ' + _json_list(authors, " " * 6))
     if bibcode is not None:
-        members.append('"bibcode": ' + _json_value(bibcode_text))
+        members.append('"bibcode": ' + text(bibcode_text))
     if doi is not None:
-        members += ['"doi": ' + _json_value(doi.canonical), '"doi_url": ' + _json_value(doi.url)]
+        members += ['"doi": ' + text(doi.canonical), '"doi_url": ' + text(doi.url)]
     if r.journal is not None:
-        members.append('"journal": ' + _json_value(r.journal))
+        members.append('"journal": ' + text(r.journal))
     if r.number is not None:
-        members.append('"number": ' + _json_value(r.number))
+        members.append('"number": ' + text(r.number))
     if pages is not None:
-        members.append(f'"pages": {{\n        "first": {_json_value(pages.first)},'
-                       f'\n        "last": {_json_value(pages.last)}\n      }}')
+        last = pages.last
+        members.append(f'"pages": {{\n        "first": {text(pages.first)},'
+                       f'\n        "last": {"null" if last is None else text(last)}\n      }}')
     if r.publisher is not None:
-        members.append('"publisher": ' + _json_value(r.publisher))
+        members.append('"publisher": ' + text(r.publisher))
     members += ['"source_type": ' + _JSON_SOURCE_TYPE[r.source_type],
-                '"title": ' + _json_value(r.title)]
+                '"title": ' + text(r.title)]
     if r.volume is not None:
-        members.append('"volume": ' + _json_value(r.volume))
+        members.append('"volume": ' + text(r.volume))
     if r.year is not None:
         members.append('"year": ' + _json_value(r.year))
     return "{\n      " + ",\n      ".join(members) + "\n    }"
 
 
 def _json_value(value) -> str:
+    """Any field's value: text through the C escaper, an int as a number, None as null."""
     if isinstance(value, str):
         return encode_basestring(value)
     if value is None:
@@ -279,15 +292,17 @@ def _json_list(items: Iterable[str], pad: str) -> str:
     return f"[{inner[1:]}{written}\n{pad}]" if written else "[]"
 
 
+_RENDERERS = {
+    RenderFormat.HTML: render_html,
+    RenderFormat.JSON: render_json,
+    RenderFormat.BIBTEX: render_bibtex,
+    RenderFormat.TEXT: render_text,
+}
+
+
 def render_format(entry: RefEntry, fmt: RenderFormat) -> RenderedCitation:
     """One house format for one entry."""
-    renderer = {
-        RenderFormat.HTML: render_html,
-        RenderFormat.JSON: render_json,
-        RenderFormat.BIBTEX: render_bibtex,
-        RenderFormat.TEXT: render_text,
-    }[fmt]
-    return renderer(entry)
+    return _RENDERERS[fmt](entry)
 
 
 def render_all(entry: RefEntry) -> dict[RenderFormat, RenderedCitation]:

@@ -13,7 +13,11 @@ value; journal, volume and number; pages as ``[first, last]`` or null;
 year and publisher; the canonical DOI and the 19-character bibcode. An
 absent field is null. So reading an entry back is one primary-key
 lookup, and each record is built straight through its constructors,
-every check included.
+every check included. The records column is decoded by one strict JSON
+scan that must end at its last character, so only the compact text
+``_row`` writes is read. Any other value, such as text with whitespace
+around the array or data after it, a BLOB, or JSON nested past the
+recursion limit, raises StoreError naming the entry.
 
 Entries do not change after they are added, so each entry's HTML and
 BibTeX are rendered once, by ``_row``, and stored in its row. For an
@@ -498,10 +502,17 @@ def _unreadable(global_id: int, exc: Exception) -> str:
     return f"the records of entry {global_id} cannot be read: {type(exc).__name__}: {exc}"
 
 
+_scan_json = json.JSONDecoder().raw_decode
+
+
 def _entry_from_row(global_id: int, note: str | None, records_json: str) -> RefEntry:
-    """One entry from its ``entries`` row, records decoded by the model's row codec."""
+    """One entry from its ``entries`` row: its records by one strict scan, then the model's
+    row codec."""
     try:
-        records = list(map(model.record_from_row, json.loads(records_json)))
+        rows, end = _scan_json(records_json)
+        if end != len(records_json):
+            raise json.JSONDecodeError("Extra data", records_json, end)
+        records = list(map(model.record_from_row, rows))
         return model.RefEntry(records, note, global_id)
     except MODEL_REFUSALS as exc:
         raise StoreError(_unreadable(global_id, exc)) from exc

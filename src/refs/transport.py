@@ -69,11 +69,15 @@ class HttpResponse(Frozen):
         return self.body.decode("utf-8")
 
     def json(self) -> object:
-        """The decoded body; a ValueError if a string in it holds a lone surrogate."""
+        """The decoded body; a ValueError if a string in it holds a lone surrogate, or if it
+        nests past the interpreter's recursion limit."""
         text = self.body.decode("utf-8")
-        value = json.loads(text)
-        if "\\ud" in text or "\\uD" in text:  # only a \u escape decodes to a surrogate
-            json.dumps(value, ensure_ascii=False).encode("utf-8")  # UnicodeEncodeError if one did
+        try:
+            value = json.loads(text)
+            if "\\ud" in text or "\\uD" in text:  # only a \u escape decodes to a surrogate
+                json.dumps(value, ensure_ascii=False).encode("utf-8")  # UnicodeEncodeError if one did
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         return value
 
 
@@ -197,7 +201,7 @@ def _archive_entries(path: Path) -> list[dict]:
     """
     try:
         entries = json.loads(path.read_text(encoding="utf-8"))["entries"]
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, RecursionError, TypeError, ValueError) as exc:
         raise FixtureMissingError(f"{path} is not a fixture archive: {exc!r}") from exc
     if not isinstance(entries, list):
         raise FixtureMissingError(f"{path} is not a fixture archive: its entries are not a list")

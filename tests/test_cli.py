@@ -282,6 +282,32 @@ class TestAdd:
         assert "surrogates not allowed" in err
         assert Path(db_path).read_bytes() == before
 
+    def test_citation_json_nested_past_the_recursion_limit_exits_2_and_leaves_the_store(
+            self, capsys, db_path, tmp_path):
+        doi = "10.1234/nested"
+        exchanges = fallback_exchanges(parse_doi(doi), "[" * 100_000, "@misc{N, title={N}}")
+        run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
+        before = Path(db_path).read_bytes()
+        code, out, err = run(capsys, "add", "--doi", doi, "--db", db_path, "--offline",
+                             "--fixtures", str(write_fixtures(tmp_path, exchanges)))
+        assert (code, out) == (EXIT_RESOLUTION, "")
+        assert err.endswith(f"; fallback path: citation JSON for {doi} does not parse:"
+                            " JSON nested too deeply\n")
+        assert err.count("\n") == 1
+        assert Path(db_path).read_bytes() == before
+
+    def test_a_crossref_answer_nested_past_the_recursion_limit_exits_2_and_leaves_the_store(
+            self, capsys, db_path, tmp_path):
+        exchange = crossref_answer("A title", {})
+        exchange["response"]["body"] = '{"message": {"items": ' + "[" * 100_000
+        run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
+        before = Path(db_path).read_bytes()
+        code, out, err = run(capsys, "add", "--query", "A title", "--db", db_path, "--offline",
+                             "--fixtures", str(write_fixtures(tmp_path, [exchange])))
+        assert (code, out) == (EXIT_RESOLUTION, "")
+        assert err == "refs: malformed CrossRef response: JSON nested too deeply\n"
+        assert Path(db_path).read_bytes() == before
+
     # A string author was read as a list of names: one author per letter.
     @pytest.mark.parametrize("fields, cause", [
         ({"year": "1200"}, "year out of range [1500, 2999]: 1200"),
@@ -909,6 +935,17 @@ class TestUnreadableEntry:
         code, out, err = run(capsys, *argv, "--db", damaged)
         assert (code, out) == (3, "")
         assert err.startswith("refs: the records of entry 1 cannot be read: ")
+        assert err.count("\n") == 1
+        assert Path(damaged).read_bytes() == before
+
+    def test_records_nested_past_the_recursion_limit_exit_3_and_leave_the_file_unchanged(
+            self, capsys, damaged):
+        with contextlib.closing(sqlite3.connect(damaged)) as conn, conn:
+            conn.execute("UPDATE entries SET records = ?", ("[" * 100_000,))
+        before = Path(damaged).read_bytes()
+        code, out, err = run(capsys, "render", "1", "--format", "json", "--db", damaged)
+        assert (code, out) == (3, "")
+        assert err.startswith("refs: the records of entry 1 cannot be read: RecursionError: ")
         assert err.count("\n") == 1
         assert Path(damaged).read_bytes() == before
 

@@ -266,6 +266,16 @@ class TestAdsFailureIsReported:
         assert report.warnings == [f"ADS DOI search failed: malformed ADS response from {url}:"
                                    " docs is not a list of objects"]
 
+    def test_an_answer_nested_past_the_recursion_limit_falls_back_with_the_cause(
+            self, transport, ads_config):
+        answer = HttpResponse(200, body=b'{"response":{"docs":' + b"[" * 100_000)
+        report = resolve_reference(HITRAN, cfg=ads_config,
+                                   transport=_AdsAnswers(transport, answer))
+        url = ads_search_url(ads_config, f'doi:"{HITRAN}"', ADS_FIELD_LIST, rows=10)
+        assert (report.path_taken, report.record.title) == (ResolutionPath.FALLBACK, HITRAN_TITLE)
+        assert report.warnings == [f"ADS DOI search failed: malformed ADS response from {url}:"
+                                   " JSON nested too deeply"]
+
     def test_an_ads_title_that_is_an_object_falls_back_with_the_cause(self, transport,
                                                                       ads_config):
         doc = {"bibcode": "2017JQSRT.203....3G", "title": {"a": 1}, "year": "2017"}

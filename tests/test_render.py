@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import array
+import itertools
 import json
 import re
 import string
@@ -105,10 +107,35 @@ json_entries = st.builds(
 )
 
 
-# Name text rich in what the BibTeX author rule escapes or braces, and in
-# the whitespace around an "and" that decides whether it is a word.
+# What a text field may hold besides text: an int, which JSON writes as a
+# number, or a type the JSON renderer refuses.
+ODD_VALUES = st.integers().filter(bool) | st.sampled_from([1.5, True, b"x", (1, 2), {"a": 1}])
+TEXT_FIELDS = ["title", "journal", "volume", "number", "publisher", "note", "given_name",
+               "first_page", "last_page"]
+
+
+def set_text_field(entry: RefEntry, where: str, value) -> None:
+    """Put ``value`` in the note, or in one text field of the entry's last record."""
+    record = entry.records[-1]
+    if where == "note":
+        entry.note = value
+    elif where == "given_name":
+        record.authors = [*record.authors, AuthorName((value,), "B")]
+    elif where in ("first_page", "last_page"):
+        first, last = (record.pages.first, record.pages.last) if record.pages else ("1", None)
+        record.pages = Pages(value, last) if where == "first_page" else Pages(first, value)
+    else:
+        setattr(record, where, value)
+
+
+# Name text rich in what the BibTeX author rule escapes or braces, in "and"
+# as a word and inside words, and in the whitespace around an "and" that
+# decides whether it is a word: \s also matches U+001C to U+001F, U+0085 and
+# U+2028, and not the no-break space.
 name_text = st.lists(
-    st.sampled_from(["and", "AND", "aNd", " ", "\n", "\t", "\u00a0", ",", "&", "{", "\\", "x", "é"]),
+    st.sampled_from(["and", "AND", "aNd", "Andy", "band", " ", "\n", "\t", "\x1c", "\x1d",
+                     "\x1e", "\x1f", "\x85", "\u2028", "\u00a0", ",", *refs.render._VALUE_ESCAPES,
+                     "x", "é"]),
     max_size=8,
 ).map("".join)
 AND_WORD = re.compile(r"(?:^|\s)and(?:\s|$)", re.IGNORECASE)
@@ -125,6 +152,24 @@ def bibtex_author_by_parts(author: AuthorName) -> str:
     if AND_WORD.search(given):
         given = "{" + given + "}"
     return f"{surname}, {given}"
+
+
+# _bibtex_author's test of whether a name needs work, as first written: one
+# case-insensitive alternation over "surname\ngiven names".
+NAME_NEEDS_WORK = re.compile(
+    f"[,{re.escape(''.join(refs.render._VALUE_ESCAPES))}]|{AND_WORD.pattern}", re.I)
+
+
+def bibtex_author_by_one_search(author: AuthorName) -> str:
+    """_bibtex_author as first written, its test one search of NAME_NEEDS_WORK."""
+    surname, given = author.surname, " ".join(author.given_names)
+    if NAME_NEEDS_WORK.search(surname + "\n" + given) is not None:
+        surname, given = escape_value(surname), escape_value(given)
+        if author.given_names and ("," in surname or AND_WORD.search(surname)):
+            surname = "{" + surname + "}"
+        if AND_WORD.search(given):
+            given = "{" + given + "}"
+    return f"{surname}, {given}" if author.given_names else "{" + surname + "}"
 
 
 def entry_from_dict(d: dict) -> RefEntry:
@@ -369,6 +414,20 @@ class TestRenderBibtex:
         expected = " and ".join(bibtex_author_by_parts(a) for a in authors)
         assert f"\n    author = {{{expected}}},\n" in body
 
+    @given(st.lists(name_text, max_size=3), name_text.filter(str.strip))
+    def test_each_author_is_written_as_by_one_search(self, given, surname):
+        author = AuthorName(tuple(given), surname)
+        assert refs.render._bibtex_author(author) == bibtex_author_by_one_search(author)
+
+    def test_only_ascii_a_n_and_d_spell_and_in_any_case(self):
+        # What lets _bibtex_author skip the "and" search when the lowercase text holds no
+        # "and": no other character matches those letters under IGNORECASE, or lowercases
+        # to one of them.
+        code_points = array.array("I", itertools.chain(range(128, 0xD800), range(0xE000, 0x110000)))
+        others = code_points.tobytes().decode("utf-32-le")
+        assert re.search("[and]", others, re.IGNORECASE) is None
+        assert re.search("[and]", others.lower()) is None
+
     def test_braced_surname_before_a_closing_brace_is_not_one_name(self):
         record = BibRecord(title="T", authors=[make_author("A}", "Smith, Jr")], year=2001)
         body = render_bibtex(RefEntry(records=[record])).body
@@ -441,10 +500,17 @@ class TestRenderJson:
         assert not body.endswith(("\n", " "))
         assert not any(line != line.rstrip() for line in body.splitlines())
 
-    @given(json_entries)
-    def test_bytes_match_the_stdlib_encoder(self, entry):
-        expected = json.dumps(entry_to_dict(entry), sort_keys=True, ensure_ascii=False, indent=2)
-        assert render_json(entry).body == expected
+    @given(json_entries, st.none() | st.tuples(st.sampled_from(TEXT_FIELDS), ODD_VALUES))
+    def test_bytes_match_the_stdlib_encoder(self, entry, odd):
+        if odd is not None:
+            set_text_field(entry, *odd)
+        if odd is None or type(odd[1]) is int:
+            expected = json.dumps(entry_to_dict(entry), sort_keys=True, ensure_ascii=False,
+                                  indent=2)
+            assert render_json(entry).body == expected
+        else:
+            with pytest.raises(TypeError):
+                render_json(entry)
 
     @pytest.mark.parametrize("value", [1.5, True, (1, 2), b"x", {1: "a"}, {"a": [1.0]}])
     def test_types_entry_to_dict_never_makes_are_refused(self, value):

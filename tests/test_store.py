@@ -46,7 +46,14 @@ from refs import (
 from refs import fileio
 from refs.cli import EXIT_STORE, main as cli_main
 from refs.migrations import record_from_dict
-from refs.model import MAX_YEAR, MIN_YEAR, entry_label, record_to_dict, record_to_row
+from refs.model import (
+    MAX_YEAR,
+    MIN_YEAR,
+    entry_label,
+    record_from_row,
+    record_to_dict,
+    record_to_row,
+)
 from refs.render import render_format
 from refs.store import BIB_BUNDLE_NAME, HTML_BUNDLE_NAME, SCHEMA_VERSION
 
@@ -231,6 +238,39 @@ class TestRetrieval:
             expected = sorted({gid for row_scope, gid in rows if row_scope == scope})
             assert [e.global_id for e in store.list_entries(scope=scope)] == expected
         assert [e.global_id for e in store.list_entries(scope="none-such")] == []
+
+
+def entry_from_row_by_loads(global_id: int, note: str | None, records_json) -> RefEntry:
+    """The row decode as first written: ``json.loads``, which also read whitespace around
+    the array, and bytes."""
+    return RefEntry([record_from_row(r) for r in json.loads(records_json)], note, global_id)
+
+
+class TestRowDecode:
+    """A row's records are read by one strict scan: only text as ``_row`` writes it decodes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(records_strategy, min_size=1, max_size=3), note=optional_text)
+    def test_a_row_as_written_decodes_as_json_loads_read_it(self, records, note):
+        records_json = refs.store._row(RefEntry(records, note, 7), 0, None)[5]
+        assert (refs.store._entry_from_row(7, note, records_json)
+                == entry_from_row_by_loads(7, note, records_json) == RefEntry(records, note, 7))
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: " " + text, lambda text: text + "\n", lambda text: text + "[]",
+        lambda text: "\ufeff" + text, str.encode, lambda text: "[" * 100_000,
+    ], ids=["leading-space", "trailing-newline", "trailing-data", "bom", "blob", "nested"])
+    def test_any_other_records_column_is_refused_naming_the_entry(self, store, damage):
+        gid = store.add_entry([record("10.1000/a")])
+        (records_json,) = store._conn.execute("SELECT records FROM entries").fetchone()
+        store._conn.execute("UPDATE entries SET records = ?", (damage(records_json),))
+        unreadable = f"the records of entry {gid} cannot be read: "
+        with pytest.raises(StoreError, match=unreadable):
+            store.get_entry(gid)
+        with pytest.raises(StoreError, match=unreadable):
+            store.list_entries()
+        with pytest.raises(StoreError, match=unreadable):
+            store.get_rendered(gid, RenderFormat.JSON)
 
 
 class TestCrossRefs:
@@ -781,15 +821,15 @@ class TestQueryCounts:
         assert "USING INDEX live_doi_set" in plan or "USING COVERING INDEX live_doi_set" in plan
 
 
-# Worker for the multiprocess tests: once the wall clock passes START, opens
-# the store (creating it if need be) and adds COUNT entries with DOIs
-# 10.4000/PREFIX.j, printing each ID it was given or told of.
+# Worker for the multiprocess tests: prints "ready", and once a line arrives
+# on stdin opens the store (creating it if need be) and adds COUNT entries
+# with DOIs 10.4000/PREFIX.j, printing each ID it was given or told of.
 ADD_WORKER = """
-import sys, time
+import sys
 from refs import BibRecord, DuplicateEntryError, RefStore, parse_doi
-db, prefix, count, start = sys.argv[1], sys.argv[2], int(sys.argv[3]), float(sys.argv[4])
-while time.time() < start:
-    time.sleep(0.001)
+db, prefix, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+print("ready", flush=True)
+sys.stdin.readline()
 with RefStore(db) as store:
     for j in range(count):
         record = BibRecord(title=f"{prefix} {j}", doi=parse_doi(f"10.4000/{prefix}.{j}"))
@@ -849,15 +889,21 @@ def worker_env() -> dict:
 
 
 def run_adders(db: Path, prefixes: list[str], count: int) -> list[list[int]]:
+    """Start one ADD_WORKER per prefix, let all of them add at once, and return each one's IDs."""
     env = worker_env()
-    start = time.time() + 1.0
     procs = [
         subprocess.Popen(
-            [sys.executable, "-c", ADD_WORKER, str(db), prefix, str(count), str(start)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            [sys.executable, "-c", ADD_WORKER, str(db), prefix, str(count)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
         )
         for prefix in prefixes
     ]
+    for proc in procs:
+        assert proc.stdout.readline() == "ready\n", proc.communicate(timeout=120)[1][-2000:]
+    for proc in procs:
+        proc.stdin.write("go\n")
+        proc.stdin.flush()
     results = []
     for proc in procs:
         out, err = proc.communicate(timeout=120)
@@ -1430,8 +1476,9 @@ class TestMigration:
          '[["T",[],"article",null,null,null,null,null,null,"10.1000/x\\n",null]]'),
         (2, "UPDATE records SET authors = ? WHERE entry_id = 3", "not json"),
         (2, "UPDATE records SET doi = ? WHERE entry_id = 3", "11.1000/x"),
+        (2, "UPDATE records SET authors = ? WHERE entry_id = 3", "[" * 100_000),
     ], ids=["v4-no-surname", "v4-not-an-object", "v4-doi", "v5-no-surname", "v5-short-row",
-            "v5-doi", "v2-authors", "v2-doi"])
+            "v5-doi", "v2-authors", "v2-doi", "v2-authors-nested"])
     def test_an_unreadable_record_stops_the_migration(self, tmp_path, capsys, statements,
                                                       version, update, value):
         path = tmp_path / f"v{version}.db"
@@ -1452,7 +1499,8 @@ class TestMigration:
         assert refusal in capsys.readouterr().err
         assert path.read_bytes() == before
 
-    @pytest.mark.parametrize("records_json", ['{"title": "T"}', '"T"', "[{", ""])
+    @pytest.mark.parametrize("records_json", ['{"title": "T"}', '"T"', "[{", "",
+                                              pytest.param("[" * 100_000, id="nested")])
     def test_a_v4_row_that_is_not_a_json_array_stops_the_migration(self, tmp_path, statements,
                                                                    records_json):
         path = tmp_path / "v4.db"

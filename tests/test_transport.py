@@ -175,11 +175,13 @@ class TestRecordingTransport:
         assert recorder.is_live is True
 
 
-# A file in a fixture directory that is not an archive: not JSON, or no "entries".
+# A file in a fixture directory that is not an archive: not JSON, JSON nested
+# past the recursion limit, or no "entries".
 MALFORMED_ARCHIVES = pytest.mark.parametrize("text, cause", [
     ("not json", "JSONDecodeError"),
+    ('{"entries": ' + "[" * 100_000, "RecursionError"),
     ('{"items": []}', "KeyError('entries')"),
-], ids=["not-json", "no-entries"])
+], ids=["not-json", "nested", "no-entries"])
 
 
 class TestMalformedArchive:
