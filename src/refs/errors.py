@@ -20,7 +20,7 @@ class BibcodeLengthError(BibcodeError):
 
 
 class BibcodeFormatError(BibcodeError):
-    """A bibcode field is malformed or does not fit its column."""
+    """A bibcode column holds a character its grammar refuses."""
 
 
 class InvalidAuthorError(RefsError, ValueError):

@@ -79,102 +79,81 @@ _AUTHOR = 18
 
 
 class Bibcode(Frozen):
-    """One ADS bibcode, split into its fixed-width fields.
+    """One ADS bibcode: its 19 characters, checked once, column by column.
 
-    The formatted form is always exactly 19 characters; empty positions are
-    periods. A page longer than four characters spills into the qualifier
-    column, in which case ``qualifier`` is None.
+    Empty positions are periods. The year is four ASCII digits, at least
+    1000. The qualifier column holds a period, an alphanumeric character,
+    or an ASCII digit that starts a five-character page. The author
+    initial is a letter or a period. No column holds ``{``, ``}`` or ``,``,
+    because the text is also the entry's BibTeX key. The fields are
+    read-only properties of the columns, with the period padding stripped.
     """
 
-    __slots__ = ("year", "journal", "volume", "page", "author_initial", "qualifier")
-    year: int
-    journal: str
-    volume: str
-    page: str
-    author_initial: str
-    qualifier: str | None
+    __slots__ = ("text",)
+    text: str
 
-    def __init__(self, year: int, journal: str, volume: str, page: str, author_initial: str,
-                 qualifier: str | None = None) -> None:
-        if not 1000 <= year <= 9999:
-            raise BibcodeFormatError(f"bibcode year out of range: {year}")
-        if len(journal) > 5:
-            raise BibcodeFormatError(f"journal abbreviation too wide: {journal!r}")
-        if len(volume) > 4:
-            raise BibcodeFormatError(f"volume too wide: {volume!r}")
-        if qualifier is not None:
-            if len(qualifier) != 1 or not qualifier.isalnum():
-                raise BibcodeFormatError(f"qualifier must be one alphanumeric character: {qualifier!r}")
-            if len(page) > 4:
-                raise BibcodeFormatError(
-                    f"page {page!r} does not fit beside qualifier {qualifier!r}"
-                )
-        elif len(page) > 5:
-            raise BibcodeFormatError(f"page too wide: {page!r}")
-        if len(author_initial) != 1 or not (author_initial.isalpha() or author_initial == "."):
-            raise BibcodeFormatError(f"author initial must be one letter or '.': {author_initial!r}")
-        _set_year(self, year)
-        _set_journal(self, journal)
-        _set_volume(self, volume)
-        _set_page(self, page)
-        _set_author_initial(self, author_initial)
-        _set_qualifier(self, qualifier)
+    def __init__(self, text: str) -> None:
+        if len(text) != BIBCODE_LENGTH:
+            raise BibcodeLengthError(
+                f"bibcode must be {BIBCODE_LENGTH} characters, got {len(text)}: {text!r}")
+        year = text[_YEAR]
+        if not (year.isascii() and year.isdigit()):
+            raise BibcodeFormatError(f"bibcode year is not numeric: {year!r} in {text!r}")
+        if year < "1000":
+            raise BibcodeFormatError(f"bibcode year out of range: {int(year)}")
+        qualifier = text[_QUALIFIER]
+        if not (qualifier == "." or qualifier.isalnum()):
+            raise BibcodeFormatError(
+                f"qualifier must be one alphanumeric character: {qualifier!r}")
+        author_initial = text[_AUTHOR]
+        if not (author_initial.isalpha() or author_initial == "."):
+            raise BibcodeFormatError(
+                f"author initial must be one letter or '.': {author_initial!r}")
+        if "{" in text or "}" in text or "," in text:
+            raise BibcodeFormatError(
+                f"bibcode holds '{{', '}}' or ',', which its BibTeX key cannot: {text!r}")
+        _set_text(self, text)
 
     def __str__(self) -> str:
-        return format_bibcode(self)
+        return self.text
+
+    year = property(lambda self: int(self.text[_YEAR]))
+    journal = property(lambda self: self.text[_JOURNAL].rstrip("."))
+    volume = property(lambda self: self.text[_VOLUME].lstrip("."))
+    author_initial = property(lambda self: self.text[_AUTHOR])
+
+    @property
+    def qualifier(self) -> str | None:
+        """None for a period, and for a digit that starts a five-character page."""
+        qualifier = self.text[_QUALIFIER]
+        return None if qualifier in ".0123456789" else qualifier
+
+    @property
+    def page(self) -> str:
+        start = _QUALIFIER if self.text[_QUALIFIER] in "0123456789" else _PAGE.start
+        return self.text[start:_PAGE.stop].lstrip(".")
 
     @property
     def ads_url(self) -> str:
         """Link to the abstract page, with the bibcode percent-encoded."""
-        return ads_abs_url(format_bibcode(self))
+        text = self.text
+        if text.strip(_ALWAYS_SAFE):
+            text = quote(text, safe="")
+        return ADS_ABS_URL + text
 
 
-_set_year, _set_journal, _set_volume, _set_page, _set_author_initial, _set_qualifier = (
-    slot_setters(Bibcode))
+(_set_text,) = slot_setters(Bibcode)
 
 
 def parse_bibcode(raw: str) -> Bibcode:
-    """Split a 19-character bibcode into its fields.
-
-    Surrounding whitespace is tolerated. Period padding is stripped from
-    each field: the journal is left-aligned, volume and page right-aligned.
-    A digit in the qualifier column is read as the leading digit of a
-    five-character page.
-    """
-    s = raw.strip()
-    if len(s) != BIBCODE_LENGTH:
-        raise BibcodeLengthError(f"bibcode must be {BIBCODE_LENGTH} characters, got {len(s)}: {raw!r}")
-    year_text = s[_YEAR]
-    if not (year_text.isascii() and year_text.isdigit()):
-        raise BibcodeFormatError(f"bibcode year is not numeric: {year_text!r} in {s!r}")
-    qualifier_char = s[_QUALIFIER]
-    if qualifier_char in "0123456789":
-        # Page overflow: the page starts in the qualifier column.
-        qualifier = None
-        page = s[_QUALIFIER:_PAGE.stop].lstrip(".")
-    else:
-        qualifier = None if qualifier_char == "." else qualifier_char
-        page = s[_PAGE].lstrip(".")
-    return Bibcode(int(year_text), s[_JOURNAL].rstrip("."), s[_VOLUME].lstrip("."), page,
-                   s[_AUTHOR], qualifier)
-
-
-def ads_abs_url(text: str) -> str:
-    """The ADS abstract page of a formatted bibcode, with the bibcode percent-encoded."""
-    if text.strip(_ALWAYS_SAFE):
-        text = quote(text, safe="")
-    return ADS_ABS_URL + text
+    """A bibcode from its 19 characters; surrounding whitespace is tolerated."""
+    text = raw.strip()
+    if len(text) != BIBCODE_LENGTH:
+        raise BibcodeLengthError(
+            f"bibcode must be {BIBCODE_LENGTH} characters, got {len(text)}: {raw!r}")
+    return Bibcode(text)
 
 
 def format_bibcode(b: Bibcode) -> str:
-    """Emit the exact 19-character form of a bibcode."""
-    page = b.page
-    if b.qualifier is None and len(page) == 5:
-        middle = page
-    else:
-        middle = (b.qualifier or ".") + page.rjust(4, ".")
-    # Bibcode holds a year of four digits, so it needs no padding.
-    out = f"{b.year}{b.journal.ljust(5, '.')}{b.volume.rjust(4, '.')}{middle}{b.author_initial}"
-    if len(out) != BIBCODE_LENGTH:
-        raise BibcodeFormatError(f"formatted bibcode is {len(out)} characters: {out!r}")
-    return out
+    """The exact 19-character form of a bibcode."""
+    return b.text

@@ -10,7 +10,7 @@ import enum
 from typing import Any
 
 from .errors import InvalidAuthorError, UnusableMetadataError
-from .identifiers import Bibcode, Doi, format_bibcode, parse_bibcode
+from .identifiers import Bibcode, Doi
 from .values import Frozen, Value, slot_setters
 
 MIN_YEAR = 1500
@@ -31,6 +31,7 @@ class SourceType(str, enum.Enum):
 
 
 _SOURCE_TYPES = {t.value: t for t in SourceType}
+_TEXT_OR_NULL = (str, type(None))
 
 
 class AuthorName(Frozen):
@@ -284,7 +285,7 @@ def record_to_dict(r: BibRecord) -> dict[str, Any]:
     if r.doi is not None:
         out["doi"] = r.doi.canonical
     if r.bibcode is not None:
-        out["bibcode"] = format_bibcode(r.bibcode)
+        out["bibcode"] = r.bibcode.text
     if r.doi is not None:
         out["doi_url"] = r.doi.url
     if r.bibcode is not None:
@@ -308,30 +309,46 @@ def record_to_row(r: BibRecord) -> list[Any]:
         r.title, [[list(a.given_names), a.surname] for a in r.authors], r.source_type.value,
         r.journal, r.volume, r.number, None if pages is None else [pages.first, pages.last],
         r.year, r.publisher, None if doi is None else doi.canonical,
-        None if bibcode is None else format_bibcode(bibcode),
+        None if bibcode is None else bibcode.text,
     ]
 
 
 def record_from_row(row: list[Any]) -> BibRecord:
     """The record record_to_row wrote, built through every constructor check.
 
-    The DOI goes straight to ``Doi``, which checks the grammar and the
-    lowercase form that ``parse_doi`` would produce; a stored DOI carries
-    no prefix to strip.
+    Each field must hold the JSON type record_to_row writes: the title
+    text; journal, volume, number and publisher text or null; pages null
+    or ``[text, text or null]``; the year an int or null; authors a list,
+    each author's given names a list of text. Any other type raises
+    TypeError. The DOI goes straight to ``Doi``, which checks the grammar
+    and the lowercase form that ``parse_doi`` would produce, and the
+    bibcode to ``Bibcode``: neither is stored with text to strip.
     """
     title, authors, source_type, journal, volume, number, pages, year, publisher, doi, bibcode = row
+    if not (title.__class__ is str and authors.__class__ is list
+            and journal.__class__ in _TEXT_OR_NULL and volume.__class__ in _TEXT_OR_NULL
+            and number.__class__ in _TEXT_OR_NULL and publisher.__class__ in _TEXT_OR_NULL
+            and (year is None or year.__class__ is int)):
+        raise TypeError("a field holds a JSON type that record_to_row does not write")
     try:
         source_type = _SOURCE_TYPES[source_type]
     except (KeyError, TypeError):
         source_type = SourceType(source_type)  # raises the enum's ValueError
     if pages is not None:
-        first, last = pages
+        first, last = pages if pages.__class__ is list else (None, None)
+        if first.__class__ is not str or last.__class__ not in _TEXT_OR_NULL:
+            raise TypeError(f"pages are not [text, text or null]: {pages!r}")
         pages = Pages(first, last)
+    names = []
+    for given, surname in authors:
+        if given.__class__ is not list:
+            raise TypeError(f"given names are not a list: {given!r}")
+        "".join(given)  # raises TypeError unless every given name is text
+        names.append(AuthorName(tuple(given), surname))
     return BibRecord(
-        title, [AuthorName(tuple(given), surname) for given, surname in authors],
-        source_type, journal, volume, number, pages, year, publisher,
+        title, names, source_type, journal, volume, number, pages, year, publisher,
         None if doi is None else Doi(doi),
-        None if bibcode is None else parse_bibcode(bibcode),
+        None if bibcode is None else Bibcode(bibcode),
     )
 
 

@@ -14,7 +14,6 @@ from typing import Callable, Iterable
 
 from .errors import UnrenderableError
 from .formats import RenderedCitation, RenderFormat
-from .identifiers import ads_abs_url, format_bibcode
 from .model import AuthorName, BibRecord, RefEntry, SourceType, format_pages
 
 _BIBTEX_TYPE = {
@@ -143,7 +142,7 @@ def render_text(entry: RefEntry) -> RenderedCitation:
 
 def _bibtex_key(record: BibRecord, sub: str) -> str:
     if record.bibcode is not None:
-        return format_bibcode(record.bibcode)
+        return record.bibcode.text
     surname = record.authors[0].surname if record.authors else "ref"
     year = str(record.year) if record.year is not None else "nd"
     return _BIBTEX_KEY_JUNK.sub("", f"{surname}{year}{sub}")
@@ -248,11 +247,10 @@ def _json_record(r: BibRecord, text: Callable[[str], str]) -> str:
                f'\n          "surname": {text(a.surname)}\n        }}' for a in r.authors]
     members = []
     if bibcode is not None:
-        bibcode_text = format_bibcode(bibcode)
-        members.append('"ads_url": ' + text(ads_abs_url(bibcode_text)))
+        members.append('"ads_url": ' + text(bibcode.ads_url))
     members.append('"authors": ' + _json_list(authors, " " * 6))
     if bibcode is not None:
-        members.append('"bibcode": ' + text(bibcode_text))
+        members.append('"bibcode": ' + text(bibcode.text))
     if doi is not None:
         members += ['"doi": ' + text(doi.canonical), '"doi_url": ' + text(doi.url)]
     if r.journal is not None:

@@ -15,9 +15,11 @@ absent field is null. So reading an entry back is one primary-key
 lookup, and each record is built straight through its constructors,
 every check included. The records column is decoded by one strict JSON
 scan that must end at its last character, so only the compact text
-``_row`` writes is read. Any other value, such as text with whitespace
-around the array or data after it, a BLOB, or JSON nested past the
-recursion limit, raises StoreError naming the entry.
+``_row`` writes is read, and each field must hold the JSON type
+``model.record_to_row`` writes for it. Any other value, such as text
+with whitespace around the array or data after it, a BLOB, JSON nested
+past the recursion limit, or a title that is a number, raises StoreError
+naming the entry.
 
 Entries do not change after they are added, so each entry's HTML and
 BibTeX are rendered once, by ``_row``, and stored in its row. For an

@@ -313,7 +313,9 @@ class TestAdd:
         ({"year": "1200"}, "year out of range [1500, 2999]: 1200"),
         ({"year": "20x7"}, "'year' holds '20x7', not a year"),
         ({"author": "Gordon"}, "author is not a list of text"),
-    ], ids=["year-1200", "year-20x7", "author-str"])
+        ({"bibcode": "2017JQ{RT.203....3G"},
+         "bibcode holds '{', '}' or ',', which its BibTeX key cannot: '2017JQ{RT.203....3G'"),
+    ], ids=["year-1200", "year-20x7", "author-str", "bibcode-brace"])
     def test_an_ads_doc_with_a_value_the_model_refuses_falls_back(self, capsys, db_path,
                                                                   tmp_path, fields, cause):
         doi = "10.1234/ads-year"
@@ -324,8 +326,7 @@ class TestAdd:
         code, out, err = run(capsys, "add", "--doi", doi, "--db", db_path, "--offline",
                              "--fixtures", str(write_fixtures(tmp_path, exchanges)))
         assert (code, out) == (0, "id=1 path=fallback\n")
-        assert err == ("refs: warning: ADS document for 2017JQSRT.203....3G is unusable:"
-                       f" {cause}\n")
+        assert err == f"refs: warning: ADS document for {doc['bibcode']} is unusable: {cause}\n"
         with RefStore(db_path) as store:
             assert store.get_entry(1).records[0].title == "From doi.org"
 
@@ -948,6 +949,25 @@ class TestUnreadableEntry:
         assert err.startswith("refs: the records of entry 1 cannot be read: RecursionError: ")
         assert err.count("\n") == 1
         assert Path(damaged).read_bytes() == before
+
+    # Each decoded, then rendered wrong or ended in a traceback with exit 1.
+    @pytest.mark.parametrize("fmt, index, value", [
+        ("text", 0, 5), ("json", 7, 2001.0), ("text", 1, [["Élodie", "Gordon"]]),
+    ], ids=["title-int", "year-float", "given-names-text"])
+    def test_a_field_of_a_json_type_the_row_codec_never_writes_exits_3(
+            self, capsys, db_path, fmt, index, value):
+        run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
+        with contextlib.closing(sqlite3.connect(db_path)) as conn, conn:
+            (records_json,) = conn.execute("SELECT records FROM entries").fetchone()
+            rows = json.loads(records_json)
+            rows[0][index] = value
+            conn.execute("UPDATE entries SET records = ?", (json.dumps(rows),))
+        before = Path(db_path).read_bytes()
+        code, out, err = run(capsys, "render", "1", "--format", fmt, "--db", db_path)
+        assert (code, out) == (3, "")
+        assert err.startswith("refs: the records of entry 1 cannot be read: TypeError: ")
+        assert err.count("\n") == 1
+        assert Path(db_path).read_bytes() == before
 
     def test_list_prints_the_stored_label_and_leaves_the_file_unchanged(self, capsys, damaged):
         # The label was written at add, so listing decodes no records.

@@ -22,10 +22,12 @@ from refs import (
 )
 from refs.identifiers import (
     _AUTHOR, _DOI_PREFIXES, _DOI_RE, _JOURNAL, _PAGE, _QUALIFIER, _VOLUME, _YEAR, ADS_ABS_URL,
-    BIBCODE_LENGTH, ads_abs_url,
+    BIBCODE_LENGTH,
 )
 
 EXAMPLE = "2017JQSRT.203....3G"
+# The characters a BibTeX key cannot hold, which Bibcode refuses in any column.
+KEY_BREAKERS = "{},"
 
 
 def _parsed_or_none(raw: str) -> Doi | None:
@@ -90,8 +92,10 @@ def outcome(parse, raw: str):
         return str(exc)
 
 
-def parse_bibcode_by_keywords(raw: str) -> Bibcode:
-    """parse_bibcode as first written: a per-character year check, fields passed by keyword."""
+def parse_bibcode_by_fields(raw: str) -> tuple:
+    """parse_bibcode as it was while Bibcode held six fields: the text split into
+    (year, journal, volume, qualifier, page, author_initial), each field checked as that
+    constructor checked it, in its order."""
     s = raw.strip()
     if len(s) != BIBCODE_LENGTH:
         raise BibcodeLengthError(f"bibcode must be {BIBCODE_LENGTH} characters, got {len(s)}: {raw!r}")
@@ -105,14 +109,34 @@ def parse_bibcode_by_keywords(raw: str) -> Bibcode:
     else:
         qualifier = None if qualifier_char == "." else qualifier_char
         page = s[_PAGE].lstrip(".")
-    return Bibcode(
-        year=int(year_text),
-        journal=s[_JOURNAL].rstrip("."),
-        volume=s[_VOLUME].lstrip("."),
-        qualifier=qualifier,
-        page=page,
-        author_initial=s[_AUTHOR],
-    )
+    year, journal, volume, author_initial = (
+        int(year_text), s[_JOURNAL].rstrip("."), s[_VOLUME].lstrip("."), s[_AUTHOR])
+    if not 1000 <= year <= 9999:
+        raise BibcodeFormatError(f"bibcode year out of range: {year}")
+    if len(journal) > 5:
+        raise BibcodeFormatError(f"journal abbreviation too wide: {journal!r}")
+    if len(volume) > 4:
+        raise BibcodeFormatError(f"volume too wide: {volume!r}")
+    if qualifier is not None:
+        if len(qualifier) != 1 or not qualifier.isalnum():
+            raise BibcodeFormatError(f"qualifier must be one alphanumeric character: {qualifier!r}")
+        if len(page) > 4:
+            raise BibcodeFormatError(f"page {page!r} does not fit beside qualifier {qualifier!r}")
+    elif len(page) > 5:
+        raise BibcodeFormatError(f"page too wide: {page!r}")
+    if len(author_initial) != 1 or not (author_initial.isalpha() or author_initial == "."):
+        raise BibcodeFormatError(f"author initial must be one letter or '.': {author_initial!r}")
+    return year, journal, volume, qualifier, page, author_initial
+
+
+def format_bibcode_by_fields(fields: tuple) -> str:
+    """format_bibcode as it was while Bibcode held six fields: each one padded to its column."""
+    year, journal, volume, qualifier, page, author_initial = fields
+    if qualifier is None and len(page) == 5:
+        middle = page
+    else:
+        middle = (qualifier or ".") + page.rjust(4, ".")
+    return f"{year}{journal.ljust(5, '.')}{volume.rjust(4, '.')}{middle}{author_initial}"
 
 
 def bibcode_outcome(parse, raw: str):
@@ -232,25 +256,28 @@ class TestFormatBibcode:
     def test_paper_example_roundtrip(self):
         assert format_bibcode(parse_bibcode(EXAMPLE)) == EXAMPLE
 
-    def test_minimal_fields_are_period_padded(self):
-        b = Bibcode(year=2000, journal="A", volume="1", page="1", author_initial="X")
-        assert format_bibcode(b) == "2000A.......1....1X"
+    def test_the_text_is_kept_and_the_fields_drop_the_padding(self):
+        b = Bibcode("2000A.......1....1X")
+        assert format_bibcode(b) == str(b) == "2000A.......1....1X"
+        assert (b.journal, b.volume, b.qualifier, b.page) == ("A", "1", None, "1")
 
-    def test_overwide_volume_rejected(self):
-        with pytest.raises(BibcodeFormatError):
-            Bibcode(year=2000, journal="A", volume="12345", page="1", author_initial="X")
+    @pytest.mark.parametrize("text", [EXAMPLE[:-1], " " + EXAMPLE, EXAMPLE + "\n"])
+    def test_the_constructor_takes_exactly_19_characters(self, text):
+        with pytest.raises(BibcodeLengthError, match=f"got {len(text)}"):
+            Bibcode(text)
 
-    def test_overwide_journal_rejected(self):
-        with pytest.raises(BibcodeFormatError):
-            Bibcode(year=2000, journal="ABCDEF", volume="1", page="1", author_initial="X")
+    def test_the_qualifier_must_be_alphanumeric(self):
+        with pytest.raises(BibcodeFormatError, match="qualifier must be one alphanumeric"):
+            Bibcode("2000A.......1-...1X")
 
-    def test_page_beside_qualifier_must_fit(self):
-        with pytest.raises(BibcodeFormatError):
-            Bibcode(year=2000, journal="A", volume="1", qualifier="L", page="12345", author_initial="X")
+    def test_the_year_must_be_at_least_1000(self):
+        with pytest.raises(BibcodeFormatError, match="bibcode year out of range: 999"):
+            Bibcode("0999A.......1....1X")
 
-    def test_output_length_is_19(self):
-        b = Bibcode(year=1950, journal="OldA", volume="5", page="55", author_initial="H")
-        assert len(format_bibcode(b)) == 19
+    @pytest.mark.parametrize("breaker", KEY_BREAKERS)
+    def test_a_character_that_breaks_its_bibtex_key_is_refused(self, breaker):
+        with pytest.raises(BibcodeFormatError, match="which its BibTeX key cannot"):
+            parse_bibcode(f"2017JQ{breaker}RT.203....3G")
 
 
 def valid_bibcodes() -> st.SearchStrategy[str]:
@@ -273,35 +300,42 @@ def valid_bibcodes() -> st.SearchStrategy[str]:
     return st.tuples(year, journal, volume, middle, author).map("".join)
 
 
-def any_bibcodes() -> st.SearchStrategy[Bibcode]:
-    """Bibcodes from the grammar, and from the constructor over any non-surrogate text."""
-    text = st.characters(exclude_categories=("Cs",))
-    built = st.builds(
-        Bibcode,
-        year=st.integers(1000, 9999),
-        journal=st.text(text, max_size=5),
-        volume=st.text(text, max_size=4),
-        page=st.text(text, max_size=4),
-        author_initial=st.characters(categories=("Lu", "Ll")) | st.just("."),
-        qualifier=st.none() | st.sampled_from("LQ0"),
+def accepted_bibcodes() -> st.SearchStrategy[str]:
+    """Texts Bibcode accepts, built column by column: the journal, volume and page
+    columns hold any non-surrogate character but KEY_BREAKERS."""
+    anything = st.characters(exclude_categories=("Cs",), exclude_characters=KEY_BREAKERS)
+    return st.builds(
+        "{}{}{}{}{}{}".format,
+        st.integers(1000, 9999),
+        st.text(anything, min_size=5, max_size=5),
+        st.text(anything, min_size=4, max_size=4),
+        st.sampled_from(".LQ0") | st.characters(categories=("Lu", "Ll", "Nd")),
+        st.text(anything, min_size=4, max_size=4),
+        st.characters(categories=("Lu", "Ll", "Lo")) | st.just("."),
     )
-    return valid_bibcodes().map(parse_bibcode) | built
+
+
+def bibcodes_with_a_key_breaker() -> st.SearchStrategy[str]:
+    """An accepted text with one column after the year replaced by a KEY_BREAKERS character."""
+    return st.builds(lambda text, i, breaker: text[:i] + breaker + text[i + 1:],
+                     accepted_bibcodes(), st.integers(4, BIBCODE_LENGTH - 1),
+                     st.sampled_from(KEY_BREAKERS))
 
 
 class TestAdsUrl:
     def test_journal_with_an_ampersand_is_encoded(self):
         assert parse_bibcode("2019A&A...625A..13S").ads_url == ADS_ABS_URL + "2019A%26A...625A..13S"
 
-    @given(any_bibcodes())
-    def test_matches_quoting_every_bibcode(self, bibcode):
-        assert bibcode.ads_url == ADS_ABS_URL + quote(format_bibcode(bibcode), safe="")
-        assert ads_abs_url(format_bibcode(bibcode)) == bibcode.ads_url
+    @given(valid_bibcodes() | accepted_bibcodes())
+    def test_matches_quoting_every_bibcode(self, text):
+        bibcode = Bibcode(text)
+        assert bibcode.ads_url == ADS_ABS_URL + quote(text, safe="")
 
 
-# Digits, ASCII letters, periods, whitespace, and characters that are
-# digits to str.isdigit but not ASCII: Arabic-Indic and Devanagari digits,
-# and a superscript two, which int() refuses.
-BIBCODE_CHARS = string.digits + string.ascii_letters + ". \t\n\u00a0\u0663\u0969\u00b2"
+# Digits, ASCII letters, periods, whitespace, the characters a BibTeX key
+# cannot hold, and characters that are digits to str.isdigit but not ASCII:
+# Arabic-Indic and Devanagari digits, and a superscript two, which int() refuses.
+BIBCODE_CHARS = string.digits + string.ascii_letters + ". \t\n\u00a0\u0663\u0969\u00b2" + KEY_BREAKERS
 
 
 @st.composite
@@ -316,10 +350,22 @@ def bibcode_like(draw) -> str:
 
 class TestParseBibcodeProperty:
     @given(bibcode_like() | st.text(BIBCODE_CHARS, min_size=BIBCODE_LENGTH,
-                                     max_size=BIBCODE_LENGTH))
+                                     max_size=BIBCODE_LENGTH)
+           | accepted_bibcodes() | bibcodes_with_a_key_breaker())
     def test_accepts_refuses_and_splits_as_first_written(self, raw):
-        assert bibcode_outcome(parse_bibcode, raw) == bibcode_outcome(
-            parse_bibcode_by_keywords, raw)
+        """The one-field Bibcode against the six-field parser it replaced: the same
+        verdicts, messages and fields, except that it also refuses KEY_BREAKERS."""
+        ours, reference = (bibcode_outcome(parse_bibcode, raw),
+                           bibcode_outcome(parse_bibcode_by_fields, raw))
+        refused = isinstance(reference[0], type)  # (error type, message), else the fields
+        if not refused and set(KEY_BREAKERS) & set(raw):
+            reference = (BibcodeFormatError, "bibcode holds '{', '}' or ',', which its"
+                         f" BibTeX key cannot: {raw.strip()!r}")
+        elif not refused:
+            assert format_bibcode_by_fields(reference) == format_bibcode(ours) == raw.strip()
+            ours = (ours.year, ours.journal, ours.volume, ours.qualifier, ours.page,
+                    ours.author_initial)
+        assert ours == reference
 
 
 class TestRoundtripProperty:

@@ -14,6 +14,8 @@ from hypothesis import given, strategies as st
 import refs.identifiers
 import refs.render
 from refs import (
+    Bibcode,
+    BibcodeFormatError,
     BibRecord,
     Pages,
     RefEntry,
@@ -28,14 +30,17 @@ from refs import (
     render_json,
     render_text,
 )
-from refs.identifiers import ADS_ABS_URL, format_bibcode
+from refs.bibtex import parse_entries
+from refs.identifiers import ADS_ABS_URL
 from refs.migrations import record_from_dict
 from refs.model import MAX_YEAR, MIN_YEAR, AuthorName, entry_to_dict
 from refs.render import escape_value
 
 from corpus import build_corpus_entries
 from conftest import GOLDEN_DIR
-from test_identifiers import doi_texts, valid_bibcodes
+from test_identifiers import (
+    KEY_BREAKERS, accepted_bibcodes, bibcodes_with_a_key_breaker, doi_texts,
+)
 
 RAW_SPECIALS = set('&<>"\'')
 
@@ -97,7 +102,7 @@ json_records = st.builds(
     year=st.none() | st.integers(MIN_YEAR, MAX_YEAR),
     publisher=optional_json_text,
     doi=st.none() | doi_texts().map(parse_doi),
-    bibcode=st.none() | valid_bibcodes().map(parse_bibcode),
+    bibcode=st.none() | accepted_bibcodes().map(Bibcode),
 )
 json_entries = st.builds(
     RefEntry,
@@ -338,6 +343,18 @@ class TestRenderBibtex:
         body = render_bibtex(full_entry()).body
         assert body.startswith("@article{2017JQSRT.203....3G,")
 
+    @given(accepted_bibcodes() | bibcodes_with_a_key_breaker())
+    def test_every_accepted_bibcode_reads_back_as_its_key(self, raw):
+        try:
+            bibcode = parse_bibcode(raw)
+        except BibcodeFormatError:
+            assert set(KEY_BREAKERS) & set(raw)
+            return
+        record = BibRecord(title="T", authors=[make_author("A.", "Cee")], bibcode=bibcode)
+        body = render_bibtex(RefEntry([record])).body
+        assert [entry.key for entry in parse_entries(body)] == [raw]
+        assert bibtex_to_record(body) == record
+
     def test_surname_year_key_without_bibcode(self):
         record = BibRecord(title="T", authors=[make_author("A.", "Cee")], year=2001,
                            doi=parse_doi("10.1000/x"))
@@ -544,19 +561,17 @@ class TestRenderJson:
         bodies = "\n".join(render_json(e).body for e in build_corpus_entries()) + "\n"
         assert bodies.encode("utf-8") == (GOLDEN_DIR / "json_corpus.json").read_bytes()
 
-    def test_each_bibcode_is_formatted_once(self, monkeypatch):
-        calls = []
-
-        def counted(bibcode):
-            calls.append(bibcode)
-            return format_bibcode(bibcode)
-
-        monkeypatch.setattr(refs.render, "format_bibcode", counted)
-        monkeypatch.setattr(refs.identifiers, "format_bibcode", counted)
-        payload = json.loads(render_json(full_entry()).body)
-        assert len(calls) == 1
+    def test_the_bibcode_is_written_as_its_text(self, monkeypatch):
+        # Nothing re-joins the stored text: every format renders with format_bibcode gone.
+        monkeypatch.delattr(refs.identifiers, "format_bibcode")
+        entry = full_entry()
+        payload = json.loads(render_json(entry).body)
         record = payload["records"][0]
+        assert record["bibcode"] == entry.records[0].bibcode.text
         assert record["ads_url"] == ADS_ABS_URL + record["bibcode"]
+        assert render_bibtex(entry).body.startswith("@article{" + record["bibcode"] + ",")
+        assert record["ads_url"] in render_html(entry).body
+        assert record["ads_url"] in render_text(entry).body
 
 
 class TestRenderText:

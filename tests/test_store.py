@@ -18,6 +18,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 import refs
 from refs import (
     AuthorName,
+    Bibcode,
     BibRecord,
     CrossRefConflictError,
     DuplicateEntryError,
@@ -59,7 +61,7 @@ from refs.store import BIB_BUNDLE_NAME, HTML_BUNDLE_NAME, SCHEMA_VERSION
 
 from conftest import GOLDEN_DIR, unsynced
 from corpus import build_corpus_entries
-from test_identifiers import doi_texts, valid_bibcodes
+from test_identifiers import accepted_bibcodes, doi_texts
 from test_render import json_records, json_text, nonempty_json_text
 
 
@@ -80,7 +82,7 @@ records_strategy = st.builds(
     year=st.none() | st.integers(MIN_YEAR, MAX_YEAR),
     publisher=optional_text,
     doi=st.none() | doi_texts().map(parse_doi),
-    bibcode=st.none() | valid_bibcodes().map(parse_bibcode),
+    bibcode=st.none() | accepted_bibcodes().map(Bibcode),
 )
 
 
@@ -246,6 +248,26 @@ def entry_from_row_by_loads(global_id: int, note: str | None, records_json) -> R
     return RefEntry([record_from_row(r) for r in json.loads(records_json)], note, global_id)
 
 
+# A value of a JSON type record_to_row never writes at that position of a row, by the
+# row index it replaces; each decoded into a record before types were checked.
+WRONG_TYPES = {
+    "title-int": (0, 5), "authors-text": (1, ""), "authors-object": (1, {}),
+    "given-names-text": (1, [["Élodie", "Gordon"]]), "given-name-int": (1, [[[5], "Gordon"]]),
+    "journal-int": (3, 1), "volume-list": (4, ["1"]), "number-int": (5, 2),
+    "pages-text": (6, "12"), "pages-object": (6, {"1": 0, "2": 0}), "pages-ints": (6, [1, 2]),
+    "last-page-int": (6, ["1", 2]), "year-float": (7, 2001.0), "publisher-bool": (8, False),
+}
+
+
+def with_field(index: int, value) -> Callable[[str], str]:
+    """A damage that writes ``value`` at ``index`` of the first record's row."""
+    def damage(records_json: str) -> str:
+        rows = json.loads(records_json)
+        rows[0][index] = value
+        return json.dumps(rows, ensure_ascii=False, separators=(",", ":"))
+    return damage
+
+
 class TestRowDecode:
     """A row's records are read by one strict scan: only text as ``_row`` writes it decodes."""
 
@@ -259,7 +281,9 @@ class TestRowDecode:
     @pytest.mark.parametrize("damage", [
         lambda text: " " + text, lambda text: text + "\n", lambda text: text + "[]",
         lambda text: "\ufeff" + text, str.encode, lambda text: "[" * 100_000,
-    ], ids=["leading-space", "trailing-newline", "trailing-data", "bom", "blob", "nested"])
+        *[with_field(i, value) for i, value in WRONG_TYPES.values()],
+    ], ids=["leading-space", "trailing-newline", "trailing-data", "bom", "blob", "nested",
+            *WRONG_TYPES])
     def test_any_other_records_column_is_refused_naming_the_entry(self, store, damage):
         gid = store.add_entry([record("10.1000/a")])
         (records_json,) = store._conn.execute("SELECT records FROM entries").fetchone()

@@ -43,7 +43,7 @@ DICT = object()  # default_factory=dict
 
 
 DOI = Doi("10.1016/j.jqsrt.2017.06.038")
-BIBCODE = Bibcode(2017, "JQSRT", "203", "3", "G")
+BIBCODE = Bibcode("2017JQSRT.203....3G")
 AUTHOR = AuthorName(("I.", "E."), "Gordon")
 RECORD_ARGS = ("T", [AUTHOR], SourceType.BOOK, "J", "1", "2", Pages("1", "2"), 2001, "P",
                DOI, BIBCODE)
@@ -96,11 +96,14 @@ class Spec:
 SPECS = [
     Spec(Doi, True, [("canonical", REQUIRED)],
          (DOI.canonical,), ("10.1000/x",), ("10.1000/x",)),
-    Spec(Bibcode, True,
-         [("year", REQUIRED), ("journal", REQUIRED), ("volume", REQUIRED), ("page", REQUIRED),
-          ("author_initial", REQUIRED), ("qualifier", None)],
-         (2017, "JQSRT", "203", "3", "G", "L"), (2017, "JQSRT", "203", "3", "G", None),
-         (1999, "ApJ", "1", "12345", ".")),
+    Spec(Bibcode, True, [("text", REQUIRED)],
+         ("2017JQSRT.203L...3G",), ("2017JQSRT.203....3G",), ("1999ApJ.....112345.",),
+         {"year": lambda b: int(b.text[:4]), "journal": lambda b: b.text[4:9].rstrip("."),
+          "volume": lambda b: b.text[9:13].lstrip("."),
+          "qualifier": lambda b: None if b.text[13] in ".0123456789" else b.text[13],
+          "page": lambda b: b.text[13 if b.text[13].isdigit() else 14:18].lstrip("."),
+          "author_initial": lambda b: b.text[18],
+          "ads_url": lambda b: "https://ui.adsabs.harvard.edu/abs/" + b.text}),
     Spec(AuthorName, True, [("given_names", REQUIRED), ("surname", REQUIRED)],
          (("I.", "E."), "Gordon"), ((), "HITRAN"), (("A",), "B")),
     Spec(Pages, True, [("first", REQUIRED), ("last", None)],
