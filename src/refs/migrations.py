@@ -15,22 +15,26 @@ Up to version 3, an entry's records were the rows of a ``records`` table,
 one column per field, and its note a row of ``notes``. Versions 4 to 6
 kept both in the ``entries`` row, the records as a JSON array: of
 ``model.record_to_dict`` objects in version 4, of ``model.record_to_row``
-arrays from version 5 on. Versions 3 to 6 kept each entry's HTML and
-BibTeX in a ``texts`` table, of which only BibTeX fetched from upstream
-is read. No old DOI-set key, label or rendered text is read.
+arrays from version 5 on. Each reader only reorders a record's stored
+fields into that array; ``model.record_from_row`` then decodes a record
+of every version by the rules of a current row, so a field of the wrong
+type, given names stored as one string say, is refused here too.
+Versions 3 to 6 kept each entry's HTML and BibTeX in a ``texts`` table,
+of which only BibTeX fetched from upstream is read. No old DOI-set key,
+label or rendered text is read.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
+from contextlib import closing
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .errors import MODEL_REFUSALS, StoreError
-from .identifiers import parse_bibcode, parse_doi
-from .model import AuthorName, BibRecord, Pages, RefEntry, SourceType, record_from_row
+from .model import RefEntry, record_from_row
 from .store import _SCHEMA, SCHEMA_VERSION, _row, _unreadable
 
 # Record columns of versions 1 to 3, named after the keys of
@@ -62,26 +66,27 @@ def migrate(conn: sqlite3.Connection, version: int) -> None:
     StoreError, which rolls the file back to what it was, when an entry
     cannot be read or a reference would dangle.
     """
-    if version == 1:
-        (seq,) = conn.execute("SELECT next_id - 1 FROM id_sequence").fetchone()
-    else:
-        (seq,) = conn.execute(
-            "SELECT COALESCE(MAX(seq), 0) FROM sqlite_sequence WHERE name = 'entries'"
-        ).fetchone()
+    (seq,) = conn.execute(
+        "SELECT next_id - 1 FROM id_sequence" if version == 1
+        else "SELECT COALESCE(MAX(seq), 0) FROM sqlite_sequence WHERE name = 'entries'"
+    ).fetchone() or (None,)
+    if seq is None:
+        raise _refusal("the id_sequence table is empty")
     fetched = dict(conn.execute("SELECT entry_id, bibtex FROM main.texts WHERE bibtex_fetched = 1")
                    if version >= 3 else ())
     conn.execute("CREATE TEMP TABLE old_entries (global_id INTEGER PRIMARY KEY, doi_set, deleted,"
                  " note, label, records, html, bibtex, bibtex_fetched)")
     conn.execute("CREATE TEMP TABLE old_crossrefs AS SELECT"
                  " dataset_scope, parameter, local_id, global_id FROM main.crossrefs")
-    decode = record_from_dict if version == 4 else record_from_row
-    entries = _entries_v1_to_v3(conn) if version <= 3 else _entries_json(conn, decode)
+    entries = _entries_v1_to_v3(conn) if version <= 3 else _entries_json(conn, version)
     live: dict[str, list[int]] = {}  # the live entries' IDs by DOI-set key
-    for deleted, entry in entries:
-        row = _row(entry, deleted, fetched.get(entry.global_id))
-        if row[1] is not None and not deleted:
-            live.setdefault(row[1], []).append(entry.global_id)
-        conn.execute("INSERT INTO old_entries VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)", row)
+    # Closed before the connection, even when _row or an INSERT raises.
+    with closing(entries):
+        for deleted, entry in entries:
+            row = _row(entry, deleted, fetched.get(entry.global_id))
+            if row[1] is not None and not deleted:
+                live.setdefault(row[1], []).append(entry.global_id)
+            conn.execute("INSERT INTO old_entries VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)", row)
     _refuse_shared_keys(live)
     old_tables = conn.execute(
         "SELECT name FROM main.sqlite_master WHERE type = 'table' AND name NOT LIKE 'sqlite%'"
@@ -116,20 +121,15 @@ def _refuse_shared_keys(live: dict[str, list[int]]) -> None:
 
 def _entries_v1_to_v3(conn: sqlite3.Connection) -> Iterator[tuple[int, RefEntry]]:
     """(deleted, entry) for every entry of a version 1 to 3 file, in ID order."""
-    rows = conn.execute(_SELECT_ROWS)
-    try:
+    with closing(conn.execute(_SELECT_ROWS)) as rows:
         for (global_id, deleted, note), group in groupby(rows, itemgetter(0, 1, 2)):
-            yield deleted, _decoded(global_id, note, _records_from_columns(group))
-    finally:
-        rows.close()
+            yield deleted, _decoded(global_id, note, _rows_from_columns(group))
 
 
-def _entries_json(conn: sqlite3.Connection,
-                  decode: Callable[[Any], BibRecord]) -> Iterator[tuple[int, RefEntry]]:
-    """(deleted, entry) for every entry of a version 4 to 6 file, in ID order; each record
-    of the row's JSON array through ``decode``."""
-    rows = conn.execute("SELECT global_id, deleted, note, records FROM entries ORDER BY global_id")
-    try:
+def _entries_json(conn: sqlite3.Connection, version: int) -> Iterator[tuple[int, RefEntry]]:
+    """(deleted, entry) for every entry of a version 4 to 6 file, in ID order."""
+    with closing(conn.execute("SELECT global_id, deleted, note, records FROM entries"
+                              " ORDER BY global_id")) as rows:
         for global_id, deleted, note, records_json in rows:
             try:
                 records = json.loads(records_json)
@@ -137,44 +137,43 @@ def _entries_json(conn: sqlite3.Connection,
                 records = None
             if not isinstance(records, list):
                 raise _refusal(f"the records of entry {global_id} are not a JSON array")
-            yield deleted, _decoded(global_id, note, map(decode, records))
-    finally:
-        rows.close()
+            yield deleted, _decoded(global_id, note,
+                                    map(row_from_dict, records) if version == 4 else records)
 
 
-def _decoded(global_id: int, note: str | None, records: Iterable[BibRecord]) -> RefEntry:
-    """Entry ``global_id``, its records decoded as ``records`` is drawn, every check included."""
+def _decoded(global_id: int, note: str | None, rows: Iterable[Any]) -> RefEntry:
+    """Entry ``global_id``, each record row decoded by ``record_from_row`` as it is drawn."""
     try:
-        return RefEntry(list(records), note, global_id)
+        return RefEntry(list(map(record_from_row, rows)), note, global_id)
     except MODEL_REFUSALS as exc:
         raise _refusal(_unreadable(global_id, exc)) from exc
 
 
-def _records_from_columns(rows: Iterator[tuple]) -> Iterator[BibRecord]:
-    """The records of one entry's _SELECT_ROWS rows, through ``record_from_dict``."""
+def _rows_from_columns(rows: Iterator[tuple]) -> Iterator[list[Any]]:
+    """The record rows of one entry's _SELECT_ROWS rows."""
     for row in rows:
         if row[3] is None:
             raise _refusal(f"entry {row[0]} has no records")
-        fields = {c: v for c, v in zip(_RECORD_COLUMNS, row[3:]) if v is not None}
-        fields["authors"] = json.loads(fields["authors"])
-        if "page_first" in fields:
-            fields["pages"] = {"first": fields.pop("page_first"), "last": fields.pop("page_last", None)}
-        yield record_from_dict(fields)
+        source_type, title, authors, journal, volume, number, first, last, *rest = row[3:]
+        yield [title, _author_rows(json.loads(authors)), source_type, journal, volume, number,
+               None if first is None else [first, last], *rest]
 
 
-def record_from_dict(d: dict[str, Any]) -> BibRecord:
-    """The record ``model.record_to_dict`` wrote, built through every constructor check."""
+def row_from_dict(d: dict[str, Any]) -> list[Any]:
+    """The ``model.record_to_row`` array of the object ``model.record_to_dict`` wrote."""
     pages = d.get("pages")
-    if pages is not None:
-        pages = Pages(pages["first"], pages.get("last"))
-    return BibRecord(
-        d.get("title", ""),
-        [AuthorName(tuple(a.get("given_names", ())), a["surname"]) for a in d.get("authors", ())],
-        SourceType(d.get("source_type", "article")),
-        d.get("journal"), d.get("volume"), d.get("number"), pages, d.get("year"),
-        d.get("publisher"), parse_doi(d["doi"]) if d.get("doi") else None,
-        parse_bibcode(d["bibcode"]) if d.get("bibcode") else None,
-    )
+    return [d.get("title", ""), _author_rows(d.get("authors", [])), d.get("source_type", "article"),
+            d.get("journal"), d.get("volume"), d.get("number"),
+            None if pages is None else [pages["first"], pages.get("last")],
+            d.get("year"), d.get("publisher"), d.get("doi"), d.get("bibcode")]
+
+
+def _author_rows(authors: Any) -> Any:
+    """Each ``{"given_names": ..., "surname": ...}`` object as ``[given_names, surname]``;
+    anything but a list is kept as it is, for ``record_from_row`` to refuse."""
+    if authors.__class__ is not list:
+        return authors
+    return [[a.get("given_names", []), a["surname"]] for a in authors]
 
 
 def _refusal(reason: str) -> StoreError:

@@ -28,7 +28,7 @@ from refs import (
     render_text,
     sub_labels,
 )
-from refs.migrations import record_from_dict
+from refs.migrations import row_from_dict
 from refs.model import (
     SourceType,
     entry_to_dict,
@@ -162,11 +162,11 @@ class TestBibRecord:
             BibRecord(title="T", year=2000, **link)
 
     def test_a_decoded_link_is_derived_not_read(self):
-        record = record_from_dict({
+        record = record_from_row(row_from_dict({
             "title": "T", "bibcode": "2017JQSRT.203....3G",
             "doi_url": "https://example.org/x",
             "ads_url": "http://adsabs.harvard.edu/abs/2017JQSRT.203....3G",
-        })
+        }))
         assert record.doi_url is None
         assert record.ads_url == "https://ui.adsabs.harvard.edu/abs/2017JQSRT.203....3G"
         assert "doi_url" not in record_to_dict(record)
@@ -249,11 +249,11 @@ class TestDictCodecs:
             doi=parse_doi("10.1000/x"),
             bibcode=parse_bibcode("2017JQSRT.203....3G"),
         )
-        assert record_from_dict(record_to_dict(r)) == r
+        assert record_from_row(row_from_dict(record_to_dict(r))) == r
 
     def test_sparse_record_roundtrip(self):
         r = BibRecord(title="Only a title")
-        assert record_from_dict(record_to_dict(r)) == r
+        assert record_from_row(row_from_dict(record_to_dict(r))) == r
 
     def test_entry_roundtrip_with_note(self):
         entry = RefEntry(
@@ -267,12 +267,12 @@ class TestDictCodecs:
     @pytest.mark.parametrize("source_type", list(SourceType))
     def test_every_source_type_reads_back(self, source_type):
         r = BibRecord(title="T", source_type=source_type)
-        assert record_from_dict(record_to_dict(r)).source_type is source_type
+        assert record_from_row(row_from_dict(record_to_dict(r))).source_type is source_type
 
     @pytest.mark.parametrize("value", ["journal", "ARTICLE", "", ["article"], None])
     def test_unknown_source_type_is_the_enums_value_error(self, value):
         with pytest.raises(ValueError) as exc_info:
-            record_from_dict({"title": "T", "source_type": value})
+            record_from_row(row_from_dict({"title": "T", "source_type": value}))
         with pytest.raises(ValueError) as enum_info:
             SourceType(value)
         assert str(exc_info.value) == str(enum_info.value)
@@ -291,19 +291,19 @@ class TestDictCodecs:
             "qualifier"])
     def test_a_malformed_stored_dict_is_refused(self, fields, error):
         with pytest.raises(error) as exc_info:
-            record_from_dict({"title": "T", **fields})
+            record_from_row(row_from_dict({"title": "T", **fields}))
         assert type(exc_info.value) is error
 
     # The store's row codec rides along: drawing these records is most of the cost.
     @given(json_records)
     def test_record_roundtrip_property(self, r):
-        assert record_from_dict(record_to_dict(r)) == r
+        assert record_from_row(row_from_dict(record_to_dict(r))) == r
         assert record_from_row(record_to_row(r)) == r
         assert record_from_row(json.loads(json.dumps(record_to_row(r)))) == r
 
     def test_consortium_author_roundtrip(self):
         r = BibRecord(title="T", authors=[AuthorName(given_names=(), surname="Team X")])
-        assert record_from_dict(record_to_dict(r)) == r
+        assert record_from_row(row_from_dict(record_to_dict(r))) == r
 
 
 def full_record() -> BibRecord:

@@ -32,8 +32,8 @@ from refs import (
 )
 from refs.bibtex import parse_entries
 from refs.identifiers import ADS_ABS_URL
-from refs.migrations import record_from_dict
-from refs.model import MAX_YEAR, MIN_YEAR, AuthorName, entry_to_dict
+from refs.migrations import row_from_dict
+from refs.model import MAX_YEAR, MIN_YEAR, AuthorName, entry_to_dict, record_from_row
 from refs.render import escape_value
 
 from corpus import build_corpus_entries
@@ -179,7 +179,8 @@ def bibtex_author_by_one_search(author: AuthorName) -> str:
 
 def entry_from_dict(d: dict) -> RefEntry:
     """The entry that ``entry_to_dict``, and so ``render_json``, describes as ``d``."""
-    return RefEntry([record_from_dict(r) for r in d["records"]], d.get("note"), d.get("global_id"))
+    return RefEntry([record_from_row(row_from_dict(r)) for r in d["records"]], d.get("note"),
+                    d.get("global_id"))
 
 
 def full_entry(global_id=None, note=None) -> RefEntry:

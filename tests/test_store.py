@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import errno
+import gc
 import hashlib
 import itertools
 import json
@@ -47,7 +48,8 @@ from refs import (
 )
 from refs import fileio
 from refs.cli import EXIT_STORE, main as cli_main
-from refs.migrations import record_from_dict
+from refs.errors import MODEL_REFUSALS
+from refs.migrations import row_from_dict
 from refs.model import (
     MAX_YEAR,
     MIN_YEAR,
@@ -1576,6 +1578,63 @@ class TestMigration:
         assert refusal in capsys.readouterr().err
         assert path.read_bytes() == before
 
+    # A stored record of the wrong JSON type that every renderer used to take:
+    # the title 5 crashed the re-render, and given names stored as one string
+    # rendered, and were migrated, as one initial per character.
+    @pytest.mark.parametrize("version, update, value", [
+        (4, "UPDATE entries SET records = ? WHERE global_id = 1", '[{"title":5,"authors":[]}]'),
+        (4, "UPDATE entries SET records = ? WHERE global_id = 1",
+         '[{"title":"T","authors":[{"given_names":"Élodie","surname":"Gordon"}]}]'),
+        (2, "UPDATE records SET authors = ? WHERE entry_id = 1",
+         '[{"given_names":"Élodie","surname":"Gordon"}]'),
+    ], ids=["v4-title-int", "v4-given-names-text", "v2-given-names-text"])
+    def test_a_field_of_the_wrong_type_exits_3_and_leaves_the_file(self, tmp_path, capsys,
+                                                                   version, update, value):
+        path = tmp_path / f"v{version}.db"
+        write_old_store(version, path, self.v1_entries())
+        conn = sqlite3.connect(path)
+        conn.execute(update, (value,))
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        assert cli_main(["render", "1", "--format", "text", "--db", str(path)]) == EXIT_STORE
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"refs: cannot migrate to schema version {SCHEMA_VERSION}:"
+                               " the records of entry 1 cannot be read: TypeError: ")
+        assert path.read_bytes() == before
+
+    def test_a_v1_file_with_an_empty_id_sequence_exits_3_and_is_left(self, tmp_path, capsys):
+        path = tmp_path / "v1.db"
+        write_old_store(1, path, self.v1_entries())
+        conn = sqlite3.connect(path)
+        conn.execute("DELETE FROM id_sequence")
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        assert cli_main(["list", "--db", str(path)]) == EXIT_STORE
+        assert capsys.readouterr().err == (f"refs: cannot migrate to schema version"
+                                           f" {SCHEMA_VERSION}: the id_sequence table is empty\n")
+        assert path.read_bytes() == before
+
+    def test_a_failed_migration_closes_its_reader_before_the_connection(self, tmp_path,
+                                                                         monkeypatch):
+        """A reader left open would be closed by the garbage collector, after the file's
+        connection, and report ``Exception ignored in`` the generator."""
+        path = tmp_path / "v5.db"
+        write_old_store(5, path, self.v1_entries())
+        before = path.read_bytes()
+
+        def failing_row(*args):
+            raise sqlite3.OperationalError("disk I/O error")
+
+        monkeypatch.setattr(refs.migrations, "_row", failing_row)
+        with pytest.raises(sqlite3.OperationalError):
+            RefStore(path)
+        gc.collect()
+        assert path.read_bytes() == before
+
     def test_live_entries_sharing_a_doi_set_stop_the_migration(self, tmp_path, statements):
         path = tmp_path / "v1.db"
         entries = self.v1_entries()
@@ -1654,8 +1713,8 @@ def storable(text: str) -> str:
     return re.sub("[\ud800-\udfff]", "\ufffd", text)
 
 
-storable_records = json_records.map(lambda record: record_from_dict(json.loads(
-    storable(json.dumps(record_to_dict(record), ensure_ascii=False)))))
+storable_records = json_records.map(lambda record: record_from_row(row_from_dict(json.loads(
+    storable(json.dumps(record_to_dict(record), ensure_ascii=False))))))
 storable_notes = st.none() | json_text.map(storable)
 
 
@@ -1741,6 +1800,62 @@ def every_answer(path: Path, last_id: int, out_dir: Path) -> list:
                       read_table(path, "SELECT * FROM entries ORDER BY global_id")]
 
 
+# The fields of a record row, in record_to_row's order. A version 1 to 3 file
+# keeps the pages in two columns; a damaged page goes to ``page_first``.
+ROW_FIELDS = ("title", "authors", "source_type", "journal", "volume", "number", "pages", "year",
+              "publisher", "doi", "bibcode")
+# A value of each JSON type. Containers are empty, so an author list of a
+# version 1 to 4 file and the author list of its record row are one value.
+json_values = (st.none() | st.booleans() | st.integers(-2**63, 2**63 - 1)
+               | st.floats(allow_nan=False, allow_infinity=False) | json_text.map(storable)
+               | st.sampled_from([[], {}]))
+
+
+@st.composite
+def damaged_records(draw) -> dict:
+    """The records of one entry, and which field of which record to damage with what value."""
+    records = draw(st.lists(storable_records, min_size=1, max_size=2))
+    return {"records": records, "position": draw(st.integers(0, len(records) - 1)),
+            "field": draw(st.sampled_from(ROW_FIELDS)), "value": draw(json_values),
+            "deleted": draw(st.booleans())}
+
+
+def damage_field(path: Path, version: int, position: int, field: str, value):
+    """Set ``field`` of record ``position`` of entry 1 to ``value`` in a version-``version``
+    file; the field read back from the file, as its record row holds it.
+
+    A version 1 to 3 column holds a list or an object, and an author list
+    always, as JSON text, and raises IntegrityError for a null it refuses.
+    """
+    conn = sqlite3.connect(path)
+    try:
+        if version <= 3:
+            column = "page_first" if field == "pages" else field
+            if field == "authors" or isinstance(value, (list, dict)):
+                value = json.dumps(value)
+            where = "WHERE entry_id = 1 AND position = ?"
+            conn.execute(f"UPDATE records SET {column} = ? {where}", (value, position))
+            stored, last = conn.execute(f"SELECT {column}, page_last FROM records {where}",
+                                        (position,)).fetchone()
+            if field == "authors":
+                stored = json.loads(stored)
+            elif field == "pages" and stored is not None:
+                stored = [stored, last]
+        else:
+            key = field if version == 4 else ROW_FIELDS.index(field)
+            select = "SELECT records FROM entries WHERE global_id = 1"
+            (records_json,) = conn.execute(select).fetchone()
+            records = json.loads(records_json)
+            records[position][key] = value
+            conn.execute("UPDATE entries SET records = ? WHERE global_id = 1",
+                         (json.dumps(records, ensure_ascii=False),))
+            stored = json.loads(conn.execute(select).fetchone()[0])[position][key]
+        conn.commit()
+        return stored
+    finally:
+        conn.close()
+
+
 class TestMigrationProperty:
     @settings(max_examples=10, deadline=None)
     @given(entry_sets())
@@ -1773,3 +1888,39 @@ class TestMigrationProperty:
                     [(*key, gid) for key, gid in drawn["crossrefs"].items()], drawn["next_id"],
                     drawn["fetched"] if version >= 3 else None)
                 assert every_answer(path, last_id, tmp / "out") == new[version >= 3]
+
+    @settings(max_examples=40, deadline=None)
+    @given(damaged_records())
+    @example({"records": [BibRecord(title="T")], "position": 0, "field": "title", "value": 5,
+              "deleted": False})
+    def test_a_field_of_another_json_type_is_refused_as_record_from_row_refuses_it(self, drawn):
+        """A v1 to v6 file with one record field damaged migrates exactly when
+        ``record_from_row`` accepts that record as the file stores it; else it is
+        refused and left as it was. A v1 to v3 column's affinity may turn the
+        value into one of the right type, a title of 5 into ``"5"`` say."""
+        records, position, field = drawn["records"], drawn["position"], drawn["field"]
+        with tempfile.TemporaryDirectory() as tmp:
+            for version in (1, 2, 3, 4, 5, 6):
+                path = Path(tmp) / f"v{version}.db"
+                write_old_store(version, path, {1: (records, None)},
+                                deleted={1} if drawn["deleted"] else ())
+                row = record_to_row(records[position])
+                try:
+                    row[ROW_FIELDS.index(field)] = damage_field(
+                        path, version, position, field, drawn["value"])
+                except sqlite3.IntegrityError:
+                    continue  # a NOT NULL column of a version 1 to 3 file
+                try:
+                    expected = record_to_row(record_from_row(row))
+                except MODEL_REFUSALS:
+                    expected = None
+                before = path.read_bytes()
+                if expected is None:
+                    with pytest.raises(StoreError, match="the records of entry 1 cannot be read"):
+                        RefStore(path)
+                    assert path.read_bytes() == before
+                else:
+                    with RefStore(path):
+                        pass
+                    (records_json,) = read_table(path, "SELECT records FROM entries")[0]
+                    assert json.loads(records_json)[position] == expected
