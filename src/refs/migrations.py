@@ -14,8 +14,9 @@ replaces.
 Up to version 3, an entry's records were the rows of a ``records`` table,
 one column per field, and its note a row of ``notes``. Versions 4 to 6
 kept both in the ``entries`` row, the records as a JSON array: of
-``model.record_to_dict`` objects in version 4, of ``model.record_to_row``
-arrays from version 5 on. Each reader only reorders a record's stored
+objects keyed by field name in version 4 (``row_from_dict``), of
+``model.record_to_row`` arrays from version 5 on. That column is scanned
+as strictly as a current one. Each reader only reorders a record's stored
 fields into that array; ``model.record_from_row`` then decodes a record
 of every version by the rules of a current row, so a field of the wrong
 type, given names stored as one string say, is refused here too.
@@ -35,10 +36,10 @@ from typing import Any, Iterable, Iterator
 
 from .errors import MODEL_REFUSALS, StoreError
 from .model import RefEntry, record_from_row
-from .store import _SCHEMA, SCHEMA_VERSION, _row, _unreadable
+from .store import _SCHEMA, SCHEMA_VERSION, _row, _scan_records, _unreadable
 
-# Record columns of versions 1 to 3, named after the keys of
-# model.record_to_dict except that pages are split in two. ``source_type``
+# Record columns of versions 1 to 3, named after the keys of a version-4
+# record object (row_from_dict) except that pages are split in two. ``source_type``
 # is NOT NULL, so it is null only where an entry has no ``records`` row.
 _RECORD_COLUMNS = (
     "source_type", "title", "authors", "journal", "volume", "number",
@@ -131,14 +132,7 @@ def _entries_json(conn: sqlite3.Connection, version: int) -> Iterator[tuple[int,
     with closing(conn.execute("SELECT global_id, deleted, note, records FROM entries"
                               " ORDER BY global_id")) as rows:
         for global_id, deleted, note, records_json in rows:
-            try:
-                records = json.loads(records_json)
-            except (RecursionError, ValueError):
-                records = None
-            if not isinstance(records, list):
-                raise _refusal(f"the records of entry {global_id} are not a JSON array")
-            yield deleted, _decoded(global_id, note,
-                                    map(row_from_dict, records) if version == 4 else records)
+            yield deleted, _decoded(global_id, note, _rows_from_json(records_json, version))
 
 
 def _decoded(global_id: int, note: str | None, rows: Iterable[Any]) -> RefEntry:
@@ -159,8 +153,18 @@ def _rows_from_columns(rows: Iterator[tuple]) -> Iterator[list[Any]]:
                None if first is None else [first, last], *rest]
 
 
+def _rows_from_json(records_json: str, version: int) -> Iterator[list[Any]]:
+    """The record rows of one entry's version 4 to 6 ``records`` column, scanned as the
+    store scans a current one. A generator, so that ``_decoded`` refuses what the scan
+    raises."""
+    rows = _scan_records(records_json)
+    yield from map(row_from_dict, rows) if version == 4 else rows
+
+
 def row_from_dict(d: dict[str, Any]) -> list[Any]:
-    """The ``model.record_to_row`` array of the object ``model.record_to_dict`` wrote."""
+    """The ``model.record_to_row`` array of a version-4 record object, which holds each
+    field under its name and leaves a null one out. A ``doi_url`` or ``ads_url`` is not read:
+    links are derived."""
     pages = d.get("pages")
     return [d.get("title", ""), _author_rows(d.get("authors", [])), d.get("source_type", "article"),
             d.get("journal"), d.get("volume"), d.get("number"),

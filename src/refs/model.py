@@ -257,42 +257,6 @@ _set_dataset_scope, _set_parameter, _set_local_id, _set_crossref_global_id = (
     slot_setters(SourceCrossRef))
 
 
-# --- dict codec: the JSON renderer's members -------------------------------
-
-def author_to_dict(a: AuthorName) -> dict[str, Any]:
-    return {"given_names": list(a.given_names), "surname": a.surname}
-
-
-def record_to_dict(r: BibRecord) -> dict[str, Any]:
-    """Plain-dict form of a record. None-valued fields are omitted."""
-    out: dict[str, Any] = {
-        "source_type": r.source_type.value,
-        "title": r.title,
-        "authors": [author_to_dict(a) for a in r.authors],
-    }
-    if r.journal is not None:
-        out["journal"] = r.journal
-    if r.volume is not None:
-        out["volume"] = r.volume
-    if r.number is not None:
-        out["number"] = r.number
-    if r.pages is not None:
-        out["pages"] = {"first": r.pages.first, "last": r.pages.last}
-    if r.year is not None:
-        out["year"] = r.year
-    if r.publisher is not None:
-        out["publisher"] = r.publisher
-    if r.doi is not None:
-        out["doi"] = r.doi.canonical
-    if r.bibcode is not None:
-        out["bibcode"] = r.bibcode.text
-    if r.doi is not None:
-        out["doi_url"] = r.doi.url
-    if r.bibcode is not None:
-        out["ads_url"] = r.bibcode.ads_url
-    return out
-
-
 # --- row codec, the store's ``records`` column ------------------------------
 
 def record_to_row(r: BibRecord) -> list[Any]:
@@ -351,12 +315,3 @@ def record_from_row(row: list[Any]) -> BibRecord:
         None if bibcode is None else Bibcode(bibcode),
     )
 
-
-def entry_to_dict(e: RefEntry) -> dict[str, Any]:
-    out: dict[str, Any] = {"records": [record_to_dict(r) for r in e.records]}
-    if e.global_id is not None:
-        out["global_id"] = e.global_id
-        out["labels"] = e.display_labels
-    if e.note is not None:
-        out["note"] = e.note
-    return out

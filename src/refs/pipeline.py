@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 
-from .errors import DuplicateEntryError, MissingEntryError, RefsError, ResolutionFailedError
+from .errors import DuplicateEntryError, RefsError, ResolutionFailedError
 from .formats import RenderedCitation, RenderFormat
 from .identifiers import Bibcode, Doi
 from .model import BibRecord, RefEntry
@@ -223,13 +223,10 @@ def _already_stored(doi: Doi, gid: int) -> str:
 
 def _from_store(doi: Doi, store: RefStore) -> tuple[int, ResolutionReport] | None:
     """The ID and report of the live entry holding a DOI, read with no request; else None."""
-    if (gid := store.find_entry_by_dois([doi])) is None:
+    if (stored := store.get_entry_by_dois([doi])) is None:
         return None
-    try:
-        entry = store.get_entry(gid)
-        bibtex = store.get_rendered(gid, RenderFormat.BIBTEX).body
-    except MissingEntryError:
-        return None  # deleted by another writer since the lookup: resolve afresh
+    entry, bibtex = stored
+    gid = entry.global_id
     record = next(r for r in entry.records if r.doi == doi)
     path = ResolutionPath.ADS if record.bibcode else ResolutionPath.FALLBACK
     return gid, ResolutionReport(doi, path, record, entry, bibtex, [_already_stored(doi, gid)])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from json.encoder import encode_basestring
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import UnrenderableError
 from .formats import RenderedCitation, RenderFormat
@@ -213,35 +213,29 @@ def render_bibtex(entry: RefEntry) -> RenderedCitation:
 def render_json(entry: RefEntry) -> RenderedCitation:
     """Canonical JSON form: sorted keys, UTF-8, two-space indent, no trailing whitespace.
 
-    The bytes are those of ``json.dumps(entry_to_dict(entry), sort_keys=True,
-    ensure_ascii=False, indent=2)``, written from the fields in that key order at
-    their fixed depths. Strings go through the stdlib's C escaper and ints are
-    numbers; any other type in a field raises TypeError.
+    Each member of the entry and of its records is written straight from its
+    field, in sorted key order at its fixed depth, with absent fields left
+    out and each record's ``doi_url`` and ``ads_url`` derived. Text goes
+    through the stdlib's C escaper, and the ID and year are numbers; a value
+    of any other type in a text field raises TypeError.
     """
-    try:
-        body = _json_entry(entry, encode_basestring)
-    except TypeError:  # a field that is not text: written again by the rule for any value
-        body = _json_entry(entry, _json_value)
-    return RenderedCitation(RenderFormat.JSON, body, _label(entry))
-
-
-def _json_entry(entry: RefEntry, text: Callable[[str], str]) -> str:
-    """The JSON form of an entry, each text field written by ``text``."""
     members = []
     records = entry.records
     if (global_id := entry.global_id) is not None:
         # One record's only label is the ID itself.
         labels = [str(global_id)] if len(records) == 1 else entry.display_labels
-        members += ['"global_id": ' + _json_value(global_id),
-                    '"labels": ' + _json_list(map(text, labels), "  ")]
+        members += ['"global_id": ' + _json_int(global_id),
+                    '"labels": ' + _json_list(map(encode_basestring, labels), "  ")]
     if entry.note is not None:
-        members.append('"note": ' + text(entry.note))
-    members.append('"records": ' + _json_list([_json_record(r, text) for r in records], "  "))
-    return "{\n  " + ",\n  ".join(members) + "\n}"
+        members.append('"note": ' + encode_basestring(entry.note))
+    members.append('"records": ' + _json_list([_json_record(r) for r in records], "  "))
+    body = "{\n  " + ",\n  ".join(members) + "\n}"
+    return RenderedCitation(RenderFormat.JSON, body, _label(entry))
 
 
-def _json_record(r: BibRecord, text: Callable[[str], str]) -> str:
-    """The members record_to_dict gives a record, in key order, as an item of "records"."""
+def _json_record(r: BibRecord) -> str:
+    """A record's members in key order, as an item of "records"."""
+    text = encode_basestring
     doi, bibcode, pages = r.doi, r.bibcode, r.pages
     authors = [f'{{\n          "given_names": {_json_list(map(text, a.given_names), " " * 10)},'
                f'\n          "surname": {text(a.surname)}\n        }}' for a in r.authors]
@@ -268,19 +262,15 @@ def _json_record(r: BibRecord, text: Callable[[str], str]) -> str:
     if r.volume is not None:
         members.append('"volume": ' + text(r.volume))
     if r.year is not None:
-        members.append('"year": ' + _json_value(r.year))
+        members.append('"year": ' + _json_int(r.year))
     return "{\n      " + ",\n      ".join(members) + "\n    }"
 
 
-def _json_value(value) -> str:
-    """Any field's value: text through the C escaper, an int as a number, None as null."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    raise TypeError(f"{type(value).__name__} is not one of the JSON renderer's types")
+def _json_int(value: int) -> str:
+    """The ID or the year as a JSON number; any other type, a bool included, raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{type(value).__name__} is not one of the JSON renderer's types")
+    return int.__repr__(value)
 
 
 def _json_list(items: Iterable[str], pad: str) -> str:

@@ -262,16 +262,20 @@ class RefStore:
 
         Raises DuplicateEntryError when another live entry holds the exact
         same set of DOIs; entries without any DOI are never deduplicated.
+        Raises TypeError, storing nothing, when a field holds a type that
+        ``model.record_from_row`` refuses.
         """
         if not records:
             raise ValueError("an entry needs at least one record")
-        doi_set = _doi_set(r.doi for r in records)
+        dois = [r.doi for r in records]
         # A duplicate is answered by an indexed read, without the write
         # lock. Under the handle's lock, so it sees no uncommitted insert.
         with self._lock:
-            existing = self._live_id_for_doi_set(doi_set)
+            existing = self.find_entry_by_dois(dois)
         if existing is not None:
             raise _duplicate(existing)
+        for r in records:  # stored only if get_entry reads it back: the decoder's type rule
+            model.record_from_row(model.record_to_row(r))
         with self._transaction() as conn:
             # The HTML labels each line with the ID, so take the one AUTOINCREMENT would.
             (gid,) = conn.execute(
@@ -283,7 +287,7 @@ class RefStore:
             except sqlite3.IntegrityError:
                 # Only the live_doi_set index can refuse this row: another
                 # writer stored the same DOIs since the read above.
-                raise _duplicate(self._live_id_for_doi_set(doi_set)) from None
+                raise _duplicate(self.find_entry_by_dois(dois)) from None
         return gid
 
     def delete_entry(self, global_id: int) -> None:
@@ -323,9 +327,23 @@ class RefStore:
 
     # -- reads ---------------------------------------------------------
 
-    def find_entry_by_dois(self, dois: Iterable[Doi]) -> int | None:
+    def find_entry_by_dois(self, dois: Iterable[Doi | None]) -> int | None:
         """The live entry holding exactly this set of DOIs, the key add_entry dedupes on."""
-        return self._live_id_for_doi_set(_doi_set(dois))
+        if (doi_set := _doi_set(dois)) is None:
+            return None
+        # Served by the live_doi_set index, whose condition this repeats.
+        row = self._conn.execute(
+            "SELECT global_id FROM entries WHERE doi_set = ? AND deleted = 0", (doi_set,)
+        ).fetchone()
+        return row[0] if row else None
+
+    def get_entry_by_dois(self, dois: Iterable[Doi]) -> tuple[RefEntry, str] | None:
+        """The live entry holding exactly these DOIs and its stored BibTeX, by one indexed
+        SELECT; None if there is none, as for no DOIs, whose NULL key equals nothing."""
+        row = self._conn.execute(
+            "SELECT global_id, note, records, bibtex FROM entries"
+            " WHERE doi_set = ? AND deleted = 0", (_doi_set(dois),)).fetchone()
+        return None if row is None else (_entry_from_row(*row[:3]), row[3])
 
     def get_entry(self, global_id: int) -> RefEntry:
         row = self._conn.execute(_SELECT_ENTRY, (global_id,)).fetchone()
@@ -454,15 +472,6 @@ class RefStore:
             (scope,),
         )
 
-    def _live_id_for_doi_set(self, doi_set: str | None) -> int | None:
-        if doi_set is None:
-            return None
-        # Served by the live_doi_set index, whose condition this repeats.
-        row = self._conn.execute(
-            "SELECT global_id FROM entries WHERE doi_set = ? AND deleted = 0", (doi_set,)
-        ).fetchone()
-        return row[0] if row else None
-
     def _entry_exists(self, global_id: int) -> bool:
         row = self._conn.execute(
             "SELECT 1 FROM entries WHERE global_id = ? AND deleted = 0", (global_id,)
@@ -507,14 +516,19 @@ def _unreadable(global_id: int, exc: Exception) -> str:
 _scan_json = json.JSONDecoder().raw_decode
 
 
+def _scan_records(records_json: str) -> list:
+    """A ``records`` column by one strict JSON scan, which must end at its last character."""
+    rows, end = _scan_json(records_json)
+    if end != len(records_json):
+        raise json.JSONDecodeError("Extra data", records_json, end)
+    return rows
+
+
 def _entry_from_row(global_id: int, note: str | None, records_json: str) -> RefEntry:
     """One entry from its ``entries`` row: its records by one strict scan, then the model's
     row codec."""
     try:
-        rows, end = _scan_json(records_json)
-        if end != len(records_json):
-            raise json.JSONDecodeError("Extra data", records_json, end)
-        records = list(map(model.record_from_row, rows))
+        records = list(map(model.record_from_row, _scan_records(records_json)))
         return model.RefEntry(records, note, global_id)
     except MODEL_REFUSALS as exc:
         raise StoreError(_unreadable(global_id, exc)) from exc

@@ -50,6 +50,8 @@ def no_network_sockets():
     """The whole suite must run without opening a single network socket."""
 
     def _blocked(self, *args, **kwargs):
+        # Closed here: socket.create_connection closes its socket only on an OSError.
+        self.close()
         raise NetworkBlockedError("test attempted to open a network socket")
 
     original = socket.socket.connect

@@ -489,37 +489,29 @@ class TestResolveAndStore:
         assert store.get_rendered(gid, RenderFormat.BIBTEX).body == (
             report.renders[RenderFormat.BIBTEX].body)
 
-    def test_query_match_deleted_after_the_lookup_is_resolved_afresh(
-            self, transport, ads_config, store, monkeypatch):
-        first, _ = resolve_and_store_report(HITRAN, None, store, ads_config, transport)
-        lookup = store.find_entry_by_dois
-
-        def lookup_then_lose_the_race(dois):
-            gid = lookup(dois)
-            store.delete_entry(gid)  # another writer tombstones it in between
-            return gid
-
-        monkeypatch.setattr(store, "find_entry_by_dois", lookup_then_lose_the_race)
+    def test_query_match_deleted_before_the_repeat_add_is_resolved_afresh(
+            self, counting_transport, ads_config, store):
+        first, _ = resolve_and_store_report(HITRAN, None, store, ads_config, counting_transport)
+        store.delete_entry(first)
+        counting_transport.requests.clear()
         again, report = resolve_query_and_store_report(HITRAN_TITLE, None, store, ads_config,
-                                                       transport)
+                                                       counting_transport)
         assert again != first
+        assert [urlsplit(r.url).hostname for r in counting_transport.requests] == [
+            "api.crossref.org", "api.adsabs.harvard.edu"]
         assert report.unverified and report.path_taken is ResolutionPath.ADS
         assert len(report.warnings) == 1
         assert store.get_entry(again).records == [report.record]
 
-    def test_entry_deleted_after_the_lookup_is_resolved_afresh(self, transport, ads_config,
-                                                              store, monkeypatch):
-        first, _ = resolve_and_store_report(HITRAN, None, store, ads_config, transport)
-        lookup = store.find_entry_by_dois
-
-        def lookup_then_lose_the_race(dois):
-            gid = lookup(dois)
-            store.delete_entry(gid)  # another writer tombstones it in between
-            return gid
-
-        monkeypatch.setattr(store, "find_entry_by_dois", lookup_then_lose_the_race)
-        again, report = resolve_and_store_report(HITRAN, None, store, ads_config, transport)
+    def test_entry_deleted_before_the_repeat_add_is_resolved_afresh(
+            self, counting_transport, ads_config, store):
+        first, _ = resolve_and_store_report(HITRAN, None, store, ads_config, counting_transport)
+        store.delete_entry(first)
+        counting_transport.requests.clear()
+        again, report = resolve_and_store_report(HITRAN, None, store, ads_config,
+                                                 counting_transport)
         assert again != first
+        assert len(counting_transport.requests) == 1
         assert report.warnings == []
         assert store.get_entry(again).records == [report.record]
 

@@ -3,13 +3,16 @@
 The reference below is the earlier code of ``_citation_line``,
 ``_entry_lines``, ``render_bibtex`` with its ``_bibtex_block``,
 ``render_json`` with its ``_json_record``, and ``AuthorName.initials`` and
-``formatted``, copied as it was. The only edits are the names: each
-reference function calls the other reference functions, and the helpers
-that did not change (the escapers, ``_bibtex_key``, ``_bibtex_author``,
-``_json_value``, ``_json_list``) come from ``refs.render``.
+``formatted``, copied as it was, with the ``_json_value`` it wrote every
+JSON value with. The only edits are the names: each reference function
+calls the other reference functions, and the helpers that did not change
+(the escapers, ``_bibtex_key``, ``_bibtex_author``, ``_json_list``) come
+from ``refs.render``.
 """
 
 from __future__ import annotations
+
+from json.encoder import encode_basestring
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +26,6 @@ from refs.render import (
     _bibtex_author,
     _bibtex_key,
     _json_list,
-    _json_value,
     escape_html,
     escape_value,
     render_format,
@@ -162,38 +164,49 @@ def reference_render_bibtex(entry: RefEntry) -> RenderedCitation:
     )
 
 
+def reference_json_value(value) -> str:
+    """Any field's value: text through the C escaper, an int as a number, None as null."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is not one of the JSON renderer's types")
+
+
 def reference_render_json(entry: RefEntry) -> RenderedCitation:
     members = []
     if entry.global_id is not None:
-        labels = _json_list(map(_json_value, entry.display_labels), "  ")
-        members += ['"global_id": ' + _json_value(entry.global_id), '"labels": ' + labels]
+        labels = _json_list(map(reference_json_value, entry.display_labels), "  ")
+        members += ['"global_id": ' + reference_json_value(entry.global_id), '"labels": ' + labels]
     if entry.note is not None:
-        members.append('"note": ' + _json_value(entry.note))
+        members.append('"note": ' + reference_json_value(entry.note))
     members.append('"records": ' + _json_list(map(reference_json_record, entry.records), "  "))
     body = "{\n  " + ",\n  ".join(members) + "\n}"
     return RenderedCitation(format=RenderFormat.JSON, body=body, global_label=reference_label(entry))
 
 
 def reference_json_record(r: BibRecord) -> str:
-    """The members record_to_dict gives a record, in key order, as an item of "records"."""
+    """A record's members in key order, as an item of "records"."""
     doi, bibcode, pages = r.doi, r.bibcode, r.pages
-    authors = (f'{{\n          "given_names": {_json_list(map(_json_value, a.given_names), " " * 10)},'
-               f'\n          "surname": {_json_value(a.surname)}\n        }}' for a in r.authors)
+    authors = (f'{{\n          "given_names": {_json_list(map(reference_json_value, a.given_names), " " * 10)},'
+               f'\n          "surname": {reference_json_value(a.surname)}\n        }}' for a in r.authors)
     members = [
-        None if bibcode is None else '"ads_url": ' + _json_value(bibcode.ads_url),
+        None if bibcode is None else '"ads_url": ' + reference_json_value(bibcode.ads_url),
         '"authors": ' + _json_list(authors, " " * 6),
-        None if bibcode is None else '"bibcode": ' + _json_value(format_bibcode(bibcode)),
-        None if doi is None else '"doi": ' + _json_value(doi.canonical),
-        None if doi is None else '"doi_url": ' + _json_value(doi.url),
-        None if r.journal is None else '"journal": ' + _json_value(r.journal),
-        None if r.number is None else '"number": ' + _json_value(r.number),
-        None if pages is None else f'"pages": {{\n        "first": {_json_value(pages.first)},'
-                                   f'\n        "last": {_json_value(pages.last)}\n      }}',
-        None if r.publisher is None else '"publisher": ' + _json_value(r.publisher),
-        '"source_type": ' + _json_value(r.source_type.value),
-        '"title": ' + _json_value(r.title),
-        None if r.volume is None else '"volume": ' + _json_value(r.volume),
-        None if r.year is None else '"year": ' + _json_value(r.year),
+        None if bibcode is None else '"bibcode": ' + reference_json_value(format_bibcode(bibcode)),
+        None if doi is None else '"doi": ' + reference_json_value(doi.canonical),
+        None if doi is None else '"doi_url": ' + reference_json_value(doi.url),
+        None if r.journal is None else '"journal": ' + reference_json_value(r.journal),
+        None if r.number is None else '"number": ' + reference_json_value(r.number),
+        None if pages is None else f'"pages": {{\n        "first": {reference_json_value(pages.first)},'
+                                   f'\n        "last": {reference_json_value(pages.last)}\n      }}',
+        None if r.publisher is None else '"publisher": ' + reference_json_value(r.publisher),
+        '"source_type": ' + reference_json_value(r.source_type.value),
+        '"title": ' + reference_json_value(r.title),
+        None if r.volume is None else '"volume": ' + reference_json_value(r.volume),
+        None if r.year is None else '"year": ' + reference_json_value(r.year),
     ]
     return "{\n      " + ",\n      ".join(filter(None, members)) + "\n    }"
 

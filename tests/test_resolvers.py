@@ -375,7 +375,6 @@ def test_every_definition_has_a_caller_or_is_documented():
     assert [q for q in uncalled if q.rpartition(".")[2] not in documented] == []
     # The library API that only README documents; anything else needs a caller.
     assert uncalled == ["bibtex.bibtex_to_record", "identifiers.format_bibcode",
-                        "model.entry_to_dict",
                         "pipeline.ResolutionReport.renders", "pipeline.resolve_query_reference",
                         "store.RefStore.delete_entry", "store.RefStore.list_entries",
                         "store.RefStore.lookup_crossref"]

@@ -45,6 +45,7 @@ from refs import (
     parse_doi,
     render_bibtex,
     render_html,
+    resolve_and_store_report,
 )
 from refs import fileio
 from refs.cli import EXIT_STORE, main as cli_main
@@ -55,7 +56,6 @@ from refs.model import (
     MIN_YEAR,
     entry_label,
     record_from_row,
-    record_to_dict,
     record_to_row,
 )
 from refs.render import render_format
@@ -130,19 +130,19 @@ class TestAddEntry:
 
     def test_a_duplicate_stored_after_the_read_is_refused_by_the_index(self, store, monkeypatch):
         first = store.add_entry([record("10.1000/a")])
-        lookup = store._live_id_for_doi_set
+        lookup = store.find_entry_by_dois
         seen = []
 
-        def stale_then_fresh(doi_set):
+        def stale_then_fresh(dois):
             # The first read misses, as if another process committed just after it.
-            seen.append(doi_set)
-            return None if len(seen) == 1 else lookup(doi_set)
+            seen.append([doi.canonical for doi in dois])
+            return None if len(seen) == 1 else lookup(dois)
 
-        monkeypatch.setattr(store, "_live_id_for_doi_set", stale_then_fresh)
+        monkeypatch.setattr(store, "find_entry_by_dois", stale_then_fresh)
         with pytest.raises(DuplicateEntryError) as exc_info:
             store.add_entry([record("10.1000/a")])
         assert exc_info.value.existing_id == first
-        assert seen == ["10.1000/a", "10.1000/a"]
+        assert seen == [["10.1000/a"], ["10.1000/a"]]
         assert store.live_ids() == [first]
 
     def test_entries_without_dois_never_collide(self, store):
@@ -158,6 +158,23 @@ class TestAddEntry:
     def test_empty_records_rejected(self, store):
         with pytest.raises(ValueError):
             store.add_entry([])
+
+    # Values every constructor takes but the row decoder refuses. Such an entry used to be
+    # stored, unreadable, and its DOI set then made every later add of the DOI a duplicate.
+    @pytest.mark.parametrize("field, value", [
+        ("year", 2001.5), ("year", 2001.0), ("title", 5), ("journal", True),
+        ("pages", Pages(5)), ("authors", [AuthorName((5,), "B")]),
+    ], ids=["year-float", "year-whole-float", "title-int", "journal-bool", "first-page-int",
+            "given-name-int"])
+    def test_a_record_the_decoder_refuses_is_not_stored(self, store, field, value):
+        before = store.path.read_bytes()
+        refused = record("10.1000/x")
+        setattr(refused, field, value)
+        with pytest.raises(TypeError):
+            store.add_entry([record("10.1000/a"), refused])
+        assert store.path.read_bytes() == before
+        assert store.live_ids() == []
+        assert store.add_entry([record("10.1000/a"), record("10.1000/x")]) == 1
 
 
 class TestRetrieval:
@@ -297,6 +314,8 @@ class TestRowDecode:
             store.list_entries()
         with pytest.raises(StoreError, match=unreadable):
             store.get_rendered(gid, RenderFormat.JSON)
+        with pytest.raises(StoreError, match=unreadable):
+            store.get_entry_by_dois([parse_doi("10.1000/a")])
 
 
 class TestCrossRefs:
@@ -835,6 +854,19 @@ class TestQueryCounts:
         assert statements == [lookup, lookup]
         assert exc_info.value.existing_id == 2
         assert str(exc_info.value) == "an entry with the same DOI set already exists: 2"
+
+    def test_a_repeat_add_is_one_select_through_the_live_doi_set_index(self, tmp_path,
+                                                                       statements):
+        with filled_store(tmp_path / "refs.db", 10) as store:
+            statements.clear()
+            # No transport: a DOI the store holds is answered before any request.
+            gid, report = resolve_and_store_report(parse_doi("10.5000/1"), None, store)
+            (read,) = statements
+            plan = [row[-1] for row in store._conn.execute("EXPLAIN QUERY PLAN " + read)]
+            assert report.entry == store.get_entry(gid)
+            assert report.bibtex == store.get_rendered(gid, RenderFormat.BIBTEX).body
+        assert gid == 2 and report.entry.note == "note 1"
+        assert plan == ["SEARCH entries USING INDEX live_doi_set (doi_set=?)"]
 
     def test_duplicate_lookup_uses_the_live_doi_set_index(self, tmp_path, statements):
         with filled_store(tmp_path / "refs.db", 10) as store:
@@ -1538,9 +1570,31 @@ class TestMigration:
         before = path.read_bytes()
         statements.clear()
         with pytest.raises(StoreError, match=f"cannot migrate to schema version {SCHEMA_VERSION}:"
-                                             " the records of entry 3 are not a JSON array"):
+                                             " the records of entry 3 cannot be read: "):
             RefStore(path)
         assert "COMMIT" not in statements
+        assert path.read_bytes() == before
+
+    # A current row's records column is refused unless it is exactly the text _row writes;
+    # an old one is scanned as strictly.
+    @pytest.mark.parametrize("version", [4, 5, 6])
+    @pytest.mark.parametrize("damage", ["' ' || records || char(10)", "CAST(records AS BLOB)"],
+                             ids=["padded", "blob"])
+    def test_a_records_column_a_current_row_could_not_hold_exits_3_and_leaves_the_file(
+            self, tmp_path, capsys, version, damage):
+        path = tmp_path / f"v{version}.db"
+        write_old_store(version, path, self.v1_entries())
+        conn = sqlite3.connect(path)
+        conn.execute(f"UPDATE entries SET records = {damage} WHERE global_id = 2")
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        assert cli_main(["list", "--db", str(path)]) == EXIT_STORE
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(f"refs: cannot migrate to schema version {SCHEMA_VERSION}:"
+                               " the records of entry 2 cannot be read: ")
         assert path.read_bytes() == before
 
     def test_a_v3_entry_without_records_stops_the_migration(self, tmp_path, statements):
@@ -1714,7 +1768,7 @@ def storable(text: str) -> str:
 
 
 storable_records = json_records.map(lambda record: record_from_row(row_from_dict(json.loads(
-    storable(json.dumps(record_to_dict(record), ensure_ascii=False))))))
+    storable(json.dumps(v4_record(record), ensure_ascii=False))))))
 storable_notes = st.none() | json_text.map(storable)
 
 
