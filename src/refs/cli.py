@@ -227,10 +227,7 @@ def cmd_export(args) -> int:
     if args.all == bool(args.ids):
         raise UsageError("pass entry IDs or --all, not both or neither")
     with _open_store(args) as store:
-        ids = store.live_ids() if args.all else args.ids
-        if not ids:
-            raise MissingEntryError("no entries")
-        paths = store.export_bundle(ids, args.out_dir)
+        paths = store.export_bundle(None if args.all else args.ids, args.out_dir)
     print(*paths, sep="\n")
     return EXIT_OK
 

@@ -4,6 +4,10 @@ Field order follows one fixed citation shape: note, authors, quoted title,
 italic journal, bold volume, pages, year in parentheses, then the DOI and
 ADS hyperlinks. The golden files under tests/ are the byte-level authority
 for the exact punctuation.
+
+Every renderer raises TypeError for a title that is not text, or a note,
+journal, volume, number or publisher that is neither text nor None, whether
+or not its format prints that field.
 """
 
 from __future__ import annotations
@@ -53,6 +57,18 @@ _VALUE_SPECIAL = re.compile("[" + re.escape("".join(_VALUE_ESCAPES)) + "]")
 _AND_WORD = re.compile(r"(?:^|\s)and(?:\s|$)", re.IGNORECASE)
 # Besides an "and" word, what makes _bibtex_author escape or brace a name part.
 _NAME_SPECIAL = re.compile("[," + re.escape("".join(_VALUE_ESCAPES)) + "]")
+_TEXT_OR_NONE = (str, type(None))
+
+
+def _check_text(entry: RefEntry) -> None:
+    """The module's type rule, which the JSON writer's escaper keeps by itself."""
+    note = entry.note
+    for r in entry.records:
+        if not (isinstance(r.title, str) and isinstance(note, _TEXT_OR_NONE)
+                and isinstance(r.journal, _TEXT_OR_NONE) and isinstance(r.volume, _TEXT_OR_NONE)
+                and isinstance(r.number, _TEXT_OR_NONE)
+                and isinstance(r.publisher, _TEXT_OR_NONE)):
+            raise TypeError("a title, journal, volume, number, publisher or note is not text")
 
 
 def escape_html(raw: str) -> str:
@@ -109,6 +125,7 @@ def _citation_line(record: BibRecord, note: str | None, markup: bool) -> str:
 
 def _entry_body(entry: RefEntry, markup: bool, label: str) -> str:
     """Each record's citation line, prefixed ``<label><sub-label>. `` once stored."""
+    _check_text(entry)
     records = entry.records
     if len(records) == 1:  # most entries: no sub-label to number
         line = _citation_line(records[0], entry.note, markup)
@@ -201,6 +218,7 @@ def render_bibtex(entry: RefEntry) -> RenderedCitation:
     bibcode when there is one, else surname plus year (plus the sub-label
     when records share an entry).
     """
+    _check_text(entry)
     records = entry.records
     if len(records) == 1:  # most entries: the key takes no sub-label
         body = _bibtex_block(records[0], "")

@@ -262,8 +262,8 @@ def ads_doi_query(doi: Doi) -> str:
     return f'doi:"{phrase}"'
 
 
-def ads_search_url(cfg: AdsConfig, query: str, fields: str, rows: int) -> str:
-    params = urlencode({"q": query, "fl": fields, "rows": str(rows)})
+def ads_search_url(cfg: AdsConfig, query: str) -> str:
+    params = urlencode({"q": query, "fl": ADS_FIELD_LIST, "rows": "10"})
     return f"{cfg.base_url}/search/query?{params}"
 
 
@@ -271,8 +271,8 @@ def doi_negotiation_url(doi: Doi) -> str:
     return "https://doi.org/" + quote(doi.canonical, safe="/")
 
 
-def crossref_query_url(text: str, rows: int = 1) -> str:
-    params = urlencode({"query.bibliographic": text, "rows": str(rows)})
+def crossref_query_url(text: str) -> str:
+    params = urlencode({"query.bibliographic": text, "rows": "1"})
     return f"{CROSSREF_WORKS_URL}?{params}"
 
 
@@ -283,7 +283,7 @@ def fetch_ads_docs(doi: Doi, upstream: Upstream) -> list[dict]:
     order, each with its bibcode read as text. An empty list means ADS has no
     match: that selects the fallback path and is not an error.
     """
-    url = ads_search_url(upstream.cfg, ads_doi_query(doi), ADS_FIELD_LIST, rows=10)
+    url = ads_search_url(upstream.cfg, ads_doi_query(doi))
     what = f"malformed ADS response from {url}"
     docs = _list(_answer(upstream.ads(url), what, "response", "docs"), dict,
                  f"{what}: docs")

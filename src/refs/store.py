@@ -52,11 +52,12 @@ What holds when several processes share one database file:
   once, one gets the ID and the other gets DuplicateEntryError naming it.
 - Reads see what other processes have committed. ``get_entry`` reads
   one row. ``export_bundle`` reads the requested live rows with one
-  SELECT inside one transaction and streams their stored texts in ID
-  order, decoding no entry, so both bundle files describe the same
-  state; a writer waits for it, again for up to five seconds. A
-  requested ID that the SELECT does not yield is missing, and the export
-  then raises MissingEntryError and replaces neither file.
+  SELECT inside one transaction, with the live IDs when it exports them
+  all, and streams their stored texts in ID order, decoding no entry, so
+  both bundle files describe the same state; a writer waits for it,
+  again for up to five seconds. A requested ID that the SELECT does not
+  yield is missing, and the export then raises MissingEntryError and
+  replaces neither file.
   ``list_entries`` reads the live IDs, then those entries, and leaves out
   any entry deleted in between.
 
@@ -398,22 +399,27 @@ class RefStore:
 
     # -- export --------------------------------------------------------
 
-    def export_bundle(self, ids: list[int], out_dir: str | Path) -> tuple[Path, Path]:
-        """Write the HTML and .bib bibliography files for the given entries.
+    def export_bundle(self, ids: list[int] | None, out_dir: str | Path) -> tuple[Path, Path]:
+        """Write the HTML and .bib bibliography files for the given entries, or all live ones.
 
-        Entries are ordered by global ID; both files are UTF-8 with LF line
-        endings, and repeated exports of an unchanged store are
-        byte-identical. Neither file is replaced if an ID has no live entry
-        (MissingEntryError, listing them) or an entry no HTML (UnrenderableError).
+        For ``ids`` of None, the live IDs are read in the export's own
+        transaction; if there are none, MissingEntryError. Entries are
+        ordered by global ID; both files are UTF-8 with LF line endings, and
+        repeated exports of an unchanged store are byte-identical. Neither
+        file is replaced if an ID has no live entry (MissingEntryError,
+        listing them) or an entry no HTML (UnrenderableError).
         """
-        if not ids:
+        if ids is not None and not ids:
             raise ValueError("need at least one entry ID to export")
         out = Path(out_dir)
         html_path = out / HTML_BUNDLE_NAME
         bib_path = out / BIB_BUNDLE_NAME
         with self._transaction("BEGIN"):
+            ids = self.live_ids() if ids is None else sorted(set(ids))
+            if not ids:
+                raise MissingEntryError("no entries")
             out.mkdir(parents=True, exist_ok=True)
-            replace_files([html_path, bib_path], self._bundle_rows(sorted(set(ids))))
+            replace_files([html_path, bib_path], self._bundle_rows(ids))
         return html_path, bib_path
 
     def _bundle_rows(self, ids: list[int]) -> Iterator[tuple[str, str]]:

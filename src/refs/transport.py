@@ -24,20 +24,21 @@ from .values import Frozen, slot_setters
 
 
 class HttpRequest(Frozen):
-    """One outgoing request. ``headers`` of None means no headers."""
+    """One outgoing GET, so ``body`` reads None. ``headers`` of None means no headers."""
 
-    __slots__ = ("method", "url", "headers", "body")
+    __slots__ = ("method", "url", "headers")
     method: str
     url: str
     headers: dict[str, str]
-    body: bytes | None
 
-    def __init__(self, method: str, url: str, headers: dict[str, str] | None = None,
-                 body: bytes | None = None) -> None:
+    def __init__(self, method: str, url: str, headers: dict[str, str] | None = None) -> None:
+        if method != "GET":
+            raise ValueError(f"every request is a GET, not {method!r}")
         _set_request_method(self, method)
         _set_request_url(self, url)
         _set_request_headers(self, {} if headers is None else headers)
-        _set_request_body(self, body)
+
+    body = property(lambda self: None)
 
     @property
     def accept(self) -> str:
@@ -47,8 +48,7 @@ class HttpRequest(Frozen):
         return ""
 
 
-_set_request_method, _set_request_url, _set_request_headers, _set_request_body = (
-    slot_setters(HttpRequest))
+_set_request_method, _set_request_url, _set_request_headers = slot_setters(HttpRequest)
 
 
 class HttpResponse(Frozen):
@@ -125,9 +125,8 @@ def _origin(url: str) -> tuple[str, str, int]:
 class LiveTransport:
     """Real HTTP on http.client, with one kept-alive connection per origin.
 
-    Redirects are followed to depth REDIRECT_LIMIT. A 303, and a 301 or 302
-    after a POST, becomes a GET without a body. Authorization is dropped once
-    a redirect leaves the first URL's origin (RFC 9110 section 15.4).
+    Redirects are followed to depth REDIRECT_LIMIT. Authorization is dropped
+    once a redirect leaves the first URL's origin (RFC 9110 section 15.4).
     """
 
     is_live = True
@@ -140,43 +139,40 @@ class LiveTransport:
         self._connections: dict[tuple[str, str, int], object] = {}
 
     def execute(self, request: HttpRequest) -> HttpResponse:
-        method, url, body = request.method.upper(), request.url, request.body
+        url = request.url
         first_origin = _origin(url)
         # Field names are case-insensitive (RFC 9110 section 5.1): one spelling each.
         headers = _DEFAULT_HEADERS | {k.lower(): v for k, v in request.headers.items()}
         for _ in range(REDIRECT_LIMIT + 1):
             try:
-                response, data = self._exchange(method, url, headers, body)
+                response, data = self._exchange(url, headers)
             except self._failures as exc:
-                raise TransportTimeoutError(f"{method} {url}: {exc!r}") from exc
+                raise TransportTimeoutError(f"GET {url}: {exc!r}") from exc
             status, location = response.status, response.getheader("Location")
             if status not in (301, 302, 303, 307, 308) or location is None:
                 return HttpResponse(status, dict(response.getheaders()), data)
             url = urljoin(url, location)
-            if status == 303 or (status in (301, 302) and method == "POST"):
-                method, body = "GET", None
-                headers.pop("content-type", None)
             if _origin(url) != first_origin:
                 headers.pop("authorization", None)
         raise UpstreamError(f"{request.url} redirected more than {REDIRECT_LIMIT} times")
 
-    def _exchange(self, method: str, url: str, headers: dict[str, str], body: bytes | None):
-        """One request on the origin's kept connection, or a new one; the response and body."""
+    def _exchange(self, url: str, headers: dict[str, str]):
+        """One GET on the origin's kept connection, or a new one; the response and body."""
         origin, parts = _origin(url), urlsplit(url)
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         conn = self._connections.pop(origin, None)
-        retry = conn is not None and method == "GET"
+        retry = conn is not None
         if conn is None:
             conn = _connect(parts.scheme, parts.netloc, self.timeout)
         try:
             while True:
                 try:
-                    conn.request(method, target, body, headers)
+                    conn.request("GET", target, headers=headers)
                     response = conn.getresponse()
                     break
                 except self._failures as exc:
                     # An idle connection that the server has closed fails before
-                    # any response: a GET is sent once more on a fresh connection.
+                    # any response: the GET is sent once more on a fresh connection.
                     if not retry or isinstance(exc, TimeoutError):
                         raise
                     conn.close()
@@ -229,36 +225,31 @@ def _exchange_problem(entry: object) -> str | None:
         return "response headers are not an object"
     for name, value in (("request method", request.get("method", "GET")),
                         ("request accept", request.get("accept", "")),
-                        ("request body", request.get("body") or ""),
                         ("response body", response.get("body", ""))):
         if not isinstance(value, str):
             return f"the {name} is not text"
     return None
 
 
-def _request_key(method: str, url: str, accept: str) -> tuple[str, str, str]:
-    return (method.upper(), url, accept)
-
-
 class FixtureTransport:
     """Deterministic playback of recorded (request, response) pairs.
 
-    Responses are keyed on (method, url, accept header); when several
-    recordings share a key, a recorded request body disambiguates. No
-    network I/O ever happens here.
+    Responses to GETs are keyed on (url, accept header); when several
+    recordings share a key, the first one replays. A recording of another
+    method is never replayed. No network I/O ever happens here.
     """
 
     is_live = False
 
     def __init__(self, entries: Iterable[dict] | None = None):
-        self._entries: dict[tuple[str, str, str], list[dict]] = {}
+        self._entries: dict[tuple[str, str], dict] = {}
         for entry in entries or []:
             self.add(entry)
 
     def add(self, entry: dict) -> None:
         req = entry["request"]
-        key = _request_key(req.get("method", "GET"), req["url"], req.get("accept", ""))
-        self._entries.setdefault(key, []).append(entry)
+        if req.get("method", "GET").upper() == "GET":
+            self._entries.setdefault((req["url"], req.get("accept", "")), entry)
 
     @classmethod
     def from_dir(cls, path: str | Path) -> "FixtureTransport":
@@ -276,21 +267,10 @@ class FixtureTransport:
             self.add(entry)
 
     def execute(self, request: HttpRequest) -> HttpResponse:
-        key = _request_key(request.method, request.url, request.accept)
-        candidates = self._entries.get(key, [])
-        match = None
-        for entry in candidates:
-            recorded_body = entry["request"].get("body")
-            if recorded_body is None:
-                if match is None:
-                    match = entry
-            elif request.body is not None and recorded_body == request.body.decode("utf-8"):
-                match = entry
-                break
+        match = self._entries.get((request.url, request.accept))
         if match is None:
             raise FixtureMissingError(
-                f"no fixture for {request.method} {request.url} (accept={request.accept!r})"
-            )
+                f"no fixture for GET {request.url} (accept={request.accept!r})")
         resp = match["response"]
         return HttpResponse(
             status=resp["status"],
@@ -324,7 +304,7 @@ class RecordingTransport:
         response = self._inner.execute(request)
         entry = {
             "request": {
-                "method": request.method.upper(),
+                "method": request.method,
                 "url": request.url,
                 "accept": request.accept,
             },
@@ -336,8 +316,6 @@ class RecordingTransport:
                 "body": response.body.decode("utf-8", errors="replace"),
             },
         }
-        if request.body is not None:
-            entry["request"]["body"] = request.body.decode("utf-8", errors="replace")
         self._append(entry)
         return response
 

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from refs import AdsConfig, FixtureTransport, RefStore, Upstream
-from refs.resolvers import (ADS_FIELD_LIST, BIBTEX_ACCEPT, CSL_JSON_ACCEPT, ads_doi_query,
-                            ads_search_url, doi_negotiation_url)
+from refs.resolvers import (BIBTEX_ACCEPT, CSL_JSON_ACCEPT, ads_doi_query, ads_search_url,
+                            doi_negotiation_url)
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -102,7 +102,7 @@ def fallback_exchanges(doi, csl_body: str, bibtex: str) -> list[dict]:
         return {"request": {"method": "GET", "url": url, "accept": accept},
                 "response": {"status": 200, "body": body}}
 
-    search = ads_search_url(AdsConfig(), ads_doi_query(doi), ADS_FIELD_LIST, rows=10)
+    search = ads_search_url(AdsConfig(), ads_doi_query(doi))
     return [exchange(search, "", '{"response": {"numFound": 0, "docs": []}}'),
             exchange(doi_negotiation_url(doi), CSL_JSON_ACCEPT, csl_body),
             exchange(doi_negotiation_url(doi), BIBTEX_ACCEPT, bibtex)]

@@ -107,9 +107,7 @@ class TestAdd:
         fixtures = tmp_path / "fixtures"
         fixtures.mkdir()
         (fixtures / "doi_org.json").write_text((FIXTURE_DIR / "doi_org.json").read_text())
-        url = refs.resolvers.ads_search_url(
-            refs.resolvers.AdsConfig(), f'doi:"{HITRAN}"', refs.resolvers.ADS_FIELD_LIST, 10
-        )
+        url = refs.resolvers.ads_search_url(refs.resolvers.AdsConfig(), f'doi:"{HITRAN}"')
         unavailable = {"request": {"method": "GET", "url": url, "accept": ""},
                        "response": {"status": 503, "body": "Service Unavailable"}}
         (fixtures / "ads.json").write_text(json.dumps({"entries": [unavailable]}))
@@ -140,9 +138,7 @@ class TestAdd:
         fixtures = tmp_path / "fixtures"
         fixtures.mkdir()
         (fixtures / "doi_org.json").write_text((FIXTURE_DIR / "doi_org.json").read_text())
-        url = refs.resolvers.ads_search_url(
-            refs.resolvers.AdsConfig(), f'doi:"{HITRAN}"', refs.resolvers.ADS_FIELD_LIST, 10
-        )
+        url = refs.resolvers.ads_search_url(refs.resolvers.AdsConfig(), f'doi:"{HITRAN}"')
         throttled = {"request": {"method": "GET", "url": url, "accept": ""},
                      "response": {"status": 429, "headers": {"Retry-After": "2"}, "body": ""}}
         (fixtures / "ads.json").write_text(json.dumps({"entries": [throttled]}))
@@ -385,8 +381,7 @@ class TestAdd:
             self, capsys, db_path, tmp_path, docs):
         fixtures = tmp_path / "fixtures"
         shutil.copytree(FIXTURE_DIR, fixtures)
-        url = refs.resolvers.ads_search_url(refs.resolvers.AdsConfig(), f'doi:"{HITRAN}"',
-                                            refs.resolvers.ADS_FIELD_LIST, rows=10)
+        url = refs.resolvers.ads_search_url(refs.resolvers.AdsConfig(), f'doi:"{HITRAN}"')
         # Loaded first, this answer wins over the recorded one.
         (fixtures / "0-ads.json").write_text(json.dumps({"entries": [{
             "request": {"method": "GET", "url": url, "accept": ""},
@@ -733,6 +728,32 @@ class TestExport:
         code, _, _ = run(capsys, "export", "--all", "-o", str(tmp_path), "--db", db_path)
         assert code == 0
         assert "HITRAN2016" in (tmp_path / "refs.html").read_text(encoding="utf-8")
+
+    def test_export_all_reads_the_ids_and_the_texts_in_one_read(self, capsys, db_path, tmp_path,
+                                                                 monkeypatch):
+        run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
+        run(capsys, *offline("add", "--doi", "10.1086/670067", db=db_path))
+        live_ids, tried = RefStore.live_ids, []
+
+        def live_ids_then_a_delete(self, scope=None):
+            ids = live_ids(self, scope)
+            other = sqlite3.connect(db_path, timeout=0.1, isolation_level=None)
+            try:
+                other.execute("UPDATE entries SET deleted = 1 WHERE global_id = 2")
+                tried.append("committed")
+            except sqlite3.OperationalError as exc:
+                tried.append(str(exc))
+            finally:
+                other.close()
+            return ids
+
+        monkeypatch.setattr(RefStore, "live_ids", live_ids_then_a_delete)
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "export", "--all", "-o", str(out_dir), "--db", db_path)
+        assert (code, err, len(tried)) == (0, "", 1)
+        html_text = (out_dir / "refs.html").read_text(encoding="utf-8")
+        assert "<p>1. " in html_text and "<p>2. " in html_text
+        assert (out_dir / "refs.bib").read_text(encoding="utf-8").count("\n@") == 1
 
     def test_empty_store_exits_2(self, capsys, db_path, tmp_path):
         code, _, err = run(capsys, "export", "--all", "-o", str(tmp_path), "--db", db_path)

@@ -37,8 +37,9 @@ from refs import (
 )
 import refs.pipeline
 import refs.render
+import refs.transport
 from refs.pipeline import store_report
-from refs.resolvers import ADS_FIELD_LIST, ads_search_url
+from refs.resolvers import ads_search_url
 
 HITRAN = parse_doi("10.1016/j.jqsrt.2017.06.038")
 NIST = parse_doi("10.18434/t4w30f")
@@ -224,7 +225,7 @@ class TestFallbackPath:
     def test_ads_doc_without_author_or_title_falls_back_with_cause(self, fixture_dir, ads_config):
         bare = {"responseHeader": {"status": 0}, "response": {"numFound": 1, "start": 0, "docs": [
             {"bibcode": "2022nist.data....1K", "doi": ["10.18434/t4w30f"], "year": "2022"}]}}
-        url = ads_search_url(ads_config, 'doi:"10.18434/t4w30f"', ADS_FIELD_LIST, rows=10)
+        url = ads_search_url(ads_config, 'doi:"10.18434/t4w30f"')
         # Loaded first, this answer wins over the recorded empty search result.
         transport = FixtureTransport([{"request": {"method": "GET", "url": url, "accept": ""},
                                        "response": {"status": 200, "body": json.dumps(bare)}}])
@@ -261,7 +262,7 @@ class TestAdsFailureIsReported:
         answer = HttpResponse(200, body=json.dumps({"response": {"docs": docs}}).encode())
         report = resolve_reference(HITRAN, cfg=ads_config,
                                    transport=_AdsAnswers(transport, answer))
-        url = ads_search_url(ads_config, f'doi:"{HITRAN}"', ADS_FIELD_LIST, rows=10)
+        url = ads_search_url(ads_config, f'doi:"{HITRAN}"')
         assert (report.path_taken, report.record.title) == (ResolutionPath.FALLBACK, HITRAN_TITLE)
         assert report.warnings == [f"ADS DOI search failed: malformed ADS response from {url}:"
                                    " docs is not a list of objects"]
@@ -271,7 +272,7 @@ class TestAdsFailureIsReported:
         answer = HttpResponse(200, body=b'{"response":{"docs":' + b"[" * 100_000)
         report = resolve_reference(HITRAN, cfg=ads_config,
                                    transport=_AdsAnswers(transport, answer))
-        url = ads_search_url(ads_config, f'doi:"{HITRAN}"', ADS_FIELD_LIST, rows=10)
+        url = ads_search_url(ads_config, f'doi:"{HITRAN}"')
         assert (report.path_taken, report.record.title) == (ResolutionPath.FALLBACK, HITRAN_TITLE)
         assert report.warnings == [f"ADS DOI search failed: malformed ADS response from {url}:"
                                    " JSON nested too deeply"]
@@ -290,7 +291,7 @@ class TestAdsFailureIsReported:
                                                                           ads_config):
         # JSON may escape a lone surrogate, which no store can hold.
         doc = '{"bibcode": "2017JQSRT.203....3G", "title": ["A \\ud800 B"], "year": "2017"}'
-        url = ads_search_url(ads_config, f'doi:"{HITRAN}"', ADS_FIELD_LIST, rows=10)
+        url = ads_search_url(ads_config, f'doi:"{HITRAN}"')
         # Loaded first, this answer wins over the recorded one.
         transport = FixtureTransport([{"request": {"method": "GET", "url": url, "accept": ""},
                                        "response": {"status": 200, "body": (
@@ -689,3 +690,35 @@ class TestPathExclusivity:
             resolve_reference(doi, cfg=ads_config, transport=counting)
             assert counting.count("adsabs.harvard.edu") == expect_ads_fetches
             assert counting.count("doi.org") == expect_negotiations
+
+
+class TestRecordThenReplay:
+    def test_a_recorded_archive_alone_replays_every_resolution(self, tmp_path):
+        """Every fixture DOI and query resolves the same through a recording of its run, and
+        every exchange recorded is a GET without a request body."""
+        cfg = AdsConfig(token="s3cret", backoff_base=0)
+        subjects = ([(resolve_reference, doi) for doi in fixture_dois()]
+                    + [(resolve_query_reference, text) for text in fixture_queries()])
+
+        def outcomes(transport) -> list:
+            found = []
+            for resolve, subject in subjects:
+                try:
+                    report = resolve(subject, None, cfg, transport)
+                except RefsError as exc:
+                    found.append((type(exc), str(exc)))
+                else:
+                    found.append((report.path_taken, report.record,
+                                  report.renders[RenderFormat.BIBTEX].body, report.warnings))
+            return found
+
+        archive = tmp_path / "recorded" / "archive.json"
+        archive.parent.mkdir()
+        recording = refs.transport.RecordingTransport(FixtureTransport.from_dir(FIXTURE_DIR),
+                                                      archive)
+        live = outcomes(recording)
+        assert outcomes(FixtureTransport.from_dir(archive.parent)) == live
+        assert any(isinstance(o[0], ResolutionPath) for o in live)
+        requests = [e["request"] for e in json.loads(archive.read_text())["entries"]]
+        assert len(requests) >= len(subjects)
+        assert all(r["method"] == "GET" and "body" not in r for r in requests)

@@ -626,6 +626,17 @@ class TestRenderText:
 
 
 class TestCrossFormatConsistency:
+    @pytest.mark.parametrize("renderer", [render_html, render_text, render_bibtex, render_json],
+                             ids=["html", "text", "bibtex", "json"])
+    @pytest.mark.parametrize("where", ["title", "journal", "volume", "number", "publisher", "note"])
+    def test_a_text_field_that_is_not_text_is_a_type_error_in_every_format(self, where, renderer):
+        # In the second record, so a renderer that checked only the first would pass it.
+        entry = RefEntry([*full_entry().records, BibRecord(title="U", doi=parse_doi("10.1000/y"))],
+                         note="n", global_id=2)
+        set_text_field(entry, where, 7)
+        with pytest.raises(TypeError):
+            renderer(entry)
+
     def test_canonical_doi_embedded_in_every_format(self):
         entry = full_entry(global_id=2)
         doi = entry.records[0].doi.canonical

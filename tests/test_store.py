@@ -407,6 +407,21 @@ class TestExportBundle:
         with pytest.raises(ValueError):
             store.export_bundle([], tmp_path)
 
+    def test_no_ids_exports_every_live_entry(self, store, tmp_path):
+        for doi in ("10.1000/a", "10.1000/b", "10.1000/c"):
+            store.add_entry([record(doi)])
+        store.delete_entry(2)
+        every = store.export_bundle(None, tmp_path / "every")
+        listed = store.export_bundle([1, 3], tmp_path / "listed")
+        assert [p.read_bytes() for p in every] == [p.read_bytes() for p in listed]
+
+    def test_no_ids_on_a_store_without_live_entries_is_missing(self, store, tmp_path):
+        store.add_entry([record("10.1000/a")])
+        store.delete_entry(1)
+        with pytest.raises(MissingEntryError, match="^no entries$"):
+            store.export_bundle(None, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_out_dir_is_io_error(self, store, tmp_path):
         store.add_entry([record("10.1000/a")])
         blocker = tmp_path / "blocker"
