@@ -40,10 +40,17 @@ hold.
 What holds when several processes share one database file:
 
 - Every write is one ``BEGIN IMMEDIATE`` transaction, so writers take
-  turns on SQLite's file lock and each add, delete or cross-reference is
-  all or nothing. A writer waits up to five seconds for the lock. The
-  rollback journal is truncated, not deleted, at each commit, which
-  leaves a zero-length ``-journal`` file beside the database.
+  turns on SQLite's write lock and each add, delete or cross-reference is
+  all or nothing. A writer waits up to five seconds for the lock.
+- A handle's first add, delete or cross-reference puts the file in WAL
+  mode, and it stays there. Opening, creating the schema and migrating
+  run before that under a rollback journal truncated at each commit, so
+  a read-only use leaves the file's bytes as they were. Under WAL each
+  commit syncs the WAL and is then checkpointed, so the database file
+  alone holds every committed entry unless another handle still reads
+  an older snapshot. The switch removes the zero-length ``-journal``
+  file the rollback journal left; the ``-wal`` and ``-shm`` files exist
+  only while a handle is open, and the last handle to close removes them.
 - IDs are handed out in increasing order, each to exactly one entry.
 - At most one live entry holds a given DOI set. An add first reads the
   DOI set through the live-DOI-set index and, on a hit, raises
@@ -54,7 +61,9 @@ What holds when several processes share one database file:
   one row. ``export_bundle`` reads the requested live rows with one
   SELECT inside one transaction, with the live IDs when it exports them
   all, and streams their stored texts in ID order, decoding no entry, so
-  both bundle files describe the same state; a writer waits for it,
+  both bundle files describe the same state. Under WAL a writer does not
+  wait for an export, nor an export for a writer; only the write that
+  switches a file to WAL waits for the readers of the rollback file,
   again for up to five seconds. A requested ID that the SELECT does not
   yield is missing, and the export then raises MissingEntryError and
   replaces neither file.
@@ -64,7 +73,10 @@ What holds when several processes share one database file:
 One handle may be shared between threads. Its writes, and the duplicate
 read before an add, are serialized by an internal lock; any other read
 may see another thread's write on the same handle before that write
-commits. Opening an empty file creates the current schema, and opening
+commits. SQLite refuses to switch a connection to WAL while one of its
+reads is in progress, so a first write beside another thread's read
+commits under the rollback journal, and a later write switches the
+file. Opening an empty file creates the current schema, and opening
 an older one migrates it in place, in one transaction. Any other file at
 schema version 0, another program's database say, is refused with
 StoreError and left as it was. ``refs.migrations.migrate`` reads the
@@ -187,16 +199,17 @@ class RefStore:
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False, isolation_level=None)
         try:
-            # A rollback journal, truncated rather than deleted at each commit:
-            # one file operation fewer per write, and SQLite takes a zero-length
-            # journal for absent after one stat. PERSIST keeps it non-empty, so
-            # every read opens and reads it (registry-10k op_ms_p50 +11-14%, three
-            # seed pairs, shared 2-vCPU machine). WAL cut registry-10k setup_s
-            # from 8.1 to 2.9 s, but its peak RSS rose 18-21%, over the bound, as
-            # the benchmark's own bookkeeping grows with the extra ops: WAL waits
-            # until that figure no longer counts the ops a run completes.
-            self._conn.execute("PRAGMA journal_mode = TRUNCATE")
-            self._conn.execute("PRAGMA synchronous = NORMAL")
+            # True once this handle's connection writes under WAL (_use_wal).
+            self._wal = self._conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+            if self._wal:
+                self._use_wal()
+            else:
+                # Until the first write: a rollback journal, truncated rather than
+                # deleted at each commit, so opening, creating the schema and
+                # migrating cost one file operation fewer per commit, and a read
+                # leaves the file as it was.
+                self._conn.execute("PRAGMA journal_mode = TRUNCATE")
+                self._conn.execute("PRAGMA synchronous = NORMAL")
             if self._user_version() != SCHEMA_VERSION:
                 self._upgrade()
             # Only now: a migration rebuilds tables with foreign keys off.
@@ -228,10 +241,35 @@ class RefStore:
                 )
             conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
+    def _use_wal(self) -> None:
+        """Put the file in WAL mode, syncing each commit and then checkpointing it.
+
+        Switching is a no-op on a file already in WAL mode, another handle's
+        doing, say. The checkpoint after every commit copies the commit into
+        the database file, which then holds every entry on its own, and keeps
+        a commit at two syncs: the WAL's, then the database's.
+        """
+        self._conn.execute("PRAGMA journal_mode = WAL")
+        self._conn.execute("PRAGMA synchronous = FULL")
+        self._conn.execute("PRAGMA wal_autocheckpoint = 1")
+        self._wal = True
+
     @contextmanager
-    def _transaction(self, begin: str = "BEGIN IMMEDIATE") -> Iterator[sqlite3.Connection]:
-        """One transaction on the shared connection; rolled back if anything raises."""
+    def _transaction(self, begin: str = "BEGIN IMMEDIATE",
+                     write: bool = False) -> Iterator[sqlite3.Connection]:
+        """One transaction on the shared connection; rolled back if anything raises.
+
+        The handle's first ``write`` transaction puts the file in WAL mode.
+        """
         with self._lock:
+            if write and not self._wal:
+                try:
+                    self._use_wal()
+                except sqlite3.OperationalError:
+                    # A read still in progress on the connection, another thread's
+                    # say, forbids the switch: this write commits under the rollback
+                    # journal, and the next one tries again.
+                    pass
             self._conn.execute(begin)
             try:
                 yield self._conn
@@ -277,7 +315,7 @@ class RefStore:
             raise _duplicate(existing)
         for r in records:  # stored only if get_entry reads it back: the decoder's type rule
             model.record_from_row(model.record_to_row(r))
-        with self._transaction() as conn:
+        with self._transaction(write=True) as conn:
             # The HTML labels each line with the ID, so take the one AUTOINCREMENT would.
             (gid,) = conn.execute(
                 "SELECT 1 + MAX(IFNULL((SELECT seq FROM sqlite_sequence WHERE name = 'entries'),"
@@ -293,7 +331,7 @@ class RefStore:
 
     def delete_entry(self, global_id: int) -> None:
         """Tombstone an entry. Its ID is never handed out again."""
-        with self._transaction() as conn:
+        with self._transaction(write=True) as conn:
             cur = conn.execute(
                 "UPDATE entries SET deleted = 1 WHERE global_id = ? AND deleted = 0",
                 (global_id,),
@@ -306,7 +344,7 @@ class RefStore:
     ) -> None:
         """Map a dataset-local integer onto a global ID; idempotent on re-attach."""
         crossref = model.SourceCrossRef(scope, parameter, local_id, global_id)
-        with self._transaction() as conn:
+        with self._transaction(write=True) as conn:
             if not self._entry_exists(global_id):
                 raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
             row = conn.execute(

@@ -82,17 +82,26 @@ class CountingTransport:
 @contextlib.contextmanager
 def unsynced(store: RefStore):
     """``store`` writing with no sync and no journal file until the block ends, for a test
-    that fills a store only to read it. The file's bytes record neither setting."""
+    that fills a store only to read it. The file's bytes record neither setting.
+
+    The block leaves the file in the journal mode it found, rollback or WAL, and the
+    handle in agreement with it. Inside the block the handle counts as switched, so no
+    write in it turns the file to WAL and syncs every commit after it."""
     conn = store._conn
     saved = [conn.execute(f"PRAGMA {name}").fetchone()[0]
              for name in ("journal_mode", "synchronous")]
-    conn.execute("PRAGMA journal_mode = MEMORY")
+    conn.execute("PRAGMA journal_mode = MEMORY")  # a WAL file leaves WAL mode here
     conn.execute("PRAGMA synchronous = OFF")
+    store._wal = True
     try:
         yield store
     finally:
-        conn.execute(f"PRAGMA journal_mode = {saved[0]}")
-        conn.execute(f"PRAGMA synchronous = {saved[1]}")
+        if saved[0] == "wal":
+            store._use_wal()
+        else:
+            conn.execute(f"PRAGMA journal_mode = {saved[0]}")
+            conn.execute(f"PRAGMA synchronous = {saved[1]}")
+            store._wal = False
 
 
 def fallback_exchanges(doi, csl_body: str, bibtex: str) -> list[dict]:

@@ -515,6 +515,12 @@ def stored_texts(store: RefStore, gid: int) -> tuple:
     ).fetchone()
 
 
+def journal_settings(store: RefStore) -> tuple:
+    """The handle's journal mode, ``synchronous`` level and WAL checkpoint threshold."""
+    return tuple(store._conn.execute(f"PRAGMA {name}").fetchone()[0]
+                 for name in ("journal_mode", "synchronous", "wal_autocheckpoint"))
+
+
 def fresh_html(entry: RefEntry) -> str | None:
     try:
         return render_html(entry).body
@@ -591,11 +597,63 @@ class TestStoredTexts:
             store.get_rendered(gid, RenderFormat.HTML)
         assert store.get_rendered(gid, RenderFormat.BIBTEX).body.startswith("@article{refnd,")
 
-    def test_journal_is_truncated_not_deleted(self, tmp_path):
+    def test_a_file_turns_wal_at_its_first_write(self, tmp_path, capsys):
+        db = tmp_path / "refs.db"
+        with RefStore(db) as store:
+            assert journal_settings(store)[0] == "truncate"
+            with unsynced(store):
+                for i in range(3):
+                    store.add_entry([record(f"10.1000/{i}")])
+            assert journal_settings(store)[0] == "truncate"
+        before = db.read_bytes()
+        commands = [["render", "2", "--format", fmt.value] for fmt in RenderFormat]
+        commands += [["list"], ["export", "--all", "-o", str(tmp_path / "out")]]
+        for argv in commands:
+            assert cli_main(argv + ["--db", str(db)]) == 0, argv
+        capsys.readouterr()
+        assert db.read_bytes() == before
+        with RefStore(db) as store:
+            assert journal_settings(store)[0] == "truncate"
+            store.add_entry([record("10.1000/new")])
+            assert journal_settings(store) == ("wal", 2, 1)
+            assert {"refs.db-wal", "refs.db-shm"} <= {p.name for p in tmp_path.iterdir()}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "refs.db"]
+        with RefStore(db) as store:  # a file in WAL mode is opened in it
+            assert journal_settings(store) == ("wal", 2, 1)
+            assert store.live_ids() == [1, 2, 3, 4]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "refs.db"]
+
+    @pytest.mark.parametrize("first_write", [False, True], ids=["rollback", "wal"])
+    def test_unsynced_fills_without_a_sync_and_leaves_the_mode_it_found(self, tmp_path,
+                                                                         first_write):
+        db = tmp_path / "refs.db"
+        with RefStore(db) as store:
+            if first_write:
+                store.add_entry([record("10.1000/first")])
+            found = journal_settings(store)
+            with unsynced(store):
+                for i in range(3):
+                    store.add_entry([record(f"10.1000/{i}")])
+                assert journal_settings(store)[:2] == ("memory", 0)
+            assert journal_settings(store) == found
+            assert store._wal == first_write
+            assert db.read_bytes()[18:20] == (b"\2\2" if first_write else b"\1\1")
+            store.add_entry([record("10.1000/last")])
+            assert journal_settings(store) == ("wal", 2, 1)
+
+    def test_the_database_file_alone_holds_every_commit(self, tmp_path):
+        (tmp_path / "copy").mkdir()
+        copy = tmp_path / "copy" / "refs.db"
         with RefStore(tmp_path / "refs.db") as store:
-            store.add_entry([record("10.1000/a")])
-            assert store._conn.execute("PRAGMA journal_mode").fetchone() == ("truncate",)
-        assert (tmp_path / "refs.db-journal").stat().st_size == 0
+            ids = [store.add_entry([record(f"10.1000/{i}", title=f"Title {i}")]) for i in range(7)]
+            store.delete_entry(ids[3])
+            store.attach_crossref("H2O", "nu", 1, ids[0])
+            shutil.copy(tmp_path / "refs.db", copy)  # beside the open handle, without its WAL
+        with RefStore(copy) as store:
+            assert store.live_ids() == ids[:3] + ids[4:]
+            assert [store.get_entry(i).records[0].title for i in ids[:3]] == [
+                "Title 0", "Title 1", "Title 2"]
+            assert store.lookup_crossref("H2O", "nu", 1) == ids[0]
 
 
 class TestConcurrency:
@@ -704,6 +762,20 @@ class TestConcurrency:
         assert not thread.is_alive()
         assert len(errors) == 1
         assert store.live_ids() == [gid]
+
+
+    def test_a_first_write_beside_a_read_in_progress_on_the_handle_commits(self, store):
+        with unsynced(store):
+            for i in range(3):
+                store.add_entry([record(f"10.3000/{i}")])
+        loading = store._load([1, 2, 3])  # list_entries' reader, left between two rows
+        assert next(loading).global_id == 1
+        assert store.add_entry([record("10.3000/new")]) == 4
+        assert journal_settings(store)[0] == "truncate"
+        assert [e.global_id for e in loading] == [2, 3]
+        store.delete_entry(4)
+        assert journal_settings(store) == ("wal", 2, 1)
+        assert store.live_ids() == [1, 2, 3]
 
 
 class TestPersistence:
@@ -952,6 +1024,27 @@ with RefStore(db) as store:
 """
 
 
+# Worker for the test of an add beside an open export: exports every live
+# entry to OUT, but once the export has read its IDs, prints "ready" and
+# holds its read transaction open until a line arrives on stdin.
+HELD_EXPORT_WORKER = """
+import sys
+import refs.store
+from refs import RefStore
+db, out = sys.argv[1], sys.argv[2]
+write_files = refs.store.replace_files
+
+def held(paths, chunks):
+    print("ready", flush=True)
+    sys.stdin.readline()
+    return write_files(paths, chunks)
+
+refs.store.replace_files = held
+with RefStore(db) as store:
+    store.export_bundle(None, out)
+"""
+
+
 def worker_env() -> dict:
     return {
         "PYTHONPATH": str(Path(refs.__file__).parents[1]),
@@ -961,28 +1054,39 @@ def worker_env() -> dict:
     }
 
 
+def start_worker(script: str, *args) -> subprocess.Popen:
+    """Start a worker process that prints "ready" and then waits for a line on stdin."""
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *map(str, args)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=worker_env(),
+    )
+
+
+def await_ready(proc: subprocess.Popen) -> None:
+    assert proc.stdout.readline() == "ready\n", proc.communicate(timeout=120)[1][-2000:]
+
+
+def go(proc: subprocess.Popen) -> None:
+    proc.stdin.write("go\n")
+    proc.stdin.flush()
+
+
+def finish(proc: subprocess.Popen) -> str:
+    """The worker's remaining stdout, once it has exited cleanly."""
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err[-2000:]
+    return out
+
+
 def run_adders(db: Path, prefixes: list[str], count: int) -> list[list[int]]:
     """Start one ADD_WORKER per prefix, let all of them add at once, and return each one's IDs."""
-    env = worker_env()
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-c", ADD_WORKER, str(db), prefix, str(count)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env,
-        )
-        for prefix in prefixes
-    ]
+    procs = [start_worker(ADD_WORKER, db, prefix, count) for prefix in prefixes]
     for proc in procs:
-        assert proc.stdout.readline() == "ready\n", proc.communicate(timeout=120)[1][-2000:]
+        await_ready(proc)
     for proc in procs:
-        proc.stdin.write("go\n")
-        proc.stdin.flush()
-    results = []
-    for proc in procs:
-        out, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0, err[-2000:]
-        results.append([int(line) for line in out.split()])
-    return results
+        go(proc)
+    return [[int(line) for line in finish(proc).split()] for proc in procs]
 
 
 class TestProcesses:
@@ -1034,6 +1138,65 @@ class TestProcesses:
                 seen.append(k)
         assert seen == sorted(seen) and seen[0] == 0 and seen[-1] == len(deleted)
         assert len(exports) + len(deletes) + len(ids) <= 200
+
+
+    def test_an_export_holding_its_read_open_does_not_make_an_add_wait(self, tmp_path):
+        db, before, out = tmp_path / "refs.db", tmp_path / "before", tmp_path / "out"
+        with RefStore(db) as store:
+            for i in range(5):
+                store.add_entry([record(f"10.4000/e.{i}", title=f"Title {i}")])
+            store.export_bundle(None, before)
+        exporter = start_worker(HELD_EXPORT_WORKER, db, out)
+        try:
+            await_ready(exporter)  # inside the export's read transaction
+            adder = start_worker(ADD_WORKER, db, "new", 1)
+            await_ready(adder)
+            go(adder)
+            t0 = time.perf_counter()
+            first = adder.stdout.readline()
+            waited = time.perf_counter() - t0
+            assert (first + finish(adder)).split() == ["6"]
+            assert waited < 1.0
+        finally:
+            go(exporter)
+            _, err = exporter.communicate(timeout=120)
+        assert exporter.returncode == 0, err[-2000:]
+        for name in (HTML_BUNDLE_NAME, BIB_BUNDLE_NAME):
+            assert (out / name).read_bytes() == (before / name).read_bytes()
+        with RefStore(db) as store:
+            assert store.live_ids() == [1, 2, 3, 4, 5, 6]
+            assert store.get_entry(6).records[0].title == "new 0"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["before", "out", "refs.db"]
+
+    def test_a_handle_opened_in_rollback_mode_works_on_after_another_process_switched_the_file(
+            self, tmp_path):
+        db, copy = tmp_path / "refs.db", tmp_path / "copy" / "refs.db"
+        copy.parent.mkdir()
+        with RefStore(db) as store:
+            with unsynced(store):
+                for i in range(3):
+                    store.add_entry([record(f"10.4000/e.{i}", title=f"Title {i}")])
+            assert journal_settings(store)[0] == "truncate"
+            (added,) = run_adders(db, ["other"], 4)
+            assert db.read_bytes()[18:20] == b"\2\2"  # the file header's WAL mark
+            assert added == [4, 5, 6, 7]
+            assert [store.get_entry(i).records[0].title for i in added] == [
+                f"other {j}" for j in range(4)]
+            assert store.add_entry([record("10.4000/mine", title="Mine")]) == 8
+            assert journal_settings(store) == ("wal", 2, 1)
+            shutil.copy(db, copy)  # its own commit was checkpointed into the file
+            store.delete_entry(2)
+            ids = [1, 3, 4, 5, 6, 7, 8]
+            html, bib = store.export_bundle(None, tmp_path / "out")
+            assert html.read_text(encoding="utf-8") == refs.store._HTML_HEAD + "".join(
+                f"<p>{store.get_rendered(i, RenderFormat.HTML).body}</p>\n" for i in ids
+            ) + refs.store._HTML_TAIL
+            assert bib.read_text(encoding="utf-8") == "\n\n".join(
+                store.get_rendered(i, RenderFormat.BIBTEX).body for i in ids) + "\n"
+        with RefStore(copy) as store:
+            assert store.live_ids() == list(range(1, 9))
+            assert store.get_entry(8).records[0].title == "Mine"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["copy", "out", "refs.db"]
 
 
 # The version-1 schema exactly as the store created it, frozen here because
