@@ -47,7 +47,6 @@ _EXPORTS = {
         "BibRecord",
         "Pages",
         "RefEntry",
-        "SourceCrossRef",
         "SourceType",
         "format_pages",
         "make_author",

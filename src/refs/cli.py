@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .errors import InvalidDoiError, MissingEntryError, RefsError, StoreError
 from .formats import RenderFormat
-from .store import RefStore
+from .store import RefStore, check_crossref_key
 
 # Only `add` makes requests or parses a DOI, so only it imports pipeline,
 # resolvers, transport and identifiers; the other commands start without them.
@@ -178,15 +178,14 @@ def _build_transport(args) -> Transport:
 
 
 def _build_ads_config(args) -> AdsConfig:
-    from .resolvers import ADS_TOKEN_ENV, AdsConfig
+    from .resolvers import ADS_TOKEN_ENV, AdsConfig, header_safe
 
-    if args.offline:
-        # Fixture replay answers at once, so waiting between retries, or out a
-        # recorded Retry-After, buys nothing.
-        return AdsConfig.from_env(backoff_base=0)
     cfg = AdsConfig.from_env()
-    if not cfg.token:
-        raise UsageError(f"live mode requires an ADS token in ${ADS_TOKEN_ENV}")
+    if not args.offline:
+        if not cfg.token:
+            raise UsageError(f"live mode requires an ADS token in ${ADS_TOKEN_ENV}")
+        if not header_safe(cfg.token):
+            raise UsageError(f"${ADS_TOKEN_ENV} holds a character that an HTTP header cannot carry")
     return cfg
 
 
@@ -233,10 +232,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_crossref(args) -> int:
-    from .model import SourceCrossRef
-
     try:
-        SourceCrossRef(args.scope, args.parameter, args.local_id, args.global_id)
+        check_crossref_key(args.scope, args.parameter, args.local_id, args.global_id)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     with _open_store(args) as store:

@@ -84,7 +84,8 @@ class Bibcode(Frozen):
     Empty positions are periods. The year is four ASCII digits, at least
     1000. The qualifier column holds a period, an alphanumeric character,
     or an ASCII digit that starts a five-character page. The author
-    initial is a letter or a period. No column holds ``{``, ``}`` or ``,``,
+    initial is a letter or a period. No column holds ``{``, ``}``, ``,``,
+    whitespace or any other character that ``str.isprintable`` refuses,
     because the text is also the entry's BibTeX key. The fields are
     read-only properties of the columns, with the period padding stripped.
     """
@@ -112,6 +113,10 @@ class Bibcode(Frozen):
         if "{" in text or "}" in text or "," in text:
             raise BibcodeFormatError(
                 f"bibcode holds '{{', '}}' or ',', which its BibTeX key cannot: {text!r}")
+        if " " in text or not text.isprintable():
+            raise BibcodeFormatError(
+                f"bibcode holds whitespace or a control character, which its BibTeX key"
+                f" cannot: {text!r}")
         _set_text(self, text)
 
     def __str__(self) -> str:

@@ -229,34 +229,6 @@ def entry_label(records: list[BibRecord]) -> str:
     return first.title or (first.authors[0].formatted if first.authors else "(untitled)")
 
 
-class SourceCrossRef(Frozen):
-    """Maps a dataset-local reference integer onto a global entry ID."""
-
-    __slots__ = ("dataset_scope", "parameter", "local_id", "global_id")
-    dataset_scope: str
-    parameter: str
-    local_id: int
-    global_id: int
-
-    def __init__(self, dataset_scope: str, parameter: str, local_id: int, global_id: int) -> None:
-        if not dataset_scope:
-            raise ValueError("dataset_scope must be non-empty")
-        if not parameter:
-            raise ValueError("parameter must be non-empty")
-        if local_id < 0:
-            raise ValueError(f"local_id must be >= 0, got {local_id}")
-        if global_id < 1:
-            raise ValueError(f"global_id must be >= 1, got {global_id}")
-        _set_dataset_scope(self, dataset_scope)
-        _set_parameter(self, parameter)
-        _set_local_id(self, local_id)
-        _set_crossref_global_id(self, global_id)
-
-
-_set_dataset_scope, _set_parameter, _set_local_id, _set_crossref_global_id = (
-    slot_setters(SourceCrossRef))
-
-
 # --- row codec, the store's ``records`` column ------------------------------
 
 def record_to_row(r: BibRecord) -> list[Any]:

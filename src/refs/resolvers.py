@@ -68,10 +68,8 @@ class AdsConfig(Value):
     """Connection settings for the ADS API, and the retry policy of every request.
 
     max_retries and backoff_base govern ADS, doi.org and CrossRef alike.
-    A backoff_base of 0 retries without waiting at all, a 429's Retry-After
-    included: fixture replay answers at once. The token comes from
-    configuration or the REFS_ADS_TOKEN environment variable, never from
-    command-line arguments, and is sent to ADS only.
+    The token comes from configuration or the REFS_ADS_TOKEN environment
+    variable, never from command-line arguments, and is sent to ADS only.
     """
 
     __slots__ = ("base_url", "token", "max_retries", "backoff_base")
@@ -91,6 +89,11 @@ class AdsConfig(Value):
     def from_env(cls, **overrides) -> "AdsConfig":
         token = overrides.pop("token", os.environ.get(ADS_TOKEN_ENV, ""))
         return cls(token=token, **overrides)
+
+
+def header_safe(token: str) -> bool:
+    """Whether an HTTP header can carry ``token``: printable ASCII only."""
+    return token.isascii() and token.isprintable()
 
 
 def _clean_text(value: str) -> str:
@@ -179,13 +182,14 @@ class Upstream:
         with a backoff that doubles from cfg.backoff_base. A 429 (throttled)
         waits its Retry-After instead when that is a whole number of seconds
         (RFC 9110 section 10.2.3), and fails at once, without waiting, when
-        that is more than MAX_RETRY_AFTER_S. A backoff_base of 0 waits for
-        neither. Exhausted attempts raise
+        that is more than MAX_RETRY_AFTER_S. Only a live transport is waited
+        for: a replay answers at once. Exhausted attempts raise
         UpstreamUnavailableError with the last status. Other statuses are never
         retried: one listed in ``errors`` raises that error, any other non-200
         an UpstreamError naming the service (and ``about``, when given).
         """
         cfg = self.cfg
+        live = getattr(self.transport, "is_live", True)
         attempt = 0
         while True:
             attempt += 1
@@ -197,7 +201,8 @@ class Upstream:
                     raise UpstreamUnavailableError(
                         f"{request.url} kept timing out after {attempt} attempts"
                     ) from None
-                _sleep(delay)
+                if live:
+                    _sleep(delay)
                 continue
             if response.status == 429:
                 throttled_for = _retry_after(response, delay)
@@ -207,8 +212,7 @@ class Upstream:
                         f" longer than the {MAX_RETRY_AFTER_S} s allowed",
                         status=429,
                     )
-                if cfg.backoff_base:
-                    delay = throttled_for
+                delay = throttled_for
             elif response.status < 500:
                 break
             if attempt >= cfg.max_retries:
@@ -216,7 +220,8 @@ class Upstream:
                     f"{request.url} answered {response.status} on all {attempt} attempts",
                     status=response.status,
                 )
-            _sleep(delay)
+            if live:
+                _sleep(delay)
         if response.status == 200:
             return response
         if errors and response.status in errors:
@@ -225,10 +230,14 @@ class Upstream:
         raise UpstreamError(f"{service} answered {response.status}{where}", status=response.status)
 
     def ads(self, url: str) -> HttpResponse:
-        """An ADS GET of ``url``: the token check, the bearer header and the 401 mapping."""
-        if getattr(self.transport, "is_live", True) and not self.cfg.token:
-            raise AuthError("no ADS token configured; set REFS_ADS_TOKEN or AdsConfig.token")
-        request = HttpRequest("GET", url, headers={"Authorization": f"Bearer {self.cfg.token}"})
+        """An ADS GET of ``url``: the live token checks, the bearer header and the 401 mapping."""
+        token = self.cfg.token
+        if getattr(self.transport, "is_live", True):
+            if not token:
+                raise AuthError("no ADS token configured; set REFS_ADS_TOKEN or AdsConfig.token")
+            if not header_safe(token):
+                raise AuthError("the ADS token holds a character that an HTTP header cannot carry")
+        request = HttpRequest("GET", url, headers={"Authorization": f"Bearer {token}"})
         return self.send(request, "ADS", url,
                          errors={401: AuthError("ADS rejected the token", status=401)})
 

@@ -342,27 +342,20 @@ class RefStore:
     def attach_crossref(
         self, scope: str, parameter: str, local_id: int, global_id: int
     ) -> None:
-        """Map a dataset-local integer onto a global ID; idempotent on re-attach."""
-        crossref = model.SourceCrossRef(scope, parameter, local_id, global_id)
+        """Map a dataset-local integer onto a global ID; idempotent on re-attach. A key
+        that check_crossref_key refuses raises its ValueError before the file is touched."""
+        check_crossref_key(scope, parameter, local_id, global_id)
         with self._transaction(write=True) as conn:
             if not self._entry_exists(global_id):
                 raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
-            row = conn.execute(
-                "SELECT global_id FROM crossrefs"
-                " WHERE dataset_scope = ? AND parameter = ? AND local_id = ?",
-                (scope, parameter, local_id),
-            ).fetchone()
-            if row:
-                if row[0] != global_id:
+            if (mapped := self._crossref_target(scope, parameter, local_id)) is not None:
+                if mapped != global_id:
                     raise CrossRefConflictError(
-                        f"({scope}, {parameter}, {local_id}) is already mapped to {row[0]}"
-                    )
+                        f"({scope}, {parameter}, {local_id}) is already mapped to {mapped}")
                 return
             conn.execute(
                 "INSERT INTO crossrefs (dataset_scope, parameter, local_id, global_id)"
-                " VALUES (?, ?, ?, ?)",
-                (crossref.dataset_scope, crossref.parameter, crossref.local_id, crossref.global_id),
-            )
+                " VALUES (?, ?, ?, ?)", (scope, parameter, local_id, global_id))
 
     # -- reads ---------------------------------------------------------
 
@@ -423,17 +416,13 @@ class RefStore:
         return self._select_live("SELECT e.global_id, e.label FROM entries e", scope).fetchall()
 
     def lookup_crossref(self, scope: str, parameter: str, local_id: int) -> int:
-        row = self._conn.execute(
-            "SELECT global_id FROM crossrefs"
-            " WHERE dataset_scope = ? AND parameter = ? AND local_id = ?",
-            (scope, parameter, local_id),
-        ).fetchone()
-        if row is None:
+        global_id = self._crossref_target(scope, parameter, local_id)
+        if global_id is None:
             raise MissingEntryError(
                 f"no cross-reference for ({scope}, {parameter}, {local_id})",
                 missing=[(scope, parameter, local_id)],
             )
-        return row[0]
+        return global_id
 
     # -- export --------------------------------------------------------
 
@@ -516,11 +505,31 @@ class RefStore:
             (scope,),
         )
 
+    def _crossref_target(self, scope: str, parameter: str, local_id: int) -> int | None:
+        """The global ID this cross-reference key maps onto, or None."""
+        row = self._conn.execute(
+            "SELECT global_id FROM crossrefs WHERE dataset_scope = ? AND parameter = ?"
+            " AND local_id = ?", (scope, parameter, local_id)).fetchone()
+        return None if row is None else row[0]
+
     def _entry_exists(self, global_id: int) -> bool:
         row = self._conn.execute(
             "SELECT 1 FROM entries WHERE global_id = ? AND deleted = 0", (global_id,)
         ).fetchone()
         return row is not None
+
+
+def check_crossref_key(scope: str, parameter: str, local_id: int, global_id: int) -> None:
+    """Refuse a cross-reference key with ValueError unless its dataset scope and parameter
+    are non-empty, its local ID is at least 0 and its global ID at least 1."""
+    if not scope:
+        raise ValueError("dataset_scope must be non-empty")
+    if not parameter:
+        raise ValueError("parameter must be non-empty")
+    if local_id < 0:
+        raise ValueError(f"local_id must be >= 0, got {local_id}")
+    if global_id < 1:
+        raise ValueError(f"global_id must be >= 1, got {global_id}")
 
 
 def _duplicate(existing: int) -> DuplicateEntryError:

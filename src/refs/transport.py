@@ -280,7 +280,7 @@ class FixtureTransport:
 
 
 # The response headers a recording keeps (lower-cased): those a replay's caller
-# reads, so a replayed 429 is waited out or refused on its Retry-After, as live.
+# reads, so a replayed 429 is refused on a long Retry-After, as live.
 RECORDED_HEADERS = ("content-type", "retry-after")
 
 

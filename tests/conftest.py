@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import http.client
 import socket
 import sqlite3
 import time
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import refs.transport
 from refs import AdsConfig, FixtureTransport, RefStore, Upstream
 from refs.resolvers import (BIBTEX_ACCEPT, CSL_JSON_ACCEPT, ads_doi_query, ads_search_url,
                             doi_negotiation_url)
@@ -58,6 +60,21 @@ def no_network_sockets():
     socket.socket.connect = _blocked
     yield
     socket.socket.connect = original
+
+
+class _Unconnectable(http.client.HTTPConnection):
+    """A real http.client connection, which checks each header it is given, that fails
+    the test where it would open a socket."""
+
+    def connect(self):
+        raise AssertionError(f"a connection to {self.host} was attempted")
+
+
+@pytest.fixture()
+def no_connection(monkeypatch):
+    """Every LiveTransport connection is an _Unconnectable one."""
+    monkeypatch.setattr(refs.transport, "_connect",
+                        lambda scheme, netloc, timeout: _Unconnectable(netloc, timeout=timeout))
 
 
 class CountingTransport:

@@ -28,6 +28,10 @@ from refs.identifiers import (
 EXAMPLE = "2017JQSRT.203....3G"
 # The characters a BibTeX key cannot hold, which Bibcode refuses in any column.
 KEY_BREAKERS = "{},"
+# The Unicode categories of the characters that str.isprintable refuses: controls,
+# format characters, surrogates, private use, unassigned and separators. Bibcode
+# refuses them and the space, because BibTeX's key scanner stops at whitespace.
+NOT_PRINTABLE = ("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs")
 
 
 def _parsed_or_none(raw: str) -> Doi | None:
@@ -274,7 +278,9 @@ class TestFormatBibcode:
         with pytest.raises(BibcodeFormatError, match="bibcode year out of range: 999"):
             Bibcode("0999A.......1....1X")
 
-    @pytest.mark.parametrize("breaker", KEY_BREAKERS)
+    # KEY_BREAKERS, then a space and characters str.isprintable refuses: a tab, a line
+    # break, U+00A0, U+2028, a NUL and a soft hyphen.
+    @pytest.mark.parametrize("breaker", KEY_BREAKERS + " \t\n\u00a0\u2028\x00\u00ad")
     def test_a_character_that_breaks_its_bibtex_key_is_refused(self, breaker):
         with pytest.raises(BibcodeFormatError, match="which its BibTeX key cannot"):
             parse_bibcode(f"2017JQ{breaker}RT.203....3G")
@@ -302,8 +308,8 @@ def valid_bibcodes() -> st.SearchStrategy[str]:
 
 def accepted_bibcodes() -> st.SearchStrategy[str]:
     """Texts Bibcode accepts, built column by column: the journal, volume and page
-    columns hold any non-surrogate character but KEY_BREAKERS."""
-    anything = st.characters(exclude_categories=("Cs",), exclude_characters=KEY_BREAKERS)
+    columns hold any printable character but the space and KEY_BREAKERS."""
+    anything = st.characters(exclude_categories=NOT_PRINTABLE, exclude_characters=KEY_BREAKERS)
     return st.builds(
         "{}{}{}{}{}{}".format,
         st.integers(1000, 9999),
@@ -354,13 +360,18 @@ class TestParseBibcodeProperty:
            | accepted_bibcodes() | bibcodes_with_a_key_breaker())
     def test_accepts_refuses_and_splits_as_first_written(self, raw):
         """The one-field Bibcode against the six-field parser it replaced: the same
-        verdicts, messages and fields, except that it also refuses KEY_BREAKERS."""
+        verdicts, messages and fields, except that it also refuses KEY_BREAKERS, then
+        whitespace and control characters inside the 19."""
         ours, reference = (bibcode_outcome(parse_bibcode, raw),
                            bibcode_outcome(parse_bibcode_by_fields, raw))
         refused = isinstance(reference[0], type)  # (error type, message), else the fields
+        text = raw.strip()
         if not refused and set(KEY_BREAKERS) & set(raw):
             reference = (BibcodeFormatError, "bibcode holds '{', '}' or ',', which its"
-                         f" BibTeX key cannot: {raw.strip()!r}")
+                         f" BibTeX key cannot: {text!r}")
+        elif not refused and (" " in text or not text.isprintable()):
+            reference = (BibcodeFormatError, "bibcode holds whitespace or a control"
+                         f" character, which its BibTeX key cannot: {text!r}")
         elif not refused:
             assert format_bibcode_by_fields(reference) == format_bibcode(ours) == raw.strip()
             ours = (ours.year, ours.journal, ours.volume, ours.qualifier, ours.page,

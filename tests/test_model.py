@@ -18,7 +18,6 @@ from refs import (
     InvalidDoiError,
     Pages,
     RefEntry,
-    SourceCrossRef,
     UnusableMetadataError,
     format_pages,
     make_author,
@@ -216,19 +215,6 @@ class TestRefEntry:
     def test_unstored_entry_has_empty_labels(self):
         entry = RefEntry(records=[BibRecord(title="A")])
         assert entry.display_labels == [""]
-
-
-class TestSourceCrossRef:
-    def test_valid(self):
-        SourceCrossRef("H2C18O", "nu", 5, 12)
-
-    @pytest.mark.parametrize(
-        "args",
-        [("", "nu", 5, 12), ("H2O", "", 5, 12), ("H2O", "nu", -1, 12), ("H2O", "nu", 5, 0)],
-    )
-    def test_invalid(self, args):
-        with pytest.raises(ValueError):
-            SourceCrossRef(*args)
 
 
 class TestDictCodecs:

@@ -17,7 +17,9 @@ from refs import (
     AdsConfig,
     BibRecord,
     FixtureTransport,
+    HttpRequest,
     HttpResponse,
+    LiveTransport,
     RefsError,
     RefStore,
     RenderFormat,
@@ -40,6 +42,8 @@ import refs.render
 import refs.transport
 from refs.pipeline import store_report
 from refs.resolvers import ads_search_url
+
+from test_transport import FakeNetwork, FakeResponse
 
 HITRAN = parse_doi("10.1016/j.jqsrt.2017.06.038")
 NIST = parse_doi("10.18434/t4w30f")
@@ -88,9 +92,10 @@ class _AlwaysUnavailable:
 
 
 class _ThrottledOnce:
-    """Answers the first request with 429 and Retry-After, then replays fixtures."""
+    """Answers the first request with 429 and Retry-After, then replays fixtures. It counts
+    as the network, so send waits the Retry-After out."""
 
-    is_live = False
+    is_live = True
 
     def __init__(self, inner):
         self.inner = inner
@@ -147,8 +152,8 @@ class TestAdsPath:
     def test_throttled_search_is_retried_not_fallen_back(self, transport, monkeypatch):
         sleeps = []
         monkeypatch.setattr(resolvers, "_sleep", sleeps.append)
-        # A backoff_base of 0 would skip the Retry-After wait this test checks.
-        cfg = AdsConfig(token="", backoff_base=1.0)
+        # A backoff_base of 0 sets the backoff alone: a Retry-After is still waited out.
+        cfg = AdsConfig(token="tok", backoff_base=0)
         report = resolve_reference(HITRAN, cfg=cfg, transport=_ThrottledOnce(transport))
         assert report.path_taken is ResolutionPath.ADS
         assert str(report.record.bibcode) == "2017JQSRT.203....3G"
@@ -340,6 +345,23 @@ class TestTokenStaysOnAds:
         messages += [str(e) for e in errors] + [e.ads_cause for e in errors]
         assert any("ADS rejected the token" in m for m in messages)
         assert not any("s3cret" in m for m in messages)
+
+    def test_a_live_token_no_header_can_carry_falls_back_without_asking_ads(
+            self, transport, monkeypatch):
+        def answer(sent):
+            url = f"{sent.conn.scheme}://{sent.conn.netloc}{sent.target}"
+            response = transport.execute(HttpRequest(sent.method, url, sent.headers))
+            return FakeResponse(response.status, response.headers.items(), response.body)
+
+        network = FakeNetwork(answer)
+        monkeypatch.setattr(refs.transport, "_connect", network)
+        report = resolve_reference(NIST, cfg=AdsConfig(token="s3cret\nX"),
+                                   transport=LiveTransport())
+        assert report.path_taken is ResolutionPath.FALLBACK
+        assert report.warnings[0] == ("ADS DOI search failed: the ADS token holds a character"
+                                      " that an HTTP header cannot carry")
+        assert not any("s3cret" in w for w in report.warnings)
+        assert [s.conn.netloc for s in network.sent] == ["doi.org"] * 2
 
 
 class TestCrossFormatAgreement:

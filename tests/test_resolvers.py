@@ -88,6 +88,18 @@ class ScriptedTransport:
         return self.responses.pop(0)
 
 
+class LiveScriptedTransport(ScriptedTransport):
+    """A ScriptedTransport that counts as the network: send waits before each retry."""
+
+    is_live = True
+
+
+# Tokens that no HTTP header can carry: each holds a line break, a NUL or a non-ASCII letter.
+UNSENDABLE_TOKENS = pytest.mark.parametrize(
+    "token", ["s3cret\nX", "s3cret\r", "s3cret\x00", "s3cret\u00e9"],
+    ids=["newline", "carriage-return", "nul", "non-ascii"])
+
+
 def read_doi_phrase(query: str) -> str:
     """The unescaped phrase of an ADS ``doi:"..."`` query that holds nothing else."""
     assert query.startswith('doi:"'), query
@@ -134,6 +146,20 @@ class TestResolveBibcode:
         with pytest.raises(AuthError):
             fetch_ads_docs(HITRAN_DOI, Upstream(LiveTransport(), AdsConfig(token="")))
 
+    @UNSENDABLE_TOKENS
+    def test_live_with_a_token_no_header_can_carry_fails_before_any_request(self, token,
+                                                                           no_connection):
+        with pytest.raises(AuthError) as raised:
+            fetch_ads_docs(HITRAN_DOI, Upstream(LiveTransport(), AdsConfig(token=token)))
+        assert str(raised.value) == (
+            "the ADS token holds a character that an HTTP header cannot carry")
+
+    @UNSENDABLE_TOKENS
+    def test_a_replay_sends_any_token(self, token):
+        transport = ScriptedTransport(NO_DOCS)
+        assert fetch_ads_docs(HITRAN_DOI, Upstream(transport, AdsConfig(token=token))) == []
+        assert transport.requests[0].headers == {"Authorization": f"Bearer {token}"}
+
     def test_rejected_token(self, upstream):
         with pytest.raises(AuthError):
             fetch_ads_docs(parse_doi("10.5555/authfail"), upstream)
@@ -144,14 +170,15 @@ class TestResolveBibcode:
 
 
 class TestRetryPolicy:
-    def test_5xx_retries_then_gives_up(self, counting_transport, monkeypatch):
+    def test_5xx_replayed_retries_then_gives_up_without_waiting(self, counting_transport,
+                                                                monkeypatch):
         sleeps = []
         monkeypatch.setattr(resolvers_mod, "_sleep", sleeps.append)
         cfg = AdsConfig(token="", max_retries=3, backoff_base=1.0)
         with pytest.raises(UpstreamUnavailableError):
             fetch_ads_docs(parse_doi("10.5555/flaky"), Upstream(counting_transport, cfg))
         assert len(counting_transport.requests) == 3
-        assert sleeps == [1.0, 2.0]
+        assert sleeps == []
 
     def test_4xx_never_retried(self, counting_transport, ads_config):
         with pytest.raises(AuthError):
@@ -169,20 +196,29 @@ class TestRetryPolicy:
         monkeypatch.setattr(resolvers_mod, "_sleep", sleeps.append)
         return sleeps
 
-    def test_429_waits_out_retry_after(self, sleeps):
-        transport = ScriptedTransport(throttled(**{"Retry-After": "7"}), HITRAN_BIBCODE_DOC)
-        docs = fetch_ads_docs(HITRAN_DOI, Upstream(transport, AdsConfig(token="")))
+    @pytest.mark.parametrize("backoff_base", [1.0, 0.0])
+    def test_429_waits_out_retry_after(self, sleeps, backoff_base):
+        transport = LiveScriptedTransport(throttled(**{"Retry-After": "7"}), HITRAN_BIBCODE_DOC)
+        cfg = AdsConfig(token="tok", backoff_base=backoff_base)
+        docs = fetch_ads_docs(HITRAN_DOI, Upstream(transport, cfg))
         assert bibcodes(docs) == [str(HITRAN_BIB)]
         assert len(transport.requests) == 2
         assert sleeps == [7.0]
 
+    def test_a_replayed_429_is_retried_without_waiting(self, sleeps):
+        transport = ScriptedTransport(throttled(**{"Retry-After": "7"}), HITRAN_BIBCODE_DOC)
+        docs = fetch_ads_docs(HITRAN_DOI, Upstream(transport, AdsConfig(token="")))
+        assert bibcodes(docs) == [str(HITRAN_BIB)]
+        assert len(transport.requests) == 2
+        assert sleeps == []
+
     def test_429_without_delay_seconds_backs_off(self, sleeps):
-        transport = ScriptedTransport(
+        transport = LiveScriptedTransport(
             throttled(),
             throttled(**{"retry-after": "Wed, 21 Oct 2026 07:28:00 GMT"}),
             HITRAN_BIBCODE_DOC,
         )
-        cfg = AdsConfig(token="", max_retries=3, backoff_base=1.0)
+        cfg = AdsConfig(token="tok", max_retries=3, backoff_base=1.0)
         assert bibcodes(fetch_ads_docs(HITRAN_DOI, Upstream(transport, cfg))) == [str(HITRAN_BIB)]
         assert sleeps == [1.0, 2.0]
 
@@ -195,9 +231,9 @@ class TestRetryPolicy:
         assert sleeps == []
 
     def test_429_on_every_attempt_gives_up_within_the_budget(self, sleeps):
-        transport = ScriptedTransport(*[throttled(**{"Retry-After": "0"})] * 3)
+        transport = LiveScriptedTransport(*[throttled(**{"Retry-After": "0"})] * 3)
         with pytest.raises(UpstreamUnavailableError) as exc_info:
-            fetch_ads_docs(HITRAN_DOI, Upstream(transport, AdsConfig(token="", max_retries=3)))
+            fetch_ads_docs(HITRAN_DOI, Upstream(transport, AdsConfig(token="tok", max_retries=3)))
         assert exc_info.value.status == 429
         assert len(transport.requests) == 3
         assert sleeps == [0.0, 0.0]
@@ -235,8 +271,8 @@ class TestOnePolicyForEveryRequest:
 
     def test_5xx_makes_max_retries_attempts_with_doubling_backoff(
             self, fetch, subject, ok, client_status, client_error, sleeps):
-        transport = ScriptedTransport(*[HttpResponse(503)] * 3)
-        cfg = AdsConfig(token="", max_retries=3, backoff_base=0.5)
+        transport = LiveScriptedTransport(*[HttpResponse(503)] * 3)
+        cfg = AdsConfig(token="tok", max_retries=3, backoff_base=0.5)
         with pytest.raises(UpstreamUnavailableError) as exc_info:
             fetch(subject, Upstream(transport, cfg))
         assert exc_info.value.status == 503
@@ -253,8 +289,8 @@ class TestOnePolicyForEveryRequest:
 
     def test_429_retry_after_is_waited_out(
             self, fetch, subject, ok, client_status, client_error, sleeps):
-        transport = ScriptedTransport(throttled(**{"Retry-After": "7"}), ok)
-        fetch(subject, Upstream(transport, AdsConfig(token="")))
+        transport = LiveScriptedTransport(throttled(**{"Retry-After": "7"}), ok)
+        fetch(subject, Upstream(transport, AdsConfig(token="tok")))
         assert len(transport.requests) == 2
         assert sleeps == [7.0]
 

@@ -341,6 +341,26 @@ class TestCrossRefs:
         with pytest.raises(MissingEntryError):
             store.attach_crossref("H2O", "nu", 1, 42)
 
+    @pytest.mark.parametrize("key, message", [
+        (("", "nu", 5, 1), "dataset_scope must be non-empty"),
+        (("H2O", "", 5, 1), "parameter must be non-empty"),
+        (("H2O", "nu", -1, 1), "local_id must be >= 0, got -1"),
+        (("H2O", "nu", 5, 0), "global_id must be >= 1, got 0"),
+    ], ids=["empty-scope", "empty-parameter", "negative-local-id", "global-id-below-1"])
+    def test_a_refused_key_is_a_value_error_before_the_file_is_touched(self, tmp_path, key,
+                                                                       message):
+        db = tmp_path / "refs.db"
+        with RefStore(db) as store, unsynced(store):
+            store.add_entry([record("10.1000/a")])
+        before = db.read_bytes()
+        with RefStore(db) as store:
+            with pytest.raises(ValueError) as raised:
+                store.attach_crossref(*key)
+            assert str(raised.value) == message
+            assert journal_settings(store)[0] == "truncate"  # no write began: still rollback
+        assert db.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["refs.db"]
+
 
 class TestDeletion:
     def test_deleted_entry_is_gone(self, store):

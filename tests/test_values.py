@@ -29,7 +29,6 @@ from refs import (
     RenderFormat,
     ResolutionPath,
     ResolutionReport,
-    SourceCrossRef,
     SourceType,
     render_all,
 )
@@ -119,10 +118,6 @@ SPECS = [
           "ads_url": lambda r: None if r.bibcode is None else r.bibcode.ads_url}),
     Spec(RefEntry, False, [("records", REQUIRED), ("note", None), ("global_id", None)],
          ([RECORD], "note", 3), ([RECORD, FALLBACK_RECORD], None, 3), ([FALLBACK_RECORD],)),
-    Spec(SourceCrossRef, True,
-         [("dataset_scope", REQUIRED), ("parameter", REQUIRED), ("local_id", REQUIRED),
-          ("global_id", REQUIRED)],
-         ("H2O", "nu", 0, 1), ("H2O", "nu", 1, 1), ("CO2", "gamma", 12, 663)),
     Spec(RenderedCitation, True,
          [("format", REQUIRED), ("body", REQUIRED), ("global_label", REQUIRED)],
          (RenderFormat.HTML, "<i>x</i>", "1"), (RenderFormat.TEXT, "x", "1"),
