@@ -41,7 +41,7 @@ _EXPORTS = {
         "UpstreamUnavailableError",
     ),
     "formats": ("RenderedCitation", "RenderFormat"),
-    "identifiers": ("Bibcode", "Doi", "format_bibcode", "parse_bibcode", "parse_doi"),
+    "identifiers": ("Bibcode", "Doi", "parse_bibcode", "parse_doi"),
     "model": (
         "AuthorName",
         "BibRecord",
@@ -83,7 +83,6 @@ _EXPORTS = {
         "HttpRequest",
         "HttpResponse",
         "LiveTransport",
-        "RecordingTransport",
         "Transport",
     ),
 }

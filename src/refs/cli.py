@@ -17,6 +17,7 @@ import functools
 import os
 import sqlite3
 import sys
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import InvalidDoiError, MissingEntryError, RefsError, StoreError
@@ -162,19 +163,16 @@ def _open_store(args) -> RefStore:
 
 
 def _build_transport(args) -> Transport:
-    from .transport import FixtureTransport, LiveTransport, RecordingTransport
+    from .transport import FixtureTransport, LiveTransport
 
-    if args.offline:
-        fixtures = args.fixtures or os.environ.get(FIXTURES_ENV)
-        if not fixtures:
-            raise UsageError("offline mode needs --fixtures or REFS_FIXTURES")
-        if args.record_fixtures:
-            raise UsageError("--record-fixtures only makes sense in live mode")
-        return FixtureTransport.from_dir(fixtures)
-    transport: Transport = LiveTransport()
+    if not args.offline:
+        return LiveTransport()
+    fixtures = args.fixtures or os.environ.get(FIXTURES_ENV)
+    if not fixtures:
+        raise UsageError("offline mode needs --fixtures or REFS_FIXTURES")
     if args.record_fixtures:
-        transport = RecordingTransport(transport, args.record_fixtures)
-    return transport
+        raise UsageError("--record-fixtures only makes sense in live mode")
+    return FixtureTransport.from_dir(fixtures)
 
 
 def _build_ads_config(args) -> AdsConfig:
@@ -191,23 +189,30 @@ def _build_ads_config(args) -> AdsConfig:
 
 def cmd_add(args) -> int:
     from .identifiers import parse_doi
-    from .pipeline import resolve_and_store_report, resolve_query_and_store_report
+    from .pipeline import _add_doi, _add_query
+    from .resolvers import Upstream
+    from .transport import _archive_entries, write_archive
 
     if bool(args.doi) == bool(args.query):
         raise UsageError("pass exactly one of --doi or --query")
     if args.query is not None and not args.query.strip():
         raise UsageError("--query needs text that is not blank")
-    transport = _build_transport(args)
-    cfg = _build_ads_config(args)
+    upstream = Upstream(_build_transport(args), _build_ads_config(args))
     doi = parse_doi(args.doi) if args.doi else None
+    archive = Path(args.record_fixtures) if args.record_fixtures else None
+    if archive and not os.access(archive.parent, os.W_OK):  # else the entry is stored unrecorded
+        raise OSError(f"cannot record into {archive}: its directory is missing or read-only")
+    kept = _archive_entries(archive) if archive and archive.exists() else []
 
-    with _open_store(args) as store:
-        if doi is not None:
-            gid, report = resolve_and_store_report(doi, args.note, store, cfg, transport)
-        else:
-            gid, report = resolve_query_and_store_report(
-                args.query, args.note, store, cfg, transport
-            )
+    try:
+        with _open_store(args) as store:
+            if doi is not None:
+                gid, report = _add_doi(doi, args.note, store, upstream)
+            else:
+                gid, report = _add_query(args.query, args.note, store, upstream)
+    finally:
+        if archive and upstream.exchanges:
+            write_archive(archive, kept, upstream.exchanges)
     for warning in report.warnings:
         _err(f"warning: {warning}")
     suffix = " unverified" if report.unverified else ""

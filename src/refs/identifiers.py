@@ -157,8 +157,3 @@ def parse_bibcode(raw: str) -> Bibcode:
         raise BibcodeLengthError(
             f"bibcode must be {BIBCODE_LENGTH} characters, got {len(text)}: {raw!r}")
     return Bibcode(text)
-
-
-def format_bibcode(b: Bibcode) -> str:
-    """The exact 19-character form of a bibcode."""
-    return b.text

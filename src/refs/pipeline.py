@@ -99,7 +99,11 @@ def resolve_reference(
     relevance is used, and the report's warnings say so first. When the
     fallback fails too, a ResolutionFailedError aggregates both causes.
     """
-    upstream = Upstream(transport, cfg)
+    return _resolve(doi, note, Upstream(transport, cfg))
+
+
+def _resolve(doi: Doi, note: str | None, upstream: Upstream) -> ResolutionReport:
+    """``resolve_reference`` through one resolution's Upstream."""
     warnings: list[str] = []
     ads_cause = "DOI not in ADS (empty DOI search result)"
     docs: list[dict] = []
@@ -150,10 +154,12 @@ def resolve_query_reference(
     marked unverified with the keyword-match warning first: a keyword match
     may belong to a different article.
     """
-    upstream = Upstream(transport, cfg)
-    matched = crossref_top_doi(freeform, upstream)
-    report = resolve_reference(matched, note, upstream.cfg, upstream.transport)
-    return _unverified(freeform, report)
+    return _resolve_query(freeform, note, Upstream(transport, cfg))
+
+
+def _resolve_query(freeform: str, note: str | None, upstream: Upstream) -> ResolutionReport:
+    """``resolve_query_reference`` through one resolution's Upstream."""
+    return _unverified(freeform, _resolve(crossref_top_doi(freeform, upstream), note, upstream))
 
 
 def _unverified(freeform: str, report: ResolutionReport) -> ResolutionReport:
@@ -176,12 +182,9 @@ def resolve_and_store_report(
     A duplicate DOI is not an error here: the existing ID is returned with
     a warning on the report, which keeps batch imports idempotent. A DOI
     the store already holds costs no request; its report is built from the
-    stored entry and its stored BibTeX, note included.
+    stored entry and its stored BibTeX, note included, and needs no transport.
     """
-    if stored := _from_store(doi, store):
-        return stored
-    report = resolve_reference(doi, note, cfg, transport)
-    return store_report(store, report), report
+    return _from_store(doi, store) or _stored(store, resolve_reference(doi, note, cfg, transport))
 
 
 def resolve_query_and_store_report(
@@ -196,10 +199,19 @@ def resolve_query_and_store_report(
     A matched DOI the store already holds costs only the search request.
     The report is marked unverified, with the keyword-match warning first.
     """
-    upstream = Upstream(transport, cfg)
-    matched = crossref_top_doi(freeform, upstream)
-    gid, report = resolve_and_store_report(matched, note, store, upstream.cfg,
-                                           upstream.transport)
+    return _add_query(freeform, note, store, Upstream(transport, cfg))
+
+
+def _add_doi(doi: Doi, note: str | None, store: RefStore,
+             upstream: Upstream) -> tuple[int, ResolutionReport]:
+    """``resolve_and_store_report`` through one resolution's Upstream."""
+    return _from_store(doi, store) or _stored(store, _resolve(doi, note, upstream))
+
+
+def _add_query(freeform: str, note: str | None, store: RefStore,
+               upstream: Upstream) -> tuple[int, ResolutionReport]:
+    """``resolve_query_and_store_report`` through one resolution's Upstream."""
+    gid, report = _add_doi(crossref_top_doi(freeform, upstream), note, store, upstream)
     return gid, _unverified(freeform, report)
 
 
@@ -215,6 +227,10 @@ def store_report(store: RefStore, report: ResolutionReport) -> int:
         report.warnings.append(_already_stored(report.doi, exc.existing_id))
         return exc.existing_id
     return entry.global_id
+
+
+def _stored(store: RefStore, report: ResolutionReport) -> tuple[int, ResolutionReport]:
+    return store_report(store, report), report
 
 
 def _already_stored(doi: Doi, gid: int) -> str:

@@ -3,9 +3,9 @@
 Two routes exist: the ADS path (one DOI search that returns the bibcode
 and the structured fields) and the DOI content-negotiation fallback at
 doi.org. The fetchers a resolution calls take their subject and an
-Upstream, the transport and AdsConfig of that resolution. The transport
-is pluggable, so tests replay recorded fixtures instead of hitting the
-services.
+Upstream: the transport, AdsConfig and exchange list of that resolution.
+The transport is pluggable, so tests replay recorded fixtures instead of
+hitting the services.
 """
 
 from __future__ import annotations
@@ -155,19 +155,23 @@ def _year(value, field: str) -> int | None:
 
 
 class Upstream:
-    """One resolution's route to the services: its transport and its AdsConfig.
+    """One resolution's route to the services: its transport, its AdsConfig and its exchanges.
 
     A cfg of None reads the environment (AdsConfig.from_env()). Every
-    request goes through send, the one retry loop.
+    request goes through send, the one retry loop, which appends each
+    attempt that got a response to ``exchanges`` as a (request, response)
+    pair, in the order sent. A list append is atomic under the GIL, so
+    threads that share an Upstream may send at once.
     """
 
-    __slots__ = ("transport", "cfg")
+    __slots__ = ("transport", "cfg", "exchanges")
 
     def __init__(self, transport: Transport, cfg: AdsConfig | None = None) -> None:
         if transport is None:
             raise ValueError("a transport is required")
         self.transport = transport
         self.cfg = AdsConfig.from_env() if cfg is None else cfg
+        self.exchanges: list[tuple[HttpRequest, HttpResponse]] = []
 
     def send(
         self,
@@ -204,6 +208,7 @@ class Upstream:
                 if live:
                     _sleep(delay)
                 continue
+            self.exchanges.append((request, response))
             if response.status == 429:
                 throttled_for = _retry_after(response, delay)
                 if throttled_for > MAX_RETRY_AFTER_S:

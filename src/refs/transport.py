@@ -1,4 +1,4 @@
-"""HTTP transport abstraction: live requests, fixture playback, and recording.
+"""HTTP transport abstraction: live requests, fixture playback, and fixture archives.
 
 Resolvers never touch a socket directly; they hand an HttpRequest to a
 transport. Tests replay recorded fixtures, so the whole suite runs offline
@@ -6,6 +6,11 @@ and deterministically. LiveTransport needs nothing outside the standard
 library: http.client, and ssl with the system's certificate store
 (``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` point it elsewhere). Both are
 imported only when a LiveTransport is built.
+
+``refs add --record-fixtures`` checks the archive before the first request,
+then writes it once (``write_archive``), from the exchanges the resolution's
+Upstream kept, after the resolution ends or fails: a killed process loses
+them. An add answered from the store makes no request and writes nothing.
 """
 
 from __future__ import annotations
@@ -223,11 +228,16 @@ def _exchange_problem(entry: object) -> str | None:
         return "no integer response status"
     if not isinstance(response.get("headers", {}), dict):
         return "response headers are not an object"
-    for name, value in (("request method", request.get("method", "GET")),
+    for name, value in (("request url", request["url"]),
+                        ("request method", request.get("method", "GET")),
                         ("request accept", request.get("accept", "")),
                         ("response body", response.get("body", ""))):
         if not isinstance(value, str):
             return f"the {name} is not text"
+        try:
+            value.encode("utf-8")  # what playback and a recording onto the archive both do
+        except UnicodeEncodeError:
+            return f"the {name} holds a lone surrogate, which UTF-8 cannot encode"
     return None
 
 
@@ -241,30 +251,20 @@ class FixtureTransport:
 
     is_live = False
 
-    def __init__(self, entries: Iterable[dict] | None = None):
+    def __init__(self, entries: Iterable[dict] = ()):
         self._entries: dict[tuple[str, str], dict] = {}
-        for entry in entries or []:
-            self.add(entry)
-
-    def add(self, entry: dict) -> None:
-        req = entry["request"]
-        if req.get("method", "GET").upper() == "GET":
-            self._entries.setdefault((req["url"], req.get("accept", "")), entry)
+        for entry in entries:
+            req = entry["request"]
+            if req.get("method", "GET").upper() == "GET":
+                self._entries.setdefault((req["url"], req.get("accept", "")), entry)
 
     @classmethod
     def from_dir(cls, path: str | Path) -> "FixtureTransport":
-        """Load every .json archive under a directory."""
-        transport = cls()
+        """Load every .json archive under a directory, in name order."""
         files = sorted(Path(path).glob("*.json"))
         if not files:
             raise FixtureMissingError(f"no fixture archives in {path}")
-        for f in files:
-            transport.load_file(f)
-        return transport
-
-    def load_file(self, path: str | Path) -> None:
-        for entry in _archive_entries(Path(path)):
-            self.add(entry)
+        return cls(entry for f in files for entry in _archive_entries(f))
 
     def execute(self, request: HttpRequest) -> HttpResponse:
         match = self._entries.get((request.url, request.accept))
@@ -284,42 +284,21 @@ class FixtureTransport:
 RECORDED_HEADERS = ("content-type", "retry-after")
 
 
-class RecordingTransport:
-    """Wraps a live transport and appends each exchange to a fixture archive.
+def write_archive(path: Path, entries: list[dict],
+                  exchanges: Iterable[tuple[HttpRequest, HttpResponse]]) -> None:
+    """Replace a fixture archive, at once: ``entries``, then one entry per exchange.
 
-    Recording is opt-in: construct one explicitly (or pass --record-fixtures
-    to the CLI). The archive is the same JSON shape FixtureTransport reads.
+    ``entries`` are the archive's own, as ``_archive_entries`` read them. An
+    exchange keeps its response's RECORDED_HEADERS, and its body as UTF-8
+    text, with U+FFFD for any byte that does not decode.
     """
-
-    is_live = True
-
-    def __init__(self, inner: Transport, archive_path: str | Path):
-        self._inner = inner
-        self._path = Path(archive_path)
-        self._entries: list[dict] = []
-        if self._path.exists():
-            self._entries = _archive_entries(self._path)
-
-    def execute(self, request: HttpRequest) -> HttpResponse:
-        response = self._inner.execute(request)
-        entry = {
-            "request": {
-                "method": request.method,
-                "url": request.url,
-                "accept": request.accept,
-            },
-            "response": {
-                "status": response.status,
-                "headers": {
-                    k: v for k, v in response.headers.items() if k.lower() in RECORDED_HEADERS
-                },
-                "body": response.body.decode("utf-8", errors="replace"),
-            },
-        }
-        self._append(entry)
-        return response
-
-    def _append(self, entry: dict) -> None:
-        self._entries.append(entry)
-        text = json.dumps({"entries": self._entries}, indent=2, ensure_ascii=False) + "\n"
-        replace_files([self._path], [(text,)])
+    recorded = [{
+        "request": {"method": request.method, "url": request.url, "accept": request.accept},
+        "response": {
+            "status": response.status,
+            "headers": {k: v for k, v in response.headers.items() if k.lower() in RECORDED_HEADERS},
+            "body": response.body.decode("utf-8", errors="replace"),
+        },
+    } for request, response in exchanges]
+    text = json.dumps({"entries": entries + recorded}, indent=2, ensure_ascii=False) + "\n"
+    replace_files([path], [(text,)])

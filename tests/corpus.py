@@ -1,7 +1,7 @@
 """A deterministic 20-entry corpus exercising every render shape.
 
-The golden files under tests/goldens/ are generated from exactly these
-entries and define the house citation style byte-for-byte.
+The ``*_corpus.*`` golden files under tests/goldens/ are generated from
+exactly these entries and define the house citation style byte-for-byte.
 """
 
 from __future__ import annotations

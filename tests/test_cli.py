@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import refs
 import refs.cli
+import refs.fileio
 import refs.formats
 import refs.render
 import refs.resolvers
@@ -42,14 +43,16 @@ from refs import (
 )
 from refs.bibtex import clean_value
 from refs.cli import EXIT_RESOLUTION, UsageError, main
-from refs.identifiers import format_bibcode
 from refs.model import Pages
 
-from conftest import FIXTURE_DIR, fallback_exchanges, unsynced
+from conftest import FIXTURE_DIR, GOLDEN_DIR, fallback_exchanges, unsynced
 from test_pipeline import MATCHED
-from test_transport import FakeNetwork, FakeResponse, header
+from test_transport import (
+    MALFORMED_ARCHIVES, MALFORMED_EXCHANGES, FakeNetwork, FakeResponse, header,
+)
 
 HITRAN = "10.1016/j.jqsrt.2017.06.038"
+NIST = "10.18434/t4w30f"
 
 
 @pytest.fixture(autouse=True)
@@ -98,6 +101,20 @@ class TestAdd:
         code, out, _ = run(capsys, *offline("add", "--doi", "10.18434/t4w30f", db=db_path))
         assert code == 0
         assert out == "id=1 path=fallback\n"
+
+    def test_a_lone_surrogate_in_a_recorded_body_exits_2_naming_the_entry(self, capsys, db_path,
+                                                                          tmp_path):
+        entries = json.loads((FIXTURE_DIR / "ads.json").read_text(encoding="utf-8"))["entries"]
+        search = refs.resolvers.ads_search_url(refs.resolvers.AdsConfig(),
+                                               refs.resolvers.ads_doi_query(parse_doi(HITRAN)))
+        index = next(i for i, e in enumerate(entries) if e["request"]["url"] == search)
+        entries[index]["response"]["body"] = "\ud800" + entries[index]["response"]["body"]
+        fixtures = write_fixtures(tmp_path, entries)
+        assert run(capsys, "add", "--doi", HITRAN, "--db", db_path, "--offline",
+                   "--fixtures", str(fixtures)) == (
+            EXIT_RESOLUTION, "", f"refs: {fixtures / 'recorded.json'} entry {index} is not a"
+            " recorded exchange: the response body holds a lone surrogate, which UTF-8 cannot"
+            " encode\n")
 
     def test_failed_ads_search_is_a_warning_on_stderr(self, capsys, db_path, tmp_path,
                                                       monkeypatch):
@@ -596,7 +613,7 @@ def record_texts(record: BibRecord) -> list[str]:
     if record.pages:
         texts += [record.pages.first, record.pages.last]
     if record.bibcode:
-        texts.append(format_bibcode(record.bibcode))
+        texts.append(record.bibcode.text)
     for author in record.authors:
         texts += [author.surname, *author.given_names]
     return [text for text in texts if text]
@@ -1145,6 +1162,144 @@ class TestLiveFailures:
         assert [s.conn.netloc for s in network.sent] == ["api.adsabs.harvard.edu"] * 3 + [
             "doi.org"] * 2
         assert [header(s, "Authorization") for s in network.sent[3:]] == [None, None]
+
+
+# The fixtures' answers, keyed on (url, accept) as playback keys them.
+ANSWERS = FixtureTransport.from_dir(FIXTURE_DIR)
+
+
+def answer_from_fixtures(sent) -> FakeResponse:
+    """A live request answered as the fixtures recorded it, or with a 404 when they hold none.
+
+    LiveTransport sends ``Accept: */*`` on a request that names no Accept, which the
+    fixtures record as "".
+    """
+    url = f"{sent.conn.scheme}://{sent.conn.netloc}{sent.target}"
+    accept = "" if sent.headers["accept"] == "*/*" else sent.headers["accept"]
+    try:
+        response = ANSWERS.execute(HttpRequest("GET", url, {"Accept": accept}))
+    except FixtureMissingError:
+        return FakeResponse(404, body=b"not found")
+    return FakeResponse(response.status, response.headers.items(), response.body)
+
+
+def recorded(archive: Path) -> list[tuple[str, int]]:
+    """Each recorded exchange of an archive as its request URL and response status."""
+    entries = json.loads(archive.read_text(encoding="utf-8"))["entries"]
+    return [(e["request"]["url"], e["response"]["status"]) for e in entries]
+
+
+class TestRecordFixtures:
+    """Live ``refs add --record-fixtures`` over a fake network that answers from the fixtures."""
+
+    @pytest.fixture()
+    def network(self, monkeypatch):
+        monkeypatch.setenv("REFS_ADS_TOKEN", "s3cret")
+        monkeypatch.setattr(refs.resolvers, "_sleep", lambda s: None)
+        fake = FakeNetwork(answer_from_fixtures)
+        monkeypatch.setattr(refs.transport, "_connect", fake)
+        return fake
+
+    @pytest.fixture()
+    def archive(self, tmp_path) -> Path:
+        (tmp_path / "recorded").mkdir()
+        return tmp_path / "recorded" / "archive.json"
+
+    def add(self, capsys, db_path, archive, *argv):
+        return run(capsys, "add", *argv, "--db", db_path, "--record-fixtures", str(archive))
+
+    def test_a_fallback_add_writes_the_pinned_archive_in_one_replace(
+            self, capsys, db_path, archive, network, monkeypatch):
+        replaced = []
+
+        def replace_files(paths, rows):
+            replaced.append(list(paths))
+            refs.fileio.replace_files(paths, rows)
+
+        monkeypatch.setattr(refs.transport, "replace_files", replace_files)
+        assert self.add(capsys, db_path, archive, "--doi", NIST) == (
+            0, "id=1 path=fallback\n", "")
+        assert len(network.sent) == 3
+        assert replaced == [[archive]]
+        assert archive.read_bytes() == (GOLDEN_DIR / "recorded_fallback.json").read_bytes()
+
+    @pytest.mark.parametrize("doi, statuses", [
+        ("10.1000/unregistered", [("api.adsabs.harvard.edu", 200), ("doi.org", 404)]),
+        ("10.5555/flaky", [("api.adsabs.harvard.edu", 500)] * 3 + [("doi.org", 404)]),
+    ], ids=["unregistered", "flaky"])
+    def test_a_failed_resolution_records_every_answered_attempt(
+            self, capsys, db_path, archive, network, doi, statuses):
+        code, out, err = self.add(capsys, db_path, archive, "--doi", doi)
+        assert (code, out) == (EXIT_RESOLUTION, "")
+        assert err.startswith("refs: reference resolution failed: ") and err.count("\n") == 1
+        assert [(urlsplit(url).hostname, status) for url, status in recorded(archive)] == statuses
+
+    def test_a_query_records_the_search_then_the_doi_route_in_order(
+            self, capsys, db_path, archive, network):
+        query = "NIST Atomic Spectra Database"
+        code, out, _ = self.add(capsys, db_path, archive, "--query", query)
+        assert (code, out) == (0, "id=1 path=fallback unverified\n")
+        doi = parse_doi(NIST)
+        assert [url for url, _ in recorded(archive)] == [
+            refs.resolvers.crossref_query_url(query),
+            refs.resolvers.ads_search_url(refs.resolvers.AdsConfig(),
+                                          refs.resolvers.ads_doi_query(doi)),
+            refs.resolvers.doi_negotiation_url(doi),
+            refs.resolvers.doi_negotiation_url(doi),
+        ]
+
+    def test_a_second_add_extends_the_archive_and_it_replays_both(
+            self, capsys, db_path, archive, network, tmp_path):
+        self.add(capsys, db_path, archive, "--doi", NIST)
+        first = recorded(archive)
+        assert self.add(capsys, db_path, archive, "--doi", HITRAN) == (0, "id=2 path=ads\n", "")
+        assert recorded(archive)[:3] == first and len(recorded(archive)) == 4
+        replay_db = str(tmp_path / "replay.db")
+        for gid, doi, path in ((1, NIST, "fallback"), (2, HITRAN, "ads")):
+            assert run(capsys, "add", "--doi", doi, "--db", replay_db, "--offline",
+                       "--fixtures", str(archive.parent)) == (0, f"id={gid} path={path}\n", "")
+            assert (run(capsys, "render", str(gid), "--format", "json", "--db", replay_db)
+                    == run(capsys, "render", str(gid), "--format", "json", "--db", db_path))
+
+    def test_an_add_answered_from_the_store_leaves_the_archive_alone(
+            self, capsys, db_path, archive, network, tmp_path):
+        self.add(capsys, db_path, archive, "--doi", NIST)
+        before, sent = archive.read_bytes(), len(network.sent)
+        assert self.add(capsys, db_path, archive, "--doi", NIST) == (
+            0, "id=1 path=fallback\n", f"refs: warning: DOI {NIST} is already stored as entry 1\n")
+        assert archive.read_bytes() == before and len(network.sent) == sent
+        unwritten = tmp_path / "unwritten.json"
+        assert self.add(capsys, db_path, unwritten, "--doi", NIST)[0] == 0
+        assert not unwritten.exists()
+        assert sorted(p.name for p in archive.parent.iterdir()) == ["archive.json"]
+
+    def test_an_archive_with_no_directory_is_refused_before_any_request(
+            self, capsys, db_path, archive, network):
+        archive = archive.parent / "missing" / "archive.json"
+        assert self.add(capsys, db_path, archive, "--doi", NIST) == (
+            3, "", f"refs: cannot record into {archive}: its directory is missing or read-only\n")
+        assert network.sent == [] and not Path(db_path).exists()
+
+    @MALFORMED_ARCHIVES
+    def test_a_file_that_is_no_archive_is_refused_before_any_request(
+            self, capsys, db_path, archive, network, text, cause):
+        archive.write_text(text)
+        code, out, err = self.add(capsys, db_path, archive, "--doi", HITRAN)
+        assert (code, out) == (EXIT_RESOLUTION, "")
+        assert err.startswith(f"refs: {archive} is not a fixture archive: {cause}")
+        assert err.count("\n") == 1
+        assert network.sent == [] and not Path(db_path).exists()
+        assert archive.read_text() == text
+
+    @MALFORMED_EXCHANGES
+    def test_an_exchange_playback_cannot_read_is_refused_before_any_request(
+            self, capsys, db_path, archive, network, exchange, problem):
+        text = json.dumps({"entries": [exchange]})
+        archive.write_text(text)
+        assert self.add(capsys, db_path, archive, "--doi", HITRAN) == (
+            EXIT_RESOLUTION, "", f"refs: {archive} entry 0 is not a recorded exchange: {problem}\n")
+        assert network.sent == [] and not Path(db_path).exists()
+        assert archive.read_text() == text
 
 
 class TestExitCodes:

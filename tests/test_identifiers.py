@@ -16,7 +16,6 @@ from refs import (
     BibcodeLengthError,
     Doi,
     InvalidDoiError,
-    format_bibcode,
     parse_bibcode,
     parse_doi,
 )
@@ -134,7 +133,7 @@ def parse_bibcode_by_fields(raw: str) -> tuple:
 
 
 def format_bibcode_by_fields(fields: tuple) -> str:
-    """format_bibcode as it was while Bibcode held six fields: each one padded to its column."""
+    """A bibcode's text as it was joined while Bibcode held six fields, each padded."""
     year, journal, volume, qualifier, page, author_initial = fields
     if qualifier is None and len(page) == 5:
         middle = page
@@ -234,7 +233,7 @@ class TestParseBibcode:
         raw = "1111AAAAA1111A1111A"
         b = parse_bibcode(raw)
         assert (b.journal, b.volume, b.qualifier, b.page) == ("AAAAA", "1111", "A", "1111")
-        assert format_bibcode(b) == raw
+        assert b.text == raw
 
     def test_wrong_length(self):
         with pytest.raises(BibcodeLengthError):
@@ -248,7 +247,7 @@ class TestParseBibcode:
         b = parse_bibcode("2017ApJ...85510234S")
         assert b.qualifier is None
         assert b.page == "10234"
-        assert format_bibcode(b) == "2017ApJ...85510234S"
+        assert b.text == "2017ApJ...85510234S"
 
     def test_letter_qualifier(self):
         b = parse_bibcode("1975ApJ...199L..19T")
@@ -258,11 +257,11 @@ class TestParseBibcode:
 
 class TestFormatBibcode:
     def test_paper_example_roundtrip(self):
-        assert format_bibcode(parse_bibcode(EXAMPLE)) == EXAMPLE
+        assert parse_bibcode(EXAMPLE).text == EXAMPLE
 
     def test_the_text_is_kept_and_the_fields_drop_the_padding(self):
         b = Bibcode("2000A.......1....1X")
-        assert format_bibcode(b) == str(b) == "2000A.......1....1X"
+        assert b.text == str(b) == "2000A.......1....1X"
         assert (b.journal, b.volume, b.qualifier, b.page) == ("A", "1", None, "1")
 
     @pytest.mark.parametrize("text", [EXAMPLE[:-1], " " + EXAMPLE, EXAMPLE + "\n"])
@@ -373,7 +372,7 @@ class TestParseBibcodeProperty:
             reference = (BibcodeFormatError, "bibcode holds whitespace or a control"
                          f" character, which its BibTeX key cannot: {text!r}")
         elif not refused:
-            assert format_bibcode_by_fields(reference) == format_bibcode(ours) == raw.strip()
+            assert format_bibcode_by_fields(reference) == ours.text == raw.strip()
             ours = (ours.year, ours.journal, ours.volume, ours.qualifier, ours.page,
                     ours.author_initial)
         assert ours == reference
@@ -382,9 +381,9 @@ class TestParseBibcodeProperty:
 class TestRoundtripProperty:
     @given(valid_bibcodes())
     def test_format_after_parse_is_identity(self, raw):
-        assert format_bibcode(parse_bibcode(raw)) == raw
+        assert parse_bibcode(raw).text == raw
 
     @given(valid_bibcodes())
     def test_parse_twice_is_stable(self, raw):
         b = parse_bibcode(raw)
-        assert parse_bibcode(format_bibcode(b)) == b
+        assert parse_bibcode(b.text) == b

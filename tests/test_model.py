@@ -32,8 +32,8 @@ from refs.migrations import row_from_dict
 from refs.model import SourceType, record_from_row, record_to_row
 from refs.store import SCHEMA_VERSION
 
+from stored_forms import v4_record
 from test_render import entry_from_dict, json_records
-from test_store import v4_record
 
 
 def initials_by_search(given_names: tuple[str, ...]) -> list[str]:

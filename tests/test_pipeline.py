@@ -42,6 +42,7 @@ import refs.render
 import refs.transport
 from refs.pipeline import store_report
 from refs.resolvers import ads_search_url
+from refs.transport import _archive_entries, write_archive
 
 from test_transport import FakeNetwork, FakeResponse
 
@@ -62,6 +63,12 @@ def fixture_dois() -> list:
             elif query.startswith('doi:"'):
                 found.add(query[len('doi:"'):-1])
     return [parse_doi(raw) for raw in sorted(found)]
+
+
+def recorded_entries(fixture_dir: Path) -> list[dict]:
+    """Every recorded exchange of a fixture directory, archive by archive in name order."""
+    return [entry for archive in sorted(fixture_dir.glob("*.json"))
+            for entry in _archive_entries(archive)]
 
 
 def fixture_queries() -> list[str]:
@@ -233,9 +240,8 @@ class TestFallbackPath:
         url = ads_search_url(ads_config, 'doi:"10.18434/t4w30f"')
         # Loaded first, this answer wins over the recorded empty search result.
         transport = FixtureTransport([{"request": {"method": "GET", "url": url, "accept": ""},
-                                       "response": {"status": 200, "body": json.dumps(bare)}}])
-        for archive in sorted(fixture_dir.glob("*.json")):
-            transport.load_file(archive)
+                                       "response": {"status": 200, "body": json.dumps(bare)}},
+                                      *recorded_entries(fixture_dir)])
         report = resolve_reference(NIST, cfg=ads_config, transport=transport)
         assert report.path_taken is ResolutionPath.FALLBACK
         assert any("2022nist.data....1K" in w and "neither author nor title" in w
@@ -300,9 +306,8 @@ class TestAdsFailureIsReported:
         # Loaded first, this answer wins over the recorded one.
         transport = FixtureTransport([{"request": {"method": "GET", "url": url, "accept": ""},
                                        "response": {"status": 200, "body": (
-                                           '{"response": {"docs": [%s]}}' % doc)}}])
-        for archive in sorted(fixture_dir.glob("*.json")):
-            transport.load_file(archive)
+                                           '{"response": {"docs": [%s]}}' % doc)}},
+                                      *recorded_entries(fixture_dir)])
         report = resolve_reference(HITRAN, cfg=ads_config, transport=transport)
         assert (report.path_taken, report.record.title) == (ResolutionPath.FALLBACK, HITRAN_TITLE)
         (cause,) = [w for w in report.warnings if w.startswith("ADS DOI search failed: ")]
@@ -716,31 +721,34 @@ class TestPathExclusivity:
 
 class TestRecordThenReplay:
     def test_a_recorded_archive_alone_replays_every_resolution(self, tmp_path):
-        """Every fixture DOI and query resolves the same through a recording of its run, and
-        every exchange recorded is a GET without a request body."""
-        cfg = AdsConfig(token="s3cret", backoff_base=0)
-        subjects = ([(resolve_reference, doi) for doi in fixture_dois()]
-                    + [(resolve_query_reference, text) for text in fixture_queries()])
+        """Every fixture DOI and query resolves the same through an archive written from the
+        exchanges of its run, and every exchange recorded is a GET without a request body."""
+        cfg = AdsConfig(token="s3cret")
+        subjects = ([(refs.pipeline._resolve, doi) for doi in fixture_dois()]
+                    + [(refs.pipeline._resolve_query, text) for text in fixture_queries()])
 
-        def outcomes(transport) -> list:
-            found = []
+        def outcomes(transport) -> tuple[list, list]:
+            found, exchanges = [], []
             for resolve, subject in subjects:
+                upstream = Upstream(transport, cfg)
                 try:
-                    report = resolve(subject, None, cfg, transport)
+                    report = resolve(subject, None, upstream)
                 except RefsError as exc:
                     found.append((type(exc), str(exc)))
                 else:
                     found.append((report.path_taken, report.record,
                                   report.renders[RenderFormat.BIBTEX].body, report.warnings))
-            return found
+                exchanges += upstream.exchanges
+            return found, exchanges
 
         archive = tmp_path / "recorded" / "archive.json"
         archive.parent.mkdir()
-        recording = refs.transport.RecordingTransport(FixtureTransport.from_dir(FIXTURE_DIR),
-                                                      archive)
-        live = outcomes(recording)
-        assert outcomes(FixtureTransport.from_dir(archive.parent)) == live
+        live, exchanges = outcomes(FixtureTransport.from_dir(FIXTURE_DIR))
+        write_archive(archive, [], exchanges)
+        replayed, again = outcomes(FixtureTransport.from_dir(archive.parent))
+        assert replayed == live
+        assert [(r.url, r.accept) for r, _ in again] == [(r.url, r.accept) for r, _ in exchanges]
         assert any(isinstance(o[0], ResolutionPath) for o in live)
         requests = [e["request"] for e in json.loads(archive.read_text())["entries"]]
-        assert len(requests) >= len(subjects)
+        assert len(requests) == len(exchanges) >= len(subjects)
         assert all(r["method"] == "GET" and "body" not in r for r in requests)

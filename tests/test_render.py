@@ -11,7 +11,6 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
-import refs.identifiers
 import refs.render
 from refs import (
     Bibcode,
@@ -38,6 +37,7 @@ from refs.render import escape_value
 
 from corpus import build_corpus_entries
 from conftest import GOLDEN_DIR
+from stored_forms import v4_record
 from test_identifiers import (
     KEY_BREAKERS, accepted_bibcodes, bibcodes_with_a_key_breaker, doi_texts,
 )
@@ -185,8 +185,6 @@ def entry_from_dict(d: dict) -> RefEntry:
 def json_object(entry: RefEntry) -> dict:
     """What ``render_json`` writes for ``entry``, as ``json.loads`` reads it: each record as
     version 4 stored it plus its two links, then the entry's ID, labels and note when set."""
-    from test_store import v4_record  # not at the top: test_store imports this module
-
     records = [{**v4_record(r), **{key: url for key, url in
                                    (("doi_url", r.doi_url), ("ads_url", r.ads_url)) if url}}
                for r in entry.records]
@@ -574,9 +572,7 @@ class TestRenderJson:
         bodies = "\n".join(render_json(e).body for e in build_corpus_entries()) + "\n"
         assert bodies.encode("utf-8") == (GOLDEN_DIR / "json_corpus.json").read_bytes()
 
-    def test_the_bibcode_is_written_as_its_text(self, monkeypatch):
-        # Nothing re-joins the stored text: every format renders with format_bibcode gone.
-        monkeypatch.delattr(refs.identifiers, "format_bibcode")
+    def test_the_bibcode_is_written_as_its_text(self):
         entry = full_entry()
         payload = json.loads(render_json(entry).body)
         record = payload["records"][0]

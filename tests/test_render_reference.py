@@ -19,7 +19,6 @@ from hypothesis import given, strategies as st
 
 from refs import AuthorName, BibRecord, RefEntry, RenderedCitation, RenderFormat
 from refs.errors import UnrenderableError
-from refs.identifiers import format_bibcode
 from refs.model import format_pages
 from refs.render import (
     _BIBTEX_TYPE,
@@ -195,7 +194,7 @@ def reference_json_record(r: BibRecord) -> str:
     members = [
         None if bibcode is None else '"ads_url": ' + reference_json_value(bibcode.ads_url),
         '"authors": ' + _json_list(authors, " " * 6),
-        None if bibcode is None else '"bibcode": ' + reference_json_value(format_bibcode(bibcode)),
+        None if bibcode is None else '"bibcode": ' + reference_json_value(bibcode.text),
         None if doi is None else '"doi": ' + reference_json_value(doi.canonical),
         None if doi is None else '"doi_url": ' + reference_json_value(doi.url),
         None if r.journal is None else '"journal": ' + reference_json_value(r.journal),

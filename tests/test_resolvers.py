@@ -6,6 +6,8 @@ import ast
 import inspect
 import json
 import re
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
@@ -16,6 +18,7 @@ from hypothesis import given, strategies as st
 from refs import (
     AuthError,
     FixtureTransport,
+    HttpRequest,
     HttpResponse,
     LiveTransport,
     NoMatchError,
@@ -35,6 +38,7 @@ from refs import (
 )
 import refs.pipeline as pipeline_mod
 import refs.resolvers as resolvers_mod
+from refs.errors import TransportTimeoutError
 from refs.resolvers import (
     ADS_FIELD_LIST,
     MAX_RETRY_AFTER_S,
@@ -239,6 +243,71 @@ class TestRetryPolicy:
         assert sleeps == [0.0, 0.0]
 
 
+class TestExchanges:
+    """Upstream.exchanges: every attempt that got a response, in the order sent."""
+
+    def test_each_answered_attempt_is_kept_with_its_request(self):
+        answers = [HttpResponse(503), throttled(**{"Retry-After": "1"}), HITRAN_BIBCODE_DOC]
+        transport = ScriptedTransport(*answers)
+        upstream = Upstream(transport, AdsConfig(token=""))
+        fetch_ads_docs(HITRAN_DOI, upstream)
+        assert upstream.exchanges == list(zip(transport.requests, answers))
+
+    def test_a_refused_answer_is_kept_and_a_timeout_is_not(self):
+        class TimesOutOnce(ScriptedTransport):
+            def execute(self, request):
+                if not self.requests:
+                    self.requests.append(request)
+                    raise TransportTimeoutError("timed out")
+                return super().execute(request)
+
+        transport = TimesOutOnce(HttpResponse(404))
+        upstream = Upstream(transport, AdsConfig())
+        with pytest.raises(UnknownDoiError):
+            fetch_csl_json(HITRAN_DOI, upstream)
+        assert len(transport.requests) == 2
+        assert upstream.exchanges == [(transport.requests[1], HttpResponse(404))]
+
+    def test_threads_that_share_an_upstream_lose_no_exchange(self):
+        class Echo:
+            is_live = False
+
+            def execute(self, request):
+                return HttpResponse(200, body=request.url.encode())
+
+        upstream = Upstream(Echo(), AdsConfig())
+        requests = [[HttpRequest("GET", f"https://x.test/{t}/{n}") for n in range(200)]
+                    for t in range(4)]
+        threads = [threading.Thread(target=lambda mine=mine: [upstream.send(r, "X") for r in mine])
+                   for mine in requests]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        kept = [request.url for request, _ in upstream.exchanges]
+        assert len(kept) == 800
+        for mine in requests:
+            urls = {r.url for r in mine}
+            assert [url for url in kept if url in urls] == [r.url for r in mine]
+
+    @pytest.mark.parametrize("resolve, subject", [
+        (resolve_reference, parse_doi("10.18434/t4w30f")),
+        (resolve_query_reference, "The HITRAN2016 molecular spectroscopic database"),
+    ], ids=["doi", "query"])
+    def test_a_resolution_sends_through_one_upstream(self, monkeypatch, resolve, subject):
+        built = []
+        monkeypatch.setattr(Upstream, "__init__", lambda self, *a, _init=Upstream.__init__:
+                            built.append(_init(self, *a)))
+        resolve(subject, None, AdsConfig(token=""), FixtureTransport.from_dir(FIXTURE_DIR))
+        assert len(built) == 1
+
+
 def _json_ok(payload: object) -> HttpResponse:
     return HttpResponse(200, body=json.dumps(payload).encode("utf-8"))
 
@@ -410,10 +479,10 @@ def test_every_definition_has_a_caller_or_is_documented():
         visit(module, tree, "")
     assert [q for q in uncalled if q.rpartition(".")[2] not in documented] == []
     # The library API that only README documents; anything else needs a caller.
-    assert uncalled == ["bibtex.bibtex_to_record", "identifiers.format_bibcode",
-                        "pipeline.ResolutionReport.renders", "pipeline.resolve_query_reference",
-                        "store.RefStore.delete_entry", "store.RefStore.list_entries",
-                        "store.RefStore.lookup_crossref"]
+    assert uncalled == ["bibtex.bibtex_to_record", "pipeline.ResolutionReport.renders",
+                        "pipeline.resolve_query_reference", "pipeline.resolve_and_store_report",
+                        "pipeline.resolve_query_and_store_report", "store.RefStore.delete_entry",
+                        "store.RefStore.list_entries", "store.RefStore.lookup_crossref"]
 
 
 class TestUpstreamAds:

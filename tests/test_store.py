@@ -63,6 +63,7 @@ from refs.store import BIB_BUNDLE_NAME, HTML_BUNDLE_NAME, SCHEMA_VERSION
 
 from conftest import GOLDEN_DIR, unsynced
 from corpus import build_corpus_entries
+from stored_forms import v4_record
 from test_identifiers import accepted_bibcodes, doi_texts
 from test_render import json_records, json_text, nonempty_json_text
 
@@ -1415,19 +1416,6 @@ PRAGMA user_version = 6;
 """
 
 
-def v4_record(r: BibRecord) -> dict:
-    """A record as version 4 stored it: an object of its non-null fields, links left out."""
-    fields = {
-        "source_type": r.source_type.value, "title": r.title,
-        "authors": [{"given_names": list(a.given_names), "surname": a.surname} for a in r.authors],
-        "journal": r.journal, "volume": r.volume, "number": r.number,
-        "pages": r.pages and {"first": r.pages.first, "last": r.pages.last},
-        "year": r.year, "publisher": r.publisher, "doi": r.doi and r.doi.canonical,
-        "bibcode": r.bibcode and refs.format_bibcode(r.bibcode),
-    }
-    return {key: value for key, value in fields.items() if value is not None}
-
-
 def write_old_store(version: int, path: Path, entries: dict, deleted=(), crossrefs=(),
                     next_id=None, fetched=None) -> None:
     """A version-1 to -6 file holding ``{gid: (records, note)}``, as that version wrote it.
@@ -1463,7 +1451,7 @@ def write_old_store(version: int, path: Path, entries: dict, deleted=(), crossre
                    r.journal, r.volume, r.number,
                    r.pages.first if r.pages else None, r.pages.last if r.pages else None,
                    r.year, r.publisher, r.doi.canonical if r.doi else None,
-                   refs.format_bibcode(r.bibcode) if r.bibcode else None)
+                   r.bibcode.text if r.bibcode else None)
             if version == 1:
                 row += (r.doi_url, r.ads_url)
             conn.execute(f"INSERT INTO records VALUES ({', '.join('?' * len(row))})", row)

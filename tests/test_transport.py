@@ -1,4 +1,4 @@
-"""Live HTTP over a fake connection, fixture playback, and recording behavior."""
+"""Live HTTP over a fake connection, fixture playback, and the archive writer."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from refs import (
     UpstreamUnavailableError,
 )
 from refs.errors import TransportTimeoutError
-from refs.transport import LiveTransport, RecordingTransport
+from refs.transport import LiveTransport, _archive_entries, write_archive
 
 from conftest import CountingTransport
 
@@ -116,66 +116,55 @@ class TestFixtureTransport:
             FixtureTransport.from_dir(tmp_path)
 
 
-class _StubTransport:
-    is_live = True
-
-    def __init__(self, response):
-        self.response = response
-
-    def execute(self, request):
-        return self.response
+def _echoed(*urls: str) -> list[tuple[HttpRequest, HttpResponse]]:
+    """Exchanges in which each URL's GET is answered with the URL as its body."""
+    return [(HttpRequest("GET", url), HttpResponse(200, body=url.encode("utf-8"))) for url in urls]
 
 
-class _EchoTransport:
-    is_live = True
-
-    def execute(self, request):
-        return HttpResponse(status=200, body=request.url.encode("utf-8"))
-
-
-class TestRecordingTransport:
+class TestWriteArchive:
     def test_records_then_replays(self, tmp_path):
         archive = tmp_path / "recorded.json"
-        stub = _StubTransport(HttpResponse(status=200, headers={"Content-Type": "text/plain"},
-                                           body=b"answer"))
-        recorder = RecordingTransport(stub, archive)
-        req = HttpRequest("GET", "https://x.test/live", headers={"Accept": "text/plain"})
-        assert recorder.execute(req).text() == "answer"
+        request = HttpRequest("GET", "https://x.test/live", headers={"Accept": "text/plain"})
+        response = HttpResponse(status=200, headers={"Content-Type": "text/plain"}, body=b"answer")
+        write_archive(archive, [], [(request, response)])
 
-        replay = FixtureTransport()
-        replay.load_file(archive)
-        assert replay.execute(req).text() == "answer"
+        replay = FixtureTransport(_archive_entries(archive))
+        assert replay.execute(request).text() == "answer"
 
     def test_many_exchanges_replay_and_the_archive_is_replaced_not_rewritten(self, tmp_path):
         archive = tmp_path / "recorded.json"
-        recorder = RecordingTransport(_EchoTransport(), archive)
-        requests = [HttpRequest("GET", f"https://x.test/{n}") for n in range(25)]
-        recorder.execute(requests[0])
+        exchanges = _echoed(*(f"https://x.test/{n}" for n in range(25)))
+        write_archive(archive, [], exchanges[:1])
         # A hard link keeps the first version's inode: an in-place write would change it.
         snapshot = tmp_path / "snapshot.json"
         os.link(archive, snapshot)
         first_version = snapshot.read_bytes()
-        for req in requests[1:]:
-            recorder.execute(req)
+        write_archive(archive, _archive_entries(archive), exchanges[1:])
 
-        replay = FixtureTransport()
-        replay.load_file(archive)
-        assert [replay.execute(req).text() for req in requests] == [r.url for r in requests]
+        replay = FixtureTransport(_archive_entries(archive))
+        assert [replay.execute(req).text() for req, _ in exchanges] == [
+            req.url for req, _ in exchanges]
         assert snapshot.read_bytes() == first_version
         assert sorted(p.name for p in tmp_path.iterdir()) == ["recorded.json", "snapshot.json"]
 
-    def test_existing_archive_is_extended(self, tmp_path):
+    def test_existing_entries_come_first_as_they_were(self, tmp_path):
         archive = tmp_path / "recorded.json"
-        first, second = HttpRequest("GET", "https://x.test/1"), HttpRequest("GET", "https://x.test/2")
-        RecordingTransport(_EchoTransport(), archive).execute(first)
-        RecordingTransport(_EchoTransport(), archive).execute(second)
-        replay = FixtureTransport()
-        replay.load_file(archive)
-        assert [replay.execute(r).text() for r in (first, second)] == [first.url, second.url]
+        kept = [entry("https://x.test/1", body="old", accept="text/plain")]
+        kept[0]["response"]["headers"] = {"X-Kept": "as read"}  # only new exchanges are filtered
+        write_archive(archive, kept, _echoed("https://x.test/2"))
+        entries = json.loads(archive.read_text(encoding="utf-8"))["entries"]
+        assert entries == [*kept, entry("https://x.test/2", body="https://x.test/2")]
 
-    def test_wrapped_transport_is_live(self, tmp_path):
-        recorder = RecordingTransport(_StubTransport(HttpResponse(200)), tmp_path / "a.json")
-        assert recorder.is_live is True
+    def test_only_recorded_headers_are_kept_and_a_body_decodes_with_replacement(self, tmp_path):
+        archive = tmp_path / "recorded.json"
+        response = HttpResponse(429, {"Content-Type": "text/plain", "Retry-After": "3",
+                                      "Set-Cookie": "s=1"}, "Jäger ".encode() + b"\xff")
+        write_archive(archive, [], [(HttpRequest("GET", "https://x.test/"), response)])
+        text = archive.read_text(encoding="utf-8")
+        assert json.loads(text)["entries"][0]["response"] == {
+            "status": 429, "headers": {"Content-Type": "text/plain", "Retry-After": "3"},
+            "body": "Jäger \ufffd"}
+        assert "Jäger" in text and text.startswith('{\n  "entries": [\n    {\n')
 
 
 # A file in a fixture directory that is not an archive: not JSON, JSON nested
@@ -194,14 +183,6 @@ class TestMalformedArchive:
         archive.write_text(text)
         with pytest.raises(FixtureMissingError, match=re.escape(f"bad.json is not a fixture archive: {cause}")):
             FixtureTransport.from_dir(tmp_path)
-
-    @MALFORMED_ARCHIVES
-    def test_recording_onto_it_names_the_file(self, tmp_path, text, cause):
-        archive = tmp_path / "bad.json"
-        archive.write_text(text)
-        with pytest.raises(FixtureMissingError, match=re.escape(f"bad.json is not a fixture archive: {cause}")):
-            RecordingTransport(_EchoTransport(), archive)
-        assert archive.read_text() == text
 
 
 def _reshaped(change):
@@ -223,8 +204,13 @@ MALFORMED_EXCHANGES = pytest.mark.parametrize("exchange, problem", [
     (_reshaped(lambda e: e["request"].update(method=1)), "the request method is not text"),
     (_reshaped(lambda e: e["request"].update(accept=None)), "the request accept is not text"),
     (_reshaped(lambda e: e["response"].update(body=None)), "the response body is not text"),
+    (_reshaped(lambda e: e["response"].update(body="\ud800 ok")),
+     "the response body holds a lone surrogate, which UTF-8 cannot encode"),
+    (_reshaped(lambda e: e["request"].update(url="https://x.test/\udcff")),
+     "the request url holds a lone surrogate, which UTF-8 cannot encode"),
 ], ids=["not-an-object", "no-request", "no-url", "no-response", "text-status", "bool-status",
-        "list-headers", "int-method", "null-accept", "null-response-body"])
+        "list-headers", "int-method", "null-accept", "null-response-body", "surrogate-body",
+        "surrogate-url"])
 
 
 class TestMalformedExchange:
@@ -235,15 +221,6 @@ class TestMalformedExchange:
         with pytest.raises(FixtureMissingError) as caught:
             FixtureTransport.from_dir(tmp_path)
         assert str(caught.value) == f"{archive} entry 1 is not a recorded exchange: {problem}"
-
-    @MALFORMED_EXCHANGES
-    def test_recording_onto_it_names_the_file_and_entry(self, tmp_path, exchange, problem):
-        archive = tmp_path / "bad.json"
-        text = json.dumps({"entries": [exchange]})
-        archive.write_text(text)
-        with pytest.raises(FixtureMissingError, match=re.escape(f"entry 0 is not a recorded exchange: {problem}")):
-            RecordingTransport(_EchoTransport(), archive)
-        assert archive.read_text() == text
 
     def test_entries_that_are_not_a_list_are_no_archive(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"entries": {"request": {}}}')
@@ -531,7 +508,9 @@ class TestLiveTransportMessages:
             body=gzip.compress(text.encode()))
         archive = tmp_path / "recorded.json"
         request = HttpRequest("GET", "https://a.test/", {"Accept": "application/json"})
-        RecordingTransport(LiveTransport(), archive).execute(request)
+        upstream = Upstream(LiveTransport(), AdsConfig())
+        upstream.send(request, "A")
+        write_archive(archive, [], upstream.exchanges)
         recorded = json.loads(archive.read_text())["entries"][0]["response"]
         assert recorded == {"status": 200, "headers": {"Content-Type": "application/json"},
                             "body": text}
@@ -546,11 +525,14 @@ class TestLiveTransportMessages:
         request = HttpRequest("GET", "https://a.test/")
 
         def fail(transport):
-            counting = CountingTransport(transport)
+            upstream = Upstream(transport, AdsConfig(backoff_base=1.0))
             with pytest.raises(UpstreamUnavailableError, match="throttled for 120 s") as raised:
-                Upstream(counting, AdsConfig(backoff_base=1.0)).send(request, "A")
-            return raised.value.status, len(counting.requests)
+                upstream.send(request, "A")
+            return raised.value.status, upstream.exchanges
 
-        live = fail(RecordingTransport(LiveTransport(), tmp_path / "recorded.json"))
-        assert fail(FixtureTransport.from_dir(tmp_path)) == live == (429, 1)
+        status, exchanges = fail(LiveTransport())
+        write_archive(tmp_path / "recorded.json", [], exchanges)
+        replayed_status, replayed = fail(FixtureTransport.from_dir(tmp_path))
+        assert (status, len(exchanges)) == (replayed_status, len(replayed)) == (429, 1)
+        assert replayed[0][1].headers == {"Retry-After": "120", "Content-Type": "text/plain"}
         assert sleeps == []
