@@ -226,12 +226,16 @@ def _exchange_problem(entry: object) -> str | None:
     status = response.get("status")
     if not isinstance(status, int) or isinstance(status, bool):
         return "no integer response status"
-    if not isinstance(response.get("headers", {}), dict):
+    headers = response.get("headers", {})
+    if not isinstance(headers, dict):
         return "response headers are not an object"
-    for name, value in (("request url", request["url"]),
-                        ("request method", request.get("method", "GET")),
-                        ("request accept", request.get("accept", "")),
-                        ("response body", response.get("body", ""))):
+    members = [("request url", request["url"]),
+               ("request method", request.get("method", "GET")),
+               ("request accept", request.get("accept", "")),
+               ("response body", response.get("body", ""))]
+    for header, value in headers.items():
+        members += [("response header name", header), (f"response header {header}", value)]
+    for name, value in members:
         if not isinstance(value, str):
             return f"the {name} is not text"
         try:

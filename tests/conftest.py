@@ -121,17 +121,21 @@ def unsynced(store: RefStore):
             store._wal = False
 
 
+def exchange(url: str, body: str, *, accept: str = "", status: int = 200,
+             headers: dict | None = None) -> dict:
+    """One recorded exchange in the shape ``transport.write_archive`` writes: a GET of
+    ``url`` with ``accept``, answered with ``status``, ``headers`` and ``body``."""
+    return {"request": {"method": "GET", "url": url, "accept": accept},
+            "response": {"status": status, "headers": headers or {}, "body": body}}
+
+
 def fallback_exchanges(doi, csl_body: str, bibtex: str) -> list[dict]:
     """Recorded exchanges that resolve a DOI on the fallback path: ADS finds nothing, then
     doi.org sends ``csl_body`` and ``bibtex`` as they are."""
-    def exchange(url: str, accept: str, body: str) -> dict:
-        return {"request": {"method": "GET", "url": url, "accept": accept},
-                "response": {"status": 200, "body": body}}
-
     search = ads_search_url(AdsConfig(), ads_doi_query(doi))
-    return [exchange(search, "", '{"response": {"numFound": 0, "docs": []}}'),
-            exchange(doi_negotiation_url(doi), CSL_JSON_ACCEPT, csl_body),
-            exchange(doi_negotiation_url(doi), BIBTEX_ACCEPT, bibtex)]
+    return [exchange(search, '{"response": {"numFound": 0, "docs": []}}'),
+            exchange(doi_negotiation_url(doi), csl_body, accept=CSL_JSON_ACCEPT),
+            exchange(doi_negotiation_url(doi), bibtex, accept=BIBTEX_ACCEPT)]
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from urllib.parse import parse_qs, unquote, urlsplit
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,10 +45,10 @@ from refs.bibtex import clean_value
 from refs.cli import EXIT_RESOLUTION, UsageError, main
 from refs.model import Pages
 
-from conftest import FIXTURE_DIR, GOLDEN_DIR, fallback_exchanges, unsynced
-from test_pipeline import MATCHED
-from test_transport import (
-    MALFORMED_ARCHIVES, MALFORMED_EXCHANGES, FakeNetwork, FakeResponse, header,
+from conftest import FIXTURE_DIR, GOLDEN_DIR, exchange, fallback_exchanges, unsynced
+from fakes import MALFORMED_ARCHIVES, MALFORMED_EXCHANGES, FakeNetwork, FakeResponse, header
+from recorded import (
+    MATCHED, NODE_CHANGES, RECORDED, RECORDED_ANSWERS, REPLACEMENTS, with_node,
 )
 
 HITRAN = "10.1016/j.jqsrt.2017.06.038"
@@ -76,19 +76,23 @@ def offline(*argv: str, db: str) -> list[str]:
     return [*argv, "--db", db, "--offline", "--fixtures", str(FIXTURE_DIR)]
 
 
-def crossref_answer(query: str, answer) -> dict:
-    """A recorded exchange in which CrossRef answers a free-text query with ``answer``."""
-    return {"request": {"method": "GET", "url": refs.resolvers.crossref_query_url(query),
-                        "accept": "application/json"},
-            "response": {"status": 200, "body": json.dumps(answer)}}
-
-
 def write_fixtures(tmp_path: Path, exchanges: list[dict]) -> Path:
     """A fixture directory holding one archive of these recorded exchanges."""
     fixtures = tmp_path / "fixtures"
     fixtures.mkdir()
     (fixtures / "recorded.json").write_text(json.dumps({"entries": exchanges}))
     return fixtures
+
+
+def hitran_search_answered(tmp_path: Path, answer) -> tuple[Path, int]:
+    """The recorded ADS archive, in a fixture directory of its own, with the response to
+    the HITRAN DOI search replaced by ``answer(response)``: the archive and that entry's index."""
+    entries = json.loads((FIXTURE_DIR / "ads.json").read_text(encoding="utf-8"))["entries"]
+    search = refs.resolvers.ads_search_url(refs.resolvers.AdsConfig(),
+                                           refs.resolvers.ads_doi_query(parse_doi(HITRAN)))
+    index = next(i for i, e in enumerate(entries) if e["request"]["url"] == search)
+    entries[index]["response"] = answer(entries[index]["response"])
+    return write_fixtures(tmp_path, entries) / "recorded.json", index
 
 
 class TestAdd:
@@ -104,17 +108,23 @@ class TestAdd:
 
     def test_a_lone_surrogate_in_a_recorded_body_exits_2_naming_the_entry(self, capsys, db_path,
                                                                           tmp_path):
-        entries = json.loads((FIXTURE_DIR / "ads.json").read_text(encoding="utf-8"))["entries"]
-        search = refs.resolvers.ads_search_url(refs.resolvers.AdsConfig(),
-                                               refs.resolvers.ads_doi_query(parse_doi(HITRAN)))
-        index = next(i for i, e in enumerate(entries) if e["request"]["url"] == search)
-        entries[index]["response"]["body"] = "\ud800" + entries[index]["response"]["body"]
-        fixtures = write_fixtures(tmp_path, entries)
+        archive, index = hitran_search_answered(
+            tmp_path, lambda response: {**response, "body": "\ud800" + response["body"]})
         assert run(capsys, "add", "--doi", HITRAN, "--db", db_path, "--offline",
-                   "--fixtures", str(fixtures)) == (
-            EXIT_RESOLUTION, "", f"refs: {fixtures / 'recorded.json'} entry {index} is not a"
-            " recorded exchange: the response body holds a lone surrogate, which UTF-8 cannot"
-            " encode\n")
+                   "--fixtures", str(archive.parent)) == (
+            EXIT_RESOLUTION, "", f"refs: {archive} entry {index} is not a recorded exchange:"
+            " the response body holds a lone surrogate, which UTF-8 cannot encode\n")
+
+    def test_a_recorded_header_that_is_not_text_exits_2_naming_the_entry(self, capsys, db_path,
+                                                                          tmp_path):
+        # Replayed, the number reached the Retry-After reader and ended the add in a traceback.
+        archive, index = hitran_search_answered(
+            tmp_path, lambda response: {"status": 429, "headers": {"Retry-After": 5}})
+        assert run(capsys, "add", "--doi", HITRAN, "--db", db_path, "--offline",
+                   "--fixtures", str(archive.parent)) == (
+            EXIT_RESOLUTION, "", f"refs: {archive} entry {index} is not a recorded exchange:"
+            " the response header Retry-After is not text\n")
+        assert not Path(db_path).exists()
 
     def test_failed_ads_search_is_a_warning_on_stderr(self, capsys, db_path, tmp_path,
                                                       monkeypatch):
@@ -125,8 +135,7 @@ class TestAdd:
         fixtures.mkdir()
         (fixtures / "doi_org.json").write_text((FIXTURE_DIR / "doi_org.json").read_text())
         url = refs.resolvers.ads_search_url(refs.resolvers.AdsConfig(), f'doi:"{HITRAN}"')
-        unavailable = {"request": {"method": "GET", "url": url, "accept": ""},
-                       "response": {"status": 503, "body": "Service Unavailable"}}
+        unavailable = exchange(url, "Service Unavailable", status=503)
         (fixtures / "ads.json").write_text(json.dumps({"entries": [unavailable]}))
         code, out, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path, "--offline",
                              "--fixtures", str(fixtures))
@@ -156,8 +165,7 @@ class TestAdd:
         fixtures.mkdir()
         (fixtures / "doi_org.json").write_text((FIXTURE_DIR / "doi_org.json").read_text())
         url = refs.resolvers.ads_search_url(refs.resolvers.AdsConfig(), f'doi:"{HITRAN}"')
-        throttled = {"request": {"method": "GET", "url": url, "accept": ""},
-                     "response": {"status": 429, "headers": {"Retry-After": "2"}, "body": ""}}
+        throttled = exchange(url, "", status=429, headers={"Retry-After": "2"})
         (fixtures / "ads.json").write_text(json.dumps({"entries": [throttled]}))
         code, out, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path, "--offline",
                              "--fixtures", str(fixtures))
@@ -311,12 +319,12 @@ class TestAdd:
 
     def test_a_crossref_answer_nested_past_the_recursion_limit_exits_2_and_leaves_the_store(
             self, capsys, db_path, tmp_path):
-        exchange = crossref_answer("A title", {})
-        exchange["response"]["body"] = '{"message": {"items": ' + "[" * 100_000
+        nested = exchange(refs.resolvers.crossref_query_url("A title"),
+                          '{"message": {"items": ' + "[" * 100_000, accept="application/json")
         run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
         before = Path(db_path).read_bytes()
         code, out, err = run(capsys, "add", "--query", "A title", "--db", db_path, "--offline",
-                             "--fixtures", str(write_fixtures(tmp_path, [exchange])))
+                             "--fixtures", str(write_fixtures(tmp_path, [nested])))
         assert (code, out) == (EXIT_RESOLUTION, "")
         assert err == "refs: malformed CrossRef response: JSON nested too deeply\n"
         assert Path(db_path).read_bytes() == before
@@ -372,7 +380,9 @@ class TestAdd:
         query = "An old title"
         csl = json.dumps({"DOI": doi.canonical, "title": query, "issued": {"date-parts": [[1200]]}})
         exchanges = [
-            crossref_answer(query, {"message": {"items": [{"DOI": doi.canonical}]}}),
+            exchange(refs.resolvers.crossref_query_url(query),
+                     json.dumps({"message": {"items": [{"DOI": doi.canonical}]}}),
+                     accept="application/json"),
             *fallback_exchanges(doi, csl, "@misc{Q}"),
         ]
         run(capsys, *offline("add", "--doi", HITRAN, db=db_path))
@@ -388,7 +398,8 @@ class TestAdd:
                              ids=["list-of-int", "str", "object", "second-not-object"])
     def test_a_crossref_answer_whose_items_are_not_objects_exits_2(self, capsys, db_path,
                                                                     tmp_path, items):
-        exchanges = [crossref_answer("A title", {"message": {"items": items}})]
+        exchanges = [exchange(refs.resolvers.crossref_query_url("A title"),
+                              json.dumps({"message": {"items": items}}), accept="application/json")]
         code, out, err = run(capsys, "add", "--query", "A title", "--db", db_path, "--offline",
                              "--fixtures", str(write_fixtures(tmp_path, exchanges)))
         assert (code, out) == (EXIT_RESOLUTION, "")
@@ -403,9 +414,8 @@ class TestAdd:
         shutil.copytree(FIXTURE_DIR, fixtures)
         url = refs.resolvers.ads_search_url(refs.resolvers.AdsConfig(), f'doi:"{HITRAN}"')
         # Loaded first, this answer wins over the recorded one.
-        (fixtures / "0-ads.json").write_text(json.dumps({"entries": [{
-            "request": {"method": "GET", "url": url, "accept": ""},
-            "response": {"status": 200, "body": json.dumps({"response": {"docs": docs}})}}]}))
+        (fixtures / "0-ads.json").write_text(json.dumps(
+            {"entries": [exchange(url, json.dumps({"response": {"docs": docs}}))]}))
         query = "The HITRAN2016 molecular spectroscopic database"
         code, out, err = run(capsys, "add", "--query", query, "--db", db_path, "--offline",
                              "--fixtures", str(fixtures))
@@ -428,9 +438,22 @@ class TestAdd:
         assert err.count("\n") == 1
         assert Path(db_path).read_bytes() == before
 
+    def test_a_query_match_with_no_doi_exits_2(self, capsys, db_path, tmp_path):
+        query = "A title"
+        exchanges = [exchange(refs.resolvers.crossref_query_url(query),
+                              json.dumps({"message": {"items": [{"title": [query]}]}}),
+                              accept="application/json")]
+        assert run(capsys, "add", "--query", query, "--db", db_path, "--offline",
+                   "--fixtures", str(write_fixtures(tmp_path, exchanges))) == (
+            EXIT_RESOLUTION, "", "refs: top CrossRef hit carries no DOI\n")
+        with RefStore(db_path) as store:
+            assert store.live_ids() == []
+
     def test_a_query_match_with_an_invalid_doi_exits_2(self, capsys, db_path, tmp_path):
         query = "A title"
-        exchanges = [crossref_answer(query, {"message": {"items": [{"DOI": "not a DOI"}]}})]
+        exchanges = [exchange(refs.resolvers.crossref_query_url(query),
+                              json.dumps({"message": {"items": [{"DOI": "not a DOI"}]}}),
+                              accept="application/json")]
         code, out, err = run(capsys, "add", "--query", query, "--db", db_path, "--offline",
                              "--fixtures", str(write_fixtures(tmp_path, exchanges)))
         assert (code, out) == (EXIT_RESOLUTION, "")
@@ -453,6 +476,13 @@ class TestAdd:
         code, _, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path, "--offline")
         assert code == 64
         assert "REFS_FIXTURES" in err
+
+    def test_recording_while_offline_is_usage_error(self, capsys, db_path, tmp_path):
+        archive = tmp_path / "recorded.json"
+        assert run(capsys, *offline("add", "--doi", HITRAN, "--record-fixtures", str(archive),
+                                    db=db_path)) == (
+            64, "", "refs: --record-fixtures only makes sense in live mode\n")
+        assert not archive.exists() and not Path(db_path).exists()
 
     @pytest.mark.parametrize("text", ["not json", '{"items": []}'], ids=["not-json", "no-entries"])
     def test_a_malformed_fixture_archive_exits_2_naming_it(self, capsys, db_path, tmp_path, text):
@@ -519,42 +549,6 @@ class TestAdd:
         assert outs[0] == outs[1]
 
 
-# Every exchange of the recorded fixtures, in the order replay reads them.
-RECORDED = [entry for archive in sorted(FIXTURE_DIR.glob("*.json"))
-            for entry in json.loads(archive.read_text())["entries"]]
-
-
-def recorded_answers() -> list[tuple[tuple[str, str], int, object]]:
-    """Every recorded JSON answer that an add reads: each ADS DOI search, citation JSON
-    and CrossRef search, as (the add's subject, its index in RECORDED, its decoded body)."""
-    answers = []
-    for index, entry in enumerate(RECORDED):
-        request, response = entry["request"], entry["response"]
-        parts = urlsplit(request["url"])
-        params = parse_qs(parts.query)
-        if parts.hostname == "doi.org" and request["accept"] == refs.resolvers.CSL_JSON_ACCEPT:
-            subject = ("--doi", unquote(parts.path[1:]))
-        elif (params.get("fl") == [refs.resolvers.ADS_FIELD_LIST]
-              and params["q"][0].startswith('doi:"')):
-            subject = ("--doi", params["q"][0].removeprefix('doi:"').removesuffix('"'))
-        elif "query.bibliographic" in params:
-            subject = ("--query", params["query.bibliographic"][0])
-        else:
-            continue
-        if response["status"] == 200 and response["body"][:1] in "{[":
-            answers.append((subject, index, json.loads(response["body"])))
-    return answers
-
-
-def node_paths(node, path: tuple = ()) -> list[tuple]:
-    """The path of every node of a decoded JSON value, the root's ``()`` first."""
-    paths = [path]
-    if isinstance(node, (dict, list)):
-        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-            paths += node_paths(child, (*path, key))
-    return paths
-
-
 def scalar_texts(node) -> set[str]:
     """Each string or number node as text, raw and as the readers clean it."""
     if isinstance(node, (dict, list)):
@@ -564,37 +558,7 @@ def scalar_texts(node) -> set[str]:
     return {str(node), " ".join(html.unescape(str(node)).split())}
 
 
-RECORDED_ANSWERS = [(subject, index, body, node_paths(body))
-                    for subject, index, body in recorded_answers()]
 RECORDED_SCALARS = {index: scalar_texts(body) for _, index, body, _ in RECORDED_ANSWERS}
-# What a changed node becomes: each JSON type, text the readers treat specially
-# (a year, a page range, an entity, a lone surrogate), and the shapes the
-# answers nest. One sampled value is far cheaper to draw than a built one.
-REPLACEMENTS = [
-    None, True, False, 0, -1, 1200, 2017, 99999, 1.5, float("nan"), float("inf"),
-    "", " ", "x", "2017", "20x7", "1-2", "a &amp; b", "Doe, J.", "journal-article",
-    "10.1234/x", "\ud800", [], [None], [1], ["x"], ["x", 1], [[1]], [[2017, 9]], [["2017"]],
-    [{}], [{"a": 1}], {}, {"a": 1}, {"date-parts": [[1200]]}, {"family": "x"},
-    {"DOI": "10.1234/x"},
-]
-DELETE = object()
-NODE_CHANGES = st.sampled_from([*REPLACEMENTS, DELETE])
-
-
-def with_node(body, path: tuple, value):
-    """A copy of a decoded JSON value whose node at ``path`` is ``value``, or is deleted
-    when ``value`` is DELETE; ``value`` itself when ``path`` is the root's."""
-    if not path:
-        return value
-    body = json.loads(json.dumps(body))
-    parent = body
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return body
 
 
 @st.composite
@@ -1293,8 +1257,8 @@ class TestRecordFixtures:
 
     @MALFORMED_EXCHANGES
     def test_an_exchange_playback_cannot_read_is_refused_before_any_request(
-            self, capsys, db_path, archive, network, exchange, problem):
-        text = json.dumps({"entries": [exchange]})
+            self, capsys, db_path, archive, network, malformed, problem):
+        text = json.dumps({"entries": [malformed]})
         archive.write_text(text)
         assert self.add(capsys, db_path, archive, "--doi", HITRAN) == (
             EXIT_RESOLUTION, "", f"refs: {archive} entry 0 is not a recorded exchange: {problem}\n")

@@ -24,52 +24,12 @@ from refs.identifiers import (
     BIBCODE_LENGTH,
 )
 
+from strategies import (
+    KEY_BREAKERS, accepted_bibcodes, accepted_dois, bibcodes_with_a_key_breaker, doi_texts,
+    text_around, valid_bibcodes,
+)
+
 EXAMPLE = "2017JQSRT.203....3G"
-# The characters a BibTeX key cannot hold, which Bibcode refuses in any column.
-KEY_BREAKERS = "{},"
-# The Unicode categories of the characters that str.isprintable refuses: controls,
-# format characters, surrogates, private use, unassigned and separators. Bibcode
-# refuses them and the space, because BibTeX's key scanner stops at whitespace.
-NOT_PRINTABLE = ("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs")
-
-
-def _parsed_or_none(raw: str) -> Doi | None:
-    try:
-        return parse_doi(raw)
-    except InvalidDoiError:
-        return None
-
-
-def doi_texts() -> st.SearchStrategy[str]:
-    """The strings ``10\\.[0-9]{4,9}/[!-~]{1,30}`` matches, built from two text draws.
-
-    Hypothesis draws these several times faster than ``st.from_regex``.
-    """
-    return st.builds(
-        "10.{}/{}".format,
-        st.text(string.digits, min_size=4, max_size=9),
-        st.text(st.characters(min_codepoint=ord("!"), max_codepoint=ord("~")), min_size=1,
-                max_size=30),
-    )
-
-
-def text_around(specials: str, run: int) -> st.SearchStrategy[str]:
-    """Up to four of ``specials`` between two runs of up to ``run`` characters of any kind.
-
-    Each part is one text draw over a plain alphabet. Hypothesis draws text
-    over a mixed one (``sampled_from(...) | characters()``) a character at a
-    time, several times slower.
-    """
-    any_run = st.text(max_size=run)
-    return st.tuples(any_run, st.text(specials, max_size=4), any_run).map("".join)
-
-
-def accepted_dois() -> st.SearchStrategy[Doi]:
-    """DOIs that parse_doi accepts, with suffixes rich in quotes, backslashes and Unicode."""
-    prefix = st.text(string.digits, min_size=4, max_size=9).map("10.".__add__)
-    suffix = text_around('"\\():/*?Ab', 13)
-    raw = st.tuples(prefix, suffix).map("/".join)
-    return raw.map(_parsed_or_none).filter(lambda doi: doi is not None)
 
 
 def parse_doi_checking_twice(raw: str) -> Doi:
@@ -243,6 +203,11 @@ class TestParseBibcode:
         with pytest.raises(BibcodeFormatError):
             parse_bibcode("20x7JQSRT.203....3G")
 
+    def test_a_digit_in_the_author_column_is_refused(self):
+        with pytest.raises(BibcodeFormatError,
+                           match="^author initial must be one letter or '.': '3'$"):
+            parse_bibcode("2017JQSRT.203....33")
+
     def test_page_overflow_uses_qualifier_column(self):
         b = parse_bibcode("2017ApJ...85510234S")
         assert b.qualifier is None
@@ -283,48 +248,6 @@ class TestFormatBibcode:
     def test_a_character_that_breaks_its_bibtex_key_is_refused(self, breaker):
         with pytest.raises(BibcodeFormatError, match="which its BibTeX key cannot"):
             parse_bibcode(f"2017JQ{breaker}RT.203....3G")
-
-
-def valid_bibcodes() -> st.SearchStrategy[str]:
-    """Generator of structurally valid 19-character bibcodes."""
-    upper = st.sampled_from("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
-    year = st.integers(1000, 2999).map(lambda y: f"{y:04d}")
-    journal = st.one_of(
-        st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ&", min_size=1, max_size=5),
-        st.sampled_from(["ApJ", "A&A", "MNRAS", "JQSRT", "PASP", "Sci"]),
-    ).map(lambda j: j.ljust(5, "."))
-    volume = st.one_of(
-        st.text("0123456789", min_size=1, max_size=4),
-        st.sampled_from(["conf", "meet", "book", "proc"]),
-    ).map(lambda v: v.rjust(4, "."))
-    qualifier = st.sampled_from(".ELPQRSTUVWXYZ")
-    page = st.text("0123456789", min_size=0, max_size=4).map(lambda p: p.rjust(4, "."))
-    overflow_page = st.text("0123456789", min_size=5, max_size=5)
-    middle = st.one_of(st.tuples(qualifier, page).map("".join), overflow_page)
-    author = st.one_of(upper, st.just("."))
-    return st.tuples(year, journal, volume, middle, author).map("".join)
-
-
-def accepted_bibcodes() -> st.SearchStrategy[str]:
-    """Texts Bibcode accepts, built column by column: the journal, volume and page
-    columns hold any printable character but the space and KEY_BREAKERS."""
-    anything = st.characters(exclude_categories=NOT_PRINTABLE, exclude_characters=KEY_BREAKERS)
-    return st.builds(
-        "{}{}{}{}{}{}".format,
-        st.integers(1000, 9999),
-        st.text(anything, min_size=5, max_size=5),
-        st.text(anything, min_size=4, max_size=4),
-        st.sampled_from(".LQ0") | st.characters(categories=("Lu", "Ll", "Nd")),
-        st.text(anything, min_size=4, max_size=4),
-        st.characters(categories=("Lu", "Ll", "Lo")) | st.just("."),
-    )
-
-
-def bibcodes_with_a_key_breaker() -> st.SearchStrategy[str]:
-    """An accepted text with one column after the year replaced by a KEY_BREAKERS character."""
-    return st.builds(lambda text, i, breaker: text[:i] + breaker + text[i + 1:],
-                     accepted_bibcodes(), st.integers(4, BIBCODE_LENGTH - 1),
-                     st.sampled_from(KEY_BREAKERS))
 
 
 class TestAdsUrl:

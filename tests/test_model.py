@@ -33,7 +33,7 @@ from refs.model import SourceType, record_from_row, record_to_row
 from refs.store import SCHEMA_VERSION
 
 from stored_forms import v4_record
-from test_render import entry_from_dict, json_records
+from strategies import entry_from_dict, json_records
 
 
 def initials_by_search(given_names: tuple[str, ...]) -> list[str]:
@@ -101,6 +101,10 @@ class TestFormatPages:
     def test_empty_first_rejected(self):
         with pytest.raises(ValueError):
             format_pages("", "9")
+
+    def test_a_page_range_with_no_first_page_is_refused(self):
+        with pytest.raises(ValueError, match="^first page must be non-empty$"):
+            Pages("", "9")
 
 
 def brute_force_labels(n: int) -> list[str]:
@@ -202,6 +206,11 @@ class TestRefEntry:
     def test_needs_records(self):
         with pytest.raises(ValueError):
             RefEntry(records=[])
+
+    @pytest.mark.parametrize("global_id", [0, -1])
+    def test_a_global_id_below_1_is_refused(self, global_id):
+        with pytest.raises(ValueError, match=f"^global_id must be positive, got {global_id}$"):
+            RefEntry(records=[BibRecord(title="A")], global_id=global_id)
 
     def test_display_labels_concatenate_id_and_sublabel(self):
         records = [BibRecord(title="A"), BibRecord(title="B")]

@@ -11,7 +11,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
 
 import pytest
-from conftest import FIXTURE_DIR, CountingTransport, fallback_exchanges
+from conftest import FIXTURE_DIR, CountingTransport, exchange, fallback_exchanges
 
 from refs import (
     AdsConfig,
@@ -42,9 +42,10 @@ import refs.render
 import refs.transport
 from refs.pipeline import store_report
 from refs.resolvers import ads_search_url
-from refs.transport import _archive_entries, write_archive
+from refs.transport import write_archive
 
-from test_transport import FakeNetwork, FakeResponse
+from fakes import FakeNetwork, FakeResponse
+from recorded import MATCHED, RECORDED, fixture_matches
 
 HITRAN = parse_doi("10.1016/j.jqsrt.2017.06.038")
 NIST = parse_doi("10.18434/t4w30f")
@@ -65,30 +66,9 @@ def fixture_dois() -> list:
     return [parse_doi(raw) for raw in sorted(found)]
 
 
-def recorded_entries(fixture_dir: Path) -> list[dict]:
-    """Every recorded exchange of a fixture directory, archive by archive in name order."""
-    return [entry for archive in sorted(fixture_dir.glob("*.json"))
-            for entry in _archive_entries(archive)]
-
-
 def fixture_queries() -> list[str]:
     """Every free-text query the CrossRef archive holds an answer for."""
     return list(fixture_matches())
-
-
-def fixture_matches() -> dict:
-    """Each free-text query of the CrossRef archive, with the DOI its top hit carries."""
-    archive = json.loads((FIXTURE_DIR / "crossref.json").read_text(encoding="utf-8"))
-    matches = {}
-    for entry in archive["entries"]:
-        items = json.loads(entry["response"]["body"])["message"]["items"]
-        text = parse_qs(urlsplit(entry["request"]["url"]).query)["query.bibliographic"][0]
-        matches[text] = parse_doi(items[0]["DOI"]) if items else None
-    return matches
-
-
-# The (query, DOI) pairs whose recorded or synthesized CrossRef answer has a top hit.
-MATCHED = [(text, doi) for text, doi in fixture_matches().items() if doi]
 
 
 class _AlwaysUnavailable:
@@ -139,6 +119,15 @@ class _AdsAnswers:
 
     def execute(self, request):
         if "adsabs.harvard.edu" in request.url:
+            return self.response
+        return self.inner.execute(request)
+
+
+class _BibtexAnswers(_AdsAnswers):
+    """Answers every BibTeX negotiation with one response; replays fixtures for the rest."""
+
+    def execute(self, request):
+        if request.accept == resolvers.BIBTEX_ACCEPT:
             return self.response
         return self.inner.execute(request)
 
@@ -202,6 +191,14 @@ class TestFallbackPath:
         assert any("BibTeX fetch failed" in w for w in report.warnings)
         assert report.renders[RenderFormat.BIBTEX].body.startswith("@article{Lovelace2001,")
 
+    def test_a_bibtex_body_that_is_not_utf8_is_generated_locally(self, transport, ads_config):
+        report = resolve_reference(NIST, cfg=ads_config, transport=_BibtexAnswers(
+            transport, HttpResponse(200, body=b"@misc{K, title={J\xe4ger}}")))
+        assert (report.path_taken, report.bibtex) == (ResolutionPath.FALLBACK, None)
+        assert report.warnings == [f"BibTeX fetch failed (BibTeX for {NIST} is not valid UTF-8);"
+                                   " generated locally from the record"]
+        assert report.renders[RenderFormat.BIBTEX] == refs.render.render_bibtex(report.entry)
+
     def test_both_paths_failing_aggregates_causes(self, transport, ads_config):
         with pytest.raises(ResolutionFailedError) as exc_info:
             resolve_reference(parse_doi("10.1000/unregistered"), cfg=ads_config,
@@ -234,14 +231,22 @@ class TestFallbackPath:
                                                             "2017JQSRT.203....3G")
         assert report.warnings == [f"DOI {HITRAN} matches 2 bibcodes; using 2017JQSRT.203....3G"]
 
-    def test_ads_doc_without_author_or_title_falls_back_with_cause(self, fixture_dir, ads_config):
+    def test_an_ads_doc_reporting_another_doi_is_used_with_a_warning(self, transport,
+                                                                     ads_config):
+        docs = [{"bibcode": "2017JQSRT.203....3G", "title": ["T"], "doi": ["10.1234/Other"]}]
+        answer = HttpResponse(200, body=json.dumps({"response": {"docs": docs}}).encode())
+        report = resolve_reference(HITRAN, cfg=ads_config,
+                                   transport=_AdsAnswers(transport, answer))
+        assert (report.path_taken, str(report.record.doi)) == (ResolutionPath.ADS, "10.1234/other")
+        assert report.warnings == ["ADS reports DOI 10.1234/other for bibcode 2017JQSRT.203....3G,"
+                                   f" queried {HITRAN}"]
+
+    def test_ads_doc_without_author_or_title_falls_back_with_cause(self, ads_config):
         bare = {"responseHeader": {"status": 0}, "response": {"numFound": 1, "start": 0, "docs": [
             {"bibcode": "2022nist.data....1K", "doi": ["10.18434/t4w30f"], "year": "2022"}]}}
         url = ads_search_url(ads_config, 'doi:"10.18434/t4w30f"')
         # Loaded first, this answer wins over the recorded empty search result.
-        transport = FixtureTransport([{"request": {"method": "GET", "url": url, "accept": ""},
-                                       "response": {"status": 200, "body": json.dumps(bare)}},
-                                      *recorded_entries(fixture_dir)])
+        transport = FixtureTransport([exchange(url, json.dumps(bare)), *RECORDED])
         report = resolve_reference(NIST, cfg=ads_config, transport=transport)
         assert report.path_taken is ResolutionPath.FALLBACK
         assert any("2022nist.data....1K" in w and "neither author nor title" in w
@@ -298,16 +303,13 @@ class TestAdsFailureIsReported:
         assert report.warnings == ["ADS document for 2017JQSRT.203....3G is unusable:"
                                    " 'title' holds {'a': 1}, not text or a number"]
 
-    def test_a_lone_surrogate_in_the_ads_answer_falls_back_with_the_cause(self, fixture_dir,
-                                                                          ads_config):
+    def test_a_lone_surrogate_in_the_ads_answer_falls_back_with_the_cause(self, ads_config):
         # JSON may escape a lone surrogate, which no store can hold.
         doc = '{"bibcode": "2017JQSRT.203....3G", "title": ["A \\ud800 B"], "year": "2017"}'
         url = ads_search_url(ads_config, f'doi:"{HITRAN}"')
         # Loaded first, this answer wins over the recorded one.
-        transport = FixtureTransport([{"request": {"method": "GET", "url": url, "accept": ""},
-                                       "response": {"status": 200, "body": (
-                                           '{"response": {"docs": [%s]}}' % doc)}},
-                                      *recorded_entries(fixture_dir)])
+        transport = FixtureTransport([exchange(url, '{"response": {"docs": [%s]}}' % doc),
+                                      *RECORDED])
         report = resolve_reference(HITRAN, cfg=ads_config, transport=transport)
         assert (report.path_taken, report.record.title) == (ResolutionPath.FALLBACK, HITRAN_TITLE)
         (cause,) = [w for w in report.warnings if w.startswith("ADS DOI search failed: ")]
@@ -409,10 +411,9 @@ class TestQueryMode:
     def test_a_match_whose_citation_json_the_model_refuses_fails_as_its_doi_does(
             self, ads_config):
         doi = parse_doi("10.1234/query-year")
-        search = {"request": {"method": "GET", "url": resolvers.crossref_query_url("Old"),
-                              "accept": "application/json"},
-                  "response": {"status": 200, "body": json.dumps(
-                      {"message": {"items": [{"DOI": doi.canonical}]}})}}
+        search = exchange(resolvers.crossref_query_url("Old"),
+                          json.dumps({"message": {"items": [{"DOI": doi.canonical}]}}),
+                          accept="application/json")
         csl = json.dumps({"DOI": doi.canonical, "title": "Old", "issued": {"date-parts": [[1200]]}})
         transport = FixtureTransport([search, *fallback_exchanges(doi, csl, "@misc{Q}")])
         failures = []

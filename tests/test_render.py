@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 
 import refs.render
 from refs import (
-    Bibcode,
     BibcodeFormatError,
     BibRecord,
     Pages,
@@ -31,15 +30,15 @@ from refs import (
 )
 from refs.bibtex import parse_entries
 from refs.identifiers import ADS_ABS_URL
-from refs.migrations import row_from_dict
-from refs.model import MAX_YEAR, MIN_YEAR, AuthorName, record_from_row
+from refs.model import AuthorName
 from refs.render import escape_value
 
 from corpus import build_corpus_entries
 from conftest import GOLDEN_DIR
 from stored_forms import v4_record
-from test_identifiers import (
-    KEY_BREAKERS, accepted_bibcodes, bibcodes_with_a_key_breaker, doi_texts,
+from strategies import (
+    KEY_BREAKERS, accepted_bibcodes, bibcodes_with_a_key_breaker, entry_from_dict, json_records,
+    optional_json_text,
 )
 
 RAW_SPECIALS = set('&<>"\'')
@@ -68,42 +67,6 @@ def table_escape(raw: str) -> str:
     return "".join(ESCAPE_TABLE.get(c, c) for c in raw)
 
 
-# Text rich in what JSON escapes (quotes, backslashes, control characters)
-# and in U+2028/U+2029, which it leaves bare: a run of those between two
-# runs of any characters. Each run is one text draw over a plain alphabet,
-# which Hypothesis makes several times faster than text over a mixed one.
-JSON_SPECIALS = '"\\\x00\x1f\x7f\u2028\u2029'
-any_text = st.text(st.characters(), max_size=10)
-json_text = st.tuples(any_text, st.text(JSON_SPECIALS, max_size=3), any_text).map("".join)
-optional_json_text = st.none() | json_text
-# Built, not filtered: text that is not empty, and text around a character
-# that str.strip keeps. Each character str.isspace accepts is Cc, Zs, Zl or Zp.
-nonempty_json_text = st.builds(
-    str.__add__, st.characters() | st.sampled_from(JSON_SPECIALS), json_text
-)
-nonblank_json_text = st.builds(
-    "{}{}{}".format,
-    json_text,
-    st.characters(exclude_categories=("Cc", "Zs", "Zl", "Zp")) | st.sampled_from('"\\\x00\x7f'),
-    json_text,
-)
-json_records = st.builds(
-    BibRecord,
-    title=json_text,
-    authors=st.lists(st.builds(
-        AuthorName,
-        given_names=st.lists(json_text, max_size=3).map(tuple),
-        surname=nonblank_json_text,
-    ), max_size=3),
-    journal=optional_json_text,
-    volume=optional_json_text,
-    number=optional_json_text,
-    pages=st.none() | st.builds(Pages, first=nonempty_json_text, last=optional_json_text),
-    year=st.none() | st.integers(MIN_YEAR, MAX_YEAR),
-    publisher=optional_json_text,
-    doi=st.none() | doi_texts().map(parse_doi),
-    bibcode=st.none() | accepted_bibcodes().map(Bibcode),
-)
 json_entries = st.builds(
     RefEntry,
     records=st.lists(json_records, min_size=1, max_size=3),
@@ -174,12 +137,6 @@ def bibtex_author_by_one_search(author: AuthorName) -> str:
         if AND_WORD.search(given):
             given = "{" + given + "}"
     return f"{surname}, {given}" if author.given_names else "{" + surname + "}"
-
-
-def entry_from_dict(d: dict) -> RefEntry:
-    """The entry whose ``render_json`` body ``json.loads`` reads as ``d``."""
-    return RefEntry([record_from_row(row_from_dict(r)) for r in d["records"]], d.get("note"),
-                    d.get("global_id"))
 
 
 def json_object(entry: RefEntry) -> dict:

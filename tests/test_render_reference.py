@@ -30,8 +30,7 @@ from refs.render import (
     render_format,
 )
 
-from test_render import json_records, json_text
-from test_store import records_strategy
+from strategies import json_records, json_text
 
 
 def reference_initials(author: AuthorName) -> list[str]:
@@ -217,7 +216,6 @@ REFERENCE = {
     RenderFormat.JSON: reference_render_json,
 }
 
-records = json_records | records_strategy
 notes = st.none() | json_text
 global_ids = st.none() | st.integers(1, 10**12)
 
@@ -237,11 +235,11 @@ def assert_every_format_matches(entry: RefEntry) -> None:
 
 
 class TestRenderersMatchTheReference:
-    @given(records, notes, global_ids)
+    @given(json_records, notes, global_ids)
     def test_one_record(self, record, note, global_id):
         assert_every_format_matches(RefEntry([record], note, global_id))
 
-    @given(st.lists(records, min_size=2, max_size=3), notes, global_ids)
+    @given(st.lists(json_records, min_size=2, max_size=3), notes, global_ids)
     def test_two_or_three_records(self, entry_records, note, global_id):
         assert_every_format_matches(RefEntry(entry_records, note, global_id))
 

@@ -53,8 +53,8 @@ from refs.resolvers import (
 )
 
 from conftest import FIXTURE_DIR
-from test_cli import NODE_CHANGES, RECORDED_ANSWERS, node_paths, with_node
-from test_identifiers import accepted_dois
+from recorded import NODE_CHANGES, RECORDED_ANSWERS, node_paths, with_node
+from strategies import accepted_dois
 
 HITRAN_DOI = parse_doi("10.1016/j.jqsrt.2017.06.038")
 HITRAN_BIB = parse_bibcode("2017JQSRT.203....3G")
@@ -610,6 +610,10 @@ class TestCslToRecord:
     def test_single_page_without_dash(self):
         record = csl_to_record({"DOI": "10.1000/x", "title": "T", "page": "7"})
         assert (record.pages.first, record.pages.last) == ("7", None)
+
+    def test_a_document_with_no_doi_is_refused(self):
+        with pytest.raises(UnusableMetadataError, match="^citation JSON carries no DOI$"):
+            csl_to_record({"title": "T", "author": [{"family": "Gordon"}]})
 
     def test_missing_author_and_title_rejected(self):
         with pytest.raises(UnusableMetadataError):

@@ -27,7 +27,6 @@ from hypothesis import example, given, settings, strategies as st
 import refs
 from refs import (
     AuthorName,
-    Bibcode,
     BibRecord,
     CrossRefConflictError,
     DuplicateEntryError,
@@ -37,7 +36,6 @@ from refs import (
     RefsError,
     RefStore,
     RenderFormat,
-    SourceType,
     StoreError,
     UnrenderableError,
     make_author,
@@ -51,42 +49,26 @@ from refs import fileio
 from refs.cli import EXIT_STORE, main as cli_main
 from refs.errors import MODEL_REFUSALS
 from refs.migrations import row_from_dict
-from refs.model import (
-    MAX_YEAR,
-    MIN_YEAR,
-    entry_label,
-    record_from_row,
-    record_to_row,
-)
+from refs.model import entry_label, record_from_row, record_to_row
 from refs.render import render_format
 from refs.store import BIB_BUNDLE_NAME, HTML_BUNDLE_NAME, SCHEMA_VERSION
 
 from conftest import GOLDEN_DIR, unsynced
 from corpus import build_corpus_entries
 from stored_forms import v4_record
-from test_identifiers import accepted_bibcodes, doi_texts
-from test_render import json_records, json_text, nonempty_json_text
+from strategies import json_records, json_text, nonempty_json_text
 
 
 optional_text = st.none() | st.text(max_size=20)
-records_strategy = st.builds(
-    BibRecord,
-    title=st.text(max_size=40),
-    authors=st.lists(st.builds(
-        AuthorName,
-        given_names=st.lists(st.text(min_size=1, max_size=8), max_size=3).map(tuple),
-        surname=st.text(min_size=1, max_size=15).filter(str.strip),
-    ), max_size=3),
-    source_type=st.sampled_from(SourceType),
-    journal=optional_text,
-    volume=optional_text,
-    number=optional_text,
-    pages=st.none() | st.builds(Pages, first=st.text(min_size=1, max_size=6), last=optional_text),
-    year=st.none() | st.integers(MIN_YEAR, MAX_YEAR),
-    publisher=optional_text,
-    doi=st.none() | doi_texts().map(parse_doi),
-    bibcode=st.none() | accepted_bibcodes().map(Bibcode),
-)
+
+
+def storable(text: str) -> str:
+    """``text`` with each lone surrogate, which SQLite's UTF-8 cannot hold, as U+FFFD."""
+    return re.sub("[\ud800-\udfff]", "\ufffd", text)
+
+
+storable_records = json_records.map(lambda record: record_from_row(row_from_dict(json.loads(
+    storable(json.dumps(v4_record(record), ensure_ascii=False))))))
 
 
 def record(doi: str, title: str = "A title", year: int = 2000) -> BibRecord:
@@ -188,7 +170,7 @@ class TestRetrieval:
         assert loaded.global_id == gid
 
     @settings(max_examples=60, deadline=None)
-    @given(entries=st.lists(st.tuples(st.lists(records_strategy, min_size=1, max_size=4),
+    @given(entries=st.lists(st.tuples(st.lists(storable_records, min_size=1, max_size=4),
                                       optional_text), min_size=1, max_size=3))
     def test_add_then_get_roundtrips_arbitrary_records(self, entries):
         with RefStore(":memory:") as store:
@@ -204,7 +186,7 @@ class TestRetrieval:
             assert [(e.records, e.note) for e in store.list_entries()] == list(stored.values())
 
     @settings(max_examples=40, deadline=None)
-    @given(entries=st.lists(st.lists(records_strategy, min_size=1, max_size=2),
+    @given(entries=st.lists(st.lists(storable_records, min_size=1, max_size=2),
                             min_size=1, max_size=4))
     @example(entries=[[BibRecord(title="\x00")], [BibRecord(title="a\x00b")],
                       [BibRecord(title="a\\u0000b")],
@@ -292,7 +274,7 @@ class TestRowDecode:
     """A row's records are read by one strict scan: only text as ``_row`` writes it decodes."""
 
     @settings(max_examples=60, deadline=None)
-    @given(records=st.lists(records_strategy, min_size=1, max_size=3), note=optional_text)
+    @given(records=st.lists(json_records, min_size=1, max_size=3), note=optional_text)
     def test_a_row_as_written_decodes_as_json_loads_read_it(self, records, note):
         records_json = refs.store._row(RefEntry(records, note, 7), 0, None)[5]
         assert (refs.store._entry_from_row(7, note, records_json)
@@ -570,7 +552,7 @@ class TestStoredTexts:
         assert bodies == (GOLDEN_DIR / "html_corpus.html").read_text(encoding="utf-8")
 
     @settings(max_examples=60, deadline=None)
-    @given(entries=st.lists(st.tuples(st.lists(records_strategy, min_size=1, max_size=3),
+    @given(entries=st.lists(st.tuples(st.lists(storable_records, min_size=1, max_size=3),
                                       optional_text), min_size=1, max_size=3))
     def test_stored_texts_equal_a_fresh_render(self, entries):
         with RefStore(":memory:") as store:
@@ -1858,6 +1840,19 @@ class TestMigration:
                                            f" {SCHEMA_VERSION}: the id_sequence table is empty\n")
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    def test_a_cross_reference_to_no_entry_exits_3_and_leaves_the_file(self, tmp_path, capsys,
+                                                                        version):
+        path = tmp_path / f"v{version}.db"
+        write_old_store(version, path, self.v1_entries(),
+                        crossrefs=[("H2O", "nu", 1, 1), ("CO2", "nu", 7, 99)])
+        before = path.read_bytes()
+        assert cli_main(["list", "--db", str(path)]) == EXIT_STORE
+        assert capsys.readouterr() == ("", f"refs: cannot migrate to schema version"
+                                           f" {SCHEMA_VERSION}: dangling references"
+                                           " [('crossrefs', 2, 'entries', 0)]\n")
+        assert path.read_bytes() == before
+
     def test_a_failed_migration_closes_its_reader_before_the_connection(self, tmp_path,
                                                                          monkeypatch):
         """A reader left open would be closed by the garbage collector, after the file's
@@ -1948,13 +1943,6 @@ def literal_texts() -> list[tuple[str, str]]:
 CROSSREF_KEYS = list(itertools.product(["H2O", "CO2"], ["nu", "A"], range(3)))
 
 
-def storable(text: str) -> str:
-    """``text`` with each lone surrogate, which SQLite's UTF-8 cannot hold, as U+FFFD."""
-    return re.sub("[\ud800-\udfff]", "\ufffd", text)
-
-
-storable_records = json_records.map(lambda record: record_from_row(row_from_dict(json.loads(
-    storable(json.dumps(v4_record(record), ensure_ascii=False))))))
 storable_notes = st.none() | json_text.map(storable)
 
 

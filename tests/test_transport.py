@@ -8,7 +8,6 @@ import json
 import os
 import re
 import zlib
-from typing import NamedTuple
 
 import pytest
 
@@ -27,14 +26,8 @@ from refs import (
 from refs.errors import TransportTimeoutError
 from refs.transport import LiveTransport, _archive_entries, write_archive
 
-from conftest import CountingTransport
-
-
-def entry(url, body="ok", method="GET", accept="", status=200):
-    return {
-        "request": {"method": method, "url": url, "accept": accept},
-        "response": {"status": status, "headers": {}, "body": body},
-    }
+from conftest import exchange
+from fakes import MALFORMED_ARCHIVES, MALFORMED_EXCHANGES, FakeNetwork, FakeResponse, header
 
 
 class TestHttpRequest:
@@ -69,7 +62,7 @@ class TestHttpResponseJson:
 
 class TestFixtureTransport:
     def test_playback_is_deterministic(self):
-        t = FixtureTransport([entry("https://x.test/a", body="payload")])
+        t = FixtureTransport([exchange("https://x.test/a", "payload")])
         req = HttpRequest("GET", "https://x.test/a")
         assert t.execute(req).text() == "payload"
         assert t.execute(req).text() == "payload"
@@ -82,8 +75,8 @@ class TestFixtureTransport:
     def test_keyed_on_accept_header(self):
         t = FixtureTransport(
             [
-                entry("https://x.test/a", body="json", accept="application/json"),
-                entry("https://x.test/a", body="bib", accept="application/x-bibtex"),
+                exchange("https://x.test/a", "json", accept="application/json"),
+                exchange("https://x.test/a", "bib", accept="application/x-bibtex"),
             ]
         )
         assert t.execute(
@@ -94,13 +87,15 @@ class TestFixtureTransport:
         ).text() == "bib"
 
     def test_the_first_recording_of_a_key_replays(self):
-        first, second = entry("https://x.test/p", body="one"), entry("https://x.test/p", body="two")
+        first, second = exchange("https://x.test/p", "one"), exchange("https://x.test/p", "two")
         first["request"]["body"] = '{"n": 1}'  # a request body in an archive is not read
         t = FixtureTransport([first, second])
         assert t.execute(HttpRequest("GET", "https://x.test/p")).text() == "one"
 
     def test_a_recorded_post_loads_and_never_replays(self):
-        t = FixtureTransport([entry("https://x.test/p", method="POST")])
+        post = exchange("https://x.test/p", "ok")
+        post["request"]["method"] = "POST"
+        t = FixtureTransport([post])
         with pytest.raises(FixtureMissingError, match="no fixture for GET https://x.test/p"):
             t.execute(HttpRequest("GET", "https://x.test/p"))
 
@@ -149,11 +144,12 @@ class TestWriteArchive:
 
     def test_existing_entries_come_first_as_they_were(self, tmp_path):
         archive = tmp_path / "recorded.json"
-        kept = [entry("https://x.test/1", body="old", accept="text/plain")]
-        kept[0]["response"]["headers"] = {"X-Kept": "as read"}  # only new exchanges are filtered
+        # Only new exchanges have their headers filtered.
+        kept = [exchange("https://x.test/1", "old", accept="text/plain",
+                         headers={"X-Kept": "as read"})]
         write_archive(archive, kept, _echoed("https://x.test/2"))
         entries = json.loads(archive.read_text(encoding="utf-8"))["entries"]
-        assert entries == [*kept, entry("https://x.test/2", body="https://x.test/2")]
+        assert entries == [*kept, exchange("https://x.test/2", "https://x.test/2")]
 
     def test_only_recorded_headers_are_kept_and_a_body_decodes_with_replacement(self, tmp_path):
         archive = tmp_path / "recorded.json"
@@ -167,15 +163,6 @@ class TestWriteArchive:
         assert "Jäger" in text and text.startswith('{\n  "entries": [\n    {\n')
 
 
-# A file in a fixture directory that is not an archive: not JSON, JSON nested
-# past the recursion limit, or no "entries".
-MALFORMED_ARCHIVES = pytest.mark.parametrize("text, cause", [
-    ("not json", "JSONDecodeError"),
-    ('{"entries": ' + "[" * 100_000, "RecursionError"),
-    ('{"items": []}', "KeyError('entries')"),
-], ids=["not-json", "nested", "no-entries"])
-
-
 class TestMalformedArchive:
     @MALFORMED_ARCHIVES
     def test_loading_it_names_the_file(self, tmp_path, text, cause):
@@ -185,39 +172,12 @@ class TestMalformedArchive:
             FixtureTransport.from_dir(tmp_path)
 
 
-def _reshaped(change):
-    """A well-formed exchange with one change applied to it."""
-    exchange = entry("https://x.test/a")
-    change(exchange)
-    return exchange
-
-
-# One exchange that playback could not read, and the problem its refusal names.
-MALFORMED_EXCHANGES = pytest.mark.parametrize("exchange, problem", [
-    ("x", "a str, not an object"),
-    (_reshaped(lambda e: e.pop("request")), "no request object"),
-    (_reshaped(lambda e: e["request"].pop("url")), "no request url"),
-    (_reshaped(lambda e: e.pop("response")), "no response object"),
-    (_reshaped(lambda e: e["response"].update(status="200")), "no integer response status"),
-    (_reshaped(lambda e: e["response"].update(status=True)), "no integer response status"),
-    (_reshaped(lambda e: e["response"].update(headers=[])), "response headers are not an object"),
-    (_reshaped(lambda e: e["request"].update(method=1)), "the request method is not text"),
-    (_reshaped(lambda e: e["request"].update(accept=None)), "the request accept is not text"),
-    (_reshaped(lambda e: e["response"].update(body=None)), "the response body is not text"),
-    (_reshaped(lambda e: e["response"].update(body="\ud800 ok")),
-     "the response body holds a lone surrogate, which UTF-8 cannot encode"),
-    (_reshaped(lambda e: e["request"].update(url="https://x.test/\udcff")),
-     "the request url holds a lone surrogate, which UTF-8 cannot encode"),
-], ids=["not-an-object", "no-request", "no-url", "no-response", "text-status", "bool-status",
-        "list-headers", "int-method", "null-accept", "null-response-body", "surrogate-body",
-        "surrogate-url"])
-
-
 class TestMalformedExchange:
     @MALFORMED_EXCHANGES
-    def test_loading_it_names_the_file_and_entry(self, tmp_path, exchange, problem):
+    def test_loading_it_names_the_file_and_entry(self, tmp_path, malformed, problem):
         archive = tmp_path / "bad.json"
-        archive.write_text(json.dumps({"entries": [entry("https://x.test/ok"), exchange]}))
+        archive.write_text(json.dumps({"entries": [exchange("https://x.test/ok", "ok"),
+                                                   malformed]}))
         with pytest.raises(FixtureMissingError) as caught:
             FixtureTransport.from_dir(tmp_path)
         assert str(caught.value) == f"{archive} entry 1 is not a recorded exchange: {problem}"
@@ -228,80 +188,14 @@ class TestMalformedExchange:
             FixtureTransport.from_dir(tmp_path)
 
     def test_optional_members_may_be_left_out_and_a_request_body_is_not_read(self, tmp_path):
-        exchange = {"request": {"url": "https://x.test/a", "body": [1]}, "response": {"status": 204}}
-        (tmp_path / "sparse.json").write_text(json.dumps({"entries": [exchange]}))
+        sparse = {"request": {"url": "https://x.test/a", "body": [1]}, "response": {"status": 204}}
+        (tmp_path / "sparse.json").write_text(json.dumps({"entries": [sparse]}))
         response = FixtureTransport.from_dir(tmp_path).execute(HttpRequest("GET", "https://x.test/a"))
         assert (response.status, response.headers, response.body) == (204, {}, b"")
 
 
-class FakeResponse:
-    """The part of http.client.HTTPResponse that LiveTransport reads."""
-
-    def __init__(self, status=200, headers=(), body=b"", will_close=False):
-        self.status, self.headers, self.body, self.will_close = status, list(headers), body, will_close
-
-    def getheader(self, name, default=None):
-        values = [v for k, v in self.headers if k.lower() == name.lower()]
-        return ", ".join(values) if values else default
-
-    def getheaders(self):
-        return list(self.headers)
-
-    def read(self):
-        return self.body
-
-
-class Sent(NamedTuple):
-    conn: "FakeConnection"
-    method: str
-    target: str
-    body: bytes | None
-    headers: dict[str, str]
-
-
-class FakeConnection:
-    """One connection to one origin; each request is answered by its network."""
-
-    def __init__(self, network, scheme, netloc, timeout):
-        self.network, self.scheme, self.netloc, self.timeout = network, scheme, netloc, timeout
-        self.sent: list[Sent] = []
-        self.closed = False
-
-    def request(self, method, target, body=None, headers=None):
-        assert not self.closed, "a closed connection was used again"
-        self.sent.append(Sent(self, method, target, body, dict(headers or {})))
-        self.network.sent.append(self.sent[-1])
-
-    def getresponse(self):
-        return self.network.answer(self.sent[-1])
-
-    def close(self):
-        self.closed = True
-
-
-class FakeNetwork:
-    """Stands in for ``transport._connect``: no socket is opened.
-
-    ``answer(sent)`` returns the FakeResponse to one request, or raises what
-    the connection would. ``connections`` and ``sent`` keep everything made.
-    """
-
-    def __init__(self, answer=None):
-        self.answer = answer or (lambda sent: FakeResponse(body=b"ok"))
-        self.connections: list[FakeConnection] = []
-        self.sent: list[Sent] = []
-
-    def __call__(self, scheme, netloc, timeout):
-        self.connections.append(FakeConnection(self, scheme, netloc, timeout))
-        return self.connections[-1]
-
-
 def redirect(status, location):
     return FakeResponse(status, [("Location", location)])
-
-
-def header(sent, name):
-    return next((v for k, v in sent.headers.items() if k.lower() == name.lower()), None)
 
 
 @pytest.fixture()
