@@ -43,14 +43,14 @@ What holds when several processes share one database file:
   turns on SQLite's write lock and each add, delete or cross-reference is
   all or nothing. A writer waits up to five seconds for the lock.
 - A handle's first add, delete or cross-reference puts the file in WAL
-  mode, and it stays there. Opening, creating the schema and migrating
-  run before that under a rollback journal truncated at each commit, so
-  a read-only use leaves the file's bytes as they were. Under WAL each
-  commit syncs the WAL and is then checkpointed, so the database file
-  alone holds every committed entry unless another handle still reads
-  an older snapshot. The switch removes the zero-length ``-journal``
-  file the rollback journal left; the ``-wal`` and ``-shm`` files exist
-  only while a handle is open, and the last handle to close removes them.
+  mode, and it stays there. Opening and migrating run before that under
+  a rollback journal truncated at each commit, so a read-only use leaves
+  the file's bytes as they were. Under WAL each commit syncs the WAL and
+  is then checkpointed, so the database file alone holds every committed
+  entry unless another handle still reads an older snapshot. The switch
+  removes the zero-length ``-journal`` file the rollback journal left;
+  the ``-wal`` and ``-shm`` files exist only while a handle is open, and
+  the last handle to close removes them.
 - IDs are handed out in increasing order, each to exactly one entry.
 - At most one live entry holds a given DOI set. An add first reads the
   DOI set through the live-DOI-set index and, on a hit, raises
@@ -76,8 +76,12 @@ may see another thread's write on the same handle before that write
 commits. SQLite refuses to switch a connection to WAL while one of its
 reads is in progress, so a first write beside another thread's read
 commits under the rollback journal, and a later write switches the
-file. Opening an empty file creates the current schema, and opening
-an older one migrates it in place, in one transaction. Any other file at
+file. Opening an empty file writes nothing. The first write transaction
+of a handle on it creates the current schema before that write's row,
+and a refused write rolls the schema back with it. Until that write
+commits, a read that finds no table answers as an empty store does,
+and one that finds the schema another handle wrote reads it. Opening an
+older file migrates it in place, in one transaction. Any other file at
 schema version 0, another program's database say, is refused with
 StoreError and left as it was. ``refs.migrations.migrate`` reads the
 older file's entries and writes them as an add would, through
@@ -104,6 +108,7 @@ from .errors import (
     MissingEntryError,
     StoreError,
     UnrenderableError,
+    UnusableMetadataError,
 )
 from .fileio import replace_files
 from .formats import RenderedCitation, RenderFormat
@@ -205,13 +210,18 @@ class RefStore:
                 self._use_wal()
             else:
                 # Until the first write: a rollback journal, truncated rather than
-                # deleted at each commit, so opening, creating the schema and
-                # migrating cost one file operation fewer per commit, and a read
-                # leaves the file as it was.
+                # deleted at each commit, so migrating costs one file operation
+                # fewer per commit, and a read leaves the file as it was.
                 self._conn.execute("PRAGMA journal_mode = TRUNCATE")
                 self._conn.execute("PRAGMA synchronous = NORMAL")
-            if self._user_version() != SCHEMA_VERSION:
-                self._upgrade()
+            version = self._user_version()
+            # True until this handle's first write commits, if the file holds nothing:
+            # that write creates the schema (_transaction), and reads answer as an
+            # empty store does (_read).
+            self._unwritten = version == 0 and self._holds_no_table()
+            if version != SCHEMA_VERSION and not self._unwritten:
+                with self._transaction():
+                    self._upgrade()
             # Only now: a migration rebuilds tables with foreign keys off.
             self._conn.execute("PRAGMA foreign_keys = ON")
         except BaseException:
@@ -221,33 +231,37 @@ class RefStore:
     def _user_version(self) -> int:
         return self._conn.execute("PRAGMA user_version").fetchone()[0]
 
-    def _upgrade(self) -> None:
-        """Create the schema in an empty file or migrate an older one; refuse any other."""
-        with self._transaction() as conn:
-            # Read again under the write lock: another process may have done it.
-            version = self._user_version()
-            if version == SCHEMA_VERSION:
-                return
-            if version == 0 and not conn.execute("SELECT 1 FROM sqlite_master").fetchone():
-                for statement in _SCHEMA:
-                    conn.execute(statement)
-            elif 1 <= version < SCHEMA_VERSION:
-                from .migrations import migrate
+    def _holds_no_table(self) -> bool:
+        return not self._conn.execute("SELECT 1 FROM sqlite_master").fetchone()
 
-                migrate(conn, version)
-            else:
-                raise StoreError(
-                    f"{self.path} carries schema version {version}, expected {SCHEMA_VERSION}"
-                )
-            conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+    def _upgrade(self) -> None:
+        """In the transaction under way: create the schema in an empty file or migrate an
+        older one; refuse any other."""
+        # Read again under the write lock: another process may have done it.
+        version = self._user_version()
+        if version == SCHEMA_VERSION:
+            return
+        if version == 0 and self._holds_no_table():
+            for statement in _SCHEMA:
+                self._conn.execute(statement)
+        elif 1 <= version < SCHEMA_VERSION:
+            from .migrations import migrate
+
+            migrate(self._conn, version)
+        else:
+            raise StoreError(
+                f"{self.path} carries schema version {version}, expected {SCHEMA_VERSION}"
+            )
+        self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
     def _use_wal(self) -> None:
         """Put the file in WAL mode, syncing each commit and then checkpointing it.
 
         Switching is a no-op on a file already in WAL mode, another handle's
         doing, say. The checkpoint after every commit copies the commit into
-        the database file, which then holds every entry on its own, and keeps
-        a commit at two syncs: the WAL's, then the database's.
+        the database file, which then holds every entry on its own. On Linux
+        a commit then costs four ``fdatasync`` calls, three of the WAL and one
+        of the database file.
         """
         self._conn.execute("PRAGMA journal_mode = WAL")
         self._conn.execute("PRAGMA synchronous = FULL")
@@ -259,7 +273,8 @@ class RefStore:
                      write: bool = False) -> Iterator[sqlite3.Connection]:
         """One transaction on the shared connection; rolled back if anything raises.
 
-        The handle's first ``write`` transaction puts the file in WAL mode.
+        The handle's first ``write`` transaction puts the file in WAL mode,
+        and on a file that holds nothing creates the schema first.
         """
         with self._lock:
             if write and not self._wal:
@@ -272,12 +287,29 @@ class RefStore:
                     pass
             self._conn.execute(begin)
             try:
+                if write and self._unwritten:
+                    self._upgrade()
                 yield self._conn
                 self._conn.execute("COMMIT")
             except BaseException:
                 if self._conn.in_transaction:
                     self._conn.execute("ROLLBACK")
                 raise
+            if write:
+                # Only once committed: a rolled-back schema leaves the file empty again.
+                self._unwritten = False
+
+    def _read(self, sql: str, params: tuple = ()) -> sqlite3.Cursor:
+        """The rows of one read; none, as from an empty store, while the file has no schema."""
+        try:
+            return self._conn.execute(sql, params)
+        except sqlite3.OperationalError:
+            if not self._unwritten:
+                raise
+            if self._holds_no_table():
+                return self._conn.cursor()  # a cursor that ran nothing yields no row
+            # Another handle created the schema since this read was prepared.
+            return self._conn.execute(sql, params)
 
     def close(self) -> None:
         self._conn.close()
@@ -302,7 +334,9 @@ class RefStore:
         Raises DuplicateEntryError when another live entry holds the exact
         same set of DOIs; entries without any DOI are never deduplicated.
         Raises TypeError, storing nothing, when a field holds a type that
-        ``model.record_from_row`` refuses.
+        ``model.record_from_row`` refuses, and UnusableMetadataError naming
+        the field, before the file is touched, when a text holds a lone
+        surrogate, which SQLite cannot store.
         """
         if not records:
             raise ValueError("an entry needs at least one record")
@@ -313,8 +347,10 @@ class RefStore:
             existing = self.find_entry_by_dois(dois)
         if existing is not None:
             raise _duplicate(existing)
-        for r in records:  # stored only if get_entry reads it back: the decoder's type rule
-            model.record_from_row(model.record_to_row(r))
+        rows = [model.record_to_row(r) for r in records]
+        for row in rows:  # stored only if get_entry reads it back: the decoder's type rule
+            model.record_from_row(row)
+        _refuse_lone_surrogates(rows, note, bibtex)
         with self._transaction(write=True) as conn:
             # The HTML labels each line with the ID, so take the one AUTOINCREMENT would.
             (gid,) = conn.execute(
@@ -364,7 +400,7 @@ class RefStore:
         if (doi_set := _doi_set(dois)) is None:
             return None
         # Served by the live_doi_set index, whose condition this repeats.
-        row = self._conn.execute(
+        row = self._read(
             "SELECT global_id FROM entries WHERE doi_set = ? AND deleted = 0", (doi_set,)
         ).fetchone()
         return row[0] if row else None
@@ -372,13 +408,13 @@ class RefStore:
     def get_entry_by_dois(self, dois: Iterable[Doi]) -> tuple[RefEntry, str] | None:
         """The live entry holding exactly these DOIs and its stored BibTeX, by one indexed
         SELECT; None if there is none, as for no DOIs, whose NULL key equals nothing."""
-        row = self._conn.execute(
+        row = self._read(
             "SELECT global_id, note, records, bibtex FROM entries"
             " WHERE doi_set = ? AND deleted = 0", (_doi_set(dois),)).fetchone()
         return None if row is None else (_entry_from_row(*row[:3]), row[3])
 
     def get_entry(self, global_id: int) -> RefEntry:
-        row = self._conn.execute(_SELECT_ENTRY, (global_id,)).fetchone()
+        row = self._read(_SELECT_ENTRY, (global_id,)).fetchone()
         if row is None:
             raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
         return _entry_from_row(global_id, *row)
@@ -391,7 +427,7 @@ class RefStore:
         unknown or deleted ID.
         """
         if fmt in _SELECT_TEXT:
-            row = self._conn.execute(_SELECT_TEXT[fmt], (global_id,)).fetchone()
+            row = self._read(_SELECT_TEXT[fmt], (global_id,)).fetchone()
             if row is None:
                 raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
             if row[0] is None:  # a NULL HTML column: no record of the entry renders
@@ -452,7 +488,7 @@ class RefStore:
     def _bundle_rows(self, ids: list[int]) -> Iterator[tuple[str, str]]:
         """(HTML, BibTeX) chunks for the bundle: the stored texts of these live IDs, in order."""
         yield _HTML_HEAD, ""
-        rows = self._conn.execute("SELECT global_id, html, bibtex" + _FROM_LIVE_IDS, (json.dumps(ids),))
+        rows = self._read("SELECT global_id, html, bibtex" + _FROM_LIVE_IDS, (json.dumps(ids),))
         wanted = iter(ids)
         missing: list[int] = []
         unrenderable = False
@@ -485,7 +521,7 @@ class RefStore:
         a caller that kept only the IDs would keep all of that memory
         allocated.
         """
-        rows = self._conn.execute("SELECT global_id, note, records" + _FROM_LIVE_IDS, (json.dumps(ids),))
+        rows = self._read("SELECT global_id, note, records" + _FROM_LIVE_IDS, (json.dumps(ids),))
         wanted = iter(ids)
         try:
             for row_id, note, records_json in rows:
@@ -497,8 +533,8 @@ class RefStore:
     def _select_live(self, select: str, scope: str | None) -> sqlite3.Cursor:
         """Run ``select`` (from ``entries e``) over live entries by ID, maybe only a scope's."""
         if scope is None:
-            return self._conn.execute(select + " WHERE e.deleted = 0 ORDER BY e.global_id")
-        return self._conn.execute(
+            return self._read(select + " WHERE e.deleted = 0 ORDER BY e.global_id")
+        return self._read(
             select + " WHERE e.deleted = 0 AND e.global_id IN"
             " (SELECT global_id FROM crossrefs WHERE dataset_scope = ?)"
             " ORDER BY e.global_id",
@@ -507,13 +543,13 @@ class RefStore:
 
     def _crossref_target(self, scope: str, parameter: str, local_id: int) -> int | None:
         """The global ID this cross-reference key maps onto, or None."""
-        row = self._conn.execute(
+        row = self._read(
             "SELECT global_id FROM crossrefs WHERE dataset_scope = ? AND parameter = ?"
             " AND local_id = ?", (scope, parameter, local_id)).fetchone()
         return None if row is None else row[0]
 
     def _entry_exists(self, global_id: int) -> bool:
-        row = self._conn.execute(
+        row = self._read(
             "SELECT 1 FROM entries WHERE global_id = ? AND deleted = 0", (global_id,)
         ).fetchone()
         return row is not None
@@ -530,6 +566,29 @@ def check_crossref_key(scope: str, parameter: str, local_id: int, global_id: int
         raise ValueError(f"local_id must be >= 0, got {local_id}")
     if global_id < 1:
         raise ValueError(f"global_id must be >= 1, got {global_id}")
+
+
+# The JSON of a records column: compact, text as it is. One encoder, not one per call.
+_compact_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+
+def _refuse_lone_surrogates(rows: list[list], note: str | None, bibtex: str | None) -> None:
+    """Refuse with UnusableMetadataError, naming the field, an entry's text that UTF-8
+    cannot encode: one that holds a lone surrogate, which SQLite cannot store."""
+    try:
+        _compact_json([rows, note, bibtex]).encode("utf-8")
+        return
+    except UnicodeEncodeError:
+        pass
+    # A row holds the record's fields in constructor order, as its slots are named.
+    fields = [(f"{field} of record {i}", value) for i, row in enumerate(rows, 1)
+              for field, value in zip(model.BibRecord.__slots__, row)]
+    for name, value in fields + [("note", note), ("BibTeX", bibtex)]:
+        try:
+            _compact_json(value).encode("utf-8")
+        except UnicodeEncodeError:
+            raise UnusableMetadataError(
+                f"the {name} holds a lone surrogate, which UTF-8 cannot encode") from None
 
 
 def _duplicate(existing: int) -> DuplicateEntryError:
@@ -556,8 +615,7 @@ def _row(entry: RefEntry, deleted: int, bibtex: str | None) -> tuple:
         html = None
     return (entry.global_id, _doi_set(r.doi for r in records), deleted, entry.note,
             model.entry_label(records),
-            json.dumps([model.record_to_row(r) for r in records], ensure_ascii=False,
-                       separators=(",", ":")),
+            _compact_json([model.record_to_row(r) for r in records]),
             html, render.render_bibtex(entry).body if bibtex is None else bibtex,
             bibtex is not None)
 

@@ -6,6 +6,7 @@ import ast
 import errno
 import gc
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -38,6 +39,7 @@ from refs import (
     RenderFormat,
     StoreError,
     UnrenderableError,
+    UnusableMetadataError,
     make_author,
     parse_bibcode,
     parse_doi,
@@ -158,6 +160,40 @@ class TestAddEntry:
         assert store.path.read_bytes() == before
         assert store.live_ids() == []
         assert store.add_entry([record("10.1000/a"), record("10.1000/x")]) == 1
+
+    # SQLite's UTF-8 cannot hold a lone surrogate, and the INSERT that meets one raises a
+    # bare UnicodeEncodeError only once the write has switched the file to WAL.
+    @pytest.mark.parametrize("where, name", [
+        ("title", "title of record 2"), ("surname", "authors of record 2"),
+        ("journal", "journal of record 2"), ("note", "note"), ("bibtex", "BibTeX"),
+    ])
+    def test_a_lone_surrogate_is_refused_naming_the_field_before_the_file_is_touched(
+            self, tmp_path, where, name):
+        refused, note, bibtex = record("10.1000/x"), None, None
+        if where == "surname":
+            refused.authors = [make_author("A.", "Au\udc80thor")]
+        elif where in ("title", "journal"):
+            setattr(refused, where, "A \ud800 text")
+        elif where == "note":
+            note = "A \ud800 note"
+        else:
+            bibtex = "@misc{k, title={\udfff}}"
+        message = f"the {name} holds a lone surrogate, which UTF-8 cannot encode"
+        written, unwritten = tmp_path / "written", tmp_path / "unwritten"
+        written.mkdir()
+        unwritten.mkdir()
+        with RefStore(written / "refs.db") as store, unsynced(store):
+            store.add_entry([record("10.1000/first")])
+        before = (written / "refs.db").read_bytes()
+        for db in (written / "refs.db", unwritten / "refs.db"):
+            with RefStore(db) as store:
+                with pytest.raises(UnusableMetadataError) as raised:
+                    store.add_entry([record("10.1000/a"), refused], note=note, bibtex=bibtex)
+                assert str(raised.value) == message
+                assert journal_settings(store)[0] == "truncate"  # no write began: still rollback
+            assert [p.name for p in db.parent.iterdir()] == ["refs.db"]
+        assert (written / "refs.db").read_bytes() == before
+        assert (unwritten / "refs.db").read_bytes() == b""
 
 
 class TestRetrieval:
@@ -839,6 +875,72 @@ class TestPersistence:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["foreign.db"]
 
 
+# Stands for the directory a read writes to: a bundle export's.
+OUT_DIR = object()
+
+# Every public read of RefStore, each with its arguments.
+UNWRITTEN_READS = [
+    pytest.param("get_entry", (1,), id="get_entry"),
+    *[pytest.param("get_rendered", (1, fmt), id=f"get_rendered-{fmt.value}")
+      for fmt in RenderFormat],
+    pytest.param("get_entry_by_dois", ([parse_doi("10.1000/a")],), id="get_entry_by_dois"),
+    pytest.param("find_entry_by_dois", ([parse_doi("10.1000/a")],), id="find_entry_by_dois"),
+    *[pytest.param(read, scope, id=f"{read}-{scope[0] if scope else 'all'}")
+      for read in ("list_entries", "live_ids", "list_labels") for scope in ((), ("H2O",))],
+    pytest.param("lookup_crossref", ("H2O", "nu", 1), id="lookup_crossref"),
+    pytest.param("export_bundle", ([1], OUT_DIR), id="export_bundle-ids"),
+    pytest.param("export_bundle", (None, OUT_DIR), id="export_bundle-all"),
+]
+
+
+def answer(store: RefStore, read: str, args: tuple, out: Path):
+    """What a read returns, or the class, message and missing keys of what it raises."""
+    try:
+        return getattr(store, read)(*(out if arg is OUT_DIR else arg for arg in args))
+    except RefsError as exc:
+        return type(exc), str(exc), getattr(exc, "missing", None)
+
+
+class TestUnwrittenFile:
+    """A store file that no write has given its schema yet."""
+
+    def test_every_public_read_is_in_the_list(self):
+        writes = {"add_entry", "delete_entry", "attach_crossref", "close"}
+        public = {name for name, _ in inspect.getmembers(RefStore, inspect.isfunction)
+                  if not name.startswith("_")}
+        assert public - writes == {param.values[0] for param in UNWRITTEN_READS}
+
+    @pytest.mark.parametrize("read, args", UNWRITTEN_READS)
+    def test_a_read_answers_as_an_empty_store_and_writes_nothing(self, tmp_path, read, args):
+        for name in ("unwritten", "empty", "out-unwritten", "out-empty"):
+            (tmp_path / name).mkdir()
+        with RefStore(tmp_path / "empty" / "refs.db") as store:
+            with store._transaction(write=True):  # the schema, and no entry
+                pass
+            expected = answer(store, read, args, tmp_path / "out-empty")
+        with RefStore(tmp_path / "unwritten" / "refs.db") as store:
+            assert answer(store, read, args, tmp_path / "out-unwritten") == expected
+        assert [p.name for p in (tmp_path / "unwritten").iterdir()] == ["refs.db"]
+        assert (tmp_path / "unwritten" / "refs.db").read_bytes() == b""
+        assert sorted(p.name for p in (tmp_path / "out-unwritten").iterdir()) == sorted(
+            p.name for p in (tmp_path / "out-empty").iterdir())
+
+    @pytest.mark.parametrize("write", [
+        lambda store: store.delete_entry(1),
+        lambda store: store.attach_crossref("H2O", "nu", 1, 1),
+        lambda store: store.attach_crossref("", "nu", 1, 1),
+    ], ids=["delete-unknown", "crossref-unknown", "crossref-bad-key"])
+    def test_a_refused_first_write_leaves_the_file_empty(self, tmp_path, write):
+        db = tmp_path / "refs.db"
+        with RefStore(db) as store:
+            with pytest.raises((MissingEntryError, ValueError)):
+                write(store)
+            assert store.live_ids() == []
+            assert schema_of(db) == (0, set())
+            assert store.add_entry([record("10.1000/a")]) == 1
+        assert schema_of(db) == (SCHEMA_VERSION, {"entries", "sqlite_sequence", "crossrefs"})
+
+
 def filled_store(path: Path, size: int) -> RefStore:
     store = RefStore(path)
     with unsynced(store):
@@ -864,13 +966,27 @@ def filled_files(tmp_path_factory) -> dict[int, Path]:
 
 
 class TestQueryCounts:
-    def test_opening_a_new_store_is_one_commit_and_reopening_none(self, tmp_path, statements):
-        RefStore(tmp_path / "refs.db").close()
-        assert statements.count("COMMIT") == 1
-        assert statements.count("BEGIN IMMEDIATE") == 1
-        statements.clear()
-        RefStore(tmp_path / "refs.db").close()
+    def test_opening_a_new_store_commits_nothing_and_its_first_add_once(self, tmp_path,
+                                                                         statements):
+        db = tmp_path / "refs.db"
+        RefStore(db).close()
         assert not any(s.startswith(("BEGIN", "COMMIT")) for s in statements)
+        assert [p.name for p in tmp_path.iterdir()] == ["refs.db"]
+        assert db.read_bytes() == b""
+        statements.clear()
+        with RefStore(db) as store:
+            store.add_entry([record("10.1000/a")])
+        transactions = [s for s in statements if s.startswith(("BEGIN", "COMMIT", "ROLLBACK"))]
+        assert transactions == ["BEGIN IMMEDIATE", "COMMIT"]
+        begin = statements.index("BEGIN IMMEDIATE")
+        create = next(i for i, s in enumerate(statements) if "CREATE TABLE entries" in s)
+        insert = next(i for i, s in enumerate(statements) if s.startswith("INSERT INTO entries"))
+        assert begin < create < insert < statements.index("COMMIT")
+        statements.clear()
+        RefStore(db).close()
+        assert statements == ["PRAGMA journal_mode", "PRAGMA journal_mode = WAL",
+                              "PRAGMA synchronous = FULL", "PRAGMA wal_autocheckpoint = 1",
+                              "PRAGMA user_version", "PRAGMA foreign_keys = ON"]
 
     def test_loads_run_a_fixed_number_of_statements(self, tmp_path, filled_files, statements):
         counts = []
@@ -985,6 +1101,19 @@ with RefStore(db) as store:
             print(store.add_entry([record]), flush=True)
         except DuplicateEntryError as exc:
             print(exc.existing_id, flush=True)
+"""
+
+
+# Worker that opens the store, prints "ready", and once a line arrives on
+# stdin adds one entry with DOI 10.4000/PREFIX and prints its ID.
+FIRST_ADD_WORKER = """
+import sys
+from refs import BibRecord, RefStore, parse_doi
+db, prefix = sys.argv[1], sys.argv[2]
+with RefStore(db) as store:
+    print("ready", flush=True)
+    sys.stdin.readline()
+    print(store.add_entry([BibRecord(title=prefix, doi=parse_doi(f"10.4000/{prefix}"))]), flush=True)
 """
 
 
@@ -1106,6 +1235,37 @@ class TestProcesses:
         assert sorted(first) == list(range(1, 51))
         with RefStore(tmp_path / "refs.db") as store:
             assert store.live_ids() == list(range(1, 51))
+
+    def test_two_first_adds_on_one_empty_path_create_one_schema(self, tmp_path):
+        db = tmp_path / "refs.db"
+        workers = [start_worker(FIRST_ADD_WORKER, db, prefix) for prefix in ("a", "b")]
+        for worker in workers:
+            await_ready(worker)  # each has opened the empty file
+        assert db.read_bytes() == b""
+        for worker in workers:
+            go(worker)
+        ids = [int(finish(worker)) for worker in workers]
+        assert sorted(ids) == [1, 2]
+        assert schema_of(db)[0] == SCHEMA_VERSION
+        with RefStore(tmp_path / "one.db") as store:  # the schema of one first add
+            store.add_entry([record("10.1000/a")])
+        master = "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name"
+        assert read_table(db, master) == read_table(tmp_path / "one.db", master)
+        with RefStore(db) as store:
+            assert {e.records[0].title: e.global_id for e in store.list_entries()} == dict(
+                zip(["a", "b"], ids))
+
+    def test_a_handle_opened_before_another_process_first_add_sees_it(self, tmp_path):
+        db = tmp_path / "refs.db"
+        with RefStore(db) as store:
+            assert store.list_entries() == []
+            worker = start_worker(FIRST_ADD_WORKER, db, "other")
+            await_ready(worker)
+            go(worker)
+            assert finish(worker).split() == ["1"]
+            assert [e.records[0].title for e in store.list_entries()] == ["other"]
+            assert store.add_entry([record("10.4000/mine")]) == 2
+            assert store.live_ids() == [1, 2]
 
     def test_an_export_beside_a_deleting_process_sees_one_state(self, tmp_path):
         db, out = tmp_path / "refs.db", tmp_path / "out"
@@ -1683,7 +1843,8 @@ class TestMigration:
         write_old_store(version, path, self.v1_entries(), deleted={3},
                         crossrefs=[("H2O", "nu", 1, 1), ("CO2", "nu", 7, 3)])
         RefStore(path).close()
-        RefStore(tmp_path / "new.db").close()
+        with RefStore(tmp_path / "new.db") as store:  # a new file gets its schema at its first add
+            store.add_entry([record("10.1000/a")])
         master = "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name"
         assert read_table(path, master) == read_table(tmp_path / "new.db", master)
 
