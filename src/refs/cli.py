@@ -176,14 +176,11 @@ def _build_transport(args) -> Transport:
 
 
 def _build_ads_config(args) -> AdsConfig:
-    from .resolvers import ADS_TOKEN_ENV, AdsConfig, header_safe
+    from .resolvers import AdsConfig
 
     cfg = AdsConfig.from_env()
-    if not args.offline:
-        if not cfg.token:
-            raise UsageError(f"live mode requires an ADS token in ${ADS_TOKEN_ENV}")
-        if not header_safe(cfg.token):
-            raise UsageError(f"${ADS_TOKEN_ENV} holds a character that an HTTP header cannot carry")
+    if not args.offline and (problem := cfg.token_problem()):
+        raise UsageError(problem)
     return cfg
 
 

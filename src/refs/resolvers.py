@@ -86,14 +86,17 @@ class AdsConfig(Value):
         self.backoff_base = backoff_base
 
     @classmethod
-    def from_env(cls, **overrides) -> "AdsConfig":
-        token = overrides.pop("token", os.environ.get(ADS_TOKEN_ENV, ""))
-        return cls(token=token, **overrides)
+    def from_env(cls) -> "AdsConfig":
+        return cls(token=os.environ.get(ADS_TOKEN_ENV, ""))
 
-
-def header_safe(token: str) -> bool:
-    """Whether an HTTP header can carry ``token``: printable ASCII only."""
-    return token.isascii() and token.isprintable()
+    def token_problem(self) -> str | None:
+        """Why a live ADS request cannot send the token, or None. It must be set and printable
+        ASCII, which an HTTP header can carry; the answer shows no part of it."""
+        token = self.token
+        if token and token.isascii() and token.isprintable():
+            return None
+        problem = "holds a character that an HTTP header cannot carry" if token else "is not set"
+        return f"the ADS token (${ADS_TOKEN_ENV} or AdsConfig.token) {problem}"
 
 
 def _clean_text(value: str) -> str:
@@ -235,14 +238,10 @@ class Upstream:
         raise UpstreamError(f"{service} answered {response.status}{where}", status=response.status)
 
     def ads(self, url: str) -> HttpResponse:
-        """An ADS GET of ``url``: the live token checks, the bearer header and the 401 mapping."""
-        token = self.cfg.token
-        if getattr(self.transport, "is_live", True):
-            if not token:
-                raise AuthError("no ADS token configured; set REFS_ADS_TOKEN or AdsConfig.token")
-            if not header_safe(token):
-                raise AuthError("the ADS token holds a character that an HTTP header cannot carry")
-        request = HttpRequest("GET", url, headers={"Authorization": f"Bearer {token}"})
+        """An ADS GET of ``url``: the live token rule, the bearer header and the 401 mapping."""
+        if getattr(self.transport, "is_live", True) and (problem := self.cfg.token_problem()):
+            raise AuthError(problem)
+        request = HttpRequest("GET", url, headers={"Authorization": f"Bearer {self.cfg.token}"})
         return self.send(request, "ADS", url,
                          errors={401: AuthError("ADS rejected the token", status=401)})
 

@@ -80,7 +80,9 @@ file. Opening an empty file writes nothing. The first write transaction
 of a handle on it creates the current schema before that write's row,
 and a refused write rolls the schema back with it. Until that write
 commits, a read that finds no table answers as an empty store does,
-and one that finds the schema another handle wrote reads it. Opening an
+and one that finds the schema another handle wrote reads it; a delete
+or cross-reference naming an entry the file does not hold is refused
+before any write begins, so the file stays empty. Opening an
 older file migrates it in place, in one transaction. Any other file at
 schema version 0, another program's database say, is refused with
 StoreError and left as it was. ``refs.migrations.migrate`` reads the
@@ -367,6 +369,7 @@ class RefStore:
 
     def delete_entry(self, global_id: int) -> None:
         """Tombstone an entry. Its ID is never handed out again."""
+        self._refuse_unknown_before_first_write(global_id)
         with self._transaction(write=True) as conn:
             cur = conn.execute(
                 "UPDATE entries SET deleted = 1 WHERE global_id = ? AND deleted = 0",
@@ -379,8 +382,10 @@ class RefStore:
         self, scope: str, parameter: str, local_id: int, global_id: int
     ) -> None:
         """Map a dataset-local integer onto a global ID; idempotent on re-attach. A key
-        that check_crossref_key refuses raises its ValueError before the file is touched."""
+        that check_crossref_key refuses raises its ValueError before the file is touched,
+        and so does an unknown entry its MissingEntryError on a file never written."""
         check_crossref_key(scope, parameter, local_id, global_id)
+        self._refuse_unknown_before_first_write(global_id)
         with self._transaction(write=True) as conn:
             if not self._entry_exists(global_id):
                 raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
@@ -392,6 +397,12 @@ class RefStore:
             conn.execute(
                 "INSERT INTO crossrefs (dataset_scope, parameter, local_id, global_id)"
                 " VALUES (?, ?, ?, ?)", (scope, parameter, local_id, global_id))
+
+    def _refuse_unknown_before_first_write(self, global_id: int) -> None:
+        """Until the handle's first write commits, raise MissingEntryError for an entry the
+        file does not hold before that write switches the file to WAL, which writes it."""
+        if self._unwritten and not self._entry_exists(global_id):
+            raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
 
     # -- reads ---------------------------------------------------------
 
@@ -531,9 +542,12 @@ class RefStore:
             rows.close()
 
     def _select_live(self, select: str, scope: str | None) -> sqlite3.Cursor:
-        """Run ``select`` (from ``entries e``) over live entries by ID, maybe only a scope's."""
+        """Run ``select`` (from ``entries e``) over live entries by ID, maybe only a scope's.
+        A scope that no store can hold selects nothing."""
         if scope is None:
             return self._read(select + " WHERE e.deleted = 0 ORDER BY e.global_id")
+        if not _storable(scope):
+            return self._conn.cursor()  # a cursor that ran nothing yields no row
         return self._read(
             select + " WHERE e.deleted = 0 AND e.global_id IN"
             " (SELECT global_id FROM crossrefs WHERE dataset_scope = ?)"
@@ -542,7 +556,10 @@ class RefStore:
         )
 
     def _crossref_target(self, scope: str, parameter: str, local_id: int) -> int | None:
-        """The global ID this cross-reference key maps onto, or None."""
+        """The global ID this cross-reference key maps onto, or None, as for a key no store
+        can hold."""
+        if not (_storable(scope) and _storable(parameter)):
+            return None
         row = self._read(
             "SELECT global_id FROM crossrefs WHERE dataset_scope = ? AND parameter = ?"
             " AND local_id = ?", (scope, parameter, local_id)).fetchone()
@@ -557,11 +574,13 @@ class RefStore:
 
 def check_crossref_key(scope: str, parameter: str, local_id: int, global_id: int) -> None:
     """Refuse a cross-reference key with ValueError unless its dataset scope and parameter
-    are non-empty, its local ID is at least 0 and its global ID at least 1."""
-    if not scope:
-        raise ValueError("dataset_scope must be non-empty")
-    if not parameter:
-        raise ValueError("parameter must be non-empty")
+    are non-empty text SQLite can store, its local ID is at least 0 and its global ID at
+    least 1."""
+    for name, text in (("dataset_scope", scope), ("parameter", parameter)):
+        if not text:
+            raise ValueError(f"{name} must be non-empty")
+        if not _storable(text):
+            raise ValueError(f"{name} {_UNSTORABLE}")
     if local_id < 0:
         raise ValueError(f"local_id must be >= 0, got {local_id}")
     if global_id < 1:
@@ -572,23 +591,37 @@ def check_crossref_key(scope: str, parameter: str, local_id: int, global_id: int
 _compact_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
-def _refuse_lone_surrogates(rows: list[list], note: str | None, bibtex: str | None) -> None:
-    """Refuse with UnusableMetadataError, naming the field, an entry's text that UTF-8
-    cannot encode: one that holds a lone surrogate, which SQLite cannot store."""
-    try:
-        _compact_json([rows, note, bibtex]).encode("utf-8")
-        return
-    except UnicodeEncodeError:
-        pass
-    # A row holds the record's fields in constructor order, as its slots are named.
-    fields = [(f"{field} of record {i}", value) for i, row in enumerate(rows, 1)
-              for field, value in zip(model.BibRecord.__slots__, row)]
-    for name, value in fields + [("note", note), ("BibTeX", bibtex)]:
+# Why _storable refuses a text.
+_UNSTORABLE = "holds a lone surrogate, which UTF-8 cannot encode"
+
+
+def _storable(value) -> bool:
+    """Whether SQLite can store each text in ``value``: a text, or a list that nests texts,
+    None and numbers as a record row does. UTF-8 cannot encode a lone surrogate."""
+    if isinstance(value, str):
+        if value.isascii():  # the common case, which needs no encoder
+            return True
         try:
-            _compact_json(value).encode("utf-8")
+            value.encode("utf-8")
         except UnicodeEncodeError:
-            raise UnusableMetadataError(
-                f"the {name} holds a lone surrogate, which UTF-8 cannot encode") from None
+            return False
+        return True
+    if isinstance(value, list):
+        return all(map(_storable, value))
+    return True
+
+
+def _refuse_lone_surrogates(rows: list[list], note: str | None, bibtex: str | None) -> None:
+    """Refuse with UnusableMetadataError, naming the field, an entry's text that SQLite
+    cannot store (``_storable``). Each field is checked alone."""
+    for i, row in enumerate(rows, 1):
+        # A row holds the record's fields in constructor order, as its slots are named.
+        for field, value in zip(model.BibRecord.__slots__, row):
+            if not _storable(value):
+                raise UnusableMetadataError(f"the {field} of record {i} {_UNSTORABLE}")
+    for name, value in (("note", note), ("BibTeX", bibtex)):
+        if not _storable(value):
+            raise UnusableMetadataError(f"the {name} {_UNSTORABLE}")
 
 
 def _duplicate(existing: int) -> DuplicateEntryError:

@@ -177,6 +177,9 @@ class TestSplitAuthors:
     def test_and_splits_in_any_case_at_any_bibtex_whitespace(self, raw, expected):
         assert split_authors(raw) == expected
 
+    def test_a_brace_that_nothing_closes_hides_every_and_after_it(self):
+        assert split_authors("A and {B and C") == ["A", "{B and C"]
+
     def test_and_inside_a_word_or_next_to_other_whitespace_does_not_split(self):
         assert split_authors("Sand and Anders, J.") == ["Sand", "Anders, J."]
         assert split_authors("A\u00a0and B") == ["A\u00a0and B"]

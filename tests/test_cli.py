@@ -516,10 +516,11 @@ class TestAdd:
         assert err == f"refs: {fixtures / 'bad.json'} entry 1 is not a recorded exchange: {problem}\n"
         assert not Path(db_path).exists()
 
-    def test_live_mode_without_token_fails_fast(self, capsys, db_path):
-        code, _, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path)
-        assert code == 64
-        assert "REFS_ADS_TOKEN" in err
+    def test_live_mode_without_token_fails_fast(self, capsys, db_path, no_connection):
+        code, out, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path)
+        assert (code, out) == (64, "")
+        assert err == "refs: the ADS token ($REFS_ADS_TOKEN or AdsConfig.token) is not set\n"
+        assert not Path(db_path).exists()
 
     @pytest.mark.parametrize("token", ["s3cret\nX", "s3cret\r", "s3cret\x00", "s3cret\u00e9"],
                              ids=["newline", "carriage-return", "nul", "non-ascii"])
@@ -529,7 +530,8 @@ class TestAdd:
         monkeypatch.setattr(os, "environ", dict(os.environ, REFS_ADS_TOKEN=token))
         code, out, err = run(capsys, "add", "--doi", HITRAN, "--db", db_path)
         assert (code, out) == (64, "")
-        assert err == "refs: $REFS_ADS_TOKEN holds a character that an HTTP header cannot carry\n"
+        assert err == ("refs: the ADS token ($REFS_ADS_TOKEN or AdsConfig.token) holds a character"
+                       " that an HTTP header cannot carry\n")
         assert not Path(db_path).exists()
 
     def test_fixtures_from_environment(self, capsys, db_path, monkeypatch):
@@ -824,6 +826,18 @@ class TestCrossref:
     def test_unknown_global_id_exits_2(self, capsys, seeded):
         code, _, _ = run(capsys, "crossref", "H2C18O", "nu", "5", "42", "--db", seeded)
         assert code == 2
+
+    @pytest.mark.parametrize("argv, code", [
+        (["crossref", "H2O", "nu", "1", "1"], 2), (["list"], 0), (["list", "--scope", "H2O"], 0),
+        (["render", "1"], 2), (["export", "--all"], 2),
+    ], ids=["crossref", "list", "list-scope", "render", "export"])
+    def test_a_command_refused_or_reading_on_a_new_path_leaves_an_empty_file(
+            self, capsys, tmp_path, monkeypatch, argv, code):
+        monkeypatch.chdir(tmp_path)  # where export would write
+        db = tmp_path / "refs.db"
+        assert run(capsys, *argv, "--db", str(db))[0] == code
+        assert db.read_bytes() == b""
+        assert [p.name for p in tmp_path.iterdir()] == ["refs.db"]
 
     @pytest.mark.parametrize("key, message", [
         (["", "nu", "5", "1"], "dataset_scope must be non-empty"),

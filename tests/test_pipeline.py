@@ -353,8 +353,9 @@ class TestTokenStaysOnAds:
         assert any("ADS rejected the token" in m for m in messages)
         assert not any("s3cret" in m for m in messages)
 
-    def test_a_live_token_no_header_can_carry_falls_back_without_asking_ads(
-            self, transport, monkeypatch):
+    @pytest.mark.parametrize("token", ["", "s3cret\nX"], ids=["empty", "newline"])
+    def test_a_live_token_that_cannot_be_sent_falls_back_without_asking_ads(
+            self, transport, monkeypatch, token):
         def answer(sent):
             url = f"{sent.conn.scheme}://{sent.conn.netloc}{sent.target}"
             response = transport.execute(HttpRequest(sent.method, url, sent.headers))
@@ -362,11 +363,10 @@ class TestTokenStaysOnAds:
 
         network = FakeNetwork(answer)
         monkeypatch.setattr(refs.transport, "_connect", network)
-        report = resolve_reference(NIST, cfg=AdsConfig(token="s3cret\nX"),
-                                   transport=LiveTransport())
+        cfg = AdsConfig(token=token)
+        report = resolve_reference(NIST, cfg=cfg, transport=LiveTransport())
         assert report.path_taken is ResolutionPath.FALLBACK
-        assert report.warnings[0] == ("ADS DOI search failed: the ADS token holds a character"
-                                      " that an HTTP header cannot carry")
+        assert report.warnings[0] == f"ADS DOI search failed: {cfg.token_problem()}"
         assert not any("s3cret" in w for w in report.warnings)
         assert [s.conn.netloc for s in network.sent] == ["doi.org"] * 2
 

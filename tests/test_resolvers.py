@@ -126,6 +126,22 @@ def bibcodes(docs: list[dict]) -> list[str]:
     return [doc["bibcode"] for doc in docs]
 
 
+class TestAdsConfig:
+    """The one ADS token rule, which the CLI and Upstream.ads both ask."""
+
+    @pytest.mark.parametrize("token", ["s3cret", "a b~!", "x" * 300],
+                             ids=["word", "space-and-punctuation", "long"])
+    def test_a_set_printable_ascii_token_can_be_sent(self, token):
+        assert AdsConfig(token=token).token_problem() is None
+
+    def test_from_env_reads_the_token_and_keeps_every_default(self, monkeypatch):
+        monkeypatch.setenv("REFS_ADS_TOKEN", "s3cret")
+        assert AdsConfig.from_env() == AdsConfig(token="s3cret")
+        monkeypatch.delenv("REFS_ADS_TOKEN")
+        assert AdsConfig.from_env().token_problem() == (
+            "the ADS token ($REFS_ADS_TOKEN or AdsConfig.token) is not set")
+
+
 class TestResolveBibcode:
     """The ADS DOI search, fetch_ads_docs: the bibcodes it finds and the errors it raises."""
 
@@ -146,17 +162,18 @@ class TestResolveBibcode:
         assert report.warnings == [f"DOI {doi} matches 2 bibcodes; using 2017ApJS..232...12W"]
         assert len(recwarn) == 0
 
-    def test_live_with_empty_token_fails_before_any_request(self):
-        with pytest.raises(AuthError):
+    def test_live_with_empty_token_fails_before_any_request(self, no_connection):
+        with pytest.raises(AuthError) as raised:
             fetch_ads_docs(HITRAN_DOI, Upstream(LiveTransport(), AdsConfig(token="")))
+        assert str(raised.value) == "the ADS token ($REFS_ADS_TOKEN or AdsConfig.token) is not set"
 
     @UNSENDABLE_TOKENS
     def test_live_with_a_token_no_header_can_carry_fails_before_any_request(self, token,
                                                                            no_connection):
         with pytest.raises(AuthError) as raised:
             fetch_ads_docs(HITRAN_DOI, Upstream(LiveTransport(), AdsConfig(token=token)))
-        assert str(raised.value) == (
-            "the ADS token holds a character that an HTTP header cannot carry")
+        assert str(raised.value) == ("the ADS token ($REFS_ADS_TOKEN or AdsConfig.token) holds a"
+                                     " character that an HTTP header cannot carry")
 
     @UNSENDABLE_TOKENS
     def test_a_replay_sends_any_token(self, token):
@@ -627,6 +644,12 @@ class TestCslToRecord:
         with pytest.raises(ResponseDecodeError) as exc_info:
             csl_to_record({"DOI": "10.1000/x", "title": "T", field: value})
         assert str(exc_info.value) == f"{field!r} holds {value!r}, not text or a number"
+
+    @pytest.mark.parametrize("issued", ["2017", [[2017]], 2017])
+    def test_an_issued_that_is_not_an_object_is_refused(self, issued):
+        with pytest.raises(ResponseDecodeError) as exc_info:
+            csl_to_record({"DOI": "10.1000/x", "title": "T", "issued": issued})
+        assert str(exc_info.value) == f"'issued' holds {issued!r}, not an object"
 
     def test_text_fields_take_text_or_a_number_bare_or_first_in_a_list(self):
         record = csl_to_record({"DOI": "10.1000/x", "title": ["T", "U"], "volume": 232,

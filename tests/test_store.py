@@ -365,7 +365,11 @@ class TestCrossRefs:
         (("H2O", "", 5, 1), "parameter must be non-empty"),
         (("H2O", "nu", -1, 1), "local_id must be >= 0, got -1"),
         (("H2O", "nu", 5, 0), "global_id must be >= 1, got 0"),
-    ], ids=["empty-scope", "empty-parameter", "negative-local-id", "global-id-below-1"])
+        (("H2\ud800O", "nu", 5, 1),
+         "dataset_scope holds a lone surrogate, which UTF-8 cannot encode"),
+        (("H2O", "n\udcffu", 5, 1), "parameter holds a lone surrogate, which UTF-8 cannot encode"),
+    ], ids=["empty-scope", "empty-parameter", "negative-local-id", "global-id-below-1",
+            "surrogate-scope", "surrogate-parameter"])
     def test_a_refused_key_is_a_value_error_before_the_file_is_touched(self, tmp_path, key,
                                                                        message):
         db = tmp_path / "refs.db"
@@ -379,6 +383,24 @@ class TestCrossRefs:
             assert journal_settings(store)[0] == "truncate"  # no write began: still rollback
         assert db.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["refs.db"]
+
+    # SQLite's UTF-8 cannot hold a lone surrogate, so no stored key holds one.
+    @pytest.mark.parametrize("scope, parameter", [("H2\ud800O", "nu"), ("H2O", "n\udcffu")],
+                             ids=["scope", "parameter"])
+    def test_a_key_no_store_can_hold_reads_as_an_absent_one(self, store, scope, parameter):
+        gid = store.add_entry([record("10.1000/a")])
+        store.attach_crossref("H2O", "nu", 1, gid)
+        with pytest.raises(MissingEntryError) as raised:
+            store.lookup_crossref(scope, parameter, 1)
+        assert raised.value.missing == [(scope, parameter, 1)]
+        assert store.lookup_crossref("H2O", "nu", 1) == gid
+
+    def test_a_scope_no_store_can_hold_selects_nothing(self, store):
+        store.attach_crossref("H2O", "nu", 1, store.add_entry([record("10.1000/a")]))
+        scope = "H2\ud800O"
+        assert store.list_labels(scope=scope) == store.live_ids(scope) == []
+        assert store.list_entries(scope) == []
+        assert store.live_ids("H2O") == [1]
 
 
 class TestDeletion:
@@ -935,10 +957,41 @@ class TestUnwrittenFile:
         with RefStore(db) as store:
             with pytest.raises((MissingEntryError, ValueError)):
                 write(store)
+            assert db.read_bytes() == b""  # not even the WAL switch's page 1
+            assert journal_settings(store)[0] == "truncate"
             assert store.live_ids() == []
             assert schema_of(db) == (0, set())
             assert store.add_entry([record("10.1000/a")]) == 1
         assert schema_of(db) == (SCHEMA_VERSION, {"entries", "sqlite_sequence", "crossrefs"})
+
+    def test_a_read_that_meets_the_schema_another_handle_just_wrote_reads_it(
+            self, tmp_path, monkeypatch):
+        db = tmp_path / "refs.db"
+        with RefStore(db) as reader, RefStore(db) as writer:
+            holds_no_table = reader._holds_no_table
+
+            def written_meanwhile() -> bool:
+                # The other handle's first add commits between the failed read and this check.
+                writer.add_entry([record("10.1000/a")])
+                return holds_no_table()
+
+            monkeypatch.setattr(reader, "_holds_no_table", written_meanwhile)
+            assert reader.live_ids() == [1]
+
+    def test_a_table_missing_from_a_written_file_is_an_error_not_an_empty_answer(
+            self, tmp_path, capsys):
+        db = tmp_path / "refs.db"
+        with RefStore(db) as store, unsynced(store):
+            store.attach_crossref("H2O", "nu", 1, store.add_entry([record("10.1000/a")]))
+        conn = sqlite3.connect(db)
+        conn.execute("DROP TABLE crossrefs")  # as another tool might
+        conn.commit()
+        conn.close()
+        with RefStore(db) as store:
+            with pytest.raises(sqlite3.OperationalError, match="^no such table: crossrefs$"):
+                store.lookup_crossref("H2O", "nu", 1)
+        assert cli_main(["list", "--scope", "H2O", "--db", str(db)]) == EXIT_STORE
+        assert capsys.readouterr() == ("", "refs: no such table: crossrefs\n")
 
 
 def filled_store(path: Path, size: int) -> RefStore:
@@ -1864,8 +1917,9 @@ class TestMigration:
         (2, "UPDATE records SET authors = ? WHERE entry_id = 3", "not json"),
         (2, "UPDATE records SET doi = ? WHERE entry_id = 3", "11.1000/x"),
         (2, "UPDATE records SET authors = ? WHERE entry_id = 3", "[" * 100_000),
+        (3, "UPDATE records SET authors = ? WHERE entry_id = 3", '{"surname": "Gordon"}'),
     ], ids=["v4-no-surname", "v4-not-an-object", "v4-doi", "v5-no-surname", "v5-short-row",
-            "v5-doi", "v2-authors", "v2-doi", "v2-authors-nested"])
+            "v5-doi", "v2-authors", "v2-doi", "v2-authors-nested", "v3-authors-not-a-list"])
     def test_an_unreadable_record_stops_the_migration(self, tmp_path, capsys, statements,
                                                       version, update, value):
         path = tmp_path / f"v{version}.db"
