@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .errors import InvalidDoiError, MissingEntryError, RefsError, StoreError
 from .formats import RenderFormat
-from .store import RefStore, check_crossref_key
+from .store import _INT64_MAX, _INT64_MIN, RefStore, _storable, check_crossref_key
 
 # Only `add` makes requests or parses a DOI, so only it imports pipeline,
 # resolvers, transport and identifiers; the other commands start without them.
@@ -67,14 +67,14 @@ def _int64(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not -(2**63) <= value < 2**63:
+    if not _INT64_MIN <= value <= _INT64_MAX:
         raise argparse.ArgumentTypeError(f"{text} is outside the signed 64-bit range")
     return value
 
 
 def _text(text: str) -> str:
     """A text argument SQLite can store: argv bytes that are not UTF-8 decode to lone surrogates."""
-    if any("\ud800" <= c <= "\udfff" for c in text):
+    if not _storable(text):
         raise argparse.ArgumentTypeError(f"{text!r} is not UTF-8 text")
     return text
 

@@ -19,17 +19,13 @@ class RenderFormat(str, enum.Enum):
 
 
 class RenderedCitation(Frozen):
-    """One reference rendered in one concrete format."""
+    """One reference rendered in one format: its text, ``body``."""
 
-    __slots__ = ("format", "body", "global_label")
-    format: RenderFormat
+    __slots__ = ("body",)
     body: str
-    global_label: str
 
-    def __init__(self, format: RenderFormat, body: str, global_label: str) -> None:
-        _set_format(self, format)
+    def __init__(self, body: str) -> None:
         _set_body(self, body)
-        _set_global_label(self, global_label)
 
 
-_set_format, _set_body, _set_global_label = slot_setters(RenderedCitation)
+(_set_body,) = slot_setters(RenderedCitation)

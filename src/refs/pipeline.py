@@ -76,8 +76,7 @@ class ResolutionReport(Value):
     def renders(self) -> dict[RenderFormat, RenderedCitation]:
         renders = render_all(self.entry)
         if self.bibtex is not None:
-            bib = renders[RenderFormat.BIBTEX]
-            renders[bib.format] = RenderedCitation(bib.format, self.bibtex, bib.global_label)
+            renders[RenderFormat.BIBTEX] = RenderedCitation(self.bibtex)
         return renders
 
     @property

@@ -123,9 +123,10 @@ def _citation_line(record: BibRecord, note: str | None, markup: bool) -> str:
     return line
 
 
-def _entry_body(entry: RefEntry, markup: bool, label: str) -> str:
-    """Each record's citation line, prefixed ``<label><sub-label>. `` once stored."""
+def _entry_body(entry: RefEntry, markup: bool) -> str:
+    """Each record's citation line, prefixed ``<ID><sub-label>. `` once stored."""
     _check_text(entry)
+    label = "" if entry.global_id is None else str(entry.global_id)
     records = entry.records
     if len(records) == 1:  # most entries: no sub-label to number
         line = _citation_line(records[0], entry.note, markup)
@@ -137,24 +138,18 @@ def _entry_body(entry: RefEntry, markup: bool, label: str) -> str:
     return ("<br>\n" if markup else "\n").join(lines)
 
 
-def _label(entry: RefEntry) -> str:
-    return "" if entry.global_id is None else str(entry.global_id)
-
-
 def render_html(entry: RefEntry) -> RenderedCitation:
     """Render every nested record as one HTML line; the note leads the first.
 
     All free text goes through escape_html; only the <i>/<b>/<a> tags and
     the label punctuation are emitted raw.
     """
-    label = _label(entry)
-    return RenderedCitation(RenderFormat.HTML, _entry_body(entry, True, label), label)
+    return RenderedCitation(_entry_body(entry, True))
 
 
 def render_text(entry: RefEntry) -> RenderedCitation:
     """Same field order as HTML with markup stripped and links as bare URLs."""
-    label = _label(entry)
-    return RenderedCitation(RenderFormat.TEXT, _entry_body(entry, False, label), label)
+    return RenderedCitation(_entry_body(entry, False))
 
 
 def _bibtex_key(record: BibRecord, sub: str) -> str:
@@ -225,7 +220,7 @@ def render_bibtex(entry: RefEntry) -> RenderedCitation:
     else:
         body = "\n\n".join([_bibtex_block(record, sub)
                              for record, sub in zip(records, entry.sub_labels)])
-    return RenderedCitation(RenderFormat.BIBTEX, body, _label(entry))
+    return RenderedCitation(body)
 
 
 def render_json(entry: RefEntry) -> RenderedCitation:
@@ -248,7 +243,7 @@ def render_json(entry: RefEntry) -> RenderedCitation:
         members.append('"note": ' + encode_basestring(entry.note))
     members.append('"records": ' + _json_list([_json_record(r) for r in records], "  "))
     body = "{\n  " + ",\n  ".join(members) + "\n}"
-    return RenderedCitation(RenderFormat.JSON, body, _label(entry))
+    return RenderedCitation(body)
 
 
 def _json_record(r: BibRecord) -> str:

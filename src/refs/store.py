@@ -70,6 +70,12 @@ What holds when several processes share one database file:
   ``list_entries`` reads the live IDs, then those entries, and leaves out
   any entry deleted in between.
 
+An ID or key that no store can hold, an integer outside SQLite's signed
+64 bits or a text holding a lone surrogate, reads as absent: SQLite
+cannot bind it, so the read finds no row. ``delete_entry`` of such an ID
+raises MissingEntryError, and ``check_crossref_key`` refuses such a key
+with ValueError, both before the file is touched.
+
 One handle may be shared between threads. Its writes, and the duplicate
 read before an add, are serialized by an internal lock; any other read
 may see another thread's write on the same handle before that write
@@ -302,16 +308,15 @@ class RefStore:
                 self._unwritten = False
 
     def _read(self, sql: str, params: tuple = ()) -> sqlite3.Cursor:
-        """The rows of one read; none, as from an empty store, while the file has no schema."""
+        """The rows of one read. It yields no row while the file holds no table, as an empty
+        store would, nor for a parameter that SQLite cannot bind (an integer outside 64
+        bits, a text holding a lone surrogate), as for a key no store holds."""
+        if self._unwritten and self._holds_no_table():
+            return self._conn.cursor()  # a cursor that ran nothing yields no row
         try:
             return self._conn.execute(sql, params)
-        except sqlite3.OperationalError:
-            if not self._unwritten:
-                raise
-            if self._holds_no_table():
-                return self._conn.cursor()  # a cursor that ran nothing yields no row
-            # Another handle created the schema since this read was prepared.
-            return self._conn.execute(sql, params)
+        except (OverflowError, UnicodeEncodeError):
+            return self._conn.cursor()
 
     def close(self) -> None:
         self._conn.close()
@@ -368,8 +373,10 @@ class RefStore:
         return gid
 
     def delete_entry(self, global_id: int) -> None:
-        """Tombstone an entry. Its ID is never handed out again."""
-        self._refuse_unknown_before_first_write(global_id)
+        """Tombstone an entry. Its ID is never handed out again. An ID no store can hold
+        raises MissingEntryError before the file is touched, and so does an unknown entry on
+        a file never written."""
+        self._refuse_unknown_before_write(global_id)
         with self._transaction(write=True) as conn:
             cur = conn.execute(
                 "UPDATE entries SET deleted = 1 WHERE global_id = ? AND deleted = 0",
@@ -385,7 +392,7 @@ class RefStore:
         that check_crossref_key refuses raises its ValueError before the file is touched,
         and so does an unknown entry its MissingEntryError on a file never written."""
         check_crossref_key(scope, parameter, local_id, global_id)
-        self._refuse_unknown_before_first_write(global_id)
+        self._refuse_unknown_before_write(global_id)
         with self._transaction(write=True) as conn:
             if not self._entry_exists(global_id):
                 raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
@@ -398,10 +405,12 @@ class RefStore:
                 "INSERT INTO crossrefs (dataset_scope, parameter, local_id, global_id)"
                 " VALUES (?, ?, ?, ?)", (scope, parameter, local_id, global_id))
 
-    def _refuse_unknown_before_first_write(self, global_id: int) -> None:
-        """Until the handle's first write commits, raise MissingEntryError for an entry the
-        file does not hold before that write switches the file to WAL, which writes it."""
-        if self._unwritten and not self._entry_exists(global_id):
+    def _refuse_unknown_before_write(self, global_id: int) -> None:
+        """Raise MissingEntryError for an ID that SQLite cannot bind, and, until the handle's
+        first write commits, for an entry the file does not hold: before the write switches
+        the file to WAL, which writes it."""
+        if not _INT64_MIN <= global_id <= _INT64_MAX or (
+                self._unwritten and not self._entry_exists(global_id)):
             raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
 
     # -- reads ---------------------------------------------------------
@@ -443,7 +452,7 @@ class RefStore:
                 raise MissingEntryError(f"no entry {global_id}", missing=[global_id])
             if row[0] is None:  # a NULL HTML column: no record of the entry renders
                 raise UnrenderableError()
-            return RenderedCitation(format=fmt, body=row[0], global_label=str(global_id))
+            return RenderedCitation(row[0])
         return render.render_format(self.get_entry(global_id), fmt)
 
     def list_entries(self, scope: str | None = None) -> list[RefEntry]:
@@ -542,12 +551,9 @@ class RefStore:
             rows.close()
 
     def _select_live(self, select: str, scope: str | None) -> sqlite3.Cursor:
-        """Run ``select`` (from ``entries e``) over live entries by ID, maybe only a scope's.
-        A scope that no store can hold selects nothing."""
+        """Run ``select`` (from ``entries e``) over live entries by ID, maybe only a scope's."""
         if scope is None:
             return self._read(select + " WHERE e.deleted = 0 ORDER BY e.global_id")
-        if not _storable(scope):
-            return self._conn.cursor()  # a cursor that ran nothing yields no row
         return self._read(
             select + " WHERE e.deleted = 0 AND e.global_id IN"
             " (SELECT global_id FROM crossrefs WHERE dataset_scope = ?)"
@@ -556,10 +562,7 @@ class RefStore:
         )
 
     def _crossref_target(self, scope: str, parameter: str, local_id: int) -> int | None:
-        """The global ID this cross-reference key maps onto, or None, as for a key no store
-        can hold."""
-        if not (_storable(scope) and _storable(parameter)):
-            return None
+        """The global ID this cross-reference key maps onto, or None."""
         row = self._read(
             "SELECT global_id FROM crossrefs WHERE dataset_scope = ? AND parameter = ?"
             " AND local_id = ?", (scope, parameter, local_id)).fetchone()
@@ -575,21 +578,25 @@ class RefStore:
 def check_crossref_key(scope: str, parameter: str, local_id: int, global_id: int) -> None:
     """Refuse a cross-reference key with ValueError unless its dataset scope and parameter
     are non-empty text SQLite can store, its local ID is at least 0 and its global ID at
-    least 1."""
+    least 1, and neither ID is past SQLite's largest integer."""
     for name, text in (("dataset_scope", scope), ("parameter", parameter)):
         if not text:
             raise ValueError(f"{name} must be non-empty")
         if not _storable(text):
             raise ValueError(f"{name} {_UNSTORABLE}")
-    if local_id < 0:
-        raise ValueError(f"local_id must be >= 0, got {local_id}")
-    if global_id < 1:
-        raise ValueError(f"global_id must be >= 1, got {global_id}")
+    for name, value, least in (("local_id", local_id, 0), ("global_id", global_id, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+        if value > _INT64_MAX:
+            raise ValueError(f"{name} must be <= {_INT64_MAX}, got {value}")
 
 
 # The JSON of a records column: compact, text as it is. One encoder, not one per call.
 _compact_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
+
+# The integers SQLite can bind: signed 64-bit ones.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 # Why _storable refuses a text.
 _UNSTORABLE = "holds a lone surrogate, which UTF-8 cannot encode"

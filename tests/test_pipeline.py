@@ -23,7 +23,6 @@ from refs import (
     RefsError,
     RefStore,
     RenderFormat,
-    RenderedCitation,
     ResolutionFailedError,
     ResolutionPath,
     ResolutionReport,
@@ -462,8 +461,7 @@ class TestResolveAndStore:
         assert report.record == store.get_entry(first).records[0]
         # The BibTeX the first add reported: doi.org's text on the fallback path.
         expected = render_all(store.get_entry(first))
-        expected[RenderFormat.BIBTEX] = RenderedCitation(
-            RenderFormat.BIBTEX, added.renders[RenderFormat.BIBTEX].body, str(first))
+        expected[RenderFormat.BIBTEX] = added.renders[RenderFormat.BIBTEX]
         assert report.renders == expected
         assert report.renders[RenderFormat.HTML].body.startswith(f"{first}. First note. ")
 
@@ -753,3 +751,23 @@ class TestRecordThenReplay:
         requests = [e["request"] for e in json.loads(archive.read_text())["entries"]]
         assert len(requests) == len(exchanges) >= len(subjects)
         assert all(r["method"] == "GET" and "body" not in r for r in requests)
+
+
+def test_the_readme_library_example_runs_offline(tmp_path, monkeypatch, capsys):
+    """README's "Library use" code, run as written, against the recorded answers."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.setattr(refs, "LiveTransport", lambda: FixtureTransport.from_dir(FIXTURE_DIR))
+    monkeypatch.setenv("REFS_ADS_TOKEN", "s3cret")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+    report = resolve_reference(HITRAN, cfg=AdsConfig(token="s3cret"),
+                               transport=FixtureTransport.from_dir(FIXTURE_DIR))
+    with RefStore(tmp_path / "refs.db") as store:
+        assert store.live_ids() == [1]
+        stored_bibtex = store.get_rendered(1, RenderFormat.BIBTEX).body
+        assert stored_bibtex == refs.render.render_bibtex(store.get_entry(1)).body
+    assert capsys.readouterr() == (
+        f"ads 2017JQSRT.203....3G\n{report.renders[RenderFormat.HTML].body}\n"
+        f"{stored_bibtex}\n", "")

@@ -110,18 +110,14 @@ def reference_entry_lines(entry: RefEntry, markup: bool) -> list[str]:
     return lines
 
 
-def reference_label(entry: RefEntry) -> str:
-    return "" if entry.global_id is None else str(entry.global_id)
-
-
 def reference_render_html(entry: RefEntry) -> RenderedCitation:
     body = "<br>\n".join(reference_entry_lines(entry, markup=True))
-    return RenderedCitation(format=RenderFormat.HTML, body=body, global_label=reference_label(entry))
+    return RenderedCitation(body)
 
 
 def reference_render_text(entry: RefEntry) -> RenderedCitation:
     body = "\n".join(reference_entry_lines(entry, markup=False))
-    return RenderedCitation(format=RenderFormat.TEXT, body=body, global_label=reference_label(entry))
+    return RenderedCitation(body)
 
 
 def reference_bibtex_block(record: BibRecord, sub: str) -> str:
@@ -157,9 +153,7 @@ def reference_render_bibtex(entry: RefEntry) -> RenderedCitation:
         reference_bibtex_block(record, sub if multi else "")
         for record, sub in zip(entry.records, entry.sub_labels)
     ]
-    return RenderedCitation(
-        format=RenderFormat.BIBTEX, body="\n\n".join(blocks), global_label=reference_label(entry)
-    )
+    return RenderedCitation("\n\n".join(blocks))
 
 
 def reference_json_value(value) -> str:
@@ -182,7 +176,7 @@ def reference_render_json(entry: RefEntry) -> RenderedCitation:
         members.append('"note": ' + reference_json_value(entry.note))
     members.append('"records": ' + _json_list(map(reference_json_record, entry.records), "  "))
     body = "{\n  " + ",\n  ".join(members) + "\n}"
-    return RenderedCitation(format=RenderFormat.JSON, body=body, global_label=reference_label(entry))
+    return RenderedCitation(body)
 
 
 def reference_json_record(r: BibRecord) -> str:
@@ -221,12 +215,12 @@ global_ids = st.none() | st.integers(1, 10**12)
 
 
 def rendered(render, entry: RefEntry):
-    """The format, body and label a renderer gives, or the type of what it raises."""
+    """The text a renderer gives, or the type of what it raises."""
     try:
         citation = render(entry)
     except UnrenderableError as exc:
         return type(exc)
-    return citation.format, citation.body, citation.global_label
+    return citation.body
 
 
 def assert_every_format_matches(entry: RefEntry) -> None:

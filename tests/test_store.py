@@ -368,8 +368,11 @@ class TestCrossRefs:
         (("H2\ud800O", "nu", 5, 1),
          "dataset_scope holds a lone surrogate, which UTF-8 cannot encode"),
         (("H2O", "n\udcffu", 5, 1), "parameter holds a lone surrogate, which UTF-8 cannot encode"),
+        (("H2O", "nu", 2**63, 1), f"local_id must be <= {2**63 - 1}, got {2**63}"),
+        (("H2O", "nu", 5, 2**63), f"global_id must be <= {2**63 - 1}, got {2**63}"),
     ], ids=["empty-scope", "empty-parameter", "negative-local-id", "global-id-below-1",
-            "surrogate-scope", "surrogate-parameter"])
+            "surrogate-scope", "surrogate-parameter", "local-id-past-64-bits",
+            "global-id-past-64-bits"])
     def test_a_refused_key_is_a_value_error_before_the_file_is_touched(self, tmp_path, key,
                                                                        message):
         db = tmp_path / "refs.db"
@@ -971,7 +974,7 @@ class TestUnwrittenFile:
             holds_no_table = reader._holds_no_table
 
             def written_meanwhile() -> bool:
-                # The other handle's first add commits between the failed read and this check.
+                # The other handle's first add commits just before the reader checks for a table.
                 writer.add_entry([record("10.1000/a")])
                 return holds_no_table()
 
@@ -992,6 +995,59 @@ class TestUnwrittenFile:
                 store.lookup_crossref("H2O", "nu", 1)
         assert cli_main(["list", "--scope", "H2O", "--db", str(db)]) == EXIT_STORE
         assert capsys.readouterr() == ("", "refs: no such table: crossrefs\n")
+
+
+class TestIdsNoStoreCanHold:
+    """An entry or local ID one past either end of SQLite's signed 64-bit integers."""
+
+    @pytest.fixture(params=["written", "unwritten"])
+    def db(self, request, tmp_path) -> Path:
+        """A file holding entry 1, mapped from ("H2O", "nu", 1), or one never written."""
+        db = tmp_path / "refs.db"
+        with RefStore(db) as store:
+            if request.param == "written":
+                with unsynced(store):
+                    store.attach_crossref("H2O", "nu", 1, store.add_entry([record("10.1000/a")]))
+        return db
+
+    # Each read of an ID n, and the key its MissingEntryError names.
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1], ids=["2**63", "-2**63-1"])
+    @pytest.mark.parametrize("read, key", [
+        pytest.param(lambda store, n: store.get_entry(n), lambda n: n, id="get_entry"),
+        *[pytest.param(lambda store, n, fmt=fmt: store.get_rendered(n, fmt), lambda n: n,
+                       id=f"get_rendered-{fmt.value}") for fmt in RenderFormat],
+        pytest.param(lambda store, n: store.lookup_crossref("H2O", "nu", n),
+                     lambda n: ("H2O", "nu", n), id="lookup_crossref"),
+        pytest.param(lambda store, n: store.export_bundle([n], store.path.parent),
+                     lambda n: n, id="export_bundle"),
+    ])
+    def test_a_read_answers_as_for_an_absent_key(self, db, value, read, key):
+        before = db.read_bytes()
+        with RefStore(db) as store:
+            with pytest.raises(MissingEntryError) as raised:
+                read(store, value)
+            assert raised.value.missing == [key(value)]
+            if before:
+                assert store.lookup_crossref("H2O", "nu", 1) == 1
+        assert db.read_bytes() == before
+        assert [p.name for p in db.parent.iterdir()] == ["refs.db"]
+
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1], ids=["2**63", "-2**63-1"])
+    @pytest.mark.parametrize("write, refusal", [
+        pytest.param(lambda store, n: store.delete_entry(n), MissingEntryError, id="delete"),
+        pytest.param(lambda store, n: store.attach_crossref("H2O", "nu", n, 1), ValueError,
+                     id="crossref-local-id"),
+        pytest.param(lambda store, n: store.attach_crossref("H2O", "nu", 2, n), ValueError,
+                     id="crossref-global-id"),
+    ])
+    def test_a_write_is_refused_before_the_file_is_touched(self, db, value, write, refusal):
+        before = db.read_bytes()
+        with RefStore(db) as store:
+            with pytest.raises(refusal):
+                write(store, value)
+            assert journal_settings(store)[0] == "truncate"  # no write began: still rollback
+        assert db.read_bytes() == before
+        assert [p.name for p in db.parent.iterdir()] == ["refs.db"]
 
 
 def filled_store(path: Path, size: int) -> RefStore:

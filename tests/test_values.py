@@ -54,8 +54,7 @@ def report_renders(report: ResolutionReport) -> dict:
     """All four formats of the report's entry, with its BibTeX text, if any, in that slot."""
     renders = render_all(report.entry)
     if report.bibtex is not None:
-        label = "" if report.entry.global_id is None else str(report.entry.global_id)
-        renders[RenderFormat.BIBTEX] = RenderedCitation(RenderFormat.BIBTEX, report.bibtex, label)
+        renders[RenderFormat.BIBTEX] = RenderedCitation(report.bibtex)
     return renders
 
 
@@ -118,10 +117,7 @@ SPECS = [
           "ads_url": lambda r: None if r.bibcode is None else r.bibcode.ads_url}),
     Spec(RefEntry, False, [("records", REQUIRED), ("note", None), ("global_id", None)],
          ([RECORD], "note", 3), ([RECORD, FALLBACK_RECORD], None, 3), ([FALLBACK_RECORD],)),
-    Spec(RenderedCitation, True,
-         [("format", REQUIRED), ("body", REQUIRED), ("global_label", REQUIRED)],
-         (RenderFormat.HTML, "<i>x</i>", "1"), (RenderFormat.TEXT, "x", "1"),
-         (RenderFormat.JSON, "{}", "")),
+    Spec(RenderedCitation, True, [("body", REQUIRED)], ("<i>x</i>",), ("x",), ("{}",)),
     Spec(BibtexEntry, True,
          [("entry_type", REQUIRED), ("key", REQUIRED), ("fields", REQUIRED), ("raw", "")],
          ("article", "k", {"title": "T"}, "@article{k, title={T}}"),
